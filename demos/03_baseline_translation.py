@@ -30,7 +30,7 @@ model = ckpt.make_model(drop_emb=0.0, drop_out=0.0)
 print("\n=== greedy vs beam on a few test sentences ===")
 for src, tgt in test.pairs[:5]:
     ids = vocab_src.encode(src)
-    greedy = " ".join(vocab_tgt.decode(model.greedy(ids)))
+    greedy = " ".join(vocab_tgt.decode(model.translate(ids, beam=1)))
     beam = " ".join(vocab_tgt.decode(model.translate(ids, beam=4)))
     print(f"src    : {' '.join(src)}")
     print(f"gold   : {' '.join(tgt)}")

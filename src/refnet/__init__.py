@@ -7,11 +7,11 @@ from .corpus import (Batch, ParallelCorpus, Vocab, build_vocab,
 from .evaluation import bleu, length_buckets, param_report
 from .lcc import (AnchorFitConfig, AnchorSet, LccConfig, ScoreParams,
                   fit_anchors, lcc_weights, lipschitz_bound_diag,
-                  localization_measure, reconstruct, tri_score)
+                  localization_measure, reconstruct)
 from .model import TranslationModel
 from .params import (GradRecord, Optimizer, OptimizerConfig, ParamStore,
                      backward, clip_gradient_norm, clip_gradient_value,
-                     finite_diff_grad, optimizer_step)
+                     finite_diff_grad)
 from .seq2seq import (Hypothesis, ModelDims, attention, beam_search,
                       decoder_step, encode, nll_loss, output_distribution)
 from .training import Checkpoint, TrainConfig, pretrain, run_stage
@@ -28,6 +28,6 @@ __all__ = [
     "finite_diff_grad", "fit_anchors", "generate_synthetic_task",
     "lcc_weights", "length_buckets", "lipschitz_bound_diag",
     "localization_measure", "make_batches", "nll_loss", "no_grad",
-    "optimizer_step", "output_distribution", "param_report", "pretrain",
-    "reconstruct", "run_stage", "tri_score",
+    "output_distribution", "param_report", "pretrain", "reconstruct",
+    "run_stage",
 ]

@@ -19,10 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import as_tensor
 from .lcc import tri_scores
 from .params import ParamStore
-from .seq2seq import ModelDims, decoder_step, gates_per_cell, xavier
+from .seq2seq import ModelDims, gates_per_cell, xavier
 
 
 def query_dim(dims: ModelDims):
@@ -48,20 +48,16 @@ def init_b_params(ps: ParamStore, dims: ModelDims, n_anchors, d_a, rng):
 
 
 def build_query(e_prev, s_prev, c_t):
-    """q_t = [e(y_{t-1}); s_{t-1}; c_t], batched or single vectors."""
-    parts = [p if isinstance(p, Tensor) else Tensor(p) for p in (e_prev, s_prev, c_t)]
-    ndims = {p.ndim for p in parts}
-    if len(ndims) != 1:
-        raise ValueError("query components must all be vectors or all be batches")
-    axis = 1 if parts[0].ndim == 2 else 0
-    return ad.concat(parts, axis=axis)
+    """q_t = [e(y_{t-1}); s_{t-1}; c_t] for a batch: (B, d_e + 3*d_h)."""
+    parts = [as_tensor(p) for p in (e_prev, s_prev, c_t)]
+    if any(p.ndim != 2 for p in parts):
+        raise ValueError("query components must all be (B, d) batches")
+    return ad.concat(parts, axis=1)
 
 
 def g_transform(q, params):
-    """Anchor-size projection of the query: tanh of an affine map."""
-    q2 = ad.reshape(q, (1, q.size)) if q.ndim == 1 else q
-    out = ad.tanh(ad.matmul(q2, params["bref/g/W"]) + params["bref/g/b"])
-    return out[0, :] if q.ndim == 1 else out
+    """Anchor-size projection of the query: tanh of an affine map, (B, d_a)."""
+    return ad.tanh(ad.matmul(q, params["bref/g/W"]) + params["bref/g/b"])
 
 
 def regression_weight_norms(params):
@@ -69,38 +65,20 @@ def regression_weight_norms(params):
     return ad.sum_(ad.square(params["bref/reg/W"]), axis=(1, 2))
 
 
-def f_s(q, params):
-    """Anchor-coded regression estimate of the current target embedding."""
-    single = q.ndim == 1
-    q2 = ad.reshape(q, (1, q.size)) if single else q
-    G = g_transform(q2, params)                                   # (B, d_a)
-    anchors = params["bref/anchors"]
-    C = anchors.shape[0]
-    scores = tri_scores(G, anchors, params["bref/score/W"], params["bref/score/U"],
-                        params["bref/score/V"], params["bref/score/v"])
-    gamma = ad.softmax(scores, axis=1)                            # (B, C)
-    preds = ad.stack([ad.matmul(G, params["bref/reg/W"][j]) + params["bref/reg/b"][j]
-                      for j in range(C)], axis=0)                 # (C, B, d_e)
-    gT = ad.reshape(ad.transpose(gamma), (C, G.shape[0], 1))
-    out = ad.sum_(preds * gT, axis=0)                             # (B, d_e)
-    return out[0, :] if single else out
-
-
-def lcc_gamma(q, params):
-    """Just the anchor coefficients for a query (diagnostics and tests)."""
-    single = q.ndim == 1
-    q2 = ad.reshape(q, (1, q.size)) if single else q
-    G = g_transform(q2, params)
+def anchor_gamma(G, params):
+    """Anchor coefficients gamma (B, |C|) of projected queries G = g(q)."""
     scores = tri_scores(G, params["bref/anchors"], params["bref/score/W"],
                         params["bref/score/U"], params["bref/score/V"],
                         params["bref/score/v"])
-    gamma = ad.softmax(scores, axis=1)
-    return gamma[0, :] if single else gamma
+    return ad.softmax(scores, axis=1)
 
 
-def b_decoder_step(params, dims: ModelDims, e_prev, s_prev, c_t):
-    """Baseline state update augmented with the regression estimate."""
-    q = build_query(e_prev, s_prev, c_t)
-    pred = f_s(q, params)
-    return decoder_step(params, e_prev, s_prev, c_t,
-                        extras=[(pred, params["bref/proj"])], cell=dims.cell)
+def f_s(q, params):
+    """Anchor-coded regression estimate of the current target embedding."""
+    G = g_transform(q, params)                                    # (B, d_a)
+    gamma = anchor_gamma(G, params)                               # (B, C)
+    C = gamma.shape[1]
+    preds = ad.stack([ad.matmul(G, params["bref/reg/W"][j]) + params["bref/reg/b"][j]
+                      for j in range(C)], axis=0)                 # (C, B, d_e)
+    gT = ad.reshape(ad.transpose(gamma), (C, G.shape[0], 1))
+    return ad.sum_(preds * gT, axis=0)                            # (B, d_e)

@@ -313,6 +313,9 @@ def _cmd_translate(args):
         raise ConfigError(str(e)) from e
     hyps = []
     for tokens in sources:
+        if not tokens:  # an empty line keeps its place in the output
+            hyps.append([])
+            continue
         ids = ckpt.vocab_src.encode(tokens)
         max_steps = args.max_steps or None
         out_ids = model.translate(ids, beam=args.beam, max_steps=max_steps,

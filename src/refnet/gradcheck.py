@@ -19,8 +19,8 @@ from . import brefnet, mrefnet, seq2seq
 from .autodiff import Tensor
 from .corpus import Batch
 from .lcc import (AnchorSet, LccConfig, ScoreParams,
-                  mean_localization_measure, tri_score)
-from .model import TranslationModel
+                  mean_localization_measure, tri_scores)
+from .model import TranslationModel, variant_extras
 from .params import ParamStore, backward, finite_diff_grad
 from .seq2seq import ModelDims
 
@@ -116,29 +116,29 @@ def check_decoder_step_extras(seed):
     _probe(ps, "probe/c", rng.normal(size=(2, 2 * dims.d_h)))
 
     def f(ps_):
-        s = mrefnet.m_decoder_step(ps_, dims, ps_["probe/e_prev"],
-                                   ps_["probe/s_prev"], ps_["probe/c"],
-                                   ps_["anchors/m"])
+        e, s_prev, c = ps_["probe/e_prev"], ps_["probe/s_prev"], ps_["probe/c"]
+        s = seq2seq.decoder_step(ps_, e, s_prev, c,
+                                 variant_extras("m_ref", ps_, e, s_prev, c),
+                                 dims.cell)
         return ad.sum_(ad.tanh(s) * u)
 
     return _compare(f, ps)
 
 
 def check_tri_score(seed):
-    """The tri-nonlinear compatibility score."""
+    """The tri-nonlinear compatibility score of one input and one anchor."""
     rng = np.random.default_rng((seed, 19))
     d_v, d_att = 4, 3
     ps = ParamStore()
     for key in ("W", "U", "V"):
         ps.add(f"anchors/score/{key}", rng.normal(0, 0.5, size=(d_att, d_v)), "anchors")
     ps.add("anchors/score/v", rng.normal(size=d_att), "anchors")
-    ps.add("anchors/point", rng.normal(size=d_v), "anchors")
-    _probe(ps, "probe/x", rng.normal(size=d_v))
+    ps.add("anchors/point", rng.normal(size=(1, d_v)), "anchors")
+    _probe(ps, "probe/x", rng.normal(size=(1, d_v)))
 
     def f(ps_):
-        sp = ScoreParams(ps_["anchors/score/W"], ps_["anchors/score/U"],
-                         ps_["anchors/score/V"], ps_["anchors/score/v"])
-        return tri_score(ps_["probe/x"], ps_["anchors/point"], sp)
+        return ad.sum_(tri_scores(ps_["probe/x"], ps_["anchors/point"],
+                                  *(ps_[f"anchors/score/{k}"] for k in "WUVv")))
 
     return _compare(f, ps)
 

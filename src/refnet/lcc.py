@@ -72,22 +72,13 @@ class ScoreParams:
         return cls(mat(), mat(), mat(), Tensor(rng.uniform(-0.5, 0.5, size=d_att)))
 
 
-def tri_score(x, anchor, sp: ScoreParams):
-    """Score of one (input, anchor) pair; both must share dimension d_v."""
-    x, anchor = as_tensor(x), as_tensor(anchor)
-    if x.shape != anchor.shape:
-        raise ValueError(f"dimension mismatch: x {x.shape} vs anchor {anchor.shape}")
-    xc = ad.reshape(x, (x.size, 1))
-    vc = ad.reshape(anchor, (anchor.size, 1))
-    pre = ad.matmul(sp.W, vc) + ad.matmul(sp.U, xc) + ad.matmul(sp.V, vc * xc)
-    return ad.sum_(ad.tanh(pre[:, 0]) * sp.v)
-
-
 def tri_scores(X, anchors, W, U, V, v):
     """All pairwise scores: (N, d_v) inputs x (C, d_v) anchors -> (N, C)."""
     X = as_tensor(X)
     A = anchors.points if isinstance(anchors, AnchorSet) else as_tensor(anchors)
     N, d = X.shape
+    if A.shape[1] != d:
+        raise ValueError(f"dimension mismatch: inputs {X.shape} vs anchors {A.shape}")
     C = A.shape[0]
     wa = ad.matmul(A, ad.transpose(W))                    # (C, d_att)
     ux = ad.matmul(X, ad.transpose(U))                    # (N, d_att)

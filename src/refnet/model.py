@@ -1,10 +1,11 @@
 """Model facade: one object covering the baseline and both reference variants.
 
 The variant only changes which extra inputs reach the decoder cell:
-nothing for the baseline, the anchor-attention context for the
+nothing for the baseline, the anchor-attention context c_G for the
 monolingual variant ("m_ref"), the regression estimate f_s for the
-bilingual one ("b_ref"). Loss evaluation and decoding share the same
-teacher-forced / rollout machinery across all three.
+bilingual one ("b_ref"). ``variant_extras`` is the one place that says
+so; teacher-forced training, decoding and the gradient checks all build
+the decoder's extra inputs through it.
 """
 
 from __future__ import annotations
@@ -16,11 +17,32 @@ import numpy as np
 from . import autodiff as ad
 from . import brefnet, mrefnet, seq2seq
 from .autodiff import Tensor, no_grad
-from .corpus import Batch, BOS, EOS
+from .corpus import Batch, BOS, EOS, PAD
 from .params import ParamStore
 from .seq2seq import ModelDims
 
 KINDS = ("baseline", "m_ref", "b_ref")
+
+
+def variant_extras(kind, params, e_prev, s_prev, c):
+    """The extra (vector, projection) inputs of one decoder state update.
+
+    Batched over rows: e_prev is the clean previous-target embedding
+    (B, d_e), s_prev the previous state (B, d_h), c the attention context
+    (B, 2*d_h). The baseline adds nothing; m_ref adds the anchor context
+    c_G through ``mref/proj``; b_ref adds the regression estimate
+    f_s([e_prev; s_prev; c]) through ``bref/proj``.
+    """
+    if kind == "baseline":
+        return []
+    if kind == "m_ref":
+        _, c_g = mrefnet.global_context(s_prev, c, params[mrefnet.ANCHOR_KEY],
+                                        params)
+        return [(c_g, params["mref/proj"])]
+    if kind == "b_ref":
+        pred = brefnet.f_s(brefnet.build_query(e_prev, s_prev, c), params)
+        return [(pred, params["bref/proj"])]
+    raise ValueError(f"unknown model kind {kind!r}")
 
 
 @dataclass
@@ -47,33 +69,31 @@ class TranslationModel:
     # -- training-side ------------------------------------------------------
 
     def loss(self, batch: Batch, training=False, rng=None) -> LossParts:
-        params, dims = self.params, self.dims
-        residuals = []
+        params, kind = self.params, self.kind
+        preds = []  # the extra input vectors per step; f_s(q_t) for b_ref
 
-        def m_hook(t, ctx):
-            _, c_g = mrefnet.global_context(ctx["s_prev"], ctx["c"],
-                                            params[mrefnet.ANCHOR_KEY], params)
-            return [(c_g, params["mref/proj"])]
+        def extras_fn(e_prev, s_prev, c):
+            extras = variant_extras(kind, params, e_prev, s_prev, c)
+            preds.extend(vec for vec, _ in extras)
+            return extras
 
-        def b_hook(t, ctx):
-            q = brefnet.build_query(ctx["e_prev"], ctx["s_prev"], ctx["c"])
-            pred = brefnet.f_s(q, params)
-            diff2 = ad.sum_(ad.square(ctx["emb_clean"][:, t, :] - pred), axis=1)
-            residuals.append(ad.sum_(diff2 * ctx["tmask_t"]))
-            return [(pred, params["bref/proj"])]
-
-        hook = {"baseline": None, "m_ref": m_hook, "b_ref": b_hook}[self.kind]
         nll_mean, n_tokens = seq2seq.nll_loss(
-            params, dims, batch, training=training, rng=rng,
-            drop_emb=self.drop_emb, drop_out=self.drop_out, step_hook=hook)
+            params, self.dims, batch, training=training, rng=rng,
+            drop_emb=self.drop_emb, drop_out=self.drop_out, extras_fn=extras_fn)
 
-        if self.kind != "b_ref":
+        if kind != "b_ref":
             return LossParts(nll_mean, float(nll_mean.data), n_tokens)
 
+        # hinge residual ||e(y_t) - f_s(q_t)||^2 over the non-pad targets,
+        # summed step by step in decoding order
+        tgt, emb = batch.tgt, params["dec/tgt_emb"]
+        tmask = (tgt[:, 1:] != PAD).astype(np.float64)
+        residuals = [
+            ad.sum_(ad.sum_(ad.square(ad.take_rows(emb, tgt[:, t]) - pred), axis=1)
+                    * tmask[:, t - 1])
+            for t, pred in enumerate(preds, 1)]
+        res_sum = sum(residuals[1:], residuals[0])
         B = len(batch)
-        res_sum = residuals[0]
-        for r in residuals[1:]:
-            res_sum = res_sum + r
         reg = ad.sum_(brefnet.regression_weight_norms(params))
         l_m_mean = res_sum * (1.0 / B) + self.lam_m * reg
         joint = nll_mean * (n_tokens / B) + self.lam * l_m_mean
@@ -125,14 +145,7 @@ class TranslationModel:
                 e_prev = ad.take_rows(params["dec/tgt_emb"], prev_ids)
                 s_prev = Tensor(states)
                 _, c = seq2seq.attention(s_prev, h, params, h_proj=h_proj)
-                extras = ()
-                if self.kind == "m_ref":
-                    _, c_g = mrefnet.global_context(
-                        s_prev, c, params[mrefnet.ANCHOR_KEY], params)
-                    extras = [(c_g, params["mref/proj"])]
-                elif self.kind == "b_ref":
-                    q = brefnet.build_query(e_prev, s_prev, c)
-                    extras = [(brefnet.f_s(q, params), params["bref/proj"])]
+                extras = variant_extras(self.kind, params, e_prev, s_prev, c)
                 s_new = seq2seq.decoder_step(params, e_prev, s_prev, c,
                                              extras, dims.cell)
                 logits = seq2seq.output_logits(params, e_prev, s_new, c)
@@ -152,6 +165,3 @@ class TranslationModel:
             toks = hyp.tokens
             return toks[:-1] if toks and toks[-1] == EOS else toks
         return seq2seq.beam_search(step, s0, beam, max_steps, length_normalize)
-
-    def greedy(self, src_ids, max_steps=None):
-        return self.translate(src_ids, beam=1, max_steps=max_steps)

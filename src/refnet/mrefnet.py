@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .corpus import make_batches
 from .params import ParamStore
-from .seq2seq import ModelDims, decoder_step, encode_batch, gates_per_cell, xavier
+from .seq2seq import ModelDims, encode_batch, gates_per_cell, xavier
 
 ANCHOR_KEY = "anchors/m"
 SCORE_KEYS = ("anchors/m_score/W", "anchors/m_score/U",
@@ -83,9 +83,3 @@ def global_context(s_prev, c_t, anchor_points, params):
     alpha = ad.softmax(scores, axis=1)                 # (B, C)
     return alpha, ad.matmul(alpha, A)
 
-
-def m_decoder_step(params, dims: ModelDims, e_prev, s_prev, c_t, anchor_points):
-    """Baseline state update augmented with the global anchor context."""
-    _, c_g = global_context(s_prev, c_t, anchor_points, params)
-    return decoder_step(params, e_prev, s_prev, c_t,
-                        extras=[(c_g, params["mref/proj"])], cell=dims.cell)

@@ -100,6 +100,14 @@ class ParamStore:
             h.update(np.ascontiguousarray(self._params[name].data).tobytes())
         return h.hexdigest()
 
+    def copy(self):
+        """An independent store with the same entries, flags and freezes."""
+        out = ParamStore()
+        out._frozen = set(self._frozen)
+        for name, t in self._params.items():
+            out.add(name, t.data, self._group_of[name], self._trainable[name])
+        return out
+
     def snapshot(self):
         return {n: t.data.copy() for n, t in self._params.items()}
 
@@ -235,7 +243,3 @@ class Optimizer:
                 raise ValueError(f"unknown optimizer kind {cfg.kind!r}")
         return params
 
-
-def optimizer_step(params: ParamStore, grads: GradRecord, optimizer: Optimizer):
-    """Apply one update; frozen parameters are untouched by construction."""
-    return optimizer.step(params, grads)

@@ -158,21 +158,6 @@ def encode(params, dims: ModelDims, ids):
     return h[0, :, :]
 
 
-def encoder_direction_states(params, dims: ModelDims, ids, direction):
-    """Per-step states of one direction before concatenation (diagnostics)."""
-    ids = np.asarray(ids)[None, :]
-    emb = ad.take_rows(params["enc/src_emb"], ids.reshape(-1))
-    emb = ad.reshape(emb, (1, ids.shape[1], dims.d_e))
-    W, U, b = (params[f"enc/{direction}/{k}"] for k in ("W", "U", "b"))
-    s = Tensor(np.zeros((1, dims.d_h)))
-    steps = range(ids.shape[1]) if direction == "fwd" else range(ids.shape[1] - 1, -1, -1)
-    out = {}
-    for t in steps:
-        s = recurrent_cell(emb[:, t, :], s, W, U, b, dims.cell)
-        out[t] = s.data[0].copy()
-    return [out[t] for t in sorted(out)]
-
-
 # ---------------------------------------------------------------------------
 # attention and decoder
 
@@ -187,14 +172,11 @@ def attention(s_prev, h, params, mask=None, h_proj=None):
     """Alignment weights and context for one decoder step.
 
     Scores are v_a^T tanh(W_a s_{t-1} + U_a h_i); the softmax runs over
-    source positions with padded positions masked out.
+    source positions with padded positions masked out. s_prev is (B, d_h)
+    and h is (B, m, 2*d_h); a single sentence is a batch of one.
     """
-    if h.shape[-2] == 0:
+    if h.shape[1] == 0:
         raise ValueError("attention needs at least one source position")
-    if h.ndim == 2:  # single sentence: 1-D state in, 1-D weights/context out
-        s2 = ad.reshape(s_prev, (1, s_prev.shape[-1])) if s_prev.ndim == 1 else s_prev
-        alpha, c = attention(s2, ad.reshape(h, (1,) + h.shape), params, mask=mask)
-        return alpha[0, :], c[0, :]
     if h_proj is None:
         h_proj = attention_proj(params, h)
     ws = ad.matmul(s_prev, params["dec/att/W"])            # (B, d_att)
@@ -242,12 +224,13 @@ def output_distribution(params, e_prev, s_t, c_t):
 # teacher-forced loss
 
 def nll_loss(params, dims: ModelDims, batch: Batch, training=False, rng=None,
-             drop_emb=0.0, drop_out=0.0, step_hook=None):
+             drop_emb=0.0, drop_out=0.0, extras_fn=None):
     """Mean negative log-likelihood per non-pad target token.
 
-    ``step_hook(t, ctx)`` lets the reference-network variants inject extra
-    decoder inputs and collect per-step values; ctx carries e_prev (clean
-    embedding), s_prev and c_t, and the hook returns the extras list.
+    ``extras_fn(e_prev, s_prev, c_t)`` returns the decoder's extra
+    (vector, projection) inputs for one step, as ``model.variant_extras``
+    does for the reference-network variants; e_prev is the clean
+    (dropout-free) previous-target embedding. None means no extras.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
@@ -266,12 +249,7 @@ def nll_loss(params, dims: ModelDims, batch: Batch, training=False, rng=None,
     for t in range(1, T):
         e_prev_in = emb_in[:, t - 1, :]
         _, c = attention(s, h, params, mask=mask, h_proj=h_proj)
-        extras = ()
-        if step_hook is not None:
-            extras = step_hook(t, {"e_prev": emb_clean[:, t - 1, :],
-                                   "s_prev": s, "c": c,
-                                   "emb_clean": emb_clean,
-                                   "tmask_t": tmask[:, t - 1]})
+        extras = () if extras_fn is None else extras_fn(emb_clean[:, t - 1, :], s, c)
         s = decoder_step(params, e_prev_in, s, c, extras, dims.cell)
         logits = output_logits(params, e_prev_in, s, c, training, rng, drop_out)
         logp = ad.log_softmax(logits, axis=1)

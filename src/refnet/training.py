@@ -1,8 +1,9 @@
 """Stage-wise training: pretrain, fit-anchors, finetune-m, train-b.
 
-Each stage takes a checkpoint (except pretraining), freezes the groups the
-protocol says stay fixed, trains what remains, and emits a new checkpoint
-with the stage appended to its provenance chain. Frozen groups are hashed
+Each stage takes a checkpoint (except pretraining), works on a copy of its
+parameters so the input is never changed, freezes the groups the protocol
+says stay fixed, trains what remains, and emits a new checkpoint with the
+stage appended to its provenance chain. Frozen groups are hashed
 before and after every stage; a change aborts the run.
 
 Checkpoint files are a self-describing binary container: magic ``RNCK``,
@@ -26,7 +27,7 @@ import numpy as np
 from .corpus import ParallelCorpus, Vocab, make_batches
 from .errors import CheckpointError, NumericError, PrerequisiteError
 from .lcc import AnchorFitConfig, LccConfig, fit_anchors
-from .model import TranslationModel
+from .model import KINDS, TranslationModel
 from .mrefnet import add_anchor_params, collect_sentence_reprs, init_m_params
 from .brefnet import init_b_params
 from .params import (Optimizer, OptimizerConfig, ParamStore, backward,
@@ -35,6 +36,8 @@ from .seq2seq import ModelDims, init_baseline_params
 
 MAGIC = b"RNCK"
 FORMAT_VERSION = 1
+HEADER_KEYS = ("kind", "stages", "dims", "config", "vocab_src", "vocab_tgt",
+               "params", "payload_bytes")
 
 STAGES = ("pretrain", "fit-anchors", "finetune-m", "train-b")
 STAGE_FREEZES = {
@@ -158,25 +161,44 @@ class Checkpoint:
             header = json.loads(blob[16:16 + hlen].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointError(f"{path}: corrupt header: {e}") from e
+        missing = ([k for k in HEADER_KEYS if k not in header]
+                   if isinstance(header, dict) else list(HEADER_KEYS))
+        if missing:
+            raise CheckpointError(f"{path}: header lacks {missing}")
+        if header["kind"] not in KINDS:
+            raise CheckpointError(f"{path}: unknown model kind {header['kind']!r}")
         payload = blob[16 + hlen:]
         if len(payload) != header["payload_bytes"]:
             raise CheckpointError(
                 f"{path}: truncated payload ({len(payload)} of "
                 f"{header['payload_bytes']} bytes)")
-        dims = ModelDims(**header["dims"])
+        try:
+            dims = ModelDims(**header["dims"])
+        except (TypeError, ValueError) as e:
+            raise CheckpointError(f"{path}: bad dims {header['dims']!r}: {e}") from e
         if expect_dims is not None and dims.to_dict() != expect_dims.to_dict():
             raise CheckpointError(
                 f"{path}: checkpoint dims {dims.to_dict()} do not match "
                 f"expected {expect_dims.to_dict()}")
         params = ParamStore()
         for entry in header["params"]:
-            shape = tuple(entry["shape"])
+            try:
+                name, group = entry["name"], entry["group"]
+                shape = tuple(int(d) for d in entry["shape"])
+                start, trainable = int(entry["offset"]), entry["trainable"]
+            except (KeyError, TypeError, ValueError) as e:
+                raise CheckpointError(f"{path}: bad manifest entry {entry!r}") from e
             n = int(np.prod(shape)) if shape else 1
-            start = entry["offset"]
+            if min(shape, default=0) < 0 or start < 0 or start + 8 * n > len(payload):
+                raise CheckpointError(
+                    f"{path}: parameter {name!r} (shape {list(shape)}, offset "
+                    f"{start}) does not fit the {len(payload)}-byte payload")
             arr = np.frombuffer(payload, dtype="<f8", count=n,
                                 offset=start).reshape(shape).copy()
-            params.add(entry["name"], arr, entry["group"],
-                       trainable=entry["trainable"])
+            try:
+                params.add(name, arr, group, trainable=trainable)
+            except ValueError as e:  # duplicate name or unknown group
+                raise CheckpointError(f"{path}: {e}") from e
         vocab_src = Vocab(header["vocab_src"][4:])
         vocab_tgt = Vocab(header["vocab_tgt"][4:])
         return cls(params, dims, TrainConfig.from_dict(header["config"]),
@@ -214,8 +236,11 @@ def train_epochs(model: TranslationModel, stage, corpus_train, corpus_dev,
         batches = make_batches(corpus_train, config.batch_size, vocab_src,
                                vocab_tgt, shuffle_seed=(config.seed, epoch, 17))
         tok_nll, tok_count, lm_sum = 0.0, 0.0, 0.0
-        for batch in batches:
+        for index, batch in enumerate(batches):
             parts = model.loss(batch, training=True, rng=rng)
+            if not np.isfinite(parts.joint.data):
+                raise NumericError(f"{stage}: non-finite training loss at "
+                                   f"epoch {epoch}, batch {index}")
             grads = backward(parts.joint, params)
             if config.clip_mode == "norm":
                 grads = clip_gradient_norm(grads, config.clip_norm)
@@ -227,9 +252,9 @@ def train_epochs(model: TranslationModel, stage, corpus_train, corpus_dev,
             if parts.l_m is not None:
                 lm_sum += parts.l_m * len(batch)
         train_loss = tok_nll / tok_count
-        if not np.isfinite(train_loss):
-            raise NumericError(f"{stage}: training diverged at epoch {epoch}")
         dev_loss = model.dev_loss(dev_batches)
+        if not np.isfinite(dev_loss):
+            raise NumericError(f"{stage}: non-finite dev loss at epoch {epoch}")
         row = {"epoch": epoch, "stage": stage, "train_loss": train_loss,
                "dev_loss": dev_loss, "seconds": time.perf_counter() - t0}
         if lm_sum:
@@ -271,7 +296,8 @@ def fit_anchors_stage(ckpt: Checkpoint, corpus_train: ParallelCorpus,
         raise PrerequisiteError("fit-anchors requires a pretrained checkpoint")
     if "anchors/m" in ckpt.params:
         raise PrerequisiteError("checkpoint already carries a fitted anchor set")
-    reprs = collect_sentence_reprs(ckpt.params, ckpt.dims, corpus_train,
+    params = ckpt.params.copy()
+    reprs = collect_sentence_reprs(params, ckpt.dims, corpus_train,
                                    ckpt.vocab_src, ckpt.vocab_tgt,
                                    batch_size=config.batch_size)
     result = fit_anchors(
@@ -280,12 +306,12 @@ def fit_anchors_stage(ckpt: Checkpoint, corpus_train: ParallelCorpus,
         AnchorFitConfig(iters=config.fit_iters, lr=config.fit_lr,
                         lr_decay=config.fit_lr_decay,
                         batch_size=config.fit_batch, seed=config.seed))
-    add_anchor_params(ckpt.params, result.anchors.points.data,
+    add_anchor_params(params, result.anchors.points.data,
                       [result.score.W.data, result.score.U.data,
                        result.score.V.data, result.score.v.data])
     history = [{"stage": "fit-anchors", "initial_measure": result.initial_measure,
                 "final_measure": result.final_measure}]
-    return Checkpoint(ckpt.params, ckpt.dims, config, ckpt.kind,
+    return Checkpoint(params, ckpt.dims, config, ckpt.kind,
                       ckpt.stages + ["fit-anchors"], ckpt.vocab_src,
                       ckpt.vocab_tgt, history)
 
@@ -306,14 +332,15 @@ def finetune_m(ckpt: Checkpoint, corpus_train: ParallelCorpus,
     if ckpt.kind != "baseline":
         raise PrerequisiteError(f"cannot fine-tune a {ckpt.kind!r} checkpoint")
     rng = np.random.default_rng((config.seed, 3))
-    init_m_params(ckpt.params, ckpt.dims, rng)
-    ckpt.params.freeze("encoder", "anchors")
-    model = TranslationModel(ckpt.params, ckpt.dims, "m_ref",
+    params = ckpt.params.copy()
+    init_m_params(params, ckpt.dims, rng)
+    params.freeze("encoder", "anchors")
+    model = TranslationModel(params, ckpt.dims, "m_ref",
                              drop_emb=config.drop_emb, drop_out=config.drop_out)
     history = train_epochs(model, "finetune-m", corpus_train, corpus_dev,
                            ckpt.vocab_src, ckpt.vocab_tgt, config)
-    ckpt.params.unfreeze("encoder", "anchors")
-    return Checkpoint(ckpt.params, ckpt.dims, config, "m_ref",
+    params.unfreeze("encoder", "anchors")
+    return Checkpoint(params, ckpt.dims, config, "m_ref",
                       ckpt.stages + ["finetune-m"], ckpt.vocab_src,
                       ckpt.vocab_tgt, history)
 
@@ -330,15 +357,16 @@ def train_b(ckpt: Checkpoint, corpus_train: ParallelCorpus,
     if ckpt.kind != "baseline":
         raise PrerequisiteError(f"cannot train-b on a {ckpt.kind!r} checkpoint")
     rng = np.random.default_rng((config.seed, 5))
-    init_b_params(ckpt.params, ckpt.dims, config.n_anchors, config.d_a, rng)
-    ckpt.params.freeze("encoder", "decoder", "anchors")
-    model = TranslationModel(ckpt.params, ckpt.dims, "b_ref",
+    params = ckpt.params.copy()
+    init_b_params(params, ckpt.dims, config.n_anchors, config.d_a, rng)
+    params.freeze("encoder", "decoder", "anchors")
+    model = TranslationModel(params, ckpt.dims, "b_ref",
                              drop_emb=config.drop_emb, drop_out=config.drop_out,
                              lam=config.lam, lam_m=config.lam_m)
     history = train_epochs(model, "train-b", corpus_train, corpus_dev,
                            ckpt.vocab_src, ckpt.vocab_tgt, config)
-    ckpt.params.unfreeze("encoder", "decoder", "anchors")
-    return Checkpoint(ckpt.params, ckpt.dims, config, "b_ref",
+    params.unfreeze("encoder", "decoder", "anchors")
+    return Checkpoint(params, ckpt.dims, config, "b_ref",
                       ckpt.stages + ["train-b"], ckpt.vocab_src,
                       ckpt.vocab_tgt, history)
 

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -29,3 +32,18 @@ def toy_vocabs(toy_split):
     train, _, _ = toy_split
     return (build_vocab(train.sources(), 100),
             build_vocab(train.targets(), 100))
+
+
+@pytest.fixture
+def rewrite_header():
+    """Copy a checkpoint file with its JSON header passed through ``mutate``."""
+    def rewrite(src, dst, mutate):
+        blob = src.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + hlen])
+        mutate(header)
+        raw = json.dumps(header).encode("utf-8")
+        dst.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw
+                        + blob[16 + hlen:])
+        return dst
+    return rewrite

@@ -5,8 +5,7 @@ from refnet import autodiff as ad
 from refnet.autodiff import Tensor, no_grad
 from refnet.params import (Optimizer, OptimizerConfig, ParamStore, backward,
                            clip_gradient_norm, clip_gradient_value,
-                           finite_diff_grad, grad_global_norm, optimizer_step,
-                           relative_error)
+                           finite_diff_grad, grad_global_norm, relative_error)
 
 
 class TestBackward:
@@ -148,7 +147,7 @@ class TestOptimizer:
         ps = ParamStore()
         ps.add("p", 1.0, "encoder")
         opt = Optimizer(OptimizerConfig(kind="sgd", lr=0.1))
-        optimizer_step(ps, {"p": np.array(2.0)}, opt)
+        opt.step(ps, {"p": np.array(2.0)})
         assert ps["p"].data == pytest.approx(0.8)
 
     def test_frozen_parameter_untouched(self):

@@ -3,11 +3,10 @@ import pytest
 
 from refnet import autodiff as ad
 from refnet.autodiff import Tensor
-from refnet.brefnet import (b_decoder_step, build_query, f_s, g_transform,
-                            init_b_params, lcc_gamma, query_dim,
-                            regression_weight_norms)
+from refnet.brefnet import (anchor_gamma, build_query, f_s, g_transform,
+                            init_b_params, query_dim, regression_weight_norms)
 from refnet.corpus import make_batches
-from refnet.model import TranslationModel
+from refnet.model import TranslationModel, variant_extras
 from refnet.seq2seq import ModelDims, decoder_step, init_baseline_params
 from refnet.training import TrainConfig, pretrain, train_b
 
@@ -23,20 +22,21 @@ def bref_store(dims, n_anchors=3, d_a=5, seed=0, zero_proj=True):
 
 class TestBuildQuery:
     def test_dimension_is_sum(self):
-        q = build_query(np.zeros(2), np.zeros(3), np.zeros(4))
-        assert q.shape == (9,)
+        q = build_query(np.zeros((1, 2)), np.zeros((1, 3)), np.zeros((1, 4)))
+        assert q.shape == (1, 9)
 
     def test_zero_inputs_zero_query(self):
-        q = build_query(np.zeros(2), np.zeros(3), np.zeros(4))
-        np.testing.assert_array_equal(q.data, np.zeros(9))
+        q = build_query(np.zeros((1, 2)), np.zeros((1, 3)), np.zeros((1, 4)))
+        np.testing.assert_array_equal(q.data, np.zeros((1, 9)))
 
     def test_slices_recover_components(self):
         rng = np.random.default_rng(1)
-        e, s, c = rng.normal(size=2), rng.normal(size=3), rng.normal(size=4)
+        e, s, c = (rng.normal(size=(1, 2)), rng.normal(size=(1, 3)),
+                   rng.normal(size=(1, 4)))
         q = build_query(e, s, c).data
-        np.testing.assert_array_equal(q[:2], e)
-        np.testing.assert_array_equal(q[2:5], s)
-        np.testing.assert_array_equal(q[5:], c)
+        np.testing.assert_array_equal(q[:, :2], e)
+        np.testing.assert_array_equal(q[:, 2:5], s)
+        np.testing.assert_array_equal(q[:, 5:], c)
 
     def test_mixed_ranks_rejected(self):
         with pytest.raises(ValueError):
@@ -48,8 +48,8 @@ class TestGTransform:
         ps = bref_store(tiny_dims)
         ps["bref/g/W"].data[...] = 0.0
         ps["bref/g/b"].data[...] = 0.0
-        out = g_transform(np.ones(query_dim(tiny_dims)), ps)
-        np.testing.assert_array_equal(out.data, np.zeros(5))
+        out = g_transform(np.ones((1, query_dim(tiny_dims))), ps)
+        np.testing.assert_array_equal(out.data, np.zeros((1, 5)))
 
     def test_output_in_tanh_range(self, tiny_dims):
         ps = bref_store(tiny_dims, seed=2)
@@ -75,7 +75,7 @@ class TestFs:
         ps["bref/reg/b"].data[...] = np.random.default_rng(7).normal(size=(3, tiny_dims.d_e))
         rng = np.random.default_rng(8)
         q = Tensor(rng.normal(size=(2, query_dim(tiny_dims))))
-        gamma = lcc_gamma(q, ps)
+        gamma = anchor_gamma(g_transform(q, ps), ps)
         out = f_s(q, ps)
         expected = gamma.data @ ps["bref/reg/b"].data
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -91,9 +91,9 @@ class TestFs:
         ps["bref/anchors"].data[...] = 0.0
         ps["bref/anchors"].data[1, 0] = math.atanh(math.log(3.0) / 2.0)
         rng = np.random.default_rng(10)
-        q = rng.normal(size=query_dim(tiny_dims))
-        gamma = lcc_gamma(Tensor(q), ps)
-        np.testing.assert_allclose(gamma.data, [0.25, 0.75], atol=1e-12)
+        q = rng.normal(size=(1, query_dim(tiny_dims)))
+        gamma = anchor_gamma(g_transform(Tensor(q), ps), ps)
+        np.testing.assert_allclose(gamma.data, [[0.25, 0.75]], atol=1e-12)
         g = np.tanh(q @ ps["bref/g/W"].data + ps["bref/g/b"].data)
         expected = (0.25 * (g @ ps["bref/reg/W"].data[0] + ps["bref/reg/b"].data[0])
                     + 0.75 * (g @ ps["bref/reg/W"].data[1] + ps["bref/reg/b"].data[1]))
@@ -102,7 +102,8 @@ class TestFs:
     def test_gamma_on_simplex(self, tiny_dims):
         ps = bref_store(tiny_dims, n_anchors=4, seed=11)
         rng = np.random.default_rng(12)
-        gamma = lcc_gamma(Tensor(rng.normal(size=(50, query_dim(tiny_dims)))), ps)
+        q = Tensor(rng.normal(size=(50, query_dim(tiny_dims))))
+        gamma = anchor_gamma(g_transform(q, ps), ps)
         assert (gamma.data >= 0).all()
         np.testing.assert_allclose(gamma.data.sum(axis=1), 1.0, atol=1e-9)
 
@@ -165,7 +166,7 @@ class TestBDecoderStep:
         c = Tensor(rng.normal(size=(2, 2 * tiny_dims.d_h)))
         np.testing.assert_array_equal(
             decoder_step(ps, e, s, c).data,
-            b_decoder_step(ps, tiny_dims, e, s, c).data)
+            decoder_step(ps, e, s, c, variant_extras("b_ref", ps, e, s, c)).data)
 
     def test_generic_projection_differs(self, tiny_dims):
         ps = bref_store(tiny_dims, seed=17, zero_proj=False)
@@ -174,7 +175,7 @@ class TestBDecoderStep:
         s = Tensor(rng.normal(size=(2, tiny_dims.d_h)))
         c = Tensor(rng.normal(size=(2, 2 * tiny_dims.d_h)))
         assert not np.allclose(decoder_step(ps, e, s, c).data,
-                               b_decoder_step(ps, tiny_dims, e, s, c).data)
+                               decoder_step(ps, e, s, c, variant_extras("b_ref", ps, e, s, c)).data)
 
 
 class TestTrainB:

@@ -154,8 +154,22 @@ class TestTranslateAndEvaluate:
         for src_tokens, hyp_line in zip(
                 read_sentences(toy_files / "toy.test.src"), lines):
             ids = ckpt.vocab_src.encode(src_tokens)
-            expected = " ".join(ckpt.vocab_tgt.decode(model.greedy(ids)))
+            expected = " ".join(ckpt.vocab_tgt.decode(model.translate(ids, beam=1)))
             assert hyp_line == expected
+
+    def test_empty_source_line_gives_empty_hypothesis(self, toy_files,
+                                                        toy_ckpt, tmp_path):
+        first, second = (toy_files / "toy.test.src").read_text().splitlines()[:2]
+        outputs = {}
+        for name, text in (("plain", f"{first}\n{second}\n"),
+                           ("gaps", f"{first}\n\n{second}\n")):
+            (tmp_path / f"{name}.src").write_text(text)
+            assert run_cli(["translate", "--ckpt", str(toy_ckpt),
+                            "--src", str(tmp_path / f"{name}.src"),
+                            "--out", str(tmp_path / f"{name}.hyp"),
+                            "--beam", "2"]) == EXIT_OK
+            outputs[name] = (tmp_path / f"{name}.hyp").read_text().splitlines()
+        assert outputs["gaps"] == [outputs["plain"][0], "", outputs["plain"][1]]
 
     def test_translate_deterministic(self, toy_files, toy_ckpt, tmp_path):
         outs = []
@@ -184,6 +198,16 @@ class TestTranslateAndEvaluate:
         assert run_cli(["params", "--ckpt", str(toy_ckpt)]) == EXIT_OK
         text = capsys.readouterr().out
         assert "encoder" in text and "decoder" in text and "total" in text
+
+
+    def test_params_on_malformed_checkpoint(self, toy_ckpt, tmp_path,
+                                            rewrite_header, capsys):
+        bad = rewrite_header(toy_ckpt, tmp_path / "bad.ckpt",
+                             lambda h: h.pop("dims"))
+        assert run_cli(["params", "--ckpt", str(bad)]) == EXIT_PREREQ
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "dims" in captured.err
 
 
 class TestGradcheckCommand:

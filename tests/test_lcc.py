@@ -6,7 +6,7 @@ import pytest
 from refnet.autodiff import Tensor
 from refnet.lcc import (AnchorFitConfig, AnchorSet, LccConfig, ScoreParams,
                         fit_anchors, lcc_weights, lipschitz_bound_diag,
-                        localization_measure, reconstruct, tri_score)
+                        localization_measure, reconstruct, tri_scores)
 
 
 def make_score(d_v, d_att=None, seed=0, scale=0.5):
@@ -25,18 +25,23 @@ def zero_score(d_v, d_att=None):
                        zeros((d_att, d_v)), zeros(d_att))
 
 
+def pair_score(x, anchor, sp):
+    """Score of one input against one anchor, through the batched scores."""
+    return tri_scores([x], [anchor], sp.W, sp.U, sp.V, sp.v)[0, 0]
+
+
 class TestTriScore:
     def test_zero_readout_gives_zero(self):
         sp = make_score(3, seed=1)
         sp.v.data[...] = 0.0
-        out = tri_score([1.0, -2.0, 0.5], [0.3, 0.3, 0.3], sp)
+        out = pair_score([1.0, -2.0, 0.5], [0.3, 0.3, 0.3], sp)
         assert float(out.data) == 0.0
 
     def test_zero_input_drops_product_term(self):
         sp = make_score(3, seed=2)
         x = np.zeros(3)
         v = np.array([0.4, -1.0, 2.0])
-        out = tri_score(x, v, sp)
+        out = pair_score(x, v, sp)
         expected = sp.v.data @ np.tanh(sp.W.data @ v)
         assert float(out.data) == pytest.approx(expected, rel=1e-12)
 
@@ -44,13 +49,13 @@ class TestTriScore:
         """W = U = V = I, x = (1,0), v = (1,1): score = v_s . tanh((3,1))."""
         sp = ScoreParams(Tensor(np.eye(2)), Tensor(np.eye(2)),
                          Tensor(np.eye(2)), Tensor(np.array([1.0, 1.0])))
-        out = tri_score([1.0, 0.0], [1.0, 1.0], sp)
+        out = pair_score([1.0, 0.0], [1.0, 1.0], sp)
         assert float(out.data) == pytest.approx(math.tanh(3) + math.tanh(1))
 
     def test_dimension_mismatch_rejected(self):
         sp = make_score(3)
         with pytest.raises(ValueError, match="mismatch"):
-            tri_score([1.0, 2.0], [1.0, 2.0, 3.0], sp)
+            pair_score([1.0, 2.0], [1.0, 2.0, 3.0], sp)
 
 
 class TestLccWeights:

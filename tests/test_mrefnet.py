@@ -5,10 +5,9 @@ import pytest
 
 from refnet.autodiff import Tensor
 from refnet.corpus import make_batches
-from refnet.model import TranslationModel
+from refnet.model import TranslationModel, variant_extras
 from refnet.mrefnet import (add_anchor_params, collect_sentence_reprs,
-                            global_context, init_m_params, m_decoder_step,
-                            sentence_repr)
+                            global_context, init_m_params, sentence_repr)
 from refnet.seq2seq import ModelDims, decoder_step, encode, init_baseline_params
 from refnet.training import TrainConfig, finetune_m, pretrain
 
@@ -119,7 +118,7 @@ class TestMDecoderStep:
         s = Tensor(rng.normal(size=(2, tiny_dims.d_h)))
         c = Tensor(rng.normal(size=(2, 2 * tiny_dims.d_h)))
         base = decoder_step(ps, e, s, c)
-        aug = m_decoder_step(ps, tiny_dims, e, s, c, ps["anchors/m"])
+        aug = decoder_step(ps, e, s, c, variant_extras("m_ref", ps, e, s, c))
         np.testing.assert_array_equal(base.data, aug.data)
 
     def test_generic_projection_differs(self, tiny_dims):
@@ -129,7 +128,7 @@ class TestMDecoderStep:
         s = Tensor(rng.normal(size=(2, tiny_dims.d_h)))
         c = Tensor(rng.normal(size=(2, 2 * tiny_dims.d_h)))
         base = decoder_step(ps, e, s, c)
-        aug = m_decoder_step(ps, tiny_dims, e, s, c, ps["anchors/m"])
+        aug = decoder_step(ps, e, s, c, variant_extras("m_ref", ps, e, s, c))
         assert not np.allclose(base.data, aug.data)
 
 

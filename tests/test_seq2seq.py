@@ -8,7 +8,7 @@ from refnet.autodiff import Tensor, no_grad
 from refnet.corpus import BOS, EOS, Batch
 from refnet.model import TranslationModel
 from refnet.seq2seq import (ModelDims, attention, beam_search, decoder_step,
-                            encode, encoder_direction_states, greedy_decode,
+                            encode, greedy_decode,
                             init_baseline_params, nll_loss,
                             output_distribution, output_logits)
 
@@ -38,9 +38,9 @@ class TestEncoder:
             tiny_params[f"enc/bwd/{key}"].data[...] = \
                 tiny_params[f"enc/fwd/{key}"].data
         ids = [4, 5, 6, 4]
-        fwd = encoder_direction_states(tiny_params, tiny_dims, ids, "fwd")
-        bwd_rev = encoder_direction_states(tiny_params, tiny_dims,
-                                           ids[::-1], "bwd")
+        d_h = tiny_dims.d_h
+        fwd = encode(tiny_params, tiny_dims, ids).data[:, :d_h]
+        bwd_rev = encode(tiny_params, tiny_dims, ids[::-1]).data[:, d_h:]
         for t in range(len(ids)):
             np.testing.assert_array_equal(fwd[t], bwd_rev[len(ids) - 1 - t])
 
@@ -63,45 +63,45 @@ class TestEncoder:
 
 class TestAttention:
     def test_single_position(self, tiny_params, tiny_dims):
-        h = Tensor(np.random.default_rng(0).normal(size=(1, 2 * tiny_dims.d_h)))
-        s = Tensor(np.zeros(tiny_dims.d_h))
+        h = Tensor(np.random.default_rng(0).normal(size=(1, 1, 2 * tiny_dims.d_h)))
+        s = Tensor(np.zeros((1, tiny_dims.d_h)))
         alpha, c = attention(s, h, tiny_params)
-        np.testing.assert_allclose(alpha.data, [1.0])
+        np.testing.assert_allclose(alpha.data, [[1.0]])
         np.testing.assert_array_equal(c.data, h.data[0])
 
     def test_zero_parameters_give_uniform_weights(self, tiny_params, tiny_dims):
         zero_params(tiny_params, ["dec/att/W", "dec/att/U", "dec/att/v"])
-        h = Tensor(np.random.default_rng(1).normal(size=(5, 2 * tiny_dims.d_h)))
-        alpha, _ = attention(Tensor(np.zeros(tiny_dims.d_h)), h, tiny_params)
-        np.testing.assert_allclose(alpha.data, np.full(5, 0.2))
+        h = Tensor(np.random.default_rng(1).normal(size=(1, 5, 2 * tiny_dims.d_h)))
+        alpha, _ = attention(Tensor(np.zeros((1, tiny_dims.d_h))), h, tiny_params)
+        np.testing.assert_allclose(alpha.data, np.full((1, 5), 0.2))
 
     def test_hand_built_scores(self, tiny_params, tiny_dims):
         """Scores (0, ln 3) must produce weights (0.25, 0.75)."""
         zero_params(tiny_params, ["dec/att/W", "dec/att/U", "dec/att/v"])
         tiny_params["dec/att/U"].data[0, 0] = 1.0
         tiny_params["dec/att/v"].data[0] = 2.0
-        h = np.zeros((2, 2 * tiny_dims.d_h))
-        h[1, 0] = np.arctanh(math.log(3.0) / 2.0)  # tanh^-1 makes score ln 3
-        alpha, c = attention(Tensor(np.zeros(tiny_dims.d_h)), Tensor(h),
+        h = np.zeros((1, 2, 2 * tiny_dims.d_h))
+        h[0, 1, 0] = np.arctanh(math.log(3.0) / 2.0)  # tanh^-1 makes score ln 3
+        alpha, c = attention(Tensor(np.zeros((1, tiny_dims.d_h))), Tensor(h),
                              tiny_params)
-        np.testing.assert_allclose(alpha.data, [0.25, 0.75], atol=1e-12)
-        np.testing.assert_allclose(c.data, 0.75 * h[1], atol=1e-12)
+        np.testing.assert_allclose(alpha.data, [[0.25, 0.75]], atol=1e-12)
+        np.testing.assert_allclose(c.data, 0.75 * h[:, 1], atol=1e-12)
 
     def test_weights_on_simplex_and_shift_invariant(self, tiny_params, tiny_dims):
         rng = np.random.default_rng(2)
-        h = Tensor(rng.normal(size=(4, 2 * tiny_dims.d_h)))
-        s = Tensor(rng.normal(size=tiny_dims.d_h))
+        h = Tensor(rng.normal(size=(1, 4, 2 * tiny_dims.d_h)))
+        s = Tensor(rng.normal(size=(1, tiny_dims.d_h)))
         alpha, _ = attention(s, h, tiny_params)
         assert (alpha.data >= 0).all()
         assert abs(alpha.data.sum() - 1.0) < 1e-9
         # shifting every score by a constant cannot change the softmax
-        shifted = ad.softmax(Tensor(np.log(alpha.data) + 5.0), axis=0)
+        shifted = ad.softmax(Tensor(np.log(alpha.data) + 5.0), axis=1)
         np.testing.assert_allclose(shifted.data, alpha.data, atol=1e-9)
 
     def test_empty_source_rejected(self, tiny_params, tiny_dims):
         with pytest.raises(ValueError):
-            attention(Tensor(np.zeros(tiny_dims.d_h)),
-                      Tensor(np.zeros((0, 2 * tiny_dims.d_h))), tiny_params)
+            attention(Tensor(np.zeros((1, tiny_dims.d_h))),
+                      Tensor(np.zeros((1, 0, 2 * tiny_dims.d_h))), tiny_params)
 
 
 class TestDecoderStep:
@@ -261,7 +261,10 @@ class TestDecoding:
         rng = np.random.default_rng(2)
         for _ in range(10):
             src = rng.integers(4, 8, size=rng.integers(1, 6)).tolist()
-            assert model.translate(src, beam=1) == model.greedy(src)
+            h, h_proj, s0 = model._prepare(src)
+            beam_one = beam_search(model._make_step(h, h_proj), s0, 1,
+                                   2 * len(src) + 5)
+            assert model.translate(src, beam=1) == beam_one
 
     def test_beam_score_at_least_greedy(self):
         """Widening the beam never returns a worse-scoring hypothesis."""

@@ -4,8 +4,16 @@ import pytest
 from refnet.corpus import make_batches
 from refnet.errors import CheckpointError, PrerequisiteError
 from refnet.model import TranslationModel
+from refnet.params import GROUPS
 from refnet.seq2seq import ModelDims
 from refnet.training import (Checkpoint, TrainConfig, pretrain, run_stage)
+
+HEADER_MUTATIONS = {
+    "missing-dims": lambda h: h.pop("dims"),
+    "offset-out-of-bounds": lambda h: h["params"][-1].update(
+        offset=h["payload_bytes"]),
+    "unknown-kind": lambda h: h.update(kind="zzz"),
+}
 
 
 def quick_pretrain(toy_split, toy_vocabs, epochs=1, seed=21, **kw):
@@ -55,6 +63,16 @@ class TestCheckpointFile:
         (tmp_path / "cut.ckpt").write_bytes(blob[: len(blob) - 64])
         with pytest.raises(CheckpointError, match="truncated"):
             Checkpoint.load(tmp_path / "cut.ckpt")
+
+    @pytest.mark.parametrize("mutation", sorted(HEADER_MUTATIONS))
+    def test_malformed_header_rejected(self, mutation, toy_split, toy_vocabs,
+                                       tmp_path, rewrite_header, capsys):
+        path = quick_pretrain(toy_split, toy_vocabs, epochs=0).save(
+            tmp_path / "model.ckpt")
+        bad = rewrite_header(path, tmp_path / "bad.ckpt",
+                             HEADER_MUTATIONS[mutation])
+        with pytest.raises(CheckpointError):
+            Checkpoint.load(bad)
 
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "junk.ckpt").write_bytes(b"not a checkpoint at all")
@@ -261,5 +279,44 @@ class TestStages:
         model = TranslationModel(params, dims, "baseline")
         config = TrainConfig(stage="pretrain", epochs=2, batch_size=16,
                              seed=21, patience=50)
-        with pytest.raises(NumericError, match="epoch 0"):
+        before = params.snapshot()
+        with pytest.raises(NumericError, match="pretrain: .* epoch 0, batch 0"):
             train_epochs(model, "pretrain", train, dev, vs, vt, config)
+        # caught before the first update: nothing else was touched
+        for name, arr in before.items():
+            np.testing.assert_array_equal(params[name].data, arr)
+
+    def test_nonfinite_dev_loss_reported(self, toy_split, toy_vocabs, capsys):
+        from refnet.errors import NumericError
+        from refnet.training import train_epochs
+        train, dev, _ = toy_split
+        vs, vt = toy_vocabs
+        ckpt = quick_pretrain(toy_split, toy_vocabs, epochs=0)
+        model = ckpt.make_model()
+        model.dev_loss = lambda batches: float("nan")
+        config = TrainConfig(stage="pretrain", epochs=2, batch_size=16,
+                             seed=21, patience=50)
+        with pytest.raises(NumericError, match="dev loss at epoch 0"):
+            train_epochs(model, "pretrain", train, dev, vs, vt, config)
+
+
+class TestStagePurity:
+    @pytest.mark.parametrize("stage", ["fit-anchors", "finetune-m", "train-b"])
+    def test_input_checkpoint_unchanged(self, stage, toy_split, toy_vocabs,
+                                        capsys):
+        train, dev, _ = toy_split
+        fit_cfg = TrainConfig(stage="fit-anchors", n_anchors=3, fit_iters=20,
+                              seed=21)
+        ckpt = quick_pretrain(toy_split, toy_vocabs)
+        if stage == "finetune-m":
+            ckpt = run_stage("fit-anchors", ckpt, train, None, fit_cfg)
+        names = ckpt.params.names()
+        digests = {g: ckpt.params.group_digest(g) for g in GROUPS}
+        kind = ckpt.kind
+        cfg = fit_cfg if stage == "fit-anchors" else TrainConfig(
+            stage=stage, epochs=1, batch_size=16, seed=21, n_anchors=3, d_a=5,
+            patience=50)
+        run_stage(stage, ckpt, train, dev, cfg)
+        assert ckpt.params.names() == names
+        assert {g: ckpt.params.group_digest(g) for g in GROUPS} == digests
+        assert ckpt.kind == kind
