@@ -37,8 +37,9 @@ for src, tgt in test.pairs[:5]:
     print(f"greedy : {greedy}")
     print(f"beam-4 : {beam}\n")
 
-hyps, refs = [], []
-for src, tgt in test:
-    hyps.append(vocab_tgt.decode(model.translate(vocab_src.encode(src), beam=4)))
-    refs.append([tgt])
+# the whole test set in one batched search: one encoder pass, one model
+# step per beam step for every sentence at once
+outs = model.translate_batch([vocab_src.encode(src) for src, _ in test], beam=4)
+hyps = [vocab_tgt.decode(out) for out in outs]
+refs = [[tgt] for _, tgt in test]
 print("test-set score:", bleu(hyps, refs).pretty())

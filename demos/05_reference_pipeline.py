@@ -29,12 +29,10 @@ dims = ModelDims(vocab_src=len(vocab_src), vocab_tgt=len(vocab_tgt),
 
 def test_bleu(ckpt):
     model = ckpt.make_model(drop_emb=0.0, drop_out=0.0)
-    hyps, refs = [], []
-    for src, tgt in test:
-        ids = ckpt.vocab_src.encode(src)
-        hyps.append(ckpt.vocab_tgt.decode(model.translate(ids, beam=4)))
-        refs.append([tgt])
-    return bleu(hyps, refs).score
+    outs = model.translate_batch([ckpt.vocab_src.encode(src) for src, _ in test],
+                                 beam=4)
+    hyps = [ckpt.vocab_tgt.decode(out) for out in outs]
+    return bleu(hyps, [[tgt] for _, tgt in test]).score
 
 
 workdir = Path(tempfile.mkdtemp(prefix="refnet_demo_"))

@@ -19,6 +19,7 @@ from .seq2seq import ModelDims
 from .training import Checkpoint, TrainConfig, run_stage
 
 EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_PREREQ, EXIT_NUMERIC = 0, 1, 2, 3, 4
+TRANSLATE_CHUNK = 64  # source lines `translate` decodes together
 
 
 class _Parser(argparse.ArgumentParser):
@@ -305,41 +306,51 @@ def _cmd_stage(args, stage):
 
 
 def _cmd_translate(args):
+    if args.beam < 1:
+        raise ConfigError(f"--beam must be >= 1, got {args.beam}")
+    if args.max_steps < 0:
+        raise ConfigError(f"--max-steps must be >= 0, got {args.max_steps}")
     ckpt = Checkpoint.load(args.ckpt)
     model = ckpt.make_model(drop_emb=0.0, drop_out=0.0)
     try:
         sources = corpus_mod.read_sentences(args.src)
     except OSError as e:
         raise ConfigError(str(e)) from e
-    hyps = []
-    for tokens in sources:
-        if not tokens:  # an empty line keeps its place in the output
-            hyps.append([])
-            continue
-        ids = ckpt.vocab_src.encode(tokens)
-        max_steps = args.max_steps or None
-        out_ids = model.translate(ids, beam=args.beam, max_steps=max_steps,
-                                  length_normalize=not args.no_length_norm)
-        hyps.append(ckpt.vocab_tgt.decode(out_ids))
+    hyps = [[] for _ in sources]  # an empty line keeps its place in the output
+    lines = [i for i, tokens in enumerate(sources) if tokens]
+    for start in range(0, len(lines), TRANSLATE_CHUNK):
+        chunk = lines[start: start + TRANSLATE_CHUNK]
+        outs = model.translate_batch(
+            [ckpt.vocab_src.encode(sources[i]) for i in chunk], beam=args.beam,
+            max_steps=args.max_steps or None,
+            length_normalize=not args.no_length_norm)
+        for i, out_ids in zip(chunk, outs):
+            hyps[i] = ckpt.vocab_tgt.decode(out_ids)
     corpus_mod.write_sentences(args.out, hyps)
     print(f"translated {len(hyps)} sentences to {args.out}")
 
 
 def _cmd_evaluate(args):
+    case_sensitive = not args.case_insensitive
+    buckets = None
     try:
         report = evaluation.bleu_files(args.hyp, args.refs,
-                                       case_sensitive=not args.case_insensitive)
+                                       case_sensitive=case_sensitive)
+        if args.src:
+            sources = corpus_mod.read_sentences(args.src)
+            hyps = corpus_mod.read_sentences(args.hyp)
+            if len(sources) != len(hyps):
+                raise ValueError(f"{args.src} has {len(sources)} lines but "
+                                 f"{args.hyp} has {len(hyps)}")
+            refs = [corpus_mod.read_sentences(p) for p in args.refs]
+            ref_sets = [[r[i] for r in refs] for i in range(len(hyps))]
+            buckets = evaluation.length_buckets(
+                sources, hyps, ref_sets, bucket_width=args.bucket_width,
+                case_sensitive=case_sensitive)
     except (OSError, ValueError) as e:
         raise ConfigError(str(e)) from e
     print(report.pretty())
-    if args.src:
-        sources = corpus_mod.read_sentences(args.src)
-        hyps = corpus_mod.read_sentences(args.hyp)
-        refs = [corpus_mod.read_sentences(p) for p in args.refs]
-        ref_sets = [[r[i] for r in refs] for i in range(len(hyps))]
-        buckets = evaluation.length_buckets(
-            sources, hyps, ref_sets, bucket_width=args.bucket_width,
-            case_sensitive=not args.case_insensitive)
+    if buckets is not None:
         print(buckets.pretty())
 
 

@@ -129,22 +129,44 @@ class TranslationModel:
 
     # -- decoding -----------------------------------------------------------
 
-    def _prepare(self, src_ids):
-        h, _ = seq2seq.encode_batch(self.params, self.dims,
-                                    np.asarray(src_ids)[None, :],
-                                    np.array([len(src_ids)]))
-        h_proj = seq2seq.attention_proj(self.params, h)
-        s0 = seq2seq.initial_state(self.params, h)
-        return h, h_proj, s0.data[0].copy()
+    def _prepare(self, sources):
+        """Encode sentences together, padded to the longest: one encoder pass.
 
-    def _make_step(self, h, h_proj):
+        Returns (step_for, s0): ``step_for(rows)`` builds the model step for
+        hypothesis rows whose sentence indices are ``rows``, and s0 holds the
+        (N, d_h) initial decoder states.
+        """
+        lens = np.array([len(s) for s in sources])
+        if lens.size == 0 or lens.min() == 0:
+            raise ValueError("cannot encode an empty batch or an empty sentence")
+        src = np.full((len(sources), lens.max()), PAD)
+        for i, ids in enumerate(sources):
+            src[i, :len(ids)] = ids
+        with no_grad():
+            h, mask = seq2seq.encode_batch(self.params, self.dims, src, lens)
+            h_proj = seq2seq.attention_proj(self.params, h)
+            s0 = seq2seq.initial_state(self.params, h, mask)
+        memory = (h.data, h_proj.data, mask)
+
+        def step_for(rows):
+            return self._make_step(memory, rows)
+
+        return step_for, s0.data
+
+    def _make_step(self, memory, rows):
+        """The decoder step (prev_ids, states) -> (logp, states) for
+        hypothesis rows whose sentence indices are ``rows``: each row attends
+        to its own sentence's rows of the chunk's ``memory`` (h, h_proj,
+        mask)."""
         params, dims = self.params, self.dims
+        h, h_proj, mask = (m[rows] for m in memory)
 
         def step(prev_ids, states):
             with no_grad():
                 e_prev = ad.take_rows(params["dec/tgt_emb"], prev_ids)
                 s_prev = Tensor(states)
-                _, c = seq2seq.attention(s_prev, h, params, h_proj=h_proj)
+                _, c = seq2seq.attention(s_prev, h, params, mask=mask,
+                                         h_proj=h_proj)
                 extras = variant_extras(self.kind, params, e_prev, s_prev, c)
                 s_new = seq2seq.decoder_step(params, e_prev, s_prev, c,
                                              extras, dims.cell)
@@ -154,14 +176,24 @@ class TranslationModel:
 
         return step
 
-    def translate(self, src_ids, beam=1, max_steps=None, length_normalize=True):
-        """Decode one sentence; returns emitted token ids without BOS/EOS."""
-        if max_steps is None:
-            max_steps = 2 * len(src_ids) + 5
-        h, h_proj, s0 = self._prepare(src_ids)
-        step = self._make_step(h, h_proj)
+    def translate_batch(self, sources, beam=1, max_steps=None,
+                        length_normalize=True):
+        """Decode sentences together; returns each one's ids without BOS/EOS.
+
+        One encoder pass covers all of them, and every greedy or beam step
+        advances the open hypotheses of all of them in one model step. Each
+        sentence keeps its own budget, 2 * len + 5 steps when max_steps is
+        None, and the ranking rules are those of a sentence decoded alone;
+        only the last bits of log-probabilities depend on the batch.
+        """
+        budgets = [2 * len(s) + 5 if max_steps is None else max_steps
+                   for s in sources]
+        step_for, s0 = self._prepare(sources)
         if beam == 1:
-            hyp = seq2seq.greedy_decode(step, s0, max_steps)
-            toks = hyp.tokens
-            return toks[:-1] if toks and toks[-1] == EOS else toks
-        return seq2seq.beam_search(step, s0, beam, max_steps, length_normalize)
+            return [seq2seq.strip_eos(h.tokens)
+                    for h in seq2seq.greedy_decode(step_for, s0, budgets)]
+        return seq2seq.beam_search(step_for, s0, beam, budgets, length_normalize)
+
+    def translate(self, src_ids, beam=1, max_steps=None, length_normalize=True):
+        """Decode one sentence: ``translate_batch`` on a batch of one."""
+        return self.translate_batch([src_ids], beam, max_steps, length_normalize)[0]

@@ -185,8 +185,6 @@ def attention(s_prev, h, params, mask=None, h_proj=None):
     if mask is not None:
         scores = scores + (mask - 1.0) * NEG_BIG
     alpha = ad.softmax(scores, axis=1)
-    # alpha rows may outnumber h rows when decoding several hypotheses
-    # against one cached sentence encoding; broadcasting handles both.
     c = ad.sum_(ad.reshape(alpha, alpha.shape + (1,)) * h, axis=1)
     return alpha, c
 
@@ -275,61 +273,102 @@ class Hypothesis:
         return self.logprob / max(1, len(self.tokens))
 
 
-def _hyp_step(model_step, hyps):
-    """Advance every open hypothesis one step; returns (logp rows, new states)."""
+def strip_eos(tokens):
+    """Emitted ids without the terminal EOS."""
+    return tokens[:-1] if tokens and tokens[-1] == EOS else tokens
+
+
+def _advance(step_for, hyps, rows):
+    """One model step for hypotheses whose sentence indices are ``rows``;
+    returns (logp rows, new states)."""
     prev = np.array([h.tokens[-1] if h.tokens else BOS for h in hyps])
     states = np.stack([h.state for h in hyps])
-    return model_step(prev, states)
+    return step_for(np.array(rows))(prev, states)
 
 
-def greedy_decode(model_step, s0, max_steps):
-    """Argmax rollout until EOS or the step budget."""
-    hyp = Hypothesis(state=s0)
-    for _ in range(max_steps):
-        logp, states = _hyp_step(model_step, [hyp])
-        nxt = int(np.argmax(logp[0]))
-        hyp = Hypothesis(hyp.tokens + [nxt], hyp.logprob + float(logp[0, nxt]),
-                         nxt == EOS, states[0])
-        if hyp.finished:
+def greedy_decode(step_for, s0, max_steps):
+    """Argmax rollouts of N sentences together, each until EOS or its budget.
+
+    ``step_for(rows)`` returns the model step (prev_ids, states) -> (logp,
+    states) for hypothesis rows whose sentence indices are ``rows``; s0 holds
+    the (N, d_h) initial states and max_steps the N step budgets. Every step
+    advances all open rollouts in one call. Returns one Hypothesis per
+    sentence.
+    """
+    hyps = [Hypothesis(state=s) for s in s0]
+    for t in range(max(max_steps, default=0)):
+        rows = [i for i, h in enumerate(hyps) if not h.finished and t < max_steps[i]]
+        if not rows:
             break
-    return hyp
+        logp, states = _advance(step_for, [hyps[i] for i in rows], rows)
+        for r, (i, tok) in enumerate(zip(rows, np.argmax(logp, axis=1).tolist())):
+            hyp = hyps[i]
+            hyp.tokens.append(tok)
+            hyp.logprob += float(logp[r, tok])
+            hyp.finished = tok == EOS
+            hyp.state = states[r]
+    return hyps
 
 
-def beam_search(model_step, s0, k, max_steps, length_normalize=True):
-    """Beam decoding over a step function (prev_ids, states) -> (logp, states).
+def beam_search(step_for, s0, k, max_steps, length_normalize=True):
+    """Beam decoding of N sentences together; returns N token lists.
 
-    Ranking uses length-normalized log-probability; k = 1 reproduces the
-    greedy rollout exactly. The greedy rollout always stays in the final
-    candidate pool, so a wider beam can never score below it.
+    ``step_for``, s0 and max_steps are as for ``greedy_decode``; every step
+    advances the open hypotheses of all sentences in one call. Per sentence,
+    each hypothesis proposes its top-k tokens, the candidates are ranked by
+    log-probability (a stable sort, so ties keep proposal order), finished
+    candidates are set aside and the best k unfinished ones stay alive; a
+    sentence stops when k are finished, none is alive or its budget is
+    spent. The final pick uses length-normalized log-probability. k = 1
+    reproduces the greedy rollout exactly; for k > 1 each sentence's greedy
+    rollout (one batched rollout for all N) stays in its final pool, so a
+    wider beam can never score below it. Only surviving candidates become
+    Hypothesis objects.
     """
     if k < 1:
         raise ValueError("beam width must be >= 1")
-    alive = [Hypothesis(state=s0)]
-    done = [] if k == 1 else [greedy_decode(model_step, s0, max_steps)]
-    for _ in range(max_steps):
-        if not alive:
+    alive = [[Hypothesis(state=s)] for s in s0]
+    done = ([[] for _ in alive] if k == 1
+            else [[g] for g in greedy_decode(step_for, s0, max_steps)])
+    for t in range(max(max_steps, default=0)):
+        open_ = [i for i, a in enumerate(alive) if a and t < max_steps[i]]
+        if not open_:
             break
-        logp, states = _hyp_step(model_step, alive)
-        candidates = []
-        for i, hyp in enumerate(alive):
-            order = np.argsort(-logp[i])[:k]
-            for tok in order:
-                candidates.append(Hypothesis(
-                    hyp.tokens + [int(tok)], hyp.logprob + float(logp[i, tok]),
-                    int(tok) == EOS, states[i]))
-        candidates.sort(key=lambda c: -c.logprob)
-        alive = []
-        for cand in candidates:
-            if cand.finished:
-                done.append(cand)
-            elif len(alive) < k:
-                alive.append(cand)
-            if len(done) >= k:
-                alive = []
-                break
-        if len(done) >= k:
-            break
-    done.extend(alive)  # unfinished fallbacks when the budget ran out
-    best = max(done, key=lambda c: c.score(length_normalize))
-    tokens = best.tokens
-    return tokens[:-1] if tokens and tokens[-1] == EOS else tokens
+        hyps = [h for i in open_ for h in alive[i]]
+        rows = [i for i in open_ for _ in alive[i]]
+        logp, states = _advance(step_for, hyps, rows)
+        top = np.argsort(-logp, axis=1)[:, :k]          # each row's top tokens
+        scores = (np.array([h.logprob for h in hyps])[:, None]
+                  + np.take_along_axis(logp, top, axis=1))
+        first = 0
+        for i in open_:
+            n = len(alive[i])
+            alive[i] = _survivors(hyps[first:first + n], top[first:first + n],
+                                  scores[first:first + n], states[first:first + n],
+                                  k, done[i])
+            first += n
+    for pool, rest in zip(done, alive):
+        pool.extend(rest)  # unfinished fallbacks when the budget ran out
+    return [strip_eos(max(pool, key=lambda c: c.score(length_normalize)).tokens)
+            for pool in done]
+
+
+def _survivors(hyps, top, scores, states, k, done):
+    """One sentence's walk over its ranked candidates: finished ones join
+    ``done`` until it holds k, the best k unfinished ones are returned as the
+    new alive list (none once ``done`` is full)."""
+    order = np.argsort(-scores.ravel(), kind="stable")
+    row, slot = np.divmod(order, top.shape[1])
+    toks = top[row, slot]
+    finished = np.flatnonzero(toks == EOS)
+    need = k - len(done)
+    picked = finished[:need]
+    keep = [] if len(finished) >= need else np.flatnonzero(toks != EOS)[:k]
+
+    def make(c):
+        tok = int(toks[c])
+        return Hypothesis(hyps[row[c]].tokens + [tok], float(scores.flat[order[c]]),
+                          tok == EOS, states[row[c]])
+
+    done.extend(make(c) for c in picked)
+    return [make(c) for c in keep]

@@ -180,7 +180,7 @@ class Checkpoint:
             raise CheckpointError(
                 f"{path}: checkpoint dims {dims.to_dict()} do not match "
                 f"expected {expect_dims.to_dict()}")
-        params = ParamStore()
+        params, extents = ParamStore(), []  # (offset, bytes) per entry
         for entry in header["params"]:
             try:
                 name, group = entry["name"], entry["group"]
@@ -195,10 +195,23 @@ class Checkpoint:
                     f"{start}) does not fit the {len(payload)}-byte payload")
             arr = np.frombuffer(payload, dtype="<f8", count=n,
                                 offset=start).reshape(shape).copy()
+            if not np.isfinite(arr).all():
+                raise CheckpointError(
+                    f"{path}: parameter {name!r} holds non-finite values")
             try:
                 params.add(name, arr, group, trainable=trainable)
             except ValueError as e:  # duplicate name or unknown group
                 raise CheckpointError(f"{path}: {e}") from e
+            extents.append((start, 8 * n))
+        end = 0
+        for start, size in sorted(extents):
+            if start != end:
+                break
+            end += size
+        if end != len(payload):
+            raise CheckpointError(
+                f"{path}: parameter entries overlap or leave gaps in the "
+                f"{len(payload)}-byte payload")
         vocab_src = Vocab(header["vocab_src"][4:])
         vocab_tgt = Vocab(header["vocab_tgt"][4:])
         return cls(params, dims, TrainConfig.from_dict(header["config"]),

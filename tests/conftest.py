@@ -36,14 +36,15 @@ def toy_vocabs(toy_split):
 
 @pytest.fixture
 def rewrite_header():
-    """Copy a checkpoint file with its JSON header passed through ``mutate``."""
+    """Copy a checkpoint file with ``mutate(header, payload)`` applied to its
+    parsed JSON header and its payload (a bytearray), both edited in place."""
     def rewrite(src, dst, mutate):
         blob = src.read_bytes()
         (hlen,) = struct.unpack("<Q", blob[8:16])
         header = json.loads(blob[16:16 + hlen])
-        mutate(header)
+        payload = bytearray(blob[16 + hlen:])
+        mutate(header, payload)
         raw = json.dumps(header).encode("utf-8")
-        dst.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw
-                        + blob[16 + hlen:])
+        dst.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + payload)
         return dst
     return rewrite

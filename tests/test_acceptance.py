@@ -39,12 +39,11 @@ def report(name, ok, detail=""):
 
 def decode_corpus(ckpt, corpus, beam=4, limit=None):
     model = ckpt.make_model(drop_emb=0.0, drop_out=0.0)
-    hyps, refs = [], []
-    for src, tgt in (corpus.pairs[:limit] if limit else corpus.pairs):
-        ids = ckpt.vocab_src.encode(src)
-        hyps.append(ckpt.vocab_tgt.decode(model.translate(ids, beam=beam)))
-        refs.append([tgt])
-    return bleu(hyps, refs).score
+    pairs = corpus.pairs[:limit] if limit else corpus.pairs
+    outs = model.translate_batch([ckpt.vocab_src.encode(src) for src, _ in pairs],
+                                 beam=beam)
+    hyps = [ckpt.vocab_tgt.decode(out) for out in outs]
+    return bleu(hyps, [[tgt] for _, tgt in pairs]).score
 
 
 @pytest.fixture(scope="module")
@@ -270,19 +269,19 @@ class TestAcceptance:
         model = base.make_model(drop_emb=0.0, drop_out=0.0)
         test = pipeline["test"]
         greedy_ok = True
-        for src, _ in test.pairs[:50]:
-            ids = base.vocab_src.encode(src)
-            h, h_proj, s0 = model._prepare(ids)
-            beam_one = beam_search(model._make_step(h, h_proj), s0, 1,
-                                   2 * len(ids) + 5)
-            greedy_ok &= model.translate(ids, beam=1) == beam_one
+        sources = [base.vocab_src.encode(src) for src, _ in test.pairs[:50]]
+        step_for, s0 = model._prepare(sources)
+        beam_one = beam_search(step_for, s0, 1,
+                               [2 * len(ids) + 5 for ids in sources])
+        for ids, one in zip(sources, beam_one):
+            greedy_ok &= model.translate(ids, beam=1) == one
 
         micro_dims = ModelDims(vocab_src=5, vocab_tgt=5, d_e=3, d_h=4)
         micro = TranslationModel(
             init_baseline_params(micro_dims, np.random.default_rng(5)),
             micro_dims)
-        h, h_proj, s0 = micro._prepare([4, 4])
-        step = micro._make_step(h, h_proj)
+        step_for, s0 = micro._prepare([[4, 4]])
+        step, s0 = step_for([0]), s0[0]
         candidates = [[EOS]]
         candidates += [[t, EOS] for t in range(5) if t != EOS]
         candidates += [[t1, t2] for t1 in range(5) for t2 in range(5)
@@ -297,7 +296,7 @@ class TestAcceptance:
             return total / max(1, len(seq))
 
         best = max(candidates, key=score)
-        found = beam_search(step, s0, k=25, max_steps=2)
+        (found,) = beam_search(step_for, s0[None, :], k=25, max_steps=[2])
         found = found + [EOS] if len(found) < 2 else found
         exhaustive_ok = score(found) == pytest.approx(score(best), rel=1e-12)
         with capsys.disabled():

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,41 @@ class TestExitCodes:
                         "--src", str(tmp_path / "src.txt"),
                         "--out", str(tmp_path / "out.txt")])
         assert code == EXIT_PREREQ
+
+    @pytest.mark.parametrize("flags", [["--beam", "0"], ["--max-steps", "-1"]],
+                             ids=["beam-0", "max-steps-negative"])
+    def test_bad_decode_setting_is_config_error(self, toy_files, toy_ckpt,
+                                                tmp_path, capsys, flags):
+        code = run_cli(["translate", "--ckpt", str(toy_ckpt),
+                        "--src", str(toy_files / "toy.test.src"),
+                        "--out", str(tmp_path / "out.txt")] + flags)
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert flags[0] in captured.err
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_evaluate_missing_source_is_config_error(self, toy_files, tmp_path,
+                                                     capsys):
+        ref = str(toy_files / "toy.test.tgt")
+        code = run_cli(["evaluate", "--hyp", ref, "--refs", ref,
+                        "--src", str(tmp_path / "missing.src")])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "missing.src" in captured.err
+
+    def test_evaluate_source_line_count_mismatch(self, toy_files, tmp_path,
+                                                 capsys):
+        ref = str(toy_files / "toy.test.tgt")
+        short = tmp_path / "short.src"
+        short.write_text("t1 t2\n")
+        code = run_cli(["evaluate", "--hyp", ref, "--refs", ref,
+                        "--src", str(short)])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "1 lines" in captured.err
 
     def test_stage_without_prerequisite(self, toy_files, toy_ckpt, tmp_path):
         # finetune-m needs fitted anchors, which this checkpoint lacks
@@ -203,11 +240,25 @@ class TestTranslateAndEvaluate:
     def test_params_on_malformed_checkpoint(self, toy_ckpt, tmp_path,
                                             rewrite_header, capsys):
         bad = rewrite_header(toy_ckpt, tmp_path / "bad.ckpt",
-                             lambda h: h.pop("dims"))
+                             lambda h, p: h.pop("dims"))
         assert run_cli(["params", "--ckpt", str(bad)]) == EXIT_PREREQ
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
         assert "dims" in captured.err
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda h, p: p.__setitem__(slice(-8, None), struct.pack("<d", np.nan)),
+         "non-finite"),
+        (lambda h, p: h["params"][1].update(offset=h["params"][0]["offset"]),
+         "overlap"),
+    ], ids=["nan-payload", "overlapping-offsets"])
+    def test_params_on_corrupt_payload(self, toy_ckpt, tmp_path, rewrite_header,
+                                       capsys, mutate, message):
+        bad = rewrite_header(toy_ckpt, tmp_path / "bad.ckpt", mutate)
+        assert run_cli(["params", "--ckpt", str(bad)]) == EXIT_PREREQ
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert message in captured.err
 
 
 class TestGradcheckCommand:

@@ -6,9 +6,11 @@ import pytest
 from refnet import autodiff as ad
 from refnet.autodiff import Tensor, no_grad
 from refnet.corpus import BOS, EOS, Batch
+from refnet.brefnet import init_b_params
 from refnet.model import TranslationModel
-from refnet.seq2seq import (ModelDims, attention, beam_search, decoder_step,
-                            encode, greedy_decode,
+from refnet.mrefnet import add_anchor_params, init_m_params
+from refnet.seq2seq import (Hypothesis, ModelDims, attention, beam_search,
+                            decoder_step, encode, greedy_decode,
                             init_baseline_params, nll_loss,
                             output_distribution, output_logits)
 
@@ -256,14 +258,36 @@ class TestDecoding:
         params = init_baseline_params(dims, np.random.default_rng(seed))
         return TranslationModel(params, dims)
 
+    @staticmethod
+    def _scorer(step, s0):
+        """Length-normalized log-probability of a token sequence, replayed
+        one row at a time through ``step``."""
+        def score(seq):
+            state, prev, total = s0, BOS, 0.0
+            for tok in seq:
+                logp, states = step(np.array([prev]), state[None, :])
+                total += logp[0, tok]
+                state, prev = states[0], tok
+            return total / max(1, len(seq))
+        return score
+
+    @staticmethod
+    def _exhaustive(vocab, max_steps):
+        """Every decoding outcome within the budget: EOS-terminated sequences
+        shorter than it, and EOS-free ones that exhaust it."""
+        out, prefixes = [], [[]]
+        for depth in range(max_steps):
+            out += [p + [EOS] for p in prefixes]
+            prefixes = [p + [t] for p in prefixes for t in range(vocab) if t != EOS]
+        return out + prefixes
+
     def test_beam_one_equals_greedy(self):
         model = self._model(seed=1, vocab=8)
         rng = np.random.default_rng(2)
         for _ in range(10):
             src = rng.integers(4, 8, size=rng.integers(1, 6)).tolist()
-            h, h_proj, s0 = model._prepare(src)
-            beam_one = beam_search(model._make_step(h, h_proj), s0, 1,
-                                   2 * len(src) + 5)
+            step_for, s0 = model._prepare([src])
+            (beam_one,) = beam_search(step_for, s0, 1, [2 * len(src) + 5])
             assert model.translate(src, beam=1) == beam_one
 
     def test_beam_score_at_least_greedy(self):
@@ -273,11 +297,11 @@ class TestDecoding:
         for seed in range(6):
             model = self._model(seed=seed, vocab=8)
             src = np.random.default_rng(seed).integers(4, 8, size=4).tolist()
-            h, h_proj, s0 = model._prepare(src)
-            step = model._make_step(h, h_proj)
-            greedy_hyp = greedy_decode(step, s0, max_steps=13)
+            step_for, s0 = model._prepare([src])
+            step, s0 = step_for([0]), s0[0]
+            (greedy_hyp,) = greedy_decode(step_for, s0[None, :], max_steps=[13])
             for k in (2, 4):
-                beam_toks = raw_beam(step, s0, k=k, max_steps=13)
+                (beam_toks,) = raw_beam(step_for, s0[None, :], k=k, max_steps=[13])
                 # replay the beam result to get its hypothesis score
                 state, prev, total = s0, BOS, 0.0
                 seq = beam_toks + ([EOS] if len(beam_toks) < 13 else [])
@@ -293,28 +317,26 @@ class TestDecoding:
         model = self._model(seed=5, vocab=5)
         src = [4, 4]
         max_steps = 2
-        h, h_proj, s0 = model._prepare(src)
-        step = model._make_step(h, h_proj)
+        step_for, s0 = model._prepare([src])
+        score = self._scorer(step_for([0]), s0[0])
 
-        # decoding outcomes within a 2-step budget: an immediate EOS, one
-        # token then EOS, or two non-EOS tokens (budget exhausted)
-        candidates = [[EOS]]
-        candidates += [[t, EOS] for t in range(5) if t != EOS]
-        candidates += [[t1, t2] for t1 in range(5) for t2 in range(5)
-                       if EOS not in (t1, t2)]
-
-        def score(seq):
-            state, prev, total = s0, BOS, 0.0
-            for tok in seq:
-                logp, states = step(np.array([prev]), state[None, :])
-                total += logp[0, tok]
-                state, prev = states[0], tok
-            return total / max(1, len(seq))
-
-        best = max(candidates, key=score)
-        found = beam_search(step, s0, k=5 ** 2, max_steps=max_steps)
+        best = max(self._exhaustive(5, max_steps), key=score)
+        (found,) = beam_search(step_for, s0, k=5 ** 2, max_steps=[max_steps])
         found_full = found + [EOS] if len(found) < max_steps else found
         assert score(found_full) == pytest.approx(score(best), rel=1e-12)
+
+    def test_two_sentences_match_exhaustive_in_one_call(self):
+        """Sentences of different lengths and budgets searched together each
+        reach their own brute-force optimum."""
+        model = self._model(seed=5, vocab=5)
+        sources, budgets = [[4, 4], [4, 3, 4]], [2, 3]
+        step_for, s0 = model._prepare(sources)
+        found = beam_search(step_for, s0, k=5 ** 3, max_steps=budgets)
+        for i, max_steps in enumerate(budgets):
+            score = self._scorer(step_for([i]), s0[i])
+            best = max(self._exhaustive(5, max_steps), key=score)
+            full = found[i] + [EOS] if len(found[i]) < max_steps else found[i]
+            assert score(full) == pytest.approx(score(best), rel=1e-12)
 
     def test_decode_deterministic(self):
         model = self._model(seed=7, vocab=8)
@@ -323,6 +345,105 @@ class TestDecoding:
 
     def test_greedy_stops_at_budget(self):
         model = self._model(seed=8, vocab=6)
-        hyp = greedy_decode(model._make_step(*model._prepare([4])[:2]),
-                            model._prepare([4])[2], max_steps=3)
+        step_for, s0 = model._prepare([[4]])
+        (hyp,) = greedy_decode(step_for, s0, max_steps=[3])
         assert len(hyp.tokens) <= 3
+
+
+def reference_model(kind, seed=3, vocab=12):
+    """A random model of ``kind`` whose extra projections are non-zero."""
+    dims = ModelDims(vocab_src=vocab, vocab_tgt=vocab, d_e=5, d_h=6)
+    rng = np.random.default_rng(seed)
+    ps = init_baseline_params(dims, rng)
+    if kind == "m_ref":
+        add_anchor_params(ps, rng.normal(size=(4, 2 * dims.d_h)),
+                          [rng.normal(size=(3, 2 * dims.d_h)) for _ in range(3)]
+                          + [rng.normal(size=3)])
+        init_m_params(ps, dims, rng)
+        ps["mref/proj"].data[...] = rng.normal(0, 0.3, size=ps["mref/proj"].shape)
+    if kind == "b_ref":
+        init_b_params(ps, dims, 3, 4, rng)
+        ps["bref/proj"].data[...] = rng.normal(0, 0.3, size=ps["bref/proj"].shape)
+    return TranslationModel(ps, dims, kind)
+
+
+def reference_beam(step, s0, k, max_steps):
+    """One sentence's beam search written as a plain loop: every candidate a
+    Hypothesis, Python's stable sort, the greedy rollout in the final pool."""
+    def extend(hyp, logp, state, tok):
+        return Hypothesis(hyp.tokens + [tok], hyp.logprob + float(logp[tok]),
+                          tok == EOS, state)
+
+    def advance(hyps):
+        prev = np.array([h.tokens[-1] if h.tokens else BOS for h in hyps])
+        return step(prev, np.stack([h.state for h in hyps]))
+
+    greedy = Hypothesis(state=s0)
+    for _ in range(max_steps):
+        logp, states = advance([greedy])
+        greedy = extend(greedy, logp[0], states[0], int(np.argmax(logp[0])))
+        if greedy.finished:
+            break
+    alive, done = [Hypothesis(state=s0)], [] if k == 1 else [greedy]
+    for _ in range(max_steps):
+        if not alive:
+            break
+        logp, states = advance(alive)
+        candidates = [extend(hyp, logp[i], states[i], int(tok))
+                      for i, hyp in enumerate(alive)
+                      for tok in np.argsort(-logp[i])[:k]]
+        candidates.sort(key=lambda c: -c.logprob)
+        alive = []
+        for cand in candidates:
+            if cand.finished:
+                done.append(cand)
+            elif len(alive) < k:
+                alive.append(cand)
+            if len(done) >= k:
+                alive = []
+                break
+        if len(done) >= k:
+            break
+    best = max(done + alive, key=lambda c: c.score())
+    return best.tokens[:-1] if best.tokens[-1:] == [EOS] else best.tokens
+
+
+class TestBatchedDecoding:
+    @pytest.mark.parametrize("kind", ["baseline", "m_ref", "b_ref"])
+    def test_matches_one_sentence_reference_search(self, kind):
+        """The array ranking of the batched search against the candidate-by-
+        candidate loop, each sentence searched alone through its own rows."""
+        model = reference_model(kind, seed=4)
+        rng = np.random.default_rng(5)
+        sources = [rng.integers(4, 12, size=n).tolist() for n in (3, 9, 1, 12, 6)]
+        budgets = [2 * len(s) + 5 for s in sources]
+        step_for, s0 = model._prepare(sources)
+        for k in (1, 2, 4, 10):
+            found = beam_search(step_for, s0, k, budgets)
+            assert found == [reference_beam(step_for([i]), s0[i], k, budgets[i])
+                             for i in range(len(sources))]
+
+    @pytest.mark.parametrize("kind", ["baseline", "m_ref", "b_ref"])
+    @pytest.mark.parametrize("beam", [1, 4, 10])
+    def test_batch_equals_one_at_a_time(self, kind, beam):
+        """Lengths 1-12 pad short sentences past numpy's 8-wide summation
+        block in the attention softmax; the hypotheses must not change."""
+        model = reference_model(kind)
+        rng = np.random.default_rng(11)
+        sources = [rng.integers(4, 12, size=n).tolist()
+                   for n in rng.permutation(np.repeat(np.arange(1, 13), 2))]
+        assert model.translate_batch(sources, beam=beam) == \
+            [model.translate(s, beam=beam) for s in sources]
+
+    def test_shared_budget_applies_to_every_sentence(self):
+        model = reference_model("baseline")
+        sources = [[4, 5], [6, 7, 8, 9, 10]]
+        for beam in (1, 3):
+            out = model.translate_batch(sources, beam=beam, max_steps=2)
+            assert out == [model.translate(s, beam=beam, max_steps=2)
+                           for s in sources]
+            assert all(len(o) <= 2 for o in out)
+
+    def test_empty_sentence_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            reference_model("baseline").translate_batch([[4], []])

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,18 @@ from refnet.params import GROUPS
 from refnet.seq2seq import ModelDims
 from refnet.training import (Checkpoint, TrainConfig, pretrain, run_stage)
 
+def nan_payload(header, payload):
+    payload[-8:] = struct.pack("<d", float("nan"))
+
+
 HEADER_MUTATIONS = {
-    "missing-dims": lambda h: h.pop("dims"),
-    "offset-out-of-bounds": lambda h: h["params"][-1].update(
+    "missing-dims": lambda h, p: h.pop("dims"),
+    "nan-payload": nan_payload,
+    "offset-out-of-bounds": lambda h, p: h["params"][-1].update(
         offset=h["payload_bytes"]),
-    "unknown-kind": lambda h: h.update(kind="zzz"),
+    "overlapping-offsets": lambda h, p: h["params"][1].update(
+        offset=h["params"][0]["offset"]),
+    "unknown-kind": lambda h, p: h.update(kind="zzz"),
 }
 
 
@@ -81,7 +90,6 @@ class TestCheckpointFile:
 
     def test_version_mismatch_rejected(self, toy_split, toy_vocabs, tmp_path,
                                        capsys):
-        import struct
         ckpt = quick_pretrain(toy_split, toy_vocabs)
         path = tmp_path / "model.ckpt"
         ckpt.save(path)
