@@ -110,8 +110,12 @@ def parameter(data):
 
 
 def _node(data, parents, bwd):
-    if _recording and any(p.requires_grad for p in parents):
-        return Tensor(data, parents=parents, bwd=bwd, requires_grad=True)
+    """Record an op: ``data`` is its output and ``bwd(g)`` returns one
+    gradient per parent, or None where a parent gets none."""
+    if _recording:
+        for p in parents:
+            if p.requires_grad:
+                return Tensor(data, parents=parents, bwd=bwd, requires_grad=True)
     return Tensor(data)
 
 
@@ -130,26 +134,33 @@ def _unbroadcast(grad, shape):
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
+# add, sub, mul and matmul compute no gradient for an operand that needs
+# none (a constant or a frozen parameter): grad_map would drop it.
+
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
     return _node(out, (a, b),
-                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+                 lambda g: (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                            _unbroadcast(g, b.data.shape) if b.requires_grad else None))
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out = a.data - b.data
     return _node(out, (a, b),
-                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
+                 lambda g: (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                            _unbroadcast(-g, b.data.shape) if b.requires_grad else None))
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
     return _node(out, (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                            _unbroadcast(g * a.data, b.data.shape)))
+                 lambda g: (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad
+                            else None,
+                            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad
+                            else None))
 
 
 def div(a, b):
@@ -218,7 +229,9 @@ def matmul(a, b):
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
     out = a.data @ b.data
-    return _node(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    return _node(out, (a, b),
+                 lambda g: (g @ b.data.T if a.requires_grad else None,
+                            a.data.T @ g if b.requires_grad else None))
 
 
 def reshape(a, shape):
@@ -236,13 +249,26 @@ def transpose(a, axes=None):
                  lambda g: (np.transpose(g, inverse),))
 
 
+def _is_basic_index(key):
+    """True for keys made of ints, slices, None and Ellipsis only: they
+    select every element at most once."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, slice)
+               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+               for k in parts)
+
+
 def getitem(a, key):
     a = as_tensor(a)
     out = a.data[key]
+    basic = _is_basic_index(key)
 
     def bwd(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, key, g)
+        if basic:
+            full[key] = g
+        else:  # an index array may repeat positions: accumulate
+            np.add.at(full, key, g)
         return (full,)
 
     return _node(out, (a,), bwd)
@@ -394,6 +420,7 @@ def grad_map(loss):
     if not loss.requires_grad:
         return {}
     grads = {id(loss): np.ones_like(loss.data)}
+    owned = set()  # ids whose sum this loop allocated, safe to add into
     for node in reversed(_toposort(loss)):
         g = grads.get(id(node))
         if g is None or node._bwd is None:
@@ -401,8 +428,15 @@ def grad_map(loss):
         for parent, pg in zip(node.parents, node._bwd(g)):
             if not parent.requires_grad or pg is None:
                 continue
-            acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
+            key = id(parent)
+            acc = grads.get(key)
+            if acc is None:
+                grads[key] = pg  # may alias another node's gradient
+            elif key in owned:
+                acc += pg
+            else:
+                grads[key] = acc + pg
+                owned.add(key)
         if node.parents:
             del grads[id(node)]
     return grads

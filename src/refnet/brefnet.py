@@ -74,11 +74,15 @@ def anchor_gamma(G, params):
 
 
 def f_s(q, params):
-    """Anchor-coded regression estimate of the current target embedding."""
+    """Anchor-coded regression estimate of the current target embedding.
+
+    sum_j gamma_j (G W_j + b_j) is one matmul over the flattened outer
+    product gamma (x) G, plus gamma @ b: no loop over anchors.
+    """
     G = g_transform(q, params)                                    # (B, d_a)
     gamma = anchor_gamma(G, params)                               # (B, C)
-    C = gamma.shape[1]
-    preds = ad.stack([ad.matmul(G, params["bref/reg/W"][j]) + params["bref/reg/b"][j]
-                      for j in range(C)], axis=0)                 # (C, B, d_e)
-    gT = ad.reshape(ad.transpose(gamma), (C, G.shape[0], 1))
-    return ad.sum_(preds * gT, axis=0)                            # (B, d_e)
+    (B, d_a), C = G.shape, gamma.shape[1]
+    coded = ad.reshape(gamma, (B, C, 1)) * ad.reshape(G, (B, 1, d_a))
+    W = ad.reshape(params["bref/reg/W"], (C * d_a, -1))
+    return (ad.matmul(ad.reshape(coded, (B, C * d_a)), W)
+            + ad.matmul(gamma, params["bref/reg/b"]))             # (B, d_e)

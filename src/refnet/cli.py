@@ -8,6 +8,8 @@ config file (one pair per line, ``#`` comments); explicit flags win.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import sys
 
 import numpy as np
@@ -46,12 +48,18 @@ def _read_config_file(path):
     return values
 
 
-def _apply_config_file(parser, argv):
-    """Use config-file values as subcommand defaults so flags keep priority."""
+@contextlib.contextmanager
+def _config_defaults(parser, argv):
+    """Use config-file values as subcommand defaults so flags keep priority.
+
+    The defaults in force before are restored on exit, so a parser reused
+    across calls never carries one call's config file into the next.
+    """
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     if not known.config:
+        yield
         return
     sub_action = next(a for a in parser._actions
                       if isinstance(a, argparse._SubParsersAction))
@@ -72,7 +80,16 @@ def _apply_config_file(parser, argv):
                 typed[action.dest] = raw.lower() in ("1", "true", "yes")
             else:
                 typed[action.dest] = raw
+    saved = [(action, action.default) for action in target._actions]
+    saved_defaults = dict(target._defaults)
     target.set_defaults(**typed)
+    try:
+        yield
+    finally:
+        for action, default in saved:
+            action.default = default
+        target._defaults.clear()
+        target._defaults.update(saved_defaults)
 
 
 def _add_train_flags(p, stage):
@@ -245,6 +262,13 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _shared_parser():
+    """The parser every ``main`` call reuses: building it takes longer than
+    parsing a command line."""
+    return build_parser()
+
+
 # ---------------------------------------------------------------------------
 # command bodies
 
@@ -370,10 +394,10 @@ def _cmd_params(args):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _shared_parser()
     try:
-        _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        with _config_defaults(parser, argv):
+            args = parser.parse_args(argv)
         if args.command == "synth":
             _cmd_synth(args)
         elif args.command == "train":

@@ -241,6 +241,33 @@ def check_joint_b_loss(seed):
     return _compare(f, ps, steps=(1e-3, 2e-3))
 
 
+def check_recurrent_cell(seed):
+    """The fused one-node cell, both kinds, with one non-zero extra input."""
+    rng = np.random.default_rng((seed, 43))
+    d_x, d_h, d_v, B = 3, 4, 2, 2
+    ps = ParamStore()
+    u = rng.normal(size=d_h)
+    for cell in ("gru", "tanh"):
+        width = seq2seq.gates_per_cell(cell) * d_h
+        for name, shape in (("x", (B, d_x)), ("s_prev", (B, d_h)),
+                            ("W", (d_x, width)), ("U", (d_h, width)),
+                            ("b", (width,)), ("vec", (B, d_v)),
+                            ("proj", (d_v, width))):
+            _probe(ps, f"probe/{cell}/{name}", rng.normal(0, 0.5, size=shape))
+
+    def f(ps_):
+        total = 0.0
+        for cell in ("gru", "tanh"):
+            x, s_prev, W, U, b, vec, proj = (
+                ps_[f"probe/{cell}/{name}"]
+                for name in ("x", "s_prev", "W", "U", "b", "vec", "proj"))
+            s = seq2seq.recurrent_cell(x, s_prev, W, U, b, cell, [(vec, proj)])
+            total = total + ad.sum_(ad.tanh(s) * u)
+        return total
+
+    return _compare(f, ps)
+
+
 CHECKS = {
     "attention": check_attention,
     "decoder_step": check_decoder_step,
@@ -251,6 +278,7 @@ CHECKS = {
     "hinge_loss": check_hinge_loss,
     "nll_loss": check_nll,
     "joint_b_loss": check_joint_b_loss,
+    "recurrent_cell": check_recurrent_cell,
 }
 
 

@@ -92,21 +92,56 @@ def recurrent_cell(x, s_prev, W, U, b, cell="gru", extras=()):
     """One step of the recurrent update over input x and state s_prev.
 
     extras is a sequence of (vector, projection) pairs; each projection maps
-    its vector into the same gate pre-activation block as W.
+    its vector into the same gate pre-activation block as W. The step is a
+    single tape node (Appleyard et al. 2016, arXiv:1604.01946): the gate
+    pre-activations come from one matmul per input, all elementwise work
+    happens inside the node, and its hand-written backward returns the
+    gradients of x, s_prev, W, U, b and of every extra pair.
     """
-    gx = ad.matmul(x, W) + b
-    for vec, proj in extras:
-        gx = gx + ad.matmul(vec, proj)
-    gs = ad.matmul(s_prev, U)
+    x, s_prev, W, U, b = (ad.as_tensor(t) for t in (x, s_prev, W, U, b))
+    pairs = [(ad.as_tensor(vec), ad.as_tensor(proj)) for vec, proj in extras]
+    gx = x.data @ W.data + b.data
+    for vec, proj in pairs:
+        gx = gx + vec.data @ proj.data
+    gs = s_prev.data @ U.data
     if cell == "tanh":
-        return ad.tanh(gx + gs)
-    d_h = U.shape[0]
-    xr, xz, xn = gx[:, :d_h], gx[:, d_h:2 * d_h], gx[:, 2 * d_h:]
-    sr, sz, sn = gs[:, :d_h], gs[:, d_h:2 * d_h], gs[:, 2 * d_h:]
-    r = ad.sigmoid(xr + sr)
-    z = ad.sigmoid(xz + sz)
-    n = ad.tanh(xn + r * sn)
-    return (1.0 - z) * n + z * s_prev
+        out = np.tanh(gx + gs)
+
+        def gate_grads(g):
+            da = g * (1.0 - out * out)
+            return da, da, None
+    else:
+        d_h = U.shape[0]
+        rz = 1.0 / (1.0 + np.exp(-(gx[:, :2 * d_h] + gs[:, :2 * d_h])))
+        r, z = rz[:, :d_h], rz[:, d_h:]
+        sn = gs[:, 2 * d_h:]
+        n = np.tanh(gx[:, 2 * d_h:] + r * sn)
+        out = (1.0 - z) * n + z * s_prev.data
+
+        def gate_grads(g):
+            dan = g * (1.0 - z) * (1.0 - n * n)
+            drz = np.concatenate([dan * sn, g * s_prev.data - g * n], axis=1)
+            drz = drz * rz * (1.0 - rz)
+            return (np.concatenate([drz, dan], axis=1),
+                    np.concatenate([drz, dan * r], axis=1), g * z)
+
+    def bwd(g):
+        dgx, dgs, ds_direct = gate_grads(g)
+        grads = [dgx @ W.data.T if x.requires_grad else None, None,
+                 x.data.T @ dgx if W.requires_grad else None,
+                 s_prev.data.T @ dgs if U.requires_grad else None,
+                 dgx.sum(axis=0).reshape(b.shape) if b.requires_grad else None]
+        if s_prev.requires_grad:
+            grads[1] = dgs @ U.data.T
+            if ds_direct is not None:
+                grads[1] += ds_direct
+        for vec, proj in pairs:
+            grads.append(dgx @ proj.data.T if vec.requires_grad else None)
+            grads.append(vec.data.T @ dgx if proj.requires_grad else None)
+        return grads
+
+    parents = (x, s_prev, W, U, b) + tuple(t for pair in pairs for t in pair)
+    return ad._node(out, parents, bwd)
 
 
 # ---------------------------------------------------------------------------

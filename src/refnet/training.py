@@ -8,9 +8,10 @@ before and after every stage; a change aborts the run.
 
 Checkpoint files are a self-describing binary container: magic ``RNCK``,
 a little-endian uint32 format version, a little-endian uint64 header
-length, a JSON header (dims, config, vocabularies, provenance, and a
-manifest of name/group/shape/offset per parameter), then the concatenated
-float64 little-endian payload. Round-trips are bit-exact.
+length, the CRC-32 of everything after it, a JSON header (dims,
+config, vocabularies, provenance, and a manifest of name/group/shape/offset
+per parameter), then the concatenated float64 little-endian payload.
+Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import os
 import struct
 import tempfile
 import time
+import zlib
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -35,7 +37,8 @@ from .params import (Optimizer, OptimizerConfig, ParamStore, backward,
 from .seq2seq import ModelDims, init_baseline_params
 
 MAGIC = b"RNCK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+PREAMBLE = 20  # magic, version, header length, CRC-32 of header + payload
 HEADER_KEYS = ("kind", "stages", "dims", "config", "vocab_src", "vocab_tgt",
                "params", "payload_bytes")
 
@@ -131,6 +134,7 @@ class Checkpoint:
                 fh.write(MAGIC)
                 fh.write(struct.pack("<I", FORMAT_VERSION))
                 fh.write(struct.pack("<Q", len(blob)))
+                fh.write(struct.pack("<I", zlib.crc32(blob + b"".join(payload))))
                 fh.write(blob)
                 for raw in payload:
                     fh.write(raw)
@@ -148,17 +152,20 @@ class Checkpoint:
                 blob = fh.read()
         except OSError as e:
             raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
-        if len(blob) < 16 or blob[:4] != MAGIC:
+        if len(blob) < PREAMBLE or blob[:4] != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
         (version,) = struct.unpack("<I", blob[4:8])
         if version != FORMAT_VERSION:
             raise CheckpointError(
                 f"{path}: format version {version} != supported {FORMAT_VERSION}")
         (hlen,) = struct.unpack("<Q", blob[8:16])
-        if len(blob) < 16 + hlen:
+        if struct.pack("<I", zlib.crc32(blob[PREAMBLE:])) != blob[16:PREAMBLE]:
+            raise CheckpointError(
+                f"{path}: checksum mismatch: the file is corrupt or truncated")
+        if len(blob) < PREAMBLE + hlen:
             raise CheckpointError(f"{path}: truncated header")
         try:
-            header = json.loads(blob[16:16 + hlen].decode("utf-8"))
+            header = json.loads(blob[PREAMBLE:PREAMBLE + hlen].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointError(f"{path}: corrupt header: {e}") from e
         missing = ([k for k in HEADER_KEYS if k not in header]
@@ -167,7 +174,7 @@ class Checkpoint:
             raise CheckpointError(f"{path}: header lacks {missing}")
         if header["kind"] not in KINDS:
             raise CheckpointError(f"{path}: unknown model kind {header['kind']!r}")
-        payload = blob[16 + hlen:]
+        payload = blob[PREAMBLE + hlen:]
         if len(payload) != header["payload_bytes"]:
             raise CheckpointError(
                 f"{path}: truncated payload ({len(payload)} of "
@@ -180,6 +187,8 @@ class Checkpoint:
             raise CheckpointError(
                 f"{path}: checkpoint dims {dims.to_dict()} do not match "
                 f"expected {expect_dims.to_dict()}")
+        if not isinstance(header["params"], list):
+            raise CheckpointError(f"{path}: the parameter manifest is not a list")
         params, extents = ParamStore(), []  # (offset, bytes) per entry
         for entry in header["params"]:
             try:
@@ -212,10 +221,24 @@ class Checkpoint:
             raise CheckpointError(
                 f"{path}: parameter entries overlap or leave gaps in the "
                 f"{len(payload)}-byte payload")
-        vocab_src = Vocab(header["vocab_src"][4:])
-        vocab_tgt = Vocab(header["vocab_tgt"][4:])
-        return cls(params, dims, TrainConfig.from_dict(header["config"]),
-                   header["kind"], list(header["stages"]), vocab_src, vocab_tgt)
+        try:
+            stages = _strings(header["stages"])
+            if not set(stages) <= set(STAGES):
+                raise ValueError(f"unknown stages in {stages}")
+            vocab_src = Vocab(_strings(header["vocab_src"])[4:])
+            vocab_tgt = Vocab(_strings(header["vocab_tgt"])[4:])
+            config = TrainConfig.from_dict(header["config"])
+        except (AttributeError, TypeError, ValueError) as e:
+            raise CheckpointError(f"{path}: bad header: {e}") from e
+        return cls(params, dims, config, header["kind"], stages, vocab_src,
+                   vocab_tgt)
+
+
+def _strings(value):
+    """A header list of strings, checked."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise TypeError(f"expected a list of strings, got {value!r:.60}")
+    return list(value)
 
 
 # ---------------------------------------------------------------------------

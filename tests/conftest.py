@@ -1,11 +1,13 @@
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from refnet.corpus import ParallelCorpus, build_vocab, generate_synthetic_task
 from refnet.seq2seq import ModelDims, init_baseline_params
+from refnet.training import PREAMBLE
 
 
 @pytest.fixture
@@ -37,14 +39,18 @@ def toy_vocabs(toy_split):
 @pytest.fixture
 def rewrite_header():
     """Copy a checkpoint file with ``mutate(header, payload)`` applied to its
-    parsed JSON header and its payload (a bytearray), both edited in place."""
+    parsed JSON header and its payload (a bytearray), both edited in place.
+
+    The copy carries a matching checksum, as if a faulty writer had made it,
+    so that the loader's checks past the checksum see the edit."""
     def rewrite(src, dst, mutate):
         blob = src.read_bytes()
         (hlen,) = struct.unpack("<Q", blob[8:16])
-        header = json.loads(blob[16:16 + hlen])
-        payload = bytearray(blob[16 + hlen:])
+        header = json.loads(blob[PREAMBLE:PREAMBLE + hlen])
+        payload = bytearray(blob[PREAMBLE + hlen:])
         mutate(header, payload)
         raw = json.dumps(header).encode("utf-8")
-        dst.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + payload)
+        crc = struct.pack("<I", zlib.crc32(raw + payload))
+        dst.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + crc + raw + payload)
         return dst
     return rewrite

@@ -58,6 +58,32 @@ class TestBackward:
                 assert relative_error(analytic[name], oracle[name]) < 1e-4
 
 
+    @pytest.mark.parametrize("mul_first", [True, False])
+    def test_shared_gradient_array_not_added_into(self, mul_first):
+        """add hands one array to both operands; a later sum for one of
+        them must not change the other's."""
+        a = ad.parameter(np.ones(3))
+        b = ad.parameter(np.ones(3))
+        terms = [ad.sum_(a * 2.0), ad.sum_(a + b)]
+        grads = ad.grad_map(terms[0] + terms[1] if mul_first else terms[1] + terms[0])
+        np.testing.assert_array_equal(grads[id(a)], [3.0, 3.0, 3.0])
+        np.testing.assert_array_equal(grads[id(b)], [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.matmul],
+                             ids=["add", "sub", "mul", "matmul"])
+    def test_constant_operand_gets_no_gradient(self, op):
+        rng = np.random.default_rng(6)
+        x, y, w = (rng.normal(size=(3, 3)) for _ in range(3))
+        both = [ad.parameter(x), ad.parameter(y)]
+        full = ad.grad_map(ad.sum_(op(*both) * w))
+        for free in (0, 1):
+            args = [ad.Tensor(x), ad.Tensor(y)]
+            args[free] = ad.parameter((x, y)[free])
+            grads = ad.grad_map(ad.sum_(op(*args) * w))
+            assert id(args[1 - free]) not in grads
+            np.testing.assert_array_equal(grads[id(args[free])], full[id(both[free])])
+
+
 class TestFiniteDiff:
     def test_quadratic(self):
         ps = ParamStore()
@@ -233,3 +259,31 @@ class TestDeterminism:
             loss = ad.sum_(ad.square(ps["p"]))
         assert loss.parents == ()
         assert not loss.requires_grad
+
+
+class TestGetitem:
+    @pytest.mark.parametrize("key", [
+        2, np.int64(-1), slice(1, 4), slice(None, None, -2),
+        (slice(None), 1), (1, slice(0, 2)), (Ellipsis, 0), (None, 2)],
+        ids=["int", "numpy-int", "slice", "negative-step", "row-slice-col-int",
+             "int-then-slice", "ellipsis", "newaxis"])
+    def test_basic_key_gradient_scatters_once(self, key):
+        a = ad.parameter(np.arange(15.0).reshape(5, 3))
+        out = ad.getitem(a, key)
+        w = np.random.default_rng(0).normal(size=out.shape)
+        grad = ad.grad_map(ad.sum_(out * w))[id(a)]
+        expected = np.zeros((5, 3))
+        expected[key] = w
+        np.testing.assert_array_equal(grad, expected)
+
+    def test_repeated_index_array_accumulates(self):
+        a = ad.parameter(np.arange(15.0).reshape(5, 3))
+        out = ad.getitem(a, np.array([0, 3, 0, 0]))
+        grad = ad.grad_map(ad.sum_(out))[id(a)]
+        np.testing.assert_array_equal(grad[:, 0], [3.0, 0.0, 0.0, 1.0, 0.0])
+
+    def test_mixed_array_key_accumulates(self):
+        a = ad.parameter(np.zeros((2, 4)))
+        out = ad.getitem(a, (slice(None), [1, 1, 2]))
+        grad = ad.grad_map(ad.sum_(out * 2.0))[id(a)]
+        np.testing.assert_array_equal(grad, [[0, 4, 2, 0], [0, 4, 2, 0]])

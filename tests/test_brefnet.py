@@ -58,7 +58,54 @@ class TestGTransform:
         assert (out.data > -1).all() and (out.data < 1).all()
 
 
+def looped_f_s(q, params):
+    """f_s with one affine regression per anchor, stacked and mixed by
+    gamma: the reference the loop-free f_s must match."""
+    G = g_transform(q, params)
+    gamma = anchor_gamma(G, params)
+    C = gamma.shape[1]
+    preds = ad.stack([ad.matmul(G, params["bref/reg/W"][j]) + params["bref/reg/b"][j]
+                      for j in range(C)], axis=0)
+    gT = ad.reshape(ad.transpose(gamma), (C, G.shape[0], 1))
+    return ad.sum_(preds * gT, axis=0)
+
+
+def tape_nodes(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._bwd is not None:
+            seen.add(id(node))
+            stack.extend(node.parents)
+    return len(seen)
+
+
 class TestFs:
+    @pytest.mark.parametrize("n_anchors", [1, 3, 8])
+    def test_matches_per_anchor_loop(self, tiny_dims, n_anchors):
+        ps = bref_store(tiny_dims, n_anchors=n_anchors, seed=n_anchors)
+        rng = np.random.default_rng(13)
+        ps["bref/reg/b"].data[...] = rng.normal(size=ps["bref/reg/b"].shape)
+        q = ad.parameter(rng.normal(size=(4, query_dim(tiny_dims))))
+        w = rng.normal(size=(4, tiny_dims.d_e))
+        outs, grads = [], []
+        for fn in (f_s, looped_f_s):
+            out = fn(q, ps)
+            outs.append(out.data)
+            grads.append(ad.grad_map(ad.sum_(out * w)))
+        assert np.abs(outs[0] - outs[1]).max() <= 1e-12 * np.abs(outs[1]).max()
+        for leaf in [q] + [ps[name] for name in ps.names() if name.startswith("bref/")
+                           and name != "bref/proj"]:
+            fast, ref = grads[0][id(leaf)], grads[1][id(leaf)]
+            assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_tape_size_independent_of_anchor_count(self, tiny_dims):
+        q = ad.parameter(np.random.default_rng(14).normal(
+            size=(2, query_dim(tiny_dims))))
+        sizes = {C: tape_nodes(f_s(q, bref_store(tiny_dims, n_anchors=C)))
+                 for C in (1, 8)}
+        assert sizes[1] == sizes[8]
+
     def test_single_anchor_is_plain_affine(self, tiny_dims):
         """|C| = 1 must agree with an independent numpy affine regression."""
         ps = bref_store(tiny_dims, n_anchors=1, seed=4)

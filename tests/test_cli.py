@@ -1,8 +1,12 @@
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import refnet
 from refnet.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_PREREQ,
                         EXIT_USAGE, main)
 from refnet.training import Checkpoint
@@ -130,6 +134,48 @@ class TestExitCodes:
         assert code == EXIT_PREREQ
 
 
+# One case per documented exit code, and more than one where the code has
+# several causes; each argv is built from (corpus dir, checkpoint, tmp dir).
+EXIT_MATRIX = {
+    "usage-unknown-flag": (EXIT_USAGE, lambda d, ckpt, tmp: [
+        "synth", "--out", str(tmp / "x"), "--bogus"]),
+    "usage-missing-required": (EXIT_USAGE, lambda d, ckpt, tmp: [
+        "translate", "--ckpt", str(ckpt)]),
+    "config-bad-lengths": (EXIT_CONFIG, lambda d, ckpt, tmp: [
+        "synth", "--min-len", "9", "--max-len", "3", "--out", str(tmp / "x")]),
+    "config-missing-corpus": (EXIT_CONFIG, lambda d, ckpt, tmp: [
+        "evaluate", "--hyp", str(tmp / "none.txt"), "--refs", str(tmp / "none.txt")]),
+    "prerequisite-missing-checkpoint": (EXIT_PREREQ, lambda d, ckpt, tmp: [
+        "params", "--ckpt", str(tmp / "none.ckpt")]),
+    "prerequisite-no-anchors": (EXIT_PREREQ, lambda d, ckpt, tmp: [
+        "finetune-m", "--ckpt-in", str(ckpt), "--ckpt-out", str(tmp / "m.ckpt"),
+        "--train-src", str(d / "toy.train.src"), "--train-tgt", str(d / "toy.train.tgt"),
+        "--dev-src", str(d / "toy.dev.src"), "--dev-tgt", str(d / "toy.dev.tgt"),
+        "--epochs", "1"]),
+    "numeric-divergent-training": (EXIT_NUMERIC, lambda d, ckpt, tmp: [
+        "train", "--train-src", str(d / "toy.train.src"),
+        "--train-tgt", str(d / "toy.train.tgt"), "--dev-src", str(d / "toy.dev.src"),
+        "--dev-tgt", str(d / "toy.dev.tgt"), "--ckpt-out", str(tmp / "t.ckpt"),
+        "--d-e", "4", "--d-h", "4", "--epochs", "2", "--batch-size", "16",
+        "--lr", "1e300"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_MATRIX))
+def test_exit_code_matrix(case, toy_files, toy_ckpt, tmp_path):
+    """Each failure exits with its documented code and prints no traceback,
+    run as its own process the way a shell runs ``refnet``."""
+    code, make_argv = EXIT_MATRIX[case]
+    src_root = os.path.dirname(os.path.dirname(refnet.__file__))
+    env = dict(os.environ, PYTHONPATH=src_root)
+    proc = subprocess.run([sys.executable, "-m", "refnet.cli",
+                           *make_argv(toy_files, toy_ckpt, tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert proc.stderr.strip()
+
+
 class TestHelp:
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -169,6 +215,20 @@ class TestConfigFile:
         cfg.write_text("nonsense_key=1\n")
         assert run_cli(["synth", "--config", str(cfg),
                         "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+
+    def test_config_values_do_not_outlive_their_call(self, tmp_path,
+                                                     monkeypatch):
+        from refnet import cli
+        beams = []
+        monkeypatch.setattr(cli, "_cmd_translate",
+                            lambda args: beams.append(args.beam))
+        cfg = tmp_path / "beam.cfg"
+        cfg.write_text("beam=4\n")
+        argv = ["translate", "--ckpt", "m.ckpt", "--src", "in.txt",
+                "--out", "out.txt"]
+        assert run_cli(argv + ["--config", str(cfg)]) == EXIT_OK
+        assert run_cli(argv) == EXIT_OK
+        assert beams == [4, 10]
 
     def test_malformed_line_is_config_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

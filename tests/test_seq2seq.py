@@ -9,10 +9,12 @@ from refnet.corpus import BOS, EOS, Batch
 from refnet.brefnet import init_b_params
 from refnet.model import TranslationModel
 from refnet.mrefnet import add_anchor_params, init_m_params
+from refnet import seq2seq
 from refnet.seq2seq import (Hypothesis, ModelDims, attention, beam_search,
-                            decoder_step, encode, greedy_decode,
-                            init_baseline_params, nll_loss,
-                            output_distribution, output_logits)
+                            decoder_step, encode, encode_batch, gates_per_cell,
+                            greedy_decode, init_baseline_params, nll_loss,
+                            output_distribution, output_logits,
+                            recurrent_cell)
 
 
 def zero_params(ps, names):
@@ -158,6 +160,95 @@ class TestDecoderStep:
                            + s.data @ params["dec/cell/U"].data
                            + params["dec/cell/b"].data)
         np.testing.assert_allclose(out.data, expected, atol=1e-14)
+
+
+def reference_cell(x, s_prev, W, U, b, cell="gru", extras=()):
+    """The same cell composed of tape ops, one node per matmul, slice and
+    gate: the reference the single-node cell must match."""
+    gx = ad.matmul(x, W) + b
+    for vec, proj in extras:
+        gx = gx + ad.matmul(vec, proj)
+    gs = ad.matmul(s_prev, U)
+    if cell == "tanh":
+        return ad.tanh(gx + gs)
+    d_h = U.shape[0]
+    xr, xz, xn = gx[:, :d_h], gx[:, d_h:2 * d_h], gx[:, 2 * d_h:]
+    sr, sz, sn = gs[:, :d_h], gs[:, d_h:2 * d_h], gs[:, 2 * d_h:]
+    r = ad.sigmoid(xr + sr)
+    z = ad.sigmoid(xz + sz)
+    n = ad.tanh(xn + r * sn)
+    return (1.0 - z) * n + z * s_prev
+
+
+def cell_inputs(cell, n_extras, B=5, d_x=6, d_h=4, seed=0):
+    """(x, s_prev, W, U, b, extras) as fresh parameters."""
+    rng = np.random.default_rng(seed)
+    width = gates_per_cell(cell) * d_h
+    p = lambda *shape: ad.parameter(rng.normal(0.0, 0.7, size=shape))  # noqa: E731
+    extras = [(p(B, 3 + i), p(3 + i, width)) for i in range(n_extras)]
+    return p(B, d_x), p(B, d_h), p(d_x, width), p(d_h, width), p(width), extras
+
+
+def leaves(x, s_prev, W, U, b, extras):
+    return [x, s_prev, W, U, b] + [t for pair in extras for t in pair]
+
+
+class TestFusedCell:
+    @pytest.mark.parametrize("n_extras", [0, 1, 2])
+    @pytest.mark.parametrize("cell", ["gru", "tanh"])
+    def test_forward_bit_identical_to_composed_cell(self, cell, n_extras):
+        for B in (1, 2, 7):
+            args = cell_inputs(cell, n_extras, B=B, seed=B)
+            fused = recurrent_cell(*args[:5], cell, args[5])
+            ref = reference_cell(*args[:5], cell, args[5])
+            assert np.array_equal(fused.data, ref.data)
+
+    @pytest.mark.parametrize("cell", ["gru", "tanh"])
+    def test_encode_batch_with_padding_bit_identical(self, cell, monkeypatch):
+        dims = ModelDims(vocab_src=9, vocab_tgt=9, d_e=3, d_h=4, cell=cell)
+        params = init_baseline_params(dims, np.random.default_rng(2))
+        src = np.array([[4, 5, 6, 7, 8], [6, 4, 0, 0, 0], [8, 7, 5, 0, 0]])
+        lens = np.array([5, 2, 3])
+        fused, _ = encode_batch(params, dims, src, lens)
+        monkeypatch.setattr(seq2seq, "recurrent_cell", reference_cell)
+        ref, _ = encode_batch(params, dims, src, lens)
+        assert np.array_equal(fused.data, ref.data)
+
+    @pytest.mark.parametrize("n_extras", [0, 2])
+    @pytest.mark.parametrize("cell", ["gru", "tanh"])
+    def test_backward_matches_composed_cell(self, cell, n_extras):
+        args = cell_inputs(cell, n_extras, seed=3)
+        w = np.random.default_rng(4).normal(size=(5, 4))
+        grads = []
+        for fn in (recurrent_cell, reference_cell):
+            out = fn(*args[:5], cell, args[5])
+            grads.append(ad.grad_map(ad.sum_(ad.tanh(out) * w)))
+        for leaf in leaves(*args):
+            fused, ref = grads[0][id(leaf)], grads[1][id(leaf)]
+            assert fused.shape == leaf.shape
+            assert np.abs(fused - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("cell", ["gru", "tanh"])
+    def test_constant_inputs_get_no_gradient(self, cell):
+        x, s_prev, W, U, b, extras = cell_inputs(cell, 1, seed=5)
+        s_const, vec_const = Tensor(s_prev.data), Tensor(extras[0][0].data)
+        out = recurrent_cell(x, s_const, W, U, b, cell, [(vec_const, extras[0][1])])
+        grads = ad.grad_map(ad.sum_(out))
+        assert id(s_const) not in grads and id(vec_const) not in grads
+        ref = ad.grad_map(ad.sum_(reference_cell(
+            x, s_const, W, U, b, cell, [(vec_const, extras[0][1])])))
+        for leaf in (x, W, U, b, extras[0][1]):
+            np.testing.assert_allclose(grads[id(leaf)], ref[id(leaf)],
+                                       rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("cell", ["gru", "tanh"])
+    def test_one_call_records_one_node(self, cell):
+        args = cell_inputs(cell, 2, seed=6)
+        out = recurrent_cell(*args[:5], cell, args[5])
+        assert out.parents == tuple(leaves(*args))
+        assert all(p._bwd is None for p in out.parents)
+        with no_grad():
+            assert recurrent_cell(*args[:5], cell, args[5]).parents == ()
 
 
 class TestOutputDistribution:

@@ -1,14 +1,17 @@
+import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refnet.corpus import make_batches
 from refnet.errors import CheckpointError, PrerequisiteError
 from refnet.model import TranslationModel
 from refnet.params import GROUPS
 from refnet.seq2seq import ModelDims
-from refnet.training import (Checkpoint, TrainConfig, pretrain, run_stage)
+from refnet.training import (PREAMBLE, Checkpoint, TrainConfig, pretrain,
+                             run_stage)
 
 def nan_payload(header, payload):
     payload[-8:] = struct.pack("<d", float("nan"))
@@ -22,6 +25,12 @@ HEADER_MUTATIONS = {
     "overlapping-offsets": lambda h, p: h["params"][1].update(
         offset=h["params"][0]["offset"]),
     "unknown-kind": lambda h, p: h.update(kind="zzz"),
+    "config-wrong-type": lambda h, p: h["config"].update(lr="fast"),
+    "config-not-a-dict": lambda h, p: h.update(config=[1, 2]),
+    "stages-not-a-list": lambda h, p: h.update(stages=3),
+    "unknown-stage": lambda h, p: h["stages"].append("distill"),
+    "vocab-not-strings": lambda h, p: h["vocab_src"].append(["x"]),
+    "params-not-a-list": lambda h, p: h.update(params=7),
 }
 
 
@@ -112,6 +121,76 @@ class TestCheckpointFile:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             Checkpoint.load(tmp_path / "absent.ckpt")
+
+
+def loads_identically_or_is_rejected(path, original):
+    try:
+        loaded = Checkpoint.load(path)
+    except CheckpointError:
+        return
+    assert loaded.params.names() == original.params.names()
+    for name in original.params.names():
+        assert np.array_equal(loaded.params[name].data, original.params[name].data)
+        assert loaded.params.group_of(name) == original.params.group_of(name)
+
+
+class TestCheckpointFuzz:
+    """A file changed after it was written, in its bytes or in its header,
+    either loads with identical parameters or raises CheckpointError."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, toy_split, toy_vocabs, tmp_path_factory):
+        train, _, _ = toy_split
+        ckpt = run_stage("fit-anchors", quick_pretrain(toy_split, toy_vocabs, epochs=0),
+                         train, None, TrainConfig(stage="fit-anchors", n_anchors=3,
+                                                  fit_iters=2, seed=21))
+        path = ckpt.save(tmp_path_factory.mktemp("fuzz") / "model.ckpt")
+        return path, path.read_bytes(), Checkpoint.load(path)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_byte_mutations(self, saved, data):
+        path, blob, original = saved
+        blob = bytearray(blob)
+        for _ in range(data.draw(st.integers(1, 4), label="bytes")):
+            where = data.draw(st.integers(0, len(blob) - 1), label="offset")
+            blob[where] = data.draw(st.integers(0, 255), label="value")
+        bad = path.with_name("bytes.ckpt")
+        bad.write_bytes(bytes(blob))
+        loads_identically_or_is_rejected(bad, original)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_header_mutations(self, saved, data):
+        path, blob, original = saved
+        (hlen,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[PREAMBLE:PREAMBLE + hlen])
+        leaves = []
+
+        def walk(node, trail):
+            items = (node.items() if isinstance(node, dict)
+                     else enumerate(node) if isinstance(node, list) else ())
+            for key, child in items:
+                leaves.append(trail + (key,))
+                walk(child, trail + (key,))
+
+        walk(header, ())
+        trail = data.draw(st.sampled_from(leaves), label="field")
+        parent = header
+        for key in trail[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and data.draw(st.booleans(), label="delete"):
+            del parent[trail[-1]]
+        else:
+            parent[trail[-1]] = data.draw(
+                st.none() | st.booleans() | st.integers(-3, 10 ** 6)
+                | st.floats(allow_nan=False) | st.text(max_size=5)
+                | st.lists(st.integers(0, 9), max_size=3), label="value")
+        raw = json.dumps(header).encode("utf-8")
+        bad = path.with_name("header.ckpt")
+        bad.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + blob[16:PREAMBLE]
+                        + raw + blob[PREAMBLE + hlen:])
+        loads_identically_or_is_rejected(bad, original)
 
 
 class TestStages:
