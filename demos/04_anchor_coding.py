@@ -10,22 +10,22 @@ Run:  python3 demos/04_anchor_coding.py
 import numpy as np
 
 from refnet.lcc import (AnchorFitConfig, AnchorSet, LccConfig, ScoreParams,
-                        fit_anchors, lcc_weights, lipschitz_bound_diag,
-                        localization_measure, reconstruct)
+                        fit_anchors, lcc_weights, localization_measures,
+                        reconstruct)
 
 rng = np.random.default_rng(0)
 
 print("=== coefficients are a softmax over tri-nonlinear scores ===")
 anchors = AnchorSet(np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 3.0]]))
 score = ScoreParams.init(d_v=2, d_att=4, rng=rng)
-x = np.array([1.0, 1.0])
+x = np.array([[1.0, 1.0]])  # a batch of one point
 gamma = lcc_weights(x, anchors, score)
 recon = reconstruct(gamma, anchors)
-print(f"x        = {x}")
-print(f"gamma    = {np.round(gamma.data, 4)} (sums to {gamma.data.sum():.10f})")
-print(f"recon    = {np.round(recon.data, 4)} (convex combination of anchors)")
-measure = localization_measure(x, anchors, score, LccConfig())
-print(f"measure  = {float(measure.data):.4f} "
+print(f"x        = {x[0]}")
+print(f"gamma    = {np.round(gamma.data[0], 4)} (sums to {gamma.data.sum():.10f})")
+print(f"recon    = {np.round(recon.data[0], 4)} (convex combination of anchors)")
+measure = localization_measures(x, anchors, score, LccConfig())
+print(f"measure  = {float(measure.data[0]):.4f} "
       "(reconstruction error + weighted anchor spread)")
 
 print("\n=== fitting anchors to two clusters ===")
@@ -44,7 +44,7 @@ print("with two, the coefficients learn to pick the right cluster "
       "per point, and the measure collapses.")
 
 fit = fit_anchors(data, 2, LccConfig(), AnchorFitConfig(iters=600, seed=0))
-bound = float(np.mean([lipschitz_bound_diag(p, fit.anchors, fit.score, 1.0, 0.01)
-                       for p in data[:50]]))
+bound = float(np.mean(localization_measures(data[:50], fit.anchors, fit.score,
+                                            LccConfig(l_alpha=1.0, l_beta=0.01)).data))
 print(f"\nmean approximation-error bound over 50 points after fitting: "
       f"{bound:.3f}")

@@ -6,14 +6,14 @@ from .corpus import (Batch, ParallelCorpus, Vocab, build_vocab,
                      filter_by_length, generate_synthetic_task, make_batches)
 from .evaluation import bleu, length_buckets, param_report
 from .lcc import (AnchorFitConfig, AnchorSet, LccConfig, ScoreParams,
-                  fit_anchors, lcc_weights, lipschitz_bound_diag,
-                  localization_measure, reconstruct)
+                  fit_anchors, lcc_weights, localization_measures,
+                  reconstruct)
 from .model import TranslationModel
 from .params import (GradRecord, Optimizer, OptimizerConfig, ParamStore,
                      backward, clip_gradient_norm, clip_gradient_value,
                      finite_diff_grad)
 from .seq2seq import (Hypothesis, ModelDims, attention, beam_search,
-                      decoder_step, encode, nll_loss, output_distribution)
+                      decoder_step, encode_batch, nll_loss)
 from .training import Checkpoint, TrainConfig, pretrain, run_stage
 
 __version__ = "0.1.0"
@@ -24,10 +24,9 @@ __all__ = [
     "ParallelCorpus", "ParamStore", "ScoreParams", "Tensor",
     "TrainConfig", "TranslationModel", "Vocab", "attention", "autodiff",
     "backward", "beam_search", "bleu", "build_vocab", "clip_gradient_norm",
-    "clip_gradient_value", "decoder_step", "encode", "filter_by_length",
+    "clip_gradient_value", "decoder_step", "encode_batch", "filter_by_length",
     "finite_diff_grad", "fit_anchors", "generate_synthetic_task",
-    "lcc_weights", "length_buckets", "lipschitz_bound_diag",
-    "localization_measure", "make_batches", "nll_loss", "no_grad",
-    "output_distribution", "param_report", "pretrain", "reconstruct",
-    "run_stage",
+    "lcc_weights", "length_buckets", "localization_measures",
+    "make_batches", "nll_loss", "no_grad", "param_report", "pretrain",
+    "reconstruct", "run_stage",
 ]

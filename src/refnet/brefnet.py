@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import as_tensor
-from .lcc import tri_scores
+from .lcc import AnchorSet, ScoreParams, lcc_weights
 from .params import ParamStore
 from .seq2seq import ModelDims, gates_per_cell, xavier
 
@@ -67,10 +67,8 @@ def regression_weight_norms(params):
 
 def anchor_gamma(G, params):
     """Anchor coefficients gamma (B, |C|) of projected queries G = g(q)."""
-    scores = tri_scores(G, params["bref/anchors"], params["bref/score/W"],
-                        params["bref/score/U"], params["bref/score/V"],
-                        params["bref/score/v"])
-    return ad.softmax(scores, axis=1)
+    sp = ScoreParams(*(params[f"bref/score/{k}"] for k in "WUVv"))
+    return lcc_weights(G, AnchorSet(params["bref/anchors"]), sp)
 
 
 def f_s(q, params):

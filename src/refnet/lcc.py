@@ -11,9 +11,9 @@ fitted by minimizing the localization measure
 
     l_alpha ||x - gamma(x)|| + l_beta sum_j |gamma_j(x)| ||v_j - gamma(x)||^2
 
-averaged over a dataset. The same expression evaluated pointwise doubles
-as an approximation-error bound diagnostic; it is reported, never trained
-on directly.
+averaged over a dataset. Per point, ``localization_measures`` returns the
+same expression for a whole batch; it doubles as the approximation-error
+bound diagnostic of Yu, Zhang & Gong (NIPS 2009).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .params import (Optimizer, OptimizerConfig, ParamStore, backward)
 class LccConfig:
     l_alpha: float = 1.0
     l_beta: float = 0.01
-    first_term_squared: bool = False  # plain (unsquared) norm by default
 
     def __post_init__(self):
         if self.l_alpha < 0 or self.l_beta < 0:
@@ -49,10 +48,6 @@ class AnchorSet:
     @property
     def count(self):
         return self.points.shape[0]
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
 
 
 @dataclass
@@ -90,58 +85,39 @@ def tri_scores(X, anchors, W, U, V, v):
     return ad.sum_(ad.tanh(pre) * v, axis=2)              # (N, C)
 
 
-def lcc_weights(x, anchors: AnchorSet, sp: ScoreParams):
-    """Soft coefficients gamma(x): softmax over the anchor scores."""
-    if anchors.count < 1:
-        raise ValueError("need at least one anchor")
-    x = as_tensor(x)
-    scores = tri_scores(ad.reshape(x, (1, x.size)), anchors, sp.W, sp.U, sp.V, sp.v)
-    return ad.softmax(scores, axis=1)[0, :]
+def lcc_weights(X, anchors: AnchorSet, sp: ScoreParams):
+    """Soft coefficients gamma (N, C) of inputs X (N, d_v): a softmax over
+    each row's anchor scores."""
+    return ad.softmax(tri_scores(X, anchors, sp.W, sp.U, sp.V, sp.v), axis=1)
 
 
 def reconstruct(gamma, anchors: AnchorSet):
-    """gamma-weighted combination of the anchors; stays in their convex hull."""
+    """gamma-weighted combinations (N, d_v) of the anchors, from (N, C)
+    coefficients; each row stays in the anchors' convex hull."""
     gamma = as_tensor(gamma)
     if gamma.shape[-1] != anchors.count:
         raise ValueError(f"{gamma.shape[-1]} coefficients for {anchors.count} anchors")
-    if gamma.ndim == 1:
-        return ad.matmul(ad.reshape(gamma, (1, anchors.count)), anchors.points)[0, :]
     return ad.matmul(gamma, anchors.points)
 
 
-def _measure_terms(X, anchors: AnchorSet, sp: ScoreParams, cfg: LccConfig):
-    """Per-point localization measure for a batch of inputs (N, d_v)."""
+def localization_measures(X, anchors: AnchorSet, sp: ScoreParams,
+                          cfg: LccConfig = LccConfig()):
+    """The localization measure of each row of X (N, d_v): an (N,) tensor."""
     X = as_tensor(X)
     N, d = X.shape
-    C = anchors.count
-    scores = tri_scores(X, anchors, sp.W, sp.U, sp.V, sp.v)
-    gamma = ad.softmax(scores, axis=1)                    # (N, C)
-    recon = ad.matmul(gamma, anchors.points)              # (N, d)
-    sq1 = ad.sum_(ad.square(X - recon), axis=1)
-    term1 = sq1 if cfg.first_term_squared else ad.sqrt(sq1)
-    diffs = ad.reshape(anchors.points, (1, C, d)) - ad.reshape(recon, (N, 1, d))
+    gamma = lcc_weights(X, anchors, sp)                   # (N, C)
+    recon = reconstruct(gamma, anchors)                   # (N, d)
+    term1 = ad.sqrt(ad.sum_(ad.square(X - recon), axis=1))
+    diffs = ad.reshape(anchors.points, (1, anchors.count, d)) \
+        - ad.reshape(recon, (N, 1, d))
     sqd = ad.sum_(ad.square(diffs), axis=2)               # (N, C)
     term2 = ad.sum_(ad.abs_(gamma) * sqd, axis=1)
     return cfg.l_alpha * term1 + cfg.l_beta * term2
 
 
-def localization_measure(x, anchors: AnchorSet, sp: ScoreParams,
-                         cfg: LccConfig = LccConfig()):
-    """The fitting objective evaluated at a single point."""
-    x = as_tensor(x)
-    return _measure_terms(ad.reshape(x, (1, x.size)), anchors, sp, cfg)[0]
-
-
 def mean_localization_measure(X, anchors, sp, cfg=LccConfig()):
-    return ad.mean(_measure_terms(X, anchors, sp, cfg))
-
-
-def lipschitz_bound_diag(x, anchors: AnchorSet, sp: ScoreParams,
-                         l_alpha, l_beta):
-    """Approximation-error upper bound at x; diagnostic only."""
-    cfg = LccConfig(l_alpha=l_alpha, l_beta=l_beta)
-    with no_grad():
-        return float(localization_measure(x, anchors, sp, cfg).data)
+    """The fitting objective: the mean of ``localization_measures``."""
+    return ad.mean(localization_measures(X, anchors, sp, cfg))
 
 
 @dataclass

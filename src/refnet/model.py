@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import brefnet, mrefnet, seq2seq
 from .autodiff import Tensor, no_grad
-from .corpus import Batch, BOS, EOS, PAD
+from .corpus import Batch, PAD
 from .params import ParamStore
 from .seq2seq import ModelDims
 
@@ -109,23 +109,6 @@ class TranslationModel:
                 total += parts.nll_token_mean * parts.n_tokens
                 count += parts.n_tokens
         return total / count
-
-    def hinge_loss(self, src_ids, tgt_ids):
-        """Regression loss for one sentence pair (teacher forcing).
-
-        Sum over target positions of ||e(y_t) - f_s(q_t)||^2 plus the
-        weight-norm penalty; requires a b_ref model.
-        """
-        if self.kind != "b_ref":
-            raise ValueError("hinge loss is defined for the b_ref variant")
-        if len(tgt_ids) == 0:
-            raise ValueError("empty target sentence")
-        batch = Batch(src=np.asarray(src_ids)[None, :],
-                      src_lens=np.array([len(src_ids)]),
-                      tgt=np.array([[BOS] + list(tgt_ids) + [EOS]]),
-                      tgt_lens=np.array([len(tgt_ids) + 2]))
-        parts = self.loss(batch, training=False)
-        return parts.l_m  # batch of one: the per-sentence value
 
     # -- decoding -----------------------------------------------------------
 

@@ -21,8 +21,6 @@ from .params import ParamStore
 from .seq2seq import ModelDims, encode_batch, gates_per_cell, xavier
 
 ANCHOR_KEY = "anchors/m"
-SCORE_KEYS = ("anchors/m_score/W", "anchors/m_score/U",
-              "anchors/m_score/V", "anchors/m_score/v")
 
 
 def init_m_params(ps: ParamStore, dims: ModelDims, rng):
@@ -37,20 +35,11 @@ def init_m_params(ps: ParamStore, dims: ModelDims, rng):
     return ps
 
 
-def add_anchor_params(ps: ParamStore, anchor_points, score_arrays):
-    """Store a fitted anchor set (and its fitting-score net) in the store."""
+def add_anchor_params(ps: ParamStore, anchor_points):
+    """Store a fitted anchor set: only the points; the score net that fitted
+    them is not kept."""
     ps.add(ANCHOR_KEY, anchor_points, "anchors")
-    for key, arr in zip(SCORE_KEYS, score_arrays):
-        ps.add(key, arr, "anchors")
     return ps
-
-
-def sentence_repr(h):
-    """Mean-pooled sentence representation: element-wise mean over the rows."""
-    h = h if isinstance(h, Tensor) else Tensor(h)
-    if h.ndim != 2 or h.shape[0] < 1:
-        raise ValueError("expected a non-empty (m, 2*d_h) annotation matrix")
-    return ad.mean(h, axis=0)
 
 
 def collect_sentence_reprs(params, dims: ModelDims, corpus, vocab_src, vocab_tgt,

@@ -80,9 +80,6 @@ class ParamStore:
         """The declared flag, ignoring any group freeze currently in force."""
         return self._trainable[name]
 
-    def frozen_groups(self):
-        return sorted(self._frozen, key=GROUPS.index)
-
     def _sync_flags(self):
         for name, t in self._params.items():
             t.requires_grad = (self._trainable[name]

@@ -184,15 +184,6 @@ def encode_batch(params, dims: ModelDims, src, src_lens, training=False,
     return h, mask
 
 
-def encode(params, dims: ModelDims, ids):
-    """Annotations for one sentence: an (m, 2*d_h) tensor, one row per token."""
-    if len(ids) == 0:
-        raise ValueError("cannot encode an empty sentence")
-    h, _ = encode_batch(params, dims, np.asarray(ids)[None, :],
-                        np.array([len(ids)]))
-    return h[0, :, :]
-
-
 # ---------------------------------------------------------------------------
 # attention and decoder
 
@@ -246,11 +237,6 @@ def output_logits(params, e_prev, s_t, c_t, training=False, rng=None, drop_out=0
     r = ad.tanh(ad.matmul(x, params["dec/out/W"]) + params["dec/out/b"])
     r = ad.dropout(r, drop_out, training, rng)
     return ad.matmul(r, params["dec/out/Wv"]) + params["dec/out/bv"]
-
-
-def output_distribution(params, e_prev, s_t, c_t):
-    """Vocabulary distribution; rows sum to 1."""
-    return ad.softmax(output_logits(params, e_prev, s_t, c_t), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -342,9 +342,7 @@ def fit_anchors_stage(ckpt: Checkpoint, corpus_train: ParallelCorpus,
         AnchorFitConfig(iters=config.fit_iters, lr=config.fit_lr,
                         lr_decay=config.fit_lr_decay,
                         batch_size=config.fit_batch, seed=config.seed))
-    add_anchor_params(params, result.anchors.points.data,
-                      [result.score.W.data, result.score.U.data,
-                       result.score.V.data, result.score.v.data])
+    add_anchor_params(params, result.anchors.points.data)
     history = [{"stage": "fit-anchors", "initial_measure": result.initial_measure,
                 "final_measure": result.final_measure}]
     return Checkpoint(params, ckpt.dims, config, ckpt.kind,

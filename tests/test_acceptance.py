@@ -19,7 +19,7 @@ from refnet.corpus import (EOS, ParallelCorpus, build_vocab,
 from refnet.evaluation import FULL_SCALE_REFERENCE, bleu, param_report
 from refnet.gradcheck import run_suite, suite_report
 from refnet.lcc import (AnchorFitConfig, AnchorSet, LccConfig, ScoreParams,
-                        fit_anchors, lcc_weights, localization_measure,
+                        fit_anchors, lcc_weights, localization_measures,
                         reconstruct)
 from refnet.mrefnet import add_anchor_params, init_m_params
 from refnet.model import TranslationModel
@@ -134,15 +134,14 @@ class TestAcceptance:
         sp = ScoreParams.init(d_v, d_v, rng)
         anchors = AnchorSet(rng.normal(size=(n_anchors, d_v)))
 
-        simplex_ok = True
-        for _ in range(1000):
-            g = lcc_weights(rng.normal(size=d_v), anchors, sp).data
-            simplex_ok &= bool((g >= 0).all() and abs(g.sum() - 1.0) <= 1e-9)
+        g = lcc_weights(rng.normal(size=(1000, d_v)), anchors, sp).data
+        simplex_ok = bool((g >= 0).all()
+                          and (np.abs(g.sum(axis=1) - 1.0) <= 1e-9).all())
 
         single = AnchorSet(rng.normal(size=(1, d_v)))
-        g1 = lcc_weights(rng.normal(size=d_v), single, sp).data
-        degeneracy_ok = np.allclose(g1, [1.0]) and np.array_equal(
-            reconstruct([1.0], single).data, single.points.data[0])
+        g1 = lcc_weights(rng.normal(size=(1, d_v)), single, sp).data
+        degeneracy_ok = np.allclose(g1, [[1.0]]) and np.array_equal(
+            reconstruct([[1.0]], single).data, single.points.data)
 
         dims = ModelDims(vocab_src=7, vocab_tgt=7, d_e=3, d_h=4)
         ps = init_baseline_params(dims, rng)
@@ -153,16 +152,16 @@ class TestAcceptance:
         affine = g @ ps["bref/reg/W"].data[0] + ps["bref/reg/b"].data[0]
         degeneracy_ok &= np.allclose(out, affine, atol=1e-12)
 
-        x = rng.normal(size=d_v)
-        zero_ok = float(localization_measure(
-            x, AnchorSet(x[None, :].copy()), sp).data) == 0.0
+        x = rng.normal(size=(1, d_v))
+        zero_ok = localization_measures(
+            x, AnchorSet(x.copy()), sp).data.tolist() == [0.0]
 
         pts = anchors.points.data
         perm = rng.permutation(n_anchors)
-        xq = rng.normal(size=d_v)
+        xq = rng.normal(size=(1, d_v))
         ga = lcc_weights(xq, AnchorSet(pts), sp).data
         gb = lcc_weights(xq, AnchorSet(pts[perm]), sp).data
-        perm_ok = np.allclose(gb, ga[perm], atol=1e-12) and np.allclose(
+        perm_ok = np.allclose(gb, ga[:, perm], atol=1e-12) and np.allclose(
             reconstruct(ga, AnchorSet(pts)).data,
             reconstruct(gb, AnchorSet(pts[perm])).data, atol=1e-12)
 
@@ -220,9 +219,7 @@ class TestAcceptance:
         rng = np.random.default_rng(3)
         base_loss = TranslationModel(base.params, base.dims,
                                      "baseline").dev_loss(batches)
-        add_anchor_params(base.params, rng.normal(size=(16, 2 * base.dims.d_h)),
-                          [rng.normal(size=(4, 2 * base.dims.d_h))
-                           for _ in range(3)] + [rng.normal(size=4)])
+        add_anchor_params(base.params, rng.normal(size=(16, 2 * base.dims.d_h)))
         init_m_params(base.params, base.dims, rng)
         m_loss = TranslationModel(base.params, base.dims,
                                   "m_ref").dev_loss(batches)
@@ -325,9 +322,7 @@ class TestAcceptance:
         rng = np.random.default_rng(0)
         ps = init_baseline_params(dims, rng)
         baseline = param_report(ps).total
-        add_anchor_params(ps, np.zeros((100, 2 * dims.d_h)),
-                          [np.zeros((dims.d_h, 2 * dims.d_h))] * 3
-                          + [np.zeros(dims.d_h)])
+        add_anchor_params(ps, np.zeros((100, 2 * dims.d_h)))
         init_m_params(ps, dims, rng)
         with_m = param_report(ps)
         m_added = with_m.total - baseline

@@ -5,7 +5,7 @@ from refnet import autodiff as ad
 from refnet.autodiff import Tensor
 from refnet.brefnet import (anchor_gamma, build_query, f_s, g_transform,
                             init_b_params, query_dim, regression_weight_norms)
-from refnet.corpus import make_batches
+from refnet.corpus import BOS, EOS, Batch, make_batches
 from refnet.model import TranslationModel, variant_extras
 from refnet.seq2seq import ModelDims, decoder_step, init_baseline_params
 from refnet.training import TrainConfig, pretrain, train_b
@@ -155,6 +155,13 @@ class TestFs:
         np.testing.assert_allclose(gamma.data.sum(axis=1), 1.0, atol=1e-9)
 
 
+def pair_batch(src_ids, tgt_ids):
+    """One sentence pair as a batch: the target wrapped in BOS ... EOS."""
+    return Batch(src=np.array([src_ids]), src_lens=np.array([len(src_ids)]),
+                 tgt=np.array([[BOS] + tgt_ids + [EOS]]),
+                 tgt_lens=np.array([len(tgt_ids) + 2]))
+
+
 class TestHingeLoss:
     def _model(self, tiny_dims, **kw):
         ps = bref_store(tiny_dims, n_anchors=2, seed=13)
@@ -168,7 +175,7 @@ class TestHingeLoss:
         emb = ps["dec/tgt_emb"].data[4].copy()
         ps["dec/tgt_emb"].data[2] = emb
         ps["bref/reg/b"].data[...] = emb
-        out = model.hinge_loss([4, 5], [4, 4])
+        out = model.loss(pair_batch([4, 5], [4, 4])).l_m
         assert out == pytest.approx(0.0, abs=1e-24)
 
     def test_unit_distance_single_step(self, tiny_dims):
@@ -177,7 +184,7 @@ class TestHingeLoss:
         ps["bref/reg/b"].data[...] = 0.0
         ps["dec/tgt_emb"].data[4] = [1.0, 0.0, 0.0]
         ps["dec/tgt_emb"].data[2] = 0.0  # EOS embedding also regressed on
-        out = model.hinge_loss([4], [4])
+        out = model.loss(pair_batch([4], [4])).l_m
         assert out == pytest.approx(1.0, rel=1e-12)
 
     def test_regularizer_adds_weighted_norms(self, tiny_dims):
@@ -190,18 +197,20 @@ class TestHingeLoss:
         np.testing.assert_allclose(norms.data, [3.0, 3.0], atol=1e-12)
         plain = TranslationModel(ps, tiny_dims, "b_ref", lam_m=0.0)
         penalized = TranslationModel(ps, tiny_dims, "b_ref", lam_m=0.5)
-        src, tgt = [4, 5], [5, 6]
-        assert penalized.hinge_loss(src, tgt) - plain.hinge_loss(src, tgt) \
+        batch = pair_batch([4, 5], [5, 6])
+        assert penalized.loss(batch).l_m - plain.loss(batch).l_m \
             == pytest.approx(3.0, rel=1e-12)
 
     def test_non_negative_and_positive_with_weights(self, tiny_dims):
         ps, model = self._model(tiny_dims, lam_m=0.1)
-        assert model.hinge_loss([4, 5], [6]) > 0.0
+        assert model.loss(pair_batch([4, 5], [6])).l_m > 0.0
 
     def test_empty_target_rejected(self, tiny_dims):
+        """An empty batch has no target to regress on."""
         _, model = self._model(tiny_dims)
+        no_rows = np.zeros((0, 2), dtype=int)
         with pytest.raises(ValueError):
-            model.hinge_loss([4], [])
+            model.loss(Batch(no_rows, no_rows[:, 0], no_rows, no_rows[:, 0]))
 
 
 class TestBDecoderStep:

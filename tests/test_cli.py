@@ -337,6 +337,53 @@ class TestGradcheckCommand:
         assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def m_ckpts(toy_files, toy_ckpt, tmp_path_factory):
+    """(anchored, m_ref) checkpoints fitted and tuned from the toy baseline."""
+    root = tmp_path_factory.mktemp("cli_m")
+    data = [f"--{split}-{side}={toy_files / f'toy.{split}.{side}'}"
+            for split in ("train", "dev") for side in ("src", "tgt")]
+    anchored, m_ckpt = root / "anchored.ckpt", root / "m.ckpt"
+    assert run_cli(["fit-anchors", "--ckpt-in", str(toy_ckpt),
+                    "--ckpt-out", str(anchored), *data[:2],
+                    "--n-anchors", "4", "--fit-iters", "20",
+                    "--seed", "11"]) == EXIT_OK
+    assert run_cli(["finetune-m", "--ckpt-in", str(anchored),
+                    "--ckpt-out", str(m_ckpt), *data, "--epochs", "1",
+                    "--batch-size", "16", "--seed", "11"]) == EXIT_OK
+    return anchored, m_ckpt
+
+
+class TestAnchorGroup:
+    def test_fit_anchors_keeps_only_the_points(self, m_ckpts):
+        ckpt = Checkpoint.load(m_ckpts[0])
+        assert ckpt.params.members("anchors") == ["anchors/m"]
+        assert ckpt.params["anchors/m"].shape == (4, 2 * ckpt.dims.d_h)
+
+    def test_file_with_score_net_translates_identically(self, m_ckpts, toy_files,
+                                                         tmp_path):
+        """Files written before the score net was dropped carry
+        ``anchors/m_score/*``; they still load and decode the same."""
+        ckpt = Checkpoint.load(m_ckpts[1])
+        d_v = 2 * ckpt.dims.d_h
+        rng = np.random.default_rng(0)
+        for key, shape in (("W", (d_v, d_v)), ("U", (d_v, d_v)),
+                           ("V", (d_v, d_v)), ("v", (d_v,))):
+            ckpt.params.add(f"anchors/m_score/{key}", rng.normal(size=shape),
+                            "anchors")
+        old = tmp_path / "old.ckpt"
+        ckpt.save(old)
+        assert len(Checkpoint.load(old).params.members("anchors")) == 5
+        outs = []
+        for path in (m_ckpts[1], old):
+            out = tmp_path / f"{path.stem}.hyp"
+            assert run_cli(["translate", "--ckpt", str(path),
+                            "--src", str(toy_files / "toy.test.src"),
+                            "--out", str(out), "--beam", "3"]) == EXIT_OK
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] and outs[0]
+
+
 class TestFullPipeline:
     def test_synth_train_finetune_translate_evaluate(self, toy_files,
                                                      toy_ckpt, tmp_path,

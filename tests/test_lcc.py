@@ -5,8 +5,8 @@ import pytest
 
 from refnet.autodiff import Tensor
 from refnet.lcc import (AnchorFitConfig, AnchorSet, LccConfig, ScoreParams,
-                        fit_anchors, lcc_weights, lipschitz_bound_diag,
-                        localization_measure, reconstruct, tri_scores)
+                        fit_anchors, lcc_weights, localization_measures,
+                        reconstruct, tri_scores)
 
 
 def make_score(d_v, d_att=None, seed=0, scale=0.5):
@@ -61,14 +61,14 @@ class TestTriScore:
 class TestLccWeights:
     def test_single_anchor(self):
         sp = make_score(2, seed=3)
-        gamma = lcc_weights([0.5, 0.5], AnchorSet([[1.0, 2.0]]), sp)
-        np.testing.assert_allclose(gamma.data, [1.0])
+        gamma = lcc_weights([[0.5, 0.5]], AnchorSet([[1.0, 2.0]]), sp)
+        np.testing.assert_allclose(gamma.data, [[1.0]])
 
     def test_equal_scores_split_evenly(self):
         sp = make_score(2, seed=4)
         anchors = AnchorSet([[1.0, 2.0], [1.0, 2.0]])  # identical anchors
-        gamma = lcc_weights([0.3, -0.7], anchors, sp)
-        np.testing.assert_allclose(gamma.data, [0.5, 0.5])
+        gamma = lcc_weights([[0.3, -0.7]], anchors, sp)
+        np.testing.assert_allclose(gamma.data, [[0.5, 0.5]])
 
     def test_hand_built_scores_give_point_one_point_nine(self):
         """Scores (0, ln 9) -> weights (0.1, 0.9)."""
@@ -77,26 +77,25 @@ class TestLccWeights:
         sp.v.data[0] = 3.0
         anchors = AnchorSet([[0.0, 5.0],
                              [math.atanh(math.log(9.0) / 3.0), 5.0]])
-        gamma = lcc_weights([0.2, 0.4], anchors, sp)
-        np.testing.assert_allclose(gamma.data, [0.1, 0.9], atol=1e-12)
+        gamma = lcc_weights([[0.2, 0.4]], anchors, sp)
+        np.testing.assert_allclose(gamma.data, [[0.1, 0.9]], atol=1e-12)
 
     def test_simplex_on_random_inputs(self):
         sp = make_score(4, seed=5)
         anchors = AnchorSet(np.random.default_rng(6).normal(size=(7, 4)))
         rng = np.random.default_rng(7)
-        for _ in range(1000):
-            gamma = lcc_weights(rng.normal(size=4), anchors, sp)
-            assert (gamma.data >= 0).all()
-            assert abs(gamma.data.sum() - 1.0) <= 1e-9
+        gamma = lcc_weights(rng.normal(size=(1000, 4)), anchors, sp)
+        assert (gamma.data >= 0).all()
+        assert (np.abs(gamma.data.sum(axis=1) - 1.0) <= 1e-9).all()
 
     def test_permutation_equivariance(self):
         sp = make_score(3, seed=8)
         pts = np.random.default_rng(9).normal(size=(5, 3))
-        x = np.array([0.1, -0.2, 0.3])
+        x = np.array([[0.1, -0.2, 0.3]])
         perm = np.array([3, 0, 4, 1, 2])
         g1 = lcc_weights(x, AnchorSet(pts), sp)
         g2 = lcc_weights(x, AnchorSet(pts[perm]), sp)
-        np.testing.assert_allclose(g2.data, g1.data[perm], atol=1e-12)
+        np.testing.assert_allclose(g2.data, g1.data[:, perm], atol=1e-12)
         r1 = reconstruct(g1, AnchorSet(pts))
         r2 = reconstruct(g2, AnchorSet(pts[perm]))
         np.testing.assert_allclose(r1.data, r2.data, atol=1e-12)
@@ -104,82 +103,90 @@ class TestLccWeights:
 
 class TestReconstruct:
     def test_single_anchor_returns_it(self):
-        out = reconstruct([1.0], AnchorSet([[3.0, -1.0]]))
-        np.testing.assert_array_equal(out.data, [3.0, -1.0])
+        out = reconstruct([[1.0]], AnchorSet([[3.0, -1.0]]))
+        np.testing.assert_array_equal(out.data, [[3.0, -1.0]])
 
     def test_midpoint(self):
-        out = reconstruct([0.5, 0.5], AnchorSet([[0.0, 0.0], [2.0, 4.0]]))
-        np.testing.assert_allclose(out.data, [1.0, 2.0])
+        out = reconstruct([[0.5, 0.5]], AnchorSet([[0.0, 0.0], [2.0, 4.0]]))
+        np.testing.assert_allclose(out.data, [[1.0, 2.0]])
 
     def test_stays_in_coordinate_hull(self):
         rng = np.random.default_rng(10)
         pts = rng.normal(size=(6, 3))
-        anchors = AnchorSet(pts)
-        for _ in range(200):
-            raw = rng.random(6)
-            gamma = raw / raw.sum()
-            out = reconstruct(gamma, anchors).data
-            assert (out >= pts.min(axis=0) - 1e-12).all()
-            assert (out <= pts.max(axis=0) + 1e-12).all()
+        raw = rng.random((200, 6))
+        out = reconstruct(raw / raw.sum(axis=1, keepdims=True), AnchorSet(pts)).data
+        assert (out >= pts.min(axis=0) - 1e-12).all()
+        assert (out <= pts.max(axis=0) + 1e-12).all()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            reconstruct([0.5, 0.5], AnchorSet([[1.0, 2.0]]))
+            reconstruct([[0.5, 0.5]], AnchorSet([[1.0, 2.0]]))
 
 
 class TestLocalizationMeasure:
     def test_zero_when_anchor_is_the_point(self):
         sp = make_score(2, seed=11)
-        x = np.array([0.7, -0.3])
-        out = localization_measure(x, AnchorSet([x.copy()]), sp, LccConfig())
-        assert float(out.data) == 0.0
+        x = np.array([[0.7, -0.3]])
+        out = localization_measures(x, AnchorSet(x.copy()), sp, LccConfig())
+        assert out.data.tolist() == [0.0]
 
     def test_zero_weights_give_zero(self):
         sp = make_score(2, seed=12)
-        out = localization_measure([1.0, 2.0], AnchorSet([[0.0, 0.0]]), sp,
-                                   LccConfig(l_alpha=0.0, l_beta=0.0))
-        assert float(out.data) == 0.0
+        out = localization_measures([[1.0, 2.0]], AnchorSet([[0.0, 0.0]]), sp,
+                                    LccConfig(l_alpha=0.0, l_beta=0.0))
+        assert out.data.tolist() == [0.0]
 
     def test_hand_example_totals_one(self):
         """Uniform weights, x between the anchors: 0 + 0.5 + 0.5 = 1."""
         sp = zero_score(2)  # all-zero score net makes gamma uniform
         anchors = AnchorSet([[0.0, 0.0], [2.0, 0.0]])
-        out = localization_measure([1.0, 0.0], anchors, sp,
-                                   LccConfig(l_alpha=1.0, l_beta=1.0))
-        assert float(out.data) == pytest.approx(1.0, rel=1e-12)
+        out = localization_measures([[1.0, 0.0]], anchors, sp,
+                                    LccConfig(l_alpha=1.0, l_beta=1.0))
+        np.testing.assert_allclose(out.data, [1.0], rtol=1e-12)
 
     def test_non_negative(self):
         sp = make_score(3, seed=13)
         anchors = AnchorSet(np.random.default_rng(14).normal(size=(4, 3)))
         rng = np.random.default_rng(15)
-        for _ in range(100):
-            out = localization_measure(rng.normal(size=3), anchors, sp,
-                                       LccConfig(l_alpha=0.5, l_beta=0.2))
-            assert float(out.data) >= 0.0
+        out = localization_measures(rng.normal(size=(100, 3)), anchors, sp,
+                                    LccConfig(l_alpha=0.5, l_beta=0.2))
+        assert (out.data >= 0.0).all()
 
-    def test_squared_first_term_switch(self):
+    def test_first_term_is_unsquared(self):
         sp = zero_score(2)
         anchors = AnchorSet([[0.0, 0.0], [4.0, 0.0]])  # recon = (2, 0)
-        x = [1.0, 0.0]
-        plain = localization_measure(x, anchors, sp,
-                                     LccConfig(l_alpha=1.0, l_beta=0.0))
-        squared = localization_measure(
-            x, anchors, sp, LccConfig(l_alpha=1.0, l_beta=0.0,
-                                      first_term_squared=True))
-        assert float(plain.data) == pytest.approx(1.0)
-        assert float(squared.data) == pytest.approx(1.0)
-        x2 = [0.5, 0.0]
-        plain2 = localization_measure(x2, anchors, sp,
-                                      LccConfig(l_alpha=1.0, l_beta=0.0))
-        squared2 = localization_measure(
-            x2, anchors, sp, LccConfig(l_alpha=1.0, l_beta=0.0,
-                                       first_term_squared=True))
-        assert float(plain2.data) == pytest.approx(1.5)
-        assert float(squared2.data) == pytest.approx(2.25)
+        out = localization_measures([[1.0, 0.0], [0.5, 0.0]], anchors, sp,
+                                    LccConfig(l_alpha=1.0, l_beta=0.0))
+        np.testing.assert_allclose(out.data, [1.0, 1.5])
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             LccConfig(l_alpha=-1.0)
+
+
+class TestBatchContract:
+    """The batched coefficients and measure work row by row."""
+
+    def _setup(self):
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(9, 3))
+        anchors = AnchorSet(rng.normal(size=(4, 3)))
+        return X, anchors, make_score(3, d_att=5, seed=24)
+
+    @pytest.mark.parametrize("fn", [lcc_weights, localization_measures])
+    def test_row_equals_single_row_call(self, fn):
+        X, anchors, sp = self._setup()
+        full = fn(X, anchors, sp).data
+        for i in range(len(X)):
+            np.testing.assert_allclose(full[i], fn(X[i:i + 1], anchors, sp).data[0],
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("fn", [lcc_weights, localization_measures])
+    def test_row_permutation_permutes_output(self, fn):
+        X, anchors, sp = self._setup()
+        perm = np.random.default_rng(25).permutation(len(X))
+        np.testing.assert_allclose(fn(X[perm], anchors, sp).data,
+                                   fn(X, anchors, sp).data[perm], rtol=0, atol=1e-12)
 
 
 class TestFitAnchors:
@@ -216,19 +223,14 @@ class TestFitAnchors:
 
 
 class TestLipschitzBoundDiag:
+    """The per-point measure read as the approximation-error bound."""
+
     def test_zero_at_anchor(self):
         sp = make_score(2, seed=18)
-        x = np.array([1.0, 1.0])
-        assert lipschitz_bound_diag(x, AnchorSet([x.copy()]), sp, 1.0, 0.01) == 0.0
-
-    def test_equals_measure(self):
-        sp = make_score(3, seed=19)
-        anchors = AnchorSet(np.random.default_rng(20).normal(size=(4, 3)))
-        x = np.random.default_rng(21).normal(size=3)
-        diag = lipschitz_bound_diag(x, anchors, sp, 0.8, 0.05)
-        measure = localization_measure(x, anchors, sp,
-                                       LccConfig(l_alpha=0.8, l_beta=0.05))
-        assert diag == float(measure.data)
+        x = np.array([[1.0, 1.0]])
+        out = localization_measures(x, AnchorSet(x.copy()), sp,
+                                    LccConfig(l_alpha=1.0, l_beta=0.01))
+        assert out.data.tolist() == [0.0]
 
     def test_decreases_after_fitting(self):
         rng = np.random.default_rng(22)
@@ -236,6 +238,6 @@ class TestLipschitzBoundDiag:
                                rng.normal(2.0, 0.3, size=(30, 2))])
         fit = fit_anchors(data, 2, LccConfig(), AnchorFitConfig(iters=400, seed=2))
         before = fit.initial_measure
-        after = float(np.mean([lipschitz_bound_diag(x, fit.anchors, fit.score,
-                                                    1.0, 0.01) for x in data]))
+        after = float(np.mean(localization_measures(data, fit.anchors, fit.score,
+                                                    LccConfig()).data))
         assert after < before

@@ -7,17 +7,16 @@ from refnet.autodiff import Tensor
 from refnet.corpus import make_batches
 from refnet.model import TranslationModel, variant_extras
 from refnet.mrefnet import (add_anchor_params, collect_sentence_reprs,
-                            global_context, init_m_params, sentence_repr)
-from refnet.seq2seq import ModelDims, decoder_step, encode, init_baseline_params
+                            global_context, init_m_params)
+from refnet.seq2seq import (ModelDims, decoder_step, encode_batch,
+                            init_baseline_params)
 from refnet.training import TrainConfig, finetune_m, pretrain
 
 
 def store_with_anchors(dims, n_anchors=3, seed=0, zero_proj=True):
     rng = np.random.default_rng(seed)
     ps = init_baseline_params(dims, rng)
-    add_anchor_params(ps, rng.normal(size=(n_anchors, 2 * dims.d_h)),
-                      [rng.normal(size=(4, 2 * dims.d_h)) for _ in range(3)]
-                      + [rng.normal(size=4)])
+    add_anchor_params(ps, rng.normal(size=(n_anchors, 2 * dims.d_h)))
     init_m_params(ps, dims, rng)
     if not zero_proj:
         ps["mref/proj"].data[...] = rng.normal(0, 0.3, size=ps["mref/proj"].shape)
@@ -25,25 +24,6 @@ def store_with_anchors(dims, n_anchors=3, seed=0, zero_proj=True):
 
 
 class TestSentenceRepr:
-    def test_single_row_is_identity(self):
-        h = np.random.default_rng(0).normal(size=(1, 6))
-        np.testing.assert_array_equal(sentence_repr(h).data, h[0])
-
-    def test_mean_of_two_rows(self):
-        out = sentence_repr(np.array([[0.0, 0.0], [2.0, 4.0]]))
-        np.testing.assert_allclose(out.data, [1.0, 2.0])
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(1)
-        h = rng.normal(size=(5, 4))
-        perm = rng.permutation(5)
-        np.testing.assert_allclose(sentence_repr(h).data,
-                                   sentence_repr(h[perm]).data, atol=1e-15)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            sentence_repr(np.zeros((0, 4)))
-
     def test_collect_matches_per_sentence(self, toy_split, toy_vocabs, tiny_dims):
         train, _, _ = toy_split
         vs, vt = toy_vocabs
@@ -51,8 +31,9 @@ class TestSentenceRepr:
         params = init_baseline_params(dims, np.random.default_rng(2))
         reprs = collect_sentence_reprs(params, dims, train, vs, vt, batch_size=8)
         for i in (0, 5, len(train) - 1):
-            h = encode(params, dims, vs.encode(train[i][0]))
-            np.testing.assert_allclose(reprs[i], sentence_repr(h).data,
+            ids = vs.encode(train[i][0])
+            h, _ = encode_batch(params, dims, [ids], [len(ids)])
+            np.testing.assert_allclose(reprs[i], h.data[0].mean(axis=0),
                                        atol=1e-12)
 
 
@@ -144,9 +125,7 @@ class TestFinetuneM:
         reprs = collect_sentence_reprs(ckpt.params, dims, train, vs, vt)
         fit = fit_anchors(reprs, 4, LccConfig(),
                           AnchorFitConfig(iters=50, seed=7))
-        add_anchor_params(ckpt.params, fit.anchors.points.data,
-                          [fit.score.W.data, fit.score.U.data,
-                           fit.score.V.data, fit.score.v.data])
+        add_anchor_params(ckpt.params, fit.anchors.points.data)
         return ckpt
 
     def test_zero_epochs_keeps_everything(self, toy_split, toy_vocabs, capsys):

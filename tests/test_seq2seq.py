@@ -11,10 +11,9 @@ from refnet.model import TranslationModel
 from refnet.mrefnet import add_anchor_params, init_m_params
 from refnet import seq2seq
 from refnet.seq2seq import (Hypothesis, ModelDims, attention, beam_search,
-                            decoder_step, encode, encode_batch, gates_per_cell,
+                            decoder_step, encode_batch, gates_per_cell,
                             greedy_decode, init_baseline_params, nll_loss,
-                            output_distribution, output_logits,
-                            recurrent_cell)
+                            output_logits, recurrent_cell)
 
 
 def zero_params(ps, names):
@@ -24,16 +23,16 @@ def zero_params(ps, names):
 
 class TestEncoder:
     def test_single_token_shape(self, tiny_params, tiny_dims):
-        h = encode(tiny_params, tiny_dims, [4])
-        assert h.shape == (1, 2 * tiny_dims.d_h)
+        h, _ = encode_batch(tiny_params, tiny_dims, [[4]], [1])
+        assert h.shape == (1, 1, 2 * tiny_dims.d_h)
 
     def test_empty_sentence_rejected(self, tiny_params, tiny_dims):
         with pytest.raises(ValueError, match="empty"):
-            encode(tiny_params, tiny_dims, [])
+            encode_batch(tiny_params, tiny_dims, np.zeros((1, 0), dtype=int), [0])
 
     def test_out_of_range_id_rejected(self, tiny_params, tiny_dims):
         with pytest.raises(ValueError, match="range"):
-            encode(tiny_params, tiny_dims, [tiny_dims.vocab_src])
+            encode_batch(tiny_params, tiny_dims, [[tiny_dims.vocab_src]], [1])
 
     def test_reversed_input_reverses_backward_states(self, tiny_params, tiny_dims):
         """With tied weights, the backward half on reversed input replays the
@@ -43,25 +42,25 @@ class TestEncoder:
                 tiny_params[f"enc/fwd/{key}"].data
         ids = [4, 5, 6, 4]
         d_h = tiny_dims.d_h
-        fwd = encode(tiny_params, tiny_dims, ids).data[:, :d_h]
-        bwd_rev = encode(tiny_params, tiny_dims, ids[::-1]).data[:, d_h:]
+        fwd = encode_batch(tiny_params, tiny_dims, [ids], [4])[0].data[0, :, :d_h]
+        bwd_rev = encode_batch(tiny_params, tiny_dims, [ids[::-1]],
+                               [4])[0].data[0, :, d_h:]
         for t in range(len(ids)):
             np.testing.assert_array_equal(fwd[t], bwd_rev[len(ids) - 1 - t])
 
     def test_determinism(self, tiny_dims):
         def run():
             params = init_baseline_params(tiny_dims, np.random.default_rng(3))
-            return encode(params, tiny_dims, [4, 5, 6]).data.copy()
+            return encode_batch(params, tiny_dims, [[4, 5, 6]], [3])[0].data.copy()
 
         np.testing.assert_array_equal(run(), run())
 
     def test_batch_row_matches_single_sentence(self, tiny_params, tiny_dims):
         """Padding must not leak into the states of shorter sentences."""
-        from refnet.seq2seq import encode_batch
         src = np.array([[4, 5, 6, 5], [6, 4, 0, 0]])
         h, mask = encode_batch(tiny_params, tiny_dims, src, np.array([4, 2]))
-        single = encode(tiny_params, tiny_dims, [6, 4])
-        np.testing.assert_allclose(h.data[1, :2], single.data, atol=1e-14)
+        single, _ = encode_batch(tiny_params, tiny_dims, [[6, 4]], [2])
+        np.testing.assert_allclose(h.data[1, :2], single.data[0], atol=1e-14)
         np.testing.assert_array_equal(mask, [[1, 1, 1, 1], [1, 1, 0, 0]])
 
 
@@ -254,17 +253,19 @@ class TestFusedCell:
 class TestOutputDistribution:
     def test_probabilities_sum_to_one(self, tiny_params, tiny_dims):
         rng = np.random.default_rng(3)
-        p = output_distribution(tiny_params, Tensor(rng.normal(size=(2, 3))),
-                                Tensor(rng.normal(size=(2, 4))),
-                                Tensor(rng.normal(size=(2, 8))))
+        logits = output_logits(tiny_params, Tensor(rng.normal(size=(2, 3))),
+                               Tensor(rng.normal(size=(2, 4))),
+                               Tensor(rng.normal(size=(2, 8))))
+        p = ad.softmax(logits, axis=1)
         assert ((p.data > 0) & (p.data < 1)).all()
         np.testing.assert_allclose(p.data.sum(axis=1), 1.0, atol=1e-9)
 
     def test_zero_parameters_give_uniform(self, tiny_params, tiny_dims):
         zero_params(tiny_params, ["dec/out/W", "dec/out/b",
                                   "dec/out/Wv", "dec/out/bv"])
-        p = output_distribution(tiny_params, Tensor(np.ones((1, 3))),
-                                Tensor(np.ones((1, 4))), Tensor(np.ones((1, 8))))
+        p = ad.softmax(output_logits(tiny_params, Tensor(np.ones((1, 3))),
+                                     Tensor(np.ones((1, 4))),
+                                     Tensor(np.ones((1, 8)))), axis=1)
         np.testing.assert_allclose(p.data, 1.0 / tiny_dims.vocab_tgt)
 
     def test_argmax_matches_logits(self, tiny_params, tiny_dims):
@@ -273,7 +274,7 @@ class TestOutputDistribution:
         s = Tensor(rng.normal(size=(3, 4)))
         c = Tensor(rng.normal(size=(3, 8)))
         logits = output_logits(tiny_params, e, s, c)
-        probs = output_distribution(tiny_params, e, s, c)
+        probs = ad.softmax(logits, axis=1)
         np.testing.assert_array_equal(np.argmax(logits.data, axis=1),
                                       np.argmax(probs.data, axis=1))
 
@@ -321,7 +322,7 @@ class TestNllLoss:
                                       batch.tgt[:, t - 1])
                 _, c = attention(s, h, tiny_params, mask=mask)
                 s = decoder_step(tiny_params, e_prev, s, c)
-                p = output_distribution(tiny_params, e_prev, s, c)
+                p = ad.softmax(output_logits(tiny_params, e_prev, s, c), axis=1)
                 total -= math.log(p.data[0, batch.tgt[0, t]])
         assert float(loss.data) == pytest.approx(total / 2, rel=1e-12)
 
@@ -447,9 +448,7 @@ def reference_model(kind, seed=3, vocab=12):
     rng = np.random.default_rng(seed)
     ps = init_baseline_params(dims, rng)
     if kind == "m_ref":
-        add_anchor_params(ps, rng.normal(size=(4, 2 * dims.d_h)),
-                          [rng.normal(size=(3, 2 * dims.d_h)) for _ in range(3)]
-                          + [rng.normal(size=3)])
+        add_anchor_params(ps, rng.normal(size=(4, 2 * dims.d_h)))
         init_m_params(ps, dims, rng)
         ps["mref/proj"].data[...] = rng.normal(0, 0.3, size=ps["mref/proj"].shape)
     if kind == "b_ref":
