@@ -22,29 +22,33 @@ from . import autodiff as ad
 from .autodiff import as_tensor
 from .lcc import AnchorSet, ScoreParams, lcc_weights
 from .params import ParamStore
-from .seq2seq import ModelDims, gates_per_cell, xavier
+from .seq2seq import ModelDims, add_params, gates_per_cell
 
 
 def query_dim(dims: ModelDims):
     return dims.d_e + 3 * dims.d_h  # e(y) + s + c
 
 
-def init_b_params(ps: ParamStore, dims: ModelDims, n_anchors, d_a, rng):
-    """Add the theta_B group; anchors and regression weights train jointly."""
+def b_schema(dims: ModelDims, n_anchors, d_a):
+    """(name, shape, group, init) of the theta_B group."""
     d_q, d_e = query_dim(dims), dims.d_e
     ng = gates_per_cell(dims.cell)
-    ps.add("bref/anchors", rng.normal(0.0, 0.3, size=(n_anchors, d_a)), "b_ref")
-    ps.add("bref/g/W", xavier(rng, d_q, d_a), "b_ref")
-    ps.add("bref/g/b", np.zeros(d_a), "b_ref")
-    ps.add("bref/score/W", xavier(rng, d_a, d_a), "b_ref")
-    ps.add("bref/score/U", xavier(rng, d_a, d_a), "b_ref")
-    ps.add("bref/score/V", xavier(rng, d_a, d_a), "b_ref")
-    ps.add("bref/score/v", xavier(rng, d_a, 1, (d_a,)), "b_ref")
-    ps.add("bref/reg/W", rng.normal(0.0, np.sqrt(1.0 / d_a), size=(n_anchors, d_a, d_e)),
-           "b_ref")
-    ps.add("bref/reg/b", np.zeros((n_anchors, d_e)), "b_ref")
-    ps.add("bref/proj", np.zeros((d_e, ng * dims.d_h)), "b_ref")
-    return ps
+    return [
+        ("bref/anchors", (n_anchors, d_a), "b_ref", ("normal", 0.3)),
+        ("bref/g/W", (d_q, d_a), "b_ref", ("xavier", d_q, d_a)),
+        ("bref/g/b", (d_a,), "b_ref", ("zeros",)),
+        ("bref/score/W", (d_a, d_a), "b_ref", ("xavier", d_a, d_a)),
+        ("bref/score/U", (d_a, d_a), "b_ref", ("xavier", d_a, d_a)),
+        ("bref/score/V", (d_a, d_a), "b_ref", ("xavier", d_a, d_a)),
+        ("bref/score/v", (d_a,), "b_ref", ("xavier", d_a, 1)),
+        ("bref/reg/W", (n_anchors, d_a, d_e), "b_ref", ("normal", np.sqrt(1.0 / d_a))),
+        ("bref/reg/b", (n_anchors, d_e), "b_ref", ("zeros",)),
+        ("bref/proj", (d_e, ng * dims.d_h), "b_ref", ("zeros",))]
+
+
+def init_b_params(ps: ParamStore, dims: ModelDims, n_anchors, d_a, rng):
+    """Add the theta_B group; anchors and regression weights train jointly."""
+    return add_params(ps, b_schema(dims, n_anchors, d_a), rng)
 
 
 def build_query(e_prev, s_prev, c_t):

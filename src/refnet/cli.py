@@ -308,9 +308,12 @@ def _cmd_train(args):
         raise ConfigError("training corpus is empty after length filtering")
     vocab_src = corpus_mod.build_vocab(train.sources(), args.vocab_max, args.min_count)
     vocab_tgt = corpus_mod.build_vocab(train.targets(), args.vocab_max, args.min_count)
-    dims = ModelDims(vocab_src=len(vocab_src), vocab_tgt=len(vocab_tgt),
-                     d_e=args.d_e, d_h=args.d_h, d_att=args.d_att,
-                     d_out=args.d_out, cell=args.cell)
+    try:
+        dims = ModelDims(vocab_src=len(vocab_src), vocab_tgt=len(vocab_tgt),
+                         d_e=args.d_e, d_h=args.d_h, d_att=args.d_att,
+                         d_out=args.d_out, cell=args.cell)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     ckpt = run_stage("pretrain", None, train, dev, config,
                      vocab_src=vocab_src, vocab_tgt=vocab_tgt, dims=dims)
     ckpt.save(args.ckpt_out)

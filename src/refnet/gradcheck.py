@@ -268,6 +268,32 @@ def check_recurrent_cell(seed):
     return _compare(f, ps)
 
 
+def check_additive_attention(seed):
+    """The two-node attention op, with per-row masked keys and with keys
+    shared by every row; alpha and the context both enter the objective."""
+    rng = np.random.default_rng((seed, 47))
+    B, m, C, d, d_v = 2, 3, 4, 3, 2
+    ps = ParamStore()
+    for name, shape in (("q", (B, d)), ("v", (d,)), ("keys", (B, m, d)),
+                        ("values", (B, m, d_v)), ("shared_keys", (1, C, d)),
+                        ("shared_values", (1, C, d_v))):
+        _probe(ps, f"probe/{name}", rng.normal(0, 0.7, size=shape))
+    mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    u = rng.normal(size=d_v)
+    weights = {"": rng.normal(size=m), "shared_": rng.normal(size=C)}
+
+    def f(ps_):
+        total = 0.0
+        for layout, mask_ in (("", mask), ("shared_", None)):
+            alpha, c = seq2seq.additive_attention(
+                ps_["probe/q"], ps_[f"probe/{layout}keys"],
+                ps_[f"probe/{layout}values"], ps_["probe/v"], mask_)
+            total = total + ad.sum_(ad.tanh(c) * u) + ad.sum_(alpha * weights[layout])
+        return total
+
+    return _compare(f, ps)
+
+
 CHECKS = {
     "attention": check_attention,
     "decoder_step": check_decoder_step,
@@ -279,6 +305,7 @@ CHECKS = {
     "nll_loss": check_nll,
     "joint_b_loss": check_joint_b_loss,
     "recurrent_cell": check_recurrent_cell,
+    "additive_attention": check_additive_attention,
 }
 
 

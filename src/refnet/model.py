@@ -84,15 +84,11 @@ class TranslationModel:
         if kind != "b_ref":
             return LossParts(nll_mean, float(nll_mean.data), n_tokens)
 
-        # hinge residual ||e(y_t) - f_s(q_t)||^2 over the non-pad targets,
-        # summed step by step in decoding order
-        tgt, emb = batch.tgt, params["dec/tgt_emb"]
-        tmask = (tgt[:, 1:] != PAD).astype(np.float64)
-        residuals = [
-            ad.sum_(ad.sum_(ad.square(ad.take_rows(emb, tgt[:, t]) - pred), axis=1)
-                    * tmask[:, t - 1])
-            for t, pred in enumerate(preds, 1)]
-        res_sum = sum(residuals[1:], residuals[0])
+        # hinge residual ||e(y_t) - f_s(q_t)||^2 over the non-pad targets, all
+        # steps at once: the predictions stacked time-major like the targets
+        gold, weights = seq2seq.gold_targets(batch.tgt)
+        diff = ad.take_rows(params["dec/tgt_emb"], gold) - ad.concat(preds, axis=0)
+        res_sum = ad.sum_(ad.sum_(ad.square(diff), axis=1) * weights)
         B = len(batch)
         reg = ad.sum_(brefnet.regression_weight_norms(params))
         l_m_mean = res_sum * (1.0 / B) + self.lam_m * reg

@@ -18,21 +18,27 @@ from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .corpus import make_batches
 from .params import ParamStore
-from .seq2seq import ModelDims, encode_batch, gates_per_cell, xavier
+from .seq2seq import (ModelDims, add_params, additive_attention,
+                      encode_batch, gates_per_cell)
 
 ANCHOR_KEY = "anchors/m"
 
 
-def init_m_params(ps: ParamStore, dims: ModelDims, rng):
-    """Add the theta_M group: fresh anchor attention + a zero extra projection."""
+def m_schema(dims: ModelDims):
+    """(name, shape, group, init) of the theta_M group: a fresh anchor
+    attention and a zero extra-input projection."""
     d_h, d_att = dims.d_h, dims.d_att
     ng = gates_per_cell(dims.cell)
-    ps.add("mref/att/W", xavier(rng, d_h, d_att), "m_ref")
-    ps.add("mref/att/U", xavier(rng, 2 * d_h, d_att), "m_ref")
-    ps.add("mref/att/V", xavier(rng, 2 * d_h, d_att), "m_ref")
-    ps.add("mref/att/v", xavier(rng, 2 * d_h, 1, (d_att,)), "m_ref")
-    ps.add("mref/proj", np.zeros((2 * d_h, ng * d_h)), "m_ref")
-    return ps
+    return [("mref/att/W", (d_h, d_att), "m_ref", ("xavier", d_h, d_att)),
+            ("mref/att/U", (2 * d_h, d_att), "m_ref", ("xavier", 2 * d_h, d_att)),
+            ("mref/att/V", (2 * d_h, d_att), "m_ref", ("xavier", 2 * d_h, d_att)),
+            ("mref/att/v", (d_att,), "m_ref", ("xavier", 2 * d_h, 1)),
+            ("mref/proj", (2 * d_h, ng * d_h), "m_ref", ("zeros",))]
+
+
+def init_m_params(ps: ParamStore, dims: ModelDims, rng):
+    """Add the theta_M group: fresh anchor attention + a zero extra projection."""
+    return add_params(ps, m_schema(dims), rng)
 
 
 def add_anchor_params(ps: ParamStore, anchor_points):
@@ -62,13 +68,7 @@ def global_context(s_prev, c_t, anchor_points, params):
     A = anchor_points if isinstance(anchor_points, Tensor) else Tensor(anchor_points)
     if A.shape[0] < 1:
         raise ValueError("need at least one anchor")
-    ws = ad.matmul(s_prev, params["mref/att/W"])       # (B, d_att)
-    uc = ad.matmul(c_t, params["mref/att/U"])          # (B, d_att)
-    va = ad.matmul(A, params["mref/att/V"])            # (C, d_att)
-    B, d_att = ws.shape
-    C = A.shape[0]
-    pre = ad.reshape(ws + uc, (B, 1, d_att)) + ad.reshape(va, (1, C, d_att))
-    scores = ad.sum_(ad.tanh(pre) * params["mref/att/v"], axis=2)
-    alpha = ad.softmax(scores, axis=1)                 # (B, C)
-    return alpha, ad.matmul(alpha, A)
-
+    q = ad.matmul(s_prev, params["mref/att/W"]) + ad.matmul(c_t, params["mref/att/U"])
+    va = ad.matmul(A, params["mref/att/V"])           # (C, d_att)
+    return additive_attention(q, ad.reshape(va, (1,) + va.shape),
+                              ad.reshape(A, (1,) + A.shape), params["mref/att/v"])

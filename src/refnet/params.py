@@ -179,11 +179,15 @@ def grad_global_norm(grads: GradRecord):
     return float(np.sqrt(total))
 
 
-def clip_gradient_norm(grads: GradRecord, max_norm) -> GradRecord:
-    """Scale all gradients by max_norm/||g|| when the global L2 norm exceeds it."""
+def clip_gradient_norm(grads: GradRecord, max_norm, norm=None) -> GradRecord:
+    """Scale all gradients by max_norm/||g|| when the global L2 norm exceeds it.
+
+    ``norm`` is that global norm when the caller has already computed it.
+    """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
-    norm = grad_global_norm(grads)
+    if norm is None:
+        norm = grad_global_norm(grads)
     if norm <= max_norm:
         return dict(grads)
     scale = max_norm / norm

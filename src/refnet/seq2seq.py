@@ -39,6 +39,11 @@ class ModelDims:
             self.d_att = self.d_h
         if self.d_out == 0:
             self.d_out = self.d_e
+        for name in ("vocab_src", "vocab_tgt", "d_e", "d_h", "d_att", "d_out"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.cell not in ("gru", "tanh"):
             raise ValueError(f"unknown cell kind {self.cell!r}")
 
@@ -57,46 +62,71 @@ def gates_per_cell(cell):
     return 3 if cell == "gru" else 1
 
 
-def init_baseline_params(dims: ModelDims, rng) -> ParamStore:
-    """Encoder group (theta_E) and decoder group (theta_D, incl. attention)."""
-    ps = ParamStore()
+def add_params(ps: ParamStore, schema, rng) -> ParamStore:
+    """Add every (name, shape, group, init) entry of ``schema`` to ps, drawing
+    in table order; init is ("normal", std), ("xavier", fan_in, fan_out) or
+    ("zeros",)."""
+    for name, shape, group, (rule, *args) in schema:
+        if rule == "normal":
+            data = rng.normal(0.0, args[0], size=shape)
+        elif rule == "xavier":
+            data = xavier(rng, *args, shape)
+        else:
+            data = np.zeros(shape)
+        ps.add(name, data, group)
+    return ps
+
+
+def baseline_schema(dims: ModelDims):
+    """(name, shape, group, init) of every baseline parameter: the encoder
+    group (theta_E) and the decoder group (theta_D, incl. attention)."""
     ng = gates_per_cell(dims.cell)
     d_e, d_h, d_att, d_out = dims.d_e, dims.d_h, dims.d_att, dims.d_out
-
-    ps.add("enc/src_emb", rng.normal(0.0, 0.1, size=(dims.vocab_src, d_e)), "encoder")
+    table = [("enc/src_emb", (dims.vocab_src, d_e), "encoder", ("normal", 0.1))]
     for direction in ("fwd", "bwd"):
-        ps.add(f"enc/{direction}/W", xavier(rng, d_e, d_h, (d_e, ng * d_h)), "encoder")
-        ps.add(f"enc/{direction}/U", xavier(rng, d_h, d_h, (d_h, ng * d_h)), "encoder")
-        ps.add(f"enc/{direction}/b", np.zeros(ng * d_h), "encoder")
+        table += [
+            (f"enc/{direction}/W", (d_e, ng * d_h), "encoder", ("xavier", d_e, d_h)),
+            (f"enc/{direction}/U", (d_h, ng * d_h), "encoder", ("xavier", d_h, d_h)),
+            (f"enc/{direction}/b", (ng * d_h,), "encoder", ("zeros",))]
+    d_x = d_e + 2 * d_h
+    return table + [
+        ("dec/tgt_emb", (dims.vocab_tgt, d_e), "decoder", ("normal", 0.1)),
+        ("dec/att/W", (d_h, d_att), "decoder", ("xavier", d_h, d_att)),
+        ("dec/att/U", (2 * d_h, d_att), "decoder", ("xavier", 2 * d_h, d_att)),
+        ("dec/att/v", (d_att,), "decoder", ("xavier", 2 * d_h, 1)),
+        ("dec/init/W", (2 * d_h, d_h), "decoder", ("xavier", 2 * d_h, d_h)),
+        ("dec/init/b", (d_h,), "decoder", ("zeros",)),
+        ("dec/cell/W", (d_x, ng * d_h), "decoder", ("xavier", d_x, d_h)),
+        ("dec/cell/U", (d_h, ng * d_h), "decoder", ("xavier", d_h, d_h)),
+        ("dec/cell/b", (ng * d_h,), "decoder", ("zeros",)),
+        ("dec/out/W", (d_e + 3 * d_h, d_out), "decoder",
+         ("xavier", d_e + 3 * d_h, d_out)),
+        ("dec/out/b", (d_out,), "decoder", ("zeros",)),
+        ("dec/out/Wv", (d_out, dims.vocab_tgt), "decoder",
+         ("xavier", d_out, dims.vocab_tgt)),
+        ("dec/out/bv", (dims.vocab_tgt,), "decoder", ("zeros",))]
 
-    ps.add("dec/tgt_emb", rng.normal(0.0, 0.1, size=(dims.vocab_tgt, d_e)), "decoder")
-    ps.add("dec/att/W", xavier(rng, d_h, d_att), "decoder")
-    ps.add("dec/att/U", xavier(rng, 2 * d_h, d_att), "decoder")
-    ps.add("dec/att/v", xavier(rng, 2 * d_h, 1, (d_att,)), "decoder")
-    ps.add("dec/init/W", xavier(rng, 2 * d_h, d_h), "decoder")
-    ps.add("dec/init/b", np.zeros(d_h), "decoder")
-    ps.add("dec/cell/W", xavier(rng, d_e + 2 * d_h, d_h, (d_e + 2 * d_h, ng * d_h)), "decoder")
-    ps.add("dec/cell/U", xavier(rng, d_h, d_h, (d_h, ng * d_h)), "decoder")
-    ps.add("dec/cell/b", np.zeros(ng * d_h), "decoder")
-    ps.add("dec/out/W", xavier(rng, d_e + 3 * d_h, d_out), "decoder")
-    ps.add("dec/out/b", np.zeros(d_out), "decoder")
-    ps.add("dec/out/Wv", xavier(rng, d_out, dims.vocab_tgt), "decoder")
-    ps.add("dec/out/bv", np.zeros(dims.vocab_tgt), "decoder")
-    return ps
+
+def init_baseline_params(dims: ModelDims, rng) -> ParamStore:
+    """Encoder group (theta_E) and decoder group (theta_D, incl. attention)."""
+    return add_params(ParamStore(), baseline_schema(dims), rng)
 
 
 # ---------------------------------------------------------------------------
 # recurrent cells
 
-def recurrent_cell(x, s_prev, W, U, b, cell="gru", extras=()):
+def recurrent_cell(x, s_prev, W, U, b, cell="gru", extras=(), mask=None):
     """One step of the recurrent update over input x and state s_prev.
 
     extras is a sequence of (vector, projection) pairs; each projection maps
-    its vector into the same gate pre-activation block as W. The step is a
-    single tape node (Appleyard et al. 2016, arXiv:1604.01946): the gate
-    pre-activations come from one matmul per input, all elementwise work
-    happens inside the node, and its hand-written backward returns the
-    gradients of x, s_prev, W, U, b and of every extra pair.
+    its vector into the same gate pre-activation block as W. mask, a (B, 1)
+    array of zeros and ones or None, keeps s_prev in the rows where it is 0
+    (padding): the step returns out * mask + s_prev * (1 - mask). The step is
+    a single tape node (Appleyard et al. 2016, arXiv:1604.01946): the gate
+    pre-activations come from one matmul per input, all elementwise work,
+    the padding blend included, happens inside the node, and its
+    hand-written backward returns the gradients of x, s_prev, W, U, b and of
+    every extra pair.
     """
     x, s_prev, W, U, b = (ad.as_tensor(t) for t in (x, s_prev, W, U, b))
     pairs = [(ad.as_tensor(vec), ad.as_tensor(proj)) for vec, proj in extras]
@@ -126,6 +156,9 @@ def recurrent_cell(x, s_prev, W, U, b, cell="gru", extras=()):
                     np.concatenate([drz, dan * r], axis=1), g * z)
 
     def bwd(g):
+        g_keep = None
+        if mask is not None:
+            g, g_keep = g * mask, g * (1.0 - mask)
         dgx, dgs, ds_direct = gate_grads(g)
         grads = [dgx @ W.data.T if x.requires_grad else None, None,
                  x.data.T @ dgx if W.requires_grad else None,
@@ -133,15 +166,80 @@ def recurrent_cell(x, s_prev, W, U, b, cell="gru", extras=()):
                  dgx.sum(axis=0).reshape(b.shape) if b.requires_grad else None]
         if s_prev.requires_grad:
             grads[1] = dgs @ U.data.T
-            if ds_direct is not None:
-                grads[1] += ds_direct
+            for direct in (ds_direct, g_keep):
+                if direct is not None:
+                    grads[1] += direct
         for vec, proj in pairs:
             grads.append(dgx @ proj.data.T if vec.requires_grad else None)
             grads.append(vec.data.T @ dgx if proj.requires_grad else None)
         return grads
 
+    state = out if mask is None else out * mask + s_prev.data * (1.0 - mask)
     parents = (x, s_prev, W, U, b) + tuple(t for pair in pairs for t in pair)
-    return ad._node(out, parents, bwd)
+    return ad._node(state, parents, bwd)
+
+
+# ---------------------------------------------------------------------------
+# additive attention
+
+def attention_weights(q, keys, v, mask=None):
+    """alpha_bi = softmax_i(v^T tanh(q_b + k_bi)), one tape node.
+
+    q is (B, d), keys (B, m, d) or shared by every row as (1, m, d), v (d,);
+    mask (B, m) zeroes the weight of padded positions. The hand-written
+    backward returns the gradients of q, keys and v.
+    """
+    q, keys, v = (ad.as_tensor(t) for t in (q, keys, v))
+    e = np.tanh(q.data[:, None, :] + keys.data)            # (B, m, d)
+    scores = e @ v.data                                     # (B, m)
+    if mask is not None:
+        scores = scores + (mask - 1.0) * NEG_BIG
+    shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
+    alpha = shifted / shifted.sum(axis=1, keepdims=True)
+
+    def bwd(g):
+        ds = alpha * (g - (g * alpha).sum(axis=1, keepdims=True))
+        dv = ds.reshape(-1) @ e.reshape(-1, e.shape[2]) if v.requires_grad else None
+        if not (q.requires_grad or keys.requires_grad):
+            return None, None, dv
+        da = ds[:, :, None] * (1.0 - e * e) * v.data
+        dk = da.sum(axis=0, keepdims=True) if keys.shape[0] == 1 else da
+        return (da.sum(axis=1) if q.requires_grad else None,
+                dk if keys.requires_grad else None, dv)
+
+    return ad._node(alpha, (q, keys, v), bwd)
+
+
+def weighted_sum(alpha, values):
+    """c_b = sum_i alpha_bi values_bi, one tape node: a batched matmul of
+    alpha (B, m) with values (B, m, d), or with values shared by every row
+    as (1, m, d)."""
+    alpha, values = ad.as_tensor(alpha), ad.as_tensor(values)
+    shared = values.shape[0] == 1
+    if shared:
+        out = alpha.data @ values.data[0]
+    else:
+        out = (alpha.data[:, None, :] @ values.data)[:, 0, :]
+
+    def bwd(g):
+        if shared:
+            return (g @ values.data[0].T if alpha.requires_grad else None,
+                    (alpha.data.T @ g)[None] if values.requires_grad else None)
+        return ((values.data @ g[:, :, None])[:, :, 0] if alpha.requires_grad
+                else None,
+                alpha.data[:, :, None] * g[:, None, :] if values.requires_grad
+                else None)
+
+    return ad._node(out, (alpha, values), bwd)
+
+
+def additive_attention(q, keys, values, v, mask=None):
+    """Additive attention (Bahdanau et al. 2015, arXiv:1409.0473) as two tape
+    nodes: ``attention_weights`` gives alpha, ``weighted_sum`` the context.
+    keys and values are (B, m, .) or shared by every row as (1, m, .).
+    Returns (alpha, c)."""
+    alpha = attention_weights(q, keys, v, mask)
+    return alpha, weighted_sum(alpha, values)
 
 
 # ---------------------------------------------------------------------------
@@ -165,23 +263,22 @@ def encode_batch(params, dims: ModelDims, src, src_lens, training=False,
     emb = ad.take_rows(params["enc/src_emb"], src.reshape(-1))
     emb = ad.dropout(emb, drop_emb, training, rng)
     emb = ad.reshape(emb, (B, m, dims.d_e))
+    xs = [emb[:, t, :] for t in range(m)]
+    # a step where every row is live needs no blend
+    live = [None if mask[:, t].all() else mask[:, t: t + 1] for t in range(m)]
 
     def run(direction, steps):
         W, U, b = (params[f"enc/{direction}/{k}"] for k in ("W", "U", "b"))
         s = Tensor(np.zeros((B, dims.d_h)))
         out = [None] * m
         for t in steps:
-            x = emb[:, t, :]
-            s_new = recurrent_cell(x, s, W, U, b, dims.cell)
-            mt = mask[:, t: t + 1]
-            s = s_new * mt + s * (1.0 - mt)
+            s = recurrent_cell(xs[t], s, W, U, b, dims.cell, mask=live[t])
             out[t] = s
         return out
 
-    h_fwd = run("fwd", range(m))
-    h_bwd = run("bwd", range(m - 1, -1, -1))
-    h = ad.stack([ad.concat([h_fwd[t], h_bwd[t]], axis=1) for t in range(m)], axis=1)
-    return h, mask
+    h_fwd = ad.stack(run("fwd", range(m)), axis=1)
+    h_bwd = ad.stack(run("bwd", range(m - 1, -1, -1)), axis=1)
+    return ad.concat([h_fwd, h_bwd], axis=2), mask
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +296,15 @@ def attention(s_prev, h, params, mask=None, h_proj=None):
 
     Scores are v_a^T tanh(W_a s_{t-1} + U_a h_i); the softmax runs over
     source positions with padded positions masked out. s_prev is (B, d_h)
-    and h is (B, m, 2*d_h); a single sentence is a batch of one.
+    and h is (B, m, 2*d_h); a single sentence is a batch of one. Records
+    three tape nodes: the query projection and ``additive_attention``'s two.
     """
     if h.shape[1] == 0:
         raise ValueError("attention needs at least one source position")
     if h_proj is None:
         h_proj = attention_proj(params, h)
-    ws = ad.matmul(s_prev, params["dec/att/W"])            # (B, d_att)
-    e = ad.tanh(ad.reshape(ws, (ws.shape[0], 1, ws.shape[1])) + h_proj)
-    scores = ad.sum_(e * params["dec/att/v"], axis=2)      # (B, m)
-    if mask is not None:
-        scores = scores + (mask - 1.0) * NEG_BIG
-    alpha = ad.softmax(scores, axis=1)
-    c = ad.sum_(ad.reshape(alpha, alpha.shape + (1,)) * h, axis=1)
-    return alpha, c
+    q = ad.matmul(s_prev, params["dec/att/W"])             # (B, d_att)
+    return additive_attention(q, h_proj, h, params["dec/att/v"], mask)
 
 
 def initial_state(params, h, mask=None):
@@ -242,9 +334,24 @@ def output_logits(params, e_prev, s_t, c_t, training=False, rng=None, drop_out=0
 # ---------------------------------------------------------------------------
 # teacher-forced loss
 
+def gold_targets(tgt):
+    """The supervised targets of a padded (B, T) id matrix, time-major: ids
+    y_1..y_{T-1} of every row as one ((T-1)*B,) vector, and its 0/1 weights
+    (0 at padding)."""
+    gold = np.asarray(tgt)[:, 1:].T.reshape(-1)
+    return gold, (gold != PAD).astype(np.float64)
+
+
 def nll_loss(params, dims: ModelDims, batch: Batch, training=False, rng=None,
              drop_emb=0.0, drop_out=0.0, extras_fn=None):
     """Mean negative log-likelihood per non-pad target token.
+
+    The loop over target steps runs only the recurrence: attention, the
+    extra inputs and the cell. Under teacher forcing nothing in it reads
+    the output layer, so the readout and the loss run once after it, over
+    the inputs, states and contexts of all T-1 steps stacked time-major
+    into ((T-1)*B, .) rows; the readout dropout then draws the same random
+    stream, in the same order, as one readout per step would.
 
     ``extras_fn(e_prev, s_prev, c_t)`` returns the decoder's extra
     (vector, projection) inputs for one step, as ``model.variant_extras``
@@ -263,19 +370,22 @@ def nll_loss(params, dims: ModelDims, batch: Batch, training=False, rng=None,
                            (B, T, dims.d_e))
     emb_in = ad.dropout(emb_clean, drop_emb, training, rng)
 
-    tmask = (batch.tgt[:, 1:] != PAD).astype(np.float64)  # (B, T-1)
-    total = Tensor(0.0)
-    for t in range(1, T):
-        e_prev_in = emb_in[:, t - 1, :]
+    states, contexts = [], []
+    for t in range(T - 1):
         _, c = attention(s, h, params, mask=mask, h_proj=h_proj)
-        extras = () if extras_fn is None else extras_fn(emb_clean[:, t - 1, :], s, c)
-        s = decoder_step(params, e_prev_in, s, c, extras, dims.cell)
-        logits = output_logits(params, e_prev_in, s, c, training, rng, drop_out)
-        logp = ad.log_softmax(logits, axis=1)
-        picked = ad.take_per_row(logp, batch.tgt[:, t])
-        total = total + ad.sum_(picked * tmask[:, t - 1])
-    n_tokens = float(tmask.sum())
-    return -total * (1.0 / n_tokens), n_tokens
+        extras = () if extras_fn is None else extras_fn(emb_clean[:, t, :], s, c)
+        s = decoder_step(params, emb_in[:, t, :], s, c, extras, dims.cell)
+        states.append(s)
+        contexts.append(c)
+
+    e_prev = ad.transpose(emb_in[:, :T - 1, :], (1, 0, 2))
+    logits = output_logits(params, ad.reshape(e_prev, ((T - 1) * B, dims.d_e)),
+                           ad.concat(states, axis=0), ad.concat(contexts, axis=0),
+                           training, rng, drop_out)
+    gold, weights = gold_targets(batch.tgt)
+    picked = ad.take_per_row(ad.log_softmax(logits, axis=1), gold)
+    n_tokens = float(weights.sum())
+    return ad.sum_(picked * weights) * (-1.0 / n_tokens), n_tokens
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,12 @@ from .corpus import ParallelCorpus, Vocab, make_batches
 from .errors import CheckpointError, NumericError, PrerequisiteError
 from .lcc import AnchorFitConfig, LccConfig, fit_anchors
 from .model import KINDS, TranslationModel
-from .mrefnet import add_anchor_params, collect_sentence_reprs, init_m_params
-from .brefnet import init_b_params
+from .mrefnet import (ANCHOR_KEY, add_anchor_params, collect_sentence_reprs,
+                      init_m_params, m_schema)
+from .brefnet import b_schema, init_b_params
 from .params import (Optimizer, OptimizerConfig, ParamStore, backward,
-                     clip_gradient_norm, clip_gradient_value)
-from .seq2seq import ModelDims, init_baseline_params
+                     clip_gradient_norm, clip_gradient_value, grad_global_norm)
+from .seq2seq import ModelDims, baseline_schema, init_baseline_params
 
 MAGIC = b"RNCK"
 FORMAT_VERSION = 2
@@ -81,6 +82,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0, batch_size >= 1, lr > 0")
         if not (0 <= self.drop_emb < 1 and 0 <= self.drop_out < 1):
             raise ValueError("dropout rates must lie in [0, 1)")
+        if self.n_anchors < 1 or self.d_a < 1:
+            raise ValueError("n_anchors and d_a must be >= 1")
 
     @classmethod
     def from_dict(cls, d):
@@ -195,7 +198,10 @@ class Checkpoint:
                 name, group = entry["name"], entry["group"]
                 shape = tuple(int(d) for d in entry["shape"])
                 start, trainable = int(entry["offset"]), entry["trainable"]
-            except (KeyError, TypeError, ValueError) as e:
+                if not (isinstance(name, str) and isinstance(group, str)
+                        and isinstance(trainable, bool)):
+                    raise TypeError("name, group or trainable flag of a wrong type")
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise CheckpointError(f"{path}: bad manifest entry {entry!r}") from e
             n = int(np.prod(shape)) if shape else 1
             if min(shape, default=0) < 0 or start < 0 or start + 8 * n > len(payload):
@@ -230,8 +236,55 @@ class Checkpoint:
             config = TrainConfig.from_dict(header["config"])
         except (AttributeError, TypeError, ValueError) as e:
             raise CheckpointError(f"{path}: bad header: {e}") from e
+        _check_schema(path, params, header["kind"], stages, dims, config)
         return cls(params, dims, config, header["kind"], stages, vocab_src,
                    vocab_tgt)
+
+
+def param_schema(kind, stages, dims: ModelDims, config: TrainConfig):
+    """name -> (shape, group) of every parameter a checkpoint of this kind,
+    stage chain and config holds, from the tables the ``init_*`` functions
+    draw from; None in a shape is an extent of at least 1."""
+    table = baseline_schema(dims)
+    if kind == "m_ref":
+        table += m_schema(dims)
+    elif kind == "b_ref":
+        table += b_schema(dims, config.n_anchors, config.d_a)
+    schema = {name: (shape, group) for name, shape, group, _ in table}
+    if "fit-anchors" in stages:
+        schema[ANCHOR_KEY] = ((None, 2 * dims.d_h), "anchors")
+    return schema
+
+
+def _legacy_score_schema(dims: ModelDims):
+    """The anchor fitting's score net, which files written before
+    fit-anchors stopped saving it still carry."""
+    d_v = 2 * dims.d_h
+    return {f"anchors/m_score/{key}": ((d_v,) if key == "v" else (d_v, d_v),
+                                       "anchors") for key in "WUVv"}
+
+
+def _check_schema(path, params, kind, stages, dims, config):
+    schema = param_schema(kind, stages, dims, config)
+    if ANCHOR_KEY in schema:
+        legacy = _legacy_score_schema(dims)
+        schema.update((name, legacy[name]) for name in params.names()
+                      if name in legacy)
+    missing = [name for name in schema if name not in params]
+    unexpected = [name for name in params.names() if name not in schema]
+    if missing or unexpected:
+        raise CheckpointError(
+            f"{path}: a {kind} checkpoint after {' -> '.join(stages)} "
+            f"lacks {missing} and holds unexpected {unexpected}")
+    for name, (shape, group) in schema.items():
+        actual = params[name].shape
+        if (params.group_of(name) != group or len(actual) != len(shape)
+                or any(a < 1 if s is None else a != s
+                       for s, a in zip(shape, actual))):
+            raise CheckpointError(
+                f"{path}: parameter {name!r} is {list(actual)} in group "
+                f"{params.group_of(name)!r}; its {kind} schema says "
+                f"{['*' if s is None else s for s in shape]} in {group!r}")
 
 
 def _strings(value):
@@ -259,7 +312,9 @@ def train_epochs(model: TranslationModel, stage, corpus_train, corpus_dev,
 
     Shuffling and dropout are reseeded deterministically from
     (seed, epoch); dev loss is evaluated with dropout disabled; early
-    stopping restores the best-dev parameters.
+    stopping restores the best-dev parameters. Besides the losses, a row
+    holds the epoch's mean pre-clip global gradient norm (``grad_norm``)
+    and the fraction of its steps that clipping changed (``clipped_frac``).
     """
     params = model.params
     opt = Optimizer(OptimizerConfig(kind=config.optimizer, lr=config.lr))
@@ -272,16 +327,23 @@ def train_epochs(model: TranslationModel, stage, corpus_train, corpus_dev,
         batches = make_batches(corpus_train, config.batch_size, vocab_src,
                                vocab_tgt, shuffle_seed=(config.seed, epoch, 17))
         tok_nll, tok_count, lm_sum = 0.0, 0.0, 0.0
+        norm_sum, n_clipped = 0.0, 0
         for index, batch in enumerate(batches):
             parts = model.loss(batch, training=True, rng=rng)
             if not np.isfinite(parts.joint.data):
                 raise NumericError(f"{stage}: non-finite training loss at "
                                    f"epoch {epoch}, batch {index}")
             grads = backward(parts.joint, params)
+            norm = grad_global_norm(grads)
             if config.clip_mode == "norm":
-                grads = clip_gradient_norm(grads, config.clip_norm)
+                clipped = norm > config.clip_norm
+                grads = clip_gradient_norm(grads, config.clip_norm, norm)
             else:
+                clipped = max(float(np.abs(g).max())
+                              for g in grads.values()) > config.clip_norm
                 grads = clip_gradient_value(grads, config.clip_norm)
+            norm_sum += norm
+            n_clipped += clipped
             opt.step(params, grads)
             tok_nll += parts.nll_token_mean * parts.n_tokens
             tok_count += parts.n_tokens
@@ -292,7 +354,9 @@ def train_epochs(model: TranslationModel, stage, corpus_train, corpus_dev,
         if not np.isfinite(dev_loss):
             raise NumericError(f"{stage}: non-finite dev loss at epoch {epoch}")
         row = {"epoch": epoch, "stage": stage, "train_loss": train_loss,
-               "dev_loss": dev_loss, "seconds": time.perf_counter() - t0}
+               "dev_loss": dev_loss, "seconds": time.perf_counter() - t0,
+               "grad_norm": norm_sum / len(batches),
+               "clipped_frac": n_clipped / len(batches)}
         if lm_sum:
             row["train_l_m"] = lm_sum / len(corpus_train)
         history.append(row)

@@ -143,6 +143,11 @@ EXIT_MATRIX = {
         "translate", "--ckpt", str(ckpt)]),
     "config-bad-lengths": (EXIT_CONFIG, lambda d, ckpt, tmp: [
         "synth", "--min-len", "9", "--max-len", "3", "--out", str(tmp / "x")]),
+    "config-zero-hidden-size": (EXIT_CONFIG, lambda d, ckpt, tmp: [
+        "train", "--train-src", str(d / "toy.train.src"),
+        "--train-tgt", str(d / "toy.train.tgt"), "--dev-src", str(d / "toy.dev.src"),
+        "--dev-tgt", str(d / "toy.dev.tgt"), "--ckpt-out", str(tmp / "t.ckpt"),
+        "--d-h", "0", "--epochs", "1"]),
     "config-missing-corpus": (EXIT_CONFIG, lambda d, ckpt, tmp: [
         "evaluate", "--hyp", str(tmp / "none.txt"), "--refs", str(tmp / "none.txt")]),
     "prerequisite-missing-checkpoint": (EXIT_PREREQ, lambda d, ckpt, tmp: [
@@ -166,14 +171,34 @@ def test_exit_code_matrix(case, toy_files, toy_ckpt, tmp_path):
     """Each failure exits with its documented code and prints no traceback,
     run as its own process the way a shell runs ``refnet``."""
     code, make_argv = EXIT_MATRIX[case]
-    src_root = os.path.dirname(os.path.dirname(refnet.__file__))
-    env = dict(os.environ, PYTHONPATH=src_root)
-    proc = subprocess.run([sys.executable, "-m", "refnet.cli",
-                           *make_argv(toy_files, toy_ckpt, tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=300)
+    proc = run_process(make_argv(toy_files, toy_ckpt, tmp_path))
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert proc.stderr.strip()
+
+
+def run_process(argv):
+    src_root = os.path.dirname(os.path.dirname(refnet.__file__))
+    env = dict(os.environ, PYTHONPATH=src_root)
+    return subprocess.run([sys.executable, "-m", "refnet.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_renamed_parameter_exits_prerequisite(toy_files, toy_ckpt, tmp_path,
+                                              rewrite_header):
+    """A header that renames a parameter (with a valid checksum) is refused
+    at load time, before translation could look the old name up."""
+    def rename(header, payload):
+        entry = next(e for e in header["params"] if e["name"] == "enc/fwd/W")
+        entry["name"] = "enc/fwd/Q"
+
+    bad = rewrite_header(toy_ckpt, tmp_path / "renamed.ckpt", rename)
+    proc = run_process(["translate", "--ckpt", str(bad),
+                        "--src", str(toy_files / "toy.test.src"),
+                        "--out", str(tmp_path / "hyp.txt")])
+    assert proc.returncode == EXIT_PREREQ, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert "enc/fwd/W" in proc.stderr and "enc/fwd/Q" in proc.stderr
 
 
 class TestHelp:

@@ -161,22 +161,24 @@ class TestDecoderStep:
         np.testing.assert_allclose(out.data, expected, atol=1e-14)
 
 
-def reference_cell(x, s_prev, W, U, b, cell="gru", extras=()):
-    """The same cell composed of tape ops, one node per matmul, slice and
-    gate: the reference the single-node cell must match."""
+def reference_cell(x, s_prev, W, U, b, cell="gru", extras=(), mask=None):
+    """The same cell composed of tape ops, one node per matmul, slice, gate
+    and padding blend: the reference the single-node cell must match."""
     gx = ad.matmul(x, W) + b
     for vec, proj in extras:
         gx = gx + ad.matmul(vec, proj)
     gs = ad.matmul(s_prev, U)
     if cell == "tanh":
-        return ad.tanh(gx + gs)
-    d_h = U.shape[0]
-    xr, xz, xn = gx[:, :d_h], gx[:, d_h:2 * d_h], gx[:, 2 * d_h:]
-    sr, sz, sn = gs[:, :d_h], gs[:, d_h:2 * d_h], gs[:, 2 * d_h:]
-    r = ad.sigmoid(xr + sr)
-    z = ad.sigmoid(xz + sz)
-    n = ad.tanh(xn + r * sn)
-    return (1.0 - z) * n + z * s_prev
+        out = ad.tanh(gx + gs)
+    else:
+        d_h = U.shape[0]
+        xr, xz, xn = gx[:, :d_h], gx[:, d_h:2 * d_h], gx[:, 2 * d_h:]
+        sr, sz, sn = gs[:, :d_h], gs[:, d_h:2 * d_h], gs[:, 2 * d_h:]
+        r = ad.sigmoid(xr + sr)
+        z = ad.sigmoid(xz + sz)
+        n = ad.tanh(xn + r * sn)
+        out = (1.0 - z) * n + z * s_prev
+    return out if mask is None else out * mask + s_prev * (1.0 - mask)
 
 
 def cell_inputs(cell, n_extras, B=5, d_x=6, d_h=4, seed=0):
@@ -228,6 +230,22 @@ class TestFusedCell:
             assert np.abs(fused - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("cell", ["gru", "tanh"])
+    def test_row_mask_matches_composed_blend(self, cell):
+        args = cell_inputs(cell, 1, seed=7)
+        mask = np.array([[1.0], [0.0], [1.0], [0.0], [1.0]])
+        w = np.random.default_rng(8).normal(size=(5, 4))
+        outs, grads = [], []
+        for fn in (recurrent_cell, reference_cell):
+            out = fn(*args[:5], cell, args[5], mask=mask)
+            outs.append(out.data)
+            grads.append(ad.grad_map(ad.sum_(ad.tanh(out) * w)))
+        assert np.array_equal(outs[0], outs[1])
+        np.testing.assert_array_equal(outs[0][[1, 3]], args[1].data[[1, 3]])
+        for leaf in leaves(*args):
+            fused, ref = grads[0][id(leaf)], grads[1][id(leaf)]
+            assert np.abs(fused - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("cell", ["gru", "tanh"])
     def test_constant_inputs_get_no_gradient(self, cell):
         x, s_prev, W, U, b, extras = cell_inputs(cell, 1, seed=5)
         s_const, vec_const = Tensor(s_prev.data), Tensor(extras[0][0].data)
@@ -248,6 +266,137 @@ class TestFusedCell:
         assert all(p._bwd is None for p in out.parents)
         with no_grad():
             assert recurrent_cell(*args[:5], cell, args[5]).parents == ()
+
+
+def reference_attention(q, keys, values, v, mask=None):
+    """Additive attention composed of tape ops, one node per broadcast add,
+    tanh, product, sum and softmax: the reference the two-node op must
+    match."""
+    B, d = q.shape
+    e = ad.tanh(ad.reshape(q, (B, 1, d)) + keys)
+    scores = ad.sum_(e * v, axis=2)
+    if mask is not None:
+        scores = scores + (mask - 1.0) * seq2seq.NEG_BIG
+    alpha = ad.softmax(scores, axis=1)
+    return alpha, ad.sum_(ad.reshape(alpha, alpha.shape + (1,)) * values, axis=1)
+
+
+def attention_inputs(shared, B=4, m=5, d=3, d_v=6, seed=0):
+    """(q, keys, values, v, mask) as fresh parameters; shared keys and values
+    are (1, m, .) and unmasked, per-row ones carry a padding mask."""
+    rng = np.random.default_rng(seed)
+    p = lambda *shape: ad.parameter(rng.normal(0.0, 0.8, size=shape))  # noqa: E731
+    rows = 1 if shared else B
+    mask = None
+    if not shared:
+        lens = rng.integers(1, m + 1, size=B)
+        lens[0] = m
+        mask = (np.arange(m)[None, :] < lens[:, None]).astype(np.float64)
+    return p(B, d), p(rows, m, d), p(rows, m, d_v), p(d), mask
+
+
+class TestFusedAttention:
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_forward_matches_composed_attention(self, shared):
+        for B in (1, 2, 7):
+            q, keys, values, v, mask = attention_inputs(shared, B=B, seed=B)
+            alpha, c = seq2seq.additive_attention(q, keys, values, v, mask)
+            ref_alpha, ref_c = reference_attention(q, keys, values, v, mask)
+            np.testing.assert_allclose(alpha.data, ref_alpha.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(c.data, ref_c.data, rtol=0,
+                                       atol=1e-12 * np.abs(ref_c.data).max())
+            if mask is not None:
+                assert (alpha.data[mask == 0] == 0.0).all()
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_backward_matches_composed_attention(self, shared):
+        q, keys, values, v, mask = attention_inputs(shared, seed=3)
+        rng = np.random.default_rng(4)
+        w_alpha, w_c = rng.normal(size=(4, 5)), rng.normal(size=(4, 6))
+        grads = []
+        for fn in (seq2seq.additive_attention, reference_attention):
+            alpha, c = fn(q, keys, values, v, mask)
+            grads.append(ad.grad_map(ad.sum_(alpha * w_alpha)
+                                     + ad.sum_(ad.tanh(c) * w_c)))
+        for leaf in (q, keys, values, v):
+            fused, ref = grads[0][id(leaf)], grads[1][id(leaf)]
+            assert fused.shape == leaf.shape
+            assert np.abs(fused - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_constant_inputs_get_no_gradient(self, shared):
+        q, keys, values, v, mask = attention_inputs(shared, seed=5)
+        keys_const, values_const = Tensor(keys.data), Tensor(values.data)
+        alpha, c = seq2seq.additive_attention(q, keys_const, values_const, v, mask)
+        grads = ad.grad_map(ad.sum_(c) + ad.sum_(alpha * alpha))
+        assert id(keys_const) not in grads and id(values_const) not in grads
+        ref_alpha, ref_c = reference_attention(q, keys_const, values_const, v, mask)
+        ref = ad.grad_map(ad.sum_(ref_c) + ad.sum_(ref_alpha * ref_alpha))
+        for leaf in (q, v):
+            np.testing.assert_allclose(grads[id(leaf)], ref[id(leaf)],
+                                       rtol=1e-12, atol=1e-15)
+
+    def test_one_call_records_two_nodes(self):
+        q, keys, values, v, mask = attention_inputs(False, seed=6)
+        alpha, c = seq2seq.additive_attention(q, keys, values, v, mask)
+        assert alpha.parents == (q, keys, v)
+        assert c.parents == (alpha, values)
+        with no_grad():
+            alpha, c = seq2seq.additive_attention(q, keys, values, v, mask)
+            assert alpha.parents == () and c.parents == ()
+
+
+def tape_ops(root):
+    """Op name -> number of recorded nodes reachable from ``root``."""
+    counts = {}
+    for node in ad._toposort(root):
+        if node._bwd is not None:
+            op = node._bwd.__qualname__.split(".", 1)[0]
+            counts[op] = counts.get(op, 0) + 1
+    return counts
+
+
+class TestTapeSize:
+    """The teacher-forced graph records the readout and the loss once per
+    batch, and a fixed number of nodes per target step."""
+
+    def _loss(self, dims, T, B=3, m=4, seed=0):
+        rng = np.random.default_rng(seed)
+        params = init_baseline_params(dims, rng)
+        tgt = np.concatenate([np.full((B, 1), BOS),
+                              rng.integers(4, dims.vocab_tgt, size=(B, T - 1))], axis=1)
+        tgt[1, T - 2:] = 0  # one padded row
+        batch = Batch(src=rng.integers(4, dims.vocab_src, size=(B, m)),
+                      src_lens=np.full(B, m), tgt=tgt, tgt_lens=np.full(B, T))
+        loss, _ = nll_loss(params, dims, batch, training=True, rng=rng,
+                           drop_emb=0.2, drop_out=0.3)
+        return loss
+
+    def test_one_readout_per_batch(self, tiny_dims):
+        for T in (2, 5, 9):
+            ops = tape_ops(self._loss(tiny_dims, T))
+            assert ops["log_softmax"] == 1 and ops["take_per_row"] == 1
+            assert ops["recurrent_cell"] == 2 * 4 + (T - 1)
+
+    def test_tape_grows_linearly_in_steps(self, tiny_dims):
+        sizes = [sum(tape_ops(self._loss(tiny_dims, T)).values())
+                 for T in range(3, 8)]
+        steps = np.diff(sizes)
+        assert (steps == steps[0]).all() and steps[0] <= 6
+
+    def test_pretrain_batch_tape_at_most_200_nodes(self):
+        """The first batch of 32 of the acceptance task, as pretraining
+        records it: dropout on, sources and targets at their longest."""
+        from refnet.corpus import build_vocab, generate_synthetic_task, make_batches
+        full = generate_synthetic_task("cipher-reverse", 50, 400, (3, 12), 77)
+        vs, vt = build_vocab(full.sources(), 200), build_vocab(full.targets(), 200)
+        batch = make_batches(full, 32, vs, vt)[0]
+        assert batch.src.shape[1] == 12 and batch.tgt.shape[1] == 14
+        dims = ModelDims(vocab_src=len(vs), vocab_tgt=len(vt), d_e=4, d_h=4)
+        model = TranslationModel(init_baseline_params(dims, np.random.default_rng(0)),
+                                 dims, drop_emb=0.2, drop_out=0.3)
+        parts = model.loss(batch, training=True, rng=np.random.default_rng(1))
+        assert sum(tape_ops(parts.joint).values()) <= 200
 
 
 class TestOutputDistribution:

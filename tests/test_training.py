@@ -1,5 +1,6 @@
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -31,6 +32,16 @@ HEADER_MUTATIONS = {
     "unknown-stage": lambda h, p: h["stages"].append("distill"),
     "vocab-not-strings": lambda h, p: h["vocab_src"].append(["x"]),
     "params-not-a-list": lambda h, p: h.update(params=7),
+    "renamed-parameter": lambda h, p: h["params"][1].update(name="enc/fwd/Q"),
+    "reshaped-parameter": lambda h, p: h["params"][1].update(
+        shape=h["params"][1]["shape"][::-1]),
+    "flattened-parameter": lambda h, p: h["params"][0].update(
+        shape=[int(np.prod(h["params"][0]["shape"]))]),
+    "regrouped-parameter": lambda h, p: h["params"][0].update(group="anchors"),
+    "stage-without-anchors": lambda h, p: h["stages"].append("fit-anchors"),
+    "name-not-a-string": lambda h, p: h["params"][2].update(name=["enc/fwd/U"]),
+    "dims-not-integers": lambda h, p: h["dims"].update(d_e=None),
+    "offset-infinite": lambda h, p: h["params"][0].update(offset=float("inf")),
 }
 
 
@@ -175,21 +186,40 @@ class TestCheckpointFuzz:
                 walk(child, trail + (key,))
 
         walk(header, ())
-        trail = data.draw(st.sampled_from(leaves), label="field")
-        parent = header
-        for key in trail[:-1]:
-            parent = parent[key]
-        if isinstance(parent, dict) and data.draw(st.booleans(), label="delete"):
-            del parent[trail[-1]]
+        entries = header["params"]
+        mutation = data.draw(st.sampled_from(["leaf", "rename", "reshape"]),
+                             label="mutation")
+        if mutation == "rename":
+            # another entry's name, or any string
+            entry = data.draw(st.sampled_from(entries), label="entry")
+            entry["name"] = data.draw(
+                st.sampled_from([e["name"] for e in entries]) | st.text(max_size=12),
+                label="name")
+        elif mutation == "reshape":
+            # the same number of values, so that the payload still fits
+            entry = data.draw(st.sampled_from(entries), label="entry")
+            shape = entry["shape"]
+            entry["shape"] = data.draw(st.sampled_from(
+                [shape[::-1], [int(np.prod(shape))], shape + [1], [1] + shape]),
+                label="shape")
         else:
-            parent[trail[-1]] = data.draw(
-                st.none() | st.booleans() | st.integers(-3, 10 ** 6)
-                | st.floats(allow_nan=False) | st.text(max_size=5)
-                | st.lists(st.integers(0, 9), max_size=3), label="value")
+            trail = data.draw(st.sampled_from(leaves), label="field")
+            parent = header
+            for key in trail[:-1]:
+                parent = parent[key]
+            if isinstance(parent, dict) and data.draw(st.booleans(), label="delete"):
+                del parent[trail[-1]]
+            else:
+                parent[trail[-1]] = data.draw(
+                    st.none() | st.booleans() | st.integers(-3, 10 ** 6)
+                    | st.floats(allow_nan=False) | st.text(max_size=5)
+                    | st.lists(st.integers(0, 9), max_size=3), label="value")
+        # a matching checksum, so that the checks past it see the edit
         raw = json.dumps(header).encode("utf-8")
+        payload = blob[PREAMBLE + hlen:]
         bad = path.with_name("header.ckpt")
-        bad.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + blob[16:PREAMBLE]
-                        + raw + blob[PREAMBLE + hlen:])
+        bad.write_bytes(blob[:8] + struct.pack("<Q", len(raw))
+                        + struct.pack("<I", zlib.crc32(raw + payload)) + raw + payload)
         loads_identically_or_is_rejected(bad, original)
 
 
@@ -294,6 +324,17 @@ class TestStages:
         fields = rows[0].split("\t")
         assert fields[0] == "0" and fields[1] == "pretrain"
         float(fields[2]), float(fields[3]), float(fields[4])
+
+    def test_history_records_gradient_norm_and_clipping(self, toy_split,
+                                                         toy_vocabs, capsys):
+        tight = quick_pretrain(toy_split, toy_vocabs, epochs=2, clip_norm=1e-6)
+        assert [row["clipped_frac"] for row in tight.history] == [1.0, 1.0]
+        assert all(row["grad_norm"] > 1e-6 for row in tight.history)
+        loose = quick_pretrain(toy_split, toy_vocabs, epochs=1, clip_norm=1e9)
+        assert loose.history[0]["clipped_frac"] == 0.0
+        loose_value = quick_pretrain(toy_split, toy_vocabs, epochs=1,
+                                     clip_norm=1e-9, clip_mode="value")
+        assert loose_value.history[0]["clipped_frac"] == 1.0
 
     def test_copy_task_dev_loss_collapses(self, capsys):
         """vocab 20, 500 pairs: dev loss after 30 epochs under 10% of start."""
