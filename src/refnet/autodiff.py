@@ -321,18 +321,23 @@ def mean(a, axis=None, keepdims=False):
     return sum_(a, axis=axis, keepdims=keepdims) * (1.0 / count)
 
 
+def _softmax_values(x, axis=-1):
+    """Numerically stable softmax of an array along ``axis``; fused ops
+    share it with ``softmax``."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(out, g, axis=-1):
+    """Gradient of the softmax input, from its output and output gradient."""
+    return out * (g - (g * out).sum(axis=axis, keepdims=True))
+
+
 def softmax(a, axis=-1):
     """Numerically stable softmax along ``axis``."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
-
-    return _node(out, (a,), bwd)
+    out = _softmax_values(a.data, axis)
+    return _node(out, (a,), lambda g: (_softmax_grad(out, g, axis),))
 
 
 def log_softmax(a, axis=-1):

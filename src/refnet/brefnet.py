@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import as_tensor
-from .lcc import AnchorSet, ScoreParams, lcc_weights
+from .lcc import _tri_scores_backward, _tri_scores_forward
 from .params import ParamStore
 from .seq2seq import ModelDims, add_params, gates_per_cell
 
@@ -59,32 +59,58 @@ def build_query(e_prev, s_prev, c_t):
     return ad.concat(parts, axis=1)
 
 
-def g_transform(q, params):
-    """Anchor-size projection of the query: tanh of an affine map, (B, d_a)."""
-    return ad.tanh(ad.matmul(q, params["bref/g/W"]) + params["bref/g/b"])
-
-
 def regression_weight_norms(params):
     """Squared Frobenius norm of each per-anchor weight matrix: (|C|,)."""
     return ad.sum_(ad.square(params["bref/reg/W"]), axis=(1, 2))
 
 
-def anchor_gamma(G, params):
-    """Anchor coefficients gamma (B, |C|) of projected queries G = g(q)."""
-    sp = ScoreParams(*(params[f"bref/score/{k}"] for k in "WUVv"))
-    return lcc_weights(G, AnchorSet(params["bref/anchors"]), sp)
+# the theta_B parameters f_s reads, in the order of its node's parents
+F_S_PARAMS = ("bref/g/W", "bref/g/b", "bref/anchors", "bref/score/W",
+              "bref/score/U", "bref/score/V", "bref/score/v", "bref/reg/W",
+              "bref/reg/b")
 
 
 def f_s(q, params):
     """Anchor-coded regression estimate of the current target embedding.
 
-    sum_j gamma_j (G W_j + b_j) is one matmul over the flattened outer
-    product gamma (x) G, plus gamma @ b: no loop over anchors.
+    One tape node with a hand-written backward. Inside it: the projection
+    G = tanh(q @ g/W + g/b) (B, d_a), the tri-nonlinear scores of G against
+    the anchors (the kernel ``lcc.tri_scores`` runs), the softmax
+    coefficients gamma (B, C), and sum_j gamma_j (G W_j + b_j) as one matmul
+    over the flattened outer product gamma (x) G, plus gamma @ b: no loop
+    over anchors. The backward returns the gradients of q and of every
+    parameter in ``F_S_PARAMS``.
     """
-    G = g_transform(q, params)                                    # (B, d_a)
-    gamma = anchor_gamma(G, params)                               # (B, C)
+    q = as_tensor(q)
+    parents = (q,) + tuple(params[k] for k in F_S_PARAMS)
+    gW, gb, anchors, sW, sU, sV, sv, rW, rb = (t.data for t in parents[1:])
+    G = np.tanh(q.data @ gW + gb)                                 # (B, d_a)
+    scores, cache = _tri_scores_forward(G, anchors, sW, sU, sV, sv)
+    gamma = ad._softmax_values(scores, axis=1)                    # (B, C)
     (B, d_a), C = G.shape, gamma.shape[1]
-    coded = ad.reshape(gamma, (B, C, 1)) * ad.reshape(G, (B, 1, d_a))
-    W = ad.reshape(params["bref/reg/W"], (C * d_a, -1))
-    return (ad.matmul(ad.reshape(coded, (B, C * d_a)), W)
-            + ad.matmul(gamma, params["bref/reg/b"]))             # (B, d_e)
+    coded = (gamma[:, :, None] * G[:, None, :]).reshape(B, C * d_a)
+    rW_flat = rW.reshape(C * d_a, -1)
+    out = coded @ rW_flat + gamma @ rb                            # (B, d_e)
+
+    def bwd(g):
+        needs = [t.requires_grad for t in parents]
+        grads = [None] * len(parents)
+        if needs[8]:
+            grads[8] = (coded.T @ g).reshape(rW.shape)
+        if needs[9]:
+            grads[9] = gamma.T @ g
+        score_needs = [any(needs[:3])] + needs[3:8]
+        if not any(score_needs):
+            return grads
+        dcoded = (g @ rW_flat.T).reshape(B, C, d_a)
+        dgamma = g @ rb.T + (dcoded * G[:, None, :]).sum(axis=2)
+        dG, *grads[3:8] = _tri_scores_backward(
+            cache, ad._softmax_grad(gamma, dgamma, axis=1), score_needs)
+        if score_needs[0]:
+            dpre = (dG + (dcoded * gamma[:, :, None]).sum(axis=1)) * (1.0 - G * G)
+            grads[:3] = (dpre @ gW.T if needs[0] else None,
+                         q.data.T @ dpre if needs[1] else None,
+                         dpre.sum(axis=0) if needs[2] else None)
+        return grads
+
+    return ad._node(out, parents, bwd)

@@ -382,6 +382,8 @@ def _cmd_evaluate(args):
 
 
 def _cmd_gradcheck(args):
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     results = gradcheck.run_suite(seeds=range(args.seeds))
     print(gradcheck.suite_report(results))
     if not all(r.passed for r in results):

@@ -143,6 +143,27 @@ def check_tri_score(seed):
     return _compare(f, ps)
 
 
+def check_tri_scores_batch(seed):
+    """The score of several inputs against several anchors: the kernel's
+    sums over rows and anchors, with inputs and anchors both probed."""
+    rng = np.random.default_rng((seed, 53))
+    N, C, d_v, d_att = 3, 4, 4, 3
+    ps = ParamStore()
+    for key in ("W", "U", "V"):
+        ps.add(f"anchors/score/{key}", rng.normal(0, 0.5, size=(d_att, d_v)), "anchors")
+    ps.add("anchors/score/v", rng.normal(size=d_att), "anchors")
+    _probe(ps, "probe/x", rng.normal(size=(N, d_v)))
+    _probe(ps, "probe/anchors", rng.normal(size=(C, d_v)))
+    w = rng.normal(size=(N, C))
+
+    def f(ps_):
+        scores = tri_scores(ps_["probe/x"], ps_["probe/anchors"],
+                            *(ps_[f"anchors/score/{k}"] for k in "WUVv"))
+        return ad.sum_(scores * w)
+
+    return _compare(f, ps)
+
+
 def check_localization_measure(seed):
     """The anchor-fitting objective, including the unsquared first term."""
     rng = np.random.default_rng((seed, 23))
@@ -306,6 +327,7 @@ CHECKS = {
     "joint_b_loss": check_joint_b_loss,
     "recurrent_cell": check_recurrent_cell,
     "additive_attention": check_additive_attention,
+    "tri_scores_batch": check_tri_scores_batch,
 }
 
 

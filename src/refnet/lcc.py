@@ -67,22 +67,65 @@ class ScoreParams:
         return cls(mat(), mat(), mat(), Tensor(rng.uniform(-0.5, 0.5, size=d_att)))
 
 
+def _tri_scores_forward(x, a, W, U, V, v):
+    """Numpy forward of the score of inputs x (N, d) against anchors a (C, d).
+
+    Returns the (N, C) scores and the cache ``_tri_scores_backward`` reads.
+    """
+    N, d = x.shape
+    cross = x[:, None, :] * a[None, :, :]                 # (N, C, d)
+    wa = a @ W.T                                          # (C, d_att)
+    ux = x @ U.T                                          # (N, d_att)
+    vc = cross.reshape(-1, d) @ V.T                       # (N*C, d_att)
+    e = np.tanh((wa[None] + ux[:, None]) + vc.reshape(N, a.shape[0], -1))
+    return (e * v).sum(axis=2), (x, a, W, U, V, v, cross, e)
+
+
+def _tri_scores_backward(cache, g, needs):
+    """Gradients of (x, a, W, U, V, v) from the scores' gradient g (N, C);
+    None for each input whose entry of ``needs`` is false."""
+    x, a, W, U, V, v, cross, e = cache
+    grads = [None] * 6
+    if needs[5]:
+        grads[5] = g.reshape(-1) @ e.reshape(-1, e.shape[2])
+    if not any(needs[:5]):
+        return grads
+    dpre = g[:, :, None] * v * (1.0 - e * e)              # (N, C, d_att)
+    dwa, dux = dpre.sum(axis=0), dpre.sum(axis=1)         # (C, .), (N, .)
+    dvc = dpre.reshape(-1, e.shape[2])                    # (N*C, d_att)
+    if needs[2]:
+        grads[2] = dwa.T @ a
+    if needs[3]:
+        grads[3] = dux.T @ x
+    if needs[4]:
+        grads[4] = dvc.T @ cross.reshape(dvc.shape[0], -1)
+    if needs[0] or needs[1]:
+        dcross = (dvc @ V).reshape(cross.shape)
+        if needs[0]:
+            grads[0] = dux @ U + (dcross * a).sum(axis=1)
+        if needs[1]:
+            grads[1] = dwa @ W + (dcross * x[:, None, :]).sum(axis=0)
+    return grads
+
+
 def tri_scores(X, anchors, W, U, V, v):
-    """All pairwise scores: (N, d_v) inputs x (C, d_v) anchors -> (N, C)."""
+    """All pairwise scores: (N, d_v) inputs x (C, d_v) anchors -> (N, C).
+
+    One tape node over the numpy kernel pair ``_tri_scores_forward`` and
+    ``_tri_scores_backward``; the backward returns the gradients of X, the
+    anchors, W, U, V and v.
+    """
     X = as_tensor(X)
     A = anchors.points if isinstance(anchors, AnchorSet) else as_tensor(anchors)
-    N, d = X.shape
-    if A.shape[1] != d:
+    if X.ndim != 2 or A.ndim != 2 or A.shape[1] != X.shape[1]:
         raise ValueError(f"dimension mismatch: inputs {X.shape} vs anchors {A.shape}")
-    C = A.shape[0]
-    wa = ad.matmul(A, ad.transpose(W))                    # (C, d_att)
-    ux = ad.matmul(X, ad.transpose(U))                    # (N, d_att)
-    cross = ad.reshape(X, (N, 1, d)) * ad.reshape(A, (1, C, d))
-    vc = ad.matmul(ad.reshape(cross, (N * C, d)), ad.transpose(V))
-    d_att = W.shape[0]
-    pre = ad.reshape(wa, (1, C, d_att)) + ad.reshape(ux, (N, 1, d_att)) \
-        + ad.reshape(vc, (N, C, d_att))
-    return ad.sum_(ad.tanh(pre) * v, axis=2)              # (N, C)
+    parents = (X, A) + tuple(as_tensor(t) for t in (W, U, V, v))
+    scores, cache = _tri_scores_forward(*(t.data for t in parents))
+
+    def bwd(g):
+        return _tri_scores_backward(cache, g, [t.requires_grad for t in parents])
+
+    return ad._node(scores, parents, bwd)
 
 
 def lcc_weights(X, anchors: AnchorSet, sp: ScoreParams):

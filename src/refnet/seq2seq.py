@@ -194,11 +194,10 @@ def attention_weights(q, keys, v, mask=None):
     scores = e @ v.data                                     # (B, m)
     if mask is not None:
         scores = scores + (mask - 1.0) * NEG_BIG
-    shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
-    alpha = shifted / shifted.sum(axis=1, keepdims=True)
+    alpha = ad._softmax_values(scores, axis=1)
 
     def bwd(g):
-        ds = alpha * (g - (g * alpha).sum(axis=1, keepdims=True))
+        ds = ad._softmax_grad(alpha, g, axis=1)
         dv = ds.reshape(-1) @ e.reshape(-1, e.shape[2]) if v.requires_grad else None
         if not (q.requires_grad or keys.requires_grad):
             return None, None, dv

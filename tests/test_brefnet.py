@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refnet import autodiff as ad
-from refnet.autodiff import Tensor
-from refnet.brefnet import (anchor_gamma, build_query, f_s, g_transform,
-                            init_b_params, query_dim, regression_weight_norms)
+from refnet.autodiff import Tensor, no_grad
+from refnet.brefnet import (F_S_PARAMS, build_query, f_s, init_b_params, query_dim,
+                            regression_weight_norms)
+from refnet.lcc import tri_scores
 from refnet.corpus import BOS, EOS, Batch, make_batches
 from refnet.model import TranslationModel, variant_extras
 from refnet.seq2seq import ModelDims, decoder_step, init_baseline_params
@@ -41,6 +43,48 @@ class TestBuildQuery:
     def test_mixed_ranks_rejected(self):
         with pytest.raises(ValueError):
             build_query(np.zeros((2, 2)), np.zeros(3), np.zeros(4))
+
+
+# ---------------------------------------------------------------------------
+# the composed references: f_s and the tri-nonlinear score built from
+# separate tape ops, which the fused one-node ops must match
+
+def reference_tri_scores(X, A, W, U, V, v):
+    """The (N, C) scores composed of transposes, reshapes, broadcast
+    products, matmuls, tanh and a sum."""
+    X, A = ad.as_tensor(X), ad.as_tensor(A)
+    (N, d), C, d_att = X.shape, A.shape[0], W.shape[0]
+    wa = ad.matmul(A, ad.transpose(W))
+    ux = ad.matmul(X, ad.transpose(U))
+    cross = ad.reshape(X, (N, 1, d)) * ad.reshape(A, (1, C, d))
+    vc = ad.matmul(ad.reshape(cross, (N * C, d)), ad.transpose(V))
+    pre = ad.reshape(wa, (1, C, d_att)) + ad.reshape(ux, (N, 1, d_att)) \
+        + ad.reshape(vc, (N, C, d_att))
+    return ad.sum_(ad.tanh(pre) * v, axis=2)
+
+
+def g_transform(q, params):
+    """Anchor-size projection of the query: tanh of an affine map, (B, d_a)."""
+    return ad.tanh(ad.matmul(q, params["bref/g/W"]) + params["bref/g/b"])
+
+
+def anchor_gamma(G, params):
+    """Anchor coefficients gamma (B, |C|) of projected queries G = g(q)."""
+    scores = reference_tri_scores(G, params["bref/anchors"],
+                                  *(params[f"bref/score/{k}"] for k in "WUVv"))
+    return ad.softmax(scores, axis=1)
+
+
+def reference_f_s(q, params):
+    """f_s as a matmul over the flattened outer product gamma (x) G, plus
+    gamma @ b, each piece its own tape op."""
+    G = g_transform(q, params)
+    gamma = anchor_gamma(G, params)
+    (B, d_a), C = G.shape, gamma.shape[1]
+    coded = ad.reshape(gamma, (B, C, 1)) * ad.reshape(G, (B, 1, d_a))
+    W = ad.reshape(params["bref/reg/W"], (C * d_a, -1))
+    return (ad.matmul(ad.reshape(coded, (B, C * d_a)), W)
+            + ad.matmul(gamma, params["bref/reg/b"]))
 
 
 class TestGTransform:
@@ -153,6 +197,127 @@ class TestFs:
         gamma = anchor_gamma(g_transform(q, ps), ps)
         assert (gamma.data >= 0).all()
         np.testing.assert_allclose(gamma.data.sum(axis=1), 1.0, atol=1e-9)
+
+
+def score_inputs(N, C, d=5, d_att=3, seed=0):
+    """(X, anchors, W, U, V, v) of the tri-nonlinear score as parameters."""
+    rng = np.random.default_rng(seed)
+    p = lambda *shape: ad.parameter(rng.normal(0.0, 0.7, size=shape))  # noqa: E731
+    return p(N, d), p(C, d), p(d_att, d), p(d_att, d), p(d_att, d), p(d_att)
+
+
+def assert_grads_close(fused, ref, leaves):
+    for leaf in leaves:
+        fast, slow = fused[id(leaf)], ref[id(leaf)]
+        assert fast.shape == leaf.shape
+        assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
+
+
+def score_grads(fn, args, w):
+    out = fn(*args)
+    return out.data, ad.grad_map(ad.sum_(ad.tanh(out) * w))
+
+
+SHAPES = [(1, 1), (3, 4), (32, 8)]
+
+
+def f_s_case(tiny_dims, B, C, seed):
+    """A b_ref store with C anchors, non-zero regression biases, a query of
+    B rows and output weights."""
+    ps = bref_store(tiny_dims, n_anchors=C, seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    ps["bref/reg/b"].data[...] = rng.normal(size=ps["bref/reg/b"].shape)
+    q = ad.parameter(rng.normal(size=(B, query_dim(tiny_dims))))
+    return ps, q, rng.normal(size=(B, tiny_dims.d_e))
+
+
+class TestFusedLcc:
+    """``lcc.tri_scores`` and ``brefnet.f_s`` are one tape node each and
+    match the composed references: the same forward bits, gradients within
+    1e-12 relative."""
+
+    @pytest.mark.parametrize("N, C", SHAPES)
+    def test_tri_scores_matches_composed(self, N, C):
+        args = score_inputs(N, C, seed=N)
+        w = np.random.default_rng(C).normal(size=(N, C))
+        fused, fused_grads = score_grads(tri_scores, args, w)
+        ref, ref_grads = score_grads(reference_tri_scores, args, w)
+        assert np.array_equal(fused, ref)
+        assert_grads_close(fused_grads, ref_grads, args)
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(1, 6), C=st.integers(1, 6), d=st.integers(1, 6),
+           d_att=st.integers(1, 6), seed=st.integers(0, 2**16))
+    def test_tri_scores_matches_composed_any_shape(self, N, C, d, d_att, seed):
+        args = score_inputs(N, C, d, d_att, seed)
+        w = np.random.default_rng(seed).normal(size=(N, C))
+        fused, fused_grads = score_grads(tri_scores, args, w)
+        ref, ref_grads = score_grads(reference_tri_scores, args, w)
+        assert np.array_equal(fused, ref)
+        assert_grads_close(fused_grads, ref_grads, args)
+
+    def test_tri_scores_frozen_anchors(self):
+        X, A, W, U, V, v = score_inputs(3, 4, seed=5)
+        frozen = Tensor(A.data)
+        args = (X, frozen, W, U, V, v)
+        w = np.random.default_rng(6).normal(size=(3, 4))
+        _, fused_grads = score_grads(tri_scores, args, w)
+        _, ref_grads = score_grads(reference_tri_scores, args, w)
+        assert id(frozen) not in fused_grads
+        assert_grads_close(fused_grads, ref_grads, (X, W, U, V, v))
+
+    def test_tri_scores_constant_inputs_get_no_gradient(self):
+        X, A, W, U, V, v = score_inputs(3, 4, seed=7)
+        X_const, A_const = Tensor(X.data), Tensor(A.data)
+        grads = ad.grad_map(ad.sum_(tri_scores(X_const, A_const, W, U, V, v)))
+        assert id(X_const) not in grads and id(A_const) not in grads
+        assert all(id(p) in grads for p in (W, U, V, v))
+        with no_grad():
+            assert tri_scores(X, A, W, U, V, v).parents == ()
+
+    def test_tri_scores_records_one_node(self):
+        args = score_inputs(3, 4, seed=8)
+        out = tri_scores(*args)
+        assert out.parents == args
+        assert all(p._bwd is None for p in out.parents)
+
+    @pytest.mark.parametrize("B, C", SHAPES)
+    def test_f_s_matches_composed(self, tiny_dims, B, C):
+        ps, q, w = f_s_case(tiny_dims, B, C, seed=B + C)
+        fused, fused_grads = score_grads(f_s, (q, ps), w)
+        ref, ref_grads = score_grads(reference_f_s, (q, ps), w)
+        assert np.array_equal(fused, ref)
+        assert_grads_close(fused_grads, ref_grads, [q] + [ps[k] for k in F_S_PARAMS])
+
+    def test_f_s_frozen_anchors(self, tiny_dims):
+        ps, q, w = f_s_case(tiny_dims, 3, 4, seed=9)
+        params = {k: ps[k] for k in F_S_PARAMS}
+        params["bref/anchors"] = Tensor(ps["bref/anchors"].data)
+        _, fused_grads = score_grads(f_s, (q, params), w)
+        _, ref_grads = score_grads(reference_f_s, (q, params), w)
+        assert id(params["bref/anchors"]) not in fused_grads
+        assert_grads_close(fused_grads, ref_grads,
+                           [q] + [ps[k] for k in F_S_PARAMS if k != "bref/anchors"])
+
+    def test_f_s_constant_inputs_get_no_gradient(self, tiny_dims):
+        ps, q, w = f_s_case(tiny_dims, 3, 4, seed=10)
+        q_const = Tensor(q.data)
+        params = {k: ps[k] for k in F_S_PARAMS}
+        for k in ("bref/g/W", "bref/g/b"):
+            params[k] = Tensor(ps[k].data)
+        grads = ad.grad_map(ad.sum_(f_s(q_const, params) * w))
+        assert id(q_const) not in grads
+        assert not any(id(params[k]) in grads for k in ("bref/g/W", "bref/g/b"))
+        ref = ad.grad_map(ad.sum_(reference_f_s(q_const, params) * w))
+        assert_grads_close(grads, ref, [params[k] for k in F_S_PARAMS[2:]])
+
+    def test_f_s_records_one_node(self, tiny_dims):
+        ps, q, _ = f_s_case(tiny_dims, 2, 3, seed=11)
+        out = f_s(q, ps)
+        assert out.parents == (q,) + tuple(ps[k] for k in F_S_PARAMS)
+        assert all(p._bwd is None for p in out.parents)
+        with no_grad():
+            assert f_s(q, ps).parents == ()
 
 
 def pair_batch(src_ids, tgt_ids):

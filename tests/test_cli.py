@@ -148,6 +148,8 @@ EXIT_MATRIX = {
         "--train-tgt", str(d / "toy.train.tgt"), "--dev-src", str(d / "toy.dev.src"),
         "--dev-tgt", str(d / "toy.dev.tgt"), "--ckpt-out", str(tmp / "t.ckpt"),
         "--d-h", "0", "--epochs", "1"]),
+    "config-zero-gradcheck-seeds": (EXIT_CONFIG, lambda d, ckpt, tmp: [
+        "gradcheck", "--seeds", "0"]),
     "config-missing-corpus": (EXIT_CONFIG, lambda d, ckpt, tmp: [
         "evaluate", "--hyp", str(tmp / "none.txt"), "--refs", str(tmp / "none.txt")]),
     "prerequisite-missing-checkpoint": (EXIT_PREREQ, lambda d, ckpt, tmp: [
@@ -350,6 +352,13 @@ class TestGradcheckCommand:
     def test_single_seed_passes(self, capsys):
         assert run_cli(["gradcheck", "--seeds", "1"]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_no_seeds_rejected(self, seeds, capsys):
+        """A suite that runs no check must not report that all checks passed."""
+        assert run_cli(["gradcheck", "--seeds", seeds]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "passed" not in captured.out and "--seeds" in captured.err
 
     def test_failure_exits_with_numeric_code(self, monkeypatch, capsys):
         from refnet import cli, gradcheck

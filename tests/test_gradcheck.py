@@ -1,0 +1,50 @@
+import ast
+import pathlib
+
+import refnet
+from refnet import gradcheck
+
+# every function outside autodiff.py that records its own tape node (a fused
+# op with a hand-written backward) -> the gradient checks that cover it
+FUSED_OP_CHECKS = {
+    "recurrent_cell": ("recurrent_cell",),
+    "attention_weights": ("additive_attention",),
+    "weighted_sum": ("additive_attention",),
+    "tri_scores": ("tri_score", "tri_scores_batch"),
+    "f_s": ("f_s",),
+}
+
+
+def calls_node(fn):
+    return any(isinstance(n, ast.Call)
+               and ((isinstance(n.func, ast.Name) and n.func.id == "_node")
+                    or (isinstance(n.func, ast.Attribute) and n.func.attr == "_node"))
+               for n in ast.walk(fn))
+
+
+def fused_ops():
+    """(module, function) for each top-level function or method in the
+    package, outside autodiff.py, whose body calls ``_node``."""
+    found = []
+    for path in sorted(pathlib.Path(refnet.__file__).parent.glob("*.py")):
+        if path.name == "autodiff.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            defs += [n for n in cls.body if isinstance(n, ast.FunctionDef)]
+        found += [(path.stem, fn.name) for fn in defs if calls_node(fn)]
+    return found
+
+
+class TestFusedOpCoverage:
+    def test_every_fused_op_has_a_gradient_check(self):
+        ops = fused_ops()
+        assert ("lcc", "tri_scores") in ops and ("brefnet", "f_s") in ops
+        missing = [f"{mod}.{name}" for mod, name in ops if name not in FUSED_OP_CHECKS]
+        assert not missing, f"fused ops without a gradient check: {missing}"
+
+    def test_every_named_check_exists(self):
+        unknown = [check for checks in FUSED_OP_CHECKS.values() for check in checks
+                   if check not in gradcheck.CHECKS]
+        assert not unknown, f"no such gradcheck entries: {unknown}"

@@ -384,19 +384,57 @@ class TestTapeSize:
         steps = np.diff(sizes)
         assert (steps == steps[0]).all() and steps[0] <= 6
 
-    def test_pretrain_batch_tape_at_most_200_nodes(self):
-        """The first batch of 32 of the acceptance task, as pretraining
-        records it: dropout on, sources and targets at their longest."""
+    def _b_loss(self, dims, T, B=3, m=4, seed=0):
+        """b_ref's joint loss under train-b's freezes (encoder and decoder)."""
+        rng = np.random.default_rng(seed)
+        params = init_baseline_params(dims, rng)
+        init_b_params(params, dims, 3, 5, rng)
+        tgt = np.concatenate([np.full((B, 1), BOS),
+                              rng.integers(4, dims.vocab_tgt, size=(B, T - 1))], axis=1)
+        batch = Batch(src=rng.integers(4, dims.vocab_src, size=(B, m)),
+                      src_lens=np.full(B, m), tgt=tgt, tgt_lens=np.full(B, T))
+        params.freeze("encoder", "decoder")
+        model = TranslationModel(params, dims, "b_ref", drop_emb=0.2, drop_out=0.3)
+        return model.loss(batch, training=True, rng=rng).joint
+
+    def test_b_ref_tape_grows_linearly_in_steps(self, tiny_dims):
+        sizes = [sum(tape_ops(self._b_loss(tiny_dims, T)).values())
+                 for T in range(3, 8)]
+        steps = np.diff(sizes)
+        assert (steps == steps[0]).all()
+        ops = tape_ops(self._b_loss(tiny_dims, 5))
+        assert ops["f_s"] == 4 and "tri_scores" not in ops
+
+    @staticmethod
+    def _acceptance_batch():
+        """The first batch of 32 of the acceptance task: sources and targets
+        at their longest."""
         from refnet.corpus import build_vocab, generate_synthetic_task, make_batches
         full = generate_synthetic_task("cipher-reverse", 50, 400, (3, 12), 77)
         vs, vt = build_vocab(full.sources(), 200), build_vocab(full.targets(), 200)
         batch = make_batches(full, 32, vs, vt)[0]
         assert batch.src.shape[1] == 12 and batch.tgt.shape[1] == 14
-        dims = ModelDims(vocab_src=len(vs), vocab_tgt=len(vt), d_e=4, d_h=4)
+        return batch, ModelDims(vocab_src=len(vs), vocab_tgt=len(vt), d_e=4, d_h=4)
+
+    def test_pretrain_batch_tape_at_most_200_nodes(self):
+        """The first acceptance batch as pretraining records it, dropout on."""
+        batch, dims = self._acceptance_batch()
         model = TranslationModel(init_baseline_params(dims, np.random.default_rng(0)),
                                  dims, drop_emb=0.2, drop_out=0.3)
         parts = model.loss(batch, training=True, rng=np.random.default_rng(1))
         assert sum(tape_ops(parts.joint).values()) <= 200
+
+    def test_train_b_batch_tape_at_most_150_nodes(self):
+        """The first acceptance batch as train-b records it: dropout on, the
+        encoder, decoder and anchors frozen, f_s one node per step."""
+        batch, dims = self._acceptance_batch()
+        rng = np.random.default_rng(0)
+        params = init_baseline_params(dims, rng)
+        init_b_params(params, dims, 8, 16, rng)
+        params.freeze("encoder", "decoder", "anchors")
+        model = TranslationModel(params, dims, "b_ref", drop_emb=0.2, drop_out=0.3)
+        parts = model.loss(batch, training=True, rng=np.random.default_rng(1))
+        assert sum(tape_ops(parts.joint).values()) <= 150
 
 
 class TestOutputDistribution:
