@@ -315,6 +315,28 @@ def check_additive_attention(seed):
     return _compare(f, ps)
 
 
+
+def check_grouped_attention(seed):
+    """The two-node attention op with masked keys and values broadcast over
+    groups of query rows: three sentences, two rows each."""
+    rng = np.random.default_rng((seed, 53))
+    n, g, m, d, d_v = 3, 2, 3, 3, 2
+    ps = ParamStore()
+    for name, shape in (("q", (n * g, d)), ("v", (d,)), ("keys", (n, m, d)),
+                        ("values", (n, m, d_v))):
+        _probe(ps, f"probe/{name}", rng.normal(0, 0.7, size=shape))
+    mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    u, w = rng.normal(size=d_v), rng.normal(size=m)
+
+    def f(ps_):
+        alpha, c = seq2seq.additive_attention(
+            ps_["probe/q"], ps_["probe/keys"], ps_["probe/values"],
+            ps_["probe/v"], mask)
+        return ad.sum_(ad.tanh(c) * u) + ad.sum_(alpha * w)
+
+    return _compare(f, ps)
+
+
 CHECKS = {
     "attention": check_attention,
     "decoder_step": check_decoder_step,
@@ -328,6 +350,7 @@ CHECKS = {
     "recurrent_cell": check_recurrent_cell,
     "additive_attention": check_additive_attention,
     "tri_scores_batch": check_tri_scores_batch,
+    "grouped_attention": check_grouped_attention,
 }
 
 

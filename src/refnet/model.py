@@ -24,20 +24,31 @@ from .seq2seq import ModelDims
 KINDS = ("baseline", "m_ref", "b_ref")
 
 
-def variant_extras(kind, params, e_prev, s_prev, c):
+def variant_memory(kind, params):
+    """What a variant's extra input reads that no decoder step changes:
+    m_ref's anchor keys and values (``mrefnet.anchor_memory``), None for the
+    other kinds. A training batch or a decode chunk computes it once."""
+    if kind == "m_ref":
+        return mrefnet.anchor_memory(params[mrefnet.ANCHOR_KEY], params)
+    return None
+
+
+def variant_extras(kind, params, e_prev, s_prev, c, memory=None):
     """The extra (vector, projection) inputs of one decoder state update.
 
     Batched over rows: e_prev is the clean previous-target embedding
     (B, d_e), s_prev the previous state (B, d_h), c the attention context
     (B, 2*d_h). The baseline adds nothing; m_ref adds the anchor context
     c_G through ``mref/proj``; b_ref adds the regression estimate
-    f_s([e_prev; s_prev; c]) through ``bref/proj``.
+    f_s([e_prev; s_prev; c]) through ``bref/proj``. memory is
+    ``variant_memory(kind, params)``, computed here when None.
     """
     if kind == "baseline":
         return []
     if kind == "m_ref":
-        _, c_g = mrefnet.global_context(s_prev, c, params[mrefnet.ANCHOR_KEY],
-                                        params)
+        if memory is None:
+            memory = variant_memory(kind, params)
+        _, c_g = mrefnet.global_context(s_prev, c, memory, params)
         return [(c_g, params["mref/proj"])]
     if kind == "b_ref":
         pred = brefnet.f_s(brefnet.build_query(e_prev, s_prev, c), params)
@@ -71,9 +82,10 @@ class TranslationModel:
     def loss(self, batch: Batch, training=False, rng=None) -> LossParts:
         params, kind = self.params, self.kind
         preds = []  # the extra input vectors per step; f_s(q_t) for b_ref
+        memory = variant_memory(kind, params)
 
         def extras_fn(e_prev, s_prev, c):
-            extras = variant_extras(kind, params, e_prev, s_prev, c)
+            extras = variant_extras(kind, params, e_prev, s_prev, c, memory)
             preds.extend(vec for vec, _ in extras)
             return extras
 
@@ -111,9 +123,9 @@ class TranslationModel:
     def _prepare(self, sources):
         """Encode sentences together, padded to the longest: one encoder pass.
 
-        Returns (step_for, s0): ``step_for(rows)`` builds the model step for
-        hypothesis rows whose sentence indices are ``rows``, and s0 holds the
-        (N, d_h) initial decoder states.
+        Returns (step_for, s0): ``step_for(sents, singles=())`` builds the
+        model step over the hypothesis rows of ``_make_step``, and s0 holds
+        the (N, d_h) initial decoder states.
         """
         lens = np.array([len(s) for s in sources])
         if lens.size == 0 or lens.min() == 0:
@@ -125,28 +137,46 @@ class TranslationModel:
             h, mask = seq2seq.encode_batch(self.params, self.dims, src, lens)
             h_proj = seq2seq.attention_proj(self.params, h)
             s0 = seq2seq.initial_state(self.params, h, mask)
-        memory = (h.data, h_proj.data, mask)
+            extra = variant_memory(self.kind, self.params)
+        memory = (h.data, h_proj.data, mask, extra)
 
-        def step_for(rows):
-            return self._make_step(memory, rows)
+        def step_for(sents, singles=()):
+            return self._make_step(memory, (sents, singles))
 
         return step_for, s0.data
 
-    def _make_step(self, memory, rows):
-        """The decoder step (prev_ids, states) -> (logp, states) for
-        hypothesis rows whose sentence indices are ``rows``: each row attends
-        to its own sentence's rows of the chunk's ``memory`` (h, h_proj,
-        mask)."""
-        params, dims = self.params, self.dims
-        h, h_proj, mask = (m[rows] for m in memory)
+    def _make_step(self, memory, blocks):
+        """The decoder step (prev_ids, states) -> (logp, states) over
+        hypothesis rows grouped by sentence.
+
+        ``memory`` is a chunk's (h, h_proj, mask, variant memory) and
+        ``blocks`` is (sents, singles), two lists of its sentence indices.
+        A step's rows are g rows for each sentence of ``sents``, sentence by
+        sentence, then one row for each sentence of ``singles``; g is what
+        the row count leaves after the single rows, so one step function
+        serves every width. The rows of h, h_proj and mask are gathered here,
+        once per block, and each sentence's are broadcast over its rows
+        (``seq2seq.attention_weights``).
+        """
+        params, dims, kind = self.params, self.dims, self.kind
+        *encoded, extra = memory
+        gathered = [[m[rows] for m in encoded]
+                    for rows in (np.asarray(b, dtype=int) for b in blocks)
+                    if len(rows)]
+        n_single = len(blocks[1])
 
         def step(prev_ids, states):
             with no_grad():
                 e_prev = ad.take_rows(params["dec/tgt_emb"], prev_ids)
                 s_prev = Tensor(states)
-                _, c = seq2seq.attention(s_prev, h, params, mask=mask,
-                                         h_proj=h_proj)
-                extras = variant_extras(self.kind, params, e_prev, s_prev, c)
+                cut = len(states) - n_single
+                parts = ([s_prev] if len(gathered) == 1
+                         else [Tensor(states[:cut]), Tensor(states[cut:])])
+                contexts = [seq2seq.attention(s, h, params, mask=mask,
+                                              h_proj=h_proj)[1]
+                            for s, (h, h_proj, mask) in zip(parts, gathered)]
+                c = contexts[0] if len(contexts) == 1 else ad.concat(contexts)
+                extras = variant_extras(kind, params, e_prev, s_prev, c, extra)
                 s_new = seq2seq.decoder_step(params, e_prev, s_prev, c,
                                              extras, dims.cell)
                 logits = seq2seq.output_logits(params, e_prev, s_new, c)
@@ -159,11 +189,12 @@ class TranslationModel:
                         length_normalize=True):
         """Decode sentences together; returns each one's ids without BOS/EOS.
 
-        One encoder pass covers all of them, and every greedy or beam step
-        advances the open hypotheses of all of them in one model step. Each
-        sentence keeps its own budget, 2 * len + 5 steps when max_steps is
-        None, and the ranking rules are those of a sentence decoded alone;
-        only the last bits of log-probabilities depend on the batch.
+        One encoder pass covers all of them, and every step advances the
+        open hypotheses of all of them, greedy rows included, in one model
+        step. Each sentence keeps its own budget, 2 * len + 5 steps when
+        max_steps is None, and the ranking rules are those of a sentence
+        decoded alone; only the last bits of log-probabilities depend on the
+        batch.
         """
         budgets = [2 * len(s) + 5 if max_steps is None else max_steps
                    for s in sources]

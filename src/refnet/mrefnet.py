@@ -63,12 +63,20 @@ def collect_sentence_reprs(params, dims: ModelDims, corpus, vocab_src, vocab_tgt
     return reprs
 
 
-def global_context(s_prev, c_t, anchor_points, params):
-    """Attention over the anchors (batched); returns (alpha_G, c_G)."""
+def anchor_memory(anchor_points, params):
+    """The anchors as attention memory shared by every row: keys A V and
+    values A, each (1, C, .). Neither changes within a batch, so a training
+    batch or a decode chunk computes them once for all its steps."""
     A = anchor_points if isinstance(anchor_points, Tensor) else Tensor(anchor_points)
     if A.shape[0] < 1:
         raise ValueError("need at least one anchor")
-    q = ad.matmul(s_prev, params["mref/att/W"]) + ad.matmul(c_t, params["mref/att/U"])
     va = ad.matmul(A, params["mref/att/V"])           # (C, d_att)
-    return additive_attention(q, ad.reshape(va, (1,) + va.shape),
-                              ad.reshape(A, (1,) + A.shape), params["mref/att/v"])
+    return ad.reshape(va, (1,) + va.shape), ad.reshape(A, (1,) + A.shape)
+
+
+def global_context(s_prev, c_t, memory, params):
+    """Attention over the anchors (batched); ``memory`` is the
+    ``anchor_memory`` pair. Returns (alpha_G, c_G)."""
+    keys, values = memory
+    q = ad.matmul(s_prev, params["mref/att/W"]) + ad.matmul(c_t, params["mref/att/U"])
+    return additive_attention(q, keys, values, params["mref/att/v"])

@@ -183,26 +183,36 @@ def recurrent_cell(x, s_prev, W, U, b, cell="gru", extras=(), mask=None):
 # additive attention
 
 def attention_weights(q, keys, v, mask=None):
-    """alpha_bi = softmax_i(v^T tanh(q_b + k_bi)), one tape node.
+    """alpha_bi = softmax_i(v^T tanh(q_b + k_ji)), one tape node.
 
-    q is (B, d), keys (B, m, d) or shared by every row as (1, m, d), v (d,);
-    mask (B, m) zeroes the weight of padded positions. The hand-written
-    backward returns the gradients of q, keys and v.
+    q is (B, d) and keys (n, m, d), where n divides B: the rows come in n
+    groups of B // n, and every row of group j attends over keys[j]. n = B
+    gives each row its own keys, n = 1 shares one key set by every row, and
+    anything between broadcasts a sentence's keys over its group of
+    hypothesis rows without copying them. v is (d,); mask (n, m) zeroes the
+    weight of padded positions. The hand-written backward returns the
+    gradients of q, keys and v.
     """
     q, keys, v = (ad.as_tensor(t) for t in (q, keys, v))
-    e = np.tanh(q.data[:, None, :] + keys.data)            # (B, m, d)
+    (B, d), (n, m, _) = q.shape, keys.shape
+    if B % n:
+        raise ValueError(f"{B} query rows do not split into {n} key groups")
+    g = B // n
+    e = (q.data.reshape(n, g, 1, d) + keys.data[:, None]).reshape(B, m, d)
+    np.tanh(e, out=e)  # in place: one (B, m, d) allocation, not two
     scores = e @ v.data                                     # (B, m)
     if mask is not None:
-        scores = scores + (mask - 1.0) * NEG_BIG
+        scores = (scores.reshape(n, g, m)
+                  + ((mask - 1.0) * NEG_BIG)[:, None, :]).reshape(B, m)
     alpha = ad._softmax_values(scores, axis=1)
 
-    def bwd(g):
-        ds = ad._softmax_grad(alpha, g, axis=1)
-        dv = ds.reshape(-1) @ e.reshape(-1, e.shape[2]) if v.requires_grad else None
+    def bwd(grad):
+        ds = ad._softmax_grad(alpha, grad, axis=1)
+        dv = ds.reshape(-1) @ e.reshape(-1, d) if v.requires_grad else None
         if not (q.requires_grad or keys.requires_grad):
             return None, None, dv
         da = ds[:, :, None] * (1.0 - e * e) * v.data
-        dk = da.sum(axis=0, keepdims=True) if keys.shape[0] == 1 else da
+        dk = da if g == 1 else da.reshape(n, g, m, d).sum(axis=1)
         return (da.sum(axis=1) if q.requires_grad else None,
                 dk if keys.requires_grad else None, dv)
 
@@ -210,24 +220,31 @@ def attention_weights(q, keys, v, mask=None):
 
 
 def weighted_sum(alpha, values):
-    """c_b = sum_i alpha_bi values_bi, one tape node: a batched matmul of
-    alpha (B, m) with values (B, m, d), or with values shared by every row
-    as (1, m, d)."""
+    """c_b = sum_i alpha_bi values_ji, one tape node: alpha (B, m) against
+    values (n, m, d) in the row groups of ``attention_weights`` -- a
+    batched matmul per group, or one matmul when n = 1 shares the values
+    with every row."""
     alpha, values = ad.as_tensor(alpha), ad.as_tensor(values)
-    shared = values.shape[0] == 1
-    if shared:
+    (B, m), (n, _, d) = alpha.shape, values.shape
+    g = B // n
+    if n == 1:
         out = alpha.data @ values.data[0]
     else:
-        out = (alpha.data[:, None, :] @ values.data)[:, 0, :]
+        out = (alpha.data.reshape(n, g, m) @ values.data).reshape(B, d)
 
-    def bwd(g):
-        if shared:
-            return (g @ values.data[0].T if alpha.requires_grad else None,
-                    (alpha.data.T @ g)[None] if values.requires_grad else None)
-        return ((values.data @ g[:, :, None])[:, :, 0] if alpha.requires_grad
-                else None,
-                alpha.data[:, :, None] * g[:, None, :] if values.requires_grad
-                else None)
+    def bwd(grad):
+        if n == 1:
+            return (grad @ values.data[0].T if alpha.requires_grad else None,
+                    (alpha.data.T @ grad)[None] if values.requires_grad else None)
+        groups = grad.reshape(n, g, d)
+        d_alpha = d_values = None
+        if alpha.requires_grad:
+            d_alpha = (values.data @ groups.transpose(0, 2, 1)).transpose(0, 2, 1)
+            d_alpha = d_alpha.reshape(B, m)
+        if values.requires_grad:
+            d_values = (alpha.data[:, :, None] * grad[:, None, :] if g == 1 else
+                        alpha.data.reshape(n, g, m).transpose(0, 2, 1) @ groups)
+        return d_alpha, d_values
 
     return ad._node(out, (alpha, values), bwd)
 
@@ -235,8 +252,8 @@ def weighted_sum(alpha, values):
 def additive_attention(q, keys, values, v, mask=None):
     """Additive attention (Bahdanau et al. 2015, arXiv:1409.0473) as two tape
     nodes: ``attention_weights`` gives alpha, ``weighted_sum`` the context.
-    keys and values are (B, m, .) or shared by every row as (1, m, .).
-    Returns (alpha, c)."""
+    keys and values are (n, m, .), one set per group of B // n query rows
+    (n = B: per row; n = 1: shared by every row). Returns (alpha, c)."""
     alpha = attention_weights(q, keys, v, mask)
     return alpha, weighted_sum(alpha, values)
 
@@ -295,8 +312,10 @@ def attention(s_prev, h, params, mask=None, h_proj=None):
 
     Scores are v_a^T tanh(W_a s_{t-1} + U_a h_i); the softmax runs over
     source positions with padded positions masked out. s_prev is (B, d_h)
-    and h is (B, m, 2*d_h); a single sentence is a batch of one. Records
-    three tape nodes: the query projection and ``additive_attention``'s two.
+    and h is (n, m, 2*d_h), with h_proj and mask to match: every group of
+    B // n rows attends over one sentence (``attention_weights``); a single
+    sentence is a batch of one. Records three tape nodes: the query
+    projection and ``additive_attention``'s two.
     """
     if h.shape[1] == 0:
         raise ValueError("attention needs at least one source position")
@@ -408,97 +427,246 @@ def strip_eos(tokens):
     return tokens[:-1] if tokens and tokens[-1] == EOS else tokens
 
 
-def _advance(step_for, hyps, rows):
-    """One model step for hypotheses whose sentence indices are ``rows``;
-    returns (logp rows, new states)."""
-    prev = np.array([h.tokens[-1] if h.tokens else BOS for h in hyps])
-    states = np.stack([h.state for h in hyps])
-    return step_for(np.array(rows))(prev, states)
-
-
 def greedy_decode(step_for, s0, max_steps):
     """Argmax rollouts of N sentences together, each until EOS or its budget.
 
-    ``step_for(rows)`` returns the model step (prev_ids, states) -> (logp,
-    states) for hypothesis rows whose sentence indices are ``rows``; s0 holds
-    the (N, d_h) initial states and max_steps the N step budgets. Every step
-    advances all open rollouts in one call. Returns one Hypothesis per
-    sentence.
+    ``step_for(sents, singles)`` returns the model step (prev_ids, states) ->
+    (logp, states) whose rows are grouped by sentence: g rows for each
+    sentence of ``sents``, then one row for each sentence of ``singles``
+    (see ``TranslationModel._make_step``). s0 holds the (N, d_h) initial
+    states and max_steps the N step budgets. Every step advances all open
+    rollouts in one call. Returns one Hypothesis per sentence.
     """
-    hyps = [Hypothesis(state=s) for s in s0]
-    for t in range(max(max_steps, default=0)):
-        rows = [i for i, h in enumerate(hyps) if not h.finished and t < max_steps[i]]
-        if not rows:
-            break
-        logp, states = _advance(step_for, [hyps[i] for i in rows], rows)
-        for r, (i, tok) in enumerate(zip(rows, np.argmax(logp, axis=1).tolist())):
-            hyp = hyps[i]
-            hyp.tokens.append(tok)
-            hyp.logprob += float(logp[r, tok])
-            hyp.finished = tok == EOS
-            hyp.state = states[r]
-    return hyps
+    greedy = _Rollouts(s0, max_steps)
+    _run(step_for, max(max_steps, default=0), None, greedy)
+    return [greedy.hypothesis(i) for i in range(len(s0))]
 
 
 def beam_search(step_for, s0, k, max_steps, length_normalize=True):
     """Beam decoding of N sentences together; returns N token lists.
 
-    ``step_for``, s0 and max_steps are as for ``greedy_decode``; every step
-    advances the open hypotheses of all sentences in one call. Per sentence,
-    each hypothesis proposes its top-k tokens, the candidates are ranked by
-    log-probability (a stable sort, so ties keep proposal order), finished
-    candidates are set aside and the best k unfinished ones stay alive; a
-    sentence stops when k are finished, none is alive or its budget is
-    spent. The final pick uses length-normalized log-probability. k = 1
-    reproduces the greedy rollout exactly; for k > 1 each sentence's greedy
-    rollout (one batched rollout for all N) stays in its final pool, so a
-    wider beam can never score below it. Only surviving candidates become
-    Hypothesis objects.
+    ``step_for``, s0 and max_steps are as for ``greedy_decode``. Per
+    sentence, each hypothesis proposes its top-k tokens, the candidates are
+    ranked by log-probability (a stable sort, so ties keep proposal order),
+    finished candidates are set aside until the sentence holds k, and the
+    best k unfinished ones stay alive; a sentence stops when k are finished,
+    none is alive or its budget is spent. The final pick is the first
+    maximum of length-normalized log-probability in pool order: finished
+    candidates in the order they were set aside, then the unfinished ones
+    left when the budget ran out. k = 1 reproduces the greedy rollout
+    exactly. For k > 1 each sentence's greedy rollout heads its pool and
+    counts as one of its k finished slots from step 0, so a wider beam can
+    never score below it; it advances in the same model steps as the beam,
+    and keeps running until EOS or its budget after the sentence's beam has
+    closed.
+
+    Every step advances the beam rows of all open sentences and the greedy
+    rows in one model-step call. The beam rows sit in groups of g per
+    sentence, g the most any open sentence keeps, so a step computes the
+    rows the beam can reach, not k per sentence. A greedy rollout whose
+    tokens so far are those of a live beam hypothesis reads that row's
+    output; only the others get a row of their own. The step function,
+    which gathers the encoder memory, is rebuilt only when the set of
+    open sentences changes. Ranking runs on one candidate matrix for all
+    sentences, and token lists are built only for the final picks.
     """
     if k < 1:
         raise ValueError("beam width must be >= 1")
-    alive = [[Hypothesis(state=s)] for s in s0]
-    done = ([[] for _ in alive] if k == 1
-            else [[g] for g in greedy_decode(step_for, s0, max_steps)])
-    for t in range(max(max_steps, default=0)):
-        open_ = [i for i, a in enumerate(alive) if a and t < max_steps[i]]
-        if not open_:
+    greedy = _Rollouts(s0, max_steps) if k > 1 else None
+    beam = _Beam(s0, k, max_steps, length_normalize, greedy_slots=int(k > 1))
+    _run(step_for, max(max_steps, default=0), beam, greedy)
+    return beam.picks(greedy)
+
+
+def _run(step_for, t_max, beam, greedy):
+    """Steps 0..t_max-1 of the beam rows and the greedy rows (either may be
+    None), both advanced by one model-step call per step. A greedy rollout
+    whose tokens so far are those of a live beam hypothesis takes that
+    row's step instead of a row of its own."""
+    none = np.zeros(0, dtype=int)
+    layout = step = None
+    for t in range(t_max):
+        sents = beam.open(t) if beam else none
+        rollouts = greedy.open(t) if greedy else none
+        ride = beam.row_of(rollouts, greedy.history) if beam and greedy else None
+        singles = rollouts if ride is None else rollouts[ride < 0]
+        if not (len(sents) or len(singles)):
             break
-        hyps = [h for i in open_ for h in alive[i]]
-        rows = [i for i in open_ for _ in alive[i]]
-        logp, states = _advance(step_for, hyps, rows)
-        top = np.argsort(-logp, axis=1)[:, :k]          # each row's top tokens
-        scores = (np.array([h.logprob for h in hyps])[:, None]
-                  + np.take_along_axis(logp, top, axis=1))
-        first = 0
-        for i in open_:
-            n = len(alive[i])
-            alive[i] = _survivors(hyps[first:first + n], top[first:first + n],
-                                  scores[first:first + n], states[first:first + n],
-                                  k, done[i])
-            first += n
-    for pool, rest in zip(done, alive):
-        pool.extend(rest)  # unfinished fallbacks when the budget ran out
-    return [strip_eos(max(pool, key=lambda c: c.score(length_normalize)).tokens)
-            for pool in done]
+        if layout is None or not (np.array_equal(layout[0], sents)
+                                  and np.array_equal(layout[1], singles)):
+            layout, step = (sents, singles), step_for(sents, singles)
+        inputs = ([beam.inputs()] if len(sents) else []) + \
+                 ([greedy.inputs(singles)] if len(singles) else [])
+        logp, states = step(*map(np.concatenate, zip(*inputs)))
+        cut = len(logp) - len(singles)
+        if len(sents):
+            beam.update(t, logp[:cut], states[:cut])
+        if len(rollouts):
+            rows = np.arange(cut, len(logp))
+            if ride is not None:
+                ride[ride < 0] = rows
+                rows = ride
+            greedy.update(rollouts, logp[rows], states[rows])
+    if beam:
+        beam.open(t_max)  # retires whatever is still open
 
 
-def _survivors(hyps, top, scores, states, k, done):
-    """One sentence's walk over its ranked candidates: finished ones join
-    ``done`` until it holds k, the best k unfinished ones are returned as the
-    new alive list (none once ``done`` is full)."""
-    order = np.argsort(-scores.ravel(), kind="stable")
-    row, slot = np.divmod(order, top.shape[1])
-    toks = top[row, slot]
-    finished = np.flatnonzero(toks == EOS)
-    need = k - len(done)
-    picked = finished[:need]
-    keep = [] if len(finished) >= need else np.flatnonzero(toks != EOS)[:k]
+class _Rollouts:
+    """Argmax rollouts, one row per sentence, each until EOS or its budget."""
 
-    def make(c):
-        tok = int(toks[c])
-        return Hypothesis(hyps[row[c]].tokens + [tok], float(scores.flat[order[c]]),
-                          tok == EOS, states[row[c]])
+    def __init__(self, s0, max_steps):
+        n = len(s0)
+        self.budget = np.asarray(max_steps)
+        self.state = np.array(s0, dtype=np.float64)
+        self.prev = np.full(n, BOS)
+        self.logprob = np.zeros(n)
+        self.length = np.zeros(n, dtype=int)
+        self.running = np.ones(n, dtype=bool)
+        self.history = np.zeros((n, 0), dtype=int)  # EOS past a rollout's end
 
-    done.extend(make(c) for c in picked)
-    return [make(c) for c in keep]
+    def open(self, t):
+        return np.flatnonzero(self.running & (t < self.budget))
+
+    def inputs(self, sents):
+        return self.prev[sents], self.state[sents]
+
+    def update(self, sents, logp, states):
+        tok = np.argmax(logp, axis=1)
+        column = np.full(len(self.prev), EOS)
+        column[sents] = tok
+        self.history = np.concatenate([self.history, column[:, None]], axis=1)
+        self.logprob[sents] += logp[np.arange(len(sents)), tok]
+        self.length[sents] += 1
+        self.state[sents] = states
+        self.prev[sents] = tok
+        self.running[sents] = tok != EOS
+
+    def hypothesis(self, i):
+        tokens = self.history[i, :self.length[i]].tolist()
+        return Hypothesis(tokens, float(self.logprob[i]), tokens[-1:] == [EOS],
+                          self.state[i])
+
+
+class _Beam:
+    """The alive hypotheses of the open sentences, as (n, g, ...) arrays: g
+    rows per sentence, its ``count`` live ones first in rank order, the
+    rest padding. Each sentence also keeps the best pick of its pool so far
+    (first maximum in pool order, greedy rollout aside)."""
+
+    def __init__(self, s0, k, max_steps, length_normalize, greedy_slots):
+        n = len(s0)
+        self.k, self.budget, self.norm = k, np.asarray(max_steps), length_normalize
+        self.sents = np.arange(n)
+        self.count = np.ones(n, dtype=int)
+        self.state = np.array(s0, dtype=np.float64)[:, None, :]
+        self.prev = np.full((n, 1), BOS)
+        self.logprob = np.zeros((n, 1))
+        self.history = np.zeros((n, 1, 0), dtype=int)  # tokens emitted so far
+        self.done = np.full(n, greedy_slots)  # finished slots taken
+        self.best_key = np.full(n, -np.inf)
+        self.best = [None] * n  # token array of the best pick
+
+    def inputs(self):
+        d = self.state.shape[2]
+        return self.prev.reshape(-1), self.state.reshape(-1, d)
+
+    def row_of(self, sents, history):
+        """For each sentence of ``sents``, the flat row of its first live
+        hypothesis whose tokens are that sentence's row of ``history``, or
+        -1."""
+        n, g, _ = self.history.shape
+        if n == 0:
+            return np.full(len(sents), -1)
+        group = np.minimum(np.searchsorted(self.sents, sents), n - 1)
+        same = ((self.history[group] == history[sents][:, None, :]).all(axis=2)
+                & (np.arange(g) < self.count[group][:, None]))
+        found = same.any(axis=1) & (self.sents[group] == sents)
+        return np.where(found, group * g + same.argmax(axis=1), -1)
+
+    def open(self, t):
+        """The sentences still searching at step t; those whose budget is
+        spent retire, their best unfinished hypothesis joining the pool."""
+        spent = t >= self.budget[self.sents]
+        if spent.any():
+            key = self.logprob[spent, 0]
+            self._offer(self.sents[spent],
+                        key / max(1, t) if self.norm else key,
+                        self.history[spent, 0])
+            self._keep(~spent)
+        return self.sents
+
+    def update(self, t, logp, states):
+        """Rank the candidates of step t of every open sentence at once."""
+        n, g = self.logprob.shape
+        width = min(self.k, logp.shape[1])
+        top = np.argsort(-logp, axis=1)[:, :width]      # each row's top tokens
+        cand = self.logprob.reshape(-1, 1) + logp[np.arange(n * g)[:, None], top]
+        # one row of g * width candidates per sentence, padding rows' last
+        n_real = (self.count * width)[:, None]
+        order = np.argsort(np.where(np.arange(g * width) < n_real,
+                                    -cand.reshape(n, g * width), np.inf),
+                           axis=1, kind="stable")
+        real = order < n_real
+        flat = np.arange(n)[:, None] * (g * width) + order
+        toks, score = top.reshape(-1)[flat], cand.reshape(-1)[flat]
+        row = flat // width  # the proposing row
+        finished, grown = real & (toks == EOS), real & (toks != EOS)
+
+        # finished ones fill the free slots; the first is this step's best
+        need = self.k - self.done[self.sents]
+        n_fin = finished.sum(axis=1)
+        self.done[self.sents] += np.minimum(n_fin, need)
+        hit = np.flatnonzero(n_fin)
+        first = np.argmax(finished[hit], axis=1)
+        key = score[hit, first]
+        ended = self.history.reshape(n * g, t)[row[hit, first]]
+        self._offer(self.sents[hit], key / (t + 1) if self.norm else key,
+                    np.concatenate([ended, np.full((len(hit), 1), EOS)], axis=1))
+
+        # the best k unfinished ones stay alive, unless the pool is full
+        rank = np.cumsum(grown, axis=1)
+        keep = grown & (rank <= self.k) & (n_fin < need)[:, None]
+        group, pos = np.nonzero(keep)
+        self.count = np.bincount(group, minlength=n)
+        stay = self.count > 0
+        g_new = self.count.max(initial=0)
+        dest = (np.cumsum(stay) - 1)[group] * g_new + rank[group, pos] - 1
+        n_new = int(stay.sum())
+        src = np.zeros(n_new * g_new, dtype=int)  # padding repeats row 0
+        src[dest] = row[group, pos]
+        tok = np.full(n_new * g_new, EOS)
+        tok[dest] = toks[group, pos]
+        logprob = np.full(n_new * g_new, -np.inf)
+        logprob[dest] = score[group, pos]
+        history = np.concatenate([self.history.reshape(n * g, t)[src],
+                                  tok[:, None]], axis=1)
+        self.sents, self.count = self.sents[stay], self.count[stay]
+        self.state = states[src].reshape(n_new, g_new, states.shape[1])
+        self.prev = tok.reshape(n_new, g_new)
+        self.logprob = logprob.reshape(n_new, g_new)
+        self.history = history.reshape(n_new, g_new, t + 1)
+
+    def _keep(self, which):
+        self.sents, self.count = self.sents[which], self.count[which]
+        self.state, self.prev = self.state[which], self.prev[which]
+        self.logprob, self.history = self.logprob[which], self.history[which]
+
+    def _offer(self, sents, keys, tokens):
+        """Each sentence's candidate replaces its best so far only when
+        strictly better: later in pool order loses ties."""
+        for i, key, toks in zip(sents.tolist(), keys.tolist(), tokens):
+            if self.best[i] is None or key > self.best_key[i]:
+                self.best_key[i], self.best[i] = key, toks
+
+    def picks(self, greedy):
+        """Each sentence's final pick without EOS; the greedy rollout heads
+        the pool, so it wins ties."""
+        out = []
+        for i, toks in enumerate(self.best):
+            head = greedy.hypothesis(i) if greedy else None
+            if head is not None and (toks is None or
+                                     not self.best_key[i] > head.score(self.norm)):
+                out.append(strip_eos(head.tokens))
+            else:
+                out.append(strip_eos(toks.tolist()))
+        return out

@@ -8,8 +8,8 @@ from refnet import gradcheck
 # op with a hand-written backward) -> the gradient checks that cover it
 FUSED_OP_CHECKS = {
     "recurrent_cell": ("recurrent_cell",),
-    "attention_weights": ("additive_attention",),
-    "weighted_sum": ("additive_attention",),
+    "attention_weights": ("additive_attention", "grouped_attention"),
+    "weighted_sum": ("additive_attention", "grouped_attention"),
     "tri_scores": ("tri_score", "tri_scores_batch"),
     "f_s": ("f_s",),
 }

@@ -6,8 +6,9 @@ import pytest
 from refnet.autodiff import Tensor
 from refnet.corpus import make_batches
 from refnet.model import TranslationModel, variant_extras
-from refnet.mrefnet import (add_anchor_params, collect_sentence_reprs,
-                            global_context, init_m_params)
+from refnet.mrefnet import (add_anchor_params, anchor_memory,
+                            collect_sentence_reprs, global_context,
+                            init_m_params)
 from refnet.seq2seq import (ModelDims, decoder_step, encode_batch,
                             init_baseline_params)
 from refnet.training import TrainConfig, finetune_m, pretrain
@@ -43,7 +44,7 @@ class TestGlobalContext:
         rng = np.random.default_rng(3)
         s = Tensor(rng.normal(size=(2, tiny_dims.d_h)))
         c = Tensor(rng.normal(size=(2, 2 * tiny_dims.d_h)))
-        alpha, c_g = global_context(s, c, ps["anchors/m"], ps)
+        alpha, c_g = global_context(s, c, anchor_memory(ps["anchors/m"], ps), ps)
         np.testing.assert_allclose(alpha.data, 1.0)
         np.testing.assert_allclose(c_g.data,
                                    np.tile(ps["anchors/m"].data[0], (2, 1)))
@@ -54,7 +55,7 @@ class TestGlobalContext:
             ps[f"mref/att/{key}"].data[...] = 0.0
         s = Tensor(np.zeros((1, tiny_dims.d_h)))
         c = Tensor(np.zeros((1, 2 * tiny_dims.d_h)))
-        _, c_g = global_context(s, c, ps["anchors/m"], ps)
+        _, c_g = global_context(s, c, anchor_memory(ps["anchors/m"], ps), ps)
         np.testing.assert_allclose(c_g.data[0],
                                    ps["anchors/m"].data.mean(axis=0))
 
@@ -72,7 +73,7 @@ class TestGlobalContext:
         ps["anchors/m"].data[...] = anchors
         s = Tensor(np.zeros((1, tiny_dims.d_h)))
         c = Tensor(np.zeros((1, 2 * tiny_dims.d_h)))
-        alpha, c_g = global_context(s, c, ps["anchors/m"], ps)
+        alpha, c_g = global_context(s, c, anchor_memory(ps["anchors/m"], ps), ps)
         np.testing.assert_allclose(alpha.data, [[0.25, 0.75]], atol=1e-12)
         np.testing.assert_allclose(c_g.data[0],
                                    0.25 * anchors[0] + 0.75 * anchors[1],
@@ -85,7 +86,7 @@ class TestGlobalContext:
         for _ in range(50):
             s = Tensor(rng.normal(size=(1, tiny_dims.d_h)))
             c = Tensor(rng.normal(size=(1, 2 * tiny_dims.d_h)))
-            alpha, c_g = global_context(s, c, ps["anchors/m"], ps)
+            alpha, c_g = global_context(s, c, anchor_memory(ps["anchors/m"], ps), ps)
             assert abs(alpha.data.sum() - 1.0) < 1e-9
             assert (c_g.data[0] >= pts.min(axis=0) - 1e-12).all()
             assert (c_g.data[0] <= pts.max(axis=0) + 1e-12).all()

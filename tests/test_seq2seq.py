@@ -1,13 +1,15 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refnet import autodiff as ad
 from refnet.autodiff import Tensor, no_grad
 from refnet.corpus import BOS, EOS, Batch
 from refnet.brefnet import init_b_params
-from refnet.model import TranslationModel
+from refnet.model import KINDS, TranslationModel
 from refnet.mrefnet import add_anchor_params, init_m_params
 from refnet import seq2seq
 from refnet.seq2seq import (Hypothesis, ModelDims, attention, beam_search,
@@ -346,6 +348,53 @@ class TestFusedAttention:
             assert alpha.parents == () and c.parents == ()
 
 
+def grouped_inputs(n, g, m=5, d=3, d_v=6, seed=0):
+    """(q, keys, values, v, mask, rep): B = n * g query rows over n masked
+    key sets, and rep, the key set of every row."""
+    rng = np.random.default_rng(seed)
+    p = lambda *shape: ad.parameter(rng.normal(0.0, 0.8, size=shape))  # noqa: E731
+    lens = rng.integers(1, m + 1, size=n)
+    mask = (np.arange(m)[None, :] < lens[:, None]).astype(np.float64)
+    return (p(n * g, d), p(n, m, d), p(n, m, d_v), p(d), mask,
+            np.repeat(np.arange(n), g))
+
+
+class TestGroupedAttention:
+    """Key sets broadcast over groups of rows equal the same keys copied to
+    every row of the group."""
+
+    @pytest.mark.parametrize("n, g", [(1, 1), (1, 4), (3, 1), (3, 4), (2, 7)])
+    def test_forward_matches_copied_keys(self, n, g):
+        q, keys, values, v, mask, rep = grouped_inputs(n, g, seed=n + g)
+        alpha, c = seq2seq.additive_attention(q, keys, values, v, mask)
+        ref_alpha, ref_c = seq2seq.additive_attention(
+            q, keys.data[rep], values.data[rep], v, mask[rep])
+        np.testing.assert_array_equal(alpha.data, ref_alpha.data)
+        np.testing.assert_allclose(c.data, ref_c.data, rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("n, g", [(1, 4), (3, 4), (2, 7)])
+    def test_backward_matches_composed_attention(self, n, g):
+        q, keys, values, v, mask, rep = grouped_inputs(n, g, seed=2 * n + g)
+        rng = np.random.default_rng(9)
+        w_alpha, w_c = rng.normal(size=(n * g, 5)), rng.normal(size=(n * g, 6))
+        grads = []
+        for fn, k, val, msk in ((seq2seq.additive_attention, keys, values, mask),
+                                (reference_attention, keys[rep], values[rep],
+                                 mask[rep])):
+            alpha, c = fn(q, k, val, v, msk)
+            grads.append(ad.grad_map(ad.sum_(alpha * w_alpha)
+                                     + ad.sum_(ad.tanh(c) * w_c)))
+        for leaf in (q, keys, values, v):
+            fused, ref = grads[0][id(leaf)], grads[1][id(leaf)]
+            assert fused.shape == leaf.shape
+            assert np.abs(fused - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_rows_must_split_into_groups(self):
+        q, keys, values, v, mask, _ = grouped_inputs(3, 2)
+        with pytest.raises(ValueError, match="key groups"):
+            seq2seq.attention_weights(q.data[:5], keys, v, mask)
+
+
 def tape_ops(root):
     """Op name -> number of recorded nodes reachable from ``root``."""
     counts = {}
@@ -423,6 +472,20 @@ class TestTapeSize:
                                  dims, drop_emb=0.2, drop_out=0.3)
         parts = model.loss(batch, training=True, rng=np.random.default_rng(1))
         assert sum(tape_ops(parts.joint).values()) <= 200
+
+    def test_finetune_m_batch_tape_at_most_170_nodes(self):
+        """The first acceptance batch as finetune-m records it: dropout on,
+        the encoder and anchors frozen, and the anchor keys A V computed
+        once per batch, not at every step (194 nodes when they were)."""
+        batch, dims = self._acceptance_batch()
+        rng = np.random.default_rng(0)
+        params = init_baseline_params(dims, rng)
+        add_anchor_params(params, rng.normal(size=(16, 2 * dims.d_h)))
+        init_m_params(params, dims, rng)
+        params.freeze("encoder", "anchors")
+        model = TranslationModel(params, dims, "m_ref", drop_emb=0.2, drop_out=0.3)
+        parts = model.loss(batch, training=True, rng=np.random.default_rng(1))
+        assert sum(tape_ops(parts.joint).values()) <= 170
 
     def test_train_b_batch_tape_at_most_150_nodes(self):
         """The first acceptance batch as train-b records it: dropout on, the
@@ -617,6 +680,22 @@ class TestDecoding:
             full = found[i] + [EOS] if len(found[i]) < max_steps else found[i]
             assert score(full) == pytest.approx(score(best), rel=1e-12)
 
+    def test_huge_beam_allocates_only_reachable_rows(self, monkeypatch):
+        """A beam far wider than the vocabulary steps only the rows it can
+        reach and still finds the brute-force optimum."""
+        rows = bench_style_wrapper(monkeypatch)
+        model = self._model(seed=5, vocab=5)
+        step_for, s0 = model._prepare([[4, 4]])
+        score = self._scorer(step_for([0]), s0[0])
+        best = max(self._exhaustive(5, 2), key=score)
+        rows.clear()
+        start = time.perf_counter()
+        (found,) = beam_search(step_for, s0, k=10 ** 6, max_steps=[2])
+        assert time.perf_counter() - start < 1.0
+        assert rows and max(rows) <= 5 * 5
+        full = found + [EOS] if len(found) < 2 else found
+        assert score(full) == pytest.approx(score(best), rel=1e-12)
+
     def test_decode_deterministic(self):
         model = self._model(seed=7, vocab=8)
         src = [4, 5, 6]
@@ -627,6 +706,27 @@ class TestDecoding:
         step_for, s0 = model._prepare([[4]])
         (hyp,) = greedy_decode(step_for, s0, max_steps=[3])
         assert len(hyp.tokens) <= 3
+
+
+def bench_style_wrapper(monkeypatch):
+    """Wrap ``TranslationModel._make_step`` as the benchmark's tracer does:
+    two positional arguments in, and a closure called as
+    ``step(prev_ids, states)`` out. Returns the list that collects the row
+    count of every model-step call."""
+    rows = []
+    original = TranslationModel._make_step
+
+    def _make_step(model, memory, layout):
+        step = original(model, memory, layout)
+
+        def counted(prev_ids, states):
+            rows.append(len(prev_ids))
+            return step(prev_ids, states)
+
+        return counted
+
+    monkeypatch.setattr(TranslationModel, "_make_step", _make_step)
+    return rows
 
 
 def reference_model(kind, seed=3, vocab=12):
@@ -724,3 +824,77 @@ class TestBatchedDecoding:
     def test_empty_sentence_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             reference_model("baseline").translate_batch([[4], []])
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(KINDS),
+           lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           k=st.integers(1, 12),
+           max_steps=st.sampled_from([None, 0, 1, 2, 3, 7]),
+           seed=st.integers(0, 2 ** 16))
+    def test_any_layout_matches_reference_search(self, kind, lengths, k,
+                                                 max_steps, seed):
+        """Any mix of sentence lengths, beam widths (up to wider than the
+        7-word vocabulary) and budgets (0 and 1 included) gives every
+        sentence the hypothesis of its own plain-loop search."""
+        model = reference_model(kind, seed=seed % 7, vocab=7)
+        rng = np.random.default_rng(seed)
+        sources = [rng.integers(4, 7, size=n).tolist() for n in lengths]
+        budgets = [2 * len(s) + 5 if max_steps is None else max_steps
+                   for s in sources]
+        found = model.translate_batch(sources, beam=k, max_steps=max_steps)
+        step_for, s0 = model._prepare(sources)
+        assert found == [reference_beam(step_for([i]), s0[i], k, budgets[i])
+                         for i in range(len(sources))]
+
+    def test_exact_ties_follow_pool_order(self):
+        """Log-probabilities that are small integers, looked up by the
+        previous token alone, tie exactly all the time, across steps and
+        lengths too: the ranking, the finished slots and the final pick must
+        break every tie as the plain loop does."""
+        rng = np.random.default_rng(14)
+        s0 = np.zeros((3, 2))
+        for _ in range(200):
+            table = -rng.integers(1, 4, size=(5, 5)).astype(np.float64)
+            if rng.random() < 0.5:  # a trap, so that greedy rarely heads the pool
+                table[BOS, 0], table[0] = 0.0, -9.0
+
+            def step_for(sents, singles=()):
+                return lambda prev_ids, states: (table[prev_ids], states)
+
+            budgets = rng.integers(0, 5, size=3).tolist()
+            for k in (1, 2, 3, 6):
+                found = beam_search(step_for, s0, k, budgets)
+                assert found == [reference_beam(step_for([i]), s0[i], k, budgets[i])
+                                 for i in range(3)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_model_step_per_beam_step(self, kind, monkeypatch):
+        """For k > 1 the greedy rollouts ride in the beam's own step calls:
+        no more calls than the longest budget."""
+        rows = bench_style_wrapper(monkeypatch)
+        model = reference_model(kind)
+        rng = np.random.default_rng(12)
+        sources = [rng.integers(4, 12, size=n).tolist() for n in (2, 7, 12, 4)]
+        budgets = [2 * len(s) + 5 for s in sources]
+        for k in (2, 4, 10):
+            rows.clear()
+            model.translate_batch(sources, beam=k)
+            assert 0 < len(rows) <= max(budgets)
+
+
+class TestStepContract:
+    """The benchmark's tracer rebinds ``TranslationModel._make_step`` with a
+    two-argument wrapper and calls each step as ``step(prev_ids, states)``;
+    decoding must run unchanged through it."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_decoding_through_the_bench_wrapper(self, kind, monkeypatch):
+        model = reference_model(kind)
+        rng = np.random.default_rng(13)
+        sources = [rng.integers(4, 12, size=n).tolist() for n in (3, 8, 1)]
+        plain = {beam: model.translate_batch(sources, beam=beam) for beam in (1, 4)}
+        rows = bench_style_wrapper(monkeypatch)
+        for beam in (1, 4):
+            rows.clear()
+            assert model.translate_batch(sources, beam=beam) == plain[beam]
+            assert rows and min(rows) >= 1
