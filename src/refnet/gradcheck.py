@@ -20,7 +20,7 @@ from .autodiff import Tensor
 from .corpus import Batch
 from .lcc import (AnchorSet, LccConfig, ScoreParams,
                   mean_localization_measure, tri_scores)
-from .model import TranslationModel, variant_extras
+from .model import TranslationModel, variant_extras, variant_memory
 from .params import ParamStore, backward, finite_diff_grad
 from .seq2seq import ModelDims
 
@@ -118,7 +118,8 @@ def check_decoder_step_extras(seed):
     def f(ps_):
         e, s_prev, c = ps_["probe/e_prev"], ps_["probe/s_prev"], ps_["probe/c"]
         s = seq2seq.decoder_step(ps_, e, s_prev, c,
-                                 variant_extras("m_ref", ps_, e, s_prev, c),
+                                 variant_extras("m_ref", ps_, e, s_prev, c,
+                                                variant_memory("m_ref", ps_)),
                                  dims.cell)
         return ad.sum_(ad.tanh(s) * u)
 

@@ -33,7 +33,7 @@ def variant_memory(kind, params):
     return None
 
 
-def variant_extras(kind, params, e_prev, s_prev, c, memory=None):
+def variant_extras(kind, params, e_prev, s_prev, c, memory):
     """The extra (vector, projection) inputs of one decoder state update.
 
     Batched over rows: e_prev is the clean previous-target embedding
@@ -41,13 +41,11 @@ def variant_extras(kind, params, e_prev, s_prev, c, memory=None):
     (B, 2*d_h). The baseline adds nothing; m_ref adds the anchor context
     c_G through ``mref/proj``; b_ref adds the regression estimate
     f_s([e_prev; s_prev; c]) through ``bref/proj``. memory is
-    ``variant_memory(kind, params)``, computed here when None.
+    ``variant_memory(kind, params)``, computed once by the caller.
     """
     if kind == "baseline":
         return []
     if kind == "m_ref":
-        if memory is None:
-            memory = variant_memory(kind, params)
         _, c_g = mrefnet.global_context(s_prev, c, memory, params)
         return [(c_g, params["mref/proj"])]
     if kind == "b_ref":

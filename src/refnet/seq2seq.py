@@ -460,15 +460,13 @@ def beam_search(step_for, s0, k, max_steps, length_normalize=True):
     and keeps running until EOS or its budget after the sentence's beam has
     closed.
 
-    Every step advances the beam rows of all open sentences and the greedy
-    rows in one model-step call. The beam rows sit in groups of g per
-    sentence, g the most any open sentence keeps, so a step computes the
-    rows the beam can reach, not k per sentence. A greedy rollout whose
-    tokens so far are those of a live beam hypothesis reads that row's
-    output; only the others get a row of their own. The step function,
-    which gathers the encoder memory, is rebuilt only when the set of
-    open sentences changes. Ranking runs on one candidate matrix for all
-    sentences, and token lists are built only for the final picks.
+    Every step advances the beam rows of all open sentences and one row per
+    open greedy rollout in one model-step call. The beam rows sit in groups
+    of g per sentence, g the most any open sentence keeps, so a step
+    computes the rows the beam can reach, not k per sentence. The step
+    function, which gathers the encoder memory, is rebuilt only when the
+    set of open sentences changes. Ranking runs on one candidate matrix for
+    all sentences, and token lists are built only for the final picks.
     """
     if k < 1:
         raise ValueError("beam width must be >= 1")
@@ -480,16 +478,13 @@ def beam_search(step_for, s0, k, max_steps, length_normalize=True):
 
 def _run(step_for, t_max, beam, greedy):
     """Steps 0..t_max-1 of the beam rows and the greedy rows (either may be
-    None), both advanced by one model-step call per step. A greedy rollout
-    whose tokens so far are those of a live beam hypothesis takes that
-    row's step instead of a row of its own."""
+    None), both advanced by one model-step call per step: the beam rows
+    first, then one row per open greedy rollout."""
     none = np.zeros(0, dtype=int)
     layout = step = None
     for t in range(t_max):
         sents = beam.open(t) if beam else none
-        rollouts = greedy.open(t) if greedy else none
-        ride = beam.row_of(rollouts, greedy.history) if beam and greedy else None
-        singles = rollouts if ride is None else rollouts[ride < 0]
+        singles = greedy.open(t) if greedy else none
         if not (len(sents) or len(singles)):
             break
         if layout is None or not (np.array_equal(layout[0], sents)
@@ -501,12 +496,8 @@ def _run(step_for, t_max, beam, greedy):
         cut = len(logp) - len(singles)
         if len(sents):
             beam.update(t, logp[:cut], states[:cut])
-        if len(rollouts):
-            rows = np.arange(cut, len(logp))
-            if ride is not None:
-                ride[ride < 0] = rows
-                rows = ride
-            greedy.update(rollouts, logp[rows], states[rows])
+        if len(singles):
+            greedy.update(singles, logp[cut:], states[cut:])
     if beam:
         beam.open(t_max)  # retires whatever is still open
 
@@ -569,19 +560,6 @@ class _Beam:
     def inputs(self):
         d = self.state.shape[2]
         return self.prev.reshape(-1), self.state.reshape(-1, d)
-
-    def row_of(self, sents, history):
-        """For each sentence of ``sents``, the flat row of its first live
-        hypothesis whose tokens are that sentence's row of ``history``, or
-        -1."""
-        n, g, _ = self.history.shape
-        if n == 0:
-            return np.full(len(sents), -1)
-        group = np.minimum(np.searchsorted(self.sents, sents), n - 1)
-        same = ((self.history[group] == history[sents][:, None, :]).all(axis=2)
-                & (np.arange(g) < self.count[group][:, None]))
-        found = same.any(axis=1) & (self.sents[group] == sents)
-        return np.where(found, group * g + same.argmax(axis=1), -1)
 
     def open(self, t):
         """The sentences still searching at step t; those whose budget is

@@ -8,7 +8,7 @@ from refnet.brefnet import (F_S_PARAMS, build_query, f_s, init_b_params, query_d
                             regression_weight_norms)
 from refnet.lcc import tri_scores
 from refnet.corpus import BOS, EOS, Batch, make_batches
-from refnet.model import TranslationModel, variant_extras
+from refnet.model import TranslationModel, variant_extras, variant_memory
 from refnet.seq2seq import ModelDims, decoder_step, init_baseline_params
 from refnet.training import TrainConfig, pretrain, train_b
 
@@ -385,9 +385,9 @@ class TestBDecoderStep:
         e = Tensor(rng.normal(size=(2, tiny_dims.d_e)))
         s = Tensor(rng.normal(size=(2, tiny_dims.d_h)))
         c = Tensor(rng.normal(size=(2, 2 * tiny_dims.d_h)))
-        np.testing.assert_array_equal(
-            decoder_step(ps, e, s, c).data,
-            decoder_step(ps, e, s, c, variant_extras("b_ref", ps, e, s, c)).data)
+        extras = variant_extras("b_ref", ps, e, s, c, variant_memory("b_ref", ps))
+        np.testing.assert_array_equal(decoder_step(ps, e, s, c).data,
+                                      decoder_step(ps, e, s, c, extras).data)
 
     def test_generic_projection_differs(self, tiny_dims):
         ps = bref_store(tiny_dims, seed=17, zero_proj=False)
@@ -395,8 +395,9 @@ class TestBDecoderStep:
         e = Tensor(rng.normal(size=(2, tiny_dims.d_e)))
         s = Tensor(rng.normal(size=(2, tiny_dims.d_h)))
         c = Tensor(rng.normal(size=(2, 2 * tiny_dims.d_h)))
+        extras = variant_extras("b_ref", ps, e, s, c, variant_memory("b_ref", ps))
         assert not np.allclose(decoder_step(ps, e, s, c).data,
-                               decoder_step(ps, e, s, c, variant_extras("b_ref", ps, e, s, c)).data)
+                               decoder_step(ps, e, s, c, extras).data)
 
 
 class TestTrainB:

@@ -5,7 +5,7 @@ import pytest
 
 from refnet.autodiff import Tensor
 from refnet.corpus import make_batches
-from refnet.model import TranslationModel, variant_extras
+from refnet.model import TranslationModel, variant_extras, variant_memory
 from refnet.mrefnet import (add_anchor_params, anchor_memory,
                             collect_sentence_reprs, global_context,
                             init_m_params)
@@ -100,7 +100,8 @@ class TestMDecoderStep:
         s = Tensor(rng.normal(size=(2, tiny_dims.d_h)))
         c = Tensor(rng.normal(size=(2, 2 * tiny_dims.d_h)))
         base = decoder_step(ps, e, s, c)
-        aug = decoder_step(ps, e, s, c, variant_extras("m_ref", ps, e, s, c))
+        extras = variant_extras("m_ref", ps, e, s, c, variant_memory("m_ref", ps))
+        aug = decoder_step(ps, e, s, c, extras)
         np.testing.assert_array_equal(base.data, aug.data)
 
     def test_generic_projection_differs(self, tiny_dims):
@@ -110,7 +111,8 @@ class TestMDecoderStep:
         s = Tensor(rng.normal(size=(2, tiny_dims.d_h)))
         c = Tensor(rng.normal(size=(2, 2 * tiny_dims.d_h)))
         base = decoder_step(ps, e, s, c)
-        aug = decoder_step(ps, e, s, c, variant_extras("m_ref", ps, e, s, c))
+        extras = variant_extras("m_ref", ps, e, s, c, variant_memory("m_ref", ps))
+        aug = decoder_step(ps, e, s, c, extras)
         assert not np.allclose(base.data, aug.data)
 
 

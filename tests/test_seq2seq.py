@@ -867,9 +867,28 @@ class TestBatchedDecoding:
                 assert found == [reference_beam(step_for([i]), s0[i], k, budgets[i])
                                  for i in range(3)]
 
+    def test_beam_outlives_greedy_rollout(self):
+        """Greedy ends at step 1 (3 then EOS) while the beam keeps growing
+        hypotheses that never propose EOS, for several steps after it."""
+        table = np.array([[-0.1, -0.3, -10, -10, -0.2],
+                          [-2, -9, -5, -1, -2],
+                          [-9, -9, -9, -9, -9],
+                          [-5, -9, -0.1, -5, -5],
+                          [-0.1, -0.3, -10, -10, -0.2]])
+
+        def step_for(sents, singles=()):
+            return lambda prev_ids, states: (table[prev_ids], states)
+
+        s0 = np.zeros((2, 2))
+        for k in (2, 3, 4):
+            for budgets in ([5, 5], [5, 1], [2, 7]):
+                found = beam_search(step_for, s0, k, budgets)
+                assert found == [reference_beam(step_for([i]), s0[i], k, budgets[i])
+                                 for i in range(2)]
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_model_step_per_beam_step(self, kind, monkeypatch):
-        """For k > 1 the greedy rollouts ride in the beam's own step calls:
+        """For k > 1 the greedy rollouts advance in the beam's own step calls:
         no more calls than the longest budget."""
         rows = bench_style_wrapper(monkeypatch)
         model = reference_model(kind)
