@@ -2,15 +2,17 @@
 
 Exit codes: 0 ok, 1 usage, 2 configuration, 3 missing prerequisite,
 4 numeric failure. Every flag can also be given in a flat ``key=value``
-config file (one pair per line, ``#`` comments); explicit flags win.
+config file (one pair per line, ``#`` comments), read as the flags it
+names; explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
+import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -18,7 +20,7 @@ from . import corpus as corpus_mod
 from . import evaluation, gradcheck
 from .errors import CheckpointError, ConfigError, NumericError, PrerequisiteError
 from .seq2seq import ModelDims
-from .training import Checkpoint, TrainConfig, run_stage
+from .training import CLIP_MODES, OPTIMIZERS, Checkpoint, TrainConfig, run_stage
 
 EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_PREREQ, EXIT_NUMERIC = 0, 1, 2, 3, 4
 TRANSLATE_CHUNK = 64  # source lines `translate` decodes together
@@ -48,118 +50,118 @@ def _read_config_file(path):
     return values
 
 
-@contextlib.contextmanager
-def _config_defaults(parser, argv):
-    """Use config-file values as subcommand defaults so flags keep priority.
-
-    The defaults in force before are restored on exit, so a parser reused
-    across calls never carries one call's config file into the next.
-    """
-    pre = argparse.ArgumentParser(add_help=False)
+def _splice_config(parser, argv):
+    """argv with the ``--config`` file's pairs put in as flags right after
+    the subcommand: argparse checks them as it checks typed flags, and the
+    flags typed on the command line come later, so they win."""
+    pre = _Parser(prog="refnet", add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
-    if not known.config:
-        yield
-        return
-    sub_action = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    command = next((tok for tok in argv if tok in sub_action.choices), None)
-    target = sub_action.choices[command] if command else parser
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    at = next((i for i, tok in enumerate(argv) if tok in sub.choices), None)
+    if not known.config or at is None:
+        return argv
+    target = sub.choices[argv[at]]
+    actions = {a.dest: a for a in target._actions
+               if a.option_strings and a.dest not in ("help", "config")}
     values = _read_config_file(known.config)
-    valid = {a.dest for a in target._actions}
-    unknown = set(values) - valid - {"config"}
+    unknown = set(values) - set(actions)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    typed = {}
-    for action in target._actions:
-        if action.dest in values:
-            raw = values[action.dest]
-            if action.type is not None:
-                typed[action.dest] = action.type(raw)
-            elif isinstance(action.const, bool) or isinstance(action.default, bool):
-                typed[action.dest] = raw.lower() in ("1", "true", "yes")
-            else:
-                typed[action.dest] = raw
-    saved = [(action, action.default) for action in target._actions]
-    saved_defaults = dict(target._defaults)
-    target.set_defaults(**typed)
-    try:
-        yield
-    finally:
-        for action, default in saved:
-            action.default = default
-        target._defaults.clear()
-        target._defaults.update(saved_defaults)
+    tokens = []
+    for key, value in values.items():
+        action = actions[key]
+        flag = action.option_strings[0]
+        if action.nargs == 0:  # a switch: key=true turns it on
+            if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                target.error(f"argument {flag}: expected true or false, "
+                             f"got {value!r}")
+            if value.lower() in ("1", "true", "yes"):
+                tokens.append(flag)
+        elif action.nargs == "+":
+            tokens += [flag, *value.split()]
+        else:
+            tokens.append(f"{flag}={value}")
+    return argv[:at + 1] + tokens + argv[at + 1:]
 
 
 def _add_train_flags(p, stage):
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--epochs", type=int, default=30, help="training epochs")
-    p.add_argument("--batch-size", type=int, default=32, help="sentences per batch")
-    p.add_argument("--lr", type=float, default=1e-3, help="learning rate")
-    p.add_argument("--optimizer", default="adam", choices=["adam", "sgd"],
-                   help="update rule")
-    p.add_argument("--drop-emb", type=float, default=0.2,
-                   help="dropout rate on embeddings")
-    p.add_argument("--drop-out", type=float, default=0.3,
-                   help="dropout rate on the output layer")
-    p.add_argument("--clip-norm", type=float, default=1.0,
-                   help="gradient clipping threshold")
-    p.add_argument("--clip-mode", default="norm", choices=["norm", "value"],
-                   help="clip the global norm or each element")
-    p.add_argument("--seed", type=int, default=42, help="master random seed")
-    p.add_argument("--patience", type=int, default=5,
-                   help="early-stopping patience on dev loss")
-    p.add_argument("--log", dest="log_path", default="",
-                   help="append per-epoch TSV rows to this file")
-    if stage in ("fit-anchors", "train-b"):
-        p.add_argument("--n-anchors", type=int,
-                       default=16 if stage == "fit-anchors" else 8,
-                       help="number of anchor points")
+    defaults = TrainConfig()
+
+    def flag(name, help_, **kw):
+        """A flag for the TrainConfig field it names, typed and defaulted
+        by that field."""
+        dest = kw.setdefault("dest", name[2:].replace("-", "_"))
+        default = kw.setdefault("default", getattr(defaults, dest))
+        p.add_argument(name, type=type(default), help=help_, **kw)
+
+    splits = ("train",) if stage == "fit-anchors" else ("train", "dev")
+    for split in splits:
+        for side, word in (("src", "source"), ("tgt", "target")):
+            p.add_argument(f"--{split}-{side}", required=True,
+                           help=f"{split} {word} file")
+    if stage != "pretrain":
+        p.add_argument("--ckpt-in", required=True, help="input checkpoint path")
+    p.add_argument("--ckpt-out", required=True, help="output checkpoint path")
+    p.add_argument("--filter-len", type=int, default=50,
+                   help="drop pairs with a side longer than this")
+    flag("--epochs", "training epochs")
+    flag("--batch-size", "sentences per batch")
+    flag("--lr", "learning rate")
+    flag("--optimizer", "update rule", choices=OPTIMIZERS)
+    flag("--drop-emb", "dropout rate on embeddings")
+    flag("--drop-out", "dropout rate on the output layer")
+    flag("--clip-norm", "gradient clipping threshold")
+    flag("--clip-mode", "clip the global norm or each element",
+         choices=CLIP_MODES)
+    flag("--seed", "master random seed")
+    flag("--patience", "early-stopping patience on dev loss")
+    flag("--log", "append per-epoch TSV rows to this file", dest="log_path")
     if stage == "fit-anchors":
-        p.add_argument("--l-alpha", type=float, default=1.0,
-                       help="reconstruction-term weight")
-        p.add_argument("--l-beta", type=float, default=0.01,
-                       help="anchor-spread-term weight")
-        p.add_argument("--fit-iters", type=int, default=1500,
-                       help="anchor fitting iterations")
-        p.add_argument("--fit-lr", type=float, default=0.05,
-                       help="anchor fitting step size")
-        p.add_argument("--fit-lr-decay", type=float, default=0.997,
-                       help="per-iteration step-size decay")
-        p.add_argument("--fit-batch", type=int, default=256,
-                       help="fitting mini-batch size (0: full batch)")
+        flag("--n-anchors", "number of anchor points")
+        flag("--l-alpha", "reconstruction-term weight")
+        flag("--l-beta", "anchor-spread-term weight")
+        flag("--fit-iters", "anchor fitting iterations")
+        flag("--fit-lr", "anchor fitting step size")
+        flag("--fit-lr-decay", "per-iteration step-size decay")
+        flag("--fit-batch", "fitting mini-batch size (0: full batch)")
     if stage == "train-b":
-        p.add_argument("--lam", type=float, default=1.0,
-                       help="likelihood / hinge-loss balance")
-        p.add_argument("--lam-m", type=float, default=1e-4,
-                       help="weight-norm penalty inside the hinge loss")
-        p.add_argument("--d-a", type=int, default=16,
-                       help="bilingual anchor dimension")
+        flag("--n-anchors", "number of anchor points", default=8)
+        flag("--lam", "likelihood / hinge-loss balance")
+        flag("--lam-m", "weight-norm penalty inside the hinge loss")
+        flag("--d-a", "bilingual anchor dimension")
 
 
 def _train_config(args, stage):
-    kw = dict(stage=stage, epochs=args.epochs, batch_size=args.batch_size,
-              lr=args.lr, optimizer=args.optimizer, drop_emb=args.drop_emb,
-              drop_out=args.drop_out, clip_norm=args.clip_norm,
-              clip_mode=args.clip_mode, seed=args.seed, patience=args.patience,
-              log_path=args.log_path)
-    for name in ("n_anchors", "l_alpha", "l_beta", "fit_iters", "fit_lr",
-                 "fit_lr_decay", "fit_batch", "lam", "lam_m", "d_a"):
-        if hasattr(args, name):
-            kw[name] = getattr(args, name)
+    """The stage's checked config; its output files must be writable."""
+    _check_writable("--ckpt-out", args.ckpt_out)
+    if args.log_path:
+        _check_writable("--log", args.log_path)
     try:
-        return TrainConfig(**kw)
+        return TrainConfig(stage=stage, **{f.name: getattr(args, f.name)
+                                           for f in fields(TrainConfig)
+                                           if hasattr(args, f.name)})
     except ValueError as e:
         raise ConfigError(str(e)) from e
+
+
+def _check_writable(flag, path):
+    """Refuse an output path that is a directory, or lies in a missing or
+    read-only one, before any work is done."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not (os.path.isdir(directory)
+                                   and os.access(directory, os.W_OK)):
+        raise ConfigError(f"{flag} {path}: not a file path in an existing, "
+                          f"writable directory")
 
 
 def _load_parallel(src, tgt, max_len):
     try:
         corpus = corpus_mod.ParallelCorpus.load(src, tgt)
+        return corpus_mod.filter_by_length(corpus, max_len)
     except (OSError, ValueError) as e:
         raise ConfigError(str(e)) from e
-    return corpus_mod.filter_by_length(corpus, max_len)
 
 
 def build_parser():
@@ -169,11 +171,12 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def subparser(name, help_):
-        return sub.add_parser(name, help=help_,
-                              formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p = sub.add_parser(name, help=help_,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.add_argument("--config", help="flat key=value config file")
+        return p
 
     p = subparser("synth", "write a synthetic parallel corpus")
-    p.add_argument("--config")
     p.add_argument("--kind", default="copy",
                    choices=["copy", "reverse", "cipher-reverse"],
                    help="task mapping")
@@ -190,11 +193,6 @@ def build_parser():
 
     p = subparser("train", "pretrain the baseline model")
     _add_train_flags(p, "pretrain")
-    p.add_argument("--train-src", required=True, help="training source file")
-    p.add_argument("--train-tgt", required=True, help="training target file")
-    p.add_argument("--dev-src", required=True, help="dev source file")
-    p.add_argument("--dev-tgt", required=True, help="dev target file")
-    p.add_argument("--ckpt-out", required=True, help="output checkpoint path")
     p.add_argument("--d-e", type=int, default=32, help="embedding size")
     p.add_argument("--d-h", type=int, default=64, help="hidden size")
     p.add_argument("--d-att", type=int, default=0, help="attention size (0: d_h)")
@@ -202,32 +200,14 @@ def build_parser():
     p.add_argument("--cell", default="gru", choices=["gru", "tanh"])
     p.add_argument("--vocab-max", type=int, default=30000)
     p.add_argument("--min-count", type=int, default=1)
-    p.add_argument("--filter-len", type=int, default=50,
-                   help="drop pairs with a side longer than this")
 
-    p = subparser("fit-anchors", "fit monolingual anchors to a checkpoint")
-    _add_train_flags(p, "fit-anchors")
-    p.add_argument("--train-src", required=True, help="training source file")
-    p.add_argument("--train-tgt", required=True, help="training target file")
-    p.add_argument("--ckpt-in", required=True, help="input checkpoint path")
-    p.add_argument("--ckpt-out", required=True, help="output checkpoint path")
-    p.add_argument("--filter-len", type=int, default=50,
-                   help="drop pairs with a side longer than this")
-
+    _add_train_flags(subparser("fit-anchors",
+                               "fit monolingual anchors to a checkpoint"),
+                     "fit-anchors")
     for name in ("finetune-m", "train-b"):
-        p = subparser(name, f"run the {name} stage")
-        _add_train_flags(p, name)
-        p.add_argument("--train-src", required=True, help="training source file")
-        p.add_argument("--train-tgt", required=True, help="training target file")
-        p.add_argument("--dev-src", required=True, help="dev source file")
-        p.add_argument("--dev-tgt", required=True, help="dev target file")
-        p.add_argument("--ckpt-in", required=True, help="input checkpoint path")
-        p.add_argument("--ckpt-out", required=True, help="output checkpoint path")
-        p.add_argument("--filter-len", type=int, default=50,
-                   help="drop pairs with a side longer than this")
+        _add_train_flags(subparser(name, f"run the {name} stage"), name)
 
     p = subparser("translate", "decode a source file with beam search")
-    p.add_argument("--config")
     p.add_argument("--ckpt", required=True, help="trained checkpoint")
     p.add_argument("--src", required=True, help="source sentences to decode")
     p.add_argument("--out", required=True, help="hypothesis output file")
@@ -238,7 +218,6 @@ def build_parser():
                    help="rank beam hypotheses by raw log-probability")
 
     p = subparser("evaluate", "corpus BLEU (and optional length buckets)")
-    p.add_argument("--config")
     p.add_argument("--hyp", required=True, help="hypothesis file")
     p.add_argument("--refs", required=True, nargs="+", help="reference file(s)")
     p.add_argument("--case-insensitive", action="store_true",
@@ -249,12 +228,10 @@ def build_parser():
                    help="source-length bucket width")
 
     p = subparser("gradcheck", "finite-difference validation suite")
-    p.add_argument("--config")
     p.add_argument("--seeds", type=int, default=5,
                    help="random restarts per checked operation")
 
     p = subparser("params", "per-group parameter counts of a checkpoint")
-    p.add_argument("--config")
     p.add_argument("--ckpt", required=True, help="checkpoint to count")
     p.add_argument("--full-scale-reference", action="store_true",
                    help="print the reported full-scale counts alongside")
@@ -275,25 +252,24 @@ def _shared_parser():
 def _cmd_synth(args):
     if args.min_len > args.max_len:
         raise ConfigError("min-len must not exceed max-len")
-    if not args.splits:
-        corpus = corpus_mod.generate_synthetic_task(
-            args.kind, args.vocab_size, args.pairs, (args.min_len, args.max_len),
-            args.seed)
-        corpus.save(args.out + ".src", args.out + ".tgt")
-        print(f"wrote {len(corpus)} pairs to {args.out}.src / {args.out}.tgt")
-        return
+    _check_writable("--out", args.out + ".src")
     try:
-        sizes = [int(s) for s in args.splits.split(",")]
+        sizes = [int(s) for s in args.splits.split(",")] if args.splits else []
     except ValueError as e:
         raise ConfigError(f"--splits must be comma-separated integers: {e}") from e
-    names = ["train", "dev", "test", "extra"][: len(sizes)]
     if len(sizes) > 4 or any(s < 1 for s in sizes):
         raise ConfigError("--splits takes 1-4 positive sizes")
-    corpus = corpus_mod.generate_synthetic_task(
-        args.kind, args.vocab_size, sum(sizes), (args.min_len, args.max_len),
-        args.seed)
+    try:
+        corpus = corpus_mod.generate_synthetic_task(
+            args.kind, args.vocab_size, sum(sizes) if sizes else args.pairs,
+            (args.min_len, args.max_len), args.seed)
+    except ValueError as e:  # a vocabulary too small for the task, a bad seed
+        raise ConfigError(str(e)) from e
+    if not sizes:
+        corpus.save(args.out + ".src", args.out + ".tgt")
+        print(f"wrote {len(corpus)} pairs to {args.out}.src / {args.out}.tgt")
     start = 0
-    for name, size in zip(names, sizes):
+    for name, size in zip(["train", "dev", "test", "extra"], sizes):
         part = corpus_mod.ParallelCorpus(corpus.pairs[start: start + size])
         part.save(f"{args.out}.{name}.src", f"{args.out}.{name}.tgt")
         print(f"wrote {size} pairs to {args.out}.{name}.src / .tgt")
@@ -306,9 +282,11 @@ def _cmd_train(args):
     dev = _load_parallel(args.dev_src, args.dev_tgt, args.filter_len)
     if len(train) == 0:
         raise ConfigError("training corpus is empty after length filtering")
-    vocab_src = corpus_mod.build_vocab(train.sources(), args.vocab_max, args.min_count)
-    vocab_tgt = corpus_mod.build_vocab(train.targets(), args.vocab_max, args.min_count)
     try:
+        vocab_src = corpus_mod.build_vocab(train.sources(), args.vocab_max,
+                                           args.min_count)
+        vocab_tgt = corpus_mod.build_vocab(train.targets(), args.vocab_max,
+                                           args.min_count)
         dims = ModelDims(vocab_src=len(vocab_src), vocab_tgt=len(vocab_tgt),
                          d_e=args.d_e, d_h=args.d_h, d_att=args.d_att,
                          d_out=args.d_out, cell=args.cell)
@@ -337,6 +315,7 @@ def _cmd_translate(args):
         raise ConfigError(f"--beam must be >= 1, got {args.beam}")
     if args.max_steps < 0:
         raise ConfigError(f"--max-steps must be >= 0, got {args.max_steps}")
+    _check_writable("--out", args.out)
     ckpt = Checkpoint.load(args.ckpt)
     model = ckpt.make_model(drop_emb=0.0, drop_out=0.0)
     try:
@@ -401,8 +380,7 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _shared_parser()
     try:
-        with _config_defaults(parser, argv):
-            args = parser.parse_args(argv)
+        args = parser.parse_args(_splice_config(parser, argv))
         if args.command == "synth":
             _cmd_synth(args)
         elif args.command == "train":

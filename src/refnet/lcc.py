@@ -169,7 +169,6 @@ class AnchorFitConfig:
     lr: float = 0.05
     lr_decay: float = 0.998   # multiplicative, per iteration
     batch_size: int = 0       # 0 = full batch
-    d_att: int = 0            # 0 = anchor dimension
     seed: int = 0
 
 
@@ -207,12 +206,11 @@ def fit_anchors(dataset, n_anchors, cfg: LccConfig = LccConfig(),
     if n_anchors < 1:
         raise ValueError("need at least one anchor")
     rng = np.random.default_rng(fit.seed)
-    d_v = dataset.shape[1]
-    d_att = fit.d_att or d_v
+    d_v = dataset.shape[1]  # also the score net's width
 
     ps = ParamStore()
     ps.add("anchors/points", init_anchor_points(dataset, n_anchors, rng), "anchors")
-    proto = ScoreParams.init(d_v, d_att, rng)
+    proto = ScoreParams.init(d_v, d_v, rng)
     for key, t in (("W", proto.W), ("U", proto.U), ("V", proto.V), ("v", proto.v)):
         ps.add(f"anchors/score/{key}", t.data, "anchors")
 

@@ -17,6 +17,7 @@ Round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -44,6 +45,8 @@ HEADER_KEYS = ("kind", "stages", "dims", "config", "vocab_src", "vocab_tgt",
                "params", "payload_bytes")
 
 STAGES = ("pretrain", "fit-anchors", "finetune-m", "train-b")
+OPTIMIZERS = ("adam", "sgd")
+CLIP_MODES = ("norm", "value")  # clip the global norm or each element
 STAGE_FREEZES = {
     "pretrain": (),
     "fit-anchors": ("encoder", "decoder"),
@@ -58,11 +61,11 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 32
     lr: float = 1e-3
-    optimizer: str = "adam"        # "adam" | "sgd"
+    optimizer: str = "adam"        # one of OPTIMIZERS
     drop_emb: float = 0.2
     drop_out: float = 0.3
     clip_norm: float = 1.0
-    clip_mode: str = "norm"        # "norm" | "value"
+    clip_mode: str = "norm"        # one of CLIP_MODES
     lam: float = 1.0               # likelihood / hinge balance
     lam_m: float = 1e-4            # weight-norm penalty inside the hinge loss
     l_alpha: float = 1.0
@@ -84,6 +87,13 @@ class TrainConfig:
             raise ValueError("dropout rates must lie in [0, 1)")
         if self.n_anchors < 1 or self.d_a < 1:
             raise ValueError("n_anchors and d_a must be >= 1")
+        if self.optimizer not in OPTIMIZERS or self.clip_mode not in CLIP_MODES:
+            raise ValueError(f"optimizer must be one of {OPTIMIZERS} and "
+                             f"clip_mode one of {CLIP_MODES}")
+        if self.clip_norm <= 0:
+            raise ValueError("clip_norm must be > 0")
+        if self.seed < 0 or self.fit_batch < 0 or self.fit_iters < 0:
+            raise ValueError("seed, fit_batch and fit_iters must be >= 0")
 
     @classmethod
     def from_dict(cls, d):
@@ -162,7 +172,8 @@ class Checkpoint:
             raise CheckpointError(
                 f"{path}: format version {version} != supported {FORMAT_VERSION}")
         (hlen,) = struct.unpack("<Q", blob[8:16])
-        if struct.pack("<I", zlib.crc32(blob[PREAMBLE:])) != blob[16:PREAMBLE]:
+        view = memoryview(blob)  # slices of a view share the file's bytes
+        if struct.pack("<I", zlib.crc32(view[PREAMBLE:])) != blob[16:PREAMBLE]:
             raise CheckpointError(
                 f"{path}: checksum mismatch: the file is corrupt or truncated")
         if len(blob) < PREAMBLE + hlen:
@@ -177,7 +188,7 @@ class Checkpoint:
             raise CheckpointError(f"{path}: header lacks {missing}")
         if header["kind"] not in KINDS:
             raise CheckpointError(f"{path}: unknown model kind {header['kind']!r}")
-        payload = blob[PREAMBLE + hlen:]
+        payload = view[PREAMBLE + hlen:]
         if len(payload) != header["payload_bytes"]:
             raise CheckpointError(
                 f"{path}: truncated payload ({len(payload)} of "
@@ -203,17 +214,17 @@ class Checkpoint:
                     raise TypeError("name, group or trainable flag of a wrong type")
             except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise CheckpointError(f"{path}: bad manifest entry {entry!r}") from e
-            n = int(np.prod(shape)) if shape else 1
+            n = math.prod(shape)
             if min(shape, default=0) < 0 or start < 0 or start + 8 * n > len(payload):
                 raise CheckpointError(
                     f"{path}: parameter {name!r} (shape {list(shape)}, offset "
                     f"{start}) does not fit the {len(payload)}-byte payload")
             arr = np.frombuffer(payload, dtype="<f8", count=n,
-                                offset=start).reshape(shape).copy()
+                                offset=start).reshape(shape)
             if not np.isfinite(arr).all():
                 raise CheckpointError(
                     f"{path}: parameter {name!r} holds non-finite values")
-            try:
+            try:  # add copies the array out of the file's bytes
                 params.add(name, arr, group, trainable=trainable)
             except ValueError as e:  # duplicate name or unknown group
                 raise CheckpointError(f"{path}: {e}") from e

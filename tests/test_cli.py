@@ -134,6 +134,19 @@ class TestExitCodes:
         assert code == EXIT_PREREQ
 
 
+def train_argv(d, tmp, *flags):
+    return ["train", "--train-src", str(d / "toy.train.src"),
+            "--train-tgt", str(d / "toy.train.tgt"),
+            "--dev-src", str(d / "toy.dev.src"), "--dev-tgt", str(d / "toy.dev.tgt"),
+            "--ckpt-out", str(tmp / "t.ckpt"), "--epochs", "1", *flags]
+
+
+def config_file(tmp, text):
+    path = tmp / "case.cfg"
+    path.write_text(text + "\n")
+    return str(path)
+
+
 # One case per documented exit code, and more than one where the code has
 # several causes; each argv is built from (corpus dir, checkpoint, tmp dir).
 EXIT_MATRIX = {
@@ -141,6 +154,29 @@ EXIT_MATRIX = {
         "synth", "--out", str(tmp / "x"), "--bogus"]),
     "usage-missing-required": (EXIT_USAGE, lambda d, ckpt, tmp: [
         "translate", "--ckpt", str(ckpt)]),
+    "usage-config-value-not-an-int": (EXIT_USAGE, lambda d, ckpt, tmp: [
+        "synth", "--config", config_file(tmp, "pairs=abc"), "--out", str(tmp / "x")]),
+    "usage-config-value-not-a-choice": (EXIT_USAGE, lambda d, ckpt, tmp: [
+        "synth", "--config", config_file(tmp, "kind=nonsense"),
+        "--out", str(tmp / "x")]),
+    "usage-config-without-path": (EXIT_USAGE, lambda d, ckpt, tmp: [
+        "synth", "--out", str(tmp / "x"), "--config"]),
+    "config-zero-clip-norm": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
+        d, tmp, "--clip-norm", "0")),
+    "config-negative-seed": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
+        d, tmp, "--seed", "-1")),
+    "config-negative-fit-batch": (EXIT_CONFIG, lambda d, ckpt, tmp: [
+        "fit-anchors", "--ckpt-in", str(ckpt), "--ckpt-out", str(tmp / "a.ckpt"),
+        "--train-src", str(d / "toy.train.src"), "--train-tgt", str(d / "toy.train.tgt"),
+        "--fit-batch", "-1"]),
+    "config-vocab-max-without-room": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
+        d, tmp, "--vocab-max", "3")),
+    "config-zero-filter-length": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
+        d, tmp, "--filter-len", "0")),
+    "config-log-is-a-directory": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
+        d, tmp, "--log", str(tmp))),
+    "config-ckpt-out-missing-directory": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
+        d, tmp, "--ckpt-out", str(tmp / "missing" / "t.ckpt"))),
     "config-bad-lengths": (EXIT_CONFIG, lambda d, ckpt, tmp: [
         "synth", "--min-len", "9", "--max-len", "3", "--out", str(tmp / "x")]),
     "config-zero-hidden-size": (EXIT_CONFIG, lambda d, ckpt, tmp: [
@@ -256,6 +292,53 @@ class TestConfigFile:
         assert run_cli(argv + ["--config", str(cfg)]) == EXIT_OK
         assert run_cli(argv) == EXIT_OK
         assert beams == [4, 10]
+
+    def test_flag_before_config_still_wins(self, tmp_path):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("pairs=30\n")
+        assert run_cli(["synth", "--pairs", "12", "--config", str(cfg),
+                        "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert len((tmp_path / "a.src").read_text().splitlines()) == 12
+
+    def test_required_flag_from_file(self, tmp_path):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(f"pairs=5\nout={tmp_path / 'a'}\n")
+        assert run_cli(["synth", "--config", str(cfg)]) == EXIT_OK
+        assert len((tmp_path / "a.src").read_text().splitlines()) == 5
+
+    @pytest.mark.parametrize("lines, refs, lowered", [
+        ("refs=a.txt b.txt", ["a.txt", "b.txt"], False),
+        ("refs=a.txt\ncase_insensitive=true", ["a.txt"], True),
+        ("refs=a.txt\ncase-insensitive=false", ["a.txt"], False),
+    ], ids=["multi-value", "switch-on", "switch-off"])
+    def test_multi_value_and_switch_keys(self, tmp_path, monkeypatch, lines,
+                                         refs, lowered):
+        from refnet import cli
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_evaluate", seen.append)
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(lines + "\n")
+        assert run_cli(["evaluate", "--config", str(cfg), "--hyp", "h.txt"]) \
+            == EXIT_OK
+        assert seen[0].refs == refs and seen[0].case_insensitive is lowered
+
+    @pytest.mark.parametrize("command, line", [
+        ("synth", "pairs=abc"), ("synth", "kind=nonsense"),
+        ("train", "optimizer=adamw"), ("train", "clip_mode=nrom"),
+        ("evaluate", "case_insensitive=maybe"), ("evaluate", "refs="),
+    ])
+    def test_value_the_flag_rejects_is_usage(self, tmp_path, capsys, command,
+                                             line):
+        """A file value goes through the same checks as the flag it names."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        argv = {"synth": ["--out", str(tmp_path / "x")],
+                "train": train_argv(tmp_path, tmp_path)[1:],
+                "evaluate": ["--hyp", "h.txt", "--refs", "r.txt"]}[command]
+        with pytest.raises(SystemExit) as err:
+            run_cli([command, "--config", str(cfg), *argv])
+        assert err.value.code == EXIT_USAGE
+        assert line.split("=")[0].replace("_", "-") in capsys.readouterr().err
 
     def test_malformed_line_is_config_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -27,6 +27,7 @@ HEADER_MUTATIONS = {
         offset=h["params"][0]["offset"]),
     "unknown-kind": lambda h, p: h.update(kind="zzz"),
     "config-wrong-type": lambda h, p: h["config"].update(lr="fast"),
+    "config-unknown-optimizer": lambda h, p: h["config"].update(optimizer="adamw"),
     "config-not-a-dict": lambda h, p: h.update(config=[1, 2]),
     "stages-not-a-list": lambda h, p: h.update(stages=3),
     "unknown-stage": lambda h, p: h["stages"].append("distill"),
@@ -221,6 +222,20 @@ class TestCheckpointFuzz:
         bad.write_bytes(blob[:8] + struct.pack("<Q", len(raw))
                         + struct.pack("<I", zlib.crc32(raw + payload)) + raw + payload)
         loads_identically_or_is_rejected(bad, original)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("optimizer", "adamw"), ("clip_mode", "nrom"), ("clip_norm", 0.0),
+        ("clip_norm", -1.0), ("seed", -1), ("fit_batch", -1), ("fit_iters", -1),
+    ])
+    def test_rejects_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_accepts_the_edges(self):
+        TrainConfig(optimizer="sgd", clip_mode="value", clip_norm=1e-9, seed=0,
+                    fit_batch=0, fit_iters=0)
 
 
 class TestStages:
