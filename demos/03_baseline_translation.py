@@ -9,7 +9,7 @@ Run:  python3 demos/03_baseline_translation.py
 from refnet.corpus import ParallelCorpus, build_vocab, generate_synthetic_task
 from refnet.evaluation import bleu
 from refnet.seq2seq import ModelDims
-from refnet.training import TrainConfig, pretrain
+from refnet.training import TrainConfig, run_stage
 
 full = generate_synthetic_task("reverse", vocab_size=30, n_pairs=900,
                                len_range=(3, 9), seed=11)
@@ -24,7 +24,8 @@ dims = ModelDims(vocab_src=len(vocab_src), vocab_tgt=len(vocab_tgt),
 config = TrainConfig(stage="pretrain", epochs=10, batch_size=32, lr=2e-3,
                      seed=1, patience=50)
 print("epoch\tstage\ttrain\tdev\tseconds")
-ckpt = pretrain(train, dev, vocab_src, vocab_tgt, dims, config)
+ckpt = run_stage("pretrain", None, train, dev, config, vocab_src, vocab_tgt,
+                 dims)
 
 model = ckpt.make_model(drop_emb=0.0, drop_out=0.0)
 print("\n=== greedy vs beam on a few test sentences ===")

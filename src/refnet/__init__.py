@@ -14,7 +14,7 @@ from .params import (GradRecord, Optimizer, OptimizerConfig, ParamStore,
                      finite_diff_grad)
 from .seq2seq import (Hypothesis, ModelDims, attention, beam_search,
                       decoder_step, encode_batch, nll_loss)
-from .training import Checkpoint, TrainConfig, pretrain, run_stage
+from .training import Checkpoint, TrainConfig, run_stage
 
 __version__ = "0.1.0"
 
@@ -27,6 +27,6 @@ __all__ = [
     "clip_gradient_value", "decoder_step", "encode_batch", "filter_by_length",
     "finite_diff_grad", "fit_anchors", "generate_synthetic_task",
     "lcc_weights", "length_buckets", "localization_measures",
-    "make_batches", "nll_loss", "no_grad", "param_report", "pretrain",
-    "reconstruct", "run_stage",
+    "make_batches", "nll_loss", "no_grad", "param_report", "reconstruct",
+    "run_stage",
 ]

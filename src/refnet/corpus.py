@@ -70,6 +70,8 @@ def build_vocab(sentences, max_size, min_count=1) -> Vocab:
         raise ValueError("cannot build a vocabulary from an empty corpus")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     kept = [t for t, c in ranked if c >= min_count][: max_size - 4]
+    if not kept:
+        raise ValueError(f"no token reaches min_count={min_count}")
     return Vocab(kept)
 
 

@@ -24,19 +24,17 @@ class ParamStore:
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self._group_of: dict[str, str] = {}
-        self._trainable: dict[str, bool] = {}
         self._frozen: set[str] = set()
 
-    def add(self, name, data, group, trainable=True):
+    def add(self, name, data, group):
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
         if group not in GROUPS:
             raise ValueError(f"unknown group {group!r}; expected one of {GROUPS}")
         t = Tensor(np.array(data, dtype=np.float64))
-        t.requires_grad = trainable and group not in self._frozen
+        t.requires_grad = group not in self._frozen
         self._params[name] = t
         self._group_of[name] = group
-        self._trainable[name] = trainable
         return t
 
     def __getitem__(self, name) -> Tensor:
@@ -76,14 +74,9 @@ class ParamStore:
     def is_frozen(self, group):
         return group in self._frozen
 
-    def is_trainable(self, name):
-        """The declared flag, ignoring any group freeze currently in force."""
-        return self._trainable[name]
-
     def _sync_flags(self):
         for name, t in self._params.items():
-            t.requires_grad = (self._trainable[name]
-                               and self._group_of[name] not in self._frozen)
+            t.requires_grad = self._group_of[name] not in self._frozen
 
     def trainable_names(self):
         """Names that currently receive gradients and optimizer updates."""
@@ -98,11 +91,10 @@ class ParamStore:
         return h.hexdigest()
 
     def copy(self):
-        """An independent store with the same entries, flags and freezes."""
+        """An independent store with the same entries and nothing frozen."""
         out = ParamStore()
-        out._frozen = set(self._frozen)
         for name, t in self._params.items():
-            out.add(name, t.data, self._group_of[name], self._trainable[name])
+            out.add(name, t.data, self._group_of[name])
         return out
 
     def snapshot(self):
@@ -122,7 +114,7 @@ GradRecord = dict
 
 
 def backward(loss, params: ParamStore) -> GradRecord:
-    """Gradients of a scalar loss for every unfrozen trainable parameter.
+    """Gradients of a scalar loss for every parameter outside a frozen group.
 
     Parameters that did not participate in the recorded computation are
     absent from the record; frozen parameters are never present.

@@ -1,10 +1,12 @@
 """Stage-wise training: pretrain, fit-anchors, finetune-m, train-b.
 
-Each stage takes a checkpoint (except pretraining), works on a copy of its
-parameters so the input is never changed, freezes the groups the protocol
-says stay fixed, trains what remains, and emits a new checkpoint with the
-stage appended to its provenance chain. Frozen groups are hashed
-before and after every stage; a change aborts the run.
+``run_stage`` is the one way to run a stage, and ``STAGE_FREEZES`` the one
+rule for what a stage keeps fixed. A stage takes a checkpoint (except
+pretraining), works on a copy of its parameters so the input is never
+changed, freezes the groups ``STAGE_FREEZES`` names, trains what remains,
+and emits a new checkpoint with the stage appended to its provenance
+chain. Frozen groups are hashed before and after every stage; a change
+aborts the run.
 
 Checkpoint files are a self-describing binary container: magic ``RNCK``,
 a little-endian uint32 format version, a little-endian uint64 header
@@ -27,7 +29,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .corpus import ParallelCorpus, Vocab, make_batches
+from .corpus import Vocab, make_batches
 from .errors import CheckpointError, NumericError, PrerequisiteError
 from .lcc import AnchorFitConfig, LccConfig, fit_anchors
 from .model import KINDS, TranslationModel
@@ -36,7 +38,7 @@ from .mrefnet import (ANCHOR_KEY, add_anchor_params, collect_sentence_reprs,
 from .brefnet import b_schema, init_b_params
 from .params import (Optimizer, OptimizerConfig, ParamStore, backward,
                      clip_gradient_norm, clip_gradient_value, grad_global_norm)
-from .seq2seq import ModelDims, baseline_schema, init_baseline_params
+from .seq2seq import ModelDims, add_params, baseline_schema
 
 MAGIC = b"RNCK"
 FORMAT_VERSION = 2
@@ -94,6 +96,10 @@ class TrainConfig:
             raise ValueError("clip_norm must be > 0")
         if self.seed < 0 or self.fit_batch < 0 or self.fit_iters < 0:
             raise ValueError("seed, fit_batch and fit_iters must be >= 0")
+        if self.fit_lr <= 0 or not 0 < self.fit_lr_decay <= 1:
+            raise ValueError("fit_lr must be > 0 and fit_lr_decay in (0, 1]")
+        if min(self.l_alpha, self.l_beta, self.lam, self.lam_m) < 0:
+            raise ValueError("l_alpha, l_beta, lam and lam_m must be >= 0")
 
     @classmethod
     def from_dict(cls, d):
@@ -124,7 +130,6 @@ class Checkpoint:
         for name, tensor in self.params.items():
             raw = np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
             manifest.append({"name": name, "group": self.params.group_of(name),
-                             "trainable": self.params.is_trainable(name),
                              "shape": list(tensor.data.shape), "offset": offset})
             payload.append(raw)
             offset += len(raw)
@@ -208,10 +213,12 @@ class Checkpoint:
             try:
                 name, group = entry["name"], entry["group"]
                 shape = tuple(int(d) for d in entry["shape"])
-                start, trainable = int(entry["offset"]), entry["trainable"]
+                start = int(entry["offset"])
+                # older files carry "trainable": true on every entry
                 if not (isinstance(name, str) and isinstance(group, str)
-                        and isinstance(trainable, bool)):
-                    raise TypeError("name, group or trainable flag of a wrong type")
+                        and entry.get("trainable", True) is True):
+                    raise TypeError("name or group of a wrong type, or a "
+                                    "trainable flag other than true")
             except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise CheckpointError(f"{path}: bad manifest entry {entry!r}") from e
             n = math.prod(shape)
@@ -225,7 +232,7 @@ class Checkpoint:
                 raise CheckpointError(
                     f"{path}: parameter {name!r} holds non-finite values")
             try:  # add copies the array out of the file's bytes
-                params.add(name, arr, group, trainable=trainable)
+                params.add(name, arr, group)
             except ValueError as e:  # duplicate name or unknown group
                 raise CheckpointError(f"{path}: {e}") from e
             extents.append((start, 8 * n))
@@ -386,121 +393,73 @@ def train_epochs(model: TranslationModel, stage, corpus_train, corpus_dev,
 # ---------------------------------------------------------------------------
 # stages
 
-def pretrain(corpus_train: ParallelCorpus, corpus_dev: ParallelCorpus,
-             vocab_src: Vocab, vocab_tgt: Vocab, dims: ModelDims,
-             config: TrainConfig) -> Checkpoint:
-    """Train the baseline attention model from random initialization."""
-    rng = np.random.default_rng(config.seed)
-    params = init_baseline_params(dims, rng)
-    model = TranslationModel(params, dims, "baseline",
-                             drop_emb=config.drop_emb, drop_out=config.drop_out)
-    history = train_epochs(model, "pretrain", corpus_train, corpus_dev,
-                           vocab_src, vocab_tgt, config)
-    return Checkpoint(params, dims, config, "baseline", ["pretrain"],
-                      vocab_src, vocab_tgt, history)
-
-
-def fit_anchors_stage(ckpt: Checkpoint, corpus_train: ParallelCorpus,
-                      config: TrainConfig) -> Checkpoint:
-    """Fit monolingual anchors to the pooled encoder states of the corpus."""
-    if "pretrain" not in ckpt.stages:
-        raise PrerequisiteError("fit-anchors requires a pretrained checkpoint")
-    if "anchors/m" in ckpt.params:
-        raise PrerequisiteError("checkpoint already carries a fitted anchor set")
-    params = ckpt.params.copy()
-    reprs = collect_sentence_reprs(params, ckpt.dims, corpus_train,
-                                   ckpt.vocab_src, ckpt.vocab_tgt,
-                                   batch_size=config.batch_size)
-    result = fit_anchors(
-        reprs, config.n_anchors,
-        LccConfig(l_alpha=config.l_alpha, l_beta=config.l_beta),
-        AnchorFitConfig(iters=config.fit_iters, lr=config.fit_lr,
-                        lr_decay=config.fit_lr_decay,
-                        batch_size=config.fit_batch, seed=config.seed))
-    add_anchor_params(params, result.anchors.points.data)
-    history = [{"stage": "fit-anchors", "initial_measure": result.initial_measure,
-                "final_measure": result.final_measure}]
-    return Checkpoint(params, ckpt.dims, config, ckpt.kind,
-                      ckpt.stages + ["fit-anchors"], ckpt.vocab_src,
-                      ckpt.vocab_tgt, history)
-
-
-def finetune_m(ckpt: Checkpoint, corpus_train: ParallelCorpus,
-               corpus_dev: ParallelCorpus, config: TrainConfig) -> Checkpoint:
-    """Tune the decoder and the added monolingual parameters.
-
-    The encoder and the fitted anchors stay frozen (bit-identical); the
-    zero extra-input projection makes the first step start exactly from
-    the baseline optimum.
-    """
-    if "pretrain" not in ckpt.stages:
-        raise PrerequisiteError("finetune-m requires a pretrained checkpoint")
-    if "anchors/m" not in ckpt.params:
-        raise PrerequisiteError("finetune-m requires a fitted anchor set "
-                                "(run fit-anchors first)")
-    if ckpt.kind != "baseline":
-        raise PrerequisiteError(f"cannot fine-tune a {ckpt.kind!r} checkpoint")
-    rng = np.random.default_rng((config.seed, 3))
-    params = ckpt.params.copy()
-    init_m_params(params, ckpt.dims, rng)
-    params.freeze("encoder", "anchors")
-    model = TranslationModel(params, ckpt.dims, "m_ref",
-                             drop_emb=config.drop_emb, drop_out=config.drop_out)
-    history = train_epochs(model, "finetune-m", corpus_train, corpus_dev,
-                           ckpt.vocab_src, ckpt.vocab_tgt, config)
-    params.unfreeze("encoder", "anchors")
-    return Checkpoint(params, ckpt.dims, config, "m_ref",
-                      ckpt.stages + ["finetune-m"], ckpt.vocab_src,
-                      ckpt.vocab_tgt, history)
-
-
-def train_b(ckpt: Checkpoint, corpus_train: ParallelCorpus,
-            corpus_dev: ParallelCorpus, config: TrainConfig) -> Checkpoint:
-    """Train the bilingual reference parameters against the joint objective.
-
-    All baseline parameters are frozen; the bilingual anchors, regression
-    weights, score net, and extra projection are the only movers.
-    """
-    if "pretrain" not in ckpt.stages:
-        raise PrerequisiteError("train-b requires a pretrained checkpoint")
-    if ckpt.kind != "baseline":
-        raise PrerequisiteError(f"cannot train-b on a {ckpt.kind!r} checkpoint")
-    rng = np.random.default_rng((config.seed, 5))
-    params = ckpt.params.copy()
-    init_b_params(params, ckpt.dims, config.n_anchors, config.d_a, rng)
-    params.freeze("encoder", "decoder", "anchors")
-    model = TranslationModel(params, ckpt.dims, "b_ref",
-                             drop_emb=config.drop_emb, drop_out=config.drop_out,
-                             lam=config.lam, lam_m=config.lam_m)
-    history = train_epochs(model, "train-b", corpus_train, corpus_dev,
-                           ckpt.vocab_src, ckpt.vocab_tgt, config)
-    params.unfreeze("encoder", "decoder", "anchors")
-    return Checkpoint(params, ckpt.dims, config, "b_ref",
-                      ckpt.stages + ["train-b"], ckpt.vocab_src,
-                      ckpt.vocab_tgt, history)
-
-
 def run_stage(stage, ckpt: Checkpoint | None, corpus_train, corpus_dev,
               config: TrainConfig, vocab_src=None, vocab_tgt=None,
               dims: ModelDims | None = None) -> Checkpoint:
-    """Dispatch one protocol stage and audit its freeze contract."""
+    """Run one protocol stage on a copy of ``ckpt``'s parameters.
+
+    pretrain takes no checkpoint but the vocabularies and dims, and trains
+    the baseline from random initialization. fit-anchors fits monolingual
+    anchors to the pooled encoder states of ``corpus_train``. finetune-m
+    tunes the decoder and the added monolingual group; train-b trains the
+    bilingual group against the joint objective. Both added groups start
+    with a zero extra-input projection, so their first step starts exactly
+    from the baseline optimum. While the stage works, the groups in
+    ``STAGE_FREEZES[stage]`` are frozen; afterwards their digests must
+    match the input's, or the run aborts.
+    """
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
     if stage == "pretrain":
-        return pretrain(corpus_train, corpus_dev, vocab_src, vocab_tgt,
-                        dims, config)
-    if ckpt is None:
+        ckpt = Checkpoint(ParamStore(), dims, config, "baseline", [],
+                          vocab_src, vocab_tgt)
+    elif ckpt is None:
         raise PrerequisiteError(f"{stage} requires an input checkpoint")
-    frozen = [g for g in STAGE_FREEZES[stage] if ckpt.params.members(g)]
-    before = {g: ckpt.params.group_digest(g) for g in frozen}
-    if stage == "fit-anchors":
-        out = fit_anchors_stage(ckpt, corpus_train, config)
+    elif "pretrain" not in ckpt.stages:
+        raise PrerequisiteError(f"{stage} requires a pretrained checkpoint")
+    elif stage == "fit-anchors" and ANCHOR_KEY in ckpt.params:
+        raise PrerequisiteError("checkpoint already carries a fitted anchor set")
+    elif stage == "finetune-m" and ANCHOR_KEY not in ckpt.params:
+        raise PrerequisiteError("finetune-m requires a fitted anchor set "
+                                "(run fit-anchors first)")
+    elif stage == "finetune-m" and ckpt.kind != "baseline":
+        raise PrerequisiteError(f"cannot fine-tune a {ckpt.kind!r} checkpoint")
+    elif stage == "train-b" and ckpt.kind != "baseline":
+        raise PrerequisiteError(f"cannot train-b on a {ckpt.kind!r} checkpoint")
+    kind = {"finetune-m": "m_ref", "train-b": "b_ref"}.get(stage, ckpt.kind)
+    out = Checkpoint(ckpt.params.copy(), ckpt.dims, config, kind,
+                     ckpt.stages + [stage], ckpt.vocab_src, ckpt.vocab_tgt)
+    params, frozen = out.params, STAGE_FREEZES[stage]
+    before = {g: params.group_digest(g) for g in frozen}
+    if stage == "pretrain":
+        add_params(params, baseline_schema(dims),
+                   np.random.default_rng(config.seed))
     elif stage == "finetune-m":
-        out = finetune_m(ckpt, corpus_train, corpus_dev, config)
+        init_m_params(params, out.dims, np.random.default_rng((config.seed, 3)))
+    elif stage == "train-b":
+        init_b_params(params, out.dims, config.n_anchors, config.d_a,
+                      np.random.default_rng((config.seed, 5)))
+    params.freeze(*frozen)
+    if stage == "fit-anchors":
+        reprs = collect_sentence_reprs(params, out.dims, corpus_train,
+                                       out.vocab_src, out.vocab_tgt,
+                                       batch_size=config.batch_size)
+        result = fit_anchors(
+            reprs, config.n_anchors,
+            LccConfig(l_alpha=config.l_alpha, l_beta=config.l_beta),
+            AnchorFitConfig(iters=config.fit_iters, lr=config.fit_lr,
+                            lr_decay=config.fit_lr_decay,
+                            batch_size=config.fit_batch, seed=config.seed))
+        add_anchor_params(params, result.anchors.points.data)
+        out.history = [{"stage": stage, "initial_measure": result.initial_measure,
+                        "final_measure": result.final_measure}]
     else:
-        out = train_b(ckpt, corpus_train, corpus_dev, config)
+        out.history = train_epochs(out.make_model(), stage, corpus_train,
+                                   corpus_dev, out.vocab_src, out.vocab_tgt,
+                                   config)
+    params.unfreeze(*frozen)
     for g, digest in before.items():
-        if out.params.group_digest(g) != digest:
+        if params.group_digest(g) != digest:
             raise RuntimeError(
                 f"internal error: frozen group {g!r} changed during {stage}")
     return out

@@ -10,7 +10,7 @@ from refnet.lcc import tri_scores
 from refnet.corpus import BOS, EOS, Batch, make_batches
 from refnet.model import TranslationModel, variant_extras, variant_memory
 from refnet.seq2seq import ModelDims, decoder_step, init_baseline_params
-from refnet.training import TrainConfig, pretrain, train_b
+from refnet.training import TrainConfig, run_stage
 
 
 def bref_store(dims, n_anchors=3, d_a=5, seed=0, zero_proj=True):
@@ -407,14 +407,14 @@ class TestTrainB:
         dims = ModelDims(vocab_src=len(vs), vocab_tgt=len(vt), d_e=6, d_h=8)
         config = TrainConfig(stage="pretrain", epochs=epochs, batch_size=16,
                              seed=19, patience=50)
-        return pretrain(train, dev, vs, vt, dims, config)
+        return run_stage("pretrain", None, train, dev, config, vs, vt, dims)
 
     def test_zero_epochs_keeps_baseline(self, toy_split, toy_vocabs, capsys):
         ckpt = self._pretrained(toy_split, toy_vocabs, epochs=0)
         train, dev, _ = toy_split
         before = ckpt.params.snapshot()
-        out = train_b(ckpt, train, dev,
-                      TrainConfig(stage="train-b", epochs=0, seed=19))
+        out = run_stage("train-b", ckpt, train, dev,
+                        TrainConfig(stage="train-b", epochs=0, seed=19))
         for name, arr in before.items():
             np.testing.assert_array_equal(out.params[name].data, arr)
 
@@ -425,7 +425,7 @@ class TestTrainB:
         dec = ckpt.params.group_digest("decoder")
         cfg = TrainConfig(stage="train-b", epochs=2, batch_size=16, seed=19,
                           n_anchors=3, d_a=5, patience=50)
-        out = train_b(ckpt, train, dev, cfg)
+        out = run_stage("train-b", ckpt, train, dev, cfg)
         assert out.params.group_digest("encoder") == enc
         assert out.params.group_digest("decoder") == dec
         assert out.params.group_digest("b_ref") != ""
@@ -452,11 +452,11 @@ class TestTrainB:
         dims = ModelDims(vocab_src=len(vs), vocab_tgt=len(vt), d_e=6, d_h=8)
         pre_cfg = TrainConfig(stage="pretrain", epochs=10, batch_size=16,
                               seed=19, patience=50, drop_emb=0.0, drop_out=0.0)
-        ckpt = pretrain(train, dev, vs, vt, dims, pre_cfg)
+        ckpt = run_stage("pretrain", None, train, dev, pre_cfg, vs, vt, dims)
         cfg = TrainConfig(stage="train-b", epochs=4, batch_size=16, lr=5e-4,
                           seed=19, n_anchors=3, d_a=5, lam=1.0, patience=50,
                           drop_emb=0.0, drop_out=0.0)
-        out = train_b(ckpt, train, dev, cfg)
+        out = run_stage("train-b", ckpt, train, dev, cfg)
         rows = out.history
         assert rows[-1]["train_loss"] <= rows[0]["train_loss"]
         assert rows[-1]["train_l_m"] < rows[0]["train_l_m"]

@@ -141,6 +141,12 @@ def train_argv(d, tmp, *flags):
             "--ckpt-out", str(tmp / "t.ckpt"), "--epochs", "1", *flags]
 
 
+def fit_argv(d, ckpt, tmp, *flags):
+    return ["fit-anchors", "--ckpt-in", str(ckpt), "--ckpt-out", str(tmp / "a.ckpt"),
+            "--train-src", str(d / "toy.train.src"),
+            "--train-tgt", str(d / "toy.train.tgt"), *flags]
+
+
 def config_file(tmp, text):
     path = tmp / "case.cfg"
     path.write_text(text + "\n")
@@ -165,10 +171,16 @@ EXIT_MATRIX = {
         d, tmp, "--clip-norm", "0")),
     "config-negative-seed": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
         d, tmp, "--seed", "-1")),
-    "config-negative-fit-batch": (EXIT_CONFIG, lambda d, ckpt, tmp: [
-        "fit-anchors", "--ckpt-in", str(ckpt), "--ckpt-out", str(tmp / "a.ckpt"),
-        "--train-src", str(d / "toy.train.src"), "--train-tgt", str(d / "toy.train.tgt"),
-        "--fit-batch", "-1"]),
+    "config-negative-fit-batch": (EXIT_CONFIG, lambda d, ckpt, tmp: fit_argv(
+        d, ckpt, tmp, "--fit-batch", "-1")),
+    "config-negative-l-alpha": (EXIT_CONFIG, lambda d, ckpt, tmp: fit_argv(
+        d, ckpt, tmp, "--l-alpha", "-1")),
+    "config-negative-fit-lr": (EXIT_CONFIG, lambda d, ckpt, tmp: fit_argv(
+        d, ckpt, tmp, "--fit-lr", "-1")),
+    "config-zero-fit-lr-decay": (EXIT_CONFIG, lambda d, ckpt, tmp: fit_argv(
+        d, ckpt, tmp, "--fit-lr-decay", "0")),
+    "config-min-count-above-every-token": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
+        d, tmp, "--min-count", "100000")),
     "config-vocab-max-without-room": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
         d, tmp, "--vocab-max", "3")),
     "config-zero-filter-length": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(

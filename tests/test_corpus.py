@@ -37,6 +37,10 @@ class TestVocab:
         tokens = ["a", "b", "c", "a"]
         assert vocab.decode(vocab.encode(tokens)) == tokens
 
+    def test_min_count_above_every_token_rejected(self):
+        with pytest.raises(ValueError, match="min_count"):
+            build_vocab([["a", "a", "b"]], max_size=10, min_count=3)
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             build_vocab([], max_size=10)

@@ -11,7 +11,7 @@ from refnet.mrefnet import (add_anchor_params, anchor_memory,
                             init_m_params)
 from refnet.seq2seq import (ModelDims, decoder_step, encode_batch,
                             init_baseline_params)
-from refnet.training import TrainConfig, finetune_m, pretrain
+from refnet.training import TrainConfig, run_stage
 
 
 def store_with_anchors(dims, n_anchors=3, seed=0, zero_proj=True):
@@ -123,7 +123,7 @@ class TestFinetuneM:
         dims = ModelDims(vocab_src=len(vs), vocab_tgt=len(vt), d_e=6, d_h=8)
         config = TrainConfig(stage="pretrain", epochs=epochs, batch_size=16,
                              seed=7, patience=50, log_path="")
-        ckpt = pretrain(train, dev, vs, vt, dims, config)
+        ckpt = run_stage("pretrain", None, train, dev, config, vs, vt, dims)
         from refnet.lcc import AnchorFitConfig, LccConfig, fit_anchors
         reprs = collect_sentence_reprs(ckpt.params, dims, train, vs, vt)
         fit = fit_anchors(reprs, 4, LccConfig(),
@@ -136,7 +136,7 @@ class TestFinetuneM:
         train, dev, _ = toy_split
         before = ckpt.params.snapshot()
         cfg = TrainConfig(stage="finetune-m", epochs=0, seed=7, patience=50)
-        out = finetune_m(ckpt, train, dev, cfg)
+        out = run_stage("finetune-m", ckpt, train, dev, cfg)
         after = {n: out.params[n].data for n in out.params.names()
                  if n in before}
         for name, arr in before.items():
@@ -151,7 +151,7 @@ class TestFinetuneM:
         dec = ckpt.params.group_digest("decoder")
         cfg = TrainConfig(stage="finetune-m", epochs=2, batch_size=16,
                           lr=5e-4, seed=7, patience=50)
-        out = finetune_m(ckpt, train, dev, cfg)
+        out = run_stage("finetune-m", ckpt, train, dev, cfg)
         assert out.params.group_digest("encoder") == enc
         assert out.params.group_digest("anchors") == anc
         assert out.params.group_digest("decoder") != dec
@@ -182,7 +182,7 @@ class TestFinetuneM:
                           patience=50)
         start = TranslationModel(ckpt.params, ckpt.dims, "baseline"
                                  ).dev_loss(batches)
-        out = finetune_m(ckpt, train, train, cfg)
+        out = run_stage("finetune-m", ckpt, train, train, cfg)
         end = out.make_model(drop_emb=0.0, drop_out=0.0).dev_loss(batches)
         assert end <= start + 1e-12
 
@@ -191,8 +191,8 @@ class TestFinetuneM:
         vs, vt = toy_vocabs
         dims = ModelDims(vocab_src=len(vs), vocab_tgt=len(vt), d_e=6, d_h=8)
         cfg = TrainConfig(stage="pretrain", epochs=0, seed=7)
-        ckpt = pretrain(train, dev, vs, vt, dims, cfg)
+        ckpt = run_stage("pretrain", None, train, dev, cfg, vs, vt, dims)
         from refnet.errors import PrerequisiteError
         with pytest.raises(PrerequisiteError, match="anchor"):
-            finetune_m(ckpt, train, dev,
-                       TrainConfig(stage="finetune-m", epochs=1, seed=7))
+            run_stage("finetune-m", ckpt, train, dev,
+                      TrainConfig(stage="finetune-m", epochs=1, seed=7))

@@ -11,6 +11,7 @@ from refnet.corpus import BOS, EOS, Batch
 from refnet.brefnet import init_b_params
 from refnet.model import KINDS, TranslationModel
 from refnet.mrefnet import add_anchor_params, init_m_params
+from refnet.training import STAGE_FREEZES
 from refnet import seq2seq
 from refnet.seq2seq import (Hypothesis, ModelDims, attention, beam_search,
                             decoder_step, encode_batch, gates_per_cell,
@@ -442,7 +443,7 @@ class TestTapeSize:
                               rng.integers(4, dims.vocab_tgt, size=(B, T - 1))], axis=1)
         batch = Batch(src=rng.integers(4, dims.vocab_src, size=(B, m)),
                       src_lens=np.full(B, m), tgt=tgt, tgt_lens=np.full(B, T))
-        params.freeze("encoder", "decoder")
+        params.freeze(*STAGE_FREEZES["train-b"])
         model = TranslationModel(params, dims, "b_ref", drop_emb=0.2, drop_out=0.3)
         return model.loss(batch, training=True, rng=rng).joint
 
@@ -482,7 +483,7 @@ class TestTapeSize:
         params = init_baseline_params(dims, rng)
         add_anchor_params(params, rng.normal(size=(16, 2 * dims.d_h)))
         init_m_params(params, dims, rng)
-        params.freeze("encoder", "anchors")
+        params.freeze(*STAGE_FREEZES["finetune-m"])
         model = TranslationModel(params, dims, "m_ref", drop_emb=0.2, drop_out=0.3)
         parts = model.loss(batch, training=True, rng=np.random.default_rng(1))
         assert sum(tape_ops(parts.joint).values()) <= 170
@@ -494,7 +495,7 @@ class TestTapeSize:
         rng = np.random.default_rng(0)
         params = init_baseline_params(dims, rng)
         init_b_params(params, dims, 8, 16, rng)
-        params.freeze("encoder", "decoder", "anchors")
+        params.freeze(*STAGE_FREEZES["train-b"])
         model = TranslationModel(params, dims, "b_ref", drop_emb=0.2, drop_out=0.3)
         parts = model.loss(batch, training=True, rng=np.random.default_rng(1))
         assert sum(tape_ops(parts.joint).values()) <= 150

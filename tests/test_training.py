@@ -11,8 +11,9 @@ from refnet.errors import CheckpointError, PrerequisiteError
 from refnet.model import TranslationModel
 from refnet.params import GROUPS
 from refnet.seq2seq import ModelDims
-from refnet.training import (PREAMBLE, Checkpoint, TrainConfig, pretrain,
-                             run_stage)
+from refnet import training
+from refnet.training import (PREAMBLE, STAGE_FREEZES, STAGES, Checkpoint,
+                             TrainConfig, run_stage)
 
 def nan_payload(header, payload):
     payload[-8:] = struct.pack("<d", float("nan"))
@@ -43,6 +44,8 @@ HEADER_MUTATIONS = {
     "name-not-a-string": lambda h, p: h["params"][2].update(name=["enc/fwd/U"]),
     "dims-not-integers": lambda h, p: h["dims"].update(d_e=None),
     "offset-infinite": lambda h, p: h["params"][0].update(offset=float("inf")),
+    "untrainable-entry": lambda h, p: h["params"][1].update(trainable=False),
+    "trainable-flag-not-a-bool": lambda h, p: h["params"][1].update(trainable=1),
 }
 
 
@@ -52,7 +55,7 @@ def quick_pretrain(toy_split, toy_vocabs, epochs=1, seed=21, **kw):
     dims = ModelDims(vocab_src=len(vs), vocab_tgt=len(vt), d_e=6, d_h=8)
     config = TrainConfig(stage="pretrain", epochs=epochs, batch_size=16,
                          seed=seed, patience=50, **kw)
-    return pretrain(train, dev, vs, vt, dims, config)
+    return run_stage("pretrain", None, train, dev, config, vs, vt, dims)
 
 
 class TestCheckpointFile:
@@ -133,6 +136,24 @@ class TestCheckpointFile:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             Checkpoint.load(tmp_path / "absent.ckpt")
+
+    def test_older_file_with_trainable_flags_loads(self, toy_split, toy_vocabs,
+                                                   tmp_path, rewrite_header,
+                                                   capsys):
+        """Older files carry "trainable": true on every entry; they load to
+        the checkpoint a current file holds. Other values are mutations
+        in HEADER_MUTATIONS."""
+        path = quick_pretrain(toy_split, toy_vocabs, epochs=0).save(
+            tmp_path / "model.ckpt")
+        assert b'"trainable"' not in path.read_bytes()
+
+        def mark_trainable(header, payload):
+            for entry in header["params"]:
+                entry["trainable"] = True
+
+        older = rewrite_header(path, tmp_path / "older.ckpt", mark_trainable)
+        Checkpoint.load(older).save(tmp_path / "resaved.ckpt")
+        assert (tmp_path / "resaved.ckpt").read_bytes() == path.read_bytes()
 
 
 def loads_identically_or_is_rejected(path, original):
@@ -228,6 +249,9 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("optimizer", "adamw"), ("clip_mode", "nrom"), ("clip_norm", 0.0),
         ("clip_norm", -1.0), ("seed", -1), ("fit_batch", -1), ("fit_iters", -1),
+        ("fit_lr", 0.0), ("fit_lr", -1.0), ("fit_lr_decay", 0.0),
+        ("fit_lr_decay", 1.5), ("l_alpha", -1.0), ("l_beta", -0.01),
+        ("lam", -5.0), ("lam_m", -1e-4),
     ])
     def test_rejects_field(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -235,7 +259,8 @@ class TestTrainConfig:
 
     def test_accepts_the_edges(self):
         TrainConfig(optimizer="sgd", clip_mode="value", clip_norm=1e-9, seed=0,
-                    fit_batch=0, fit_iters=0)
+                    fit_batch=0, fit_iters=0, fit_lr=1e-9, fit_lr_decay=1.0,
+                    l_alpha=0.0, l_beta=0.0, lam=0.0, lam_m=0.0)
 
 
 class TestStages:
@@ -363,7 +388,7 @@ class TestStages:
         dims = ModelDims(vocab_src=len(vs), vocab_tgt=len(vt), d_e=16, d_h=32)
         config = TrainConfig(stage="pretrain", epochs=30, batch_size=32,
                              seed=5, patience=50)
-        ckpt = pretrain(train, dev, vs, vt, dims, config)
+        ckpt = run_stage("pretrain", None, train, dev, config, vs, vt, dims)
         initial = ckpt.history[0]["dev_loss"]
         final = ckpt.history[-1]["dev_loss"]
         assert final < 0.1 * initial
@@ -463,3 +488,68 @@ class TestStagePurity:
         assert ckpt.params.names() == names
         assert {g: ckpt.params.group_digest(g) for g in GROUPS} == digests
         assert ckpt.kind == kind
+
+
+def stage_argv(stage, toy_split, toy_vocabs):
+    """run_stage's arguments for a quick run of ``stage`` on the toy split."""
+    train, dev, _ = toy_split
+    vs, vt = toy_vocabs
+    if stage == "pretrain":
+        dims = ModelDims(vocab_src=len(vs), vocab_tgt=len(vt), d_e=6, d_h=8)
+        return (stage, None, train, dev,
+                TrainConfig(stage=stage, epochs=0, seed=21), vs, vt, dims)
+    fit_cfg = TrainConfig(stage="fit-anchors", n_anchors=3, fit_iters=2, seed=21)
+    ckpt = quick_pretrain(toy_split, toy_vocabs, epochs=0)
+    if stage == "fit-anchors":
+        return stage, ckpt, train, None, fit_cfg
+    if stage == "finetune-m":
+        ckpt = run_stage("fit-anchors", ckpt, train, None, fit_cfg)
+    return stage, ckpt, train, dev, TrainConfig(
+        stage=stage, epochs=0, seed=21, n_anchors=3, d_a=5)
+
+
+def spy_on_stage_work(monkeypatch, hook):
+    """Call ``hook(params)`` as a stage's work begins: fit-anchors reads the
+    corpus through ``collect_sentence_reprs``, every other stage trains
+    through ``train_epochs``."""
+    train_epochs = training.train_epochs
+    collect = training.collect_sentence_reprs
+
+    def epochs(model, *args):
+        hook(model.params)
+        return train_epochs(model, *args)
+
+    def reprs(params, *args, **kwargs):
+        hook(params)
+        return collect(params, *args, **kwargs)
+
+    monkeypatch.setattr(training, "train_epochs", epochs)
+    monkeypatch.setattr(training, "collect_sentence_reprs", reprs)
+
+
+class TestStageFreezes:
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_frozen_groups_are_the_stage_table(self, stage, toy_split,
+                                               toy_vocabs, monkeypatch, capsys):
+        argv = stage_argv(stage, toy_split, toy_vocabs)
+        seen = []
+        spy_on_stage_work(monkeypatch, lambda params: seen.append(
+            {g for g in GROUPS if params.is_frozen(g)}))
+        out = run_stage(*argv)
+        assert seen == [set(STAGE_FREEZES[stage])]
+        assert not any(out.params.is_frozen(g) for g in GROUPS)
+
+    @pytest.mark.parametrize("stage, group", [
+        ("fit-anchors", "encoder"), ("fit-anchors", "decoder"),
+        ("finetune-m", "encoder"), ("finetune-m", "anchors"),
+        ("train-b", "encoder"), ("train-b", "decoder")])
+    def test_write_into_frozen_group_aborts(self, stage, group, toy_split,
+                                            toy_vocabs, monkeypatch, capsys):
+        argv = stage_argv(stage, toy_split, toy_vocabs)
+
+        def write(params):
+            params[params.members(group)[0]].data.flat[0] += 1.0
+
+        spy_on_stage_work(monkeypatch, write)
+        with pytest.raises(RuntimeError, match=f"frozen group {group!r}"):
+            run_stage(*argv)
