@@ -1,10 +1,14 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float arrays.
 
 A small tape: every operation produced while recording is enabled keeps
 references to its parents and a closure that maps the output gradient to
 parent gradients. ``backward`` walks the tape once in reverse topological
-order. Everything runs in double precision so that central finite
-differences are a reliable oracle for every gradient in the package.
+order. An operation computes in the dtype of its operands, so one op code
+serves both precisions: training and decoding run in float32, while the
+gradient checks build float64 data, in which central finite differences
+are a reliable oracle for every gradient in the package. A Python number
+operand takes the other operand's dtype (NumPy's NEP 50 promotion), so a
+constant never widens float32 data.
 """
 
 from __future__ import annotations
@@ -29,8 +33,16 @@ class no_grad:
         return False
 
 
+def _float_array(data):
+    """``data`` as an array, keeping a float dtype; any other numbers
+    (ints, bools, Python scalars) become float64."""
+    data = np.asarray(data)
+    return data if data.dtype.kind == "f" else data.astype(np.float64)
+
+
 class Tensor:
-    """Dense float64 array plus tape bookkeeping.
+    """Dense float array plus tape bookkeeping; the array keeps the float
+    dtype it was made with (float32 in the stages, float64 in the checks).
 
     Tensors are treated as immutable values by all operations; only the
     optimizer mutates ``data`` in place, between tapes.
@@ -39,7 +51,9 @@ class Tensor:
     __slots__ = ("data", "parents", "_bwd", "requires_grad")
 
     def __init__(self, data, parents=(), bwd=None, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        if type(data) is not np.ndarray or data.dtype.kind != "f":
+            data = _float_array(data)
+        self.data = data
         self.parents = parents
         self._bwd = bwd
         self.requires_grad = requires_grad
@@ -104,9 +118,25 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _operands(a, b):
+    """Both operands of a binary op as tensors. A Python number takes the
+    other operand's dtype, as NEP 50 promotes it: never a 0-d float64
+    array, which would widen float32 data."""
+    if isinstance(a, Tensor):
+        return a, (b if isinstance(b, Tensor) else _constant(b, a))
+    b = as_tensor(b)
+    return _constant(a, b), b
+
+
+def _constant(x, like):
+    if isinstance(x, (int, float)):
+        return Tensor(np.asarray(x, dtype=like.data.dtype))
+    return Tensor(x)
+
+
 def parameter(data):
-    """A leaf tensor that participates in gradients."""
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
+    """A leaf tensor that participates in gradients, on a copy of ``data``."""
+    return Tensor(_float_array(data).copy(), requires_grad=True)
 
 
 def _node(data, parents, bwd):
@@ -138,7 +168,7 @@ def _unbroadcast(grad, shape):
 # none (a constant or a frozen parameter): grad_map would drop it.
 
 def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = a.data + b.data
     return _node(out, (a, b),
                  lambda g: (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
@@ -146,7 +176,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = a.data - b.data
     return _node(out, (a, b),
                  lambda g: (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
@@ -154,7 +184,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = a.data * b.data
     return _node(out, (a, b),
                  lambda g: (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad
@@ -164,7 +194,7 @@ def mul(a, b):
 
 
 def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = a.data / b.data
     return _node(out, (a, b),
                  lambda g: (_unbroadcast(g / b.data, a.data.shape),
@@ -393,7 +423,7 @@ def dropout(x, rate, training=False, rng=None):
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
+    mask = (rng.random(x.data.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
     return _node(x.data * mask, (x,), lambda g: (g * mask,))
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, as_tensor, no_grad
+from .autodiff import Tensor, _float_array, as_tensor, no_grad
 from .params import (Optimizer, OptimizerConfig, ParamStore, backward)
 
 
@@ -183,7 +183,7 @@ class AnchorFitResult:
 
 def init_anchor_points(dataset, n_anchors, rng):
     """Draw anchors from the data (without replacement); Gaussian fallback."""
-    dataset = np.asarray(dataset, dtype=np.float64)
+    dataset = _float_array(dataset)
     n, d = dataset.shape
     if n_anchors <= n:
         idx = rng.choice(n, size=n_anchors, replace=False)
@@ -198,9 +198,10 @@ def fit_anchors(dataset, n_anchors, cfg: LccConfig = LccConfig(),
 
     Adam with a decaying step size; the decay is what lets the unsquared
     first term settle below any fixed tolerance instead of orbiting the
-    optimum at a step-size radius.
+    optimum at a step-size radius. The fit computes in the dataset's float
+    dtype.
     """
-    dataset = np.asarray(dataset, dtype=np.float64)
+    dataset = _float_array(dataset)
     if dataset.ndim != 2 or dataset.shape[0] == 0:
         raise ValueError("dataset must be a non-empty (N, d) matrix")
     if n_anchors < 1:
@@ -208,7 +209,7 @@ def fit_anchors(dataset, n_anchors, cfg: LccConfig = LccConfig(),
     rng = np.random.default_rng(fit.seed)
     d_v = dataset.shape[1]  # also the score net's width
 
-    ps = ParamStore()
+    ps = ParamStore(dataset.dtype)
     ps.add("anchors/points", init_anchor_points(dataset, n_anchors, rng), "anchors")
     proto = ScoreParams.init(d_v, d_v, rng)
     for key, t in (("W", proto.W), ("U", proto.U), ("V", proto.V), ("v", proto.v)):

@@ -96,7 +96,7 @@ class TranslationModel:
 
         # hinge residual ||e(y_t) - f_s(q_t)||^2 over the non-pad targets, all
         # steps at once: the predictions stacked time-major like the targets
-        gold, weights = seq2seq.gold_targets(batch.tgt)
+        gold, weights = seq2seq.gold_targets(batch.tgt, nll_mean.data.dtype)
         diff = ad.take_rows(params["dec/tgt_emb"], gold) - ad.concat(preds, axis=0)
         res_sum = ad.sum_(ad.sum_(ad.square(diff), axis=1) * weights)
         B = len(batch)

@@ -50,8 +50,9 @@ def add_anchor_params(ps: ParamStore, anchor_points):
 
 def collect_sentence_reprs(params, dims: ModelDims, corpus, vocab_src, vocab_tgt,
                            batch_size=64):
-    """h_M for every sentence, computed with the (frozen) encoder, one pass."""
-    reprs = np.empty((len(corpus), 2 * dims.d_h))
+    """h_M for every sentence, computed with the (frozen) encoder, one pass,
+    in the encoder's dtype."""
+    reprs = np.empty((len(corpus), 2 * dims.d_h), params["enc/src_emb"].data.dtype)
     row = 0
     with no_grad():
         for batch in make_batches(corpus, batch_size, vocab_src, vocab_tgt):

@@ -5,6 +5,10 @@ baseline, ``m_ref`` / ``b_ref`` hold the added reference-network weights,
 and ``anchors`` holds the fitted anchor set. Freezing a group removes its
 members from every gradient and every optimizer step; frozen parameters
 are bit-identical across a stage.
+
+A store's ``dtype`` is the compute dtype of everything made from it:
+float64 by default, which the finite-difference oracle needs; the stages
+and the checkpoint loader build float32 stores.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ GROUPS = ("encoder", "decoder", "m_ref", "b_ref", "anchors")
 
 
 class ParamStore:
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
         self._params: dict[str, Tensor] = {}
         self._group_of: dict[str, str] = {}
         self._frozen: set[str] = set()
@@ -31,7 +36,7 @@ class ParamStore:
             raise ValueError(f"duplicate parameter name: {name}")
         if group not in GROUPS:
             raise ValueError(f"unknown group {group!r}; expected one of {GROUPS}")
-        t = Tensor(np.array(data, dtype=np.float64))
+        t = Tensor(np.array(data, dtype=self.dtype))
         t.requires_grad = group not in self._frozen
         self._params[name] = t
         self._group_of[name] = group
@@ -90,9 +95,10 @@ class ParamStore:
             h.update(np.ascontiguousarray(self._params[name].data).tobytes())
         return h.hexdigest()
 
-    def copy(self):
-        """An independent store with the same entries and nothing frozen."""
-        out = ParamStore()
+    def copy(self, dtype=None):
+        """An independent store with the same entries and nothing frozen, in
+        ``dtype`` (default: this store's)."""
+        out = ParamStore(self.dtype if dtype is None else dtype)
         for name, t in self._params.items():
             out.add(name, t.data, self._group_of[name])
         return out
@@ -134,10 +140,16 @@ def finite_diff_grad(f, params: ParamStore, step=1e-4) -> GradRecord:
     """Central-difference gradient oracle: (f(p+h) - f(p-h)) / 2h per coordinate.
 
     ``f`` must be a deterministic scalar function of the store. Slow by
-    design; intended for validating ``backward`` on small problems.
+    design; intended for validating ``backward`` on small problems. Every
+    trainable parameter must be float64: in float32 the roundoff of a
+    central difference swamps the gradient at any usable step.
     """
     if step <= 0:
         raise ValueError("step must be positive")
+    for name in params.trainable_names():
+        if params[name].data.dtype != np.float64:
+            raise TypeError(f"finite differences need float64 parameters; "
+                            f"{name} is {params[name].data.dtype}")
     record: GradRecord = {}
     with no_grad():
         for name in params.trainable_names():

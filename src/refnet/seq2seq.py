@@ -274,9 +274,10 @@ def encode_batch(params, dims: ModelDims, src, src_lens, training=False,
     if src.max() >= dims.vocab_src or src.min() < 0:
         raise ValueError("source id out of vocabulary range")
     B, m = src.shape
-    mask = (np.arange(m)[None, :] < np.asarray(src_lens)[:, None]).astype(np.float64)
-
     emb = ad.take_rows(params["enc/src_emb"], src.reshape(-1))
+    dtype = emb.data.dtype
+    mask = (np.arange(m)[None, :] < np.asarray(src_lens)[:, None]).astype(dtype)
+
     emb = ad.dropout(emb, drop_emb, training, rng)
     emb = ad.reshape(emb, (B, m, dims.d_e))
     xs = [emb[:, t, :] for t in range(m)]
@@ -285,7 +286,7 @@ def encode_batch(params, dims: ModelDims, src, src_lens, training=False,
 
     def run(direction, steps):
         W, U, b = (params[f"enc/{direction}/{k}"] for k in ("W", "U", "b"))
-        s = Tensor(np.zeros((B, dims.d_h)))
+        s = Tensor(np.zeros((B, dims.d_h), dtype))
         out = [None] * m
         for t in steps:
             s = recurrent_cell(xs[t], s, W, U, b, dims.cell, mask=live[t])
@@ -329,7 +330,7 @@ def initial_state(params, h, mask=None):
     """s_0 = tanh(mean_i(h_i) W + b), mean over true (unmasked) positions."""
     B, m, _ = h.shape
     if mask is None:
-        mask = np.ones((B, m))
+        mask = np.ones((B, m), h.data.dtype)
     counts = mask.sum(axis=1, keepdims=True)
     pooled = ad.sum_(h * mask[:, :, None], axis=1) * (1.0 / counts)
     return ad.tanh(ad.matmul(pooled, params["dec/init/W"]) + params["dec/init/b"])
@@ -352,12 +353,12 @@ def output_logits(params, e_prev, s_t, c_t, training=False, rng=None, drop_out=0
 # ---------------------------------------------------------------------------
 # teacher-forced loss
 
-def gold_targets(tgt):
+def gold_targets(tgt, dtype):
     """The supervised targets of a padded (B, T) id matrix, time-major: ids
     y_1..y_{T-1} of every row as one ((T-1)*B,) vector, and its 0/1 weights
-    (0 at padding)."""
+    (0 at padding) in ``dtype``."""
     gold = np.asarray(tgt)[:, 1:].T.reshape(-1)
-    return gold, (gold != PAD).astype(np.float64)
+    return gold, (gold != PAD).astype(dtype)
 
 
 def nll_loss(params, dims: ModelDims, batch: Batch, training=False, rng=None,
@@ -400,7 +401,7 @@ def nll_loss(params, dims: ModelDims, batch: Batch, training=False, rng=None,
     logits = output_logits(params, ad.reshape(e_prev, ((T - 1) * B, dims.d_e)),
                            ad.concat(states, axis=0), ad.concat(contexts, axis=0),
                            training, rng, drop_out)
-    gold, weights = gold_targets(batch.tgt)
+    gold, weights = gold_targets(batch.tgt, logits.data.dtype)
     picked = ad.take_per_row(ad.log_softmax(logits, axis=1), gold)
     n_tokens = float(weights.sum())
     return ad.sum_(picked * weights) * (-1.0 / n_tokens), n_tokens
@@ -508,7 +509,7 @@ class _Rollouts:
     def __init__(self, s0, max_steps):
         n = len(s0)
         self.budget = np.asarray(max_steps)
-        self.state = np.array(s0, dtype=np.float64)
+        self.state = np.array(s0)
         self.prev = np.full(n, BOS)
         self.logprob = np.zeros(n)
         self.length = np.zeros(n, dtype=int)
@@ -549,7 +550,7 @@ class _Beam:
         self.k, self.budget, self.norm = k, np.asarray(max_steps), length_normalize
         self.sents = np.arange(n)
         self.count = np.ones(n, dtype=int)
-        self.state = np.array(s0, dtype=np.float64)[:, None, :]
+        self.state = np.array(s0)[:, None, :]
         self.prev = np.full((n, 1), BOS)
         self.logprob = np.zeros((n, 1))
         self.history = np.zeros((n, 1, 0), dtype=int)  # tokens emitted so far

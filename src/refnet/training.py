@@ -2,7 +2,7 @@
 
 ``run_stage`` is the one way to run a stage, and ``STAGE_FREEZES`` the one
 rule for what a stage keeps fixed. A stage takes a checkpoint (except
-pretraining), works on a copy of its parameters so the input is never
+pretraining), works on a float32 copy of its parameters so the input is never
 changed, freezes the groups ``STAGE_FREEZES`` names, trains what remains,
 and emits a new checkpoint with the stage appended to its provenance
 chain. Frozen groups are hashed before and after every stage; a change
@@ -13,7 +13,12 @@ a little-endian uint32 format version, a little-endian uint64 header
 length, the CRC-32 of everything after it, a JSON header (dims,
 config, vocabularies, provenance, and a manifest of name/group/shape/offset
 per parameter), then the concatenated float64 little-endian payload.
-Round-trips are bit-exact.
+
+Stages compute in float32 (``COMPUTE_DTYPE``): ``run_stage`` and
+``Checkpoint.load`` both return float32 stores. The payload stays ``<f8``
+whatever the store's dtype; ``load`` casts it to float32, and refuses a
+value that is not finite in float32. A float32 value goes to f8 and back
+exactly, so a stage's output round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ PREAMBLE = 20  # magic, version, header length, CRC-32 of header + payload
 HEADER_KEYS = ("kind", "stages", "dims", "config", "vocab_src", "vocab_tgt",
                "params", "payload_bytes")
 
+COMPUTE_DTYPE = np.float32  # of every store a stage or a load returns
 STAGES = ("pretrain", "fit-anchors", "finetune-m", "train-b")
 OPTIMIZERS = ("adam", "sgd")
 CLIP_MODES = ("norm", "value")  # clip the global norm or each element
@@ -83,6 +89,11 @@ class TrainConfig:
     log_path: str = ""
 
     def __post_init__(self):
+        # NaN passes every range check below: nan <= 0 is False
+        bad = [f.name for f in fields(self) if isinstance(getattr(self, f.name), float)
+               and not math.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be finite")
         if self.epochs < 0 or self.batch_size < 1 or self.lr <= 0:
             raise ValueError("epochs must be >= 0, batch_size >= 1, lr > 0")
         if not (0 <= self.drop_emb < 1 and 0 <= self.drop_out < 1):
@@ -208,7 +219,7 @@ class Checkpoint:
                 f"expected {expect_dims.to_dict()}")
         if not isinstance(header["params"], list):
             raise CheckpointError(f"{path}: the parameter manifest is not a list")
-        params, extents = ParamStore(), []  # (offset, bytes) per entry
+        params, extents = ParamStore(COMPUTE_DTYPE), []  # (offset, bytes) per entry
         for entry in header["params"]:
             try:
                 name, group = entry["name"], entry["group"]
@@ -228,13 +239,15 @@ class Checkpoint:
                     f"{start}) does not fit the {len(payload)}-byte payload")
             arr = np.frombuffer(payload, dtype="<f8", count=n,
                                 offset=start).reshape(shape)
-            if not np.isfinite(arr).all():
-                raise CheckpointError(
-                    f"{path}: parameter {name!r} holds non-finite values")
-            try:  # add copies the array out of the file's bytes
-                params.add(name, arr, group)
+            try:  # add casts the array out of the file's bytes
+                with np.errstate(over="ignore"):  # checked just below
+                    value = params.add(name, arr, group).data
             except ValueError as e:  # duplicate name or unknown group
                 raise CheckpointError(f"{path}: {e}") from e
+            if not np.isfinite(value).all():
+                raise CheckpointError(
+                    f"{path}: parameter {name!r} holds non-finite values "
+                    f"in {COMPUTE_DTYPE.__name__}")
             extents.append((start, 8 * n))
         end = 0
         for start, size in sorted(extents):
@@ -396,7 +409,7 @@ def train_epochs(model: TranslationModel, stage, corpus_train, corpus_dev,
 def run_stage(stage, ckpt: Checkpoint | None, corpus_train, corpus_dev,
               config: TrainConfig, vocab_src=None, vocab_tgt=None,
               dims: ModelDims | None = None) -> Checkpoint:
-    """Run one protocol stage on a copy of ``ckpt``'s parameters.
+    """Run one protocol stage on a float32 copy of ``ckpt``'s parameters.
 
     pretrain takes no checkpoint but the vocabularies and dims, and trains
     the baseline from random initialization. fit-anchors fits monolingual
@@ -427,7 +440,7 @@ def run_stage(stage, ckpt: Checkpoint | None, corpus_train, corpus_dev,
     elif stage == "train-b" and ckpt.kind != "baseline":
         raise PrerequisiteError(f"cannot train-b on a {ckpt.kind!r} checkpoint")
     kind = {"finetune-m": "m_ref", "train-b": "b_ref"}.get(stage, ckpt.kind)
-    out = Checkpoint(ckpt.params.copy(), ckpt.dims, config, kind,
+    out = Checkpoint(ckpt.params.copy(COMPUTE_DTYPE), ckpt.dims, config, kind,
                      ckpt.stages + [stage], ckpt.vocab_src, ckpt.vocab_tgt)
     params, frozen = out.params, STAGE_FREEZES[stage]
     before = {g: params.group_digest(g) for g in frozen}

@@ -179,6 +179,10 @@ EXIT_MATRIX = {
         d, ckpt, tmp, "--fit-lr", "-1")),
     "config-zero-fit-lr-decay": (EXIT_CONFIG, lambda d, ckpt, tmp: fit_argv(
         d, ckpt, tmp, "--fit-lr-decay", "0")),
+    "config-nan-clip-norm": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
+        d, tmp, "--clip-norm", "nan")),
+    "config-nan-fit-lr": (EXIT_CONFIG, lambda d, ckpt, tmp: fit_argv(
+        d, ckpt, tmp, "--fit-lr", "nan")),
     "config-min-count-above-every-token": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
         d, tmp, "--min-count", "100000")),
     "config-vocab-max-without-room": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(

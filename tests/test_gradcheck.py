@@ -1,8 +1,12 @@
 import ast
 import pathlib
 
+import numpy as np
+import pytest
+
 import refnet
 from refnet import gradcheck
+from refnet.params import ParamStore, finite_diff_grad
 
 # every function outside autodiff.py that records its own tape node (a fused
 # op with a hand-written backward) -> the gradient checks that cover it
@@ -48,3 +52,30 @@ class TestFusedOpCoverage:
         unknown = [check for checks in FUSED_OP_CHECKS.values() for check in checks
                    if check not in gradcheck.CHECKS]
         assert not unknown, f"no such gradcheck entries: {unknown}"
+
+
+class _Built(Exception):
+    """Raised by the spy once a check has built its store."""
+
+
+class TestFloat64Oracle:
+    def test_float32_parameters_refused(self):
+        ps = ParamStore(np.float32)
+        ps.add("w", np.ones(3), "encoder")
+        with pytest.raises(TypeError, match="float64"):
+            finite_diff_grad(lambda p: p["w"].data.sum(), ps)
+
+    @pytest.mark.parametrize("name", sorted(gradcheck.CHECKS))
+    def test_every_check_builds_float64_stores(self, name, monkeypatch):
+        """Each check's store, and every array in it, is float64; the spy
+        stops the check before it runs the differences."""
+        seen = []
+
+        def spy(f, params, step=1e-4):
+            seen.append({params.dtype} | {t.data.dtype for _, t in params.items()})
+            raise _Built
+
+        monkeypatch.setattr(gradcheck, "finite_diff_grad", spy)
+        with pytest.raises(_Built):
+            gradcheck.CHECKS[name](0)
+        assert seen == [{np.dtype(np.float64)}]

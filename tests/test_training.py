@@ -9,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 from refnet.corpus import make_batches
 from refnet.errors import CheckpointError, PrerequisiteError
 from refnet.model import TranslationModel
-from refnet.params import GROUPS
-from refnet.seq2seq import ModelDims
+from refnet.autodiff import grad_map
+from refnet.params import (GROUPS, Optimizer, OptimizerConfig, backward,
+                           clip_gradient_norm)
+from refnet.seq2seq import (ModelDims, beam_search, greedy_decode,
+                            init_baseline_params)
 from refnet import training
 from refnet.training import (PREAMBLE, STAGE_FREEZES, STAGES, Checkpoint,
                              TrainConfig, run_stage)
@@ -155,6 +158,50 @@ class TestCheckpointFile:
         Checkpoint.load(older).save(tmp_path / "resaved.ckpt")
         assert (tmp_path / "resaved.ckpt").read_bytes() == path.read_bytes()
 
+    def test_float32_store_round_trips_bitwise(self, toy_split, toy_vocabs,
+                                               tmp_path, capsys):
+        """A stage's float32 store goes through the f8 payload unchanged."""
+        ckpt = quick_pretrain(toy_split, toy_vocabs)
+        loaded = Checkpoint.load(ckpt.save(tmp_path / "model.ckpt"))
+        assert ckpt.params.dtype == loaded.params.dtype == np.float32
+        for name, tensor in ckpt.params.items():
+            assert loaded.params[name].data.dtype == np.float32
+            assert loaded.params[name].data.tobytes() == tensor.data.tobytes()
+
+    def test_value_overflowing_float32_rejected(self, toy_split, toy_vocabs,
+                                                tmp_path, rewrite_header):
+        """A finite f8 value beyond float32's range is refused at load, not
+        found as an inf at the first batch."""
+        path = quick_pretrain(toy_split, toy_vocabs, epochs=0).save(
+            tmp_path / "model.ckpt")
+
+        def huge(header, payload):
+            payload[-8:] = struct.pack("<d", 1e300)
+
+        bad = rewrite_header(path, tmp_path / "huge.ckpt", huge)
+        with pytest.raises(CheckpointError, match="non-finite values in float32"):
+            Checkpoint.load(bad)
+
+    def test_float64_checkpoint_loads_and_translates(self, toy_split,
+                                                     toy_vocabs, tmp_path):
+        """A file written from a float64 store loads as its float32 rounding
+        and translates like it."""
+        vs, vt = toy_vocabs
+        dims = ModelDims(vocab_src=len(vs), vocab_tgt=len(vt), d_e=6, d_h=8)
+        wide = init_baseline_params(dims, np.random.default_rng(3))
+        assert wide.dtype == np.float64
+        Checkpoint(wide, dims, TrainConfig(), "baseline", ["pretrain"], vs,
+                   vt).save(tmp_path / "wide.ckpt")
+        loaded = Checkpoint.load(tmp_path / "wide.ckpt")
+        for name, tensor in wide.items():
+            np.testing.assert_array_equal(loaded.params[name].data,
+                                          tensor.data.astype(np.float32))
+        sources = [[4, 5, 6], [7, 4]]
+        narrow = TranslationModel(wide.copy(np.float32), dims, "baseline")
+        for beam in (1, 3):
+            assert (loaded.make_model().translate_batch(sources, beam=beam)
+                    == narrow.translate_batch(sources, beam=beam))
+
 
 def loads_identically_or_is_rejected(path, original):
     try:
@@ -251,7 +298,9 @@ class TestTrainConfig:
         ("clip_norm", -1.0), ("seed", -1), ("fit_batch", -1), ("fit_iters", -1),
         ("fit_lr", 0.0), ("fit_lr", -1.0), ("fit_lr_decay", 0.0),
         ("fit_lr_decay", 1.5), ("l_alpha", -1.0), ("l_beta", -0.01),
-        ("lam", -5.0), ("lam_m", -1e-4),
+        ("lam", -5.0), ("lam_m", -1e-4), ("clip_norm", float("nan")),
+        ("fit_lr", float("nan")), ("lr", float("inf")), ("lam", float("nan")),
+        ("drop_out", float("nan")),
     ])
     def test_rejects_field(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -265,12 +314,12 @@ class TestTrainConfig:
 
 class TestStages:
     def test_zero_epochs_is_random_init(self, toy_split, toy_vocabs):
+        """The same draws as a fresh float64 init, rounded to float32."""
         a = quick_pretrain(toy_split, toy_vocabs, epochs=0)
-        from refnet.seq2seq import init_baseline_params
         fresh = init_baseline_params(a.dims, np.random.default_rng(21))
         for name in fresh.names():
             np.testing.assert_array_equal(a.params[name].data,
-                                          fresh[name].data)
+                                          fresh[name].data.astype(np.float32))
 
     def test_same_seed_identical_bytes(self, toy_split, toy_vocabs, tmp_path,
                                        capsys):
@@ -553,3 +602,75 @@ class TestStageFreezes:
         spy_on_stage_work(monkeypatch, write)
         with pytest.raises(RuntimeError, match=f"frozen group {group!r}"):
             run_stage(*argv)
+
+
+def float32_checkpoints(toy_split, toy_vocabs):
+    """kind -> (stage, an untrained float32 checkpoint of that kind)."""
+    train, dev, _ = toy_split
+    base = quick_pretrain(toy_split, toy_vocabs, epochs=0)
+    anchored = run_stage("fit-anchors", base, train, None, TrainConfig(
+        stage="fit-anchors", n_anchors=3, fit_iters=2, seed=21))
+    tune = dict(epochs=0, seed=21, n_anchors=3, d_a=5)
+    return {"baseline": ("pretrain", base),
+            "m_ref": ("finetune-m", run_stage("finetune-m", anchored, train, dev,
+                                              TrainConfig(stage="finetune-m", **tune))),
+            "b_ref": ("train-b", run_stage("train-b", base, train, dev,
+                                           TrainConfig(stage="train-b", **tune)))}
+
+
+def tape_tensors(root):
+    """Every tensor reachable from ``root`` through the recorded parents."""
+    seen, stack = {}, [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t.parents)
+    return list(seen.values())
+
+
+class TestFloat32Compute:
+    """NumPy 2 upcasts float32 silently (NEP 50): one float64 mask, zero
+    state or constant on the tape would turn the rest of the step float64."""
+
+    def test_no_float64_on_a_training_step(self, toy_split, toy_vocabs):
+        vs, vt = toy_vocabs
+        batch = make_batches(toy_split[0], 16, vs, vt)[0]
+        for kind, (stage, ckpt) in float32_checkpoints(toy_split,
+                                                       toy_vocabs).items():
+            params = ckpt.params
+            assert ckpt.kind == kind and params.dtype == np.float32
+            params.freeze(*STAGE_FREEZES[stage])
+            loss = ckpt.make_model().loss(
+                batch, training=True, rng=np.random.default_rng(1)).joint
+            tensors = tape_tensors(loss)
+            assert len(tensors) > 20
+            assert {t.data.dtype for t in tensors} == {np.dtype(np.float32)}, kind
+            grads = grad_map(loss)
+            assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}, kind
+            opt = Optimizer(OptimizerConfig(kind="adam", lr=1e-3))
+            opt.step(params, clip_gradient_norm(backward(loss, params), 1e-6))
+            moments = list(opt._m.values()) + list(opt._v.values())
+            assert moments and {m.dtype for m in moments} == {np.dtype(np.float32)}
+            assert {t.data.dtype for _, t in params.items()} == {np.dtype(np.float32)}
+
+    def test_no_float64_in_a_decode_step(self, toy_split, toy_vocabs):
+        """Every model step of greedy and beam decoding takes and returns
+        float32 states and log-probabilities."""
+        for kind, (_, ckpt) in float32_checkpoints(toy_split, toy_vocabs).items():
+            step_for, s0 = ckpt.make_model()._prepare([[4, 5, 6], [7, 4]])
+            assert s0.dtype == np.float32
+            seen = set()
+
+            def spied_step_for(sents, singles=()):
+                step = step_for(sents, singles)
+
+                def spied(prev_ids, states):
+                    logp, new_states = step(prev_ids, states)
+                    seen.update({states.dtype, logp.dtype, new_states.dtype})
+                    return logp, new_states
+                return spied
+
+            greedy_decode(spied_step_for, s0, [4, 4])
+            beam_search(spied_step_for, s0, 3, [4, 4])
+            assert seen == {np.dtype(np.float32)}, kind
