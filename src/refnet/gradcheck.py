@@ -5,7 +5,9 @@ analytic gradients via the tape, evaluates the central-difference oracle,
 and reports the worst element-wise relative error
 |a - b| / max(|a|, |b|, 1e-8). Probe inputs (the non-parameter arguments
 whose gradients are also part of the contract) are registered as
-parameters so the oracle covers them too.
+parameters so the oracle covers them too. The oracle perturbs only the
+parameters the tape recorded; each other trainable parameter gets one
+directional probe, which must leave the objective where it was.
 """
 
 from __future__ import annotations
@@ -48,15 +50,40 @@ def _compare(f, ps, steps=(1e-4,)):
     # No single step suits every coordinate: truncation grows with h while
     # the roundoff term eps*|f|/h competes with the 1e-8 error floor on
     # near-zero gradients. Each coordinate is checked against its more
-    # accurate oracle estimate.
+    # accurate oracle estimate. The oracle perturbs only the parameters the
+    # tape recorded; every other trainable parameter gets one directional
+    # probe, whose analytic value is zero, so a dependency the tape dropped
+    # fails the check.
     analytic = backward(f(ps), ps)
-    best = None
-    for step in steps:
-        oracle = finite_diff_grad(f, ps, step=step)
-        errs = {k: _elementwise_rel(analytic[k], oracle[k]) for k in analytic}
-        best = errs if best is None else {k: np.minimum(best[k], errs[k])
-                                          for k in best}
-    return max(float(e.max()) for e in best.values())
+    unrecorded = [n for n in ps.trainable_names() if n not in analytic]
+    for name in unrecorded:
+        ps[name].requires_grad = False
+    try:
+        best = None
+        for step in steps:
+            oracle = finite_diff_grad(f, ps, step=step)
+            errs = {k: _elementwise_rel(analytic[k], oracle[k]) for k in analytic}
+            best = errs if best is None else {k: np.minimum(best[k], errs[k])
+                                              for k in best}
+    finally:
+        for name in unrecorded:
+            ps[name].requires_grad = True
+    worst = max(float(e.max()) for e in best.values())
+    rng = np.random.default_rng(0)
+    with ad.no_grad():
+        for name in unrecorded:
+            data, step = ps[name].data, steps[0]
+            u = rng.normal(size=data.shape)
+            u *= step / np.linalg.norm(u)
+            orig = data.copy()
+            data[...] = orig + u
+            fp = float(f(ps))
+            data[...] = orig - u
+            fm = float(f(ps))
+            data[...] = orig
+            slope = (fp - fm) / (2.0 * step)
+            worst = max(worst, float(_elementwise_rel(0.0, slope)))
+    return worst
 
 
 def _tiny_dims(vocab=6):

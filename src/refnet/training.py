@@ -337,6 +337,10 @@ def _log_line(config, row):
             fh.write(line + "\n")
 
 
+# NumPy's own overflow and invalid-value warnings are off: the loop checks
+# the loss, the updated parameters and the dev loss itself, and stops at the
+# batch where a non-finite value appears.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_epochs(model: TranslationModel, stage, corpus_train, corpus_dev,
                  vocab_src, vocab_tgt, config: TrainConfig):
     """Run the optimization loop; returns per-epoch history rows.
@@ -376,6 +380,9 @@ def train_epochs(model: TranslationModel, stage, corpus_train, corpus_dev,
             norm_sum += norm
             n_clipped += clipped
             opt.step(params, grads)
+            if not all(np.isfinite(params[name].data).all() for name in grads):
+                raise NumericError(f"{stage}: non-finite parameters after the "
+                                   f"update at epoch {epoch}, batch {index}")
             tok_nll += parts.nll_token_mean * parts.n_tokens
             tok_count += parts.n_tokens
             if parts.l_m is not None:

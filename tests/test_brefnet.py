@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refnet import autodiff as ad
+from refnet import lcc
 from refnet.autodiff import Tensor, no_grad
 from refnet.brefnet import (F_S_PARAMS, build_query, f_s, init_b_params, query_dim,
                             regression_weight_norms)
@@ -318,6 +319,20 @@ class TestFusedLcc:
         assert all(p._bwd is None for p in out.parents)
         with no_grad():
             assert f_s(q, ps).parents == ()
+
+
+class TestBlockedTriScores:
+    def test_matches_composed_across_blocks(self):
+        """Rows spanning at least three row blocks: the kernel still matches
+        the composed reference, forward and gradients."""
+        N, C, d = 700, 16, 32
+        assert len(lcc._row_blocks(N, C * d)) >= 3
+        args = score_inputs(N, C, d, d_att=d, seed=12)
+        w = np.random.default_rng(13).normal(size=(N, C))
+        fused, fused_grads = score_grads(tri_scores, args, w)
+        ref, ref_grads = score_grads(reference_tri_scores, args, w)
+        np.testing.assert_allclose(fused, ref, rtol=1e-14, atol=0)
+        assert_grads_close(fused_grads, ref_grads, args)
 
 
 def pair_batch(src_ids, tgt_ids):

@@ -217,6 +217,8 @@ EXIT_MATRIX = {
         "--dev-tgt", str(d / "toy.dev.tgt"), "--ckpt-out", str(tmp / "t.ckpt"),
         "--d-e", "4", "--d-h", "4", "--epochs", "2", "--batch-size", "16",
         "--lr", "1e300"]),
+    "numeric-divergent-fit": (EXIT_NUMERIC, lambda d, ckpt, tmp: fit_argv(
+        d, ckpt, tmp, "--fit-lr", "1e300", "--fit-iters", "3")),
 }
 
 
@@ -229,6 +231,20 @@ def test_exit_code_matrix(case, toy_files, toy_ckpt, tmp_path):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert proc.stderr.strip()
+
+
+@pytest.mark.parametrize("case, where", [
+    ("numeric-divergent-training", "pretrain: non-finite parameters after the "
+                                   "update at epoch 0, batch 0"),
+    ("numeric-divergent-fit", "anchor fitting diverged at iteration 0")])
+def test_divergence_prints_only_its_error(case, where, toy_files, toy_ckpt,
+                                          tmp_path):
+    """The first update already makes the parameters non-finite: stderr is
+    the one error line, naming that step, with no NumPy warnings before it."""
+    _, make_argv = EXIT_MATRIX[case]
+    proc = run_process(make_argv(toy_files, toy_ckpt, tmp_path))
+    assert proc.returncode == EXIT_NUMERIC
+    assert proc.stderr.splitlines() == [f"numeric failure: {where}"]
 
 
 def run_process(argv):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import refnet
+from refnet import autodiff as ad
 from refnet import gradcheck
 from refnet.params import ParamStore, finite_diff_grad
 
@@ -15,6 +16,7 @@ FUSED_OP_CHECKS = {
     "attention_weights": ("additive_attention", "grouped_attention"),
     "weighted_sum": ("additive_attention", "grouped_attention"),
     "tri_scores": ("tri_score", "tri_scores_batch"),
+    "anchor_sq_dists": ("localization_measure",),
     "f_s": ("f_s",),
 }
 
@@ -79,3 +81,45 @@ class TestFloat64Oracle:
         with pytest.raises(_Built):
             gradcheck.CHECKS[name](0)
         assert seen == [{np.dtype(np.float64)}]
+
+
+def product_store():
+    ps = ParamStore()
+    rng = np.random.default_rng(3)
+    for name in ("x", "w", "unused"):
+        ps.add(name, rng.normal(size=3), "m_ref")
+    return ps
+
+
+def product(ps):
+    return ad.sum_(ad.tanh(ps["x"] * ps["w"]))
+
+
+def product_dropping_w(ps):
+    """The same value from a node whose parents leave out ``w``."""
+    x, w = ps["x"], ps["w"]
+    out = ad._node(x.data * w.data, (x,), lambda g: (g * w.data,))
+    return ad.sum_(ad.tanh(out))
+
+
+class TestOracleCoverage:
+    def test_oracle_perturbs_only_recorded_parameters(self, monkeypatch):
+        ps = product_store()
+        seen = []
+
+        def spy(f, params, step=1e-4):
+            seen.append(params.trainable_names())
+            return finite_diff_grad(f, params, step=step)
+
+        monkeypatch.setattr(gradcheck, "finite_diff_grad", spy)
+        assert gradcheck._compare(product, ps) <= gradcheck.TOL
+        assert seen == [["x", "w"]]
+        assert ps.trainable_names() == ["x", "w", "unused"]
+
+    def test_dropped_parent_fails(self):
+        """Mutation: the tape loses the node's dependence on ``w``. Its
+        analytic gradient is missing, and the probe sees f move."""
+        ps = product_store()
+        assert product_dropping_w(ps).data == product(ps).data
+        assert gradcheck._compare(product_dropping_w, ps) > gradcheck.TOL
+        assert ps.trainable_names() == ["x", "w", "unused"]

@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from refnet.autodiff import Tensor
+from refnet import autodiff as ad
+from refnet import lcc
+from refnet.autodiff import Tensor, no_grad
 from refnet.lcc import (AnchorFitConfig, AnchorSet, LccConfig, ScoreParams,
-                        fit_anchors, lcc_weights, localization_measures,
-                        reconstruct, tri_scores)
+                        anchor_sq_dists, dataset_measure, fit_anchors,
+                        lcc_weights, localization_measures,
+                        mean_localization_measure, reconstruct, tri_scores)
 
 
 def make_score(d_v, d_att=None, seed=0, scale=0.5):
@@ -241,3 +245,84 @@ class TestLipschitzBoundDiag:
         after = float(np.mean(localization_measures(data, fit.anchors, fit.score,
                                                     LccConfig()).data))
         assert after < before
+
+
+def traced_peak(fn):
+    """Peak bytes NumPy and Python allocate while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def blocks_of(N, C, d):
+    return len(lcc._row_blocks(N, C * d))
+
+
+def tanh_points(N, d, seed=0, dtype=np.float64):
+    return np.tanh(np.random.default_rng(seed).normal(size=(N, d))).astype(dtype)
+
+
+class TestRowBlocks:
+    """The score kernel, the anchor distances and the whole-dataset measure
+    go through the rows one block at a time."""
+
+    def test_blocks_cover_the_rows(self):
+        blocks = lcc._row_blocks(1000, 16 * 128)
+        assert blocks[0] == slice(0, lcc.BLOCK_ELEMS // (16 * 128))
+        assert np.concatenate([np.arange(1000)[b] for b in blocks]).tolist() \
+            == list(range(1000))
+        assert lcc._row_blocks(5, 10 * lcc.BLOCK_ELEMS) == [slice(i, i + 1)
+                                                         for i in range(5)]
+
+    def test_fit_iteration_memory_bound(self):
+        """One float32 fit iteration at N = 256, C = 16, d_v = 128 stays
+        within 4 units of N * C * d_v * 4 bytes (the whole-batch tape took
+        7.4 units)."""
+        N, C, d = 256, 16, 128
+        assert blocks_of(N, C, d) >= 3
+        X = tanh_points(N, d, dtype=np.float32)
+        peak = traced_peak(lambda: fit_anchors(
+            X, C, LccConfig(), AnchorFitConfig(iters=1, seed=1)))
+        assert peak <= 4 * N * C * d * 4
+
+    def test_dataset_measure_memory_does_not_grow_with_rows(self):
+        C, d = 16, 128
+        sp = ScoreParams.init(d, d, np.random.default_rng(2))
+        peaks = {}
+        for N in (1024, 4096):
+            X = tanh_points(N, d, seed=3)
+            anchors = AnchorSet(X[:C].copy())
+            peaks[N] = traced_peak(lambda: dataset_measure(X, anchors, sp))
+        assert peaks[4096] <= 1.1 * peaks[1024]
+
+    def test_dataset_measure_equals_one_call_mean(self):
+        N, C, d = 700, 16, 64
+        assert blocks_of(N, C, d) >= 3
+        X = tanh_points(N, d, seed=4)
+        sp = make_score(d, seed=5, scale=0.1)
+        anchors = AnchorSet(X[:C] + 0.1)
+        cfg = LccConfig(l_alpha=1.0, l_beta=0.5)
+        with no_grad():
+            whole = float(mean_localization_measure(X, anchors, sp, cfg).data)
+        assert dataset_measure(X, anchors, sp, cfg) \
+            == pytest.approx(whole, rel=1e-12, abs=0)
+
+    def test_sq_dists_match_composed_across_blocks(self):
+        """Forward bits and gradients (1e-12 relative) of the blocked
+        distances against the (N, C, d) difference tensor built from tape
+        ops."""
+        N, C, d = 300, 8, 128
+        assert blocks_of(N, C, d) >= 3
+        rng = np.random.default_rng(6)
+        R, A = ad.parameter(rng.normal(size=(N, d))), ad.parameter(rng.normal(size=(C, d)))
+        w = rng.normal(size=(N, C))
+        diffs = ad.reshape(A, (1, C, d)) - ad.reshape(R, (N, 1, d))
+        outs = [anchor_sq_dists(R, AnchorSet(A)), ad.sum_(ad.square(diffs), axis=2)]
+        assert np.array_equal(outs[0].data, outs[1].data)
+        fused, composed = (ad.grad_map(ad.sum_(out * w)) for out in outs)
+        for leaf in (R, A):
+            ref = composed[id(leaf)]
+            assert np.abs(fused[id(leaf)] - ref).max() <= 1e-12 * np.abs(ref).max()
