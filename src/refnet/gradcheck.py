@@ -8,10 +8,19 @@ whose gradients are also part of the contract) are registered as
 parameters so the oracle covers them too. The oracle perturbs only the
 parameters the tape recorded; each other trainable parameter gets one
 directional probe, which must leave the objective where it was.
+
+A check may list several oracle steps. They run in turn, and each later
+step re-runs the oracle only for the parameters that the earlier steps
+did not clear (some coordinate still above ``TOL``); a coordinate passes
+if any step's estimate is within ``TOL``. So ``max_rel_err`` is the worst
+error of the estimate that cleared each coordinate: a parameter cleared
+at the first step reports its first-step error, and one that no step
+clears reports its minimum over every step.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +44,7 @@ class CheckResult:
     name: str
     seed: int
     max_rel_err: float
+    seconds: float = 0.0
 
     @property
     def passed(self):
@@ -46,28 +56,47 @@ def _elementwise_rel(a, b, floor=1e-8):
     return np.abs(a - b) / denom
 
 
+def _oracle_errors(f, ps, analytic, steps):
+    """Element-wise error of each recorded gradient in ``analytic`` against
+    the oracle, escalating through ``steps``.
+
+    No single step suits every coordinate: truncation grows with h while
+    the roundoff term eps*|f|/h competes with the 1e-8 error floor on
+    near-zero gradients. So a parameter with a coordinate above ``TOL``
+    after one step's sweep gets the next step's sweep too, and keeps the
+    minimum over its steps; a parameter whose every coordinate is within
+    ``TOL`` is marked requires_grad=False and the later sweeps skip it.
+    The oracle perturbs only recorded parameters: every other trainable
+    one is marked the same way. Every flag is restored on the way out.
+    """
+    skipped = [n for n in ps.trainable_names() if n not in analytic]
+    for name in skipped:
+        ps[name].requires_grad = False
+    best = {}
+    try:
+        for step in steps:
+            if not ps.trainable_names():
+                break
+            for k, est in finite_diff_grad(f, ps, step=step).items():
+                err = _elementwise_rel(analytic[k], est)
+                best[k] = np.minimum(best[k], err) if k in best else err
+                if best[k].max() <= TOL:
+                    ps[k].requires_grad = False
+                    skipped.append(k)
+    finally:
+        for name in skipped:
+            ps[name].requires_grad = True
+    return best
+
+
 def _compare(f, ps, steps=(1e-4,)):
-    # No single step suits every coordinate: truncation grows with h while
-    # the roundoff term eps*|f|/h competes with the 1e-8 error floor on
-    # near-zero gradients. Each coordinate is checked against its more
-    # accurate oracle estimate. The oracle perturbs only the parameters the
-    # tape recorded; every other trainable parameter gets one directional
-    # probe, whose analytic value is zero, so a dependency the tape dropped
-    # fails the check.
+    # Each recorded coordinate is checked against the oracle estimate that
+    # cleared it (see _oracle_errors). Every other trainable parameter gets
+    # one directional probe, whose analytic value is zero, so a dependency
+    # the tape dropped fails the check.
     analytic = backward(f(ps), ps)
     unrecorded = [n for n in ps.trainable_names() if n not in analytic]
-    for name in unrecorded:
-        ps[name].requires_grad = False
-    try:
-        best = None
-        for step in steps:
-            oracle = finite_diff_grad(f, ps, step=step)
-            errs = {k: _elementwise_rel(analytic[k], oracle[k]) for k in analytic}
-            best = errs if best is None else {k: np.minimum(best[k], errs[k])
-                                              for k in best}
-    finally:
-        for name in unrecorded:
-            ps[name].requires_grad = True
+    best = _oracle_errors(f, ps, analytic, steps)
     worst = max(float(e.max()) for e in best.values())
     rng = np.random.default_rng(0)
     with ad.no_grad():
@@ -76,11 +105,13 @@ def _compare(f, ps, steps=(1e-4,)):
             u = rng.normal(size=data.shape)
             u *= step / np.linalg.norm(u)
             orig = data.copy()
-            data[...] = orig + u
-            fp = float(f(ps))
-            data[...] = orig - u
-            fm = float(f(ps))
-            data[...] = orig
+            try:
+                data[...] = orig + u
+                fp = float(f(ps))
+                data[...] = orig - u
+                fm = float(f(ps))
+            finally:
+                data[...] = orig
             slope = (fp - fm) / (2.0 * step)
             worst = max(worst, float(_elementwise_rel(0.0, slope)))
     return worst
@@ -387,11 +418,17 @@ def run_suite(seeds=range(5), checks=None):
     for name in (checks or CHECKS):
         fn = CHECKS[name]
         for seed in seeds:
-            results.append(CheckResult(name, seed, fn(seed)))
+            t0 = time.perf_counter()
+            err = fn(seed)
+            results.append(CheckResult(name, seed, err, time.perf_counter() - t0))
     return results
 
 
 def suite_report(results):
+    """One line per check: its verdict over the seeds, the worst error, and
+    the seconds summed over the seeds. The error is that of the oracle
+    estimate that cleared each coordinate, usually the first step's, so it
+    is not the margin a minimum over every step would show."""
     lines = []
     by_name = {}
     for r in results:
@@ -399,5 +436,7 @@ def suite_report(results):
     for name, rs in by_name.items():
         worst = max(r.max_rel_err for r in rs)
         status = "PASS" if all(r.passed for r in rs) else "FAIL"
-        lines.append(f"{status}\t{name}\tseeds={len(rs)}\tmax_rel_err={worst:.3e}")
+        seconds = sum(r.seconds for r in rs)
+        lines.append(f"{status}\t{name}\tseeds={len(rs)}\tmax_rel_err={worst:.3e}"
+                     f"\tseconds={seconds:.2f}")
     return "\n".join(lines)

@@ -158,11 +158,13 @@ def finite_diff_grad(f, params: ParamStore, step=1e-4) -> GradRecord:
             grad = np.empty_like(flat)
             for i in range(flat.size):
                 orig = flat[i]
-                flat[i] = orig + step
-                fp = float(f(params))
-                flat[i] = orig - step
-                fm = float(f(params))
-                flat[i] = orig
+                try:
+                    flat[i] = orig + step
+                    fp = float(f(params))
+                    flat[i] = orig - step
+                    fm = float(f(params))
+                finally:
+                    flat[i] = orig
                 if not (np.isfinite(fp) and np.isfinite(fm)):
                     raise FloatingPointError(
                         f"objective non-finite while perturbing {name}[{i}]")

@@ -111,6 +111,24 @@ class TestFiniteDiff:
         with pytest.raises(ValueError):
             finite_diff_grad(lambda p: ad.square(p["p"]), ps, step=0.0)
 
+    def test_raising_objective_leaves_the_store_unperturbed(self):
+        """The third evaluation, at w[1] + h, raises; w must read as before."""
+        ps = ParamStore()
+        ps.add("w", [1.0, 2.0], "encoder")
+        before = ps["w"].data.copy()
+        calls = []
+
+        def f(p):
+            calls.append(p["w"].data.copy())
+            if len(calls) == 3:
+                raise RuntimeError("objective failed")
+            return ad.sum_(ad.square(p["w"]))
+
+        with pytest.raises(RuntimeError, match="objective failed"):
+            finite_diff_grad(f, ps, step=1e-4)
+        assert calls[2][1] != before[1]
+        assert ps["w"].data.tobytes() == before.tobytes()
+
 
 class TestClipping:
     def test_forced_scaling(self):

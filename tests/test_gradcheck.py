@@ -7,7 +7,7 @@ import pytest
 import refnet
 from refnet import autodiff as ad
 from refnet import gradcheck
-from refnet.params import ParamStore, finite_diff_grad
+from refnet.params import ParamStore, backward, finite_diff_grad
 
 # every function outside autodiff.py that records its own tape node (a fused
 # op with a hand-written backward) -> the gradient checks that cover it
@@ -123,3 +123,134 @@ class TestOracleCoverage:
         assert product_dropping_w(ps).data == product(ps).data
         assert gradcheck._compare(product_dropping_w, ps) > gradcheck.TOL
         assert ps.trainable_names() == ["x", "w", "unused"]
+
+
+def reference_compare(f, ps, steps=(1e-4,)):
+    """Every step's sweep over every recorded parameter, the minimum over
+    the steps per coordinate, then one directional probe per unrecorded
+    parameter: the reference the escalating sweep must match. Returns the
+    worst error and the per-parameter error arrays."""
+    analytic = backward(f(ps), ps)
+    unrecorded = [n for n in ps.trainable_names() if n not in analytic]
+    for name in unrecorded:
+        ps[name].requires_grad = False
+    try:
+        best = None
+        for step in steps:
+            oracle = gradcheck.finite_diff_grad(f, ps, step=step)
+            errs = {k: gradcheck._elementwise_rel(analytic[k], oracle[k])
+                    for k in analytic}
+            best = errs if best is None else {k: np.minimum(best[k], errs[k])
+                                              for k in best}
+    finally:
+        for name in unrecorded:
+            ps[name].requires_grad = True
+    worst = max(float(e.max()) for e in best.values())
+    rng = np.random.default_rng(0)
+    with ad.no_grad():
+        for name in unrecorded:
+            data, step = ps[name].data, steps[0]
+            u = rng.normal(size=data.shape)
+            u *= step / np.linalg.norm(u)
+            orig = data.copy()
+            data[...] = orig + u
+            fp = float(f(ps))
+            data[...] = orig - u
+            fm = float(f(ps))
+            data[...] = orig
+            slope = (fp - fm) / (2.0 * step)
+            worst = max(worst, float(gradcheck._elementwise_rel(0.0, slope)))
+    return worst, best
+
+
+def spy_oracle(monkeypatch, offsets=None):
+    """Replace the suite's oracle by the true one scaled by
+    1 + offsets[step][name]; returns the list of each call's trainable names."""
+    calls = []
+
+    def spy(f, params, step=1e-4):
+        calls.append(params.trainable_names())
+        scale = (offsets or {}).get(step, {})
+        return {k: g * (1.0 + scale.get(k, 0.0))
+                for k, g in finite_diff_grad(f, params, step=step).items()}
+
+    monkeypatch.setattr(gradcheck, "finite_diff_grad", spy)
+    return calls
+
+
+def raising_on(n, f):
+    """``f``, except that its n-th call raises."""
+    count = [0]
+
+    def g(ps):
+        count[0] += 1
+        if count[0] == n:
+            raise RuntimeError("objective failed")
+        return f(ps)
+    return g
+
+
+class TestEscalatingSteps:
+    @pytest.mark.parametrize("offsets, steps, expected", [
+        ({}, (1e-3, 2e-3), [["x", "w"]]),
+        ({1e-3: {"w": 1e-3}}, (1e-3, 2e-3), [["x", "w"], ["w"]]),
+        ({1e-3: {"x": 1e-3, "w": 1e-3}, 2e-3: {"w": 1e-3}}, (1e-3, 2e-3, 4e-3),
+         [["x", "w"], ["x", "w"], ["w"]]),
+    ], ids=["all-clear-at-once", "w-rechecked", "x-clears-second"])
+    def test_later_steps_sweep_only_what_is_still_failing(
+            self, offsets, steps, expected, monkeypatch):
+        calls = spy_oracle(monkeypatch, offsets)
+        ref, _ = reference_compare(product, product_store(), steps)
+        calls.clear()
+        ps = product_store()
+        assert gradcheck._compare(product, ps, steps) <= gradcheck.TOL
+        assert ref <= gradcheck.TOL
+        assert calls == expected
+        assert ps.trainable_names() == ["x", "w", "unused"]
+
+    def test_failing_check_reports_the_reference_error(self, monkeypatch):
+        spy_oracle(monkeypatch, {1e-3: {"w": 1e-3}, 2e-3: {"w": 2e-3}})
+        ref, _ = reference_compare(product, product_store(), (1e-3, 2e-3))
+        worst = gradcheck._compare(product, product_store(), (1e-3, 2e-3))
+        assert worst > gradcheck.TOL
+        assert worst == ref
+
+    def test_joint_b_loss_seed_4_rechecks_only_the_attention_weights(
+            self, monkeypatch):
+        """The one recorded case where the first step leaves a parameter
+        above TOL: two coordinates of dec/att/W."""
+        built, compare = [], gradcheck._compare
+        monkeypatch.setattr(gradcheck, "_compare",
+                            lambda f, ps, steps: built.append((f, ps, steps)))
+        gradcheck.check_joint_b_loss(4)
+        ((f, ps, steps),) = built
+        ref, ref_errs = reference_compare(f, ps, steps)
+        calls = spy_oracle(monkeypatch)
+        errs = gradcheck._oracle_errors(f, ps, backward(f(ps), ps), steps)
+        assert calls[1:] == [["dec/att/W"]]
+        assert sorted(calls[0]) == sorted(ref_errs)
+        np.testing.assert_array_equal(errs["dec/att/W"], ref_errs["dec/att/W"])
+        assert compare(f, ps, steps) <= gradcheck.TOL and ref <= gradcheck.TOL
+
+    @pytest.mark.parametrize("raise_at, offsets", [
+        (1 + 12 + 3, {1e-3: {"w": 1e-3}}),  # inside the second sweep, over w
+        (1 + 12 + 1, {}),                     # the probe of "unused"
+    ], ids=["second-sweep", "probe"])
+    def test_raising_objective_restores_values_and_flags(
+            self, raise_at, offsets, monkeypatch):
+        spy_oracle(monkeypatch, offsets)
+        ps = product_store()
+        before = {name: t.data.tobytes() for name, t in ps.items()}
+        with pytest.raises(RuntimeError, match="objective failed"):
+            gradcheck._compare(raising_on(raise_at, product), ps, (1e-3, 2e-3))
+        assert {name: t.data.tobytes() for name, t in ps.items()} == before
+        assert ps.trainable_names() == ["x", "w", "unused"]
+
+
+class TestSuiteReport:
+    def test_seconds_are_timed_and_summed_over_seeds(self):
+        results = gradcheck.run_suite(seeds=range(2), checks=["tri_score"])
+        assert all(r.seconds > 0 for r in results)
+        (line,) = gradcheck.suite_report(results).splitlines()
+        assert line.startswith("PASS\ttri_score\tseeds=2\t")
+        assert line.endswith(f"\tseconds={sum(r.seconds for r in results):.2f}")
