@@ -95,15 +95,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -193,19 +184,6 @@ def mul(a, b):
                             else None))
 
 
-def div(a, b):
-    a, b = _operands(a, b)
-    out = a.data / b.data
-    return _node(out, (a, b),
-                 lambda g: (_unbroadcast(g / b.data, a.data.shape),
-                            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
-
-
-def neg(a):
-    a = as_tensor(a)
-    return _node(-a.data, (a,), lambda g: (-g,))
-
-
 def square(a):
     a = as_tensor(a)
     return _node(a.data * a.data, (a,), lambda g: (2.0 * a.data * g,))
@@ -226,17 +204,6 @@ def sqrt(a):
         return (np.where(out > 0.0, 0.5 / safe, 0.0) * g,)
 
     return _node(out, (a,), bwd)
-
-
-def exp(a):
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return _node(out, (a,), lambda g: (g * out,))
-
-
-def log(a):
-    a = as_tensor(a)
-    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def tanh(a):

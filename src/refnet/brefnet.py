@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import as_tensor
 from .lcc import _tri_scores_backward, _tri_scores_forward
 from .params import ParamStore
-from .seq2seq import ModelDims, add_params, gates_per_cell
+from .seq2seq import GATES, ModelDims, add_params
 
 
 def query_dim(dims: ModelDims):
@@ -32,7 +32,6 @@ def query_dim(dims: ModelDims):
 def b_schema(dims: ModelDims, n_anchors, d_a):
     """(name, shape, group, init) of the theta_B group."""
     d_q, d_e = query_dim(dims), dims.d_e
-    ng = gates_per_cell(dims.cell)
     return [
         ("bref/anchors", (n_anchors, d_a), "b_ref", ("normal", 0.3)),
         ("bref/g/W", (d_q, d_a), "b_ref", ("xavier", d_q, d_a)),
@@ -43,7 +42,7 @@ def b_schema(dims: ModelDims, n_anchors, d_a):
         ("bref/score/v", (d_a,), "b_ref", ("xavier", d_a, 1)),
         ("bref/reg/W", (n_anchors, d_a, d_e), "b_ref", ("normal", np.sqrt(1.0 / d_a))),
         ("bref/reg/b", (n_anchors, d_e), "b_ref", ("zeros",)),
-        ("bref/proj", (d_e, ng * dims.d_h), "b_ref", ("zeros",))]
+        ("bref/proj", (d_e, GATES * dims.d_h), "b_ref", ("zeros",))]
 
 
 def init_b_params(ps: ParamStore, dims: ModelDims, n_anchors, d_a, rng):

@@ -197,7 +197,6 @@ def build_parser():
     p.add_argument("--d-h", type=int, default=64, help="hidden size")
     p.add_argument("--d-att", type=int, default=0, help="attention size (0: d_h)")
     p.add_argument("--d-out", type=int, default=0, help="readout size (0: d_e)")
-    p.add_argument("--cell", default="gru", choices=["gru", "tanh"])
     p.add_argument("--vocab-max", type=int, default=30000)
     p.add_argument("--min-count", type=int, default=1)
 
@@ -289,7 +288,7 @@ def _cmd_train(args):
                                            args.min_count)
         dims = ModelDims(vocab_src=len(vocab_src), vocab_tgt=len(vocab_tgt),
                          d_e=args.d_e, d_h=args.d_h, d_att=args.d_att,
-                         d_out=args.d_out, cell=args.cell)
+                         d_out=args.d_out)
     except ValueError as e:
         raise ConfigError(str(e)) from e
     ckpt = run_stage("pretrain", None, train, dev, config,

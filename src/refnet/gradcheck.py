@@ -177,8 +177,7 @@ def check_decoder_step_extras(seed):
         e, s_prev, c = ps_["probe/e_prev"], ps_["probe/s_prev"], ps_["probe/c"]
         s = seq2seq.decoder_step(ps_, e, s_prev, c,
                                  variant_extras("m_ref", ps_, e, s_prev, c,
-                                                variant_memory("m_ref", ps_)),
-                                 dims.cell)
+                                                variant_memory("m_ref", ps_)))
         return ad.sum_(ad.tanh(s) * u)
 
     return _compare(f, ps)
@@ -322,28 +321,22 @@ def check_joint_b_loss(seed):
 
 
 def check_recurrent_cell(seed):
-    """The fused one-node cell, both kinds, with one non-zero extra input."""
+    """The fused one-node cell with one non-zero extra input."""
     rng = np.random.default_rng((seed, 43))
     d_x, d_h, d_v, B = 3, 4, 2, 2
+    width = seq2seq.GATES * d_h
     ps = ParamStore()
     u = rng.normal(size=d_h)
-    for cell in ("gru", "tanh"):
-        width = seq2seq.gates_per_cell(cell) * d_h
-        for name, shape in (("x", (B, d_x)), ("s_prev", (B, d_h)),
-                            ("W", (d_x, width)), ("U", (d_h, width)),
-                            ("b", (width,)), ("vec", (B, d_v)),
-                            ("proj", (d_v, width))):
-            _probe(ps, f"probe/{cell}/{name}", rng.normal(0, 0.5, size=shape))
+    names = ("x", "s_prev", "W", "U", "b", "vec", "proj")
+    shapes = ((B, d_x), (B, d_h), (d_x, width), (d_h, width), (width,),
+              (B, d_v), (d_v, width))
+    for name, shape in zip(names, shapes):
+        _probe(ps, f"probe/{name}", rng.normal(0, 0.5, size=shape))
 
     def f(ps_):
-        total = 0.0
-        for cell in ("gru", "tanh"):
-            x, s_prev, W, U, b, vec, proj = (
-                ps_[f"probe/{cell}/{name}"]
-                for name in ("x", "s_prev", "W", "U", "b", "vec", "proj"))
-            s = seq2seq.recurrent_cell(x, s_prev, W, U, b, cell, [(vec, proj)])
-            total = total + ad.sum_(ad.tanh(s) * u)
-        return total
+        x, s_prev, W, U, b, vec, proj = (ps_[f"probe/{name}"] for name in names)
+        s = seq2seq.recurrent_cell(x, s_prev, W, U, b, [(vec, proj)])
+        return ad.sum_(ad.tanh(s) * u)
 
     return _compare(f, ps)
 

@@ -156,7 +156,7 @@ class TranslationModel:
         once per block, and each sentence's are broadcast over its rows
         (``seq2seq.attention_weights``).
         """
-        params, dims, kind = self.params, self.dims, self.kind
+        params, kind = self.params, self.kind
         *encoded, extra = memory
         gathered = [[m[rows] for m in encoded]
                     for rows in (np.asarray(b, dtype=int) for b in blocks)
@@ -175,8 +175,7 @@ class TranslationModel:
                             for s, (h, h_proj, mask) in zip(parts, gathered)]
                 c = contexts[0] if len(contexts) == 1 else ad.concat(contexts)
                 extras = variant_extras(kind, params, e_prev, s_prev, c, extra)
-                s_new = seq2seq.decoder_step(params, e_prev, s_prev, c,
-                                             extras, dims.cell)
+                s_new = seq2seq.decoder_step(params, e_prev, s_prev, c, extras)
                 logits = seq2seq.output_logits(params, e_prev, s_new, c)
                 logp = ad.log_softmax(logits, axis=1)
             return logp.data, s_new.data

@@ -18,8 +18,8 @@ from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .corpus import make_batches
 from .params import ParamStore
-from .seq2seq import (ModelDims, add_params, additive_attention,
-                      encode_batch, gates_per_cell)
+from .seq2seq import (GATES, ModelDims, add_params, additive_attention,
+                      encode_batch)
 
 ANCHOR_KEY = "anchors/m"
 
@@ -28,12 +28,11 @@ def m_schema(dims: ModelDims):
     """(name, shape, group, init) of the theta_M group: a fresh anchor
     attention and a zero extra-input projection."""
     d_h, d_att = dims.d_h, dims.d_att
-    ng = gates_per_cell(dims.cell)
     return [("mref/att/W", (d_h, d_att), "m_ref", ("xavier", d_h, d_att)),
             ("mref/att/U", (2 * d_h, d_att), "m_ref", ("xavier", 2 * d_h, d_att)),
             ("mref/att/V", (2 * d_h, d_att), "m_ref", ("xavier", 2 * d_h, d_att)),
             ("mref/att/v", (d_att,), "m_ref", ("xavier", 2 * d_h, 1)),
-            ("mref/proj", (2 * d_h, ng * d_h), "m_ref", ("zeros",))]
+            ("mref/proj", (2 * d_h, GATES * d_h), "m_ref", ("zeros",))]
 
 
 def init_m_params(ps: ParamStore, dims: ModelDims, rng):

@@ -22,17 +22,19 @@ from .corpus import Batch, BOS, EOS, PAD
 from .params import ParamStore
 
 NEG_BIG = 1e9  # additive mask; exp(-1e9) underflows to exactly 0
+GATES = 3  # gate blocks per cell: reset, update and candidate
 
 
 @dataclass
 class ModelDims:
+    """Vocabulary and layer sizes; every recurrent cell is the gated one."""
+
     vocab_src: int
     vocab_tgt: int
     d_e: int = 32
     d_h: int = 64
     d_att: int = 0   # 0 means "use d_h"
     d_out: int = 0   # 0 means "use d_e"
-    cell: str = "gru"  # "gru" | "tanh"
 
     def __post_init__(self):
         if self.d_att == 0:
@@ -44,22 +46,16 @@ class ModelDims:
             if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
                     or value < 1):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if self.cell not in ("gru", "tanh"):
-            raise ValueError(f"unknown cell kind {self.cell!r}")
 
     def to_dict(self):
         return {"vocab_src": self.vocab_src, "vocab_tgt": self.vocab_tgt,
                 "d_e": self.d_e, "d_h": self.d_h, "d_att": self.d_att,
-                "d_out": self.d_out, "cell": self.cell}
+                "d_out": self.d_out}
 
 
 def xavier(rng, fan_in, fan_out, shape=None):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape or (fan_in, fan_out))
-
-
-def gates_per_cell(cell):
-    return 3 if cell == "gru" else 1
 
 
 def add_params(ps: ParamStore, schema, rng) -> ParamStore:
@@ -80,14 +76,14 @@ def add_params(ps: ParamStore, schema, rng) -> ParamStore:
 def baseline_schema(dims: ModelDims):
     """(name, shape, group, init) of every baseline parameter: the encoder
     group (theta_E) and the decoder group (theta_D, incl. attention)."""
-    ng = gates_per_cell(dims.cell)
     d_e, d_h, d_att, d_out = dims.d_e, dims.d_h, dims.d_att, dims.d_out
+    d_g = GATES * d_h
     table = [("enc/src_emb", (dims.vocab_src, d_e), "encoder", ("normal", 0.1))]
     for direction in ("fwd", "bwd"):
         table += [
-            (f"enc/{direction}/W", (d_e, ng * d_h), "encoder", ("xavier", d_e, d_h)),
-            (f"enc/{direction}/U", (d_h, ng * d_h), "encoder", ("xavier", d_h, d_h)),
-            (f"enc/{direction}/b", (ng * d_h,), "encoder", ("zeros",))]
+            (f"enc/{direction}/W", (d_e, d_g), "encoder", ("xavier", d_e, d_h)),
+            (f"enc/{direction}/U", (d_h, d_g), "encoder", ("xavier", d_h, d_h)),
+            (f"enc/{direction}/b", (d_g,), "encoder", ("zeros",))]
     d_x = d_e + 2 * d_h
     return table + [
         ("dec/tgt_emb", (dims.vocab_tgt, d_e), "decoder", ("normal", 0.1)),
@@ -96,9 +92,9 @@ def baseline_schema(dims: ModelDims):
         ("dec/att/v", (d_att,), "decoder", ("xavier", 2 * d_h, 1)),
         ("dec/init/W", (2 * d_h, d_h), "decoder", ("xavier", 2 * d_h, d_h)),
         ("dec/init/b", (d_h,), "decoder", ("zeros",)),
-        ("dec/cell/W", (d_x, ng * d_h), "decoder", ("xavier", d_x, d_h)),
-        ("dec/cell/U", (d_h, ng * d_h), "decoder", ("xavier", d_h, d_h)),
-        ("dec/cell/b", (ng * d_h,), "decoder", ("zeros",)),
+        ("dec/cell/W", (d_x, d_g), "decoder", ("xavier", d_x, d_h)),
+        ("dec/cell/U", (d_h, d_g), "decoder", ("xavier", d_h, d_h)),
+        ("dec/cell/b", (d_g,), "decoder", ("zeros",)),
         ("dec/out/W", (d_e + 3 * d_h, d_out), "decoder",
          ("xavier", d_e + 3 * d_h, d_out)),
         ("dec/out/b", (d_out,), "decoder", ("zeros",)),
@@ -113,10 +109,10 @@ def init_baseline_params(dims: ModelDims, rng) -> ParamStore:
 
 
 # ---------------------------------------------------------------------------
-# recurrent cells
+# recurrent cell
 
-def recurrent_cell(x, s_prev, W, U, b, cell="gru", extras=(), mask=None):
-    """One step of the recurrent update over input x and state s_prev.
+def recurrent_cell(x, s_prev, W, U, b, extras=(), mask=None):
+    """One step of the gated recurrent update over input x and state s_prev.
 
     extras is a sequence of (vector, projection) pairs; each projection maps
     its vector into the same gate pre-activation block as W. mask, a (B, 1)
@@ -134,41 +130,30 @@ def recurrent_cell(x, s_prev, W, U, b, cell="gru", extras=(), mask=None):
     for vec, proj in pairs:
         gx = gx + vec.data @ proj.data
     gs = s_prev.data @ U.data
-    if cell == "tanh":
-        out = np.tanh(gx + gs)
-
-        def gate_grads(g):
-            da = g * (1.0 - out * out)
-            return da, da, None
-    else:
-        d_h = U.shape[0]
-        rz = 1.0 / (1.0 + np.exp(-(gx[:, :2 * d_h] + gs[:, :2 * d_h])))
-        r, z = rz[:, :d_h], rz[:, d_h:]
-        sn = gs[:, 2 * d_h:]
-        n = np.tanh(gx[:, 2 * d_h:] + r * sn)
-        out = (1.0 - z) * n + z * s_prev.data
-
-        def gate_grads(g):
-            dan = g * (1.0 - z) * (1.0 - n * n)
-            drz = np.concatenate([dan * sn, g * s_prev.data - g * n], axis=1)
-            drz = drz * rz * (1.0 - rz)
-            return (np.concatenate([drz, dan], axis=1),
-                    np.concatenate([drz, dan * r], axis=1), g * z)
+    d_h = U.shape[0]
+    rz = 1.0 / (1.0 + np.exp(-(gx[:, :2 * d_h] + gs[:, :2 * d_h])))
+    r, z = rz[:, :d_h], rz[:, d_h:]
+    sn = gs[:, 2 * d_h:]
+    n = np.tanh(gx[:, 2 * d_h:] + r * sn)
+    out = (1.0 - z) * n + z * s_prev.data
 
     def bwd(g):
         g_keep = None
         if mask is not None:
             g, g_keep = g * mask, g * (1.0 - mask)
-        dgx, dgs, ds_direct = gate_grads(g)
+        dan = g * (1.0 - z) * (1.0 - n * n)
+        drz = np.concatenate([dan * sn, g * s_prev.data - g * n], axis=1)
+        drz = drz * rz * (1.0 - rz)
+        dgx = np.concatenate([drz, dan], axis=1)
+        dgs = np.concatenate([drz, dan * r], axis=1)
         grads = [dgx @ W.data.T if x.requires_grad else None, None,
                  x.data.T @ dgx if W.requires_grad else None,
                  s_prev.data.T @ dgs if U.requires_grad else None,
                  dgx.sum(axis=0).reshape(b.shape) if b.requires_grad else None]
         if s_prev.requires_grad:
-            grads[1] = dgs @ U.data.T
-            for direct in (ds_direct, g_keep):
-                if direct is not None:
-                    grads[1] += direct
+            grads[1] = dgs @ U.data.T + g * z
+            if g_keep is not None:
+                grads[1] += g_keep
         for vec, proj in pairs:
             grads.append(dgx @ proj.data.T if vec.requires_grad else None)
             grads.append(vec.data.T @ dgx if proj.requires_grad else None)
@@ -289,7 +274,7 @@ def encode_batch(params, dims: ModelDims, src, src_lens, training=False,
         s = Tensor(np.zeros((B, dims.d_h), dtype))
         out = [None] * m
         for t in steps:
-            s = recurrent_cell(xs[t], s, W, U, b, dims.cell, mask=live[t])
+            s = recurrent_cell(xs[t], s, W, U, b, mask=live[t])
             out[t] = s
         return out
 
@@ -336,11 +321,11 @@ def initial_state(params, h, mask=None):
     return ad.tanh(ad.matmul(pooled, params["dec/init/W"]) + params["dec/init/b"])
 
 
-def decoder_step(params, e_prev, s_prev, c_t, extras=None, cell="gru"):
-    """State update s_t = f_d(e(y_{t-1}), s_{t-1}, c_t, *extras)."""
+def decoder_step(params, e_prev, s_prev, c_t, extras=None):
+    """Gated state update s_t = f_d(e(y_{t-1}), s_{t-1}, c_t, *extras)."""
     x = ad.concat([e_prev, c_t], axis=1)
     return recurrent_cell(x, s_prev, params["dec/cell/W"], params["dec/cell/U"],
-                          params["dec/cell/b"], cell, extras or ())
+                          params["dec/cell/b"], extras or ())
 
 
 def output_logits(params, e_prev, s_t, c_t, training=False, rng=None, drop_out=0.0):
@@ -393,7 +378,7 @@ def nll_loss(params, dims: ModelDims, batch: Batch, training=False, rng=None,
     for t in range(T - 1):
         _, c = attention(s, h, params, mask=mask, h_proj=h_proj)
         extras = () if extras_fn is None else extras_fn(emb_clean[:, t, :], s, c)
-        s = decoder_step(params, emb_in[:, t, :], s, c, extras, dims.cell)
+        s = decoder_step(params, emb_in[:, t, :], s, c, extras)
         states.append(s)
         contexts.append(c)
 

@@ -210,7 +210,11 @@ class Checkpoint:
                 f"{path}: truncated payload ({len(payload)} of "
                 f"{header['payload_bytes']} bytes)")
         try:
-            dims = ModelDims(**header["dims"])
+            sizes = {**header["dims"]}  # TypeError unless a mapping
+            # older files carry "cell": "gru", the only cell there is
+            if sizes.pop("cell", "gru") != "gru":
+                raise ValueError("the gated cell is the only cell")
+            dims = ModelDims(**sizes)
         except (TypeError, ValueError) as e:
             raise CheckpointError(f"{path}: bad dims {header['dims']!r}: {e}") from e
         if expect_dims is not None and dims.to_dict() != expect_dims.to_dict():

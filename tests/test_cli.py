@@ -167,6 +167,8 @@ EXIT_MATRIX = {
         "--out", str(tmp / "x")]),
     "usage-config-without-path": (EXIT_USAGE, lambda d, ckpt, tmp: [
         "synth", "--out", str(tmp / "x"), "--config"]),
+    "usage-removed-cell-flag": (EXIT_USAGE, lambda d, ckpt, tmp: train_argv(
+        d, tmp, "--cell", "gru")),
     "config-zero-clip-norm": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
         d, tmp, "--clip-norm", "0")),
     "config-negative-seed": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
@@ -202,6 +204,8 @@ EXIT_MATRIX = {
         "--d-h", "0", "--epochs", "1"]),
     "config-zero-gradcheck-seeds": (EXIT_CONFIG, lambda d, ckpt, tmp: [
         "gradcheck", "--seeds", "0"]),
+    "config-removed-cell-key": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
+        d, tmp, "--config", config_file(tmp, "cell = gru"))),
     "config-missing-corpus": (EXIT_CONFIG, lambda d, ckpt, tmp: [
         "evaluate", "--hyp", str(tmp / "none.txt"), "--refs", str(tmp / "none.txt")]),
     "prerequisite-missing-checkpoint": (EXIT_PREREQ, lambda d, ckpt, tmp: [

@@ -13,8 +13,8 @@ from refnet.model import KINDS, TranslationModel
 from refnet.mrefnet import add_anchor_params, init_m_params
 from refnet.training import STAGE_FREEZES
 from refnet import seq2seq
-from refnet.seq2seq import (Hypothesis, ModelDims, attention, beam_search,
-                            decoder_step, encode_batch, gates_per_cell,
+from refnet.seq2seq import (GATES, Hypothesis, ModelDims, attention,
+                            beam_search, decoder_step, encode_batch,
                             greedy_decode, init_baseline_params, nll_loss,
                             output_logits, recurrent_cell)
 
@@ -149,45 +149,28 @@ class TestDecoderStep:
         oracle = finite_diff_grad(f, probe, step=1e-4)
         assert relative_error(analytic["extra"], oracle["extra"]) < 1e-4
 
-    def test_tanh_cell_variant(self):
-        dims = ModelDims(vocab_src=7, vocab_tgt=7, d_e=3, d_h=4, cell="tanh")
-        params = init_baseline_params(dims, np.random.default_rng(0))
-        rng = np.random.default_rng(1)
-        e = Tensor(rng.normal(size=(1, 3)))
-        s = Tensor(rng.normal(size=(1, 4)))
-        c = Tensor(rng.normal(size=(1, 8)))
-        out = decoder_step(params, e, s, c, cell="tanh")
-        x = np.concatenate([e.data, c.data], axis=1)
-        expected = np.tanh(x @ params["dec/cell/W"].data
-                           + s.data @ params["dec/cell/U"].data
-                           + params["dec/cell/b"].data)
-        np.testing.assert_allclose(out.data, expected, atol=1e-14)
 
-
-def reference_cell(x, s_prev, W, U, b, cell="gru", extras=(), mask=None):
+def reference_cell(x, s_prev, W, U, b, extras=(), mask=None):
     """The same cell composed of tape ops, one node per matmul, slice, gate
     and padding blend: the reference the single-node cell must match."""
     gx = ad.matmul(x, W) + b
     for vec, proj in extras:
         gx = gx + ad.matmul(vec, proj)
     gs = ad.matmul(s_prev, U)
-    if cell == "tanh":
-        out = ad.tanh(gx + gs)
-    else:
-        d_h = U.shape[0]
-        xr, xz, xn = gx[:, :d_h], gx[:, d_h:2 * d_h], gx[:, 2 * d_h:]
-        sr, sz, sn = gs[:, :d_h], gs[:, d_h:2 * d_h], gs[:, 2 * d_h:]
-        r = ad.sigmoid(xr + sr)
-        z = ad.sigmoid(xz + sz)
-        n = ad.tanh(xn + r * sn)
-        out = (1.0 - z) * n + z * s_prev
+    d_h = U.shape[0]
+    xr, xz, xn = gx[:, :d_h], gx[:, d_h:2 * d_h], gx[:, 2 * d_h:]
+    sr, sz, sn = gs[:, :d_h], gs[:, d_h:2 * d_h], gs[:, 2 * d_h:]
+    r = ad.sigmoid(xr + sr)
+    z = ad.sigmoid(xz + sz)
+    n = ad.tanh(xn + r * sn)
+    out = (1.0 - z) * n + z * s_prev
     return out if mask is None else out * mask + s_prev * (1.0 - mask)
 
 
-def cell_inputs(cell, n_extras, B=5, d_x=6, d_h=4, seed=0):
+def cell_inputs(n_extras, B=5, d_x=6, d_h=4, seed=0):
     """(x, s_prev, W, U, b, extras) as fresh parameters."""
     rng = np.random.default_rng(seed)
-    width = gates_per_cell(cell) * d_h
+    width = GATES * d_h
     p = lambda *shape: ad.parameter(rng.normal(0.0, 0.7, size=shape))  # noqa: E731
     extras = [(p(B, 3 + i), p(3 + i, width)) for i in range(n_extras)]
     return p(B, d_x), p(B, d_h), p(d_x, width), p(d_h, width), p(width), extras
@@ -199,17 +182,15 @@ def leaves(x, s_prev, W, U, b, extras):
 
 class TestFusedCell:
     @pytest.mark.parametrize("n_extras", [0, 1, 2])
-    @pytest.mark.parametrize("cell", ["gru", "tanh"])
-    def test_forward_bit_identical_to_composed_cell(self, cell, n_extras):
+    def test_forward_bit_identical_to_composed_cell(self, n_extras):
         for B in (1, 2, 7):
-            args = cell_inputs(cell, n_extras, B=B, seed=B)
-            fused = recurrent_cell(*args[:5], cell, args[5])
-            ref = reference_cell(*args[:5], cell, args[5])
+            args = cell_inputs(n_extras, B=B, seed=B)
+            fused = recurrent_cell(*args[:5], args[5])
+            ref = reference_cell(*args[:5], args[5])
             assert np.array_equal(fused.data, ref.data)
 
-    @pytest.mark.parametrize("cell", ["gru", "tanh"])
-    def test_encode_batch_with_padding_bit_identical(self, cell, monkeypatch):
-        dims = ModelDims(vocab_src=9, vocab_tgt=9, d_e=3, d_h=4, cell=cell)
+    def test_encode_batch_with_padding_bit_identical(self, monkeypatch):
+        dims = ModelDims(vocab_src=9, vocab_tgt=9, d_e=3, d_h=4)
         params = init_baseline_params(dims, np.random.default_rng(2))
         src = np.array([[4, 5, 6, 7, 8], [6, 4, 0, 0, 0], [8, 7, 5, 0, 0]])
         lens = np.array([5, 2, 3])
@@ -219,27 +200,25 @@ class TestFusedCell:
         assert np.array_equal(fused.data, ref.data)
 
     @pytest.mark.parametrize("n_extras", [0, 2])
-    @pytest.mark.parametrize("cell", ["gru", "tanh"])
-    def test_backward_matches_composed_cell(self, cell, n_extras):
-        args = cell_inputs(cell, n_extras, seed=3)
+    def test_backward_matches_composed_cell(self, n_extras):
+        args = cell_inputs(n_extras, seed=3)
         w = np.random.default_rng(4).normal(size=(5, 4))
         grads = []
         for fn in (recurrent_cell, reference_cell):
-            out = fn(*args[:5], cell, args[5])
+            out = fn(*args[:5], args[5])
             grads.append(ad.grad_map(ad.sum_(ad.tanh(out) * w)))
         for leaf in leaves(*args):
             fused, ref = grads[0][id(leaf)], grads[1][id(leaf)]
             assert fused.shape == leaf.shape
             assert np.abs(fused - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("cell", ["gru", "tanh"])
-    def test_row_mask_matches_composed_blend(self, cell):
-        args = cell_inputs(cell, 1, seed=7)
+    def test_row_mask_matches_composed_blend(self):
+        args = cell_inputs(1, seed=7)
         mask = np.array([[1.0], [0.0], [1.0], [0.0], [1.0]])
         w = np.random.default_rng(8).normal(size=(5, 4))
         outs, grads = [], []
         for fn in (recurrent_cell, reference_cell):
-            out = fn(*args[:5], cell, args[5], mask=mask)
+            out = fn(*args[:5], args[5], mask=mask)
             outs.append(out.data)
             grads.append(ad.grad_map(ad.sum_(ad.tanh(out) * w)))
         assert np.array_equal(outs[0], outs[1])
@@ -248,27 +227,25 @@ class TestFusedCell:
             fused, ref = grads[0][id(leaf)], grads[1][id(leaf)]
             assert np.abs(fused - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("cell", ["gru", "tanh"])
-    def test_constant_inputs_get_no_gradient(self, cell):
-        x, s_prev, W, U, b, extras = cell_inputs(cell, 1, seed=5)
+    def test_constant_inputs_get_no_gradient(self):
+        x, s_prev, W, U, b, extras = cell_inputs(1, seed=5)
         s_const, vec_const = Tensor(s_prev.data), Tensor(extras[0][0].data)
-        out = recurrent_cell(x, s_const, W, U, b, cell, [(vec_const, extras[0][1])])
+        out = recurrent_cell(x, s_const, W, U, b, [(vec_const, extras[0][1])])
         grads = ad.grad_map(ad.sum_(out))
         assert id(s_const) not in grads and id(vec_const) not in grads
         ref = ad.grad_map(ad.sum_(reference_cell(
-            x, s_const, W, U, b, cell, [(vec_const, extras[0][1])])))
+            x, s_const, W, U, b, [(vec_const, extras[0][1])])))
         for leaf in (x, W, U, b, extras[0][1]):
             np.testing.assert_allclose(grads[id(leaf)], ref[id(leaf)],
                                        rtol=1e-12, atol=1e-15)
 
-    @pytest.mark.parametrize("cell", ["gru", "tanh"])
-    def test_one_call_records_one_node(self, cell):
-        args = cell_inputs(cell, 2, seed=6)
-        out = recurrent_cell(*args[:5], cell, args[5])
+    def test_one_call_records_one_node(self):
+        args = cell_inputs(2, seed=6)
+        out = recurrent_cell(*args[:5], args[5])
         assert out.parents == tuple(leaves(*args))
         assert all(p._bwd is None for p in out.parents)
         with no_grad():
-            assert recurrent_cell(*args[:5], cell, args[5]).parents == ()
+            assert recurrent_cell(*args[:5], args[5]).parents == ()
 
 
 def reference_attention(q, keys, values, v, mask=None):

@@ -46,6 +46,7 @@ HEADER_MUTATIONS = {
     "stage-without-anchors": lambda h, p: h["stages"].append("fit-anchors"),
     "name-not-a-string": lambda h, p: h["params"][2].update(name=["enc/fwd/U"]),
     "dims-not-integers": lambda h, p: h["dims"].update(d_e=None),
+    "dims-cell-not-gru": lambda h, p: h["dims"].update(cell="tanh"),
     "offset-infinite": lambda h, p: h["params"][0].update(offset=float("inf")),
     "untrainable-entry": lambda h, p: h["params"][1].update(trainable=False),
     "trainable-flag-not-a-bool": lambda h, p: h["params"][1].update(trainable=1),
@@ -155,6 +156,19 @@ class TestCheckpointFile:
                 entry["trainable"] = True
 
         older = rewrite_header(path, tmp_path / "older.ckpt", mark_trainable)
+        Checkpoint.load(older).save(tmp_path / "resaved.ckpt")
+        assert (tmp_path / "resaved.ckpt").read_bytes() == path.read_bytes()
+
+    def test_older_file_with_cell_key_loads(self, toy_split, toy_vocabs,
+                                            tmp_path, rewrite_header, capsys):
+        """Older files carry "cell": "gru" in their dims; they load to the
+        checkpoint a current file holds. Other cells are mutations in
+        HEADER_MUTATIONS."""
+        path = quick_pretrain(toy_split, toy_vocabs, epochs=0).save(
+            tmp_path / "model.ckpt")
+        assert b'"cell"' not in path.read_bytes()
+        older = rewrite_header(path, tmp_path / "older.ckpt",
+                               lambda h, p: h["dims"].update(cell="gru"))
         Checkpoint.load(older).save(tmp_path / "resaved.ckpt")
         assert (tmp_path / "resaved.ckpt").read_bytes() == path.read_bytes()
 
