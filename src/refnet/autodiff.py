@@ -221,6 +221,10 @@ def sigmoid(a):
 # ---------------------------------------------------------------------------
 # linear algebra and shape ops
 
+# What only the backward pass reads (concat's offsets, getitem's index
+# kind, transpose's inverse permutation) is computed inside the closure, so
+# an op under no_grad does forward work only.
+
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
@@ -241,9 +245,8 @@ def transpose(a, axes=None):
     a = as_tensor(a)
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
-    inverse = tuple(np.argsort(axes))
     return _node(np.transpose(a.data, axes), (a,),
-                 lambda g: (np.transpose(g, inverse),))
+                 lambda g: (np.transpose(g, np.argsort(axes)),))
 
 
 def _is_basic_index(key):
@@ -258,11 +261,10 @@ def _is_basic_index(key):
 def getitem(a, key):
     a = as_tensor(a)
     out = a.data[key]
-    basic = _is_basic_index(key)
 
     def bwd(g):
         full = np.zeros_like(a.data)
-        if basic:
+        if _is_basic_index(key):
             full[key] = g
         else:  # an index array may repeat positions: accumulate
             np.add.at(full, key, g)
@@ -274,15 +276,15 @@ def getitem(a, key):
 def concat(tensors, axis=0):
     tensors = [as_tensor(t) for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    extents = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + extents)
 
     def bwd(g):
         slicer = [slice(None)] * g.ndim
-        grads = []
-        for i in range(len(tensors)):
-            slicer[axis] = slice(offsets[i], offsets[i + 1])
+        grads, start = [], 0
+        for t in tensors:
+            stop = start + t.data.shape[axis]
+            slicer[axis] = slice(start, stop)
             grads.append(g[tuple(slicer)])
+            start = stop
         return tuple(grads)
 
     return _node(out, tuple(tensors), bwd)
@@ -350,7 +352,8 @@ def log_softmax(a, axis=-1):
 
 
 def take_rows(table, ids):
-    """Embedding lookup: rows of a 2-D table selected by an integer array."""
+    """Embedding lookup: rows of a 2-D table selected by an integer array of
+    any shape; the output has that shape plus the row axis."""
     table = as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
     out = table.data[ids]

@@ -108,6 +108,9 @@ class ParallelCorpus:
         if len(src) != len(tgt):
             raise ValueError(
                 f"parallel files disagree: {len(src)} vs {len(tgt)} lines")
+        for line, sent in enumerate(src, start=1):
+            if not sent:  # a target may be empty; a source has to be encoded
+                raise ValueError(f"{src_path}: line {line}: empty source sentence")
         return cls(list(zip(src, tgt)))
 
 

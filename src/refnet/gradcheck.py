@@ -341,6 +341,26 @@ def check_recurrent_cell(seed):
     return _compare(f, ps)
 
 
+def check_encoder_recurrence(seed):
+    """The one-node bidirectional encoder over ragged sources (lengths 3, 2
+    and 1), so that padding reaches both directions: the embedding table
+    and both directions' W, U and b."""
+    rng = np.random.default_rng((seed, 59))
+    dims = _tiny_dims()
+    schema = [e for e in seq2seq.baseline_schema(dims) if e[0].startswith("enc/")]
+    ps = seq2seq.add_params(ParamStore(), schema, rng)
+    lens = np.array([3, 2, 1])
+    src = np.where(np.arange(3)[None, :] < lens[:, None],
+                   rng.integers(3, dims.vocab_src, size=(3, 3)), 0)
+    u = rng.normal(size=(3, 3, 2 * dims.d_h))
+
+    def f(ps_):
+        h, _ = seq2seq.encode_batch(ps_, dims, src, lens)
+        return ad.sum_(ad.tanh(h) * u)
+
+    return _compare(f, ps)
+
+
 def check_additive_attention(seed):
     """The two-node attention op, with per-row masked keys and with keys
     shared by every row; alpha and the context both enter the objective."""
@@ -400,6 +420,7 @@ CHECKS = {
     "nll_loss": check_nll,
     "joint_b_loss": check_joint_b_loss,
     "recurrent_cell": check_recurrent_cell,
+    "encoder_recurrence": check_encoder_recurrence,
     "additive_attention": check_additive_attention,
     "tri_scores_batch": check_tri_scores_batch,
     "grouped_attention": check_grouped_attention,

@@ -1,7 +1,11 @@
 """Baseline attention encoder-decoder.
 
 Encoder: bi-directional gated recurrent net; each source annotation h_i is
-the concatenation of the forward and backward states at position i.
+the concatenation of the forward and backward states at position i. It is
+one tape node, ``encoder_recurrence``, which advances both directions
+together; it and the decoder's one-node ``recurrent_cell`` share one gate
+kernel (``_gate_forward`` / ``_gate_backward``), so the gated equations
+exist once.
 Attention: alpha_ti = softmax_i( v_a^T tanh(W_a s_{t-1} + U_a h_i) ), and
 the context c_t = sum_i alpha_ti h_i. Decoder state update:
 s_t = f_d(e(y_{t-1}), s_{t-1}, c_t, *extras) with a gated cell; each extra
@@ -17,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .corpus import Batch, BOS, EOS, PAD
 from .params import ParamStore
 
@@ -111,6 +114,40 @@ def init_baseline_params(dims: ModelDims, rng) -> ParamStore:
 # ---------------------------------------------------------------------------
 # recurrent cell
 
+def _gate_forward(gx, gs, s_prev, mask=None):
+    """The gated update from its pre-activations gx = x W + b (+ extras) and
+    gs = s_prev U, on any leading shape with the gate blocks on the last
+    axis. mask, None or 0/1 floats broadcasting against s_prev, keeps
+    s_prev where it is 0: the state is out * mask + s_prev * (1 - mask).
+    Returns the state and the cache ``_gate_backward`` reads."""
+    d_h = s_prev.shape[-1]
+    rz = 1.0 / (1.0 + np.exp(-(gx[..., :2 * d_h] + gs[..., :2 * d_h])))
+    z = rz[..., d_h:]
+    sn = gs[..., 2 * d_h:]
+    n = np.tanh(gx[..., 2 * d_h:] + rz[..., :d_h] * sn)
+    out = (1.0 - z) * n + z * s_prev
+    state = out if mask is None else out * mask + s_prev * (1.0 - mask)
+    return state, (s_prev, mask, rz, n, sn)
+
+
+def _gate_backward(g, cache):
+    """From the gradient g of a ``_gate_forward`` state: the gradients of gx
+    and gs, the direct gradient of s_prev through the update gate, and the
+    part of g the mask kept on s_prev (None without a mask). The gradient
+    of s_prev is (dgs U^T + direct) + kept, summed in that order."""
+    s_prev, mask, rz, n, sn = cache
+    g_keep = None
+    if mask is not None:
+        g, g_keep = g * mask, g * (1.0 - mask)
+    d_h = n.shape[-1]
+    r, z = rz[..., :d_h], rz[..., d_h:]
+    dan = g * (1.0 - z) * (1.0 - n * n)
+    drz = np.concatenate([dan * sn, g * s_prev - g * n], axis=-1)
+    drz = drz * rz * (1.0 - rz)
+    return (np.concatenate([drz, dan], axis=-1),
+            np.concatenate([drz, dan * r], axis=-1), g * z, g_keep)
+
+
 def recurrent_cell(x, s_prev, W, U, b, extras=(), mask=None):
     """One step of the gated recurrent update over input x and state s_prev.
 
@@ -119,39 +156,27 @@ def recurrent_cell(x, s_prev, W, U, b, extras=(), mask=None):
     array of zeros and ones or None, keeps s_prev in the rows where it is 0
     (padding): the step returns out * mask + s_prev * (1 - mask). The step is
     a single tape node (Appleyard et al. 2016, arXiv:1604.01946): the gate
-    pre-activations come from one matmul per input, all elementwise work,
-    the padding blend included, happens inside the node, and its
-    hand-written backward returns the gradients of x, s_prev, W, U, b and of
-    every extra pair.
+    pre-activations come from one matmul per input, the gate kernel
+    (``_gate_forward``, shared with ``encoder_recurrence``) does all
+    elementwise work, the padding blend included, and the hand-written
+    backward returns the gradients of x, s_prev, W, U, b and of every extra
+    pair.
     """
     x, s_prev, W, U, b = (ad.as_tensor(t) for t in (x, s_prev, W, U, b))
     pairs = [(ad.as_tensor(vec), ad.as_tensor(proj)) for vec, proj in extras]
     gx = x.data @ W.data + b.data
     for vec, proj in pairs:
         gx = gx + vec.data @ proj.data
-    gs = s_prev.data @ U.data
-    d_h = U.shape[0]
-    rz = 1.0 / (1.0 + np.exp(-(gx[:, :2 * d_h] + gs[:, :2 * d_h])))
-    r, z = rz[:, :d_h], rz[:, d_h:]
-    sn = gs[:, 2 * d_h:]
-    n = np.tanh(gx[:, 2 * d_h:] + r * sn)
-    out = (1.0 - z) * n + z * s_prev.data
+    state, cache = _gate_forward(gx, s_prev.data @ U.data, s_prev.data, mask)
 
     def bwd(g):
-        g_keep = None
-        if mask is not None:
-            g, g_keep = g * mask, g * (1.0 - mask)
-        dan = g * (1.0 - z) * (1.0 - n * n)
-        drz = np.concatenate([dan * sn, g * s_prev.data - g * n], axis=1)
-        drz = drz * rz * (1.0 - rz)
-        dgx = np.concatenate([drz, dan], axis=1)
-        dgs = np.concatenate([drz, dan * r], axis=1)
+        dgx, dgs, g_z, g_keep = _gate_backward(g, cache)
         grads = [dgx @ W.data.T if x.requires_grad else None, None,
                  x.data.T @ dgx if W.requires_grad else None,
                  s_prev.data.T @ dgs if U.requires_grad else None,
                  dgx.sum(axis=0).reshape(b.shape) if b.requires_grad else None]
         if s_prev.requires_grad:
-            grads[1] = dgs @ U.data.T + g * z
+            grads[1] = dgs @ U.data.T + g_z
             if g_keep is not None:
                 grads[1] += g_keep
         for vec, proj in pairs:
@@ -159,9 +184,87 @@ def recurrent_cell(x, s_prev, W, U, b, extras=(), mask=None):
             grads.append(vec.data.T @ dgx if proj.requires_grad else None)
         return grads
 
-    state = out if mask is None else out * mask + s_prev.data * (1.0 - mask)
     parents = (x, s_prev, W, U, b) + tuple(t for pair in pairs for t in pair)
     return ad._node(state, parents, bwd)
+
+
+def encoder_recurrence(emb, mask, fwd, bwd):
+    """Both directions of the bidirectional encoder as one tape node.
+
+    emb is (B, m, d_e), mask (B, m) 0/1 floats (1 on true positions) and
+    fwd, bwd the (W, U, b) of each direction. Returns h (B, m, 2*d_h): the
+    forward state at position i, then the backward one. A direction keeps
+    its state across a padded position, as ``recurrent_cell`` with a row
+    mask does.
+
+    The two directions advance together as one (2, B, .) stack, time-major
+    (Appleyard et al. 2016, arXiv:1604.01946): step k reads position k
+    forward and position m-1-k backward. The input pre-activations x W of
+    every position come from one matmul per direction, plus the bias; each
+    step's s U is one batched matmul, and the shared gate kernel does the
+    rest. The row-mask blend runs only at steps where a direction has a
+    padded row. The hand-written backward-through-time returns the
+    gradients of emb and of each direction's W, U and b. It sums the weight
+    gradients per step, from the last step to the first, and takes each
+    step's embedding gradient from one 2-D matmul per direction, so every
+    value and gradient has the bits of the same recurrence built from one
+    ``recurrent_cell`` per step and direction.
+    """
+    emb = ad.as_tensor(emb)
+    weights = tuple(ad.as_tensor(t) for t in (*fwd, *bwd))
+    (W_f, U_f, b_f), (W_b, U_b, b_b) = weights[:3], weights[3:]
+    B, m, _ = emb.shape
+    d_h = U_f.shape[0]
+    dtype = emb.data.dtype
+    X = emb.data.transpose(1, 0, 2)                             # (m, B, d_e)
+    gx = np.empty((m, 2, B, GATES * d_h), dtype)
+    np.matmul(X, W_f.data, out=gx[:, 0])
+    np.matmul(X[::-1], W_b.data, out=gx[:, 1])
+    gx += np.stack([b_f.data, b_b.data])[:, None, :]
+    U = np.stack([U_f.data, U_b.data])                          # (2, d_h, 3 d_h)
+    live = np.asarray(mask, dtype).T                            # (m, B)
+    steps = np.stack([live, live[::-1]], axis=1)[..., None]     # (m, 2, B, 1)
+
+    S = np.zeros((m + 1, 2, B, d_h), dtype)  # S[k + 1]: the states after step k
+    caches = []
+    for k in range(m):
+        blend = None if steps[k].all() else steps[k]
+        S[k + 1], cache = _gate_forward(gx[k], S[k] @ U, S[k], blend)
+        caches.append(cache)
+    h = np.empty((B, m, 2, d_h), dtype)
+    h[:, :, 0] = S[1:, 0].transpose(1, 0, 2)
+    h[:, :, 1] = S[:0:-1, 1].transpose(1, 0, 2)
+
+    def backward_through_time(g):
+        g = g.reshape(B, m, 2, d_h)
+        dS = np.empty((m, 2, B, d_h), g.dtype)
+        dS[:, 0] = g[:, :, 0].transpose(1, 0, 2)
+        dS[::-1, 1] = g[:, :, 1].transpose(1, 0, 2)
+        d_emb = np.zeros_like(emb.data) if emb.requires_grad else None
+        want_weights = any(t.requires_grad for t in weights)
+        dW, dU, db = [None, None], (None, None), (None, None)
+        carry = None
+        for k in range(m - 1, -1, -1):
+            g_k = dS[k] if carry is None else dS[k] + carry
+            dgx, dgs, g_z, g_keep = _gate_backward(g_k, caches[k])
+            if k:
+                carry = dgs @ U.transpose(0, 2, 1) + g_z
+                if g_keep is not None:
+                    carry += g_keep
+            if want_weights:
+                step_dU, step_db = S[k].transpose(0, 2, 1) @ dgs, dgx.sum(axis=1)
+                dU = step_dU if k == m - 1 else dU + step_dU
+                db = step_db if k == m - 1 else db + step_db
+            for d, pos in ((0, k), (1, m - 1 - k)):
+                x = emb.data[:, pos]
+                if want_weights:
+                    dW[d] = x.T @ dgx[d] if k == m - 1 else dW[d] + x.T @ dgx[d]
+                if d_emb is not None:
+                    d_emb[:, pos] += dgx[d] @ weights[3 * d].data.T
+        return (d_emb, dW[0], dU[0], db[0], dW[1], dU[1], db[1])
+
+    return ad._node(h.reshape(B, m, 2 * d_h), (emb,) + weights,
+                    backward_through_time)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +351,8 @@ def additive_attention(q, keys, values, v, mask=None):
 
 def encode_batch(params, dims: ModelDims, src, src_lens, training=False,
                  rng=None, drop_emb=0.0):
-    """Run both directions over a padded id matrix.
+    """Run both directions over a padded id matrix: the embedding lookup,
+    its dropout and one ``encoder_recurrence`` node.
 
     Returns (h, mask): h is (B, m, 2*d_h); state updates are masked past each
     sentence's true length so rows match the per-sentence computation.
@@ -259,28 +363,12 @@ def encode_batch(params, dims: ModelDims, src, src_lens, training=False,
     if src.max() >= dims.vocab_src or src.min() < 0:
         raise ValueError("source id out of vocabulary range")
     B, m = src.shape
-    emb = ad.take_rows(params["enc/src_emb"], src.reshape(-1))
-    dtype = emb.data.dtype
-    mask = (np.arange(m)[None, :] < np.asarray(src_lens)[:, None]).astype(dtype)
-
+    emb = ad.take_rows(params["enc/src_emb"], src)              # (B, m, d_e)
+    mask = (np.arange(m)[None, :] < np.asarray(src_lens)[:, None]).astype(
+        emb.data.dtype)
     emb = ad.dropout(emb, drop_emb, training, rng)
-    emb = ad.reshape(emb, (B, m, dims.d_e))
-    xs = [emb[:, t, :] for t in range(m)]
-    # a step where every row is live needs no blend
-    live = [None if mask[:, t].all() else mask[:, t: t + 1] for t in range(m)]
-
-    def run(direction, steps):
-        W, U, b = (params[f"enc/{direction}/{k}"] for k in ("W", "U", "b"))
-        s = Tensor(np.zeros((B, dims.d_h), dtype))
-        out = [None] * m
-        for t in steps:
-            s = recurrent_cell(xs[t], s, W, U, b, mask=live[t])
-            out[t] = s
-        return out
-
-    h_fwd = ad.stack(run("fwd", range(m)), axis=1)
-    h_bwd = ad.stack(run("bwd", range(m - 1, -1, -1)), axis=1)
-    return ad.concat([h_fwd, h_bwd], axis=2), mask
+    fwd, bwd = ([params[f"enc/{d}/{k}"] for k in "WUb"] for d in ("fwd", "bwd"))
+    return encoder_recurrence(emb, mask, fwd, bwd), mask
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,31 @@ def test_divergence_prints_only_its_error(case, where, toy_files, toy_ckpt,
     assert proc.stderr.splitlines() == [f"numeric failure: {where}"]
 
 
+def empty_source_line(d, tmp, split):
+    """A copy of the toy train and dev files in ``tmp`` whose ``split``
+    source has an empty line 3."""
+    for name in ("train", "dev"):
+        for side in ("src", "tgt"):
+            lines = (d / f"toy.{name}.{side}").read_text().splitlines()
+            if (name, side) == (split, "src"):
+                lines[2] = ""
+            (tmp / f"toy.{name}.{side}").write_text("\n".join(lines) + "\n")
+    return tmp
+
+
+@pytest.mark.parametrize("split", ["train", "dev"])
+def test_empty_source_line_is_config_error(split, toy_files, tmp_path, capsys):
+    """An empty source line is refused at load time with its file and line,
+    not reported as a non-finite loss (exit 4) once the encoder divides by
+    its zero length."""
+    code = run_cli(train_argv(empty_source_line(toy_files, tmp_path, split),
+                              tmp_path))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"toy.{split}.src: line 3: empty source sentence" in err
+    assert "non-finite" not in err and not (tmp_path / "t.ckpt").exists()
+
+
 def run_process(argv):
     src_root = os.path.dirname(os.path.dirname(refnet.__file__))
     env = dict(os.environ, PYTHONPATH=src_root)

@@ -181,3 +181,15 @@ class TestFiles:
         (tmp_path / "a.tgt").write_text("x y\n")
         with pytest.raises(ValueError, match="disagree"):
             ParallelCorpus.load(tmp_path / "a.src", tmp_path / "a.tgt")
+
+    def test_empty_source_line_rejected(self, tmp_path):
+        (tmp_path / "a.src").write_text("a b\n\nc d\n")
+        (tmp_path / "a.tgt").write_text("x y\nz\nw\n")
+        with pytest.raises(ValueError, match=r"a\.src: line 2: empty source"):
+            ParallelCorpus.load(tmp_path / "a.src", tmp_path / "a.tgt")
+
+    def test_empty_target_line_loads(self, tmp_path):
+        (tmp_path / "a.src").write_text("a b\nc\n")
+        (tmp_path / "a.tgt").write_text("x y\n\n")
+        loaded = ParallelCorpus.load(tmp_path / "a.src", tmp_path / "a.tgt")
+        assert loaded.pairs == [(["a", "b"], ["x", "y"]), (["c"], [])]

@@ -13,6 +13,7 @@ from refnet.params import ParamStore, backward, finite_diff_grad
 # op with a hand-written backward) -> the gradient checks that cover it
 FUSED_OP_CHECKS = {
     "recurrent_cell": ("recurrent_cell",),
+    "encoder_recurrence": ("encoder_recurrence",),
     "attention_weights": ("additive_attention", "grouped_attention"),
     "weighted_sum": ("additive_attention", "grouped_attention"),
     "tri_scores": ("tri_score", "tri_scores_batch"),

@@ -11,6 +11,7 @@ from refnet.corpus import BOS, EOS, Batch
 from refnet.brefnet import init_b_params
 from refnet.model import KINDS, TranslationModel
 from refnet.mrefnet import add_anchor_params, init_m_params
+from refnet.params import ParamStore
 from refnet.training import STAGE_FREEZES
 from refnet import seq2seq
 from refnet.seq2seq import (GATES, Hypothesis, ModelDims, attention,
@@ -180,6 +181,46 @@ def leaves(x, s_prev, W, U, b, extras):
     return [x, s_prev, W, U, b] + [t for pair in extras for t in pair]
 
 
+def reference_encoder(params, dims, src, src_lens, training=False, rng=None,
+                      drop_emb=0.0):
+    """The encoder as one tape node per position slice and per step and
+    direction (a row-masked ``recurrent_cell``), with the states stacked and
+    concatenated: the reference the one-node ``encoder_recurrence`` must
+    match."""
+    B, m = src.shape
+    emb = ad.take_rows(params["enc/src_emb"], src.reshape(-1))
+    dtype = emb.data.dtype
+    mask = (np.arange(m)[None, :] < np.asarray(src_lens)[:, None]).astype(dtype)
+    emb = ad.reshape(ad.dropout(emb, drop_emb, training, rng), (B, m, dims.d_e))
+    xs = [emb[:, t, :] for t in range(m)]
+    live = [None if mask[:, t].all() else mask[:, t: t + 1] for t in range(m)]
+
+    def run(direction, steps):
+        W, U, b = (params[f"enc/{direction}/{k}"] for k in "WUb")
+        s = Tensor(np.zeros((B, dims.d_h), dtype))
+        out = [None] * m
+        for t in steps:
+            s = recurrent_cell(xs[t], s, W, U, b, mask=live[t])
+            out[t] = s
+        return out
+
+    h_fwd = ad.stack(run("fwd", range(m)), axis=1)
+    h_bwd = ad.stack(run("bwd", range(m - 1, -1, -1)), axis=1)
+    return ad.concat([h_fwd, h_bwd], axis=2)
+
+
+ENCODER_PARAMS = ["enc/src_emb"] + [f"enc/{d}/{k}" for d in ("fwd", "bwd")
+                                    for k in "WUb"]
+
+
+def baseline_store(dims, seed, dtype):
+    ref = init_baseline_params(dims, np.random.default_rng(seed))
+    ps = ParamStore(dtype)
+    for name, t in ref.items():
+        ps.add(name, t.data, ref.group_of(name))
+    return ps
+
+
 class TestFusedCell:
     @pytest.mark.parametrize("n_extras", [0, 1, 2])
     def test_forward_bit_identical_to_composed_cell(self, n_extras):
@@ -189,15 +230,51 @@ class TestFusedCell:
             ref = reference_cell(*args[:5], args[5])
             assert np.array_equal(fused.data, ref.data)
 
-    def test_encode_batch_with_padding_bit_identical(self, monkeypatch):
-        dims = ModelDims(vocab_src=9, vocab_tgt=9, d_e=3, d_h=4)
-        params = init_baseline_params(dims, np.random.default_rng(2))
-        src = np.array([[4, 5, 6, 7, 8], [6, 4, 0, 0, 0], [8, 7, 5, 0, 0]])
-        lens = np.array([5, 2, 3])
-        fused, _ = encode_batch(params, dims, src, lens)
-        monkeypatch.setattr(seq2seq, "recurrent_cell", reference_cell)
-        ref, _ = encode_batch(params, dims, src, lens)
-        assert np.array_equal(fused.data, ref.data)
+    def test_encode_batch_with_padding_bit_identical(self):
+        """The one-node encoder against the per-step reference on ragged
+        batches (lengths 1 through m, so padding reaches both directions),
+        dropout on, in float32 and float64: the states and the gradients of
+        all six recurrence weights and of the embedding table match exactly."""
+        dims = ModelDims(vocab_src=11, vocab_tgt=5, d_e=5, d_h=6)
+        for dtype in (np.float32, np.float64):
+            for m, seed in ((1, 0), (2, 1), (5, 2), (9, 3)):
+                rng = np.random.default_rng(seed)
+                lens = np.concatenate([np.arange(1, m + 1), [m, 1]])
+                src = rng.integers(4, dims.vocab_src, size=(m + 2, m))
+                src[np.arange(m)[None, :] >= lens[:, None]] = 0
+                w = rng.normal(size=(m + 2, m, 2 * dims.d_h)).astype(dtype)
+                ps = baseline_store(dims, seed, dtype)
+                outs, grads = [], []
+                for encode in (lambda *a: encode_batch(*a)[0], reference_encoder):
+                    h = encode(ps, dims, src, lens, True,
+                               np.random.default_rng(seed), 0.3)
+                    outs.append(h.data)
+                    grads.append(ad.grad_map(ad.sum_(ad.tanh(h) * w)))
+                assert outs[0].dtype == dtype
+                np.testing.assert_array_equal(outs[0], outs[1])
+                for name in ENCODER_PARAMS:
+                    leaf = id(ps[name])
+                    assert grads[0][leaf].dtype == dtype
+                    np.testing.assert_array_equal(grads[0][leaf], grads[1][leaf],
+                                                  err_msg=name)
+
+    def test_encoder_padding_keeps_the_state(self):
+        dims = ModelDims(vocab_src=9, vocab_tgt=5, d_e=3, d_h=4)
+        ps = init_baseline_params(dims, np.random.default_rng(4))
+        h = encode_batch(ps, dims, np.array([[4, 5, 6, 7], [6, 4, 0, 0]]),
+                         [4, 2])[0].data
+        d_h = dims.d_h
+        np.testing.assert_array_equal(h[1, 2:, :d_h], h[1, [1, 1], :d_h])
+        np.testing.assert_array_equal(h[1, 2:, d_h:], 0.0)
+
+    def test_encoder_records_one_node(self):
+        dims = ModelDims(vocab_src=9, vocab_tgt=5, d_e=3, d_h=4)
+        ps = init_baseline_params(dims, np.random.default_rng(5))
+        h, _ = encode_batch(ps, dims, [[4, 5, 6], [7, 0, 0]], [3, 1])
+        assert h.parents[1:] == tuple(ps[name] for name in ENCODER_PARAMS[1:])
+        assert tape_ops(h) == {"encoder_recurrence": 1, "take_rows": 1}
+        ps.freeze("encoder")
+        assert encode_batch(ps, dims, [[4, 5]], [2])[0].parents == ()
 
     @pytest.mark.parametrize("n_extras", [0, 2])
     def test_backward_matches_composed_cell(self, n_extras):
@@ -403,7 +480,8 @@ class TestTapeSize:
         for T in (2, 5, 9):
             ops = tape_ops(self._loss(tiny_dims, T))
             assert ops["log_softmax"] == 1 and ops["take_per_row"] == 1
-            assert ops["recurrent_cell"] == 2 * 4 + (T - 1)
+            assert ops["recurrent_cell"] == T - 1
+            assert ops["encoder_recurrence"] == 1
 
     def test_tape_grows_linearly_in_steps(self, tiny_dims):
         sizes = [sum(tape_ops(self._loss(tiny_dims, T)).values())
