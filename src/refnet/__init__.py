@@ -12,8 +12,8 @@ from .model import TranslationModel
 from .params import (GradRecord, Optimizer, OptimizerConfig, ParamStore,
                      backward, clip_gradient_norm, clip_gradient_value,
                      finite_diff_grad)
-from .seq2seq import (Hypothesis, ModelDims, attention, beam_search,
-                      decoder_step, encode_batch, nll_loss)
+from .seq2seq import (Hypothesis, ModelDims, beam_search, decoder_step,
+                      encode_batch, nll_loss)
 from .training import Checkpoint, TrainConfig, run_stage
 
 __version__ = "0.1.0"
@@ -22,7 +22,7 @@ __all__ = [
     "AnchorFitConfig", "AnchorSet", "Batch", "Checkpoint", "GradRecord",
     "Hypothesis", "LccConfig", "ModelDims", "Optimizer", "OptimizerConfig",
     "ParallelCorpus", "ParamStore", "ScoreParams", "Tensor",
-    "TrainConfig", "TranslationModel", "Vocab", "attention", "autodiff",
+    "TrainConfig", "TranslationModel", "Vocab", "autodiff",
     "backward", "beam_search", "bleu", "build_vocab", "clip_gradient_norm",
     "clip_gradient_value", "decoder_step", "encode_batch", "filter_by_length",
     "finite_diff_grad", "fit_anchors", "generate_synthetic_task",

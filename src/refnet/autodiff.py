@@ -320,6 +320,12 @@ def mean(a, axis=None, keepdims=False):
     return sum_(a, axis=axis, keepdims=keepdims) * (1.0 / count)
 
 
+def _add(total, part):
+    """A running sum of a fused op's gradient parts (over row blocks or
+    steps): the first part as it is."""
+    return part if total is None else total + part
+
+
 def _softmax_values(x, axis=-1):
     """Numerically stable softmax of an array along ``axis``; fused ops
     share it with ``softmax``."""

@@ -51,11 +51,11 @@ def init_b_params(ps: ParamStore, dims: ModelDims, n_anchors, d_a, rng):
 
 
 def build_query(e_prev, s_prev, c_t):
-    """q_t = [e(y_{t-1}); s_{t-1}; c_t] for a batch: (B, d_e + 3*d_h)."""
-    parts = [as_tensor(p) for p in (e_prev, s_prev, c_t)]
+    """q_t = [e(y_{t-1}); s_{t-1}; c_t] for a batch of arrays: (B, d_e + 3*d_h)."""
+    parts = [np.asarray(p) for p in (e_prev, s_prev, c_t)]
     if any(p.ndim != 2 for p in parts):
         raise ValueError("query components must all be (B, d) batches")
-    return ad.concat(parts, axis=1)
+    return np.concatenate(parts, axis=1)
 
 
 def regression_weight_norms(params):
@@ -69,47 +69,86 @@ F_S_PARAMS = ("bref/g/W", "bref/g/b", "bref/anchors", "bref/score/W",
               "bref/reg/b")
 
 
-def f_s(q, params):
-    """Anchor-coded regression estimate of the current target embedding.
-
-    One tape node with a hand-written backward. Inside it: the projection
-    G = tanh(q @ g/W + g/b) (B, d_a), the tri-nonlinear scores of G against
-    the anchors (the kernel ``lcc.tri_scores`` runs), the softmax
-    coefficients gamma (B, C), and sum_j gamma_j (G W_j + b_j) as one matmul
-    over the flattened outer product gamma (x) G, plus gamma @ b: no loop
-    over anchors. The backward returns the gradients of q and of every
-    parameter in ``F_S_PARAMS``.
-    """
-    q = as_tensor(q)
-    parents = (q,) + tuple(params[k] for k in F_S_PARAMS)
-    gW, gb, anchors, sW, sU, sV, sv, rW, rb = (t.data for t in parents[1:])
-    G = np.tanh(q.data @ gW + gb)                                 # (B, d_a)
-    scores, cache = _tri_scores_forward(G, anchors, sW, sU, sV, sv)
+def _f_s_forward(q, weights):
+    """Numpy forward of ``f_s`` on the query q (B, d_q) and the arrays of
+    ``F_S_PARAMS``: the estimate (B, d_e) and the cache ``_f_s_backward``
+    reads."""
+    gW, gb, anchors, sW, sU, sV, sv, rW, rb = weights
+    G = np.tanh(q @ gW + gb)                                      # (B, d_a)
+    scores, scored = _tri_scores_forward(G, anchors, sW, sU, sV, sv)
     gamma = ad._softmax_values(scores, axis=1)                    # (B, C)
     (B, d_a), C = G.shape, gamma.shape[1]
     coded = (gamma[:, :, None] * G[:, None, :]).reshape(B, C * d_a)
     rW_flat = rW.reshape(C * d_a, -1)
     out = coded @ rW_flat + gamma @ rb                            # (B, d_e)
+    return out, (q, weights, G, scored, gamma, coded)
+
+
+def _f_s_backward(g, cache, needs):
+    """Gradients of q and of each ``F_S_PARAMS`` weight from the estimate's
+    gradient g; None for each whose entry of ``needs`` is false."""
+    q, (gW, gb, anchors, sW, sU, sV, sv, rW, rb), G, scored, gamma, coded = cache
+    (B, d_a), C = G.shape, gamma.shape[1]
+    rW_flat = rW.reshape(C * d_a, -1)
+    grads = [None] * len(needs)
+    if needs[8]:
+        grads[8] = (coded.T @ g).reshape(rW.shape)
+    if needs[9]:
+        grads[9] = gamma.T @ g
+    score_needs = [any(needs[:3])] + list(needs[3:8])
+    if not any(score_needs):
+        return grads
+    dcoded = (g @ rW_flat.T).reshape(B, C, d_a)
+    dgamma = g @ rb.T + (dcoded * G[:, None, :]).sum(axis=2)
+    dG, *grads[3:8] = _tri_scores_backward(
+        scored, ad._softmax_grad(gamma, dgamma, axis=1), score_needs)
+    if score_needs[0]:
+        dpre = (dG + (dcoded * gamma[:, :, None]).sum(axis=1)) * (1.0 - G * G)
+        grads[:3] = (dpre @ gW.T if needs[0] else None,
+                     q.T @ dpre if needs[1] else None,
+                     dpre.sum(axis=0) if needs[2] else None)
+    return grads
+
+
+def f_s(q, params):
+    """Anchor-coded regression estimate of the current target embedding.
+
+    One tape node over the kernel pair ``_f_s_forward`` / ``_f_s_backward``.
+    Inside it: the projection G = tanh(q @ g/W + g/b) (B, d_a), the
+    tri-nonlinear scores of G against the anchors (the kernel
+    ``lcc.tri_scores`` runs), the softmax coefficients gamma (B, C), and
+    sum_j gamma_j (G W_j + b_j) as one matmul over the flattened outer
+    product gamma (x) G, plus gamma @ b: no loop over anchors. The backward
+    returns the gradients of q and of every parameter in ``F_S_PARAMS``.
+    """
+    q = as_tensor(q)
+    parents = (q,) + tuple(params[k] for k in F_S_PARAMS)
+    out, cache = _f_s_forward(q.data, [t.data for t in parents[1:]])
 
     def bwd(g):
-        needs = [t.requires_grad for t in parents]
-        grads = [None] * len(parents)
-        if needs[8]:
-            grads[8] = (coded.T @ g).reshape(rW.shape)
-        if needs[9]:
-            grads[9] = gamma.T @ g
-        score_needs = [any(needs[:3])] + needs[3:8]
-        if not any(score_needs):
-            return grads
-        dcoded = (g @ rW_flat.T).reshape(B, C, d_a)
-        dgamma = g @ rb.T + (dcoded * G[:, None, :]).sum(axis=2)
-        dG, *grads[3:8] = _tri_scores_backward(
-            cache, ad._softmax_grad(gamma, dgamma, axis=1), score_needs)
-        if score_needs[0]:
-            dpre = (dG + (dcoded * gamma[:, :, None]).sum(axis=1)) * (1.0 - G * G)
-            grads[:3] = (dpre @ gW.T if needs[0] else None,
-                         q.data.T @ dpre if needs[1] else None,
-                         dpre.sum(axis=0) if needs[2] else None)
-        return grads
+        return _f_s_backward(g, cache, [t.requires_grad for t in parents])
 
     return ad._node(out, parents, bwd)
+
+
+def query_regression(e_prev, s_prev, c_t, weights):
+    """b_ref's extra decoder input on arrays: f_s on the query
+    [e_prev; s_prev; c_t], with ``weights`` the arrays of ``F_S_PARAMS``.
+    Returns the estimate (B, d_e) and the cache
+    ``query_regression_backward`` reads."""
+    out, cache = _f_s_forward(build_query(e_prev, s_prev, c_t), weights)
+    return out, (cache, e_prev.shape[1], s_prev.shape[1])
+
+
+def query_regression_backward(g, cache, needs):
+    """Gradients of e_prev, s_prev, c_t and of each ``F_S_PARAMS`` weight
+    from the estimate's gradient g; None for each whose entry of ``needs``
+    is false."""
+    f_cache, d_e, d_h = cache
+    dq, *grads = _f_s_backward(g, f_cache, [any(needs[:3])] + list(needs[3:]))
+    parts = [None] * 3
+    for i, cols in enumerate((slice(0, d_e), slice(d_e, d_e + d_h),
+                              slice(d_e + d_h, None))):
+        if needs[i]:
+            parts[i] = dq[:, cols]
+    return parts + grads

@@ -125,60 +125,77 @@ def _probe(ps, name, data):
     return ps.add(name, data, "m_ref")  # group label is irrelevant for probes
 
 
+def _memory(rng, ps):
+    """A constant encoder memory h (2, 3, 2*d_h) and its projection."""
+    h = rng.normal(size=(2, 3, ps["dec/att/U"].shape[0]))
+    return Tensor(h), Tensor(h @ ps["dec/att/U"].data)
+
+
 def check_attention(seed):
-    """Alignment weights and context against the oracle."""
+    """The decoder's query projection and masked additive attention, through
+    one step of the decoder node over ragged sources (lengths 3 and 2): the
+    objective reads the context; the cell's weights are constants."""
     rng = np.random.default_rng((seed, 11))
     dims = _tiny_dims()
     ps = seq2seq.init_baseline_params(dims, rng)
     h = Tensor(rng.normal(size=(2, 3, 2 * dims.d_h)))
-    u = rng.normal(size=2 * dims.d_h)
-    r = rng.normal(size=3)
+    u = np.concatenate([np.zeros(dims.d_e + dims.d_h), rng.normal(size=2 * dims.d_h)])
+    emb = Tensor(rng.normal(size=(2, 2, dims.d_e)))
+    mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
     _probe(ps, "probe/s_prev", rng.normal(size=(2, dims.d_h)))
+    cell = {k: Tensor(ps[k].data) for k in ("dec/cell/W", "dec/cell/U", "dec/cell/b")}
 
     def f(ps_):
-        alpha, c = seq2seq.attention(ps_["probe/s_prev"], h, ps_)
-        return ad.sum_(ad.tanh(c) * u) + ad.sum_(alpha * r)
+        params = {k: ps_[k] for k in ("dec/att/W", "dec/att/U", "dec/att/v")}
+        out = seq2seq.decoder_recurrence({**params, **cell}, ps_["probe/s_prev"],
+                                         emb, h, seq2seq.attention_proj(ps_, h), mask)
+        return ad.sum_(ad.tanh(out) * u)
 
     return _compare(f, ps)
 
 
 def check_decoder_step(seed):
-    """Baseline state update (no extra inputs)."""
+    """One step of the decoder node without an extra input: the attention
+    and the gated update over a constant memory, the previous embedding and
+    state probed."""
     rng = np.random.default_rng((seed, 13))
     dims = _tiny_dims()
     ps = seq2seq.init_baseline_params(dims, rng)
-    u = rng.normal(size=dims.d_h)
-    _probe(ps, "probe/e_prev", rng.normal(size=(2, dims.d_e)))
+    u = rng.normal(size=dims.d_e + 3 * dims.d_h)
+    h, h_proj = _memory(rng, ps)
+    _probe(ps, "probe/emb", rng.normal(size=(2, 2, dims.d_e)))
     _probe(ps, "probe/s_prev", rng.normal(size=(2, dims.d_h)))
-    _probe(ps, "probe/c", rng.normal(size=(2, 2 * dims.d_h)))
 
     def f(ps_):
-        s = seq2seq.decoder_step(ps_, ps_["probe/e_prev"], ps_["probe/s_prev"],
-                                 ps_["probe/c"])
-        return ad.sum_(ad.tanh(s) * u)
+        out = seq2seq.decoder_recurrence(ps_, ps_["probe/s_prev"], ps_["probe/emb"],
+                                         h, h_proj, None)
+        return ad.sum_(ad.tanh(out) * u)
 
     return _compare(f, ps)
 
 
 def check_decoder_step_extras(seed):
-    """Augmented update: anchor-attention context fed through its projection."""
+    """One step of the decoder node with m_ref's extra input: the anchor
+    attention's context fed through a non-zero projection, over a constant
+    memory of ragged sources; the anchors, the previous embedding and state
+    probed."""
     rng = np.random.default_rng((seed, 17))
     dims = _tiny_dims()
     ps = seq2seq.init_baseline_params(dims, rng)
     mrefnet.init_m_params(ps, dims, rng)
     ps["mref/proj"].data[...] = rng.normal(0, 0.3, size=ps["mref/proj"].shape)
     ps.add("anchors/m", rng.normal(size=(3, 2 * dims.d_h)), "anchors")
-    u = rng.normal(size=dims.d_h)
-    _probe(ps, "probe/e_prev", rng.normal(size=(2, dims.d_e)))
+    u = rng.normal(size=dims.d_e + 3 * dims.d_h)
+    h, h_proj = _memory(rng, ps)
+    mask = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+    _probe(ps, "probe/emb", rng.normal(size=(2, 2, dims.d_e)))
     _probe(ps, "probe/s_prev", rng.normal(size=(2, dims.d_h)))
-    _probe(ps, "probe/c", rng.normal(size=(2, 2 * dims.d_h)))
 
     def f(ps_):
-        e, s_prev, c = ps_["probe/e_prev"], ps_["probe/s_prev"], ps_["probe/c"]
-        s = seq2seq.decoder_step(ps_, e, s_prev, c,
-                                 variant_extras("m_ref", ps_, e, s_prev, c,
-                                                variant_memory("m_ref", ps_)))
-        return ad.sum_(ad.tanh(s) * u)
+        extra = variant_extras("m_ref", ps_, variant_memory("m_ref", ps_))
+        out = seq2seq.decoder_recurrence(ps_, ps_["probe/s_prev"], ps_["probe/emb"],
+                                         h, h_proj, mask, extra)
+        return ad.sum_(ad.tanh(out) * u)
 
     return _compare(f, ps)
 
@@ -300,8 +317,27 @@ def check_nll(seed):
     batch = _toy_batch(rng, dims)
 
     def f(ps_):
-        loss, _ = seq2seq.nll_loss(ps_, dims, batch)
-        return loss
+        return seq2seq.nll_loss(ps_, dims, batch)[0]
+
+    return _compare(f, ps, steps=(1e-3, 2e-3))
+
+
+def check_m_loss(seed):
+    """The finetune-m objective, m_ref's teacher-forced likelihood, with a
+    non-zero extra projection over ragged sources (lengths 3 and 2)."""
+    rng = np.random.default_rng((seed, 61))
+    dims = _tiny_dims()
+    ps = seq2seq.init_baseline_params(dims, rng)
+    ps.add("anchors/m", rng.normal(size=(3, 2 * dims.d_h)), "anchors")
+    mrefnet.init_m_params(ps, dims, rng)
+    ps["mref/proj"].data[...] = rng.normal(0, 0.3, size=ps["mref/proj"].shape)
+    batch = _toy_batch(rng, dims)
+    batch.src[1, 2:] = 0
+    batch.src_lens[1] = 2
+    model = TranslationModel(ps, dims, "m_ref")
+
+    def f(ps_):
+        return model.loss(batch).joint
 
     return _compare(f, ps, steps=(1e-3, 2e-3))
 
@@ -418,6 +454,7 @@ CHECKS = {
     "f_s": check_f_s,
     "hinge_loss": check_hinge_loss,
     "nll_loss": check_nll,
+    "m_loss": check_m_loss,
     "joint_b_loss": check_joint_b_loss,
     "recurrent_cell": check_recurrent_cell,
     "encoder_recurrence": check_encoder_recurrence,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, _float_array, as_tensor, no_grad
+from .autodiff import Tensor, _add, _float_array, as_tensor, no_grad
 from .params import (Optimizer, OptimizerConfig, ParamStore, backward)
 
 
@@ -149,11 +149,6 @@ def _tri_scores_backward(cache, g, needs):
     if needs[1]:
         grads[1] = dwa @ W + dcross_a
     return grads
-
-
-def _add(total, part):
-    """A running sum over row blocks: the first block's part as it is."""
-    return part if total is None else total + part
 
 
 def tri_scores(X, anchors, W, U, V, v):

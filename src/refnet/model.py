@@ -1,11 +1,12 @@
 """Model facade: one object covering the baseline and both reference variants.
 
-The variant only changes which extra inputs reach the decoder cell:
+The variant only changes which extra input reaches the decoder cell:
 nothing for the baseline, the anchor-attention context c_G for the
 monolingual variant ("m_ref"), the regression estimate f_s for the
 bilingual one ("b_ref"). ``variant_extras`` is the one place that says
-so; teacher-forced training, decoding and the gradient checks all build
-the decoder's extra inputs through it.
+so, as a kernel pair on arrays (``seq2seq.ExtraInput``); the teacher-forced
+decoder node, decoding and the gradient checks all run it inside the one
+decoder step kernel, ``seq2seq.decoder_step``.
 """
 
 from __future__ import annotations
@@ -33,24 +34,28 @@ def variant_memory(kind, params):
     return None
 
 
-def variant_extras(kind, params, e_prev, s_prev, c, memory):
-    """The extra (vector, projection) inputs of one decoder state update.
+def variant_extras(kind, params, memory=None):
+    """The extra input a kind feeds the decoder cell, as a
+    ``seq2seq.ExtraInput`` kernel pair on arrays, or None for the baseline.
 
-    Batched over rows: e_prev is the clean previous-target embedding
-    (B, d_e), s_prev the previous state (B, d_h), c the attention context
-    (B, 2*d_h). The baseline adds nothing; m_ref adds the anchor context
-    c_G through ``mref/proj``; b_ref adds the regression estimate
-    f_s([e_prev; s_prev; c]) through ``bref/proj``. memory is
+    m_ref adds the anchor-attention context c_G (``mrefnet.global_context``)
+    through ``mref/proj``; b_ref adds the regression estimate
+    f_s([e_prev; s_prev; c]) (``brefnet.query_regression``) through
+    ``bref/proj``, and its hinge loss reads the estimates too. memory is
     ``variant_memory(kind, params)``, computed once by the caller.
     """
     if kind == "baseline":
-        return []
+        return None
     if kind == "m_ref":
-        _, c_g = mrefnet.global_context(s_prev, c, memory, params)
-        return [(c_g, params["mref/proj"])]
+        return seq2seq.ExtraInput(
+            mrefnet.global_context, mrefnet.global_context_backward,
+            tuple(params[k] for k in mrefnet.CONTEXT_PARAMS) + tuple(memory),
+            params["mref/proj"])
     if kind == "b_ref":
-        pred = brefnet.f_s(brefnet.build_query(e_prev, s_prev, c), params)
-        return [(pred, params["bref/proj"])]
+        return seq2seq.ExtraInput(
+            brefnet.query_regression, brefnet.query_regression_backward,
+            tuple(params[k] for k in brefnet.F_S_PARAMS), params["bref/proj"],
+            reads_embedding=True, exported=True)
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -79,25 +84,18 @@ class TranslationModel:
 
     def loss(self, batch: Batch, training=False, rng=None) -> LossParts:
         params, kind = self.params, self.kind
-        preds = []  # the extra input vectors per step; f_s(q_t) for b_ref
-        memory = variant_memory(kind, params)
-
-        def extras_fn(e_prev, s_prev, c):
-            extras = variant_extras(kind, params, e_prev, s_prev, c, memory)
-            preds.extend(vec for vec, _ in extras)
-            return extras
-
-        nll_mean, n_tokens = seq2seq.nll_loss(
+        nll_mean, n_tokens, preds = seq2seq.nll_loss(
             params, self.dims, batch, training=training, rng=rng,
-            drop_emb=self.drop_emb, drop_out=self.drop_out, extras_fn=extras_fn)
+            drop_emb=self.drop_emb, drop_out=self.drop_out,
+            extra=variant_extras(kind, params, variant_memory(kind, params)))
 
         if kind != "b_ref":
             return LossParts(nll_mean, float(nll_mean.data), n_tokens)
 
         # hinge residual ||e(y_t) - f_s(q_t)||^2 over the non-pad targets, all
-        # steps at once: the predictions stacked time-major like the targets
+        # steps at once: the predictions come time-major like the targets
         gold, weights = seq2seq.gold_targets(batch.tgt, nll_mean.data.dtype)
-        diff = ad.take_rows(params["dec/tgt_emb"], gold) - ad.concat(preds, axis=0)
+        diff = ad.take_rows(params["dec/tgt_emb"], gold) - preds
         res_sum = ad.sum_(ad.sum_(ad.square(diff), axis=1) * weights)
         B = len(batch)
         reg = ad.sum_(brefnet.regression_weight_norms(params))
@@ -135,8 +133,10 @@ class TranslationModel:
             h, mask = seq2seq.encode_batch(self.params, self.dims, src, lens)
             h_proj = seq2seq.attention_proj(self.params, h)
             s0 = seq2seq.initial_state(self.params, h, mask)
-            extra = variant_memory(self.kind, self.params)
-        memory = (h.data, h_proj.data, mask, extra)
+            extra = variant_extras(self.kind, self.params,
+                                   variant_memory(self.kind, self.params))
+        memory = (h.data, h_proj.data, seq2seq.mask_bias(mask),
+                  None if extra is None else extra.kernel())
 
         def step_for(sents, singles=()):
             return self._make_step(memory, (sents, singles))
@@ -147,38 +147,36 @@ class TranslationModel:
         """The decoder step (prev_ids, states) -> (logp, states) over
         hypothesis rows grouped by sentence.
 
-        ``memory`` is a chunk's (h, h_proj, mask, variant memory) and
+        ``memory`` is a chunk's (h, h_proj, mask bias, extra input) and
         ``blocks`` is (sents, singles), two lists of its sentence indices.
         A step's rows are g rows for each sentence of ``sents``, sentence by
         sentence, then one row for each sentence of ``singles``; g is what
         the row count leaves after the single rows, so one step function
-        serves every width. The rows of h, h_proj and mask are gathered here,
-        once per block, and each sentence's are broadcast over its rows
-        (``seq2seq.attention_weights``).
+        serves every width. The rows of h, h_proj and the mask bias are
+        gathered here, once per block; in one ``seq2seq.decoder_step``, the
+        kernel the teacher-forced decoder runs, each block of rows attends
+        over its own sentences, whose memory is broadcast over their rows.
         """
-        params, kind = self.params, self.kind
+        params = self.params
         *encoded, extra = memory
         gathered = [[m[rows] for m in encoded]
                     for rows in (np.asarray(b, dtype=int) for b in blocks)
                     if len(rows)]
         n_single = len(blocks[1])
+        weights = [params[k].data for k in seq2seq.DECODER_WEIGHTS]
+        table = params["dec/tgt_emb"].data
 
         def step(prev_ids, states):
+            cut = len(states) - n_single
+            rows = [len(states)] if len(gathered) == 1 else [cut, n_single]
+            e_prev = table[np.asarray(prev_ids, dtype=np.int64)]
+            s_new, c, _, _ = seq2seq.decoder_step(
+                weights, e_prev, states,
+                [(*block, n) for block, n in zip(gathered, rows)], extra)
             with no_grad():
-                e_prev = ad.take_rows(params["dec/tgt_emb"], prev_ids)
-                s_prev = Tensor(states)
-                cut = len(states) - n_single
-                parts = ([s_prev] if len(gathered) == 1
-                         else [Tensor(states[:cut]), Tensor(states[cut:])])
-                contexts = [seq2seq.attention(s, h, params, mask=mask,
-                                              h_proj=h_proj)[1]
-                            for s, (h, h_proj, mask) in zip(parts, gathered)]
-                c = contexts[0] if len(contexts) == 1 else ad.concat(contexts)
-                extras = variant_extras(kind, params, e_prev, s_prev, c, extra)
-                s_new = seq2seq.decoder_step(params, e_prev, s_prev, c, extras)
                 logits = seq2seq.output_logits(params, e_prev, s_new, c)
                 logp = ad.log_softmax(logits, axis=1)
-            return logp.data, s_new.data
+            return logp.data, s_new
 
         return step
 

@@ -18,7 +18,8 @@ from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .corpus import make_batches
 from .params import ParamStore
-from .seq2seq import (GATES, ModelDims, add_params, additive_attention,
+from .seq2seq import (GATES, ModelDims, _attention_backward, _attention_forward,
+                      _weighted_sum_backward, _weighted_sum_forward, add_params,
                       encode_batch)
 
 ANCHOR_KEY = "anchors/m"
@@ -74,9 +75,40 @@ def anchor_memory(anchor_points, params):
     return ad.reshape(va, (1,) + va.shape), ad.reshape(A, (1,) + A.shape)
 
 
-def global_context(s_prev, c_t, memory, params):
-    """Attention over the anchors (batched); ``memory`` is the
-    ``anchor_memory`` pair. Returns (alpha_G, c_G)."""
-    keys, values = memory
-    q = ad.matmul(s_prev, params["mref/att/W"]) + ad.matmul(c_t, params["mref/att/U"])
-    return additive_attention(q, keys, values, params["mref/att/v"])
+# the anchor-attention parameters m_ref's extra input reads; the anchor
+# keys and values of ``anchor_memory`` follow them
+CONTEXT_PARAMS = ("mref/att/W", "mref/att/U", "mref/att/v")
+
+
+def global_context(e_prev, s_prev, c_t, weights):
+    """m_ref's extra decoder input on arrays: attention over the anchors,
+    batched over rows. weights are the arrays of ``CONTEXT_PARAMS`` and the
+    ``anchor_memory`` keys and values; the query reads the state and the
+    context, not e_prev. Returns c_G (B, 2*d_h) and the cache
+    ``global_context_backward`` reads, alpha_G (B, C) first."""
+    W, U, v, keys, values = weights
+    q = s_prev @ W + c_t @ U
+    alpha, e = _attention_forward(q, keys, v)
+    return _weighted_sum_forward(alpha, values), (alpha, e, s_prev, c_t, weights)
+
+
+def global_context_backward(g, cache, needs):
+    """Gradients of e_prev (always None), s_prev, c_t, W, U, v, the keys and
+    the values from the gradient g of c_G; None for each whose entry of
+    ``needs`` is false."""
+    alpha, e, s_prev, c_t, (W, U, v, keys, values) = cache
+    _, need_s, need_c, need_W, need_U, need_v, need_k, need_values = needs
+    need_q = need_s or need_c or need_W or need_U
+    d_alpha, d_values = _weighted_sum_backward(
+        g, alpha, values, (need_q or need_k or need_v, need_values))
+    grads = [None] * 8
+    grads[7] = d_values
+    if d_alpha is None:
+        return grads
+    dq, grads[6], grads[5] = _attention_backward(d_alpha, alpha, e, v, 1,
+                                                 (need_q, need_k, need_v))
+    if need_q:
+        grads[1:5] = (dq @ W.T if need_s else None, dq @ U.T if need_c else None,
+                      s_prev.T @ dq if need_W else None,
+                      c_t.T @ dq if need_U else None)
+    return grads

@@ -3,19 +3,29 @@
 Encoder: bi-directional gated recurrent net; each source annotation h_i is
 the concatenation of the forward and backward states at position i. It is
 one tape node, ``encoder_recurrence``, which advances both directions
-together; it and the decoder's one-node ``recurrent_cell`` share one gate
-kernel (``_gate_forward`` / ``_gate_backward``), so the gated equations
-exist once.
+together.
 Attention: alpha_ti = softmax_i( v_a^T tanh(W_a s_{t-1} + U_a h_i) ), and
 the context c_t = sum_i alpha_ti h_i. Decoder state update:
 s_t = f_d(e(y_{t-1}), s_{t-1}, c_t, *extras) with a gated cell; each extra
 context vector enters the gate pre-activations through its own projection
 so that a zero projection reproduces the baseline update bit for bit.
 Output: p(y_t) = softmax(W_v tanh(W_o [e(y_{t-1}); s_t; c_t] + b_o) + b_v).
+
+The decoder has one step kernel on arrays, ``decoder_step``: the query
+projection, the masked additive attention, the variant's extra input (an
+``ExtraInput`` kernel pair) and the gated update. Decoding calls it, and
+under teacher forcing the whole decoder is one tape node,
+``decoder_recurrence``, a loop of it with a hand-written
+backward-through-time. The gated equations, the attention and the cell
+exist once, as numpy kernel pairs (``_gate_forward`` / ``_gate_backward``,
+``_attention_forward`` / ``_attention_backward``, ``_weighted_sum_*``,
+``_cell_forward`` / ``_cell_backward``) that the nodes and the step kernel
+share.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,6 +158,38 @@ def _gate_backward(g, cache):
             np.concatenate([drz, dan * r], axis=-1), g * z, g_keep)
 
 
+def _cell_forward(x, s_prev, W, U, b, extras=(), mask=None):
+    """The gated update on arrays: the gate pre-activations from one matmul
+    per input (x W + b, then each extra (vector, projection) pair's
+    vector @ projection) and ``_gate_forward``. Returns the state and the
+    cache ``_cell_backward`` reads."""
+    gx = x @ W + b
+    for vec, proj in extras:
+        gx = gx + vec @ proj
+    state, gate = _gate_forward(gx, s_prev @ U, s_prev, mask)
+    return state, (x, W, U, extras, gate)
+
+
+def _cell_backward(g, cache, needs):
+    """Gradients of x, s_prev, W, U, b and of each extra pair's vector and
+    projection, in that order, from the gradient g of a ``_cell_forward``
+    state; None for each whose entry of ``needs`` is false."""
+    x, W, U, extras, gate = cache
+    dgx, dgs, g_z, g_keep = _gate_backward(g, gate)
+    grads = [dgx @ W.T if needs[0] else None, None,
+             x.T @ dgx if needs[2] else None,
+             gate[0].T @ dgs if needs[3] else None,
+             dgx.sum(axis=0) if needs[4] else None]
+    if needs[1]:
+        grads[1] = dgs @ U.T + g_z
+        if g_keep is not None:
+            grads[1] += g_keep
+    for i, (vec, proj) in enumerate(extras):
+        grads.append(dgx @ proj.T if needs[5 + 2 * i] else None)
+        grads.append(vec.T @ dgx if needs[6 + 2 * i] else None)
+    return grads
+
+
 def recurrent_cell(x, s_prev, W, U, b, extras=(), mask=None):
     """One step of the gated recurrent update over input x and state s_prev.
 
@@ -155,36 +197,21 @@ def recurrent_cell(x, s_prev, W, U, b, extras=(), mask=None):
     its vector into the same gate pre-activation block as W. mask, a (B, 1)
     array of zeros and ones or None, keeps s_prev in the rows where it is 0
     (padding): the step returns out * mask + s_prev * (1 - mask). The step is
-    a single tape node (Appleyard et al. 2016, arXiv:1604.01946): the gate
-    pre-activations come from one matmul per input, the gate kernel
-    (``_gate_forward``, shared with ``encoder_recurrence``) does all
-    elementwise work, the padding blend included, and the hand-written
-    backward returns the gradients of x, s_prev, W, U, b and of every extra
-    pair.
+    a single tape node (Appleyard et al. 2016, arXiv:1604.01946) over the
+    kernel pair ``_cell_forward`` / ``_cell_backward``, which the decoder's
+    ``decoder_step`` runs too; the backward returns the gradients of x,
+    s_prev, W, U, b and of every extra pair.
     """
     x, s_prev, W, U, b = (ad.as_tensor(t) for t in (x, s_prev, W, U, b))
     pairs = [(ad.as_tensor(vec), ad.as_tensor(proj)) for vec, proj in extras]
-    gx = x.data @ W.data + b.data
-    for vec, proj in pairs:
-        gx = gx + vec.data @ proj.data
-    state, cache = _gate_forward(gx, s_prev.data @ U.data, s_prev.data, mask)
+    parents = (x, s_prev, W, U, b) + tuple(t for pair in pairs for t in pair)
+    state, cache = _cell_forward(x.data, s_prev.data, W.data, U.data, b.data,
+                                 [(vec.data, proj.data) for vec, proj in pairs],
+                                 mask)
 
     def bwd(g):
-        dgx, dgs, g_z, g_keep = _gate_backward(g, cache)
-        grads = [dgx @ W.data.T if x.requires_grad else None, None,
-                 x.data.T @ dgx if W.requires_grad else None,
-                 s_prev.data.T @ dgs if U.requires_grad else None,
-                 dgx.sum(axis=0).reshape(b.shape) if b.requires_grad else None]
-        if s_prev.requires_grad:
-            grads[1] = dgs @ U.data.T + g_z
-            if g_keep is not None:
-                grads[1] += g_keep
-        for vec, proj in pairs:
-            grads.append(dgx @ proj.data.T if vec.requires_grad else None)
-            grads.append(vec.data.T @ dgx if proj.requires_grad else None)
-        return grads
+        return _cell_backward(g, cache, [t.requires_grad for t in parents])
 
-    parents = (x, s_prev, W, U, b) + tuple(t for pair in pairs for t in pair)
     return ad._node(state, parents, bwd)
 
 
@@ -270,39 +297,91 @@ def encoder_recurrence(emb, mask, fwd, bwd):
 # ---------------------------------------------------------------------------
 # additive attention
 
+def mask_bias(mask):
+    """The additive attention mask of a 0/1 position mask: 0 on true
+    positions, -NEG_BIG on padding; None stays None."""
+    return None if mask is None else (mask - 1.0) * NEG_BIG
+
+
+def _attention_forward(q, keys, v, bias=None):
+    """Numpy forward of ``attention_weights`` with the mask as its additive
+    ``mask_bias``: alpha (B, m) and the tanh activations e (B, m, d) its
+    backward reads."""
+    (B, d), (n, m, _) = q.shape, keys.shape
+    if B % n:
+        raise ValueError(f"{B} query rows do not split into {n} key groups")
+    g = B // n
+    if g == 1:
+        e = q[:, None, :] + keys
+    else:
+        e = (q.reshape(n, g, 1, d) + keys[:, None]).reshape(B, m, d)
+    np.tanh(e, out=e)  # in place: one (B, m, d) allocation, not two
+    scores = e @ v                                          # (B, m)
+    if bias is not None:
+        scores = (scores + bias if g == 1 else
+                  (scores.reshape(n, g, m) + bias[:, None, :]).reshape(B, m))
+    return ad._softmax_values(scores, axis=1), e
+
+
+def _attention_backward(grad, alpha, e, v, n, needs):
+    """Gradients of q, keys and v from the gradient of alpha; None for each
+    whose entry of ``needs`` is false."""
+    B, m, d = e.shape
+    g = B // n
+    ds = ad._softmax_grad(alpha, grad, axis=1)
+    dv = ds.reshape(-1) @ e.reshape(-1, d) if needs[2] else None
+    if not (needs[0] or needs[1]):
+        return None, None, dv
+    da = ds[:, :, None] * (1.0 - e * e) * v
+    dk = da if g == 1 else da.reshape(n, g, m, d).sum(axis=1)
+    return (da.sum(axis=1) if needs[0] else None,
+            dk if needs[1] else None, dv)
+
+
+def _weighted_sum_forward(alpha, values):
+    (B, m), (n, _, d) = alpha.shape, values.shape
+    if n == 1:
+        return alpha @ values[0]
+    return (alpha.reshape(n, B // n, m) @ values).reshape(B, d)
+
+
+def _weighted_sum_backward(grad, alpha, values, needs):
+    """Gradients of alpha and values; None for each whose entry of
+    ``needs`` is false."""
+    (B, m), (n, _, d) = alpha.shape, values.shape
+    g = B // n
+    if n == 1:
+        return (grad @ values[0].T if needs[0] else None,
+                (alpha.T @ grad)[None] if needs[1] else None)
+    groups = grad.reshape(n, g, d)
+    d_alpha = d_values = None
+    if needs[0]:
+        d_alpha = (values @ groups.transpose(0, 2, 1)).transpose(0, 2, 1)
+        d_alpha = d_alpha.reshape(B, m)
+    if needs[1]:
+        d_values = (alpha[:, :, None] * grad[:, None, :] if g == 1 else
+                    alpha.reshape(n, g, m).transpose(0, 2, 1) @ groups)
+    return d_alpha, d_values
+
+
 def attention_weights(q, keys, v, mask=None):
-    """alpha_bi = softmax_i(v^T tanh(q_b + k_ji)), one tape node.
+    """alpha_bi = softmax_i(v^T tanh(q_b + k_ji)), one tape node over the
+    kernel pair ``_attention_forward`` / ``_attention_backward``.
 
     q is (B, d) and keys (n, m, d), where n divides B: the rows come in n
     groups of B // n, and every row of group j attends over keys[j]. n = B
     gives each row its own keys, n = 1 shares one key set by every row, and
     anything between broadcasts a sentence's keys over its group of
     hypothesis rows without copying them. v is (d,); mask (n, m) zeroes the
-    weight of padded positions. The hand-written backward returns the
-    gradients of q, keys and v.
+    weight of padded positions. The backward returns the gradients of q,
+    keys and v.
     """
     q, keys, v = (ad.as_tensor(t) for t in (q, keys, v))
-    (B, d), (n, m, _) = q.shape, keys.shape
-    if B % n:
-        raise ValueError(f"{B} query rows do not split into {n} key groups")
-    g = B // n
-    e = (q.data.reshape(n, g, 1, d) + keys.data[:, None]).reshape(B, m, d)
-    np.tanh(e, out=e)  # in place: one (B, m, d) allocation, not two
-    scores = e @ v.data                                     # (B, m)
-    if mask is not None:
-        scores = (scores.reshape(n, g, m)
-                  + ((mask - 1.0) * NEG_BIG)[:, None, :]).reshape(B, m)
-    alpha = ad._softmax_values(scores, axis=1)
+    alpha, e = _attention_forward(q.data, keys.data, v.data, mask_bias(mask))
 
     def bwd(grad):
-        ds = ad._softmax_grad(alpha, grad, axis=1)
-        dv = ds.reshape(-1) @ e.reshape(-1, d) if v.requires_grad else None
-        if not (q.requires_grad or keys.requires_grad):
-            return None, None, dv
-        da = ds[:, :, None] * (1.0 - e * e) * v.data
-        dk = da if g == 1 else da.reshape(n, g, m, d).sum(axis=1)
-        return (da.sum(axis=1) if q.requires_grad else None,
-                dk if keys.requires_grad else None, dv)
+        return _attention_backward(grad, alpha, e, v.data, keys.shape[0],
+                                   [t.requires_grad for t in (q, keys, v)])
 
     return ad._node(alpha, (q, keys, v), bwd)
 
@@ -313,26 +392,11 @@ def weighted_sum(alpha, values):
     batched matmul per group, or one matmul when n = 1 shares the values
     with every row."""
     alpha, values = ad.as_tensor(alpha), ad.as_tensor(values)
-    (B, m), (n, _, d) = alpha.shape, values.shape
-    g = B // n
-    if n == 1:
-        out = alpha.data @ values.data[0]
-    else:
-        out = (alpha.data.reshape(n, g, m) @ values.data).reshape(B, d)
+    out = _weighted_sum_forward(alpha.data, values.data)
 
     def bwd(grad):
-        if n == 1:
-            return (grad @ values.data[0].T if alpha.requires_grad else None,
-                    (alpha.data.T @ grad)[None] if values.requires_grad else None)
-        groups = grad.reshape(n, g, d)
-        d_alpha = d_values = None
-        if alpha.requires_grad:
-            d_alpha = (values.data @ groups.transpose(0, 2, 1)).transpose(0, 2, 1)
-            d_alpha = d_alpha.reshape(B, m)
-        if values.requires_grad:
-            d_values = (alpha.data[:, :, None] * grad[:, None, :] if g == 1 else
-                        alpha.data.reshape(n, g, m).transpose(0, 2, 1) @ groups)
-        return d_alpha, d_values
+        return _weighted_sum_backward(grad, alpha.data, values.data,
+                                      (alpha.requires_grad, values.requires_grad))
 
     return ad._node(out, (alpha, values), bwd)
 
@@ -381,24 +445,6 @@ def attention_proj(params, h):
     return ad.reshape(flat, (B, m, params["dec/att/U"].shape[1]))
 
 
-def attention(s_prev, h, params, mask=None, h_proj=None):
-    """Alignment weights and context for one decoder step.
-
-    Scores are v_a^T tanh(W_a s_{t-1} + U_a h_i); the softmax runs over
-    source positions with padded positions masked out. s_prev is (B, d_h)
-    and h is (n, m, 2*d_h), with h_proj and mask to match: every group of
-    B // n rows attends over one sentence (``attention_weights``); a single
-    sentence is a batch of one. Records three tape nodes: the query
-    projection and ``additive_attention``'s two.
-    """
-    if h.shape[1] == 0:
-        raise ValueError("attention needs at least one source position")
-    if h_proj is None:
-        h_proj = attention_proj(params, h)
-    q = ad.matmul(s_prev, params["dec/att/W"])             # (B, d_att)
-    return additive_attention(q, h_proj, h, params["dec/att/v"], mask)
-
-
 def initial_state(params, h, mask=None):
     """s_0 = tanh(mean_i(h_i) W + b), mean over true (unmasked) positions."""
     B, m, _ = h.shape
@@ -409,15 +455,220 @@ def initial_state(params, h, mask=None):
     return ad.tanh(ad.matmul(pooled, params["dec/init/W"]) + params["dec/init/b"])
 
 
-def decoder_step(params, e_prev, s_prev, c_t, extras=None):
-    """Gated state update s_t = f_d(e(y_{t-1}), s_{t-1}, c_t, *extras)."""
-    x = ad.concat([e_prev, c_t], axis=1)
-    return recurrent_cell(x, s_prev, params["dec/cell/W"], params["dec/cell/U"],
-                          params["dec/cell/b"], extras or ())
+DECODER_WEIGHTS = ("dec/att/W", "dec/att/v", "dec/cell/W", "dec/cell/U",
+                   "dec/cell/b")
+
+
+@dataclass(frozen=True)
+class ExtraInput:
+    """A variant's extra decoder input as a kernel pair on arrays.
+
+    ``forward(e_prev, s_prev, c, weights)`` returns one step's extra vector
+    (B, d) and a cache; ``backward(g, cache, needs)`` returns, from the
+    vector's gradient g, the gradients of e_prev, s_prev, c and of each
+    weight, None for each whose entry of ``needs`` is false. The weights
+    are the arrays of ``params``, and ``proj`` maps the vector into the gate
+    pre-activations. ``reads_embedding``: forward reads e_prev, the clean
+    (dropout-free) previous-target embedding. ``exported``: the loss reads
+    the vectors too, so the teacher-forced decoder outputs them.
+    """
+    forward: Callable
+    backward: Callable
+    params: tuple
+    proj: ad.Tensor
+    reads_embedding: bool = False
+    exported: bool = False
+
+    def kernel(self):
+        """The (forward, weights, proj) arrays ``decoder_step`` reads."""
+        return self.forward, [t.data for t in self.params], self.proj.data
+
+
+def decoder_step(weights, e_prev, s_prev, memory, extra=None, e_clean=None):
+    """One decoder state update on arrays: the step kernel of the
+    teacher-forced ``decoder_recurrence``, of decoding and of the gradient
+    checks.
+
+    weights are the arrays of ``DECODER_WEIGHTS``; e_prev (B, d_e) is the
+    previous target's embedding as the cell reads it, e_clean (default
+    e_prev) as the extra input reads it, and s_prev is (B, d_h). memory
+    holds (h, h_proj, bias, rows) blocks: the next ``rows`` rows attend
+    over one block, in the row groups of ``attention_weights``, its padding
+    masked by the additive ``mask_bias`` (None: no padding). extra is None
+    or the (forward, weights, proj) arrays of an ``ExtraInput``.
+
+    The step: the query projection s_prev W_a, the masked additive
+    attention giving c_t, the extra input's vector from [e; s_prev; c_t],
+    then the gated update over [e_prev; c_t] with the extra vector through
+    its projection (``_cell_forward``). Returns (s_t, c_t, vec, cache); vec
+    is the extra vector or None.
+    """
+    att_W, att_v, W, U, b = weights
+    contexts, att = [], []
+    start = 0
+    for h, h_proj, bias, rows in memory:
+        s = s_prev if len(memory) == 1 else s_prev[start:start + rows]
+        start += rows
+        alpha, e = _attention_forward(s @ att_W, h_proj, att_v, bias)
+        contexts.append(_weighted_sum_forward(alpha, h))
+        att.append((alpha, e))
+    c = contexts[0] if len(contexts) == 1 else np.concatenate(contexts)
+    vec = extra_cache = None
+    pairs = ()
+    if extra is not None:
+        forward, extra_weights, proj = extra
+        vec, extra_cache = forward(e_prev if e_clean is None else e_clean,
+                                   s_prev, c, extra_weights)
+        pairs = ((vec, proj),)
+    s_new, cell = _cell_forward(np.concatenate([e_prev, c], axis=1), s_prev,
+                                W, U, b, pairs)
+    return s_new, c, vec, (att, extra_cache, cell)
+
+
+def decoder_recurrence(params, s0, emb_in, h, h_proj, mask, extra=None,
+                       emb_clean=None):
+    """The teacher-forced decoder over every target step as one tape node.
+
+    emb_in (B, T, d_e) embeds the targets as the cell reads them and
+    emb_clean (default emb_in) as the extra input reads them; step t reads
+    position t, so the node runs T-1 steps (the last target is only
+    predicted). s0 (B, d_h) is the initial state; h (B, m, 2*d_h), h_proj
+    (B, m, d_att) and the (B, m) 0/1 mask are the encoder memory; extra is
+    an ``ExtraInput`` or None. Each step is one ``decoder_step``. Returns
+    ((T-1)*B, .) rows, time-major like ``gold_targets``: the readout's
+    input [e_t; s_t; c_t] (the embedding the cell read, the new state and
+    the context) and, when the extra input is exported, its vector.
+
+    The hand-written backward-through-time returns the gradients of s0,
+    emb_in, h, h_proj, the ``DECODER_WEIGHTS``, emb_clean (when the extra
+    input reads it) and the extra input's params and projection. Weight
+    gradient products stay inside the loop, and every gradient is summed in
+    the order ``grad_map`` summed the same recurrence built from one tape
+    node per op (``attention_weights``, ``weighted_sum``, ``recurrent_cell``
+    and the extra input's), so every value and gradient keeps its bits:
+    parameters last step first; a state's terms as the readout, the cell,
+    the extra input, then the query; a context's as the readout, the cell,
+    then the extra input, except that at the last step a vector read only
+    by the cell puts the readout's term last.
+    """
+    s0, emb_in = ad.as_tensor(s0), ad.as_tensor(emb_in)
+    h, h_proj = ad.as_tensor(h), ad.as_tensor(h_proj)
+    weights = tuple([params[k] for k in DECODER_WEIGHTS])
+    # parents 0-8: s0, emb_in, h, h_proj, then DECODER_WEIGHTS; then
+    # emb_clean when the extra input reads it, its weights and its proj
+    parents = (s0, emb_in, h, h_proj) + weights
+    clean = emb_in if emb_clean is None else ad.as_tensor(emb_clean)
+    step_extra = None
+    if extra is not None:
+        if extra.reads_embedding:
+            parents += (clean,)
+        first_weight = len(parents)
+        parents += extra.params + (extra.proj,)
+        step_extra = extra.kernel()
+    B, T, d_e = emb_in.shape
+    if T < 2:
+        raise ValueError("teacher forcing needs at least two target positions")
+    if h.shape[1] == 0:
+        raise ValueError("attention needs at least one source position")
+    d_h = s0.shape[1]
+    exported = extra is not None and extra.exported
+    read = d_e + 3 * d_h  # the readout's columns; the extra vector follows
+    out = np.empty((T - 1, B, read + (extra.proj.shape[0] if exported else 0)),
+                   s0.data.dtype)
+    out[:, :, :d_e] = emb_in.data[:, :T - 1].transpose(1, 0, 2)
+    arrays = [t.data for t in weights]
+    memory = [(h.data, h_proj.data, mask_bias(mask), B)]
+    caches = []
+    s = s0.data
+    for t in range(T - 1):
+        s, c, vec, cache = decoder_step(arrays, emb_in.data[:, t], s, memory,
+                                        step_extra, clean.data[:, t])
+        out[t, :, d_e:d_e + d_h] = s
+        out[t, :, d_e + d_h:read] = c
+        if exported:
+            out[t, :, read:] = vec
+        caches.append(cache)
+
+    def backward_through_time(G):
+        G = G.reshape(out.shape)
+        needs = [p.requires_grad for p in parents]
+        grads = [None] * len(parents)
+        att_W, att_v = arrays[:2]
+        x_needs = needs[first_weight:] if extra is not None else []
+        need_clean = extra is not None and extra.reads_embedding and needs[9]
+        last = T - 2
+        d_emb = np.zeros_like(emb_in.data) if needs[1] else None
+        d_clean = np.zeros_like(clean.data) if need_clean else None
+        carry = G[last, :, d_e:d_e + d_h]  # the gradient of step t's state
+        for t in range(last, -1, -1):
+            ((alpha, e),), extra_cache, cell = caches[t]
+            s_prev = cell[4][0]
+            live_s = t > 0 or needs[0]
+            live_q = live_s or needs[4]
+            live_alpha = live_q or needs[3] or needs[5]
+            live_c = live_alpha or needs[2]
+            live_vec = extra is not None and (live_s or live_c or need_clean
+                                              or any(x_needs[:-1]))
+            dx, ds, *d_cell = _cell_backward(
+                carry, cell, [needs[1] or live_c, live_s, *needs[6:9], live_vec,
+                              extra is not None and x_needs[-1]])
+            for i, term in zip((6, 7, 8, len(parents) - 1), d_cell[:3] + d_cell[4:]):
+                if term is not None:
+                    grads[i] = ad._add(grads[i], term)
+            if d_emb is not None:
+                d_emb[:, t] = G[t, :, :d_e] + dx[:, :d_e]
+            ds_x = dc_x = None
+            if live_vec:
+                g_vec = d_cell[3] + G[t, :, read:] if exported else d_cell[3]
+                de, ds_x, dc_x, *d_x = extra.backward(
+                    g_vec, extra_cache, [need_clean, live_s, live_c, *x_needs[:-1]])
+                for i, term in enumerate(d_x, first_weight):
+                    if term is not None:
+                        grads[i] = ad._add(grads[i], term)
+                if d_clean is not None:
+                    d_clean[:, t] = de
+            if live_c:
+                g_read, cell_term = G[t, :, d_e + d_h:read], dx[:, d_e:]
+                if t == last and dc_x is not None and not exported:
+                    g_c = (cell_term + dc_x) + g_read
+                else:
+                    g_c = g_read + cell_term
+                    if dc_x is not None:
+                        g_c += dc_x
+                d_alpha, dh = _weighted_sum_backward(g_c, alpha, h.data,
+                                                     (live_alpha, needs[2]))
+                if dh is not None:
+                    grads[2] = ad._add(grads[2], dh)
+                if live_alpha:
+                    dq, dk, dv = _attention_backward(
+                        d_alpha, alpha, e, att_v, B, (live_q, needs[3], needs[5]))
+                    for i, term in ((3, dk), (5, dv)):
+                        if term is not None:
+                            grads[i] = ad._add(grads[i], term)
+                    if needs[4]:
+                        grads[4] = ad._add(grads[4], s_prev.T @ dq)
+            if live_s:
+                carry = ds if t == 0 else G[t - 1, :, d_e:d_e + d_h] + ds
+                if ds_x is not None:
+                    carry += ds_x
+                carry += dq @ att_W.T
+                if t == 0:
+                    grads[0] = carry
+        grads[1] = d_emb
+        if need_clean:
+            grads[9] = d_clean
+        return grads
+
+    return ad._node(out.reshape((T - 1) * B, -1), parents, backward_through_time)
 
 
 def output_logits(params, e_prev, s_t, c_t, training=False, rng=None, drop_out=0.0):
-    x = ad.concat([e_prev, s_t, c_t], axis=1)
+    return readout(params, ad.concat([e_prev, s_t, c_t], axis=1), training, rng,
+                   drop_out)
+
+
+def readout(params, x, training=False, rng=None, drop_out=0.0):
+    """The logits from readout inputs x = [e(y_{t-1}); s_t; c_t]."""
     r = ad.tanh(ad.matmul(x, params["dec/out/W"]) + params["dec/out/b"])
     r = ad.dropout(r, drop_out, training, rng)
     return ad.matmul(r, params["dec/out/Wv"]) + params["dec/out/bv"]
@@ -435,20 +686,22 @@ def gold_targets(tgt, dtype):
 
 
 def nll_loss(params, dims: ModelDims, batch: Batch, training=False, rng=None,
-             drop_emb=0.0, drop_out=0.0, extras_fn=None):
+             drop_emb=0.0, drop_out=0.0, extra=None):
     """Mean negative log-likelihood per non-pad target token.
 
-    The loop over target steps runs only the recurrence: attention, the
-    extra inputs and the cell. Under teacher forcing nothing in it reads
-    the output layer, so the readout and the loss run once after it, over
-    the inputs, states and contexts of all T-1 steps stacked time-major
-    into ((T-1)*B, .) rows; the readout dropout then draws the same random
-    stream, in the same order, as one readout per step would.
+    The encoder, the initial state, then every target step in one
+    ``decoder_recurrence`` node: attention, the extra input and the cell.
+    Under teacher forcing nothing in the loop reads the output layer, so
+    the readout and the loss run once after it, over the inputs, states and
+    contexts of all T-1 steps stacked time-major into ((T-1)*B, .) rows; the
+    readout dropout then draws the same random stream, in the same order,
+    as one readout per step would.
 
-    ``extras_fn(e_prev, s_prev, c_t)`` returns the decoder's extra
-    (vector, projection) inputs for one step, as ``model.variant_extras``
-    does for the reference-network variants; e_prev is the clean
-    (dropout-free) previous-target embedding. None means no extras.
+    extra is the variant's ``ExtraInput`` (``model.variant_extras``) or
+    None; it reads the clean (dropout-free) previous-target embedding.
+    Returns (loss, n_tokens, vectors): vectors are the extra input's
+    ((T-1)*B, d) rows, time-major like the targets, when it is exported,
+    else None.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
@@ -461,23 +714,17 @@ def nll_loss(params, dims: ModelDims, batch: Batch, training=False, rng=None,
     emb_clean = ad.reshape(ad.take_rows(params["dec/tgt_emb"], batch.tgt.reshape(-1)),
                            (B, T, dims.d_e))
     emb_in = ad.dropout(emb_clean, drop_emb, training, rng)
+    out = decoder_recurrence(params, s, emb_in, h, h_proj, mask, extra, emb_clean)
 
-    states, contexts = [], []
-    for t in range(T - 1):
-        _, c = attention(s, h, params, mask=mask, h_proj=h_proj)
-        extras = () if extras_fn is None else extras_fn(emb_clean[:, t, :], s, c)
-        s = decoder_step(params, emb_in[:, t, :], s, c, extras)
-        states.append(s)
-        contexts.append(c)
-
-    e_prev = ad.transpose(emb_in[:, :T - 1, :], (1, 0, 2))
-    logits = output_logits(params, ad.reshape(e_prev, ((T - 1) * B, dims.d_e)),
-                           ad.concat(states, axis=0), ad.concat(contexts, axis=0),
-                           training, rng, drop_out)
+    vectors = None
+    if extra is not None and extra.exported:
+        read = dims.d_e + 3 * dims.d_h
+        out, vectors = out[:, :read], out[:, read:]
+    logits = readout(params, out, training, rng, drop_out)
     gold, weights = gold_targets(batch.tgt, logits.data.dtype)
     picked = ad.take_per_row(ad.log_softmax(logits, axis=1), gold)
     n_tokens = float(weights.sum())
-    return ad.sum_(picked * weights) * (-1.0 / n_tokens), n_tokens
+    return ad.sum_(picked * weights) * (-1.0 / n_tokens), n_tokens, vectors
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from refnet.params import ParamStore, backward, finite_diff_grad
 FUSED_OP_CHECKS = {
     "recurrent_cell": ("recurrent_cell",),
     "encoder_recurrence": ("encoder_recurrence",),
+    "decoder_recurrence": ("attention", "decoder_step", "decoder_step_extras",
+                           "nll_loss", "m_loss", "joint_b_loss"),
     "attention_weights": ("additive_attention", "grouped_attention"),
     "weighted_sum": ("additive_attention", "grouped_attention"),
     "tri_scores": ("tri_score", "tri_scores_batch"),
@@ -55,6 +57,25 @@ class TestFusedOpCoverage:
         unknown = [check for checks in FUSED_OP_CHECKS.values() for check in checks
                    if check not in gradcheck.CHECKS]
         assert not unknown, f"no such gradcheck entries: {unknown}"
+
+
+def pinned_checks():
+    """``PINNED_CHECKS`` of the benchmark's workloads, read from its source
+    without importing it."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "PINNED_CHECKS"
+                        for t in node.targets)]
+    return ast.literal_eval(value)
+
+
+def test_every_pinned_check_exists():
+    """The benchmark times the checks it pins and counts a missing one as
+    failed: each must stay in the suite under its name."""
+    pinned = pinned_checks()
+    assert pinned
+    assert [name for name in pinned if name not in gradcheck.CHECKS] == []
 
 
 class _Built(Exception):

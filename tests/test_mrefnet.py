@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from refnet.autodiff import Tensor
-from refnet.corpus import make_batches
-from refnet.model import TranslationModel, variant_extras, variant_memory
-from refnet.mrefnet import (add_anchor_params, anchor_memory,
+from refnet.corpus import BOS, make_batches
+from refnet.model import TranslationModel
+from refnet.mrefnet import (CONTEXT_PARAMS, add_anchor_params, anchor_memory,
                             collect_sentence_reprs, global_context,
                             init_m_params)
-from refnet.seq2seq import (ModelDims, decoder_step, encode_batch,
-                            init_baseline_params)
+from refnet.seq2seq import ModelDims, encode_batch, init_baseline_params
 from refnet.training import TrainConfig, run_stage
 
 
@@ -38,26 +36,39 @@ class TestSentenceRepr:
                                        atol=1e-12)
 
 
+def anchor_context(ps, s, c):
+    """alpha_G and c_G of the anchor attention from states s and contexts c."""
+    weights = ([ps[k].data for k in CONTEXT_PARAMS]
+               + [t.data for t in anchor_memory(ps["anchors/m"], ps)])
+    c_g, (alpha, *_) = global_context(None, s, c, weights)
+    return alpha, c_g
+
+
+def first_step(ps, dims, kind):
+    """The log-probabilities and states of the first decoding step of two
+    sentences under ``kind``: ``seq2seq.decoder_step`` with its extra input."""
+    step_for, s0 = TranslationModel(ps, dims, kind)._prepare([[4, 5, 6], [6, 5]])
+    return step_for([0, 1])(np.array([BOS, BOS]), s0)
+
+
 class TestGlobalContext:
     def test_single_anchor_dominates(self, tiny_dims):
         ps = store_with_anchors(tiny_dims, n_anchors=1)
         rng = np.random.default_rng(3)
-        s = Tensor(rng.normal(size=(2, tiny_dims.d_h)))
-        c = Tensor(rng.normal(size=(2, 2 * tiny_dims.d_h)))
-        alpha, c_g = global_context(s, c, anchor_memory(ps["anchors/m"], ps), ps)
-        np.testing.assert_allclose(alpha.data, 1.0)
-        np.testing.assert_allclose(c_g.data,
-                                   np.tile(ps["anchors/m"].data[0], (2, 1)))
+        s = rng.normal(size=(2, tiny_dims.d_h))
+        c = rng.normal(size=(2, 2 * tiny_dims.d_h))
+        alpha, c_g = anchor_context(ps, s, c)
+        np.testing.assert_allclose(alpha, 1.0)
+        np.testing.assert_allclose(c_g, np.tile(ps["anchors/m"].data[0], (2, 1)))
 
     def test_zero_parameters_give_anchor_mean(self, tiny_dims):
         ps = store_with_anchors(tiny_dims, n_anchors=4)
         for key in ("W", "U", "V", "v"):
             ps[f"mref/att/{key}"].data[...] = 0.0
-        s = Tensor(np.zeros((1, tiny_dims.d_h)))
-        c = Tensor(np.zeros((1, 2 * tiny_dims.d_h)))
-        _, c_g = global_context(s, c, anchor_memory(ps["anchors/m"], ps), ps)
-        np.testing.assert_allclose(c_g.data[0],
-                                   ps["anchors/m"].data.mean(axis=0))
+        s = np.zeros((1, tiny_dims.d_h))
+        c = np.zeros((1, 2 * tiny_dims.d_h))
+        _, c_g = anchor_context(ps, s, c)
+        np.testing.assert_allclose(c_g[0], ps["anchors/m"].data.mean(axis=0))
 
     def test_hand_built_scores(self, tiny_dims):
         """Anchor scores (0, ln 3) mix the anchors 0.25 / 0.75."""
@@ -71,11 +82,11 @@ class TestGlobalContext:
         anchors[1] = np.array([math.atanh(math.log(3.0) / 2.0)]
                               + [5.0] * (2 * tiny_dims.d_h - 1))
         ps["anchors/m"].data[...] = anchors
-        s = Tensor(np.zeros((1, tiny_dims.d_h)))
-        c = Tensor(np.zeros((1, 2 * tiny_dims.d_h)))
-        alpha, c_g = global_context(s, c, anchor_memory(ps["anchors/m"], ps), ps)
-        np.testing.assert_allclose(alpha.data, [[0.25, 0.75]], atol=1e-12)
-        np.testing.assert_allclose(c_g.data[0],
+        s = np.zeros((1, tiny_dims.d_h))
+        c = np.zeros((1, 2 * tiny_dims.d_h))
+        alpha, c_g = anchor_context(ps, s, c)
+        np.testing.assert_allclose(alpha, [[0.25, 0.75]], atol=1e-12)
+        np.testing.assert_allclose(c_g[0],
                                    0.25 * anchors[0] + 0.75 * anchors[1],
                                    atol=1e-12)
 
@@ -84,36 +95,25 @@ class TestGlobalContext:
         rng = np.random.default_rng(4)
         pts = ps["anchors/m"].data
         for _ in range(50):
-            s = Tensor(rng.normal(size=(1, tiny_dims.d_h)))
-            c = Tensor(rng.normal(size=(1, 2 * tiny_dims.d_h)))
-            alpha, c_g = global_context(s, c, anchor_memory(ps["anchors/m"], ps), ps)
-            assert abs(alpha.data.sum() - 1.0) < 1e-9
-            assert (c_g.data[0] >= pts.min(axis=0) - 1e-12).all()
-            assert (c_g.data[0] <= pts.max(axis=0) + 1e-12).all()
+            s = rng.normal(size=(1, tiny_dims.d_h))
+            c = rng.normal(size=(1, 2 * tiny_dims.d_h))
+            alpha, c_g = anchor_context(ps, s, c)
+            assert abs(alpha.sum() - 1.0) < 1e-9
+            assert (c_g[0] >= pts.min(axis=0) - 1e-12).all()
+            assert (c_g[0] <= pts.max(axis=0) + 1e-12).all()
 
 
 class TestMDecoderStep:
     def test_zero_projection_equals_baseline(self, tiny_dims):
         ps = store_with_anchors(tiny_dims)
-        rng = np.random.default_rng(5)
-        e = Tensor(rng.normal(size=(2, tiny_dims.d_e)))
-        s = Tensor(rng.normal(size=(2, tiny_dims.d_h)))
-        c = Tensor(rng.normal(size=(2, 2 * tiny_dims.d_h)))
-        base = decoder_step(ps, e, s, c)
-        extras = variant_extras("m_ref", ps, e, s, c, variant_memory("m_ref", ps))
-        aug = decoder_step(ps, e, s, c, extras)
-        np.testing.assert_array_equal(base.data, aug.data)
+        for base, aug in zip(first_step(ps, tiny_dims, "baseline"),
+                             first_step(ps, tiny_dims, "m_ref")):
+            np.testing.assert_array_equal(base, aug)
 
     def test_generic_projection_differs(self, tiny_dims):
         ps = store_with_anchors(tiny_dims, zero_proj=False)
-        rng = np.random.default_rng(6)
-        e = Tensor(rng.normal(size=(2, tiny_dims.d_e)))
-        s = Tensor(rng.normal(size=(2, tiny_dims.d_h)))
-        c = Tensor(rng.normal(size=(2, 2 * tiny_dims.d_h)))
-        base = decoder_step(ps, e, s, c)
-        extras = variant_extras("m_ref", ps, e, s, c, variant_memory("m_ref", ps))
-        aug = decoder_step(ps, e, s, c, extras)
-        assert not np.allclose(base.data, aug.data)
+        base = first_step(ps, tiny_dims, "baseline")[1]
+        assert not np.allclose(base, first_step(ps, tiny_dims, "m_ref")[1])
 
 
 class TestFinetuneM:

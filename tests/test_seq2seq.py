@@ -8,16 +8,16 @@ from hypothesis import given, settings, strategies as st
 from refnet import autodiff as ad
 from refnet.autodiff import Tensor, no_grad
 from refnet.corpus import BOS, EOS, Batch
-from refnet.brefnet import init_b_params
-from refnet.model import KINDS, TranslationModel
+from refnet.brefnet import f_s, init_b_params, regression_weight_norms
+from refnet.model import KINDS, TranslationModel, variant_memory
 from refnet.mrefnet import add_anchor_params, init_m_params
 from refnet.params import ParamStore
 from refnet.training import STAGE_FREEZES
 from refnet import seq2seq
-from refnet.seq2seq import (GATES, Hypothesis, ModelDims, attention,
-                            beam_search, decoder_step, encode_batch,
-                            greedy_decode, init_baseline_params, nll_loss,
-                            output_logits, recurrent_cell)
+from refnet.seq2seq import (GATES, Hypothesis, ModelDims, beam_search,
+                            decoder_step, encode_batch, greedy_decode,
+                            init_baseline_params, nll_loss, output_logits,
+                            recurrent_cell)
 
 
 def zero_params(ps, names):
@@ -68,19 +68,29 @@ class TestEncoder:
         np.testing.assert_array_equal(mask, [[1, 1, 1, 1], [1, 1, 0, 0]])
 
 
+def step_attention(params, s, h, mask=None):
+    """The attention weights and context of one ``decoder_step`` from the
+    states s over the memory h; alpha is read from the step's cache."""
+    s, h = np.asarray(s), np.asarray(h)
+    weights = [params[k].data for k in seq2seq.DECODER_WEIGHTS]
+    e = np.zeros((len(s), params["dec/tgt_emb"].shape[1]))
+    memory = [(h, h @ params["dec/att/U"].data, seq2seq.mask_bias(mask), len(s))]
+    _, c, _, (((alpha, _),), _, _) = decoder_step(weights, e, s, memory)
+    return alpha, c
+
+
 class TestAttention:
     def test_single_position(self, tiny_params, tiny_dims):
-        h = Tensor(np.random.default_rng(0).normal(size=(1, 1, 2 * tiny_dims.d_h)))
-        s = Tensor(np.zeros((1, tiny_dims.d_h)))
-        alpha, c = attention(s, h, tiny_params)
-        np.testing.assert_allclose(alpha.data, [[1.0]])
-        np.testing.assert_array_equal(c.data, h.data[0])
+        h = np.random.default_rng(0).normal(size=(1, 1, 2 * tiny_dims.d_h))
+        alpha, c = step_attention(tiny_params, np.zeros((1, tiny_dims.d_h)), h)
+        np.testing.assert_allclose(alpha, [[1.0]])
+        np.testing.assert_array_equal(c, h[0])
 
     def test_zero_parameters_give_uniform_weights(self, tiny_params, tiny_dims):
         zero_params(tiny_params, ["dec/att/W", "dec/att/U", "dec/att/v"])
-        h = Tensor(np.random.default_rng(1).normal(size=(1, 5, 2 * tiny_dims.d_h)))
-        alpha, _ = attention(Tensor(np.zeros((1, tiny_dims.d_h))), h, tiny_params)
-        np.testing.assert_allclose(alpha.data, np.full((1, 5), 0.2))
+        h = np.random.default_rng(1).normal(size=(1, 5, 2 * tiny_dims.d_h))
+        alpha, _ = step_attention(tiny_params, np.zeros((1, tiny_dims.d_h)), h)
+        np.testing.assert_allclose(alpha, np.full((1, 5), 0.2))
 
     def test_hand_built_scores(self, tiny_params, tiny_dims):
         """Scores (0, ln 3) must produce weights (0.25, 0.75)."""
@@ -89,61 +99,78 @@ class TestAttention:
         tiny_params["dec/att/v"].data[0] = 2.0
         h = np.zeros((1, 2, 2 * tiny_dims.d_h))
         h[0, 1, 0] = np.arctanh(math.log(3.0) / 2.0)  # tanh^-1 makes score ln 3
-        alpha, c = attention(Tensor(np.zeros((1, tiny_dims.d_h))), Tensor(h),
-                             tiny_params)
-        np.testing.assert_allclose(alpha.data, [[0.25, 0.75]], atol=1e-12)
-        np.testing.assert_allclose(c.data, 0.75 * h[:, 1], atol=1e-12)
+        alpha, c = step_attention(tiny_params, np.zeros((1, tiny_dims.d_h)), h)
+        np.testing.assert_allclose(alpha, [[0.25, 0.75]], atol=1e-12)
+        np.testing.assert_allclose(c, 0.75 * h[:, 1], atol=1e-12)
 
     def test_weights_on_simplex_and_shift_invariant(self, tiny_params, tiny_dims):
         rng = np.random.default_rng(2)
-        h = Tensor(rng.normal(size=(1, 4, 2 * tiny_dims.d_h)))
-        s = Tensor(rng.normal(size=(1, tiny_dims.d_h)))
-        alpha, _ = attention(s, h, tiny_params)
-        assert (alpha.data >= 0).all()
-        assert abs(alpha.data.sum() - 1.0) < 1e-9
+        h = rng.normal(size=(1, 4, 2 * tiny_dims.d_h))
+        alpha, _ = step_attention(tiny_params, rng.normal(size=(1, tiny_dims.d_h)), h)
+        assert (alpha >= 0).all()
+        assert abs(alpha.sum() - 1.0) < 1e-9
         # shifting every score by a constant cannot change the softmax
-        shifted = ad.softmax(Tensor(np.log(alpha.data) + 5.0), axis=1)
-        np.testing.assert_allclose(shifted.data, alpha.data, atol=1e-9)
+        shifted = ad.softmax(Tensor(np.log(alpha) + 5.0), axis=1)
+        np.testing.assert_allclose(shifted.data, alpha, atol=1e-9)
 
     def test_empty_source_rejected(self, tiny_params, tiny_dims):
-        with pytest.raises(ValueError):
-            attention(Tensor(np.zeros((1, tiny_dims.d_h))),
-                      Tensor(np.zeros((1, 0, 2 * tiny_dims.d_h))), tiny_params)
+        h = np.zeros((1, 0, 2 * tiny_dims.d_h))
+        with pytest.raises(ValueError, match="source position"):
+            seq2seq.decoder_recurrence(
+                tiny_params, np.zeros((1, tiny_dims.d_h)),
+                np.zeros((1, 2, tiny_dims.d_e)), h, np.zeros((1, 0, 4)), None)
+
+
+def constant_extra(vec, proj):
+    """An extra input whose vector is its one weight, whatever the step:
+    the kernel pair of an ``ExtraInput`` over the tensors vec and proj."""
+    return seq2seq.ExtraInput(
+        lambda e, s, c, weights: (weights[0], None),
+        lambda g, cache, needs: [None, None, None, g if needs[3] else None],
+        (vec,), proj)
 
 
 class TestDecoderStep:
-    def _inputs(self, dims, seed=0):
+    def _inputs(self, params, dims, seed=0):
+        """The step's weights, e_prev, s_prev and one memory block."""
         rng = np.random.default_rng(seed)
-        return (Tensor(rng.normal(size=(2, dims.d_e))),
-                Tensor(rng.normal(size=(2, dims.d_h))),
-                Tensor(rng.normal(size=(2, 2 * dims.d_h))))
+        h = rng.normal(size=(2, 3, 2 * dims.d_h))
+        return ([params[k].data for k in seq2seq.DECODER_WEIGHTS],
+                rng.normal(size=(2, dims.d_e)), rng.normal(size=(2, dims.d_h)),
+                [(h, h @ params["dec/att/U"].data, None, 2)])
 
     def test_no_extras_is_baseline(self, tiny_params, tiny_dims):
-        e, s, c = self._inputs(tiny_dims)
-        a = decoder_step(tiny_params, e, s, c)
-        b = decoder_step(tiny_params, e, s, c, extras=[])
-        np.testing.assert_array_equal(a.data, b.data)
+        """Without an extra input the step is the gated cell over [e; c]."""
+        weights, e, s, memory = self._inputs(tiny_params, tiny_dims)
+        s_new, c, vec, _ = decoder_step(weights, e, s, memory)
+        assert vec is None
+        cell = recurrent_cell(np.concatenate([e, c], axis=1), s,
+                              *(tiny_params[f"dec/cell/{k}"] for k in "WUb"))
+        np.testing.assert_array_equal(s_new, cell.data)
 
     def test_zero_extra_projection_is_baseline(self, tiny_params, tiny_dims):
-        e, s, c = self._inputs(tiny_dims)
-        base = decoder_step(tiny_params, e, s, c)
-        proj = Tensor(np.zeros((5, 3 * tiny_dims.d_h)))
-        vec = Tensor(np.random.default_rng(1).normal(size=(2, 5)))
-        aug = decoder_step(tiny_params, e, s, c, extras=[(vec, proj)])
-        np.testing.assert_array_equal(base.data, aug.data)
+        weights, e, s, memory = self._inputs(tiny_params, tiny_dims)
+        extra = constant_extra(Tensor(np.random.default_rng(1).normal(size=(2, 5))),
+                               Tensor(np.zeros((5, 3 * tiny_dims.d_h))))
+        base = decoder_step(weights, e, s, memory)[0]
+        aug = decoder_step(weights, e, s, memory, extra.kernel())[0]
+        np.testing.assert_array_equal(base, aug)
 
     def test_extra_gradient_matches_oracle(self, tiny_params, tiny_dims):
-        """Gradient w.r.t. the extra context vector itself."""
+        """Gradient w.r.t. the extra vector itself, read at both steps of
+        the decoder node."""
         from refnet.params import ParamStore, backward, finite_diff_grad, relative_error
         rng = np.random.default_rng(4)
-        e, s, c = self._inputs(tiny_dims, seed=4)
+        _, e, s, ((h, h_proj, _, _),) = self._inputs(tiny_params, tiny_dims, seed=4)
+        emb = rng.normal(size=(2, 3, tiny_dims.d_e))
         probe = ParamStore()
         probe.add("extra", rng.normal(size=(2, 5)), "m_ref")
         proj = Tensor(rng.normal(size=(5, 3 * tiny_dims.d_h)))
-        w = rng.normal(size=(2, tiny_dims.d_h))
+        w = rng.normal(size=(4, tiny_dims.d_e + 3 * tiny_dims.d_h))
 
         def f(p):
-            out = decoder_step(tiny_params, e, s, c, extras=[(p["extra"], proj)])
+            out = seq2seq.decoder_recurrence(tiny_params, s, emb, h, h_proj, None,
+                                             constant_extra(p["extra"], proj))
             return ad.sum_(out * w)
 
         analytic = backward(f(probe), probe)
@@ -207,6 +234,84 @@ def reference_encoder(params, dims, src, src_lens, training=False, rng=None,
     h_fwd = ad.stack(run("fwd", range(m)), axis=1)
     h_bwd = ad.stack(run("bwd", range(m - 1, -1, -1)), axis=1)
     return ad.concat([h_fwd, h_bwd], axis=2)
+
+
+def reference_decoder(model, batch, training=False, rng=None):
+    """The teacher-forced loss of ``model`` with the decoder composed of one
+    tape node per op and step: the query matmul, ``additive_attention``'s
+    two nodes, the extra input's nodes, the input concat and
+    ``recurrent_cell``, with the states, contexts and extra vectors
+    concatenated for the readout and the hinge loss. It is the reference the
+    one-node ``decoder_recurrence`` must match bit for bit. Returns (joint
+    loss, states, contexts, b_ref's predictions or None), the last three
+    ((T-1)*B, .) rows time-major."""
+    params, dims, kind = model.params, model.dims, model.kind
+    h, mask = encode_batch(params, dims, batch.src, batch.src_lens, training,
+                           rng, model.drop_emb)
+    h_proj = seq2seq.attention_proj(params, h)
+    s = seq2seq.initial_state(params, h, mask)
+    memory = variant_memory(kind, params)
+    B, T = batch.tgt.shape
+    emb_clean = ad.reshape(ad.take_rows(params["dec/tgt_emb"],
+                                        batch.tgt.reshape(-1)), (B, T, dims.d_e))
+    emb_in = ad.dropout(emb_clean, model.drop_emb, training, rng)
+    states, contexts, vecs = [], [], []
+    for t in range(T - 1):
+        q = ad.matmul(s, params["dec/att/W"])
+        _, c = seq2seq.additive_attention(q, h_proj, h, params["dec/att/v"], mask)
+        extras = []
+        if kind == "m_ref":
+            q_g = (ad.matmul(s, params["mref/att/W"])
+                   + ad.matmul(c, params["mref/att/U"]))
+            _, c_g = seq2seq.additive_attention(q_g, *memory, params["mref/att/v"])
+            extras = [(c_g, params["mref/proj"])]
+        if kind == "b_ref":
+            query = ad.concat([emb_clean[:, t, :], s, c], axis=1)
+            extras = [(f_s(query, params), params["bref/proj"])]
+        vecs += [vec for vec, _ in extras]
+        x = ad.concat([emb_in[:, t, :], c], axis=1)
+        s = recurrent_cell(x, s, params["dec/cell/W"], params["dec/cell/U"],
+                           params["dec/cell/b"], extras)
+        states.append(s)
+        contexts.append(c)
+    e_prev = ad.transpose(emb_in[:, :T - 1, :], (1, 0, 2))
+    logits = output_logits(params, ad.reshape(e_prev, ((T - 1) * B, dims.d_e)),
+                           ad.concat(states, axis=0), ad.concat(contexts, axis=0),
+                           training, rng, model.drop_out)
+    gold, weights = seq2seq.gold_targets(batch.tgt, logits.data.dtype)
+    picked = ad.take_per_row(ad.log_softmax(logits, axis=1), gold)
+    n_tokens = float(weights.sum())
+    joint = ad.sum_(picked * weights) * (-1.0 / n_tokens)
+    vecs = ad.concat(vecs, axis=0) if kind == "b_ref" else None
+    if kind == "b_ref":
+        diff = ad.take_rows(params["dec/tgt_emb"], gold) - vecs
+        res_sum = ad.sum_(ad.sum_(ad.square(diff), axis=1) * weights)
+        reg = ad.sum_(regression_weight_norms(params))
+        l_m_mean = res_sum * (1.0 / B) + model.lam_m * reg
+        joint = joint * (n_tokens / B) + model.lam * l_m_mean
+    return joint, ad.concat(states, axis=0), ad.concat(contexts, axis=0), vecs
+
+
+def ragged_batch(rng, dims, B):
+    """B pairs with source lengths 1..5 and target lengths 3..7 (BOS and EOS
+    included), padded: row 0 is the longest on both sides."""
+    src_lens = rng.integers(1, 6, size=B)
+    tgt_lens = rng.integers(3, 8, size=B)
+    src_lens[0], tgt_lens[0] = 5, 7
+    src = rng.integers(4, dims.vocab_src, size=(B, 5))
+    src[np.arange(5)[None, :] >= src_lens[:, None]] = 0
+    tgt = rng.integers(4, dims.vocab_tgt, size=(B, 7))
+    tgt[:, 0] = BOS
+    tgt[np.arange(B), tgt_lens - 1] = EOS
+    tgt[np.arange(7)[None, :] >= tgt_lens[:, None]] = 0
+    return Batch(src=src, src_lens=src_lens, tgt=tgt, tgt_lens=tgt_lens)
+
+
+def decoder_node(root):
+    """The one ``decoder_recurrence`` node reachable from ``root``."""
+    (node,) = [n for n in ad._toposort(root) if n._bwd is not None
+               and n._bwd.__qualname__.startswith("decoder_recurrence.")]
+    return node
 
 
 ENCODER_PARAMS = ["enc/src_emb"] + [f"enc/{d}/{k}" for d in ("fwd", "bwd")
@@ -323,6 +428,52 @@ class TestFusedCell:
         assert all(p._bwd is None for p in out.parents)
         with no_grad():
             assert recurrent_cell(*args[:5], args[5]).parents == ()
+
+
+STAGE_OF = {"baseline": "pretrain", "m_ref": "finetune-m", "b_ref": "train-b"}
+
+
+class TestDecoderRecurrence:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "dropout"])
+    @pytest.mark.parametrize("frozen", [False, True], ids=["all", "stage"])
+    def test_bit_identical_to_per_step_composition(self, kind, dtype, training,
+                                                   frozen):
+        """The one-node decoder against ``reference_decoder`` on ragged
+        sources and targets at B = 1, 2, 3 and 7: the states, contexts and
+        b_ref's predictions, the loss and the gradient of every parameter
+        are equal bit for bit, with every group trained or with the kind's
+        stage freezes, with dropout off (the cell and the extra input read
+        one embedding tensor) and on."""
+        for B in (1, 2, 3, 7):
+            model = reference_model(kind, seed=B)
+            model.params = model.params.copy(dtype)
+            if frozen:
+                model.params.freeze(*STAGE_FREEZES[STAGE_OF[kind]])
+            model.drop_emb, model.drop_out = (0.2, 0.3) if training else (0.0, 0.0)
+            model.lam, model.lam_m = 0.7, 1e-2
+            batch = ragged_batch(np.random.default_rng(B), model.dims, B)
+            joint = model.loss(batch, training, np.random.default_rng(9)).joint
+            ref, *ref_outs = reference_decoder(model, batch, training,
+                                               np.random.default_rng(9))
+            assert joint.data.dtype == dtype
+            np.testing.assert_array_equal(joint.data, ref.data)
+            out, d_h = decoder_node(joint).data, model.dims.d_h
+            out = out[:, model.dims.d_e:]
+            cols = [out[:, :d_h], out[:, d_h:3 * d_h], out[:, 3 * d_h:]]
+            for got, want in zip(cols, ref_outs):
+                if want is None:
+                    assert got.shape[1] == 0
+                else:
+                    np.testing.assert_array_equal(got, want.data)
+            grads, ref_grads = ad.grad_map(joint), ad.grad_map(ref)
+            for name, t in model.params.items():
+                assert (id(t) in grads) == (id(t) in ref_grads), name
+                if id(t) in grads:
+                    assert grads[id(t)].dtype == dtype
+                    np.testing.assert_array_equal(grads[id(t)], ref_grads[id(t)],
+                                                  err_msg=f"{name} at B={B}")
 
 
 def reference_attention(q, keys, values, v, mask=None):
@@ -472,15 +623,15 @@ class TestTapeSize:
         tgt[1, T - 2:] = 0  # one padded row
         batch = Batch(src=rng.integers(4, dims.vocab_src, size=(B, m)),
                       src_lens=np.full(B, m), tgt=tgt, tgt_lens=np.full(B, T))
-        loss, _ = nll_loss(params, dims, batch, training=True, rng=rng,
-                           drop_emb=0.2, drop_out=0.3)
+        loss, _, _ = nll_loss(params, dims, batch, training=True, rng=rng,
+                              drop_emb=0.2, drop_out=0.3)
         return loss
 
     def test_one_readout_per_batch(self, tiny_dims):
         for T in (2, 5, 9):
             ops = tape_ops(self._loss(tiny_dims, T))
             assert ops["log_softmax"] == 1 and ops["take_per_row"] == 1
-            assert ops["recurrent_cell"] == T - 1
+            assert ops["decoder_recurrence"] == 1 and "recurrent_cell" not in ops
             assert ops["encoder_recurrence"] == 1
 
     def test_tape_grows_linearly_in_steps(self, tiny_dims):
@@ -508,7 +659,8 @@ class TestTapeSize:
         steps = np.diff(sizes)
         assert (steps == steps[0]).all()
         ops = tape_ops(self._b_loss(tiny_dims, 5))
-        assert ops["f_s"] == 4 and "tri_scores" not in ops
+        assert ops["decoder_recurrence"] == 1
+        assert "f_s" not in ops and "tri_scores" not in ops
 
     @staticmethod
     def _acceptance_batch():
@@ -521,39 +673,64 @@ class TestTapeSize:
         assert batch.src.shape[1] == 12 and batch.tgt.shape[1] == 14
         return batch, ModelDims(vocab_src=len(vs), vocab_tgt=len(vt), d_e=4, d_h=4)
 
+    @classmethod
+    def _census_nodes(cls, stage):
+        """The recorded nodes of the first acceptance batch's loss as
+        ``stage`` records it: dropout on, the stage's groups frozen."""
+        batch, dims = cls._acceptance_batch()
+        rng = np.random.default_rng(0)
+        params = init_baseline_params(dims, rng)
+        kind = {"pretrain": "baseline", "finetune-m": "m_ref",
+                "train-b": "b_ref"}[stage]
+        if kind == "m_ref":
+            add_anchor_params(params, rng.normal(size=(16, 2 * dims.d_h)))
+            init_m_params(params, dims, rng)
+        if kind == "b_ref":
+            init_b_params(params, dims, 8, 16, rng)
+        params.freeze(*STAGE_FREEZES[stage])
+        model = TranslationModel(params, dims, kind, drop_emb=0.2, drop_out=0.3)
+        parts = model.loss(batch, training=True, rng=np.random.default_rng(1))
+        return sum(tape_ops(parts.joint).values())
+
     def test_pretrain_batch_tape_at_most_200_nodes(self):
         """The first acceptance batch as pretraining records it, dropout on."""
-        batch, dims = self._acceptance_batch()
-        model = TranslationModel(init_baseline_params(dims, np.random.default_rng(0)),
-                                 dims, drop_emb=0.2, drop_out=0.3)
-        parts = model.loss(batch, training=True, rng=np.random.default_rng(1))
-        assert sum(tape_ops(parts.joint).values()) <= 200
+        assert self._census_nodes("pretrain") <= 200
 
     def test_finetune_m_batch_tape_at_most_170_nodes(self):
         """The first acceptance batch as finetune-m records it: dropout on,
         the encoder and anchors frozen, and the anchor keys A V computed
         once per batch, not at every step (194 nodes when they were)."""
-        batch, dims = self._acceptance_batch()
-        rng = np.random.default_rng(0)
-        params = init_baseline_params(dims, rng)
-        add_anchor_params(params, rng.normal(size=(16, 2 * dims.d_h)))
-        init_m_params(params, dims, rng)
-        params.freeze(*STAGE_FREEZES["finetune-m"])
-        model = TranslationModel(params, dims, "m_ref", drop_emb=0.2, drop_out=0.3)
-        parts = model.loss(batch, training=True, rng=np.random.default_rng(1))
-        assert sum(tape_ops(parts.joint).values()) <= 170
+        assert self._census_nodes("finetune-m") <= 170
 
     def test_train_b_batch_tape_at_most_150_nodes(self):
         """The first acceptance batch as train-b records it: dropout on, the
-        encoder, decoder and anchors frozen, f_s one node per step."""
-        batch, dims = self._acceptance_batch()
-        rng = np.random.default_rng(0)
-        params = init_baseline_params(dims, rng)
-        init_b_params(params, dims, 8, 16, rng)
-        params.freeze(*STAGE_FREEZES["train-b"])
-        model = TranslationModel(params, dims, "b_ref", drop_emb=0.2, drop_out=0.3)
-        parts = model.loss(batch, training=True, rng=np.random.default_rng(1))
-        assert sum(tape_ops(parts.joint).values()) <= 150
+        encoder, decoder and anchors frozen."""
+        assert self._census_nodes("train-b") <= 150
+
+    @pytest.mark.parametrize("stage", ["pretrain", "finetune-m", "train-b"])
+    def test_census_batch_at_most_35_nodes(self, stage):
+        """With the decoder one node, no stage's tape grows with the 13
+        target steps of the batch (110, 170 and 115 nodes when each step
+        recorded its own)."""
+        assert self._census_nodes(stage) <= 35
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_decoder_node_whatever_the_length(self, kind):
+        """Each kind's teacher-forced loss records one decoder node, and its
+        tape holds as many nodes at T = 9 as at T = 3."""
+        model = reference_model(kind)
+        model.drop_emb, model.drop_out = 0.2, 0.3
+        sizes = []
+        for T in (3, 9):
+            rng = np.random.default_rng(T)
+            tgt = np.concatenate([np.full((3, 1), BOS),
+                                  rng.integers(4, 12, size=(3, T - 1))], axis=1)
+            batch = Batch(src=rng.integers(4, 12, size=(3, 4)),
+                          src_lens=np.full(3, 4), tgt=tgt, tgt_lens=np.full(3, T))
+            ops = tape_ops(model.loss(batch, training=True, rng=rng).joint)
+            assert ops["decoder_recurrence"] == 1
+            sizes.append(sum(ops.values()))
+        assert sizes[0] == sizes[1]
 
 
 class TestOutputDistribution:
@@ -594,7 +771,7 @@ class TestNllLoss:
     def test_uniform_model_loss_is_log_vocab(self, tiny_params, tiny_dims):
         zero_params(tiny_params, ["dec/out/W", "dec/out/b",
                                   "dec/out/Wv", "dec/out/bv"])
-        loss, n = nll_loss(tiny_params, tiny_dims, self._batch([4, 5, 6]))
+        loss, n, _ = nll_loss(tiny_params, tiny_dims, self._batch([4, 5, 6]))
         assert n == 4  # three tokens plus EOS
         assert float(loss.data) == pytest.approx(math.log(tiny_dims.vocab_tgt))
 
@@ -606,30 +783,30 @@ class TestNllLoss:
         batch = self._batch([4, 4])
         batch.tgt[0, -1] = 4  # all supervised positions ask for token 4
         batch.tgt = batch.tgt[:, :-1]
-        loss, _ = nll_loss(tiny_params, tiny_dims, batch)
+        loss, _, _ = nll_loss(tiny_params, tiny_dims, batch)
         assert float(loss.data) == 0.0
 
     def test_hand_computed_two_token_example(self, tiny_params, tiny_dims):
         """Mean of -log p over the two supervised steps, done by hand."""
         batch = Batch(src=np.array([[4, 6]]), src_lens=np.array([2]),
                       tgt=np.array([[BOS, 5, EOS]]), tgt_lens=np.array([3]))
-        loss, n = nll_loss(tiny_params, tiny_dims, batch)
+        loss, n, _ = nll_loss(tiny_params, tiny_dims, batch)
         assert n == 2
 
-        from refnet.seq2seq import (attention, decoder_step, encode_batch,
-                                    initial_state)
+        from refnet.seq2seq import attention_proj, encode_batch, initial_state
         with no_grad():
             h, mask = encode_batch(tiny_params, tiny_dims, batch.src,
                                    batch.src_lens)
-            s = initial_state(tiny_params, h, mask)
-            total = 0.0
-            for t in (1, 2):
-                e_prev = ad.take_rows(tiny_params["dec/tgt_emb"],
-                                      batch.tgt[:, t - 1])
-                _, c = attention(s, h, tiny_params, mask=mask)
-                s = decoder_step(tiny_params, e_prev, s, c)
-                p = ad.softmax(output_logits(tiny_params, e_prev, s, c), axis=1)
-                total -= math.log(p.data[0, batch.tgt[0, t]])
+            memory = [(h.data, attention_proj(tiny_params, h).data,
+                       seq2seq.mask_bias(mask), 1)]
+            s = initial_state(tiny_params, h, mask).data
+        weights = [tiny_params[k].data for k in seq2seq.DECODER_WEIGHTS]
+        total = 0.0
+        for t in (1, 2):
+            e_prev = tiny_params["dec/tgt_emb"].data[batch.tgt[:, t - 1]]
+            s, c, _, _ = decoder_step(weights, e_prev, s, memory)
+            p = ad.softmax(output_logits(tiny_params, e_prev, s, c), axis=1)
+            total -= math.log(p.data[0, batch.tgt[0, t]])
         assert float(loss.data) == pytest.approx(total / 2, rel=1e-12)
 
     def test_pad_positions_ignored(self, tiny_params, tiny_dims):
@@ -638,8 +815,8 @@ class TestNllLoss:
         padded = Batch(src=np.array([[4, 6]]), src_lens=np.array([2]),
                        tgt=np.array([[BOS, 5, EOS, 0, 0]]),
                        tgt_lens=np.array([3]))
-        a, na = nll_loss(tiny_params, tiny_dims, plain)
-        b, nb = nll_loss(tiny_params, tiny_dims, padded)
+        a, na, _ = nll_loss(tiny_params, tiny_dims, plain)
+        b, nb, _ = nll_loss(tiny_params, tiny_dims, padded)
         assert na == nb
         assert float(a.data) == pytest.approx(float(b.data), rel=1e-12)
 
