@@ -55,7 +55,7 @@ def variant_extras(kind, params, memory=None):
         return seq2seq.ExtraInput(
             brefnet.query_regression, brefnet.query_regression_backward,
             tuple(params[k] for k in brefnet.F_S_PARAMS), params["bref/proj"],
-            reads_embedding=True, exported=True)
+            predicts_embedding=True)
     raise ValueError(f"unknown model kind {kind!r}")
 
 

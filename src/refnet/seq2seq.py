@@ -311,15 +311,11 @@ def _attention_forward(q, keys, v, bias=None):
     if B % n:
         raise ValueError(f"{B} query rows do not split into {n} key groups")
     g = B // n
-    if g == 1:
-        e = q[:, None, :] + keys
-    else:
-        e = (q.reshape(n, g, 1, d) + keys[:, None]).reshape(B, m, d)
+    e = (q.reshape(n, g, 1, d) + keys[:, None]).reshape(B, m, d)
     np.tanh(e, out=e)  # in place: one (B, m, d) allocation, not two
     scores = e @ v                                          # (B, m)
     if bias is not None:
-        scores = (scores + bias if g == 1 else
-                  (scores.reshape(n, g, m) + bias[:, None, :]).reshape(B, m))
+        scores = (scores.reshape(n, g, m) + bias[:, None, :]).reshape(B, m)
     return ad._softmax_values(scores, axis=1), e
 
 
@@ -468,16 +464,16 @@ class ExtraInput:
     vector's gradient g, the gradients of e_prev, s_prev, c and of each
     weight, None for each whose entry of ``needs`` is false. The weights
     are the arrays of ``params``, and ``proj`` maps the vector into the gate
-    pre-activations. ``reads_embedding``: forward reads e_prev, the clean
-    (dropout-free) previous-target embedding. ``exported``: the loss reads
-    the vectors too, so the teacher-forced decoder outputs them.
+    pre-activations. ``predicts_embedding``: the vector estimates the next
+    target's embedding (b_ref's f_s), so forward reads e_prev, the clean
+    (dropout-free) previous-target embedding, and the loss reads the
+    vectors, which the teacher-forced decoder then outputs.
     """
     forward: Callable
     backward: Callable
     params: tuple
     proj: ad.Tensor
-    reads_embedding: bool = False
-    exported: bool = False
+    predicts_embedding: bool = False
 
     def kernel(self):
         """The (forward, weights, proj) arrays ``decoder_step`` reads."""
@@ -537,15 +533,17 @@ def decoder_recurrence(params, s0, emb_in, h, h_proj, mask, extra=None,
     an ``ExtraInput`` or None. Each step is one ``decoder_step``. Returns
     ((T-1)*B, .) rows, time-major like ``gold_targets``: the readout's
     input [e_t; s_t; c_t] (the embedding the cell read, the new state and
-    the context) and, when the extra input is exported, its vector.
+    the context) and, when the extra input predicts the embedding, its
+    vector.
 
     The hand-written backward-through-time returns the gradients of s0,
     emb_in, h, h_proj, the ``DECODER_WEIGHTS``, emb_clean (when the extra
-    input reads it) and the extra input's params and projection. Weight
-    gradient products stay inside the loop, and every gradient is summed in
-    the order ``grad_map`` summed the same recurrence built from one tape
-    node per op (``attention_weights``, ``weighted_sum``, ``recurrent_cell``
-    and the extra input's), so every value and gradient keeps its bits:
+    input predicts the embedding) and the extra input's params and
+    projection. Weight gradient products stay inside the loop, and every
+    gradient is summed in the order ``grad_map`` summed the same recurrence
+    built from one tape node per op (``attention_weights``,
+    ``weighted_sum``, ``recurrent_cell`` and the extra input's), so every
+    value and gradient keeps its bits:
     parameters last step first; a state's terms as the readout, the cell,
     the extra input, then the query; a context's as the readout, the cell,
     then the extra input, except that at the last step a vector read only
@@ -555,12 +553,13 @@ def decoder_recurrence(params, s0, emb_in, h, h_proj, mask, extra=None,
     h, h_proj = ad.as_tensor(h), ad.as_tensor(h_proj)
     weights = tuple([params[k] for k in DECODER_WEIGHTS])
     # parents 0-8: s0, emb_in, h, h_proj, then DECODER_WEIGHTS; then
-    # emb_clean when the extra input reads it, its weights and its proj
+    # emb_clean when the extra input predicts the embedding, its weights
+    # and its proj
     parents = (s0, emb_in, h, h_proj) + weights
     clean = emb_in if emb_clean is None else ad.as_tensor(emb_clean)
     step_extra = None
     if extra is not None:
-        if extra.reads_embedding:
+        if extra.predicts_embedding:
             parents += (clean,)
         first_weight = len(parents)
         parents += extra.params + (extra.proj,)
@@ -571,9 +570,9 @@ def decoder_recurrence(params, s0, emb_in, h, h_proj, mask, extra=None,
     if h.shape[1] == 0:
         raise ValueError("attention needs at least one source position")
     d_h = s0.shape[1]
-    exported = extra is not None and extra.exported
+    predicts = extra is not None and extra.predicts_embedding
     read = d_e + 3 * d_h  # the readout's columns; the extra vector follows
-    out = np.empty((T - 1, B, read + (extra.proj.shape[0] if exported else 0)),
+    out = np.empty((T - 1, B, read + (extra.proj.shape[0] if predicts else 0)),
                    s0.data.dtype)
     out[:, :, :d_e] = emb_in.data[:, :T - 1].transpose(1, 0, 2)
     arrays = [t.data for t in weights]
@@ -585,7 +584,7 @@ def decoder_recurrence(params, s0, emb_in, h, h_proj, mask, extra=None,
                                         step_extra, clean.data[:, t])
         out[t, :, d_e:d_e + d_h] = s
         out[t, :, d_e + d_h:read] = c
-        if exported:
+        if predicts:
             out[t, :, read:] = vec
         caches.append(cache)
 
@@ -595,7 +594,7 @@ def decoder_recurrence(params, s0, emb_in, h, h_proj, mask, extra=None,
         grads = [None] * len(parents)
         att_W, att_v = arrays[:2]
         x_needs = needs[first_weight:] if extra is not None else []
-        need_clean = extra is not None and extra.reads_embedding and needs[9]
+        need_clean = predicts and needs[9]
         last = T - 2
         d_emb = np.zeros_like(emb_in.data) if needs[1] else None
         d_clean = np.zeros_like(clean.data) if need_clean else None
@@ -619,7 +618,7 @@ def decoder_recurrence(params, s0, emb_in, h, h_proj, mask, extra=None,
                 d_emb[:, t] = G[t, :, :d_e] + dx[:, :d_e]
             ds_x = dc_x = None
             if live_vec:
-                g_vec = d_cell[3] + G[t, :, read:] if exported else d_cell[3]
+                g_vec = d_cell[3] + G[t, :, read:] if predicts else d_cell[3]
                 de, ds_x, dc_x, *d_x = extra.backward(
                     g_vec, extra_cache, [need_clean, live_s, live_c, *x_needs[:-1]])
                 for i, term in enumerate(d_x, first_weight):
@@ -629,7 +628,7 @@ def decoder_recurrence(params, s0, emb_in, h, h_proj, mask, extra=None,
                     d_clean[:, t] = de
             if live_c:
                 g_read, cell_term = G[t, :, d_e + d_h:read], dx[:, d_e:]
-                if t == last and dc_x is not None and not exported:
+                if t == last and dc_x is not None and not predicts:
                     g_c = (cell_term + dc_x) + g_read
                 else:
                     g_c = g_read + cell_term
@@ -700,8 +699,8 @@ def nll_loss(params, dims: ModelDims, batch: Batch, training=False, rng=None,
     extra is the variant's ``ExtraInput`` (``model.variant_extras``) or
     None; it reads the clean (dropout-free) previous-target embedding.
     Returns (loss, n_tokens, vectors): vectors are the extra input's
-    ((T-1)*B, d) rows, time-major like the targets, when it is exported,
-    else None.
+    ((T-1)*B, d) rows, time-major like the targets, when it predicts the
+    embedding, else None.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
@@ -717,7 +716,7 @@ def nll_loss(params, dims: ModelDims, batch: Batch, training=False, rng=None,
     out = decoder_recurrence(params, s, emb_in, h, h_proj, mask, extra, emb_clean)
 
     vectors = None
-    if extra is not None and extra.exported:
+    if extra is not None and extra.predicts_embedding:
         read = dims.d_e + 3 * dims.d_h
         out, vectors = out[:, :read], out[:, read:]
     logits = readout(params, out, training, rng, drop_out)
