@@ -16,6 +16,12 @@ if any step's estimate is within ``TOL``. So ``max_rel_err`` is the worst
 error of the estimate that cleared each coordinate: a parameter cleared
 at the first step reports its first-step error, and one that no step
 clears reports its minimum over every step.
+
+Each sweep of ``finite_diff_grad`` is split over the usable CPUs, by
+forked workers, when its store is large enough (the whole-loss checks);
+the estimates, and so every ``max_rel_err``, are bit-identical to a sweep
+in one process. So an objective must be deterministic, and what it does
+to state outside the store inside a worker is lost.
 """
 
 from __future__ import annotations

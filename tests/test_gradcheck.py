@@ -1,12 +1,16 @@
 import ast
+import importlib
+import inspect
+import os
 import pathlib
+import threading
 
 import numpy as np
 import pytest
 
 import refnet
 from refnet import autodiff as ad
-from refnet import gradcheck
+from refnet import gradcheck, params
 from refnet.params import ParamStore, backward, finite_diff_grad
 
 # every function outside autodiff.py that records its own tape node (a fused
@@ -59,11 +63,13 @@ class TestFusedOpCoverage:
         assert not unknown, f"no such gradcheck entries: {unknown}"
 
 
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
 def pinned_checks():
     """``PINNED_CHECKS`` of the benchmark's workloads, read from its source
     without importing it."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
     (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
                 and any(getattr(t, "id", None) == "PINNED_CHECKS"
                         for t in node.targets)]
@@ -76,6 +82,50 @@ def test_every_pinned_check_exists():
     pinned = pinned_checks()
     assert pinned
     assert [name for name in pinned if name not in gradcheck.CHECKS] == []
+
+
+def bench_bindings():
+    """``(owner, attribute)`` for every ``rebound(owner, "attribute", ...)``
+    call in the benchmark's workloads, read from its source without
+    importing it. An owner named by a loop over a tuple of names counts once
+    per name; each name is resolved through the module's refnet imports."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "refnet":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                imported[alias.asname or alias.name] = (
+                    getattr(module, alias.name, None)
+                    or importlib.import_module(f"{node.module}.{alias.name}"))
+    loops = {node.target.id: [elt.id for elt in node.iter.elts]
+             for node in ast.walk(tree) if isinstance(node, ast.For)
+             and isinstance(node.target, ast.Name) and isinstance(node.iter, ast.Tuple)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "rebound":
+            owner, attr = node.args[0].id, node.args[1].value
+            found += [(name, imported[name], attr) for name in loops.get(owner, [owner])]
+    return found
+
+
+class TestBenchmarkBindings:
+    """The benchmark rebinds library functions by name; a rename or a new
+    signature would break it without failing any library test."""
+
+    def test_every_rebound_attribute_exists(self):
+        found = bench_bindings()
+        assert sorted({(name, attr) for name, _, attr in found}) == [
+            ("TranslationModel", "translate"), ("gradcheck", "finite_diff_grad"),
+            ("lcc", "backward"), ("training", "backward"),
+            ("training", "make_batches")]
+        assert [f"{name}.{attr}" for name, owner, attr in found
+                if not callable(getattr(owner, attr, None))] == []
+
+    def test_oracle_signature_is_kept(self):
+        sig = inspect.signature(params.finite_diff_grad)
+        assert list(sig.parameters) == ["f", "params", "step"]
+        assert sig.parameters["step"].default == 1e-4
 
 
 class _Built(Exception):
@@ -276,3 +326,174 @@ class TestSuiteReport:
         (line,) = gradcheck.suite_report(results).splitlines()
         assert line.startswith("PASS\ttri_score\tseeds=2\t")
         assert line.endswith(f"\tseconds={sum(r.seconds for r in results):.2f}")
+
+
+def use_cpus(monkeypatch, n):
+    """Make the oracle see ``n`` usable CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def count_forks(monkeypatch):
+    """The list of this process's forks from now on, one entry each."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def serial_reference(f, ps, step):
+    """The central difference of every trainable coordinate, in sweep order,
+    in one process: the loop the split sweep must reproduce bit for bit."""
+    record = {}
+    with ad.no_grad():
+        for name in ps.trainable_names():
+            flat = ps[name].data.reshape(-1)
+            grad = np.empty_like(flat)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + step
+                fp = float(f(ps))
+                flat[i] = orig - step
+                fm = float(f(ps))
+                flat[i] = orig
+                grad[i] = (fp - fm) / (2.0 * step)
+            record[name] = grad.reshape(ps[name].data.shape)
+    return record
+
+
+def wide_store():
+    """256 coordinates: ``a`` is the first block of a two-way split, ``b``
+    the second; with three ways the last block starts at b[42]."""
+    ps = ParamStore()
+    rng = np.random.default_rng(5)
+    ps.add("a", rng.normal(size=(8, 16)), "m_ref")
+    ps.add("b", rng.normal(size=128), "m_ref")
+    return ps
+
+
+def wide_objective(ps):
+    return ad.sum_(ad.tanh(ps["a"])) + ad.sum_(ad.square(ps["b"]))
+
+
+def failing_at(bad, how):
+    """An objective that fails while any of ``b``'s coordinates in ``bad``
+    differs from its value in a fresh ``wide_store``: by raising, naming the
+    first moved coordinate, or by returning NaN."""
+    base = wide_store()["b"].data
+
+    def f(ps):
+        moved = np.flatnonzero(ps["b"].data != base)
+        if np.isin(moved, bad).any():
+            if how == "raise":
+                raise RuntimeError(f"objective failed at b[{moved[0]}]")
+            return ad.Tensor(np.nan)
+        return wide_objective(ps)
+    return f
+
+
+class TestSplitSweep:
+    @pytest.mark.parametrize("n_cpus", [2, 3])
+    def test_nll_estimates_are_bit_identical(self, n_cpus, monkeypatch):
+        """The nll_loss check's store (580 coordinates) split over forked
+        workers gives the bytes of one process and of the written-out loop."""
+        built = []
+        monkeypatch.setattr(gradcheck, "_compare",
+                            lambda f, ps, steps: built.append((f, ps, steps)))
+        gradcheck.check_nll(0)
+        ((f, ps, steps),) = built
+        forks = count_forks(monkeypatch)
+        use_cpus(monkeypatch, n_cpus)
+        split = finite_diff_grad(f, ps, step=steps[0])
+        assert len(forks) == n_cpus - 1
+        assert_no_child_left()
+        use_cpus(monkeypatch, 1)
+        one = finite_diff_grad(f, ps, step=steps[0])
+        assert len(forks) == n_cpus - 1
+        ref = serial_reference(f, ps, steps[0])
+        assert list(split) == list(one) == list(ref) == ps.trainable_names()
+        for name in ref:
+            assert split[name].shape == ref[name].shape
+            assert split[name].tobytes() == one[name].tobytes() == ref[name].tobytes()
+
+    @pytest.mark.parametrize("n_cpus", [2, 3])
+    @pytest.mark.parametrize("how, error", [("raise", RuntimeError),
+                                            ("nan", FloatingPointError)])
+    def test_failure_in_the_last_block_is_reported_as_in_one_process(
+            self, how, error, n_cpus, monkeypatch):
+        f = failing_at([60, 90], how)
+        use_cpus(monkeypatch, 1)
+        with pytest.raises(error) as serial:
+            finite_diff_grad(f, wide_store())
+        forks = count_forks(monkeypatch)
+        use_cpus(monkeypatch, n_cpus)
+        ps = wide_store()
+        before = {name: t.data.tobytes() for name, t in ps.items()}
+        with pytest.raises(error) as split:
+            finite_diff_grad(f, ps)
+        assert len(forks) == n_cpus - 1
+        assert str(split.value) == str(serial.value)
+        assert "b[60]" in str(split.value)
+        assert {name: t.data.tobytes() for name, t in ps.items()} == before
+        assert_no_child_left()
+
+    def test_side_effects_of_workers_are_lost(self, monkeypatch):
+        calls = []
+
+        def f(ps):
+            calls.append(1)
+            return wide_objective(ps)
+
+        use_cpus(monkeypatch, 2)
+        finite_diff_grad(f, wide_store())
+        assert len(calls) == 2 * 128
+
+    def test_small_store_stays_in_process(self, monkeypatch):
+        forks = count_forks(monkeypatch)
+        use_cpus(monkeypatch, 4)
+        ps = product_store()
+        assert sum(t.size for _, t in ps.items()) < 2 * params.MIN_COORDS_PER_WORKER
+        finite_diff_grad(product, ps)
+        assert forks == []
+
+    def test_threaded_process_stays_in_process(self, monkeypatch):
+        forks = count_forks(monkeypatch)
+        use_cpus(monkeypatch, 2)
+        done = threading.Event()
+        waiter = threading.Thread(target=done.wait, args=(10,))
+        waiter.start()
+        try:
+            finite_diff_grad(wide_objective, wide_store())
+        finally:
+            done.set()
+            waiter.join(10)
+        assert not waiter.is_alive()
+        assert forks == []
+
+    def test_failed_fork_sweeps_the_block_here(self, monkeypatch):
+        ps = wide_store()
+        use_cpus(monkeypatch, 1)
+        one = finite_diff_grad(wide_objective, ps)
+        attempts = []
+
+        def no_fork():
+            attempts.append(1)
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        use_cpus(monkeypatch, 2)
+        split = finite_diff_grad(wide_objective, ps)
+        assert attempts == [1]
+        assert {k: g.tobytes() for k, g in split.items()} == {
+            k: g.tobytes() for k, g in one.items()}
+
+    def test_worker_stops_once_its_parent_is_gone(self):
+        """A worker sweeps only while its parent's pid is its parent's."""
+        calls = []
+        ps = wide_store()
+        pairs = params._sweep(lambda p: calls.append(1) or 0.0, ps,
+                              [("a", 0), ("a", 1)], 1e-4, parent=os.getpid())
+        assert pairs.shape == (0, 2) and calls == []
