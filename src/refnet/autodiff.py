@@ -4,11 +4,11 @@ A small tape: every operation produced while recording is enabled keeps
 references to its parents and a closure that maps the output gradient to
 parent gradients. ``backward`` walks the tape once in reverse topological
 order. An operation computes in the dtype of its operands, so one op code
-serves both precisions: training and decoding run in float32, while the
-gradient checks build float64 data, in which central finite differences
-are a reliable oracle for every gradient in the package. A Python number
-operand takes the other operand's dtype (NumPy's NEP 50 promotion), so a
-constant never widens float32 data.
+serves every precision: training and decoding run in float32, the gradient
+checks build float64 data, and their complex-step oracle evaluates the
+forward pass in complex128. A Python number operand takes the other
+operand's dtype (NumPy's NEP 50 promotion), so a constant never widens
+float32 data.
 """
 
 from __future__ import annotations
@@ -34,15 +34,16 @@ class no_grad:
 
 
 def _float_array(data):
-    """``data`` as an array, keeping a float dtype; any other numbers
-    (ints, bools, Python scalars) become float64."""
+    """``data`` as an array, keeping a float or complex dtype; any other
+    numbers (ints, bools, Python scalars) become float64."""
     data = np.asarray(data)
-    return data if data.dtype.kind == "f" else data.astype(np.float64)
+    return data if data.dtype.kind in "fc" else data.astype(np.float64)
 
 
 class Tensor:
     """Dense float array plus tape bookkeeping; the array keeps the float
-    dtype it was made with (float32 in the stages, float64 in the checks).
+    dtype it was made with (float32 in the stages, float64 in the checks,
+    complex128 inside the gradient oracle).
 
     Tensors are treated as immutable values by all operations; only the
     optimizer mutates ``data`` in place, between tapes.
@@ -51,7 +52,7 @@ class Tensor:
     __slots__ = ("data", "parents", "_bwd", "requires_grad")
 
     def __init__(self, data, parents=(), bwd=None, requires_grad=False):
-        if type(data) is not np.ndarray or data.dtype.kind != "f":
+        if type(data) is not np.ndarray or data.dtype.kind not in "fc":
             data = _float_array(data)
         self.data = data
         self.parents = parents
@@ -187,11 +188,6 @@ def mul(a, b):
 def square(a):
     a = as_tensor(a)
     return _node(a.data * a.data, (a,), lambda g: (2.0 * a.data * g,))
-
-
-def abs_(a):
-    a = as_tensor(a)
-    return _node(np.abs(a.data), (a,), lambda g: (np.sign(a.data) * g,))
 
 
 def sqrt(a):

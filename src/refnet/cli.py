@@ -226,7 +226,7 @@ def build_parser():
     p.add_argument("--bucket-width", type=int, default=10,
                    help="source-length bucket width")
 
-    p = subparser("gradcheck", "finite-difference validation suite")
+    p = subparser("gradcheck", "complex-step gradient validation suite")
     p.add_argument("--seeds", type=int, default=5,
                    help="random restarts per checked operation")
 

@@ -219,7 +219,9 @@ def localization_measures(X, anchors: AnchorSet, sp: ScoreParams,
     gamma = lcc_weights(X, anchors, sp)                   # (N, C)
     recon = reconstruct(gamma, anchors)                   # (N, d)
     term1 = ad.sqrt(ad.sum_(ad.square(X - recon), axis=1))
-    term2 = ad.sum_(ad.abs_(gamma) * anchor_sq_dists(recon, anchors), axis=1)
+    # |gamma| = gamma: a softmax output is never negative (at an exact 0,
+    # from underflow, the subgradient is 1)
+    term2 = ad.sum_(gamma * anchor_sq_dists(recon, anchors), axis=1)
     return cfg.l_alpha * term1 + cfg.l_beta * term2
 
 

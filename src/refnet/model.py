@@ -90,19 +90,19 @@ class TranslationModel:
             extra=variant_extras(kind, params, variant_memory(kind, params)))
 
         if kind != "b_ref":
-            return LossParts(nll_mean, float(nll_mean.data), n_tokens)
+            return LossParts(nll_mean, float(nll_mean.data.real), n_tokens)
 
         # hinge residual ||e(y_t) - f_s(q_t)||^2 over the non-pad targets, all
         # steps at once: the predictions come time-major like the targets
-        gold, weights = seq2seq.gold_targets(batch.tgt, nll_mean.data.dtype)
+        gold, weights = seq2seq.gold_targets(batch.tgt, nll_mean.data.real.dtype)
         diff = ad.take_rows(params["dec/tgt_emb"], gold) - preds
         res_sum = ad.sum_(ad.sum_(ad.square(diff), axis=1) * weights)
         B = len(batch)
         reg = ad.sum_(brefnet.regression_weight_norms(params))
         l_m_mean = res_sum * (1.0 / B) + self.lam_m * reg
         joint = nll_mean * (n_tokens / B) + self.lam * l_m_mean
-        return LossParts(joint, float(nll_mean.data), n_tokens,
-                         l_m=float(l_m_mean.data))
+        return LossParts(joint, float(nll_mean.data.real), n_tokens,
+                         l_m=float(l_m_mean.data.real))
 
     def dev_loss(self, batches):
         """Mean per-token NLL over batches, dropout disabled."""

@@ -7,16 +7,18 @@ members from every gradient and every optimizer step; frozen parameters
 are bit-identical across a stage.
 
 A store's ``dtype`` is the compute dtype of everything made from it:
-float64 by default, which the finite-difference oracle needs; the stages
+float64 by default, which the complex-step oracle needs; the stages
 and the checkpoint loader build float32 stores.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import signal
 import threading
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,20 +141,33 @@ def backward(loss, params: ParamStore) -> GradRecord:
     return record
 
 
-# Forking a worker and reaping it costs 2.5-3 ms on a 2-core x86 box (a
-# 60-90 MB process). One coordinate costs two evaluations of 0.1-0.8 ms
-# at the gradient suite's shapes, so a block of this many coordinates
-# repays its fork several times over; a smaller store stays in-process.
+# Forking a worker and reaping it costs 3.1-3.9 ms on a 2-core x86 box (a
+# 40 MB process). One coordinate costs one complex evaluation of 0.05-0.9
+# ms at the gradient suite's shapes, so a block of this many coordinates
+# repays its fork, only just for the cheapest one-step objectives (a split
+# recurrent_cell or decoder_step sweep measured 2-4 ms slower, the
+# whole-loss sweeps 0.1-0.26 s faster); a smaller store stays in-process.
 MIN_COORDS_PER_WORKER = 64
 
 
 def finite_diff_grad(f, params: ParamStore, step=1e-4) -> GradRecord:
-    """Central-difference gradient oracle: (f(p+h) - f(p-h)) / 2h per coordinate.
+    """Complex-step gradient oracle: Im f(p + ih) / h per coordinate.
 
-    ``f`` must be a deterministic scalar function of the store. Slow by
-    design; intended for validating ``backward`` on small problems. Every
-    trainable parameter must be float64: in float32 the roundoff of a
-    central difference swamps the gradient at any usable step.
+    The derivative has no subtraction, so it is exact to machine precision
+    at a tiny step such as 1e-20 (Squire & Trapp, SIAM Review 1998), with
+    one evaluation per coordinate. Slow by design; intended for validating
+    ``backward`` on small problems. Every trainable parameter must be
+    float64; for the sweep each becomes a complex128 copy, and the real
+    arrays are put back on the way out.
+
+    ``f`` must be a deterministic scalar function of the store, and
+    holomorphic in every trainable coordinate: no modulus, no ``float()``,
+    no comparison and no write into a real buffer of a perturbed value.
+    Inside the sweep a dropped imaginary part (NumPy's ``ComplexWarning``)
+    is an error. A modulus drops it without a warning and reads as a zero
+    derivative, so the analytic gradient then fails its check. A real value
+    of ``f`` (one that does not depend on the store) reads as a zero
+    derivative.
 
     When the store gives each of two or more usable CPUs at least
     ``MIN_COORDS_PER_WORKER`` coordinates, the sweep is split into
@@ -168,16 +183,16 @@ def finite_diff_grad(f, params: ParamStore, step=1e-4) -> GradRecord:
     names = params.trainable_names()
     for name in names:
         if params[name].data.dtype != np.float64:
-            raise TypeError(f"finite differences need float64 parameters; "
+            raise TypeError(f"the complex step needs float64 parameters; "
                             f"{name} is {params[name].data.dtype}")
     coords = [(name, i) for name in names for i in range(params[name].size)]
     workers = max(1, min(_usable_cpus(), len(coords) // MIN_COORDS_PER_WORKER))
-    with no_grad():
-        pairs = _split_sweep(f, params, coords, step, workers)
-    if not np.isfinite(pairs[-1:]).all():
-        name, i = coords[len(pairs) - 1]
+    with complex_step(params, names):
+        imag = _split_sweep(f, params, coords, step, workers)
+    if not np.isfinite(imag[-1:]).all():
+        name, i = coords[len(imag) - 1]
         raise FloatingPointError(f"objective non-finite while perturbing {name}[{i}]")
-    grad = (pairs[:, 0] - pairs[:, 1]) / (2.0 * step)
+    grad = imag / step
     record: GradRecord = {}
     start = 0
     for name in names:
@@ -185,6 +200,30 @@ def finite_diff_grad(f, params: ParamStore, step=1e-4) -> GradRecord:
         record[name] = grad[start:start + data.size].reshape(data.shape)
         start += data.size
     return record
+
+
+@contextlib.contextmanager
+def complex_step(params, names):
+    """Inside the block, each named parameter holds a complex128 copy of its
+    array, nothing is recorded, and a dropped imaginary part is an error;
+    the real arrays are put back on the way out."""
+    real = {name: params[name].data for name in names}
+    try:
+        with no_grad(), warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            for name, data in real.items():
+                params[name].data = data.astype(np.complex128)
+            yield
+    finally:
+        for name, data in real.items():
+            params[name].data = data
+
+
+def imag_part(value):
+    """Im of an objective's scalar value (a Tensor or a number), 0.0 when it
+    is real, NaN when it is not finite."""
+    value = np.asarray(getattr(value, "data", value)).item()
+    return value.imag if np.isfinite(value) else np.nan
 
 
 def _usable_cpus():
@@ -197,33 +236,30 @@ def _usable_cpus():
 
 
 def _sweep(f, params, coords, step, parent=None):
-    """``(f(p+h), f(p-h))`` per ``(name, flat index)`` coordinate, in order,
-    as an (n, 2) float64 array that ends early at the first non-finite
-    pair. Each perturbed value is restored in a ``finally``. A worker passes
-    its ``parent``'s pid and stops, short, once that parent is gone."""
-    pairs = np.empty((len(coords), 2))
+    """``Im f(p + ih)`` per ``(name, flat index)`` coordinate of a complex
+    store, in order, as a float64 array that ends early at the first
+    non-finite value, read as NaN. Each perturbation is undone in a
+    ``finally``. A worker passes its ``parent``'s pid and stops, short, once
+    that parent is gone."""
+    imag = np.empty(len(coords))
     for k, (name, i) in enumerate(coords):
         if parent is not None and os.getppid() != parent:
-            return pairs[:k]
+            return imag[:k]
         flat = params[name].data.reshape(-1)
-        orig = flat[i]
         try:
-            flat[i] = orig + step
-            fp = float(f(params))
-            flat[i] = orig - step
-            fm = float(f(params))
+            flat.imag[i] = step
+            imag[k] = imag_part(f(params))
         finally:
-            flat[i] = orig
-        pairs[k] = fp, fm
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            return pairs[:k + 1]
-    return pairs
+            flat.imag[i] = 0.0
+        if not np.isfinite(imag[k]):
+            return imag[:k + 1]
+    return imag
 
 
 def _split_sweep(f, params, coords, step, workers):
     """``_sweep`` over ``coords`` in ``workers`` contiguous blocks: block 0
-    here, each other block in a forked worker whose pairs come back as raw
-    bytes through a pipe. A block whose worker did not send every pair, all
+    here, each other block in a forked worker whose values come back as raw
+    bytes through a pipe. A block whose worker did not send every value, all
     finite (or could not be forked), is swept again here, so a failure
     surfaces from this process at the first bad coordinate in sweep order.
     Every worker is killed (if it still runs) and reaped before this
@@ -239,8 +275,8 @@ def _split_sweep(f, params, coords, step, workers):
             if not np.isfinite(out[-1][-1:]).all():
                 break
             raw = proc[1].read() if proc else b""
-            if len(raw) == 16 * len(block):  # two float64s per coordinate
-                out.append(np.frombuffer(raw).reshape(-1, 2))
+            if len(raw) == 8 * len(block):  # one float64 per coordinate
+                out.append(np.frombuffer(raw))
             else:
                 out.append(_sweep(f, params, block, step))
         return np.concatenate(out)
@@ -252,7 +288,7 @@ def _split_sweep(f, params, coords, step, workers):
 
 
 def _fork_sweep(f, params, block, step):
-    """Fork a worker that sweeps ``block`` and writes its pairs to a pipe,
+    """Fork a worker that sweeps ``block`` and writes its values to a pipe,
     only if they are all there and finite. The worker's standard output and
     error go to the null device, and it leaves by ``os._exit``, whatever
     happens. Returns the worker's pid and the pipe's read end, or None when
@@ -271,10 +307,10 @@ def _fork_sweep(f, params, block, step):
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, 1)
             os.dup2(null, 2)
-            pairs = _sweep(f, params, block, step, parent)
-            if len(pairs) == len(block) and np.isfinite(pairs).all():
+            imag = _sweep(f, params, block, step, parent)
+            if len(imag) == len(block) and np.isfinite(imag).all():
                 with open(w, "wb") as pipe:
-                    pipe.write(pairs.tobytes())
+                    pipe.write(imag.tobytes())
         finally:
             os._exit(0)
     os.close(w)

@@ -242,7 +242,7 @@ def encoder_recurrence(emb, mask, fwd, bwd):
     (W_f, U_f, b_f), (W_b, U_b, b_b) = weights[:3], weights[3:]
     B, m, _ = emb.shape
     d_h = U_f.shape[0]
-    dtype = emb.data.dtype
+    dtype = np.result_type(emb.data, *(t.data for t in weights))
     X = emb.data.transpose(1, 0, 2)                             # (m, B, d_e)
     gx = np.empty((m, 2, B, GATES * d_h), dtype)
     np.matmul(X, W_f.data, out=gx[:, 0])
@@ -573,7 +573,7 @@ def decoder_recurrence(params, s0, emb_in, h, h_proj, mask, extra=None,
     predicts = extra is not None and extra.predicts_embedding
     read = d_e + 3 * d_h  # the readout's columns; the extra vector follows
     out = np.empty((T - 1, B, read + (extra.proj.shape[0] if predicts else 0)),
-                   s0.data.dtype)
+                   np.result_type(*(p.data for p in parents)))
     out[:, :, :d_e] = emb_in.data[:, :T - 1].transpose(1, 0, 2)
     arrays = [t.data for t in weights]
     memory = [(h.data, h_proj.data, mask_bias(mask), B)]
@@ -720,7 +720,7 @@ def nll_loss(params, dims: ModelDims, batch: Batch, training=False, rng=None,
         read = dims.d_e + 3 * dims.d_h
         out, vectors = out[:, :read], out[:, read:]
     logits = readout(params, out, training, rng, drop_out)
-    gold, weights = gold_targets(batch.tgt, logits.data.dtype)
+    gold, weights = gold_targets(batch.tgt, logits.data.real.dtype)
     picked = ad.take_per_row(ad.log_softmax(logits, axis=1), gold)
     n_tokens = float(weights.sum())
     return ad.sum_(picked * weights) * (-1.0 / n_tokens), n_tokens, vectors

@@ -17,7 +17,7 @@ from refnet.brefnet import f_s, init_b_params, query_dim
 from refnet.corpus import (EOS, ParallelCorpus, build_vocab,
                            generate_synthetic_task, make_batches)
 from refnet.evaluation import FULL_SCALE_REFERENCE, bleu, param_report
-from refnet.gradcheck import run_suite, suite_report
+from refnet.gradcheck import TOL, run_suite, suite_report
 from refnet.lcc import (AnchorFitConfig, AnchorSet, LccConfig, ScoreParams,
                         fit_anchors, lcc_weights, localization_measures,
                         reconstruct)
@@ -122,8 +122,8 @@ class TestAcceptance:
             print()
             print(suite_report(results))
             worst = max(r.max_rel_err for r in results)
-            report("gradient suite: analytic vs central differences "
-                   "(rel err <= 1e-4, 5 seeds)",
+            report("gradient suite: analytic vs complex-step oracle "
+                   f"(rel err <= {TOL:.0e}, 5 seeds)",
                    all(r.passed for r in results) and elapsed < 120,
                    f"worst rel err {worst:.2e}, {elapsed:.0f}s")
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ class TestBackward:
             backward(loss, ps)
 
     def test_three_layer_composition_matches_oracle(self):
-        """tanh/affine/softmax stack against central differences."""
+        """tanh/affine/softmax stack against the complex-step oracle."""
         for seed in range(5):
             rng = np.random.default_rng(seed)
             ps = ParamStore()
@@ -97,13 +99,14 @@ class TestFiniteDiff:
         grads = finite_diff_grad(lambda p: Tensor(7.0), ps, step=1e-4)
         np.testing.assert_array_equal(grads["p"], np.zeros(3))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_nonfinite_objective_reported(self):
-        """sqrt is NaN at p - h, below 0."""
+        """p^2 overflows at 1e200: sqrt of a negative, the old trigger, is
+        finite in complex arithmetic."""
         ps = ParamStore()
-        ps.add("p", 0.5, "encoder")
-        with pytest.raises(FloatingPointError):
-            finite_diff_grad(lambda p: ad.sqrt(p["p"] - 0.5), ps, step=1e-4)
+        ps.add("p", 1e200, "encoder")
+        with pytest.raises(FloatingPointError, match=r"p\[0\]"):
+            finite_diff_grad(lambda p: ad.square(p["p"]), ps, step=1e-20)
 
     def test_bad_step_rejected(self):
         ps = ParamStore()
@@ -112,10 +115,12 @@ class TestFiniteDiff:
             finite_diff_grad(lambda p: ad.square(p["p"]), ps, step=0.0)
 
     def test_raising_objective_leaves_the_store_unperturbed(self):
-        """The third evaluation, at w[1] + h, raises; w must read as before."""
+        """The third evaluation, at w[2] + ih, raises; w must read as before,
+        in float64."""
         ps = ParamStore()
-        ps.add("w", [1.0, 2.0], "encoder")
-        before = ps["w"].data.copy()
+        ps.add("w", [1.0, 2.0, 3.0], "encoder")
+        before = ps["w"].data
+        snapshot = before.tobytes()
         calls = []
 
         def f(p):
@@ -125,9 +130,55 @@ class TestFiniteDiff:
             return ad.sum_(ad.square(p["w"]))
 
         with pytest.raises(RuntimeError, match="objective failed"):
-            finite_diff_grad(f, ps, step=1e-4)
-        assert calls[2][1] != before[1]
-        assert ps["w"].data.tobytes() == before.tobytes()
+            finite_diff_grad(f, ps, step=1e-20)
+        np.testing.assert_array_equal(calls[2].imag, [0.0, 0.0, 1e-20])
+        assert ps["w"].data is before and before.tobytes() == snapshot
+        assert ps["w"].data.dtype == np.float64
+
+    def test_exact_at_a_tiny_step(self):
+        """No subtraction: at h = 1e-20 the estimate keeps every digit that
+        a central difference would cancel."""
+        ps = ParamStore()
+        ps.add("p", [0.3, -1.2], "encoder")
+        grads = finite_diff_grad(lambda p: ad.sum_(ad.tanh(p["p"])), ps, step=1e-20)
+        np.testing.assert_allclose(grads["p"], 1.0 - np.tanh([0.3, -1.2]) ** 2,
+                                   rtol=1e-15)
+
+    @pytest.mark.parametrize("objective", [
+        lambda p: Tensor(float(ad.sum_(ad.square(p["w"])).data[()])),
+        lambda p: Tensor(float(ad.sum_(ad.square(p["w"])))),
+        lambda p: ad.sum_(Tensor(np.asarray(p["w"].data, np.float64))),
+    ], ids=["float-of-scalar", "float-of-tensor", "real-buffer"])
+    def test_dropped_imaginary_part_raises(self, objective):
+        """A value cast to real would read as a zero derivative; inside the
+        sweep the cast raises, whatever the caller's warning filters, and
+        the store is put back."""
+        ps = ParamStore()
+        ps.add("w", [1.0, 2.0], "encoder")
+        before = ps["w"].data.tobytes()
+        with warnings.catch_warnings(), \
+                pytest.raises((TypeError, np.exceptions.ComplexWarning)):
+            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+            finite_diff_grad(objective, ps, step=1e-20)
+        assert ps["w"].data.tobytes() == before
+        assert ps["w"].data.dtype == np.float64
+
+    def test_modulus_fails_its_check(self):
+        """A modulus drops the imaginary part without a warning, so the
+        oracle reads a zero derivative. It cannot raise; the analytic
+        gradient of the same op then disagrees, and the check fails."""
+        ps = ParamStore()
+        ps.add("w", [1.0, -2.0], "encoder")
+
+        def f(p):
+            w = p["w"]
+            modulus = ad._node(np.abs(w.data), (w,), lambda g: (np.sign(w.data) * g,))
+            return ad.sum_(ad.square(modulus))
+
+        analytic = backward(f(ps), ps)
+        oracle = finite_diff_grad(f, ps, step=1e-20)
+        np.testing.assert_array_equal(oracle["w"], [0.0, 0.0])
+        assert relative_error(analytic["w"], oracle["w"]) == 1.0
 
 
 class TestClipping:

@@ -10,8 +10,8 @@ import pytest
 
 import refnet
 from refnet import autodiff as ad
-from refnet import gradcheck, params
-from refnet.params import ParamStore, backward, finite_diff_grad
+from refnet import gradcheck, params, seq2seq
+from refnet.params import ParamStore, backward, finite_diff_grad, relative_error
 
 # every function outside autodiff.py that records its own tape node (a fused
 # op with a hand-written backward) -> the gradient checks that cover it
@@ -197,53 +197,40 @@ class TestOracleCoverage:
         assert ps.trainable_names() == ["x", "w", "unused"]
 
 
-def reference_compare(f, ps, steps=(1e-4,)):
-    """Every step's sweep over every recorded parameter, the minimum over
-    the steps per coordinate, then one directional probe per unrecorded
-    parameter: the reference the escalating sweep must match. Returns the
-    worst error and the per-parameter error arrays."""
+def reference_compare(f, ps):
+    """One oracle sweep over every recorded parameter, then one directional
+    complex step per unrecorded parameter, written out: the reference
+    ``_compare`` must match."""
     analytic = backward(f(ps), ps)
     unrecorded = [n for n in ps.trainable_names() if n not in analytic]
     for name in unrecorded:
         ps[name].requires_grad = False
     try:
-        best = None
-        for step in steps:
-            oracle = gradcheck.finite_diff_grad(f, ps, step=step)
-            errs = {k: gradcheck._elementwise_rel(analytic[k], oracle[k])
-                    for k in analytic}
-            best = errs if best is None else {k: np.minimum(best[k], errs[k])
-                                              for k in best}
+        oracle = gradcheck.finite_diff_grad(f, ps, step=gradcheck.STEP)
     finally:
         for name in unrecorded:
             ps[name].requires_grad = True
-    worst = max(float(e.max()) for e in best.values())
+    worst = max(relative_error(analytic[k], oracle[k]) for k in analytic)
     rng = np.random.default_rng(0)
     with ad.no_grad():
         for name in unrecorded:
-            data, step = ps[name].data, steps[0]
+            data = ps[name].data
             u = rng.normal(size=data.shape)
-            u *= step / np.linalg.norm(u)
-            orig = data.copy()
-            data[...] = orig + u
-            fp = float(f(ps))
-            data[...] = orig - u
-            fm = float(f(ps))
-            data[...] = orig
-            slope = (fp - fm) / (2.0 * step)
-            worst = max(worst, float(gradcheck._elementwise_rel(0.0, slope)))
-    return worst, best
+            ps[name].data = data + 1j * (u * (gradcheck.STEP / np.linalg.norm(u)))
+            value = f(ps).data
+            ps[name].data = data
+            worst = max(worst, relative_error(0.0, value.imag / gradcheck.STEP))
+    return worst
 
 
 def spy_oracle(monkeypatch, offsets=None):
     """Replace the suite's oracle by the true one scaled by
-    1 + offsets[step][name]; returns the list of each call's trainable names."""
+    1 + offsets[name]; returns the list of each call's trainable names."""
     calls = []
 
     def spy(f, params, step=1e-4):
         calls.append(params.trainable_names())
-        scale = (offsets or {}).get(step, {})
-        return {k: g * (1.0 + scale.get(k, 0.0))
+        return {k: g * (1.0 + (offsets or {}).get(k, 0.0))
                 for k, g in finite_diff_grad(f, params, step=step).items()}
 
     monkeypatch.setattr(gradcheck, "finite_diff_grad", spy)
@@ -262,61 +249,73 @@ def raising_on(n, f):
     return g
 
 
-class TestEscalatingSteps:
-    @pytest.mark.parametrize("offsets, steps, expected", [
-        ({}, (1e-3, 2e-3), [["x", "w"]]),
-        ({1e-3: {"w": 1e-3}}, (1e-3, 2e-3), [["x", "w"], ["w"]]),
-        ({1e-3: {"x": 1e-3, "w": 1e-3}, 2e-3: {"w": 1e-3}}, (1e-3, 2e-3, 4e-3),
-         [["x", "w"], ["x", "w"], ["w"]]),
-    ], ids=["all-clear-at-once", "w-rechecked", "x-clears-second"])
-    def test_later_steps_sweep_only_what_is_still_failing(
-            self, offsets, steps, expected, monkeypatch):
-        calls = spy_oracle(monkeypatch, offsets)
-        ref, _ = reference_compare(product, product_store(), steps)
-        calls.clear()
-        ps = product_store()
-        assert gradcheck._compare(product, ps, steps) <= gradcheck.TOL
-        assert ref <= gradcheck.TOL
-        assert calls == expected
-        assert ps.trainable_names() == ["x", "w", "unused"]
-
+class TestCompare:
     def test_failing_check_reports_the_reference_error(self, monkeypatch):
-        spy_oracle(monkeypatch, {1e-3: {"w": 1e-3}, 2e-3: {"w": 2e-3}})
-        ref, _ = reference_compare(product, product_store(), (1e-3, 2e-3))
-        worst = gradcheck._compare(product, product_store(), (1e-3, 2e-3))
-        assert worst > gradcheck.TOL
+        calls = spy_oracle(monkeypatch, {"w": 1e-6})
+        ref = reference_compare(product, product_store())
+        calls.clear()
+        worst = gradcheck._compare(product, product_store())
+        assert calls == [["x", "w"]]
+        assert gradcheck.TOL < worst <= 1e-4
         assert worst == ref
 
-    def test_joint_b_loss_seed_4_rechecks_only_the_attention_weights(
-            self, monkeypatch):
-        """The one recorded case where the first step leaves a parameter
-        above TOL: two coordinates of dec/att/W."""
-        built, compare = [], gradcheck._compare
-        monkeypatch.setattr(gradcheck, "_compare",
-                            lambda f, ps, steps: built.append((f, ps, steps)))
-        gradcheck.check_joint_b_loss(4)
-        ((f, ps, steps),) = built
-        ref, ref_errs = reference_compare(f, ps, steps)
-        calls = spy_oracle(monkeypatch)
-        errs = gradcheck._oracle_errors(f, ps, backward(f(ps), ps), steps)
-        assert calls[1:] == [["dec/att/W"]]
-        assert sorted(calls[0]) == sorted(ref_errs)
-        np.testing.assert_array_equal(errs["dec/att/W"], ref_errs["dec/att/W"])
-        assert compare(f, ps, steps) <= gradcheck.TOL and ref <= gradcheck.TOL
-
-    @pytest.mark.parametrize("raise_at, offsets", [
-        (1 + 12 + 3, {1e-3: {"w": 1e-3}}),  # inside the second sweep, over w
-        (1 + 12 + 1, {}),                     # the probe of "unused"
-    ], ids=["second-sweep", "probe"])
-    def test_raising_objective_restores_values_and_flags(
-            self, raise_at, offsets, monkeypatch):
-        spy_oracle(monkeypatch, offsets)
+    @pytest.mark.parametrize("raise_at", [
+        1 + 3 + 2,   # inside the sweep, at w[1]
+        1 + 6 + 1,   # the probe of "unused"
+    ], ids=["sweep", "probe"])
+    def test_raising_objective_restores_values_and_flags(self, raise_at):
         ps = product_store()
         before = {name: t.data.tobytes() for name, t in ps.items()}
         with pytest.raises(RuntimeError, match="objective failed"):
-            gradcheck._compare(raising_on(raise_at, product), ps, (1e-3, 2e-3))
+            gradcheck._compare(raising_on(raise_at, product), ps)
         assert {name: t.data.tobytes() for name, t in ps.items()} == before
+        assert {t.data.dtype for _, t in ps.items()} == {np.dtype(np.float64)}
         assert ps.trainable_names() == ["x", "w", "unused"]
+
+    def test_nonfinite_probe_fails_the_check(self):
+        ps = product_store()
+
+        def f(ps_):
+            moved = ps_["unused"].data.dtype.kind == "c"
+            return ad.Tensor(np.nan) if moved else product(ps_)
+
+        assert not gradcheck.CheckResult("f", 0, gradcheck._compare(f, ps)).passed
+
+    def test_every_oracle_call_passes_the_suite_step(self, monkeypatch):
+        """The benchmark rebinds the oracle with its own default step (the
+        signature's 1e-4); each check must name its step, so the rebound
+        oracle runs the same sweep. One sweep per check."""
+        missing = object()
+        steps = {}
+
+        def spy(f, params, step=missing):
+            steps.setdefault(name, []).append(step)
+            return finite_diff_grad(f, params, step=step)
+
+        monkeypatch.setattr(gradcheck, "finite_diff_grad", spy)
+        for name, check in gradcheck.CHECKS.items():
+            assert check(0) <= gradcheck.TOL
+        assert steps == {name: [gradcheck.STEP] for name in gradcheck.CHECKS}
+
+
+class TestTolerance:
+    def test_suite_sees_a_backward_term_off_by_one_part_in_a_million(
+            self, monkeypatch):
+        """Mutation: the ``x.T @ dgx`` term of the fused cell's backward, its
+        W gradient, scaled by 1 + 1e-6. TOL fails it; a TOL of 1e-4 would
+        pass it."""
+        cell_backward = seq2seq._cell_backward
+
+        def mutated(g, cache, needs):
+            grads = cell_backward(g, cache, needs)
+            grads[2] = grads[2] * (1.0 + 1e-6)
+            return grads
+
+        assert gradcheck.check_recurrent_cell(0) <= gradcheck.TOL
+        monkeypatch.setattr(seq2seq, "_cell_backward", mutated)
+        err = gradcheck.check_recurrent_cell(0)
+        assert gradcheck.TOL < err <= 1e-4
+        assert err == pytest.approx(1e-6, rel=1e-3)
 
 
 class TestSuiteReport:
@@ -346,22 +345,27 @@ def assert_no_child_left():
 
 
 def serial_reference(f, ps, step):
-    """The central difference of every trainable coordinate, in sweep order,
-    in one process: the loop the split sweep must reproduce bit for bit."""
+    """The complex step of every trainable coordinate, Im f(p + ih) / h, in
+    sweep order, in one process: the loop the split sweep must reproduce
+    bit for bit."""
+    names = ps.trainable_names()
+    real = {name: ps[name].data for name in names}
     record = {}
-    with ad.no_grad():
-        for name in ps.trainable_names():
-            flat = ps[name].data.reshape(-1)
-            grad = np.empty_like(flat)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + step
-                fp = float(f(ps))
-                flat[i] = orig - step
-                fm = float(f(ps))
-                flat[i] = orig
-                grad[i] = (fp - fm) / (2.0 * step)
-            record[name] = grad.reshape(ps[name].data.shape)
+    try:
+        for name in names:
+            ps[name].data = real[name].astype(np.complex128)
+        with ad.no_grad():
+            for name in names:
+                flat = ps[name].data.reshape(-1)
+                grad = np.empty(flat.size)
+                for i in range(flat.size):
+                    flat[i] += 1j * step
+                    grad[i] = f(ps).data.imag / step
+                    flat[i] = flat[i].real
+                record[name] = grad.reshape(real[name].shape)
+    finally:
+        for name in names:
+            ps[name].data = real[name]
     return record
 
 
@@ -381,12 +385,10 @@ def wide_objective(ps):
 
 def failing_at(bad, how):
     """An objective that fails while any of ``b``'s coordinates in ``bad``
-    differs from its value in a fresh ``wide_store``: by raising, naming the
-    first moved coordinate, or by returning NaN."""
-    base = wide_store()["b"].data
-
+    has an imaginary part: by raising, naming the first moved coordinate, or
+    by returning NaN."""
     def f(ps):
-        moved = np.flatnonzero(ps["b"].data != base)
+        moved = np.flatnonzero(ps["b"].data.imag)
         if np.isin(moved, bad).any():
             if how == "raise":
                 raise RuntimeError(f"objective failed at b[{moved[0]}]")
@@ -402,18 +404,18 @@ class TestSplitSweep:
         workers gives the bytes of one process and of the written-out loop."""
         built = []
         monkeypatch.setattr(gradcheck, "_compare",
-                            lambda f, ps, steps: built.append((f, ps, steps)))
+                            lambda f, ps: built.append((f, ps)))
         gradcheck.check_nll(0)
-        ((f, ps, steps),) = built
+        ((f, ps),) = built
         forks = count_forks(monkeypatch)
         use_cpus(monkeypatch, n_cpus)
-        split = finite_diff_grad(f, ps, step=steps[0])
+        split = finite_diff_grad(f, ps, step=gradcheck.STEP)
         assert len(forks) == n_cpus - 1
         assert_no_child_left()
         use_cpus(monkeypatch, 1)
-        one = finite_diff_grad(f, ps, step=steps[0])
+        one = finite_diff_grad(f, ps, step=gradcheck.STEP)
         assert len(forks) == n_cpus - 1
-        ref = serial_reference(f, ps, steps[0])
+        ref = serial_reference(f, ps, gradcheck.STEP)
         assert list(split) == list(one) == list(ref) == ps.trainable_names()
         for name in ref:
             assert split[name].shape == ref[name].shape
@@ -449,7 +451,7 @@ class TestSplitSweep:
 
         use_cpus(monkeypatch, 2)
         finite_diff_grad(f, wide_store())
-        assert len(calls) == 2 * 128
+        assert len(calls) == 128
 
     def test_small_store_stays_in_process(self, monkeypatch):
         forks = count_forks(monkeypatch)
@@ -494,6 +496,6 @@ class TestSplitSweep:
         """A worker sweeps only while its parent's pid is its parent's."""
         calls = []
         ps = wide_store()
-        pairs = params._sweep(lambda p: calls.append(1) or 0.0, ps,
-                              [("a", 0), ("a", 1)], 1e-4, parent=os.getpid())
-        assert pairs.shape == (0, 2) and calls == []
+        imag = params._sweep(lambda p: calls.append(1) or 0.0, ps,
+                             [("a", 0), ("a", 1)], 1e-4, parent=os.getpid())
+        assert imag.shape == (0,) and calls == []

@@ -381,6 +381,28 @@ class TestFusedCell:
         ps.freeze("encoder")
         assert encode_batch(ps, dims, [[4, 5]], [2])[0].parents == ()
 
+    def test_weight_gradients_match_oracle_over_constant_embeddings(self):
+        """Only the weights move under the complex step: the node's buffers
+        must take the dtype of every input, not of the embeddings alone."""
+        from refnet.params import backward, finite_diff_grad, relative_error
+        rng = np.random.default_rng(6)
+        emb = Tensor(rng.normal(size=(2, 3, 3)))
+        mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        ps = ParamStore()
+        shapes = {"W": (3, 3 * 4), "U": (4, 3 * 4), "b": (3 * 4,)}  # d_e 3, d_h 4
+        for name in ENCODER_PARAMS[1:]:
+            ps.add(name, rng.normal(0, 0.5, size=shapes[name[-1]]), "encoder")
+        w = rng.normal(size=(2, 3, 8))
+
+        def f(p):
+            fwd, bwd = ([p[f"enc/{d}/{k}"] for k in "WUb"] for d in ("fwd", "bwd"))
+            return ad.sum_(ad.tanh(seq2seq.encoder_recurrence(emb, mask, fwd, bwd)) * w)
+
+        analytic = backward(f(ps), ps)
+        oracle = finite_diff_grad(f, ps, step=1e-20)
+        for name in ENCODER_PARAMS[1:]:
+            assert relative_error(analytic[name], oracle[name]) < 1e-10, name
+
     @pytest.mark.parametrize("n_extras", [0, 2])
     def test_backward_matches_composed_cell(self, n_extras):
         args = cell_inputs(n_extras, seed=3)
