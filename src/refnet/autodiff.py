@@ -208,18 +208,12 @@ def tanh(a):
     return _node(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
-def sigmoid(a):
-    a = as_tensor(a)
-    out = 1.0 / (1.0 + np.exp(-a.data))
-    return _node(out, (a,), lambda g: (g * out * (1.0 - out),))
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and shape ops
 
 # What only the backward pass reads (concat's offsets, getitem's index
-# kind, transpose's inverse permutation) is computed inside the closure, so
-# an op under no_grad does forward work only.
+# kind) is computed inside the closure, so an op under no_grad does forward
+# work only.
 
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
@@ -235,14 +229,6 @@ def reshape(a, shape):
     a = as_tensor(a)
     orig = a.data.shape
     return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(orig),))
-
-
-def transpose(a, axes=None):
-    a = as_tensor(a)
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
-    return _node(np.transpose(a.data, axes), (a,),
-                 lambda g: (np.transpose(g, np.argsort(axes)),))
 
 
 def _is_basic_index(key):
@@ -282,17 +268,6 @@ def concat(tensors, axis=0):
             grads.append(g[tuple(slicer)])
             start = stop
         return tuple(grads)
-
-    return _node(out, tuple(tensors), bwd)
-
-
-def stack(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
-    out = np.stack([t.data for t in tensors], axis=axis)
-
-    def bwd(g):
-        parts = np.split(g, len(tensors), axis=axis)
-        return tuple(np.squeeze(p, axis=axis) for p in parts)
 
     return _node(out, tuple(tensors), bwd)
 
@@ -377,7 +352,7 @@ def take_per_row(a, ids):
 
     def bwd(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, (rows, ids), g)
+        full[rows, ids] += g  # one (row, id) pair per row: no repeats
         return (full,)
 
     return _node(out, (a,), bwd)

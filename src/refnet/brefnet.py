@@ -12,6 +12,10 @@ anchors have different dimensions, so the element-wise product inside the
 score is taken against g(q_t); see the README notes.) The prediction is fed
 to the decoder as an extra input, and f_s itself is trained with a hinge
 loss against the gold embeddings plus a weight-norm penalty.
+
+f_s is a kernel pair on arrays (``_f_s_forward`` / ``_f_s_backward``);
+``query_regression`` wraps it as b_ref's ``seq2seq.ExtraInput``, which
+the teacher-forced decoder node, decoding and the gradient checks run.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import as_tensor
 from .lcc import _tri_scores_backward, _tri_scores_forward
 from .params import ParamStore
 from .seq2seq import GATES, ModelDims, add_params
@@ -63,16 +66,22 @@ def regression_weight_norms(params):
     return ad.sum_(ad.square(params["bref/reg/W"]), axis=(1, 2))
 
 
-# the theta_B parameters f_s reads, in the order of its node's parents
+# the theta_B parameters f_s reads, in the order its kernels take them
 F_S_PARAMS = ("bref/g/W", "bref/g/b", "bref/anchors", "bref/score/W",
               "bref/score/U", "bref/score/V", "bref/score/v", "bref/reg/W",
               "bref/reg/b")
 
 
 def _f_s_forward(q, weights):
-    """Numpy forward of ``f_s`` on the query q (B, d_q) and the arrays of
-    ``F_S_PARAMS``: the estimate (B, d_e) and the cache ``_f_s_backward``
-    reads."""
+    """The anchor-coded regression f_s on the query q (B, d_q) and the
+    arrays of ``F_S_PARAMS``: the estimate (B, d_e) and the cache
+    ``_f_s_backward`` reads.
+
+    The projection G = tanh(q @ g/W + g/b) (B, d_a), the tri-nonlinear
+    scores of G against the anchors (the kernel ``lcc.tri_scores`` runs),
+    the softmax coefficients gamma (B, C), and sum_j gamma_j (G W_j + b_j)
+    as one matmul over the flattened outer product gamma (x) G, plus
+    gamma @ b: no loop over anchors."""
     gW, gb, anchors, sW, sU, sV, sv, rW, rb = weights
     G = np.tanh(q @ gW + gb)                                      # (B, d_a)
     scores, scored = _tri_scores_forward(G, anchors, sW, sU, sV, sv)
@@ -108,27 +117,6 @@ def _f_s_backward(g, cache, needs):
                      q.T @ dpre if needs[1] else None,
                      dpre.sum(axis=0) if needs[2] else None)
     return grads
-
-
-def f_s(q, params):
-    """Anchor-coded regression estimate of the current target embedding.
-
-    One tape node over the kernel pair ``_f_s_forward`` / ``_f_s_backward``.
-    Inside it: the projection G = tanh(q @ g/W + g/b) (B, d_a), the
-    tri-nonlinear scores of G against the anchors (the kernel
-    ``lcc.tri_scores`` runs), the softmax coefficients gamma (B, C), and
-    sum_j gamma_j (G W_j + b_j) as one matmul over the flattened outer
-    product gamma (x) G, plus gamma @ b: no loop over anchors. The backward
-    returns the gradients of q and of every parameter in ``F_S_PARAMS``.
-    """
-    q = as_tensor(q)
-    parents = (q,) + tuple(params[k] for k in F_S_PARAMS)
-    out, cache = _f_s_forward(q.data, [t.data for t in parents[1:]])
-
-    def bwd(g):
-        return _f_s_backward(g, cache, [t.requires_grad for t in parents])
-
-    return ad._node(out, parents, bwd)
 
 
 def query_regression(e_prev, s_prev, c_t, weights):

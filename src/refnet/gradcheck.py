@@ -1,6 +1,9 @@
-"""Complex-step validation of every differentiable operation.
+"""Complex-step validation of the gradients training and anchor fitting use.
 
-Each check builds a tiny instance of one computation, evaluates the
+Each check builds a tiny instance of one computation: one of the fused
+nodes those paths record (the encoder and decoder recurrences, the
+tri-nonlinear scores, the anchor distances), run through the kernels a
+variant feeds it, or a whole training objective. It evaluates the
 analytic gradients via the tape, evaluates the complex-step oracle
 ``finite_diff_grad`` once, and reports the worst element-wise relative
 error |a - b| / max(|a|, |b|, 1e-8). Probe inputs (the non-parameter
@@ -236,31 +239,56 @@ def _bref_store(rng, dims, C=3, d_a=4):
     return ps
 
 
+def _bref_step(rng, dims, mask):
+    """One step of the decoder node with b_ref's extra input over a
+    constant memory of two sources (padding: mask), as a function of a
+    store: the store holds f_s's weights (``F_S_PARAMS``) and probes the
+    previous embedding and state; the decoder weights and ``bref/proj``
+    are constants, so no probe of the oracle is spent on them."""
+    full = _bref_store(rng, dims)
+    const = {k: Tensor(full[k].data) for k in (*seq2seq.DECODER_WEIGHTS, "bref/proj")}
+    ps = ParamStore()
+    for k in brefnet.F_S_PARAMS:
+        ps.add(k, full[k].data, "b_ref")
+    h, h_proj = _memory(rng, full)
+    _probe(ps, "probe/emb", rng.normal(size=(2, 2, dims.d_e)))
+    _probe(ps, "probe/s_prev", rng.normal(size=(2, dims.d_h)))
+
+    def step(ps_):
+        params = {**{k: ps_[k] for k in brefnet.F_S_PARAMS}, **const}
+        return seq2seq.decoder_recurrence(params, ps_["probe/s_prev"],
+                                          ps_["probe/emb"], h, h_proj, mask,
+                                          variant_extras("b_ref", params))
+
+    return ps, step
+
+
 def check_f_s(seed):
-    """The anchor-coded regression onto the embedding space."""
+    """The anchor-coded regression onto the embedding space, b_ref's extra
+    input on [e_prev; s_prev; c], through one step of the decoder node: the
+    objective reads the estimate and the state it feeds."""
     rng = np.random.default_rng((seed, 29))
     dims = _tiny_dims()
-    ps = _bref_store(rng, dims)
-    u = rng.normal(size=dims.d_e)
-    _probe(ps, "probe/q", rng.normal(size=(2, brefnet.query_dim(dims))))
+    ps, step = _bref_step(rng, dims, None)
+    u = rng.normal(size=2 * dims.d_e + 3 * dims.d_h)
 
     def f(ps_):
-        return ad.sum_(ad.tanh(brefnet.f_s(ps_["probe/q"], ps_)) * u)
+        return ad.sum_(ad.tanh(step(ps_)) * u)
 
     return _compare(f, ps)
 
 
 def check_hinge_loss(seed):
-    """Regression residual plus the per-anchor weight-norm penalty."""
+    """Regression residual plus the per-anchor weight-norm penalty: f_s's
+    estimates read from one step of the decoder node over ragged sources."""
     rng = np.random.default_rng((seed, 31))
     dims = _tiny_dims()
-    ps = _bref_store(rng, dims)
-    _probe(ps, "probe/q", rng.normal(size=(3, brefnet.query_dim(dims))))
-    _probe(ps, "probe/target", rng.normal(size=(3, dims.d_e)))
+    ps, step = _bref_step(rng, dims, np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]]))
+    _probe(ps, "probe/target", rng.normal(size=(2, dims.d_e)))
     lam_m = 0.5
 
     def f(ps_):
-        pred = brefnet.f_s(ps_["probe/q"], ps_)
+        pred = step(ps_)[:, dims.d_e + 3 * dims.d_h:]
         residual = ad.sum_(ad.square(ps_["probe/target"] - pred))
         return residual + lam_m * ad.sum_(brefnet.regression_weight_norms(ps_))
 
@@ -325,27 +353,6 @@ def check_joint_b_loss(seed):
     return _compare(f, ps)
 
 
-def check_recurrent_cell(seed):
-    """The fused one-node cell with one non-zero extra input."""
-    rng = np.random.default_rng((seed, 43))
-    d_x, d_h, d_v, B = 3, 4, 2, 2
-    width = seq2seq.GATES * d_h
-    ps = ParamStore()
-    u = rng.normal(size=d_h)
-    names = ("x", "s_prev", "W", "U", "b", "vec", "proj")
-    shapes = ((B, d_x), (B, d_h), (d_x, width), (d_h, width), (width,),
-              (B, d_v), (d_v, width))
-    for name, shape in zip(names, shapes):
-        _probe(ps, f"probe/{name}", rng.normal(0, 0.5, size=shape))
-
-    def f(ps_):
-        x, s_prev, W, U, b, vec, proj = (ps_[f"probe/{name}"] for name in names)
-        s = seq2seq.recurrent_cell(x, s_prev, W, U, b, [(vec, proj)])
-        return ad.sum_(ad.tanh(s) * u)
-
-    return _compare(f, ps)
-
-
 def check_encoder_recurrence(seed):
     """The one-node bidirectional encoder over ragged sources (lengths 3, 2
     and 1), so that padding reaches both directions: the embedding table
@@ -366,54 +373,6 @@ def check_encoder_recurrence(seed):
     return _compare(f, ps)
 
 
-def check_additive_attention(seed):
-    """The two-node attention op, with per-row masked keys and with keys
-    shared by every row; alpha and the context both enter the objective."""
-    rng = np.random.default_rng((seed, 47))
-    B, m, C, d, d_v = 2, 3, 4, 3, 2
-    ps = ParamStore()
-    for name, shape in (("q", (B, d)), ("v", (d,)), ("keys", (B, m, d)),
-                        ("values", (B, m, d_v)), ("shared_keys", (1, C, d)),
-                        ("shared_values", (1, C, d_v))):
-        _probe(ps, f"probe/{name}", rng.normal(0, 0.7, size=shape))
-    mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
-    u = rng.normal(size=d_v)
-    weights = {"": rng.normal(size=m), "shared_": rng.normal(size=C)}
-
-    def f(ps_):
-        total = 0.0
-        for layout, mask_ in (("", mask), ("shared_", None)):
-            alpha, c = seq2seq.additive_attention(
-                ps_["probe/q"], ps_[f"probe/{layout}keys"],
-                ps_[f"probe/{layout}values"], ps_["probe/v"], mask_)
-            total = total + ad.sum_(ad.tanh(c) * u) + ad.sum_(alpha * weights[layout])
-        return total
-
-    return _compare(f, ps)
-
-
-
-def check_grouped_attention(seed):
-    """The two-node attention op with masked keys and values broadcast over
-    groups of query rows: three sentences, two rows each."""
-    rng = np.random.default_rng((seed, 53))
-    n, g, m, d, d_v = 3, 2, 3, 3, 2
-    ps = ParamStore()
-    for name, shape in (("q", (n * g, d)), ("v", (d,)), ("keys", (n, m, d)),
-                        ("values", (n, m, d_v))):
-        _probe(ps, f"probe/{name}", rng.normal(0, 0.7, size=shape))
-    mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-    u, w = rng.normal(size=d_v), rng.normal(size=m)
-
-    def f(ps_):
-        alpha, c = seq2seq.additive_attention(
-            ps_["probe/q"], ps_["probe/keys"], ps_["probe/values"],
-            ps_["probe/v"], mask)
-        return ad.sum_(ad.tanh(c) * u) + ad.sum_(alpha * w)
-
-    return _compare(f, ps)
-
-
 CHECKS = {
     "attention": check_attention,
     "decoder_step": check_decoder_step,
@@ -425,11 +384,8 @@ CHECKS = {
     "nll_loss": check_nll,
     "m_loss": check_m_loss,
     "joint_b_loss": check_joint_b_loss,
-    "recurrent_cell": check_recurrent_cell,
     "encoder_recurrence": check_encoder_recurrence,
-    "additive_attention": check_additive_attention,
     "tri_scores_batch": check_tri_scores_batch,
-    "grouped_attention": check_grouped_attention,
 }
 
 

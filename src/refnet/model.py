@@ -174,7 +174,7 @@ class TranslationModel:
                 weights, e_prev, states,
                 [(*block, n) for block, n in zip(gathered, rows)], extra)
             with no_grad():
-                logits = seq2seq.output_logits(params, e_prev, s_new, c)
+                logits = seq2seq.readout(params, ad.concat([e_prev, s_new, c], axis=1))
                 logp = ad.log_softmax(logits, axis=1)
             return logp.data, s_new
 

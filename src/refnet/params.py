@@ -145,7 +145,7 @@ def backward(loss, params: ParamStore) -> GradRecord:
 # 40 MB process). One coordinate costs one complex evaluation of 0.05-0.9
 # ms at the gradient suite's shapes, so a block of this many coordinates
 # repays its fork, only just for the cheapest one-step objectives (a split
-# recurrent_cell or decoder_step sweep measured 2-4 ms slower, the
+# decoder_step sweep measured 2-4 ms slower, the
 # whole-loss sweeps 0.1-0.26 s faster); a smaller store stays in-process.
 MIN_COORDS_PER_WORKER = 64
 

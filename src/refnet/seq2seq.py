@@ -20,7 +20,10 @@ backward-through-time. The gated equations, the attention and the cell
 exist once, as numpy kernel pairs (``_gate_forward`` / ``_gate_backward``,
 ``_attention_forward`` / ``_attention_backward``, ``_weighted_sum_*``,
 ``_cell_forward`` / ``_cell_backward``) that the nodes and the step kernel
-share.
+share. Training, decoding and the gradient checks record only those nodes;
+the tests' reference module (``tests/reference.py``) wraps each kernel
+pair in a tape node of its own and records the decoder and the encoder one
+node per op and step, to compare with them bit for bit.
 """
 
 from __future__ import annotations
@@ -190,39 +193,13 @@ def _cell_backward(g, cache, needs):
     return grads
 
 
-def recurrent_cell(x, s_prev, W, U, b, extras=(), mask=None):
-    """One step of the gated recurrent update over input x and state s_prev.
-
-    extras is a sequence of (vector, projection) pairs; each projection maps
-    its vector into the same gate pre-activation block as W. mask, a (B, 1)
-    array of zeros and ones or None, keeps s_prev in the rows where it is 0
-    (padding): the step returns out * mask + s_prev * (1 - mask). The step is
-    a single tape node (Appleyard et al. 2016, arXiv:1604.01946) over the
-    kernel pair ``_cell_forward`` / ``_cell_backward``, which the decoder's
-    ``decoder_step`` runs too; the backward returns the gradients of x,
-    s_prev, W, U, b and of every extra pair.
-    """
-    x, s_prev, W, U, b = (ad.as_tensor(t) for t in (x, s_prev, W, U, b))
-    pairs = [(ad.as_tensor(vec), ad.as_tensor(proj)) for vec, proj in extras]
-    parents = (x, s_prev, W, U, b) + tuple(t for pair in pairs for t in pair)
-    state, cache = _cell_forward(x.data, s_prev.data, W.data, U.data, b.data,
-                                 [(vec.data, proj.data) for vec, proj in pairs],
-                                 mask)
-
-    def bwd(g):
-        return _cell_backward(g, cache, [t.requires_grad for t in parents])
-
-    return ad._node(state, parents, bwd)
-
-
 def encoder_recurrence(emb, mask, fwd, bwd):
     """Both directions of the bidirectional encoder as one tape node.
 
     emb is (B, m, d_e), mask (B, m) 0/1 floats (1 on true positions) and
     fwd, bwd the (W, U, b) of each direction. Returns h (B, m, 2*d_h): the
     forward state at position i, then the backward one. A direction keeps
-    its state across a padded position, as ``recurrent_cell`` with a row
-    mask does.
+    its state across a padded position (the row mask of ``_gate_forward``).
 
     The two directions advance together as one (2, B, .) stack, time-major
     (Appleyard et al. 2016, arXiv:1604.01946): step k reads position k
@@ -235,7 +212,8 @@ def encoder_recurrence(emb, mask, fwd, bwd):
     gradients per step, from the last step to the first, and takes each
     step's embedding gradient from one 2-D matmul per direction, so every
     value and gradient has the bits of the same recurrence built from one
-    ``recurrent_cell`` per step and direction.
+    tape node per step and direction (``reference_encoder`` in
+    ``tests/reference.py``).
     """
     emb = ad.as_tensor(emb)
     weights = tuple(ad.as_tensor(t) for t in (*fwd, *bwd))
@@ -304,9 +282,15 @@ def mask_bias(mask):
 
 
 def _attention_forward(q, keys, v, bias=None):
-    """Numpy forward of ``attention_weights`` with the mask as its additive
-    ``mask_bias``: alpha (B, m) and the tanh activations e (B, m, d) its
-    backward reads."""
+    """alpha_bi = softmax_i(v^T tanh(q_b + k_ji)) on arrays, with the mask
+    as its additive ``mask_bias`` (n, m): alpha (B, m) and the tanh
+    activations e (B, m, d) ``_attention_backward`` reads.
+
+    q is (B, d) and keys (n, m, d), where n divides B: the rows come in n
+    groups of B // n, and every row of group j attends over keys[j]. n = B
+    gives each row its own keys, n = 1 shares one key set by every row, and
+    anything between broadcasts a sentence's keys over its group of
+    hypothesis rows without copying them (decoding only)."""
     (B, d), (n, m, _) = q.shape, keys.shape
     if B % n:
         raise ValueError(f"{B} query rows do not split into {n} key groups")
@@ -342,68 +326,21 @@ def _weighted_sum_forward(alpha, values):
 
 
 def _weighted_sum_backward(grad, alpha, values, needs):
-    """Gradients of alpha and values; None for each whose entry of
-    ``needs`` is false."""
+    """Gradients of alpha and values, shared by every row (n = 1) or one
+    set per row (n = B); None for each whose entry of ``needs`` is false.
+    Only decoding groups rows (1 < n < B), and it differentiates nothing."""
     (B, m), (n, _, d) = alpha.shape, values.shape
-    g = B // n
     if n == 1:
         return (grad @ values[0].T if needs[0] else None,
                 (alpha.T @ grad)[None] if needs[1] else None)
-    groups = grad.reshape(n, g, d)
+    rows = grad.reshape(n, 1, d)  # raises unless n == B
     d_alpha = d_values = None
     if needs[0]:
-        d_alpha = (values @ groups.transpose(0, 2, 1)).transpose(0, 2, 1)
+        d_alpha = (values @ rows.transpose(0, 2, 1)).transpose(0, 2, 1)
         d_alpha = d_alpha.reshape(B, m)
     if needs[1]:
-        d_values = (alpha[:, :, None] * grad[:, None, :] if g == 1 else
-                    alpha.reshape(n, g, m).transpose(0, 2, 1) @ groups)
+        d_values = alpha[:, :, None] * rows
     return d_alpha, d_values
-
-
-def attention_weights(q, keys, v, mask=None):
-    """alpha_bi = softmax_i(v^T tanh(q_b + k_ji)), one tape node over the
-    kernel pair ``_attention_forward`` / ``_attention_backward``.
-
-    q is (B, d) and keys (n, m, d), where n divides B: the rows come in n
-    groups of B // n, and every row of group j attends over keys[j]. n = B
-    gives each row its own keys, n = 1 shares one key set by every row, and
-    anything between broadcasts a sentence's keys over its group of
-    hypothesis rows without copying them. v is (d,); mask (n, m) zeroes the
-    weight of padded positions. The backward returns the gradients of q,
-    keys and v.
-    """
-    q, keys, v = (ad.as_tensor(t) for t in (q, keys, v))
-    alpha, e = _attention_forward(q.data, keys.data, v.data, mask_bias(mask))
-
-    def bwd(grad):
-        return _attention_backward(grad, alpha, e, v.data, keys.shape[0],
-                                   [t.requires_grad for t in (q, keys, v)])
-
-    return ad._node(alpha, (q, keys, v), bwd)
-
-
-def weighted_sum(alpha, values):
-    """c_b = sum_i alpha_bi values_ji, one tape node: alpha (B, m) against
-    values (n, m, d) in the row groups of ``attention_weights`` -- a
-    batched matmul per group, or one matmul when n = 1 shares the values
-    with every row."""
-    alpha, values = ad.as_tensor(alpha), ad.as_tensor(values)
-    out = _weighted_sum_forward(alpha.data, values.data)
-
-    def bwd(grad):
-        return _weighted_sum_backward(grad, alpha.data, values.data,
-                                      (alpha.requires_grad, values.requires_grad))
-
-    return ad._node(out, (alpha, values), bwd)
-
-
-def additive_attention(q, keys, values, v, mask=None):
-    """Additive attention (Bahdanau et al. 2015, arXiv:1409.0473) as two tape
-    nodes: ``attention_weights`` gives alpha, ``weighted_sum`` the context.
-    keys and values are (n, m, .), one set per group of B // n query rows
-    (n = B: per row; n = 1: shared by every row). Returns (alpha, c)."""
-    alpha = attention_weights(q, keys, v, mask)
-    return alpha, weighted_sum(alpha, values)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +426,7 @@ def decoder_step(weights, e_prev, s_prev, memory, extra=None, e_clean=None):
     previous target's embedding as the cell reads it, e_clean (default
     e_prev) as the extra input reads it, and s_prev is (B, d_h). memory
     holds (h, h_proj, bias, rows) blocks: the next ``rows`` rows attend
-    over one block, in the row groups of ``attention_weights``, its padding
+    over one block, in the row groups of ``_attention_forward``, its padding
     masked by the additive ``mask_bias`` (None: no padding). extra is None
     or the (forward, weights, proj) arrays of an ``ExtraInput``.
 
@@ -540,10 +477,10 @@ def decoder_recurrence(params, s0, emb_in, h, h_proj, mask, extra=None,
     emb_in, h, h_proj, the ``DECODER_WEIGHTS``, emb_clean (when the extra
     input predicts the embedding) and the extra input's params and
     projection. Weight gradient products stay inside the loop, and every
-    gradient is summed in the order ``grad_map`` summed the same recurrence
-    built from one tape node per op (``attention_weights``,
-    ``weighted_sum``, ``recurrent_cell`` and the extra input's), so every
-    value and gradient keeps its bits:
+    gradient is summed in the order ``grad_map`` sums the same recurrence
+    built from one tape node per op (``reference_decoder`` in
+    ``tests/reference.py``: the attention's two nodes, the cell's and the
+    extra input's), so every value and gradient keeps its bits:
     parameters last step first; a state's terms as the readout, the cell,
     the extra input, then the query; a context's as the readout, the cell,
     then the extra input, except that at the last step a vector read only
@@ -659,11 +596,6 @@ def decoder_recurrence(params, s0, emb_in, h, h_proj, mask, extra=None,
         return grads
 
     return ad._node(out.reshape((T - 1) * B, -1), parents, backward_through_time)
-
-
-def output_logits(params, e_prev, s_t, c_t, training=False, rng=None, drop_out=0.0):
-    return readout(params, ad.concat([e_prev, s_t, c_t], axis=1), training, rng,
-                   drop_out)
 
 
 def readout(params, x, training=False, rng=None, drop_out=0.0):

@@ -156,6 +156,9 @@ class Checkpoint:
             "payload_bytes": offset,
         }
         blob = json.dumps(header).encode("utf-8")
+        crc = zlib.crc32(blob)
+        for raw in payload:  # incremental: no joined copy of the payload
+            crc = zlib.crc32(raw, crc)
         directory = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
@@ -163,7 +166,7 @@ class Checkpoint:
                 fh.write(MAGIC)
                 fh.write(struct.pack("<I", FORMAT_VERSION))
                 fh.write(struct.pack("<Q", len(blob)))
-                fh.write(struct.pack("<I", zlib.crc32(blob + b"".join(payload))))
+                fh.write(struct.pack("<I", crc))
                 fh.write(blob)
                 for raw in payload:
                     fh.write(raw)

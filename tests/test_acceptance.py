@@ -13,7 +13,7 @@ import pytest
 
 from refnet import autodiff as ad
 from refnet.autodiff import Tensor
-from refnet.brefnet import f_s, init_b_params, query_dim
+from refnet.brefnet import init_b_params, query_dim
 from refnet.corpus import (EOS, ParallelCorpus, build_vocab,
                            generate_synthetic_task, make_batches)
 from refnet.evaluation import FULL_SCALE_REFERENCE, bleu, param_report
@@ -25,6 +25,7 @@ from refnet.mrefnet import add_anchor_params, init_m_params
 from refnet.model import TranslationModel
 from refnet.seq2seq import ModelDims, beam_search, init_baseline_params
 from refnet.training import Checkpoint, TrainConfig, run_stage
+from reference import f_s
 
 BASE_SEED = 42
 

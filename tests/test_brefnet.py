@@ -5,13 +5,14 @@ from hypothesis import given, settings, strategies as st
 from refnet import autodiff as ad
 from refnet import lcc
 from refnet.autodiff import Tensor, no_grad
-from refnet.brefnet import (F_S_PARAMS, build_query, f_s, init_b_params, query_dim,
+from refnet.brefnet import (F_S_PARAMS, build_query, init_b_params, query_dim,
                             regression_weight_norms)
 from refnet.lcc import tri_scores
 from refnet.corpus import BOS, EOS, Batch, make_batches
 from refnet.model import TranslationModel
 from refnet.seq2seq import ModelDims, init_baseline_params
 from refnet.training import TrainConfig, run_stage
+from reference import f_s, stack, transpose
 
 
 def bref_store(dims, n_anchors=3, d_a=5, seed=0, zero_proj=True):
@@ -55,10 +56,10 @@ def reference_tri_scores(X, A, W, U, V, v):
     products, matmuls, tanh and a sum."""
     X, A = ad.as_tensor(X), ad.as_tensor(A)
     (N, d), C, d_att = X.shape, A.shape[0], W.shape[0]
-    wa = ad.matmul(A, ad.transpose(W))
-    ux = ad.matmul(X, ad.transpose(U))
+    wa = ad.matmul(A, transpose(W))
+    ux = ad.matmul(X, transpose(U))
     cross = ad.reshape(X, (N, 1, d)) * ad.reshape(A, (1, C, d))
-    vc = ad.matmul(ad.reshape(cross, (N * C, d)), ad.transpose(V))
+    vc = ad.matmul(ad.reshape(cross, (N * C, d)), transpose(V))
     pre = ad.reshape(wa, (1, C, d_att)) + ad.reshape(ux, (N, 1, d_att)) \
         + ad.reshape(vc, (N, C, d_att))
     return ad.sum_(ad.tanh(pre) * v, axis=2)
@@ -109,9 +110,9 @@ def looped_f_s(q, params):
     G = g_transform(q, params)
     gamma = anchor_gamma(G, params)
     C = gamma.shape[1]
-    preds = ad.stack([ad.matmul(G, params["bref/reg/W"][j]) + params["bref/reg/b"][j]
+    preds = stack([ad.matmul(G, params["bref/reg/W"][j]) + params["bref/reg/b"][j]
                       for j in range(C)], axis=0)
-    gT = ad.reshape(ad.transpose(gamma), (C, G.shape[0], 1))
+    gT = ad.reshape(transpose(gamma), (C, G.shape[0], 1))
     return ad.sum_(preds * gT, axis=0)
 
 
@@ -233,8 +234,8 @@ def f_s_case(tiny_dims, B, C, seed):
 
 
 class TestFusedLcc:
-    """``lcc.tri_scores`` and ``brefnet.f_s`` are one tape node each and
-    match the composed references: the same forward bits, gradients within
+    """``lcc.tri_scores`` and ``f_s`` (one node over brefnet's kernel pair)
+    are one tape node each and match the composed references: the same forward bits, gradients within
     1e-12 relative."""
 
     @pytest.mark.parametrize("N, C", SHAPES)

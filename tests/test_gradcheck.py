@@ -11,20 +11,46 @@ import pytest
 import refnet
 from refnet import autodiff as ad
 from refnet import gradcheck, params, seq2seq
+from refnet.corpus import ParallelCorpus, build_vocab, generate_synthetic_task
 from refnet.params import ParamStore, backward, finite_diff_grad, relative_error
+from refnet.seq2seq import ModelDims
+from refnet.training import TrainConfig, run_stage
 
-# every function outside autodiff.py that records its own tape node (a fused
-# op with a hand-written backward) -> the gradient checks that cover it
+# every kernel backward branch that training, decoding or anchor fitting
+# runs -> a check of the suite that runs it. A branch is the backward of a
+# fused node (named by its op) or a case of a kernel backward function
+# (``KERNEL_CASES``).
 FUSED_OP_CHECKS = {
-    "recurrent_cell": ("recurrent_cell",),
-    "encoder_recurrence": ("encoder_recurrence",),
-    "decoder_recurrence": ("attention", "decoder_step", "decoder_step_extras",
-                           "nll_loss", "m_loss", "joint_b_loss"),
-    "attention_weights": ("additive_attention", "grouped_attention"),
-    "weighted_sum": ("additive_attention", "grouped_attention"),
-    "tri_scores": ("tri_score", "tri_scores_batch"),
-    "anchor_sq_dists": ("localization_measure",),
-    "f_s": ("f_s",),
+    "encoder_recurrence": "nll_loss",
+    "decoder_recurrence": "decoder_step",
+    "tri_scores": "tri_score",
+    "anchor_sq_dists": "localization_measure",
+    "_gate_backward: masked": "encoder_recurrence",
+    "_gate_backward: unmasked": "decoder_step",
+    "_cell_backward: no extra": "decoder_step",
+    "_cell_backward: one extra": "decoder_step_extras",
+    "_attention_backward: a key set per row": "attention",
+    "_attention_backward: rows share a key set": "decoder_step_extras",
+    "_weighted_sum_backward: values per row": "attention",
+    "_weighted_sum_backward: shared values": "decoder_step_extras",
+    "global_context_backward": "decoder_step_extras",
+    "query_regression_backward": "f_s",
+    "_f_s_backward": "f_s",
+    "_tri_scores_backward": "tri_score",
+}
+
+# kernel backward function -> the case its arguments select; None: one case
+KERNEL_CASES = {
+    "_gate_backward": lambda g, cache: "masked" if cache[1] is not None else "unmasked",
+    "_cell_backward": lambda g, cache, needs: "one extra" if cache[3] else "no extra",
+    "_attention_backward": lambda grad, alpha, e, v, n, needs: (
+        "a key set per row" if len(alpha) == n else "rows share a key set"),
+    "_weighted_sum_backward": lambda grad, alpha, values, needs: (
+        "shared values" if len(values) == 1 else "values per row"),
+    "global_context_backward": None,
+    "query_regression_backward": None,
+    "_f_s_backward": None,
+    "_tri_scores_backward": None,
 }
 
 
@@ -35,32 +61,153 @@ def calls_node(fn):
                for n in ast.walk(fn))
 
 
-def fused_ops():
-    """(module, function) for each top-level function or method in the
-    package, outside autodiff.py, whose body calls ``_node``."""
+def package_modules():
+    return [importlib.import_module(f"refnet.{path.stem}")
+            for path in sorted(pathlib.Path(refnet.__file__).parent.glob("*.py"))
+            if path.stem != "__init__"]
+
+
+def node_recorders():
+    """(module, qualified name) for each top-level function or method in
+    the package whose body calls ``_node``."""
     found = []
-    for path in sorted(pathlib.Path(refnet.__file__).parent.glob("*.py")):
-        if path.name == "autodiff.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        defs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    for module in package_modules():
+        tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+        defs = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
         for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
-            defs += [n for n in cls.body if isinstance(n, ast.FunctionDef)]
-        found += [(path.stem, fn.name) for fn in defs if calls_node(fn)]
+            defs += [(f"{cls.name}.{n.name}", n) for n in cls.body
+                     if isinstance(n, ast.FunctionDef)]
+        found += [(module.__name__.rsplit(".", 1)[1], name)
+                  for name, fn in defs if calls_node(fn)]
     return found
+
+
+def fused_ops():
+    """``node_recorders`` outside autodiff.py: the fused ops, each with a
+    hand-written backward."""
+    return [(mod, name) for mod, name in node_recorders() if mod != "autodiff"]
+
+
+def rebind(monkeypatch, original, replacement):
+    """Put ``replacement`` wherever a package module binds ``original``."""
+    for module in package_modules():
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
+
+
+def spy_branches(monkeypatch):
+    """The set of kernel backward branches that run from now on: the
+    backward of each fused node, and the case of each function of
+    ``KERNEL_CASES`` wherever a module binds it."""
+    hit, fused, node = set(), {name for _, name in fused_ops()}, ad._node
+
+    def recording(label, fn, case=None):
+        def spy(*args):
+            hit.add(label if case is None else f"{label}: {case(*args)}")
+            return fn(*args)
+        return spy
+
+    def spying_node(data, parents, bwd):
+        op = bwd.__qualname__.split(".", 1)[0]
+        return node(data, parents, recording(op, bwd) if op in fused else bwd)
+
+    monkeypatch.setattr(ad, "_node", spying_node)
+    for module in package_modules():
+        for name, case in KERNEL_CASES.items():
+            fn = vars(module).get(name)
+            if fn is not None and fn.__module__ == module.__name__:
+                rebind(monkeypatch, fn, recording(name, fn, case))
+    return hit
+
+
+def run_system_paths():
+    """One batch of each training stage, one anchor fit and one decode, on a
+    tiny corpus with ragged lengths."""
+    full = generate_synthetic_task("cipher-reverse", 12, 24, (2, 6), seed=3)
+    train, dev = ParallelCorpus(full.pairs[:16]), ParallelCorpus(full.pairs[16:])
+    vs, vt = build_vocab(train.sources(), 50), build_vocab(train.targets(), 50)
+    dims = ModelDims(vocab_src=len(vs), vocab_tgt=len(vt), d_e=4, d_h=4)
+    kw = dict(epochs=1, batch_size=16, seed=5, n_anchors=3, d_a=4, fit_iters=1)
+    base = run_stage("pretrain", None, train, dev,
+                     TrainConfig(stage="pretrain", **kw), vs, vt, dims)
+    anchors = run_stage("fit-anchors", base, train, None,
+                        TrainConfig(stage="fit-anchors", **kw))
+    run_stage("finetune-m", anchors, train, dev, TrainConfig(stage="finetune-m", **kw))
+    b_ref = run_stage("train-b", base, train, dev, TrainConfig(stage="train-b", **kw))
+    b_ref.make_model().translate_batch([vs.encode(src) for src, _ in dev.pairs],
+                                       beam=2)
+
+
+@pytest.fixture(scope="module")
+def system_run():
+    """``run_system_paths`` once, with every node recorder wrapped and the
+    kernel backward branches spied on: the (module, name) of each recorder
+    it called and the branches that ran."""
+    called = set()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            called.add(key)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for mod, name in node_recorders():
+            owner = importlib.import_module(f"refnet.{mod}")
+            *path, attr = name.split(".")
+            for part in path:
+                owner = getattr(owner, part)
+            original = vars(owner)[attr]
+            if path:
+                mp.setattr(owner, attr, counted((mod, name), original))
+            else:
+                rebind(mp, original, counted((mod, name), original))
+        branches = spy_branches(mp)
+        run_system_paths()
+    return called, branches
+
+
+class TestSystemPaths:
+    def test_every_node_recorder_runs(self, system_run):
+        """Each function in the package that records a tape node, autodiff
+        ops included, is called by training, anchor fitting or decoding: an
+        op only the tests record lives in the tests' reference module."""
+        called, _ = system_run
+        never = [f"{mod}.{name}" for mod, name in node_recorders()
+                 if (mod, name) not in called]
+        assert not never, f"node recorders no system path calls: {never}"
+
+    def test_every_system_branch_has_a_check(self, system_run):
+        _, branches = system_run
+        assert branches == set(FUSED_OP_CHECKS)
 
 
 class TestFusedOpCoverage:
     def test_every_fused_op_has_a_gradient_check(self):
         ops = fused_ops()
-        assert ("lcc", "tri_scores") in ops and ("brefnet", "f_s") in ops
+        assert ("lcc", "tri_scores") in ops and ("seq2seq", "decoder_recurrence") in ops
         missing = [f"{mod}.{name}" for mod, name in ops if name not in FUSED_OP_CHECKS]
         assert not missing, f"fused ops without a gradient check: {missing}"
 
     def test_every_named_check_exists(self):
-        unknown = [check for checks in FUSED_OP_CHECKS.values() for check in checks
+        unknown = [check for check in FUSED_OP_CHECKS.values()
                    if check not in gradcheck.CHECKS]
         assert not unknown, f"no such gradcheck entries: {unknown}"
+
+    @pytest.mark.parametrize("branch", sorted(FUSED_OP_CHECKS))
+    def test_check_runs_its_branch(self, branch, monkeypatch):
+        """The check's analytic pass runs the branch; the spy stops the
+        check before the oracle."""
+        hit = spy_branches(monkeypatch)
+
+        def stop(f, params, step=1e-4):
+            raise _Built
+
+        monkeypatch.setattr(gradcheck, "finite_diff_grad", stop)
+        with pytest.raises(_Built):
+            gradcheck.CHECKS[FUSED_OP_CHECKS[branch]](0)
+        assert branch in hit
 
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -301,9 +448,9 @@ class TestCompare:
 class TestTolerance:
     def test_suite_sees_a_backward_term_off_by_one_part_in_a_million(
             self, monkeypatch):
-        """Mutation: the ``x.T @ dgx`` term of the fused cell's backward, its
-        W gradient, scaled by 1 + 1e-6. TOL fails it; a TOL of 1e-4 would
-        pass it."""
+        """Mutation: the ``x.T @ dgx`` term of the cell kernel's backward,
+        the decoder cell's W gradient, scaled by 1 + 1e-6. TOL fails it; a
+        TOL of 1e-4 would pass it."""
         cell_backward = seq2seq._cell_backward
 
         def mutated(g, cache, needs):
@@ -311,9 +458,9 @@ class TestTolerance:
             grads[2] = grads[2] * (1.0 + 1e-6)
             return grads
 
-        assert gradcheck.check_recurrent_cell(0) <= gradcheck.TOL
+        assert gradcheck.check_decoder_step(0) <= gradcheck.TOL
         monkeypatch.setattr(seq2seq, "_cell_backward", mutated)
-        err = gradcheck.check_recurrent_cell(0)
+        err = gradcheck.check_decoder_step(0)
         assert gradcheck.TOL < err <= 1e-4
         assert err == pytest.approx(1e-6, rel=1e-3)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from refnet.corpus import make_batches
+from refnet.corpus import build_vocab, make_batches
 from refnet.errors import CheckpointError, PrerequisiteError
 from refnet.model import TranslationModel
 from refnet.autodiff import grad_map
@@ -171,6 +171,18 @@ class TestCheckpointFile:
                                lambda h, p: h["dims"].update(cell="gru"))
         Checkpoint.load(older).save(tmp_path / "resaved.ckpt")
         assert (tmp_path / "resaved.ckpt").read_bytes() == path.read_bytes()
+
+    def test_checksum_field_is_pinned(self, tmp_path):
+        """The CRC-32 of the header and the payload, computed piece by piece
+        at save, is the one a single pass over the file's tail gives, and
+        the value a file of these fixed contents has always carried."""
+        vocab = build_vocab([["a", "b", "c", "d"]], 10)
+        dims = ModelDims(vocab_src=len(vocab), vocab_tgt=len(vocab), d_e=3, d_h=4)
+        ps = init_baseline_params(dims, np.random.default_rng(3))
+        blob = Checkpoint(ps, dims, TrainConfig(), "baseline", ["pretrain"], vocab,
+                          vocab).save(tmp_path / "model.ckpt").read_bytes()
+        assert blob[16:PREAMBLE] == struct.pack("<I", zlib.crc32(blob[PREAMBLE:]))
+        assert blob[16:PREAMBLE] == struct.pack("<I", 0xB7504DBD)
 
     def test_float32_store_round_trips_bitwise(self, toy_split, toy_vocabs,
                                                tmp_path, capsys):
