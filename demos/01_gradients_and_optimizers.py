@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Tour of the numeric core: tape gradients, the complex-step oracle,
-gradient clipping, and the two optimizers.
+global-norm clipping, and the Adam update every stage runs.
 
 Run:  python3 demos/01_gradients_and_optimizers.py
 """
@@ -8,7 +8,7 @@ Run:  python3 demos/01_gradients_and_optimizers.py
 import numpy as np
 
 from refnet import autodiff as ad
-from refnet.params import (Optimizer, OptimizerConfig, ParamStore, backward,
+from refnet.params import (Optimizer, ParamStore, backward,
                            clip_gradient_norm, finite_diff_grad,
                            grad_global_norm, relative_error)
 
@@ -42,20 +42,13 @@ clipped = clip_gradient_norm(big, max_norm=1.0)
 print(f"norm before {grad_global_norm(big):.1f}, after "
       f"{grad_global_norm(clipped):.3f}, direction {clipped['a']}")
 
-print("\n=== optimizers: 50 SGD steps on a quadratic ===")
+print("\n=== Adam: 200 steps on a quadratic ===")
 quad = ParamStore()
 quad.add("p", 1.0, "encoder")
-opt = Optimizer(OptimizerConfig(kind="sgd", lr=0.1))
-for step in range(50):
-    opt.step(quad, backward(ad.square(quad["p"]), quad))
-print(f"p after 50 steps: {float(quad['p'].data):.2e} (analytic optimum 0)")
-
-quad2 = ParamStore()
-quad2.add("p", 1.0, "encoder")
-adam = Optimizer(OptimizerConfig(kind="adam", lr=0.1))
+adam = Optimizer(lr=0.1)
 for step in range(200):
-    adam.step(quad2, backward(ad.square(quad2["p"]), quad2))
-print(f"adam reaches {float(quad2['p'].data):.2e} in 200 steps")
+    adam.step(quad, backward(ad.square(quad["p"]), quad))
+print(f"p after 200 steps: {float(quad['p'].data):.2e} (analytic optimum 0)")
 
 print("\n=== freezing removes parameters from every update ===")
 frozen = ParamStore()

@@ -27,7 +27,7 @@ print("epoch\tstage\ttrain\tdev\tseconds")
 ckpt = run_stage("pretrain", None, train, dev, config, vocab_src, vocab_tgt,
                  dims)
 
-model = ckpt.make_model(drop_emb=0.0, drop_out=0.0)
+model = ckpt.make_model()
 print("\n=== greedy vs beam on a few test sentences ===")
 for src, tgt in test.pairs[:5]:
     ids = vocab_src.encode(src)

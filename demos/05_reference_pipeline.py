@@ -28,7 +28,7 @@ dims = ModelDims(vocab_src=len(vocab_src), vocab_tgt=len(vocab_tgt),
 
 
 def test_bleu(ckpt):
-    model = ckpt.make_model(drop_emb=0.0, drop_out=0.0)
+    model = ckpt.make_model()
     outs = model.translate_batch([ckpt.vocab_src.encode(src) for src, _ in test],
                                  beam=4)
     hyps = [ckpt.vocab_tgt.decode(out) for out in outs]

@@ -9,9 +9,8 @@ from .lcc import (AnchorFitConfig, AnchorSet, LccConfig, ScoreParams,
                   fit_anchors, lcc_weights, localization_measures,
                   reconstruct)
 from .model import TranslationModel
-from .params import (GradRecord, Optimizer, OptimizerConfig, ParamStore,
-                     backward, clip_gradient_norm, clip_gradient_value,
-                     finite_diff_grad)
+from .params import (GradRecord, Optimizer, ParamStore, backward,
+                     clip_gradient_norm, finite_diff_grad)
 from .seq2seq import (Hypothesis, ModelDims, beam_search, decoder_step,
                       encode_batch, nll_loss)
 from .training import Checkpoint, TrainConfig, run_stage
@@ -20,11 +19,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnchorFitConfig", "AnchorSet", "Batch", "Checkpoint", "GradRecord",
-    "Hypothesis", "LccConfig", "ModelDims", "Optimizer", "OptimizerConfig",
-    "ParallelCorpus", "ParamStore", "ScoreParams", "Tensor",
-    "TrainConfig", "TranslationModel", "Vocab", "autodiff",
-    "backward", "beam_search", "bleu", "build_vocab", "clip_gradient_norm",
-    "clip_gradient_value", "decoder_step", "encode_batch", "filter_by_length",
+    "Hypothesis", "LccConfig", "ModelDims", "Optimizer", "ParallelCorpus",
+    "ParamStore", "ScoreParams", "Tensor", "TrainConfig", "TranslationModel",
+    "Vocab", "autodiff", "backward", "beam_search", "bleu", "build_vocab",
+    "clip_gradient_norm", "decoder_step", "encode_batch", "filter_by_length",
     "finite_diff_grad", "fit_anchors", "generate_synthetic_task",
     "lcc_weights", "length_buckets", "localization_measures",
     "make_batches", "nll_loss", "no_grad", "param_report", "reconstruct",

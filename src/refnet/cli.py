@@ -14,13 +14,11 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from . import corpus as corpus_mod
 from . import evaluation, gradcheck
 from .errors import CheckpointError, ConfigError, NumericError, PrerequisiteError
 from .seq2seq import ModelDims
-from .training import CLIP_MODES, OPTIMIZERS, Checkpoint, TrainConfig, run_stage
+from .training import Checkpoint, TrainConfig, run_stage
 
 EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_PREREQ, EXIT_NUMERIC = 0, 1, 2, 3, 4
 TRANSLATE_CHUNK = 64  # source lines `translate` decodes together
@@ -109,12 +107,9 @@ def _add_train_flags(p, stage):
     flag("--epochs", "training epochs")
     flag("--batch-size", "sentences per batch")
     flag("--lr", "learning rate")
-    flag("--optimizer", "update rule", choices=OPTIMIZERS)
     flag("--drop-emb", "dropout rate on embeddings")
     flag("--drop-out", "dropout rate on the output layer")
-    flag("--clip-norm", "gradient clipping threshold")
-    flag("--clip-mode", "clip the global norm or each element",
-         choices=CLIP_MODES)
+    flag("--clip-norm", "global gradient-norm clipping threshold")
     flag("--seed", "master random seed")
     flag("--patience", "early-stopping patience on dev loss")
     flag("--log", "append per-epoch TSV rows to this file", dest="log_path")
@@ -316,7 +311,7 @@ def _cmd_translate(args):
         raise ConfigError(f"--max-steps must be >= 0, got {args.max_steps}")
     _check_writable("--out", args.out)
     ckpt = Checkpoint.load(args.ckpt)
-    model = ckpt.make_model(drop_emb=0.0, drop_out=0.0)
+    model = ckpt.make_model()
     try:
         sources = corpus_mod.read_sentences(args.src)
     except OSError as e:

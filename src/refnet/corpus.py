@@ -145,6 +145,8 @@ def generate_synthetic_task(kind, vocab_size, n_pairs, len_range, seed) -> Paral
     if kind not in ("copy", "reverse", "cipher-reverse"):
         raise ValueError(f"unknown task kind {kind!r}")
     lo, hi = len_range
+    if lo < 1:
+        raise ValueError(f"the shortest length must be >= 1, got {lo}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(vocab_size)  # consumed even when unused, for stable streams
     pairs = []

@@ -142,6 +142,8 @@ def length_buckets(sources, hypotheses, reference_sets, bucket_width=10,
     """
     if not (len(sources) == len(hypotheses) == len(reference_sets)):
         raise ValueError("sources, hypotheses, and references must align")
+    if bucket_width < 1:
+        raise ValueError(f"bucket width must be >= 1, got {bucket_width}")
     edges = [(i * bucket_width + 1, (i + 1) * bucket_width) for i in range(n_closed)]
     edges.append((n_closed * bucket_width + 1, None))
     buckets = []

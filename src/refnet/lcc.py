@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, _add, _float_array, as_tensor, no_grad
-from .params import (Optimizer, OptimizerConfig, ParamStore, backward)
+from .params import Optimizer, ParamStore, backward
 
 
 @dataclass
@@ -302,7 +302,7 @@ def fit_anchors(dataset, n_anchors, cfg: LccConfig = LccConfig(),
 
     initial = dataset_measure(dataset, *views(), cfg)
 
-    opt = Optimizer(OptimizerConfig(kind="adam", lr=fit.lr))
+    opt = Optimizer(fit.lr)
     history = []
     n = dataset.shape[0]
     for it in range(fit.iters):
@@ -321,7 +321,7 @@ def fit_anchors(dataset, n_anchors, cfg: LccConfig = LccConfig(),
         opt.step(ps, grads)
         if not all(np.isfinite(t.data).all() for _, t in ps.items()):
             raise FloatingPointError(f"anchor fitting diverged at iteration {it}")
-        opt.config.lr *= fit.lr_decay
+        opt.lr *= fit.lr_decay
 
     final = dataset_measure(dataset, *views(), cfg)
     frozen_anchors = AnchorSet(ps["anchors/points"].data.copy())

@@ -1,4 +1,4 @@
-"""Named parameter collection with group-level freezing, plus optimizers.
+"""Named parameter collection with group-level freezing, plus the optimizer.
 
 Groups mirror the training stages: ``encoder`` and ``decoder`` form the
 baseline, ``m_ref`` / ``b_ref`` hold the added reference-network weights,
@@ -344,35 +344,23 @@ def clip_gradient_norm(grads: GradRecord, max_norm, norm=None) -> GradRecord:
     return {n: g * scale for n, g in grads.items()}
 
 
-def clip_gradient_value(grads: GradRecord, limit) -> GradRecord:
-    """Element-wise clamp to [-limit, limit] (alternative clipping mode)."""
-    if limit <= 0:
-        raise ValueError("limit must be positive")
-    return {n: np.clip(g, -limit, limit) for n, g in grads.items()}
-
-
-@dataclass
-class OptimizerConfig:
-    kind: str = "adam"          # "adam" | "sgd"
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+# Adam's moment decays and denominator floor (Kingma & Ba, ICLR 2015). Python
+# floats, so they keep a float32 store's arithmetic in float32.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
 class Optimizer:
-    """SGD or Adam over a ParamStore; state is keyed by parameter name."""
+    """Adam over a ParamStore; state is keyed by parameter name. ``lr`` is
+    the one value a caller may change between steps."""
 
-    config: OptimizerConfig
+    lr: float
     _m: dict = field(default_factory=dict)
     _v: dict = field(default_factory=dict)
     _t: int = 0
 
     def step(self, params: ParamStore, grads: GradRecord):
-        cfg = self.config
-        if cfg.kind == "adam":
-            self._t += 1
+        self._t += 1
         for name, g in grads.items():
             tensor = params[name]
             if not tensor.requires_grad:
@@ -380,17 +368,11 @@ class Optimizer:
             if g.shape != tensor.data.shape:
                 raise ValueError(
                     f"gradient shape {g.shape} does not match {name} {tensor.data.shape}")
-            if cfg.kind == "sgd":
-                tensor.data -= cfg.lr * g
-            elif cfg.kind == "adam":
-                m = self._m.setdefault(name, np.zeros_like(g))
-                v = self._v.setdefault(name, np.zeros_like(g))
-                m += (1 - cfg.beta1) * (g - m)
-                v += (1 - cfg.beta2) * (g * g - v)
-                mh = m / (1 - cfg.beta1 ** self._t)
-                vh = v / (1 - cfg.beta2 ** self._t)
-                tensor.data -= cfg.lr * mh / (np.sqrt(vh) + cfg.eps)
-            else:
-                raise ValueError(f"unknown optimizer kind {cfg.kind!r}")
+            m = self._m.setdefault(name, np.zeros_like(g))
+            v = self._v.setdefault(name, np.zeros_like(g))
+            m += (1 - BETA1) * (g - m)
+            v += (1 - BETA2) * (g * g - v)
+            mh = m / (1 - BETA1 ** self._t)
+            vh = v / (1 - BETA2 ** self._t)
+            tensor.data -= self.lr * mh / (np.sqrt(vh) + EPS)
         return params
-

@@ -41,8 +41,8 @@ from .model import KINDS, TranslationModel
 from .mrefnet import (ANCHOR_KEY, add_anchor_params, collect_sentence_reprs,
                       init_m_params, m_schema)
 from .brefnet import b_schema, init_b_params
-from .params import (Optimizer, OptimizerConfig, ParamStore, backward,
-                     clip_gradient_norm, clip_gradient_value, grad_global_norm)
+from .params import (Optimizer, ParamStore, backward, clip_gradient_norm,
+                     grad_global_norm)
 from .seq2seq import ModelDims, add_params, baseline_schema
 
 MAGIC = b"RNCK"
@@ -53,8 +53,6 @@ HEADER_KEYS = ("kind", "stages", "dims", "config", "vocab_src", "vocab_tgt",
 
 COMPUTE_DTYPE = np.float32  # of every store a stage or a load returns
 STAGES = ("pretrain", "fit-anchors", "finetune-m", "train-b")
-OPTIMIZERS = ("adam", "sgd")
-CLIP_MODES = ("norm", "value")  # clip the global norm or each element
 STAGE_FREEZES = {
     "pretrain": (),
     "fit-anchors": ("encoder", "decoder"),
@@ -69,11 +67,9 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 32
     lr: float = 1e-3
-    optimizer: str = "adam"        # one of OPTIMIZERS
     drop_emb: float = 0.2
     drop_out: float = 0.3
     clip_norm: float = 1.0
-    clip_mode: str = "norm"        # one of CLIP_MODES
     lam: float = 1.0               # likelihood / hinge balance
     lam_m: float = 1e-4            # weight-norm penalty inside the hinge loss
     l_alpha: float = 1.0
@@ -100,13 +96,10 @@ class TrainConfig:
             raise ValueError("dropout rates must lie in [0, 1)")
         if self.n_anchors < 1 or self.d_a < 1:
             raise ValueError("n_anchors and d_a must be >= 1")
-        if self.optimizer not in OPTIMIZERS or self.clip_mode not in CLIP_MODES:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS} and "
-                             f"clip_mode one of {CLIP_MODES}")
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be > 0")
-        if self.seed < 0 or self.fit_batch < 0 or self.fit_iters < 0:
-            raise ValueError("seed, fit_batch and fit_iters must be >= 0")
+        if min(self.seed, self.patience, self.fit_batch, self.fit_iters) < 0:
+            raise ValueError("seed, patience, fit_batch and fit_iters must be >= 0")
         if self.fit_lr <= 0 or not 0 < self.fit_lr_decay <= 1:
             raise ValueError("fit_lr must be > 0 and fit_lr_decay in (0, 1]")
         if min(self.l_alpha, self.l_beta, self.lam, self.lam_m) < 0:
@@ -129,11 +122,11 @@ class Checkpoint:
     vocab_tgt: Vocab
     history: list = field(default_factory=list, repr=False)  # not serialized
 
-    def make_model(self, **overrides) -> TranslationModel:
-        kw = dict(drop_emb=self.config.drop_emb, drop_out=self.config.drop_out,
-                  lam=self.config.lam, lam_m=self.config.lam_m)
-        kw.update(overrides)
-        return TranslationModel(self.params, self.dims, self.kind, **kw)
+    def make_model(self) -> TranslationModel:
+        return TranslationModel(self.params, self.dims, self.kind,
+                                drop_emb=self.config.drop_emb,
+                                drop_out=self.config.drop_out,
+                                lam=self.config.lam, lam_m=self.config.lam_m)
 
     def save(self, path):
         manifest, payload = [], []
@@ -359,7 +352,7 @@ def train_epochs(model: TranslationModel, stage, corpus_train, corpus_dev,
     and the fraction of its steps that clipping changed (``clipped_frac``).
     """
     params = model.params
-    opt = Optimizer(OptimizerConfig(kind=config.optimizer, lr=config.lr))
+    opt = Optimizer(config.lr)
     dev_batches = make_batches(corpus_dev, config.batch_size, vocab_src, vocab_tgt)
     history = []
     best_dev, best_snap, since_best = np.inf, None, 0
@@ -377,13 +370,8 @@ def train_epochs(model: TranslationModel, stage, corpus_train, corpus_dev,
                                    f"epoch {epoch}, batch {index}")
             grads = backward(parts.joint, params)
             norm = grad_global_norm(grads)
-            if config.clip_mode == "norm":
-                clipped = norm > config.clip_norm
-                grads = clip_gradient_norm(grads, config.clip_norm, norm)
-            else:
-                clipped = max(float(np.abs(g).max())
-                              for g in grads.values()) > config.clip_norm
-                grads = clip_gradient_value(grads, config.clip_norm)
+            clipped = norm > config.clip_norm
+            grads = clip_gradient_norm(grads, config.clip_norm, norm)
             norm_sum += norm
             n_clipped += clipped
             opt.step(params, grads)

@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from refnet import autodiff as ad
 from refnet.autodiff import Tensor
 from refnet.brefnet import init_b_params, query_dim
 from refnet.corpus import (EOS, ParallelCorpus, build_vocab,
@@ -39,7 +38,7 @@ def report(name, ok, detail=""):
 
 
 def decode_corpus(ckpt, corpus, beam=4, limit=None):
-    model = ckpt.make_model(drop_emb=0.0, drop_out=0.0)
+    model = ckpt.make_model()
     pairs = corpus.pairs[:limit] if limit else corpus.pairs
     outs = model.translate_batch([ckpt.vocab_src.encode(src) for src, _ in pairs],
                                  beam=beam)
@@ -264,7 +263,7 @@ class TestAcceptance:
 
     def test_08_decoding_oracles(self, pipeline, capsys):
         base = Checkpoint.load(pipeline["base_path"])
-        model = base.make_model(drop_emb=0.0, drop_out=0.0)
+        model = base.make_model()
         test = pipeline["test"]
         greedy_ok = True
         sources = [base.vocab_src.encode(src) for src, _ in test.pairs[:50]]

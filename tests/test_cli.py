@@ -169,6 +169,10 @@ EXIT_MATRIX = {
         "synth", "--out", str(tmp / "x"), "--config"]),
     "usage-removed-cell-flag": (EXIT_USAGE, lambda d, ckpt, tmp: train_argv(
         d, tmp, "--cell", "gru")),
+    "usage-removed-optimizer-flag": (EXIT_USAGE, lambda d, ckpt, tmp: train_argv(
+        d, tmp, "--optimizer", "adam")),
+    "config-negative-patience": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
+        d, tmp, "--patience", "-1")),
     "config-zero-clip-norm": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
         d, tmp, "--clip-norm", "0")),
     "config-negative-seed": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
@@ -197,6 +201,12 @@ EXIT_MATRIX = {
         d, tmp, "--ckpt-out", str(tmp / "missing" / "t.ckpt"))),
     "config-bad-lengths": (EXIT_CONFIG, lambda d, ckpt, tmp: [
         "synth", "--min-len", "9", "--max-len", "3", "--out", str(tmp / "x")]),
+    "config-zero-min-len": (EXIT_CONFIG, lambda d, ckpt, tmp: [
+        "synth", "--min-len", "0", "--out", str(tmp / "x")]),
+    "config-zero-bucket-width": (EXIT_CONFIG, lambda d, ckpt, tmp: [
+        "evaluate", "--hyp", str(d / "toy.test.tgt"), "--refs",
+        str(d / "toy.test.tgt"), "--src", str(d / "toy.test.src"),
+        "--bucket-width", "0"]),
     "config-zero-hidden-size": (EXIT_CONFIG, lambda d, ckpt, tmp: [
         "train", "--train-src", str(d / "toy.train.src"),
         "--train-tgt", str(d / "toy.train.tgt"), "--dev-src", str(d / "toy.dev.src"),
@@ -206,6 +216,8 @@ EXIT_MATRIX = {
         "gradcheck", "--seeds", "0"]),
     "config-removed-cell-key": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
         d, tmp, "--config", config_file(tmp, "cell = gru"))),
+    "config-removed-clip-mode-key": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
+        d, tmp, "--config", config_file(tmp, "clip_mode = norm"))),
     "config-missing-corpus": (EXIT_CONFIG, lambda d, ckpt, tmp: [
         "evaluate", "--hyp", str(tmp / "none.txt"), "--refs", str(tmp / "none.txt")]),
     "prerequisite-missing-checkpoint": (EXIT_PREREQ, lambda d, ckpt, tmp: [
@@ -385,7 +397,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("command, line", [
         ("synth", "pairs=abc"), ("synth", "kind=nonsense"),
-        ("train", "optimizer=adamw"), ("train", "clip_mode=nrom"),
+        ("train", "epochs=1.5"),
         ("evaluate", "case_insensitive=maybe"), ("evaluate", "refs="),
     ])
     def test_value_the_flag_rejects_is_usage(self, tmp_path, capsys, command,
@@ -412,7 +424,7 @@ class TestTranslateAndEvaluate:
     def test_beam_one_equals_greedy_module_call(self, toy_files, toy_ckpt,
                                                 tmp_path):
         ckpt = Checkpoint.load(toy_ckpt)
-        model = ckpt.make_model(drop_emb=0.0, drop_out=0.0)
+        model = ckpt.make_model()
         out1 = tmp_path / "hyp_beam1.txt"
         assert run_cli(["translate", "--ckpt", str(toy_ckpt),
                         "--src", str(toy_files / "toy.test.src"),

@@ -118,6 +118,11 @@ class TestSyntheticTasks:
         with pytest.raises(ValueError):
             generate_synthetic_task("shuffle", 10, 5, (2, 3), seed=0)
 
+    @pytest.mark.parametrize("shortest", [0, -2])
+    def test_shortest_length_below_one_rejected(self, shortest):
+        with pytest.raises(ValueError, match=f"shortest length .* {shortest}$"):
+            generate_synthetic_task("copy", 10, 5, (shortest, 3), seed=0)
+
 
 class TestBatches:
     def _vocabs(self, corpus):

@@ -135,6 +135,12 @@ class TestLengthBuckets:
         assert report.buckets[0].mean_hyp_len == 3.0
         assert report.buckets[0].mean_ref_len == 2.0
 
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_width_below_one_rejected(self, width):
+        with pytest.raises(ValueError, match=f"bucket width .* {width}$"):
+            length_buckets([["s"]], [toks("x")], [[toks("x")]],
+                           bucket_width=width)
+
 
 class TestParamReport:
     def test_single_matrix_count(self):

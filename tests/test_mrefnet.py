@@ -183,7 +183,7 @@ class TestFinetuneM:
         start = TranslationModel(ckpt.params, ckpt.dims, "baseline"
                                  ).dev_loss(batches)
         out = run_stage("finetune-m", ckpt, train, train, cfg)
-        end = out.make_model(drop_emb=0.0, drop_out=0.0).dev_loss(batches)
+        end = out.make_model().dev_loss(batches)
         assert end <= start + 1e-12
 
     def test_missing_anchors_rejected(self, toy_split, toy_vocabs):
