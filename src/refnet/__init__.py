@@ -5,9 +5,7 @@ from .autodiff import Tensor, no_grad
 from .corpus import (Batch, ParallelCorpus, Vocab, build_vocab,
                      filter_by_length, generate_synthetic_task, make_batches)
 from .evaluation import bleu, length_buckets, param_report
-from .lcc import (AnchorFitConfig, AnchorSet, LccConfig, ScoreParams,
-                  fit_anchors, lcc_weights, localization_measures,
-                  reconstruct)
+from .lcc import fit_anchors, lcc_weights, localization_measures, reconstruct
 from .model import TranslationModel
 from .params import (GradRecord, Optimizer, ParamStore, backward,
                      clip_gradient_norm, finite_diff_grad)
@@ -18,13 +16,12 @@ from .training import Checkpoint, TrainConfig, run_stage
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorFitConfig", "AnchorSet", "Batch", "Checkpoint", "GradRecord",
-    "Hypothesis", "LccConfig", "ModelDims", "Optimizer", "ParallelCorpus",
-    "ParamStore", "ScoreParams", "Tensor", "TrainConfig", "TranslationModel",
-    "Vocab", "autodiff", "backward", "beam_search", "bleu", "build_vocab",
-    "clip_gradient_norm", "decoder_step", "encode_batch", "filter_by_length",
-    "finite_diff_grad", "fit_anchors", "generate_synthetic_task",
-    "lcc_weights", "length_buckets", "localization_measures",
-    "make_batches", "nll_loss", "no_grad", "param_report", "reconstruct",
-    "run_stage",
+    "Batch", "Checkpoint", "GradRecord", "Hypothesis", "ModelDims",
+    "Optimizer", "ParallelCorpus", "ParamStore", "Tensor", "TrainConfig",
+    "TranslationModel", "Vocab", "autodiff", "backward", "beam_search",
+    "bleu", "build_vocab", "clip_gradient_norm", "decoder_step",
+    "encode_batch", "filter_by_length", "finite_diff_grad", "fit_anchors",
+    "generate_synthetic_task", "lcc_weights", "length_buckets",
+    "localization_measures", "make_batches", "nll_loss", "no_grad",
+    "param_report", "reconstruct", "run_stage",
 ]

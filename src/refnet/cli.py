@@ -152,11 +152,17 @@ def _check_writable(flag, path):
 
 
 def _load_parallel(src, tgt, max_len):
+    """The pairs of src / tgt with no side longer than max_len; refuses a
+    corpus that this leaves empty."""
     try:
         corpus = corpus_mod.ParallelCorpus.load(src, tgt)
-        return corpus_mod.filter_by_length(corpus, max_len)
+        corpus = corpus_mod.filter_by_length(corpus, max_len)
     except (OSError, ValueError) as e:
         raise ConfigError(str(e)) from e
+    if len(corpus) == 0:
+        raise ConfigError(f"{src} / {tgt}: no sentence pairs with both sides "
+                          f"within --filter-len {max_len}")
+    return corpus
 
 
 def build_parser():
@@ -253,6 +259,8 @@ def _cmd_synth(args):
         raise ConfigError(f"--splits must be comma-separated integers: {e}") from e
     if len(sizes) > 4 or any(s < 1 for s in sizes):
         raise ConfigError("--splits takes 1-4 positive sizes")
+    if not sizes and args.pairs < 1:
+        raise ConfigError(f"--pairs must be >= 1, got {args.pairs}")
     try:
         corpus = corpus_mod.generate_synthetic_task(
             args.kind, args.vocab_size, sum(sizes) if sizes else args.pairs,
@@ -274,8 +282,6 @@ def _cmd_train(args):
     config = _train_config(args, "pretrain")
     train = _load_parallel(args.train_src, args.train_tgt, args.filter_len)
     dev = _load_parallel(args.dev_src, args.dev_tgt, args.filter_len)
-    if len(train) == 0:
-        raise ConfigError("training corpus is empty after length filtering")
     try:
         vocab_src = corpus_mod.build_vocab(train.sources(), args.vocab_max,
                                            args.min_count)

@@ -35,27 +35,6 @@ class Vocab:
     def decode(self, ids):
         return [self.id_to_token[i] for i in ids]
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for i, tok in enumerate(self.id_to_token):
-                fh.write(f"{tok}\t{i}\n")
-
-    @classmethod
-    def load(cls, path):
-        pairs = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                tok, idx = line.split("\t")
-                pairs.append((int(idx), tok))
-        pairs.sort()
-        tokens = [tok for _, tok in pairs]
-        if tokens[:4] != list(SPECIALS):
-            raise ValueError(f"{path}: vocab file must start with {SPECIALS}")
-        return cls(tokens[4:])
-
 
 def build_vocab(sentences, max_size, min_count=1) -> Vocab:
     """Keep the most frequent tokens (ties lexicographic) up to max_size total."""

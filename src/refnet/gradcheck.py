@@ -17,11 +17,11 @@ The oracle is exact to machine precision, so ``TOL`` sits at 1e-8, over
 400 times above the worst error the suite reads at seeds 0-19 (2.1e-11):
 a backward term wrong by 1e-6 relative fails its check. Every objective
 must be holomorphic in the perturbed values (see ``finite_diff_grad``)
-and deterministic. Each sweep is split over the usable CPUs, by forked
-workers, when its store is large enough (the whole-loss checks); the
-estimates, and so every ``max_rel_err``, are bit-identical to a sweep in
-one process, and what an objective does to state outside the store
-inside a worker is lost.
+and deterministic. A sweep is split over the usable CPUs, by forked
+workers, when it gives each of two or more of them at least
+``params.MIN_COORDS_PER_WORKER`` coordinates; the estimates, and so every
+``max_rel_err``, are bit-identical to a sweep in one process, and what an
+objective does to state outside the store inside a worker is lost.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ from . import autodiff as ad
 from . import brefnet, mrefnet, seq2seq
 from .autodiff import Tensor
 from .corpus import Batch
-from .lcc import (AnchorSet, LccConfig, ScoreParams,
-                  mean_localization_measure, tri_scores)
-from .model import TranslationModel, variant_extras, variant_memory
+from .lcc import mean_localization_measure, tri_scores
+from .model import TranslationModel, variant_extras
 from .params import (ParamStore, backward, complex_step, finite_diff_grad,
                      imag_part, relative_error)
 from .seq2seq import ModelDims
@@ -164,7 +163,7 @@ def check_decoder_step_extras(seed):
     _probe(ps, "probe/s_prev", rng.normal(size=(2, dims.d_h)))
 
     def f(ps_):
-        extra = variant_extras("m_ref", ps_, variant_memory("m_ref", ps_))
+        extra = variant_extras("m_ref", ps_)
         out = seq2seq.decoder_recurrence(ps_, ps_["probe/s_prev"], ps_["probe/emb"],
                                          h, h_proj, mask, extra)
         return ad.sum_(ad.tanh(out) * u)
@@ -221,13 +220,11 @@ def check_localization_measure(seed):
         ps.add(f"anchors/score/{key}", rng.normal(0, 0.5, size=(d_att, d_v)), "anchors")
     ps.add("anchors/score/v", rng.normal(size=d_att), "anchors")
     _probe(ps, "probe/x", rng.normal(size=(4, d_v)))
-    cfg = LccConfig(l_alpha=1.0, l_beta=0.01)
 
     def f(ps_):
-        sp = ScoreParams(ps_["anchors/score/W"], ps_["anchors/score/U"],
-                         ps_["anchors/score/V"], ps_["anchors/score/v"])
-        return mean_localization_measure(ps_["probe/x"],
-                                         AnchorSet(ps_["anchors/points"]), sp, cfg)
+        return mean_localization_measure(
+            ps_["probe/x"], ps_["anchors/points"],
+            tuple(ps_[f"anchors/score/{k}"] for k in "WUVv"), 1.0, 0.01)
 
     return _compare(f, ps)
 

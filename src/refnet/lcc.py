@@ -29,52 +29,26 @@ bits; with more blocks, the sums over rows add up block by block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, _add, _float_array, as_tensor, no_grad
+from .autodiff import _add, _float_array, as_tensor, no_grad
 from .params import Optimizer, ParamStore, backward
 
-
-@dataclass
-class LccConfig:
-    l_alpha: float = 1.0
-    l_beta: float = 0.01
-
-    def __post_init__(self):
-        if self.l_alpha < 0 or self.l_beta < 0:
-            raise ValueError("l_alpha and l_beta must be non-negative")
+if TYPE_CHECKING:  # training imports this module
+    from .training import TrainConfig
 
 
-class AnchorSet:
-    """The |C| anchor points, each of dimension d_v."""
-
-    def __init__(self, points):
-        self.points = points if isinstance(points, Tensor) else Tensor(points)
-        if self.points.ndim != 2 or self.points.shape[0] < 1:
-            raise ValueError("anchors must form a non-empty (|C|, d_v) matrix")
-
-    @property
-    def count(self):
-        return self.points.shape[0]
-
-
-@dataclass
-class ScoreParams:
-    """Trainable pieces of the tri-nonlinear score."""
-
-    W: Tensor  # (d_att, d_v), applied to the anchor
-    U: Tensor  # (d_att, d_v), applied to the input
-    V: Tensor  # (d_att, d_v), applied to the element-wise product
-    v: Tensor  # (d_att,)
-
-    @classmethod
-    def init(cls, d_v, d_att, rng):
-        def mat():
-            limit = np.sqrt(6.0 / (d_att + d_v))
-            return Tensor(rng.uniform(-limit, limit, size=(d_att, d_v)))
-        return cls(mat(), mat(), mat(), Tensor(rng.uniform(-0.5, 0.5, size=d_att)))
+def init_score(d_v, d_att, rng):
+    """The tri-nonlinear score net (W, U, V, v): three (d_att, d_v) Xavier
+    matrices, applied to the anchor, the input and their element-wise
+    product, then the (d_att,) readout."""
+    def mat():
+        limit = np.sqrt(6.0 / (d_att + d_v))
+        return rng.uniform(-limit, limit, size=(d_att, d_v))
+    return mat(), mat(), mat(), rng.uniform(-0.5, 0.5, size=d_att)
 
 
 # Every (rows, C, d) temporary of the score kernel and of the anchor
@@ -158,10 +132,11 @@ def tri_scores(X, anchors, W, U, V, v):
     ``_tri_scores_backward``; the backward returns the gradients of X, the
     anchors, W, U, V and v.
     """
-    X = as_tensor(X)
-    A = anchors.points if isinstance(anchors, AnchorSet) else as_tensor(anchors)
-    if X.ndim != 2 or A.ndim != 2 or A.shape[1] != X.shape[1]:
-        raise ValueError(f"dimension mismatch: inputs {X.shape} vs anchors {A.shape}")
+    X, A = as_tensor(X), as_tensor(anchors)
+    if (X.ndim != 2 or A.ndim != 2 or A.shape[0] < 1
+            or A.shape[1] != X.shape[1]):
+        raise ValueError(f"dimension mismatch: inputs {X.shape} vs anchors "
+                         f"{A.shape} (at least one anchor)")
     parents = (X, A) + tuple(as_tensor(t) for t in (W, U, V, v))
     scores, cache = _tri_scores_forward(*(t.data for t in parents))
 
@@ -171,28 +146,28 @@ def tri_scores(X, anchors, W, U, V, v):
     return ad._node(scores, parents, bwd)
 
 
-def lcc_weights(X, anchors: AnchorSet, sp: ScoreParams):
-    """Soft coefficients gamma (N, C) of inputs X (N, d_v): a softmax over
-    each row's anchor scores."""
-    return ad.softmax(tri_scores(X, anchors, sp.W, sp.U, sp.V, sp.v), axis=1)
+def lcc_weights(X, anchors, score):
+    """Soft coefficients gamma (N, C) of inputs X (N, d_v) against (C, d_v)
+    anchors: a softmax over each row's scores by the net (W, U, V, v)."""
+    return ad.softmax(tri_scores(X, anchors, *score), axis=1)
 
 
-def reconstruct(gamma, anchors: AnchorSet):
-    """gamma-weighted combinations (N, d_v) of the anchors, from (N, C)
-    coefficients; each row stays in the anchors' convex hull."""
-    gamma = as_tensor(gamma)
-    if gamma.shape[-1] != anchors.count:
-        raise ValueError(f"{gamma.shape[-1]} coefficients for {anchors.count} anchors")
-    return ad.matmul(gamma, anchors.points)
+def reconstruct(gamma, anchors):
+    """gamma-weighted combinations (N, d_v) of the (C, d_v) anchors, from
+    (N, C) coefficients; each row stays in the anchors' convex hull."""
+    gamma, A = as_tensor(gamma), as_tensor(anchors)
+    if gamma.shape[-1] != A.shape[0]:
+        raise ValueError(f"{gamma.shape[-1]} coefficients for {A.shape[0]} anchors")
+    return ad.matmul(gamma, A)
 
 
-def anchor_sq_dists(R, anchors: AnchorSet):
-    """Squared distances (N, C) of rows R (N, d_v) to each anchor.
+def anchor_sq_dists(R, anchors):
+    """Squared distances (N, C) of rows R (N, d_v) to each (C, d_v) anchor.
 
     One tape node; the (rows, C, d_v) differences exist one row block at a
     time, in the forward and in the backward.
     """
-    R, A = as_tensor(R), anchors.points
+    R, A = as_tensor(R), as_tensor(anchors)
     r, a = R.data, A.data
     blocks = _row_blocks(r.shape[0], a.size)
 
@@ -212,48 +187,40 @@ def anchor_sq_dists(R, anchors: AnchorSet):
     return ad._node(out, (R, A), bwd)
 
 
-def localization_measures(X, anchors: AnchorSet, sp: ScoreParams,
-                          cfg: LccConfig = LccConfig()):
-    """The localization measure of each row of X (N, d_v): an (N,) tensor."""
-    X = as_tensor(X)
-    gamma = lcc_weights(X, anchors, sp)                   # (N, C)
+def localization_measures(X, anchors, score, l_alpha, l_beta):
+    """The localization measure of each row of X (N, d_v): an (N,) tensor,
+    for (C, d_v) anchors and the score net (W, U, V, v)."""
+    X, anchors = as_tensor(X), as_tensor(anchors)
+    gamma = lcc_weights(X, anchors, score)                # (N, C)
     recon = reconstruct(gamma, anchors)                   # (N, d)
     term1 = ad.sqrt(ad.sum_(ad.square(X - recon), axis=1))
     # |gamma| = gamma: a softmax output is never negative (at an exact 0,
     # from underflow, the subgradient is 1)
     term2 = ad.sum_(gamma * anchor_sq_dists(recon, anchors), axis=1)
-    return cfg.l_alpha * term1 + cfg.l_beta * term2
+    return l_alpha * term1 + l_beta * term2
 
 
-def mean_localization_measure(X, anchors, sp, cfg=LccConfig()):
+def mean_localization_measure(X, anchors, score, l_alpha, l_beta):
     """The fitting objective: the mean of ``localization_measures``."""
-    return ad.mean(localization_measures(X, anchors, sp, cfg))
+    return ad.mean(localization_measures(X, anchors, score, l_alpha, l_beta))
 
 
-def dataset_measure(X, anchors: AnchorSet, sp: ScoreParams, cfg=LccConfig()):
+def dataset_measure(X, anchors, score, l_alpha, l_beta):
     """The mean measure of a whole dataset as a float, computed without a
     tape one row block at a time, so its memory does not grow with N."""
-    X = _float_array(X)
-    blocks = _row_blocks(X.shape[0], anchors.count * max(X.shape[1], sp.W.shape[0]))
+    X, anchors = _float_array(X), as_tensor(anchors)
+    per_row = anchors.shape[0] * max(X.shape[1], score[0].shape[0])
     with no_grad():
-        total = sum(float(localization_measures(X[rows], anchors, sp, cfg).data.sum())
-                    for rows in blocks)
+        total = sum(float(localization_measures(X[rows], anchors, score, l_alpha,
+                                                l_beta).data.sum())
+                    for rows in _row_blocks(X.shape[0], per_row))
     return total / X.shape[0]
 
 
 @dataclass
-class AnchorFitConfig:
-    iters: int = 2000
-    lr: float = 0.05
-    lr_decay: float = 0.998   # multiplicative, per iteration
-    batch_size: int = 0       # 0 = full batch
-    seed: int = 0
-
-
-@dataclass
 class AnchorFitResult:
-    anchors: AnchorSet
-    score: ScoreParams
+    points: np.ndarray   # (C, d_v) anchors
+    score: tuple         # the score net's arrays (W, U, V, v)
     final_measure: float
     initial_measure: float
     history: list = field(default_factory=list)
@@ -271,48 +238,43 @@ def init_anchor_points(dataset, n_anchors, rng):
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def fit_anchors(dataset, n_anchors, cfg: LccConfig = LccConfig(),
-                fit: AnchorFitConfig = AnchorFitConfig()):
-    """Fit anchors and score parameters by minimizing the mean measure.
+def fit_anchors(dataset, config: TrainConfig):
+    """Fit ``config.n_anchors`` anchors and a score net by minimizing the
+    mean measure, with the stage's ``l_alpha``, ``l_beta``, ``fit_*``
+    settings and ``seed``.
 
     Adam with a decaying step size; the decay is what lets the unsquared
     first term settle below any fixed tolerance instead of orbiting the
-    optimum at a step-size radius. The fit computes in the dataset's float
-    dtype. NumPy's overflow warnings are off: the fit checks the loss and
-    the updated parameters itself and names the iteration that diverged.
-    The whole-dataset measures before and after go one row block at a time.
+    optimum at a step-size radius. A ``fit_batch`` of 0, or one not below
+    the dataset's size, takes the whole dataset each iteration. The fit
+    computes in the dataset's float dtype. NumPy's overflow warnings are
+    off: the fit checks the loss and the updated parameters itself and
+    names the iteration that diverged. The whole-dataset measures before
+    and after go one row block at a time.
     """
     dataset = _float_array(dataset)
     if dataset.ndim != 2 or dataset.shape[0] == 0:
         raise ValueError("dataset must be a non-empty (N, d) matrix")
-    if n_anchors < 1:
-        raise ValueError("need at least one anchor")
-    rng = np.random.default_rng(fit.seed)
+    rng = np.random.default_rng(config.seed)
     d_v = dataset.shape[1]  # also the score net's width
+    weights = config.l_alpha, config.l_beta
 
     ps = ParamStore(dataset.dtype)
-    ps.add("anchors/points", init_anchor_points(dataset, n_anchors, rng), "anchors")
-    proto = ScoreParams.init(d_v, d_v, rng)
-    for key, t in (("W", proto.W), ("U", proto.U), ("V", proto.V), ("v", proto.v)):
-        ps.add(f"anchors/score/{key}", t.data, "anchors")
+    anchors = ps.add("anchors/points",
+                     init_anchor_points(dataset, config.n_anchors, rng), "anchors")
+    score = tuple(ps.add(f"anchors/score/{key}", init, "anchors")
+                  for key, init in zip("WUVv", init_score(d_v, d_v, rng)))
+    initial = dataset_measure(dataset, anchors, score, *weights)
 
-    def views():
-        sp = ScoreParams(*(ps[f"anchors/score/{k}"] for k in ("W", "U", "V", "v")))
-        return AnchorSet(ps["anchors/points"]), sp
-
-    initial = dataset_measure(dataset, *views(), cfg)
-
-    opt = Optimizer(fit.lr)
+    opt = Optimizer(config.fit_lr)
     history = []
-    n = dataset.shape[0]
-    for it in range(fit.iters):
-        if fit.batch_size and fit.batch_size < n:
-            idx = rng.choice(n, size=fit.batch_size, replace=False)
-            X = dataset[idx]
+    n, batch = dataset.shape[0], config.fit_batch
+    for it in range(config.fit_iters):
+        if batch and batch < n:
+            X = dataset[rng.choice(n, size=batch, replace=False)]
         else:
             X = dataset
-        anchors, sp = views()
-        loss = mean_localization_measure(X, anchors, sp, cfg)
+        loss = mean_localization_measure(X, anchors, score, *weights)
         value = float(loss.data)
         if not np.isfinite(value):
             raise FloatingPointError(f"anchor fitting diverged at iteration {it}")
@@ -321,10 +283,8 @@ def fit_anchors(dataset, n_anchors, cfg: LccConfig = LccConfig(),
         opt.step(ps, grads)
         if not all(np.isfinite(t.data).all() for _, t in ps.items()):
             raise FloatingPointError(f"anchor fitting diverged at iteration {it}")
-        opt.lr *= fit.lr_decay
+        opt.lr *= config.fit_lr_decay
 
-    final = dataset_measure(dataset, *views(), cfg)
-    frozen_anchors = AnchorSet(ps["anchors/points"].data.copy())
-    frozen_sp = ScoreParams(*(Tensor(ps[f"anchors/score/{k}"].data.copy())
-                              for k in ("W", "U", "V", "v")))
-    return AnchorFitResult(frozen_anchors, frozen_sp, final, initial, history)
+    final = dataset_measure(dataset, anchors, score, *weights)
+    return AnchorFitResult(anchors.data.copy(), tuple(t.data.copy() for t in score),
+                           final, initial, history)

@@ -25,28 +25,22 @@ from .seq2seq import ModelDims
 KINDS = ("baseline", "m_ref", "b_ref")
 
 
-def variant_memory(kind, params):
-    """What a variant's extra input reads that no decoder step changes:
-    m_ref's anchor keys and values (``mrefnet.anchor_memory``), None for the
-    other kinds. A training batch or a decode chunk computes it once."""
-    if kind == "m_ref":
-        return mrefnet.anchor_memory(params[mrefnet.ANCHOR_KEY], params)
-    return None
-
-
-def variant_extras(kind, params, memory=None):
+def variant_extras(kind, params):
     """The extra input a kind feeds the decoder cell, as a
     ``seq2seq.ExtraInput`` kernel pair on arrays, or None for the baseline.
 
     m_ref adds the anchor-attention context c_G (``mrefnet.global_context``)
-    through ``mref/proj``; b_ref adds the regression estimate
-    f_s([e_prev; s_prev; c]) (``brefnet.query_regression``) through
-    ``bref/proj``, and its hinge loss reads the estimates too. memory is
-    ``variant_memory(kind, params)``, computed once by the caller.
+    through ``mref/proj``, over the anchor keys and values of
+    ``mrefnet.anchor_memory``, computed here once: no decoder step changes
+    them, so a training batch or a decode chunk shares them. b_ref adds the
+    regression estimate f_s([e_prev; s_prev; c])
+    (``brefnet.query_regression``) through ``bref/proj``, and its hinge loss
+    reads the estimates too.
     """
     if kind == "baseline":
         return None
     if kind == "m_ref":
+        memory = mrefnet.anchor_memory(params[mrefnet.ANCHOR_KEY], params)
         return seq2seq.ExtraInput(
             mrefnet.global_context, mrefnet.global_context_backward,
             tuple(params[k] for k in mrefnet.CONTEXT_PARAMS) + tuple(memory),
@@ -87,7 +81,7 @@ class TranslationModel:
         nll_mean, n_tokens, preds = seq2seq.nll_loss(
             params, self.dims, batch, training=training, rng=rng,
             drop_emb=self.drop_emb, drop_out=self.drop_out,
-            extra=variant_extras(kind, params, variant_memory(kind, params)))
+            extra=variant_extras(kind, params))
 
         if kind != "b_ref":
             return LossParts(nll_mean, float(nll_mean.data.real), n_tokens)
@@ -133,8 +127,7 @@ class TranslationModel:
             h, mask = seq2seq.encode_batch(self.params, self.dims, src, lens)
             h_proj = seq2seq.attention_proj(self.params, h)
             s0 = seq2seq.initial_state(self.params, h, mask)
-            extra = variant_extras(self.kind, self.params,
-                                   variant_memory(self.kind, self.params))
+            extra = variant_extras(self.kind, self.params)
         memory = (h.data, h_proj.data, seq2seq.mask_bias(mask),
                   None if extra is None else extra.kernel())
 

@@ -41,13 +41,6 @@ def init_m_params(ps: ParamStore, dims: ModelDims, rng):
     return add_params(ps, m_schema(dims), rng)
 
 
-def add_anchor_params(ps: ParamStore, anchor_points):
-    """Store a fitted anchor set: only the points; the score net that fitted
-    them is not kept."""
-    ps.add(ANCHOR_KEY, anchor_points, "anchors")
-    return ps
-
-
 def collect_sentence_reprs(params, dims: ModelDims, corpus, vocab_src, vocab_tgt,
                            batch_size=64):
     """h_M for every sentence, computed with the (frozen) encoder, one pass,

@@ -36,10 +36,9 @@ import numpy as np
 
 from .corpus import Vocab, make_batches
 from .errors import CheckpointError, NumericError, PrerequisiteError
-from .lcc import AnchorFitConfig, LccConfig, fit_anchors
+from .lcc import fit_anchors
 from .model import KINDS, TranslationModel
-from .mrefnet import (ANCHOR_KEY, add_anchor_params, collect_sentence_reprs,
-                      init_m_params, m_schema)
+from .mrefnet import ANCHOR_KEY, collect_sentence_reprs, init_m_params, m_schema
 from .brefnet import b_schema, init_b_params
 from .params import (Optimizer, ParamStore, backward, clip_gradient_norm,
                      grad_global_norm)
@@ -171,7 +170,7 @@ class Checkpoint:
         return path
 
     @classmethod
-    def load(cls, path, expect_dims: ModelDims | None = None):
+    def load(cls, path):
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
@@ -213,10 +212,6 @@ class Checkpoint:
             dims = ModelDims(**sizes)
         except (TypeError, ValueError) as e:
             raise CheckpointError(f"{path}: bad dims {header['dims']!r}: {e}") from e
-        if expect_dims is not None and dims.to_dict() != expect_dims.to_dict():
-            raise CheckpointError(
-                f"{path}: checkpoint dims {dims.to_dict()} do not match "
-                f"expected {expect_dims.to_dict()}")
         if not isinstance(header["params"], list):
             raise CheckpointError(f"{path}: the parameter manifest is not a list")
         params, extents = ParamStore(COMPUTE_DTYPE), []  # (offset, bytes) per entry
@@ -459,13 +454,9 @@ def run_stage(stage, ckpt: Checkpoint | None, corpus_train, corpus_dev,
         reprs = collect_sentence_reprs(params, out.dims, corpus_train,
                                        out.vocab_src, out.vocab_tgt,
                                        batch_size=config.batch_size)
-        result = fit_anchors(
-            reprs, config.n_anchors,
-            LccConfig(l_alpha=config.l_alpha, l_beta=config.l_beta),
-            AnchorFitConfig(iters=config.fit_iters, lr=config.fit_lr,
-                            lr_decay=config.fit_lr_decay,
-                            batch_size=config.fit_batch, seed=config.seed))
-        add_anchor_params(params, result.anchors.points.data)
+        result = fit_anchors(reprs, config)
+        # only the points are kept; the score net that fitted them is not
+        params.add(ANCHOR_KEY, result.points, "anchors")
         out.history = [{"stage": stage, "initial_measure": result.initial_measure,
                         "final_measure": result.final_measure}]
     else:

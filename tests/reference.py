@@ -22,11 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 from refnet import autodiff as ad
-from refnet import seq2seq
+from refnet import mrefnet, seq2seq
 from refnet.autodiff import Tensor, as_tensor
 from refnet.brefnet import (F_S_PARAMS, _f_s_backward, _f_s_forward,
                             regression_weight_norms)
-from refnet.model import variant_memory
 from refnet.seq2seq import (_attention_backward, _attention_forward,
                             _cell_backward, _cell_forward,
                             _weighted_sum_backward, _weighted_sum_forward,
@@ -195,7 +194,8 @@ def reference_decoder(model, batch, training=False, rng=None):
                            rng, model.drop_emb)
     h_proj = seq2seq.attention_proj(params, h)
     s = seq2seq.initial_state(params, h, mask)
-    memory = variant_memory(kind, params)
+    memory = (mrefnet.anchor_memory(params[mrefnet.ANCHOR_KEY], params)
+              if kind == "m_ref" else None)
     B, T = batch.tgt.shape
     emb_clean = ad.reshape(ad.take_rows(params["dec/tgt_emb"],
                                         batch.tgt.reshape(-1)), (B, T, dims.d_e))

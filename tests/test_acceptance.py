@@ -17,10 +17,9 @@ from refnet.corpus import (EOS, ParallelCorpus, build_vocab,
                            generate_synthetic_task, make_batches)
 from refnet.evaluation import FULL_SCALE_REFERENCE, bleu, param_report
 from refnet.gradcheck import TOL, run_suite, suite_report
-from refnet.lcc import (AnchorFitConfig, AnchorSet, LccConfig, ScoreParams,
-                        fit_anchors, lcc_weights, localization_measures,
-                        reconstruct)
-from refnet.mrefnet import add_anchor_params, init_m_params
+from refnet.lcc import (fit_anchors, init_score, lcc_weights,
+                        localization_measures, reconstruct)
+from refnet.mrefnet import ANCHOR_KEY, init_m_params
 from refnet.model import TranslationModel
 from refnet.seq2seq import ModelDims, beam_search, init_baseline_params
 from refnet.training import Checkpoint, TrainConfig, run_stage
@@ -131,17 +130,17 @@ class TestAcceptance:
         t0 = time.perf_counter()
         rng = np.random.default_rng(1)
         d_v, n_anchors = 6, 9
-        sp = ScoreParams.init(d_v, d_v, rng)
-        anchors = AnchorSet(rng.normal(size=(n_anchors, d_v)))
+        sp = init_score(d_v, d_v, rng)
+        anchors = rng.normal(size=(n_anchors, d_v))
 
         g = lcc_weights(rng.normal(size=(1000, d_v)), anchors, sp).data
         simplex_ok = bool((g >= 0).all()
                           and (np.abs(g.sum(axis=1) - 1.0) <= 1e-9).all())
 
-        single = AnchorSet(rng.normal(size=(1, d_v)))
+        single = rng.normal(size=(1, d_v))
         g1 = lcc_weights(rng.normal(size=(1, d_v)), single, sp).data
         degeneracy_ok = np.allclose(g1, [[1.0]]) and np.array_equal(
-            reconstruct([[1.0]], single).data, single.points.data)
+            reconstruct([[1.0]], single).data, single)
 
         dims = ModelDims(vocab_src=7, vocab_tgt=7, d_e=3, d_h=4)
         ps = init_baseline_params(dims, rng)
@@ -154,16 +153,15 @@ class TestAcceptance:
 
         x = rng.normal(size=(1, d_v))
         zero_ok = localization_measures(
-            x, AnchorSet(x.copy()), sp).data.tolist() == [0.0]
+            x, x.copy(), sp, 1.0, 0.01).data.tolist() == [0.0]
 
-        pts = anchors.points.data
         perm = rng.permutation(n_anchors)
         xq = rng.normal(size=(1, d_v))
-        ga = lcc_weights(xq, AnchorSet(pts), sp).data
-        gb = lcc_weights(xq, AnchorSet(pts[perm]), sp).data
+        ga = lcc_weights(xq, anchors, sp).data
+        gb = lcc_weights(xq, anchors[perm], sp).data
         perm_ok = np.allclose(gb, ga[:, perm], atol=1e-12) and np.allclose(
-            reconstruct(ga, AnchorSet(pts)).data,
-            reconstruct(gb, AnchorSet(pts[perm])).data, atol=1e-12)
+            reconstruct(ga, anchors).data,
+            reconstruct(gb, anchors[perm]).data, atol=1e-12)
 
         elapsed = time.perf_counter() - t0
         with capsys.disabled():
@@ -182,10 +180,9 @@ class TestAcceptance:
         # With the unsquared first term a single anchor seeks the geometric
         # median, so the measured reduction depends on where the data-drawn
         # start lands; fit seed 0 starts it in the minority cluster.
-        fit1 = fit_anchors(data, 1, LccConfig(),
-                           AnchorFitConfig(iters=800, seed=0))
-        fit2 = fit_anchors(data, 2, LccConfig(),
-                           AnchorFitConfig(iters=800, seed=0))
+        fit1, fit2 = (fit_anchors(data, TrainConfig(
+            n_anchors=n, fit_iters=800, seed=0, fit_lr_decay=0.998, fit_batch=0))
+            for n in (1, 2))
         r1 = fit1.final_measure / fit1.initial_measure
         r2 = fit2.final_measure / fit2.initial_measure
         ratio = fit2.final_measure / fit1.final_measure
@@ -219,7 +216,8 @@ class TestAcceptance:
         rng = np.random.default_rng(3)
         base_loss = TranslationModel(base.params, base.dims,
                                      "baseline").dev_loss(batches)
-        add_anchor_params(base.params, rng.normal(size=(16, 2 * base.dims.d_h)))
+        base.params.add(ANCHOR_KEY, rng.normal(size=(16, 2 * base.dims.d_h)),
+                        "anchors")
         init_m_params(base.params, base.dims, rng)
         m_loss = TranslationModel(base.params, base.dims,
                                   "m_ref").dev_loss(batches)
@@ -322,7 +320,7 @@ class TestAcceptance:
         rng = np.random.default_rng(0)
         ps = init_baseline_params(dims, rng)
         baseline = param_report(ps).total
-        add_anchor_params(ps, np.zeros((100, 2 * dims.d_h)))
+        ps.add(ANCHOR_KEY, np.zeros((100, 2 * dims.d_h)), "anchors")
         init_m_params(ps, dims, rng)
         with_m = param_report(ps)
         m_added = with_m.total - baseline

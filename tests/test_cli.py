@@ -147,6 +147,12 @@ def fit_argv(d, ckpt, tmp, *flags):
             "--train-tgt", str(d / "toy.train.tgt"), *flags]
 
 
+def empty_file(tmp, name):
+    path = tmp / name
+    path.write_text("")
+    return str(path)
+
+
 def config_file(tmp, text):
     path = tmp / "case.cfg"
     path.write_text(text + "\n")
@@ -203,6 +209,15 @@ EXIT_MATRIX = {
         "synth", "--min-len", "9", "--max-len", "3", "--out", str(tmp / "x")]),
     "config-zero-min-len": (EXIT_CONFIG, lambda d, ckpt, tmp: [
         "synth", "--min-len", "0", "--out", str(tmp / "x")]),
+    "config-zero-pairs": (EXIT_CONFIG, lambda d, ckpt, tmp: [
+        "synth", "--pairs", "0", "--out", str(tmp / "x")]),
+    "config-negative-pairs": (EXIT_CONFIG, lambda d, ckpt, tmp: [
+        "synth", "--pairs", "-5", "--out", str(tmp / "x")]),
+    "config-empty-dev-corpus": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
+        d, tmp, "--dev-src", empty_file(tmp, "empty.src"),
+        "--dev-tgt", empty_file(tmp, "empty.tgt"))),
+    "config-filtered-empty-train-corpus": (EXIT_CONFIG, lambda d, ckpt, tmp: fit_argv(
+        d, ckpt, tmp, "--filter-len", "1")),
     "config-zero-bucket-width": (EXIT_CONFIG, lambda d, ckpt, tmp: [
         "evaluate", "--hyp", str(d / "toy.test.tgt"), "--refs",
         str(d / "toy.test.tgt"), "--src", str(d / "toy.test.src"),
@@ -261,6 +276,19 @@ def test_divergence_prints_only_its_error(case, where, toy_files, toy_ckpt,
     proc = run_process(make_argv(toy_files, toy_ckpt, tmp_path))
     assert proc.returncode == EXIT_NUMERIC
     assert proc.stderr.splitlines() == [f"numeric failure: {where}"]
+
+
+@pytest.mark.parametrize("case, named", [
+    ("config-empty-dev-corpus", "empty.src / "),
+    ("config-filtered-empty-train-corpus", "toy.train.src / ")])
+def test_empty_corpus_names_its_files(case, named, toy_files, toy_ckpt,
+                                      tmp_path, capsys):
+    """A corpus left with no pairs, empty or emptied by --filter-len, is
+    refused when it is loaded, with its file names, and nothing is written."""
+    _, make_argv = EXIT_MATRIX[case]
+    assert run_cli(make_argv(toy_files, toy_ckpt, tmp_path)) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.ckpt"))
 
 
 def empty_source_line(d, tmp, split):

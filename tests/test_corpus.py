@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from refnet.corpus import (BOS, EOS, PAD, UNK, ParallelCorpus, Vocab,
-                           build_vocab, cipher_permutation, filter_by_length,
+from refnet.corpus import (BOS, EOS, PAD, UNK, ParallelCorpus, build_vocab,
+                           cipher_permutation, filter_by_length,
                            generate_synthetic_task, make_batches)
 
 
@@ -48,15 +48,6 @@ class TestVocab:
     def test_max_size_must_exceed_specials(self):
         with pytest.raises(ValueError):
             build_vocab([["a"]], max_size=4)
-
-    def test_file_roundtrip(self, tmp_path):
-        vocab = build_vocab([["b", "a", "a"]], max_size=10)
-        path = tmp_path / "vocab.tsv"
-        vocab.save(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "<pad>\t0"
-        loaded = Vocab.load(path)
-        assert loaded.id_to_token == vocab.id_to_token
 
 
 class TestFilterByLength:

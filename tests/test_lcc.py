@@ -6,38 +6,45 @@ import pytest
 
 from refnet import autodiff as ad
 from refnet import lcc
-from refnet.autodiff import Tensor, no_grad
-from refnet.lcc import (AnchorFitConfig, AnchorSet, LccConfig, ScoreParams,
-                        anchor_sq_dists, dataset_measure, fit_anchors,
-                        lcc_weights, localization_measures,
+from refnet.autodiff import no_grad
+from refnet.lcc import (anchor_sq_dists, dataset_measure, fit_anchors,
+                        init_score, lcc_weights, localization_measures,
                         mean_localization_measure, reconstruct, tri_scores)
+from refnet.training import TrainConfig
 
 
 def make_score(d_v, d_att=None, seed=0, scale=0.5):
+    """A random score net (W, U, V, v)."""
     rng = np.random.default_rng(seed)
     d_att = d_att or d_v
-    return ScoreParams(Tensor(rng.normal(0, scale, size=(d_att, d_v))),
-                       Tensor(rng.normal(0, scale, size=(d_att, d_v))),
-                       Tensor(rng.normal(0, scale, size=(d_att, d_v))),
-                       Tensor(rng.normal(0, scale, size=d_att)))
+    return (rng.normal(0, scale, size=(d_att, d_v)),
+            rng.normal(0, scale, size=(d_att, d_v)),
+            rng.normal(0, scale, size=(d_att, d_v)),
+            rng.normal(0, scale, size=d_att))
 
 
 def zero_score(d_v, d_att=None):
     d_att = d_att or d_v
-    zeros = lambda shape: Tensor(np.zeros(shape))
-    return ScoreParams(zeros((d_att, d_v)), zeros((d_att, d_v)),
-                       zeros((d_att, d_v)), zeros(d_att))
+    return (np.zeros((d_att, d_v)), np.zeros((d_att, d_v)),
+            np.zeros((d_att, d_v)), np.zeros(d_att))
 
 
 def pair_score(x, anchor, sp):
     """Score of one input against one anchor, through the batched scores."""
-    return tri_scores([x], [anchor], sp.W, sp.U, sp.V, sp.v)[0, 0]
+    return tri_scores([x], [anchor], *sp)[0, 0]
+
+
+def fit_config(n_anchors, iters, seed):
+    """A full-batch fit of ``iters`` iterations, step size 0.05 decaying by
+    0.998 per iteration, measure weights 1 and 0.01."""
+    return TrainConfig(n_anchors=n_anchors, fit_iters=iters, seed=seed,
+                       fit_lr_decay=0.998, fit_batch=0)
 
 
 class TestTriScore:
     def test_zero_readout_gives_zero(self):
         sp = make_score(3, seed=1)
-        sp.v.data[...] = 0.0
+        sp[3][...] = 0.0
         out = pair_score([1.0, -2.0, 0.5], [0.3, 0.3, 0.3], sp)
         assert float(out.data) == 0.0
 
@@ -46,13 +53,12 @@ class TestTriScore:
         x = np.zeros(3)
         v = np.array([0.4, -1.0, 2.0])
         out = pair_score(x, v, sp)
-        expected = sp.v.data @ np.tanh(sp.W.data @ v)
+        expected = sp[3] @ np.tanh(sp[0] @ v)
         assert float(out.data) == pytest.approx(expected, rel=1e-12)
 
     def test_identity_weights_hand_example(self):
         """W = U = V = I, x = (1,0), v = (1,1): score = v_s . tanh((3,1))."""
-        sp = ScoreParams(Tensor(np.eye(2)), Tensor(np.eye(2)),
-                         Tensor(np.eye(2)), Tensor(np.array([1.0, 1.0])))
+        sp = (np.eye(2), np.eye(2), np.eye(2), np.array([1.0, 1.0]))
         out = pair_score([1.0, 0.0], [1.0, 1.0], sp)
         assert float(out.data) == pytest.approx(math.tanh(3) + math.tanh(1))
 
@@ -61,32 +67,36 @@ class TestTriScore:
         with pytest.raises(ValueError, match="mismatch"):
             pair_score([1.0, 2.0], [1.0, 2.0, 3.0], sp)
 
+    def test_zero_anchors_rejected(self):
+        with pytest.raises(ValueError, match="at least one anchor"):
+            tri_scores([[1.0, 2.0]], np.zeros((0, 2)), *make_score(2))
+
 
 class TestLccWeights:
     def test_single_anchor(self):
         sp = make_score(2, seed=3)
-        gamma = lcc_weights([[0.5, 0.5]], AnchorSet([[1.0, 2.0]]), sp)
+        gamma = lcc_weights([[0.5, 0.5]], [[1.0, 2.0]], sp)
         np.testing.assert_allclose(gamma.data, [[1.0]])
 
     def test_equal_scores_split_evenly(self):
         sp = make_score(2, seed=4)
-        anchors = AnchorSet([[1.0, 2.0], [1.0, 2.0]])  # identical anchors
+        anchors = [[1.0, 2.0], [1.0, 2.0]]  # identical anchors
         gamma = lcc_weights([[0.3, -0.7]], anchors, sp)
         np.testing.assert_allclose(gamma.data, [[0.5, 0.5]])
 
     def test_hand_built_scores_give_point_one_point_nine(self):
         """Scores (0, ln 9) -> weights (0.1, 0.9)."""
         sp = zero_score(2, d_att=1)
-        sp.W.data[0, 0] = 1.0
-        sp.v.data[0] = 3.0
-        anchors = AnchorSet([[0.0, 5.0],
-                             [math.atanh(math.log(9.0) / 3.0), 5.0]])
+        sp[0][0, 0] = 1.0
+        sp[3][0] = 3.0
+        anchors = [[0.0, 5.0],
+                             [math.atanh(math.log(9.0) / 3.0), 5.0]]
         gamma = lcc_weights([[0.2, 0.4]], anchors, sp)
         np.testing.assert_allclose(gamma.data, [[0.1, 0.9]], atol=1e-12)
 
     def test_simplex_on_random_inputs(self):
         sp = make_score(4, seed=5)
-        anchors = AnchorSet(np.random.default_rng(6).normal(size=(7, 4)))
+        anchors = np.random.default_rng(6).normal(size=(7, 4))
         rng = np.random.default_rng(7)
         gamma = lcc_weights(rng.normal(size=(1000, 4)), anchors, sp)
         assert (gamma.data >= 0).all()
@@ -97,75 +107,75 @@ class TestLccWeights:
         pts = np.random.default_rng(9).normal(size=(5, 3))
         x = np.array([[0.1, -0.2, 0.3]])
         perm = np.array([3, 0, 4, 1, 2])
-        g1 = lcc_weights(x, AnchorSet(pts), sp)
-        g2 = lcc_weights(x, AnchorSet(pts[perm]), sp)
+        g1 = lcc_weights(x, pts, sp)
+        g2 = lcc_weights(x, pts[perm], sp)
         np.testing.assert_allclose(g2.data, g1.data[:, perm], atol=1e-12)
-        r1 = reconstruct(g1, AnchorSet(pts))
-        r2 = reconstruct(g2, AnchorSet(pts[perm]))
+        r1 = reconstruct(g1, pts)
+        r2 = reconstruct(g2, pts[perm])
         np.testing.assert_allclose(r1.data, r2.data, atol=1e-12)
 
 
 class TestReconstruct:
     def test_single_anchor_returns_it(self):
-        out = reconstruct([[1.0]], AnchorSet([[3.0, -1.0]]))
+        out = reconstruct([[1.0]], [[3.0, -1.0]])
         np.testing.assert_array_equal(out.data, [[3.0, -1.0]])
 
     def test_midpoint(self):
-        out = reconstruct([[0.5, 0.5]], AnchorSet([[0.0, 0.0], [2.0, 4.0]]))
+        out = reconstruct([[0.5, 0.5]], [[0.0, 0.0], [2.0, 4.0]])
         np.testing.assert_allclose(out.data, [[1.0, 2.0]])
 
     def test_stays_in_coordinate_hull(self):
         rng = np.random.default_rng(10)
         pts = rng.normal(size=(6, 3))
         raw = rng.random((200, 6))
-        out = reconstruct(raw / raw.sum(axis=1, keepdims=True), AnchorSet(pts)).data
+        out = reconstruct(raw / raw.sum(axis=1, keepdims=True), pts).data
         assert (out >= pts.min(axis=0) - 1e-12).all()
         assert (out <= pts.max(axis=0) + 1e-12).all()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            reconstruct([[0.5, 0.5]], AnchorSet([[1.0, 2.0]]))
+            reconstruct([[0.5, 0.5]], [[1.0, 2.0]])
 
 
 class TestLocalizationMeasure:
     def test_zero_when_anchor_is_the_point(self):
         sp = make_score(2, seed=11)
         x = np.array([[0.7, -0.3]])
-        out = localization_measures(x, AnchorSet(x.copy()), sp, LccConfig())
+        out = localization_measures(x, x.copy(), sp, 1.0, 0.01)
         assert out.data.tolist() == [0.0]
 
     def test_zero_weights_give_zero(self):
         sp = make_score(2, seed=12)
-        out = localization_measures([[1.0, 2.0]], AnchorSet([[0.0, 0.0]]), sp,
-                                    LccConfig(l_alpha=0.0, l_beta=0.0))
+        out = localization_measures([[1.0, 2.0]], [[0.0, 0.0]], sp,
+                                    0.0, 0.0)
         assert out.data.tolist() == [0.0]
 
     def test_hand_example_totals_one(self):
         """Uniform weights, x between the anchors: 0 + 0.5 + 0.5 = 1."""
         sp = zero_score(2)  # all-zero score net makes gamma uniform
-        anchors = AnchorSet([[0.0, 0.0], [2.0, 0.0]])
-        out = localization_measures([[1.0, 0.0]], anchors, sp,
-                                    LccConfig(l_alpha=1.0, l_beta=1.0))
+        anchors = [[0.0, 0.0], [2.0, 0.0]]
+        out = localization_measures([[1.0, 0.0]], anchors, sp, 1.0, 1.0)
         np.testing.assert_allclose(out.data, [1.0], rtol=1e-12)
 
     def test_non_negative(self):
         sp = make_score(3, seed=13)
-        anchors = AnchorSet(np.random.default_rng(14).normal(size=(4, 3)))
+        anchors = np.random.default_rng(14).normal(size=(4, 3))
         rng = np.random.default_rng(15)
         out = localization_measures(rng.normal(size=(100, 3)), anchors, sp,
-                                    LccConfig(l_alpha=0.5, l_beta=0.2))
+                                    0.5, 0.2)
         assert (out.data >= 0.0).all()
 
     def test_first_term_is_unsquared(self):
         sp = zero_score(2)
-        anchors = AnchorSet([[0.0, 0.0], [4.0, 0.0]])  # recon = (2, 0)
+        anchors = [[0.0, 0.0], [4.0, 0.0]]  # recon = (2, 0)
         out = localization_measures([[1.0, 0.0], [0.5, 0.0]], anchors, sp,
-                                    LccConfig(l_alpha=1.0, l_beta=0.0))
+                                    1.0, 0.0)
         np.testing.assert_allclose(out.data, [1.0, 1.5])
 
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError):
-            LccConfig(l_alpha=-1.0)
+
+def measures(X, anchors, sp):
+    """``localization_measures`` with the measure weights 1 and 0.01."""
+    return localization_measures(X, anchors, sp, 1.0, 0.01)
 
 
 class TestBatchContract:
@@ -174,10 +184,10 @@ class TestBatchContract:
     def _setup(self):
         rng = np.random.default_rng(23)
         X = rng.normal(size=(9, 3))
-        anchors = AnchorSet(rng.normal(size=(4, 3)))
+        anchors = rng.normal(size=(4, 3))
         return X, anchors, make_score(3, d_att=5, seed=24)
 
-    @pytest.mark.parametrize("fn", [lcc_weights, localization_measures])
+    @pytest.mark.parametrize("fn", [lcc_weights, measures])
     def test_row_equals_single_row_call(self, fn):
         X, anchors, sp = self._setup()
         full = fn(X, anchors, sp).data
@@ -185,7 +195,7 @@ class TestBatchContract:
             np.testing.assert_allclose(full[i], fn(X[i:i + 1], anchors, sp).data[0],
                                        rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("fn", [lcc_weights, localization_measures])
+    @pytest.mark.parametrize("fn", [lcc_weights, measures])
     def test_row_permutation_permutes_output(self, fn):
         X, anchors, sp = self._setup()
         perm = np.random.default_rng(25).permutation(len(X))
@@ -195,35 +205,34 @@ class TestBatchContract:
 
 class TestFitAnchors:
     def test_singleton_dataset_reaches_optimum(self):
-        fit = fit_anchors(np.array([[0.7, -1.2, 0.4]]), 1, LccConfig(),
-                          AnchorFitConfig(iters=300, seed=3))
+        fit = fit_anchors(np.array([[0.7, -1.2, 0.4]]), fit_config(1, 300, 3))
         assert fit.final_measure < 1e-4
-        np.testing.assert_allclose(fit.anchors.points.data,
+        np.testing.assert_allclose(fit.points,
                                    [[0.7, -1.2, 0.4]], atol=1e-3)
 
     def test_two_clusters_beat_one_anchor(self):
         rng = np.random.default_rng(5)
         data = np.concatenate([rng.normal(0.0, 0.5, size=(160, 2)),
                                rng.normal(10.0, 0.5, size=(40, 2))])
-        fit1 = fit_anchors(data, 1, LccConfig(), AnchorFitConfig(iters=800, seed=0))
-        fit2 = fit_anchors(data, 2, LccConfig(), AnchorFitConfig(iters=800, seed=0))
+        fit1 = fit_anchors(data, fit_config(1, 800, 0))
+        fit2 = fit_anchors(data, fit_config(2, 800, 0))
         assert fit2.final_measure < fit1.final_measure
 
     def test_deterministic_given_seed(self):
         data = np.random.default_rng(16).normal(size=(20, 3))
-        a = fit_anchors(data, 2, LccConfig(), AnchorFitConfig(iters=100, seed=4))
-        b = fit_anchors(data, 2, LccConfig(), AnchorFitConfig(iters=100, seed=4))
-        np.testing.assert_array_equal(a.anchors.points.data, b.anchors.points.data)
+        a = fit_anchors(data, fit_config(2, 100, 4))
+        b = fit_anchors(data, fit_config(2, 100, 4))
+        np.testing.assert_array_equal(a.points, b.points)
         assert a.final_measure == b.final_measure
 
     def test_gaussian_fallback_when_anchors_exceed_data(self):
         data = np.random.default_rng(17).normal(size=(3, 2))
-        fit = fit_anchors(data, 5, LccConfig(), AnchorFitConfig(iters=30, seed=1))
-        assert fit.anchors.count == 5
+        fit = fit_anchors(data, fit_config(5, 30, 1))
+        assert len(fit.points) == 5
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            fit_anchors(np.zeros((0, 2)), 1)
+            fit_anchors(np.zeros((0, 2)), TrainConfig(n_anchors=1))
 
 
 class TestLipschitzBoundDiag:
@@ -232,18 +241,17 @@ class TestLipschitzBoundDiag:
     def test_zero_at_anchor(self):
         sp = make_score(2, seed=18)
         x = np.array([[1.0, 1.0]])
-        out = localization_measures(x, AnchorSet(x.copy()), sp,
-                                    LccConfig(l_alpha=1.0, l_beta=0.01))
+        out = localization_measures(x, x.copy(), sp, 1.0, 0.01)
         assert out.data.tolist() == [0.0]
 
     def test_decreases_after_fitting(self):
         rng = np.random.default_rng(22)
         data = np.concatenate([rng.normal(-2.0, 0.3, size=(30, 2)),
                                rng.normal(2.0, 0.3, size=(30, 2))])
-        fit = fit_anchors(data, 2, LccConfig(), AnchorFitConfig(iters=400, seed=2))
+        fit = fit_anchors(data, fit_config(2, 400, 2))
         before = fit.initial_measure
-        after = float(np.mean(localization_measures(data, fit.anchors, fit.score,
-                                                    LccConfig()).data))
+        after = float(np.mean(localization_measures(data, fit.points, fit.score,
+                                                    1.0, 0.01).data))
         assert after < before
 
 
@@ -285,17 +293,17 @@ class TestRowBlocks:
         assert blocks_of(N, C, d) >= 3
         X = tanh_points(N, d, dtype=np.float32)
         peak = traced_peak(lambda: fit_anchors(
-            X, C, LccConfig(), AnchorFitConfig(iters=1, seed=1)))
+            X, fit_config(C, 1, 1)))
         assert peak <= 4 * N * C * d * 4
 
     def test_dataset_measure_memory_does_not_grow_with_rows(self):
         C, d = 16, 128
-        sp = ScoreParams.init(d, d, np.random.default_rng(2))
+        sp = init_score(d, d, np.random.default_rng(2))
         peaks = {}
         for N in (1024, 4096):
             X = tanh_points(N, d, seed=3)
-            anchors = AnchorSet(X[:C].copy())
-            peaks[N] = traced_peak(lambda: dataset_measure(X, anchors, sp))
+            anchors = X[:C].copy()
+            peaks[N] = traced_peak(lambda: dataset_measure(X, anchors, sp, 1.0, 0.01))
         assert peaks[4096] <= 1.1 * peaks[1024]
 
     def test_dataset_measure_equals_one_call_mean(self):
@@ -303,11 +311,10 @@ class TestRowBlocks:
         assert blocks_of(N, C, d) >= 3
         X = tanh_points(N, d, seed=4)
         sp = make_score(d, seed=5, scale=0.1)
-        anchors = AnchorSet(X[:C] + 0.1)
-        cfg = LccConfig(l_alpha=1.0, l_beta=0.5)
+        anchors = X[:C] + 0.1
         with no_grad():
-            whole = float(mean_localization_measure(X, anchors, sp, cfg).data)
-        assert dataset_measure(X, anchors, sp, cfg) \
+            whole = float(mean_localization_measure(X, anchors, sp, 1.0, 0.5).data)
+        assert dataset_measure(X, anchors, sp, 1.0, 0.5) \
             == pytest.approx(whole, rel=1e-12, abs=0)
 
     def test_sq_dists_match_composed_across_blocks(self):
@@ -320,7 +327,7 @@ class TestRowBlocks:
         R, A = ad.parameter(rng.normal(size=(N, d))), ad.parameter(rng.normal(size=(C, d)))
         w = rng.normal(size=(N, C))
         diffs = ad.reshape(A, (1, C, d)) - ad.reshape(R, (N, 1, d))
-        outs = [anchor_sq_dists(R, AnchorSet(A)), ad.sum_(ad.square(diffs), axis=2)]
+        outs = [anchor_sq_dists(R, A), ad.sum_(ad.square(diffs), axis=2)]
         assert np.array_equal(outs[0].data, outs[1].data)
         fused, composed = (ad.grad_map(ad.sum_(out * w)) for out in outs)
         for leaf in (R, A):

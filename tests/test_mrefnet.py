@@ -5,7 +5,8 @@ import pytest
 
 from refnet.corpus import BOS, make_batches
 from refnet.model import TranslationModel
-from refnet.mrefnet import (CONTEXT_PARAMS, add_anchor_params, anchor_memory,
+from refnet.lcc import fit_anchors
+from refnet.mrefnet import (ANCHOR_KEY, CONTEXT_PARAMS, anchor_memory,
                             collect_sentence_reprs, global_context,
                             init_m_params)
 from refnet.seq2seq import ModelDims, encode_batch, init_baseline_params
@@ -15,7 +16,7 @@ from refnet.training import TrainConfig, run_stage
 def store_with_anchors(dims, n_anchors=3, seed=0, zero_proj=True):
     rng = np.random.default_rng(seed)
     ps = init_baseline_params(dims, rng)
-    add_anchor_params(ps, rng.normal(size=(n_anchors, 2 * dims.d_h)))
+    ps.add(ANCHOR_KEY, rng.normal(size=(n_anchors, 2 * dims.d_h)), "anchors")
     init_m_params(ps, dims, rng)
     if not zero_proj:
         ps["mref/proj"].data[...] = rng.normal(0, 0.3, size=ps["mref/proj"].shape)
@@ -124,11 +125,10 @@ class TestFinetuneM:
         config = TrainConfig(stage="pretrain", epochs=epochs, batch_size=16,
                              seed=7, patience=50, log_path="")
         ckpt = run_stage("pretrain", None, train, dev, config, vs, vt, dims)
-        from refnet.lcc import AnchorFitConfig, LccConfig, fit_anchors
         reprs = collect_sentence_reprs(ckpt.params, dims, train, vs, vt)
-        fit = fit_anchors(reprs, 4, LccConfig(),
-                          AnchorFitConfig(iters=50, seed=7))
-        add_anchor_params(ckpt.params, fit.anchors.points.data)
+        fit = fit_anchors(reprs, TrainConfig(n_anchors=4, fit_iters=50, seed=7,
+                                             fit_lr_decay=0.998, fit_batch=0))
+        ckpt.params.add(ANCHOR_KEY, fit.points, "anchors")
         return ckpt
 
     def test_zero_epochs_keeps_everything(self, toy_split, toy_vocabs, capsys):

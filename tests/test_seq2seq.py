@@ -10,7 +10,7 @@ from refnet.autodiff import Tensor, no_grad
 from refnet.corpus import BOS, EOS, Batch
 from refnet.brefnet import init_b_params
 from refnet.model import KINDS, TranslationModel
-from refnet.mrefnet import add_anchor_params, init_m_params
+from refnet.mrefnet import ANCHOR_KEY, init_m_params
 from refnet.params import ParamStore
 from refnet.training import STAGE_FREEZES
 from refnet import seq2seq
@@ -622,7 +622,7 @@ class TestTapeSize:
         kind = {"pretrain": "baseline", "finetune-m": "m_ref",
                 "train-b": "b_ref"}[stage]
         if kind == "m_ref":
-            add_anchor_params(params, rng.normal(size=(16, 2 * dims.d_h)))
+            params.add(ANCHOR_KEY, rng.normal(size=(16, 2 * dims.d_h)), "anchors")
             init_m_params(params, dims, rng)
         if kind == "b_ref":
             init_b_params(params, dims, 8, 16, rng)
@@ -888,7 +888,7 @@ def reference_model(kind, seed=3, vocab=12):
     rng = np.random.default_rng(seed)
     ps = init_baseline_params(dims, rng)
     if kind == "m_ref":
-        add_anchor_params(ps, rng.normal(size=(4, 2 * dims.d_h)))
+        ps.add(ANCHOR_KEY, rng.normal(size=(4, 2 * dims.d_h)), "anchors")
         init_m_params(ps, dims, rng)
         ps["mref/proj"].data[...] = rng.normal(0, 0.3, size=ps["mref/proj"].shape)
     if kind == "b_ref":

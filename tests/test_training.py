@@ -139,16 +139,6 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="version"):
             Checkpoint.load(tmp_path / "v99.ckpt")
 
-    def test_dims_mismatch_rejected(self, toy_split, toy_vocabs, tmp_path,
-                                    capsys):
-        ckpt = quick_pretrain(toy_split, toy_vocabs)
-        path = tmp_path / "model.ckpt"
-        ckpt.save(path)
-        wrong = ModelDims(vocab_src=ckpt.dims.vocab_src,
-                          vocab_tgt=ckpt.dims.vocab_tgt, d_e=6, d_h=4)
-        with pytest.raises(CheckpointError, match="dims"):
-            Checkpoint.load(path, expect_dims=wrong)
-
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             Checkpoint.load(tmp_path / "absent.ckpt")
