@@ -293,8 +293,12 @@ def mean(a, axis=None, keepdims=False):
 
 def _add(total, part):
     """A running sum of a fused op's gradient parts (over row blocks or
-    steps): the first part as it is."""
-    return part if total is None else total + part
+    steps), added in place into the first part: a fresh array of the sum's
+    shape and dtype that nothing else holds."""
+    if total is None:
+        return part
+    total += part
+    return total
 
 
 def _softmax_values(x, axis=-1):

@@ -18,7 +18,7 @@ from . import corpus as corpus_mod
 from . import evaluation, gradcheck
 from .errors import CheckpointError, ConfigError, NumericError, PrerequisiteError
 from .seq2seq import ModelDims
-from .training import Checkpoint, TrainConfig, run_stage
+from .training import STAGE_FIELDS, Checkpoint, TrainConfig, run_stage
 
 EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_PREREQ, EXIT_NUMERIC = 0, 1, 2, 3, 4
 TRANSLATE_CHUNK = 64  # source lines `translate` decodes together
@@ -85,15 +85,6 @@ def _splice_config(parser, argv):
 
 
 def _add_train_flags(p, stage):
-    defaults = TrainConfig()
-
-    def flag(name, help_, **kw):
-        """A flag for the TrainConfig field it names, typed and defaulted
-        by that field."""
-        dest = kw.setdefault("dest", name[2:].replace("-", "_"))
-        default = kw.setdefault("default", getattr(defaults, dest))
-        p.add_argument(name, type=type(default), help=help_, **kw)
-
     splits = ("train",) if stage == "fit-anchors" else ("train", "dev")
     for split in splits:
         for side, word in (("src", "source"), ("tgt", "target")):
@@ -104,39 +95,22 @@ def _add_train_flags(p, stage):
     p.add_argument("--ckpt-out", required=True, help="output checkpoint path")
     p.add_argument("--filter-len", type=int, default=50,
                    help="drop pairs with a side longer than this")
-    flag("--epochs", "training epochs")
-    flag("--batch-size", "sentences per batch")
-    flag("--lr", "learning rate")
-    flag("--drop-emb", "dropout rate on embeddings")
-    flag("--drop-out", "dropout rate on the output layer")
-    flag("--clip-norm", "global gradient-norm clipping threshold")
-    flag("--seed", "master random seed")
-    flag("--patience", "early-stopping patience on dev loss")
-    flag("--log", "append per-epoch TSV rows to this file", dest="log_path")
-    if stage == "fit-anchors":
-        flag("--n-anchors", "number of anchor points")
-        flag("--l-alpha", "reconstruction-term weight")
-        flag("--l-beta", "anchor-spread-term weight")
-        flag("--fit-iters", "anchor fitting iterations")
-        flag("--fit-lr", "anchor fitting step size")
-        flag("--fit-lr-decay", "per-iteration step-size decay")
-        flag("--fit-batch", "fitting mini-batch size (0: full batch)")
-    if stage == "train-b":
-        flag("--n-anchors", "number of anchor points", default=8)
-        flag("--lam", "likelihood / hinge-loss balance")
-        flag("--lam-m", "weight-norm penalty inside the hinge loss")
-        flag("--d-a", "bilingual anchor dimension")
+    knobs = {f.name: f for f in fields(TrainConfig)}
+    for name in STAGE_FIELDS[stage]:  # each typed and defaulted by its field
+        default = knobs[name].default
+        flag = "--log" if name == "log_path" else "--" + name.replace("_", "-")
+        p.add_argument(flag, dest=name, type=type(default), default=default,
+                       help=knobs[name].metadata["help"])
 
 
 def _train_config(args, stage):
     """The stage's checked config; its output files must be writable."""
     _check_writable("--ckpt-out", args.ckpt_out)
-    if args.log_path:
-        _check_writable("--log", args.log_path)
+    values = {name: getattr(args, name) for name in STAGE_FIELDS[stage]}
+    if values.get("log_path"):
+        _check_writable("--log", values["log_path"])
     try:
-        return TrainConfig(stage=stage, **{f.name: getattr(args, f.name)
-                                           for f in fields(TrainConfig)
-                                           if hasattr(args, f.name)})
+        return TrainConfig(stage=stage, **values)
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
@@ -172,7 +146,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def subparser(name, help_):
-        p = sub.add_parser(name, help=help_,
+        # no prefix matching: train's --d-att would take a --d-a, a flag only
+        # train-b has, which must stay an unknown flag on train
+        p = sub.add_parser(name, help=help_, allow_abbrev=False,
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.add_argument("--config", help="flat key=value config file")
         return p
@@ -278,34 +254,25 @@ def _cmd_synth(args):
         start += size
 
 
-def _cmd_train(args):
-    config = _train_config(args, "pretrain")
-    train = _load_parallel(args.train_src, args.train_tgt, args.filter_len)
-    dev = _load_parallel(args.dev_src, args.dev_tgt, args.filter_len)
-    try:
-        vocab_src = corpus_mod.build_vocab(train.sources(), args.vocab_max,
-                                           args.min_count)
-        vocab_tgt = corpus_mod.build_vocab(train.targets(), args.vocab_max,
-                                           args.min_count)
-        dims = ModelDims(vocab_src=len(vocab_src), vocab_tgt=len(vocab_tgt),
-                         d_e=args.d_e, d_h=args.d_h, d_att=args.d_att,
-                         d_out=args.d_out)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    ckpt = run_stage("pretrain", None, train, dev, config,
-                     vocab_src=vocab_src, vocab_tgt=vocab_tgt, dims=dims)
-    ckpt.save(args.ckpt_out)
-    print(f"saved checkpoint to {args.ckpt_out}")
-
-
 def _cmd_stage(args, stage):
     config = _train_config(args, stage)
-    ckpt = Checkpoint.load(args.ckpt_in)
+    ckpt = None if stage == "pretrain" else Checkpoint.load(args.ckpt_in)
     train = _load_parallel(args.train_src, args.train_tgt, args.filter_len)
     dev = None
     if stage != "fit-anchors":
         dev = _load_parallel(args.dev_src, args.dev_tgt, args.filter_len)
-    out = run_stage(stage, ckpt, train, dev, config)
+    fresh = {}  # pretrain's vocabularies and dims, from its corpus and flags
+    if stage == "pretrain":
+        try:
+            vocab_src, vocab_tgt = (
+                corpus_mod.build_vocab(side, args.vocab_max, args.min_count)
+                for side in (train.sources(), train.targets()))
+            fresh = dict(vocab_src=vocab_src, vocab_tgt=vocab_tgt, dims=ModelDims(
+                vocab_src=len(vocab_src), vocab_tgt=len(vocab_tgt), d_e=args.d_e,
+                d_h=args.d_h, d_att=args.d_att, d_out=args.d_out))
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+    out = run_stage(stage, ckpt, train, dev, config, **fresh)
     out.save(args.ckpt_out)
     print(f"saved checkpoint to {args.ckpt_out} (stages: {' -> '.join(out.stages)})")
 
@@ -383,10 +350,8 @@ def main(argv=None):
         args = parser.parse_args(_splice_config(parser, argv))
         if args.command == "synth":
             _cmd_synth(args)
-        elif args.command == "train":
-            _cmd_train(args)
-        elif args.command in ("fit-anchors", "finetune-m", "train-b"):
-            _cmd_stage(args, args.command)
+        elif args.command in ("train", "fit-anchors", "finetune-m", "train-b"):
+            _cmd_stage(args, {"train": "pretrain"}.get(args.command, args.command))
         elif args.command == "translate":
             _cmd_translate(args)
         elif args.command == "evaluate":

@@ -248,9 +248,11 @@ def fit_anchors(dataset, config: TrainConfig):
     optimum at a step-size radius. A ``fit_batch`` of 0, or one not below
     the dataset's size, takes the whole dataset each iteration. The fit
     computes in the dataset's float dtype. NumPy's overflow warnings are
-    off: the fit checks the loss and the updated parameters itself and
-    names the iteration that diverged. The whole-dataset measures before
-    and after go one row block at a time.
+    off: each iteration's ``Optimizer.update``, the epoch loop's step too,
+    checks the loss and the updated parameters, without clipping, and
+    raises a ``NumericError`` naming the iteration that diverged; the loop
+    calls this module's ``backward``, which bench/ rebinds. The
+    whole-dataset measures before and after go one row block at a time.
     """
     dataset = _float_array(dataset)
     if dataset.ndim != 2 or dataset.shape[0] == 0:
@@ -275,14 +277,8 @@ def fit_anchors(dataset, config: TrainConfig):
         else:
             X = dataset
         loss = mean_localization_measure(X, anchors, score, *weights)
-        value = float(loss.data)
-        if not np.isfinite(value):
-            raise FloatingPointError(f"anchor fitting diverged at iteration {it}")
-        history.append(value)
-        grads = backward(loss, ps)
-        opt.step(ps, grads)
-        if not all(np.isfinite(t.data).all() for _, t in ps.items()):
-            raise FloatingPointError(f"anchor fitting diverged at iteration {it}")
+        history.append(float(loss.data))
+        opt.update(ps, loss, backward(loss, ps), "fit-anchors", f"iteration {it}")
         opt.lr *= config.fit_lr_decay
 
     final = dataset_measure(dataset, anchors, score, *weights)

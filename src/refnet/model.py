@@ -99,13 +99,16 @@ class TranslationModel:
                          l_m=float(l_m_mean.data.real))
 
     def dev_loss(self, batches):
-        """Mean per-token NLL over batches, dropout disabled."""
+        """Mean per-token NLL over batches, dropout disabled: the likelihood
+        term of ``loss`` alone, without b_ref's hinge loss."""
         total, count = 0.0, 0.0
         with no_grad():
+            extra = variant_extras(self.kind, self.params)
             for batch in batches:
-                parts = self.loss(batch, training=False)
-                total += parts.nll_token_mean * parts.n_tokens
-                count += parts.n_tokens
+                nll_mean, n_tokens, _ = seq2seq.nll_loss(
+                    self.params, self.dims, batch, extra=extra)
+                total += float(nll_mean.data.real) * n_tokens
+                count += n_tokens
         return total / count
 
     # -- decoding -----------------------------------------------------------

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import autodiff
 from .autodiff import Tensor, no_grad
+from .errors import NumericError
 
 GROUPS = ("encoder", "decoder", "m_ref", "b_ref", "anchors")
 
@@ -358,6 +359,25 @@ class Optimizer:
     _m: dict = field(default_factory=dict)
     _v: dict = field(default_factory=dict)
     _t: int = 0
+
+    def update(self, params: ParamStore, loss, grads: GradRecord, stage, at,
+               clip_norm=None):
+        """A training step's or fit iteration's checked update: a finite
+        ``loss``, ``grads`` clipped to a global norm of ``clip_norm`` (None:
+        never), ``step``, and finite parameters after it, or a
+        ``NumericError`` naming ``stage`` and ``at`` ("epoch 0, batch 3").
+        Returns the pre-clip global norm and whether clipping changed it."""
+        if not np.isfinite(loss.data).all():
+            raise NumericError(f"{stage}: non-finite loss at {at}")
+        norm = grad_global_norm(grads)
+        clipped = clip_norm is not None and norm > clip_norm
+        if clipped:
+            grads = clip_gradient_norm(grads, clip_norm, norm)
+        self.step(params, grads)
+        if not all(np.isfinite(params[name].data).all() for name in grads):
+            raise NumericError(f"{stage}: non-finite parameters after the "
+                               f"update at {at}")
+        return norm, clipped
 
     def step(self, params: ParamStore, grads: GradRecord):
         self._t += 1

@@ -1,12 +1,13 @@
 """Stage-wise training: pretrain, fit-anchors, finetune-m, train-b.
 
-``run_stage`` is the one way to run a stage, and ``STAGE_FREEZES`` the one
-rule for what a stage keeps fixed. A stage takes a checkpoint (except
-pretraining), works on a float32 copy of its parameters so the input is never
-changed, freezes the groups ``STAGE_FREEZES`` names, trains what remains,
-and emits a new checkpoint with the stage appended to its provenance
-chain. Frozen groups are hashed before and after every stage; a change
-aborts the run.
+``run_stage`` is the one way to run a stage, ``STAGE_FREEZES`` the one
+rule for what a stage keeps fixed, and ``STAGE_FIELDS`` the one list of the
+``TrainConfig`` fields it reads, the flags its command offers. A stage takes
+a checkpoint (except pretraining), works on a float32 copy of its parameters
+so the input is never changed, freezes the groups ``STAGE_FREEZES`` names,
+trains what remains, and emits a new checkpoint with the stage appended to
+its provenance chain. Frozen groups are hashed before and after every
+stage; a change aborts the run.
 
 Checkpoint files are a self-describing binary container: magic ``RNCK``,
 a little-endian uint32 format version, a little-endian uint64 header
@@ -40,8 +41,7 @@ from .lcc import fit_anchors
 from .model import KINDS, TranslationModel
 from .mrefnet import ANCHOR_KEY, collect_sentence_reprs, init_m_params, m_schema
 from .brefnet import b_schema, init_b_params
-from .params import (Optimizer, ParamStore, backward, clip_gradient_norm,
-                     grad_global_norm)
+from .params import Optimizer, ParamStore, backward
 from .seq2seq import ModelDims, add_params, baseline_schema
 
 MAGIC = b"RNCK"
@@ -58,30 +58,44 @@ STAGE_FREEZES = {
     "finetune-m": ("encoder", "anchors"),
     "train-b": ("encoder", "decoder", "anchors"),
 }
+_EPOCH_FIELDS = ("epochs", "batch_size", "lr", "drop_emb", "drop_out",
+                 "clip_norm", "seed", "patience", "log_path")
+STAGE_FIELDS = {  # the TrainConfig fields each stage reads
+    "pretrain": _EPOCH_FIELDS,
+    "fit-anchors": ("batch_size", "seed", "n_anchors", "l_alpha", "l_beta",
+                    "fit_iters", "fit_lr", "fit_lr_decay", "fit_batch"),
+    "finetune-m": _EPOCH_FIELDS,
+    "train-b": _EPOCH_FIELDS + ("n_anchors", "d_a", "lam", "lam_m"),
+}
+
+
+def _knob(default, help_):
+    """A ``TrainConfig`` field with the help text of its command-line flag."""
+    return field(default=default, metadata={"help": help_})
 
 
 @dataclass
 class TrainConfig:
     stage: str = "pretrain"
-    epochs: int = 30
-    batch_size: int = 32
-    lr: float = 1e-3
-    drop_emb: float = 0.2
-    drop_out: float = 0.3
-    clip_norm: float = 1.0
-    lam: float = 1.0               # likelihood / hinge balance
-    lam_m: float = 1e-4            # weight-norm penalty inside the hinge loss
-    l_alpha: float = 1.0
-    l_beta: float = 0.01
-    n_anchors: int = 16
-    d_a: int = 16                  # bilingual anchor dimension
-    seed: int = 42
-    patience: int = 5
-    fit_iters: int = 1500
-    fit_lr: float = 0.05
-    fit_lr_decay: float = 0.997
-    fit_batch: int = 256
-    log_path: str = ""
+    epochs: int = _knob(30, "training epochs")
+    batch_size: int = _knob(32, "sentences per batch")
+    lr: float = _knob(1e-3, "learning rate")
+    drop_emb: float = _knob(0.2, "dropout rate on embeddings")
+    drop_out: float = _knob(0.3, "dropout rate on the output layer")
+    clip_norm: float = _knob(1.0, "global gradient-norm clipping threshold")
+    lam: float = _knob(1.0, "likelihood / hinge-loss balance")
+    lam_m: float = _knob(1e-4, "weight-norm penalty inside the hinge loss")
+    l_alpha: float = _knob(1.0, "reconstruction-term weight")
+    l_beta: float = _knob(0.01, "anchor-spread-term weight")
+    n_anchors: int = _knob(16, "number of anchor points")
+    d_a: int = _knob(16, "bilingual anchor dimension")
+    seed: int = _knob(42, "master random seed")
+    patience: int = _knob(5, "early-stopping patience on dev loss")
+    fit_iters: int = _knob(1500, "anchor fitting iterations")
+    fit_lr: float = _knob(0.05, "anchor fitting step size")
+    fit_lr_decay: float = _knob(0.997, "per-iteration step-size decay")
+    fit_batch: int = _knob(256, "fitting mini-batch size (0: full batch)")
+    log_path: str = _knob("", "append per-epoch TSV rows to this file")
 
     def __post_init__(self):
         # NaN passes every range check below: nan <= 0 is False
@@ -332,9 +346,9 @@ def _log_line(config, row):
             fh.write(line + "\n")
 
 
-# NumPy's own overflow and invalid-value warnings are off: the loop checks
-# the loss, the updated parameters and the dev loss itself, and stops at the
-# batch where a non-finite value appears.
+# NumPy's overflow and invalid-value warnings are off: ``Optimizer.update``
+# checks each step's loss and parameters, the loop the dev loss. The loop
+# calls ``backward`` and ``make_batches`` itself: bench/ rebinds both here.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_epochs(model: TranslationModel, stage, corpus_train, corpus_dev,
                  vocab_src, vocab_tgt, config: TrainConfig):
@@ -360,19 +374,11 @@ def train_epochs(model: TranslationModel, stage, corpus_train, corpus_dev,
         norm_sum, n_clipped = 0.0, 0
         for index, batch in enumerate(batches):
             parts = model.loss(batch, training=True, rng=rng)
-            if not np.isfinite(parts.joint.data):
-                raise NumericError(f"{stage}: non-finite training loss at "
-                                   f"epoch {epoch}, batch {index}")
-            grads = backward(parts.joint, params)
-            norm = grad_global_norm(grads)
-            clipped = norm > config.clip_norm
-            grads = clip_gradient_norm(grads, config.clip_norm, norm)
+            norm, clipped = opt.update(
+                params, parts.joint, backward(parts.joint, params), stage,
+                f"epoch {epoch}, batch {index}", config.clip_norm)
             norm_sum += norm
             n_clipped += clipped
-            opt.step(params, grads)
-            if not all(np.isfinite(params[name].data).all() for name in grads):
-                raise NumericError(f"{stage}: non-finite parameters after the "
-                                   f"update at epoch {epoch}, batch {index}")
             tok_nll += parts.nll_token_mean * parts.n_tokens
             tok_count += parts.n_tokens
             if parts.l_m is not None:

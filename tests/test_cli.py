@@ -2,14 +2,15 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import refnet
 from refnet.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_PREREQ,
-                        EXIT_USAGE, main)
-from refnet.training import Checkpoint
+                        EXIT_USAGE, build_parser, main)
+from refnet.training import STAGE_FIELDS, STAGES, Checkpoint, TrainConfig
 
 
 def run_cli(args):
@@ -267,7 +268,9 @@ def test_exit_code_matrix(case, toy_files, toy_ckpt, tmp_path):
 @pytest.mark.parametrize("case, where", [
     ("numeric-divergent-training", "pretrain: non-finite parameters after the "
                                    "update at epoch 0, batch 0"),
-    ("numeric-divergent-fit", "anchor fitting diverged at iteration 0")])
+    ("numeric-divergent-fit", "fit-anchors: non-finite parameters after the "
+                              "update at iteration 0")],
+    ids=["numeric-divergent-training", "numeric-divergent-fit"])
 def test_divergence_prints_only_its_error(case, where, toy_files, toy_ckpt,
                                           tmp_path):
     """The first update already makes the parameters non-finite: stderr is
@@ -361,6 +364,47 @@ class TestHelp:
             run_cli(["train-b", "--help"])
         text = capsys.readouterr().out
         assert "--lam" in text and "--d-a" in text
+        # one default per field: train-b's anchor count defaults as
+        # fit-anchors' does, to TrainConfig's
+        args = build_parser().parse_args(
+            ["train-b"] + [x for flag in ("--ckpt-in", "--ckpt-out", "--train-src",
+                                          "--train-tgt", "--dev-src", "--dev-tgt")
+                           for x in (flag, "f")])
+        assert args.n_anchors == TrainConfig().n_anchors == 16
+
+
+def stage_command_argv(stage, d, ckpt, tmp):
+    """A command line that runs ``stage``: every required flag given."""
+    if stage == "pretrain":
+        return train_argv(d, tmp)
+    if stage == "fit-anchors":
+        return fit_argv(d, ckpt, tmp)
+    return [stage, "--ckpt-in", str(ckpt), "--ckpt-out", str(tmp / "s.ckpt"),
+            "--train-src", str(d / "toy.train.src"),
+            "--train-tgt", str(d / "toy.train.tgt"),
+            "--dev-src", str(d / "toy.dev.src"), "--dev-tgt", str(d / "toy.dev.tgt")]
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_flags_outside_the_stage_fields_are_unknown(stage, toy_files, toy_ckpt,
+                                                    tmp_path, capsys):
+    """A TrainConfig field that the stage does not read has no flag: typed,
+    it is a usage error (exit 1); in a --config file, an unknown key
+    (exit 2). Nothing runs either way."""
+    argv = stage_command_argv(stage, toy_files, toy_ckpt, tmp_path)
+    dropped = [f.name for f in fields(TrainConfig)
+               if f.name not in STAGE_FIELDS[stage] + ("stage",)]
+    assert dropped
+    for name in dropped:
+        flag = "--log" if name == "log_path" else "--" + name.replace("_", "-")
+        with pytest.raises(SystemExit) as err:
+            run_cli(argv + [flag, "1"])
+        assert err.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        cfg = config_file(tmp_path, f"{name} = 1")
+        assert run_cli(argv + ["--config", cfg]) == EXIT_CONFIG
+        assert f"unknown config keys: ['{name}']" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.ckpt"))
 
 
 class TestConfigFile:

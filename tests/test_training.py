@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import struct
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from refnet.params import GROUPS, Optimizer, backward, clip_gradient_norm
 from refnet.seq2seq import (ModelDims, beam_search, greedy_decode,
                             init_baseline_params)
 from refnet import training
-from refnet.training import (PREAMBLE, STAGE_FREEZES, STAGES, Checkpoint,
-                             TrainConfig, run_stage)
+from refnet.training import (PREAMBLE, STAGE_FIELDS, STAGE_FREEZES, STAGES,
+                             Checkpoint, TrainConfig, run_stage)
 
 def nan_payload(header, payload):
     payload[-8:] = struct.pack("<d", float("nan"))
@@ -699,3 +701,141 @@ class TestFloat32Compute:
             greedy_decode(spied_step_for, s0, [4, 4])
             beam_search(spied_step_for, s0, 3, [4, 4])
             assert seen == {np.dtype(np.float32)}, kind
+
+
+def assert_backward_repeats(loss):
+    """Backward run twice on one recorded loss gives the same gradient bits
+    and changes no value on the tape, forward outputs and leaves alike."""
+    tensors = tape_tensors(loss)
+    before = [t.data.copy() for t in tensors]
+    first = {key: g.copy() for key, g in grad_map(loss).items()}
+    second = grad_map(loss)
+    assert first.keys() == second.keys() and first
+    assert all(first[key].tobytes() == second[key].tobytes() for key in first)
+    assert all(t.data.tobytes() == b.tobytes() for t, b in zip(tensors, before))
+
+
+class TestFusedBackwardOwnsItsSums:
+    """A fused node adds the later parts of a gradient into its first part
+    in place (``autodiff._add``). A first part that aliased a cached array,
+    a forward output or a parameter would change it, and a second backward
+    would differ."""
+
+    def test_every_kind_on_a_ragged_batch(self, toy_split, toy_vocabs):
+        vs, vt = toy_vocabs
+        batch = make_batches(toy_split[0], 16, vs, vt)[0]
+        assert len(set(batch.src_lens)) > 1
+        rng = np.random.default_rng(3)
+        for kind, (_, ckpt) in float32_checkpoints(toy_split,
+                                                   toy_vocabs).items():
+            for _, t in ckpt.params.items():  # no all-zero gradient part
+                t.data += rng.normal(0.0, 0.1, t.data.shape).astype(np.float32)
+            assert_backward_repeats(ckpt.make_model().loss(
+                batch, training=True, rng=np.random.default_rng(1)).joint)
+
+    def test_anchor_measure_over_row_blocks(self):
+        from refnet import autodiff as ad
+        from refnet.lcc import (BLOCK_ELEMS, init_score,
+                                mean_localization_measure)
+        N, C, d = 300, 8, 128
+        assert N * C * d > 2 * BLOCK_ELEMS
+        rng = np.random.default_rng(7)
+        X = ad.parameter(np.tanh(rng.normal(size=(N, d))))
+        anchors = ad.parameter(X.data[:C] + 0.1)
+        score = tuple(ad.parameter(a) for a in init_score(d, d, rng))
+        assert_backward_repeats(
+            mean_localization_measure(X, anchors, score, 1.0, 0.5))
+
+
+def stage_run(stage, toy_split, toy_vocabs, **fields):
+    """run_stage's arguments for ``stage`` on the toy split: 2 epochs of 16
+    sentences per batch, or 3 fit iterations, then ``fields``."""
+    argv = list(stage_argv(stage, toy_split, toy_vocabs))
+    argv[4] = dataclasses.replace(argv[4], **{
+        "epochs": 2, "batch_size": 16, "patience": 50, "fit_iters": 3, **fields})
+    return argv
+
+
+class TestBenchmarkHooks:
+    """The benchmark cuts its timed pieces by rebinding ``training.backward``,
+    ``lcc.backward`` and ``training.make_batches``: every training step
+    must call the first once, every fit iteration the second once, and
+    every epoch must shuffle through the third once."""
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_each_step_calls_the_rebound_names(self, stage, toy_split,
+                                               toy_vocabs, monkeypatch, capsys):
+        from refnet import lcc
+        argv = stage_run(stage, toy_split, toy_vocabs)
+        config = argv[4]
+        vs, vt = toy_vocabs
+        per_epoch = len(make_batches(toy_split[0], config.batch_size, vs, vt))
+        calls, seeds = Counter(), []
+
+        def count(owner, name, key):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                if key == "make_batches":
+                    seeds.append(kwargs.get("shuffle_seed"))
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        count(training, "backward", "training.backward")
+        count(lcc, "backward", "lcc.backward")
+        count(training, "make_batches", "make_batches")
+        count(Optimizer, "update", "update")
+        run_stage(*argv)
+        if stage == "fit-anchors":
+            expected = {"lcc.backward": config.fit_iters,
+                        "update": config.fit_iters}
+        else:
+            expected = {"training.backward": config.epochs * per_epoch,
+                        "update": config.epochs * per_epoch,
+                        "make_batches": 1 + config.epochs}  # the dev split once
+        assert dict(calls) == expected
+        shuffled = sum(seed is not None for seed in seeds)
+        assert shuffled == (0 if stage == "fit-anchors" else config.epochs)
+
+
+# an unusual valid value of every TrainConfig field
+UNUSUAL = {"epochs": 1, "batch_size": 7, "lr": 0.03, "drop_emb": 0.45,
+           "drop_out": 0.55, "clip_norm": 0.02, "lam": 3.0, "lam_m": 0.5,
+           "l_alpha": 0.3, "l_beta": 0.7, "n_anchors": 5, "d_a": 3, "seed": 999,
+           "patience": 0, "fit_iters": 1, "fit_lr": 0.4, "fit_lr_decay": 0.5,
+           "fit_batch": 9, "log_path": "unread.tsv"}
+
+
+class TestStageFields:
+    def test_unusual_values_cover_every_field(self):
+        assert set(UNUSUAL) | {"stage"} == {f.name for f in
+                                             dataclasses.fields(TrainConfig)}
+        assert all(set(names) < set(UNUSUAL) for names in STAGE_FIELDS.values())
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_fields_outside_the_stage_change_nothing(self, stage, toy_split,
+                                                     toy_vocabs, tmp_path,
+                                                     monkeypatch, capsys):
+        """Every field outside the stage's STAGE_FIELDS entry set to an
+        unusual value: the same parameters and history rows, and no log."""
+        monkeypatch.chdir(tmp_path)
+
+        def result(ckpt):
+            return ({g: ckpt.params.group_digest(g) for g in GROUPS},
+                    [{k: v for k, v in row.items() if k != "seconds"}
+                     for row in ckpt.history])
+
+        plain = run_stage(*stage_run(stage, toy_split, toy_vocabs))
+        odd = run_stage(*stage_run(stage, toy_split, toy_vocabs, **{
+            name: value for name, value in UNUSUAL.items()
+            if name not in STAGE_FIELDS[stage]}))
+        assert result(odd) == result(plain)
+        assert odd.config != plain.config
+        assert not (tmp_path / "unread.tsv").exists()
+
+
+def test_bit_digest_repeats():
+    """The bit-digest script at toy size gives one digest twice over."""
+    import bit_digest
+    assert bit_digest.digest("toy") == bit_digest.digest("toy")
