@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -37,16 +38,14 @@ class Vocab:
 
 
 def build_vocab(sentences, max_size, min_count=1) -> Vocab:
-    """Keep the most frequent tokens (ties lexicographic) up to max_size total."""
+    """Keep the most frequent tokens (ties lexicographic) up to max_size total.
+
+    ``sentences`` is a list of token lists."""
     if max_size <= 4:
         raise ValueError("max_size must leave room beyond the 4 specials")
-    counts = Counter()
-    n = 0
-    for sent in sentences:
-        n += 1
-        counts.update(sent)
-    if n == 0:
+    if not sentences:
         raise ValueError("cannot build a vocabulary from an empty corpus")
+    counts = Counter(chain.from_iterable(sentences))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     kept = [t for t, c in ranked if c >= min_count][: max_size - 4]
     if not kept:
@@ -113,11 +112,43 @@ def filter_by_length(corpus: ParallelCorpus, max_len=50) -> ParallelCorpus:
     return ParallelCorpus(kept)
 
 
+DRAW_BLOCK = 2**15  # 32-bit draws read from the generator at a time
+
+
+def _accepted(u, span):
+    """numpy's bounded integer draws in ``[0, span)`` from the 32-bit values
+    ``u`` (``next_uint32`` outputs).
+
+    This is Lemire's multiply-shift, numpy's
+    ``buffered_bounded_lemire_uint32``: the draw every ``Generator.integers``
+    call with a span below 2**32 makes. A value ``u`` gives
+    ``(u * span) >> 32`` unless ``(u * span) mod 2**32`` falls below
+    ``2**32 mod span``; then it is rejected, and the next value is drawn in
+    its place. Returns a list of the accepted draws, their positions
+    in ``u``, and for each position 0..len(u) the number of accepted draws
+    before it. The last two are memoryviews, which index to Python ints
+    without holding one object per position.
+    """
+    m = np.asarray(u, dtype=np.uint64) * np.uint64(span)
+    ok = (m & np.uint64(2**32 - 1)) >= np.uint64(2**32 % span)
+    at = np.flatnonzero(ok)
+    before = np.concatenate(([0], np.cumsum(ok)))
+    return (m[at] >> np.uint64(32)).tolist(), memoryview(at), memoryview(before)
+
+
 def generate_synthetic_task(kind, vocab_size, n_pairs, len_range, seed) -> ParallelCorpus:
     """Deterministic toy corpus over tokens t0..t{vocab_size-1}.
 
     kinds: ``copy`` (target = source), ``reverse`` (target reversed), and
     ``cipher-reverse`` (a seed-fixed token substitution, then reversed).
+
+    Draw contract: from ``np.random.default_rng(seed)``, first
+    ``permutation(vocab_size)`` (the cipher, drawn for every kind), then per
+    pair one length ``integers(lo, hi + 1)`` (none when ``lo == hi``) and its
+    ``m`` token ids ``integers(0, vocab_size, size=m)``. Those draws are read
+    here in bulk, as the 32-bit values they consume, and decoded as numpy
+    decodes them (``_accepted``), so the corpus is the one those calls give.
+    Both spans must be below 2**32.
     """
     if vocab_size < 5:
         raise ValueError("vocab_size must be at least 5")
@@ -126,19 +157,53 @@ def generate_synthetic_task(kind, vocab_size, n_pairs, len_range, seed) -> Paral
     lo, hi = len_range
     if lo < 1:
         raise ValueError(f"the shortest length must be >= 1, got {lo}")
+    if hi < lo:
+        raise ValueError(f"the longest length {hi} is below the shortest {lo}")
+    if vocab_size >= 2**32:
+        raise ValueError(f"vocab_size must be below 2**32, got {vocab_size}")
+    len_span = hi - lo + 1
+    if len_span >= 2**32:
+        raise ValueError(f"the lengths {lo}..{hi} span 2**32 or more values")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(vocab_size)  # consumed even when unused, for stable streams
+    ids = []  # each pair's source token ids
+    raw = np.empty(0, dtype=np.uint64)  # drawn, not yet consumed
+    while len(ids) < n_pairs:
+        raw = np.concatenate(
+            (raw, rng.integers(0, 2**32, size=DRAW_BLOCK, dtype=np.uint32)))
+        tok_ids, tok_at, tok_before = _accepted(raw, vocab_size)
+        n_tok = len(tok_ids)
+        if len_span > 1:
+            lengths, len_at, len_before = _accepted(raw, len_span)
+            n_len = len(lengths)
+        p = 0  # the first unconsumed draw
+        while len(ids) < n_pairs:
+            q, m = p, lo  # where the pair's tokens start, and how many
+            if len_span > 1:
+                k = len_before[p]
+                if k == n_len:
+                    break
+                q, m = len_at[k] + 1, lo + lengths[k]
+            r = tok_before[q]
+            if r + m > n_tok:
+                break
+            ids.append(tok_ids[r:r + m])
+            p = tok_at[r + m - 1] + 1
+        raw = raw[p:]
+    used = list(set(chain.from_iterable(ids)))
+    name = {i: f"t{i}" for i in used}  # one string per token
+    if kind == "cipher-reverse":
+        images = perm[used].tolist()
+        cipher = {i: name.get(j) or f"t{j}" for i, j in zip(used, images)}
     pairs = []
-    for _ in range(n_pairs):
-        m = int(rng.integers(lo, hi + 1))
-        src_ids = rng.integers(0, vocab_size, size=m)
-        src = [f"t{i}" for i in src_ids]
+    for src_ids in ids:
+        src = list(map(name.__getitem__, src_ids))
         if kind == "copy":
             tgt = list(src)
         elif kind == "reverse":
-            tgt = list(reversed(src))
+            tgt = src[::-1]
         else:
-            tgt = [f"t{perm[i]}" for i in reversed(src_ids)]
+            tgt = list(map(cipher.__getitem__, reversed(src_ids)))
         pairs.append((src, tgt))
     return ParallelCorpus(pairs)
 

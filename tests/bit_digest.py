@@ -11,7 +11,9 @@ It hashes, in order:
   the history rows of each;
 * greedy and beam decodes at beams 1, 4 and 10 for the baseline, m_ref and
   b_ref checkpoints of those stages;
-* the gradient suite's ``max_rel_err`` of every check at seeds 0 and 1.
+* the gradient suite's ``max_rel_err`` of every check at seeds 0 and 1;
+* the raw pairs of every synthetic task kind at seed 77 with lengths 3-12
+  and at seed 5 with every length 4 (vocabulary 50).
 
 History rows are hashed without their wall-clock ``seconds``. Run it once
 with one tree's ``src`` on ``PYTHONPATH`` and once with another's: equal
@@ -34,11 +36,11 @@ from refnet.seq2seq import ModelDims
 from refnet.training import TrainConfig, run_stage
 
 SIZES = {  # copy-task pairs, epochs; acceptance pairs, d_h, epochs, fit iters;
-           # decoded sentences; gradient seeds
+           # decoded sentences; gradient seeds; pairs of each synthetic task
     "full": dict(copy_pairs=500, copy_epochs=6, pairs=64, d_h=64, epochs=2,
-                 fit_iters=60, decoded=16, grad_seeds=range(2)),
+                 fit_iters=60, decoded=16, grad_seeds=range(2), synth_pairs=5000),
     "toy": dict(copy_pairs=64, copy_epochs=2, pairs=24, d_h=8, epochs=1,
-                fit_iters=5, decoded=4, grad_seeds=range(1)),
+                fit_iters=5, decoded=4, grad_seeds=range(1), synth_pairs=200),
 }
 
 
@@ -99,12 +101,20 @@ def _gradients(size):
             for r in gradcheck.run_suite(seeds=size["grad_seeds"])]
 
 
+def _synthetic_tasks(size):
+    return {f"{kind}/seed{seed}/{lo}-{hi}": generate_synthetic_task(
+                kind, 50, size["synth_pairs"], (lo, hi), seed).pairs
+            for kind in ("copy", "reverse", "cipher-reverse")
+            for seed, lo, hi in ((77, 3, 12), (5, 4, 4))}
+
+
 def digest(scale="full"):
     """The hex SHA-256 of every record above at ``scale`` ("full" or "toy")."""
     size = SIZES[scale]
     with contextlib.redirect_stdout(io.StringIO()):  # the per-epoch log lines
         record = {"copy": _copy_task(size), "stages": _stages(size),
-                  "gradients": _gradients(size)}
+                  "gradients": _gradients(size),
+                  "synthetic": _synthetic_tasks(size)}
     blob = json.dumps(record, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 

@@ -15,6 +15,10 @@ a time, and the ops they need live here:
 - ``reference_encoder`` and ``reference_decoder``, the encoder and the
   teacher-forced loss built from those nodes, which the one-node encoder
   and decoder must match bit for bit.
+
+``reference_synthetic_task`` is the per-pair loop of ``numpy`` draws that
+``corpus.generate_synthetic_task`` reads in bulk; the two must give the same
+pairs.
 """
 
 from __future__ import annotations
@@ -236,3 +240,28 @@ def reference_decoder(model, batch, training=False, rng=None):
         l_m_mean = res_sum * (1.0 / B) + model.lam_m * reg
         joint = joint * (n_tokens / B) + model.lam * l_m_mean
     return joint, ad.concat(states, axis=0), ad.concat(contexts, axis=0), vecs
+
+
+# ---------------------------------------------------------------------------
+# the synthetic corpus, one draw call per length and per sentence
+
+def reference_synthetic_task(kind, vocab_size, n_pairs, len_range, seed):
+    """The pairs of ``generate_synthetic_task``, drawn the way its contract
+    states: the permutation, then per pair ``integers(lo, hi + 1)`` and
+    ``integers(0, vocab_size, size=m)``."""
+    lo, hi = len_range
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(vocab_size)
+    pairs = []
+    for _ in range(n_pairs):
+        m = int(rng.integers(lo, hi + 1))
+        src_ids = rng.integers(0, vocab_size, size=m)
+        src = [f"t{i}" for i in src_ids]
+        if kind == "copy":
+            tgt = list(src)
+        elif kind == "reverse":
+            tgt = list(reversed(src))
+        else:
+            tgt = [f"t{perm[i]}" for i in reversed(src_ids)]
+        pairs.append((src, tgt))
+    return pairs

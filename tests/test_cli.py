@@ -214,6 +214,8 @@ EXIT_MATRIX = {
         "synth", "--pairs", "0", "--out", str(tmp / "x")]),
     "config-negative-pairs": (EXIT_CONFIG, lambda d, ckpt, tmp: [
         "synth", "--pairs", "-5", "--out", str(tmp / "x")]),
+    "config-vocab-size-2-pow-32": (EXIT_CONFIG, lambda d, ckpt, tmp: [
+        "synth", "--vocab-size", "4294967296", "--out", str(tmp / "x")]),
     "config-empty-dev-corpus": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
         d, tmp, "--dev-src", empty_file(tmp, "empty.src"),
         "--dev-tgt", empty_file(tmp, "empty.tgt"))),
@@ -279,6 +281,15 @@ def test_divergence_prints_only_its_error(case, where, toy_files, toy_ckpt,
     proc = run_process(make_argv(toy_files, toy_ckpt, tmp_path))
     assert proc.returncode == EXIT_NUMERIC
     assert proc.stderr.splitlines() == [f"numeric failure: {where}"]
+
+
+def test_vocab_size_of_2_pow_32_prints_one_line(toy_files, toy_ckpt, tmp_path):
+    """Refused before the 2**32-entry permutation is drawn."""
+    _, make_argv = EXIT_MATRIX["config-vocab-size-2-pow-32"]
+    proc = run_process(make_argv(toy_files, toy_ckpt, tmp_path))
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.splitlines() == [
+        "config error: vocab_size must be below 2**32, got 4294967296"]
 
 
 @pytest.mark.parametrize("case, named", [

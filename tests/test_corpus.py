@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from refnet.corpus import (BOS, EOS, PAD, UNK, ParallelCorpus, build_vocab,
-                           cipher_permutation, filter_by_length,
-                           generate_synthetic_task, make_batches)
+from refnet.corpus import (BOS, DRAW_BLOCK, EOS, PAD, UNK, ParallelCorpus,
+                           _accepted, build_vocab, cipher_permutation,
+                           filter_by_length, generate_synthetic_task,
+                           make_batches)
+from reference import reference_synthetic_task
 
 
 class TestVocab:
@@ -113,6 +115,56 @@ class TestSyntheticTasks:
     def test_shortest_length_below_one_rejected(self, shortest):
         with pytest.raises(ValueError, match=f"shortest length .* {shortest}$"):
             generate_synthetic_task("copy", 10, 5, (shortest, 3), seed=0)
+
+    # default_rng refuses seed -1: a check that ran after it would fail on the
+    # seed's message instead of drawing a 2**32-entry permutation
+    def test_longest_below_shortest_rejected_before_drawing(self):
+        with pytest.raises(ValueError, match="longest length 2 .* shortest 3"):
+            generate_synthetic_task("copy", 10, 5, (3, 2), seed=-1)
+
+    @pytest.mark.parametrize("vocab_size, len_range", [
+        (2**32, (3, 12)), (10, (1, 2**32)), (10, (5, 2**32 + 4))],
+        ids=["vocabulary", "lengths-from-1", "lengths-from-5"])
+    def test_span_of_2_pow_32_rejected_before_drawing(self, vocab_size, len_range):
+        with pytest.raises(ValueError, match=r"2\*\*32"):
+            generate_synthetic_task("copy", vocab_size, 5, len_range, seed=-1)
+
+    @pytest.mark.parametrize("len_range", [(3, 12), (1, 30), (4, 4), (1, 1)])
+    @pytest.mark.parametrize("seed", [0, 5, 9, 77, 2026])
+    @pytest.mark.parametrize("kind", ["copy", "reverse", "cipher-reverse"])
+    def test_matches_reference_loop(self, kind, seed, len_range):
+        args = (kind, 50, 300, len_range, seed)
+        assert generate_synthetic_task(*args).pairs == reference_synthetic_task(*args)
+
+    def test_matches_reference_loop_across_draw_blocks(self):
+        args = ("cipher-reverse", 50, 5000, (3, 12), 77)
+        pairs = generate_synthetic_task(*args).pairs
+        assert sum(len(src) + 1 for src, _ in pairs) > DRAW_BLOCK
+        assert pairs == reference_synthetic_task(*args)
+
+    def test_matches_reference_loop_with_rejected_token_draws(self):
+        vocab_size = 2**22 + 1  # about 0.1% of token draws are rejected
+        args = ("cipher-reverse", vocab_size, 2000, (3, 12), 9)
+        pairs = generate_synthetic_task(*args).pairs
+        rng = np.random.default_rng(9)
+        rng.permutation(vocab_size)
+        draws = rng.integers(0, 2**32, size=sum(len(src) for src, _ in pairs),
+                             dtype=np.uint32)
+        assert len(_accepted(draws, vocab_size)[0]) < len(draws)
+        assert pairs == reference_synthetic_task(*args)
+
+
+@pytest.mark.parametrize("span", [5, 50, 2**31 + 1, 3 * 10**9])
+def test_accepted_decodes_numpy_draws(span):
+    """The accepted values of a 32-bit stream are what ``integers(0, span)``
+    draws one at a time from the same generator, on the installed numpy.
+    Spans above 2**31 reject 30-50% of the draws."""
+    draws = np.random.default_rng(3).integers(0, 2**32, size=2000, dtype=np.uint32)
+    expected, at, before = _accepted(draws, span)
+    assert (len(expected) < len(draws)) == (span > 2**31)
+    assert list(at) == [p for p in range(len(draws)) if before[p + 1] > before[p]]
+    rng = np.random.default_rng(3)
+    assert [int(rng.integers(0, span)) for _ in expected] == expected
 
 
 class TestBatches:
