@@ -106,6 +106,9 @@ def bleu_files(hyp_path, ref_paths, case_sensitive=True) -> BleuReport:
 # ---------------------------------------------------------------------------
 # length buckets
 
+N_CLOSED = 5  # closed buckets before the open one
+
+
 @dataclass
 class LengthBucket:
     low: int            # inclusive
@@ -134,18 +137,18 @@ class LengthBucketReport:
 
 
 def length_buckets(sources, hypotheses, reference_sets, bucket_width=10,
-                   n_closed=5, case_sensitive=True) -> LengthBucketReport:
+                   case_sensitive=True) -> LengthBucketReport:
     """Per-source-length-bucket BLEU and mean lengths.
 
-    Buckets are [1,w], (w,2w], ... up to n_closed of them, then one open
+    Buckets are [1,w], (w,2w], ... up to N_CLOSED of them, then one open
     bucket for everything longer (the ">5w" group).
     """
     if not (len(sources) == len(hypotheses) == len(reference_sets)):
         raise ValueError("sources, hypotheses, and references must align")
     if bucket_width < 1:
         raise ValueError(f"bucket width must be >= 1, got {bucket_width}")
-    edges = [(i * bucket_width + 1, (i + 1) * bucket_width) for i in range(n_closed)]
-    edges.append((n_closed * bucket_width + 1, None))
+    edges = [(i * bucket_width + 1, (i + 1) * bucket_width) for i in range(N_CLOSED)]
+    edges.append((N_CLOSED * bucket_width + 1, None))
     buckets = []
     for low, high in edges:
         idx = [i for i, s in enumerate(sources)
@@ -204,8 +207,7 @@ class ParamReport:
         return "\n".join(lines)
 
 
-def param_report(params) -> ParamReport:
-    """Per-group parameter counts for a store or checkpoint."""
-    store = params.params if hasattr(params, "params") else params
+def param_report(store) -> ParamReport:
+    """Per-group parameter counts of a ``ParamStore``."""
     per_group = {g: store.param_count(g) for g in store.groups_present()}
     return ParamReport(per_group, store.param_count())

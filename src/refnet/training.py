@@ -12,14 +12,14 @@ stage; a change aborts the run.
 Checkpoint files are a self-describing binary container: magic ``RNCK``,
 a little-endian uint32 format version, a little-endian uint64 header
 length, the CRC-32 of everything after it, a JSON header (dims,
-config, vocabularies, provenance, and a manifest of name/group/shape/offset
-per parameter), then the concatenated float64 little-endian payload.
+config, vocabularies, provenance, and a manifest of name/group/shape
+per parameter), then the parameters as little-endian float32, concatenated
+in manifest order: each entry starts where the one before it ends.
 
 Stages compute in float32 (``COMPUTE_DTYPE``): ``run_stage`` and
-``Checkpoint.load`` both return float32 stores. The payload stays ``<f8``
-whatever the store's dtype; ``load`` casts it to float32, and refuses a
-value that is not finite in float32. A float32 value goes to f8 and back
-exactly, so a stage's output round-trips bit-exactly.
+``Checkpoint.load`` both return float32 stores, and the payload holds
+exactly those values, so a stage's output round-trips bit-exactly. A wider
+store is saved as its float32 rounding. ``load`` refuses a non-finite value.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .corpus import Vocab, make_batches
+from .corpus import SPECIALS, Vocab, make_batches
 from .errors import CheckpointError, NumericError, PrerequisiteError
 from .lcc import fit_anchors
 from .model import KINDS, TranslationModel
@@ -45,7 +45,7 @@ from .params import Optimizer, ParamStore, backward
 from .seq2seq import ModelDims, add_params, baseline_schema
 
 MAGIC = b"RNCK"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 PREAMBLE = 20  # magic, version, header length, CRC-32 of header + payload
 HEADER_KEYS = ("kind", "stages", "dims", "config", "vocab_src", "vocab_tgt",
                "params", "payload_bytes")
@@ -118,11 +118,6 @@ class TrainConfig:
         if min(self.l_alpha, self.l_beta, self.lam, self.lam_m) < 0:
             raise ValueError("l_alpha, l_beta, lam and lam_m must be >= 0")
 
-    @classmethod
-    def from_dict(cls, d):
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in d.items() if k in known})
-
 
 @dataclass
 class Checkpoint:
@@ -143,15 +138,12 @@ class Checkpoint:
 
     def save(self, path):
         manifest, payload = [], []
-        offset = 0
         for name, tensor in self.params.items():
-            raw = np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
             manifest.append({"name": name, "group": self.params.group_of(name),
-                             "shape": list(tensor.data.shape), "offset": offset})
-            payload.append(raw)
-            offset += len(raw)
+                             "shape": list(tensor.data.shape)})
+            # a float32 array is written as it is, a wider one rounded
+            payload.append(np.ascontiguousarray(tensor.data, dtype="<f4"))
         header = {
-            "format_version": FORMAT_VERSION,
             "kind": self.kind,
             "stages": list(self.stages),
             "dims": self.dims.to_dict(),
@@ -159,7 +151,7 @@ class Checkpoint:
             "vocab_src": self.vocab_src.id_to_token,
             "vocab_tgt": self.vocab_tgt.id_to_token,
             "params": manifest,
-            "payload_bytes": offset,
+            "payload_bytes": sum(raw.nbytes for raw in payload),
         }
         blob = json.dumps(header).encode("utf-8")
         crc = zlib.crc32(blob)
@@ -219,61 +211,46 @@ class Checkpoint:
                 f"{path}: truncated payload ({len(payload)} of "
                 f"{header['payload_bytes']} bytes)")
         try:
-            sizes = {**header["dims"]}  # TypeError unless a mapping
-            # older files carry "cell": "gru", the only cell there is
-            if sizes.pop("cell", "gru") != "gru":
-                raise ValueError("the gated cell is the only cell")
-            dims = ModelDims(**sizes)
+            dims = ModelDims(**header["dims"])
         except (TypeError, ValueError) as e:
             raise CheckpointError(f"{path}: bad dims {header['dims']!r}: {e}") from e
         if not isinstance(header["params"], list):
             raise CheckpointError(f"{path}: the parameter manifest is not a list")
-        params, extents = ParamStore(COMPUTE_DTYPE), []  # (offset, bytes) per entry
+        params, start = ParamStore(COMPUTE_DTYPE), 0  # entries tile the payload
         for entry in header["params"]:
             try:
                 name, group = entry["name"], entry["group"]
                 shape = tuple(int(d) for d in entry["shape"])
-                start = int(entry["offset"])
-                # older files carry "trainable": true on every entry
-                if not (isinstance(name, str) and isinstance(group, str)
-                        and entry.get("trainable", True) is True):
-                    raise TypeError("name or group of a wrong type, or a "
-                                    "trainable flag other than true")
+                if not (isinstance(name, str) and isinstance(group, str)):
+                    raise TypeError("name or group is not a string")
             except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise CheckpointError(f"{path}: bad manifest entry {entry!r}") from e
             n = math.prod(shape)
-            if min(shape, default=0) < 0 or start < 0 or start + 8 * n > len(payload):
+            if min(shape, default=0) < 0 or start + 4 * n > len(payload):
                 raise CheckpointError(
-                    f"{path}: parameter {name!r} (shape {list(shape)}, offset "
-                    f"{start}) does not fit the {len(payload)}-byte payload")
-            arr = np.frombuffer(payload, dtype="<f8", count=n,
+                    f"{path}: parameter {name!r} (shape {list(shape)}) overruns "
+                    f"the {len(payload)}-byte payload")
+            arr = np.frombuffer(payload, dtype="<f4", count=n,
                                 offset=start).reshape(shape)
-            try:  # add casts the array out of the file's bytes
-                with np.errstate(over="ignore"):  # checked just below
-                    value = params.add(name, arr, group).data
+            start += 4 * n
+            try:  # add copies the array out of the file's bytes
+                value = params.add(name, arr, group).data
             except ValueError as e:  # duplicate name or unknown group
                 raise CheckpointError(f"{path}: {e}") from e
             if not np.isfinite(value).all():
                 raise CheckpointError(
-                    f"{path}: parameter {name!r} holds non-finite values "
-                    f"in {COMPUTE_DTYPE.__name__}")
-            extents.append((start, 8 * n))
-        end = 0
-        for start, size in sorted(extents):
-            if start != end:
-                break
-            end += size
-        if end != len(payload):
+                    f"{path}: parameter {name!r} holds non-finite values")
+        if start != len(payload):
             raise CheckpointError(
-                f"{path}: parameter entries overlap or leave gaps in the "
-                f"{len(payload)}-byte payload")
+                f"{path}: {len(payload) - start} bytes of the "
+                f"{len(payload)}-byte payload follow the last parameter")
         try:
             stages = _strings(header["stages"])
             if not set(stages) <= set(STAGES):
                 raise ValueError(f"unknown stages in {stages}")
-            vocab_src = Vocab(_strings(header["vocab_src"])[4:])
-            vocab_tgt = Vocab(_strings(header["vocab_tgt"])[4:])
-            config = TrainConfig.from_dict(header["config"])
+            vocab_src = _vocab(header, dims, "vocab_src")
+            vocab_tgt = _vocab(header, dims, "vocab_tgt")
+            config = TrainConfig(**header["config"])
         except (AttributeError, TypeError, ValueError) as e:
             raise CheckpointError(f"{path}: bad header: {e}") from e
         _check_schema(path, params, header["kind"], stages, dims, config)
@@ -296,20 +273,8 @@ def param_schema(kind, stages, dims: ModelDims, config: TrainConfig):
     return schema
 
 
-def _legacy_score_schema(dims: ModelDims):
-    """The anchor fitting's score net, which files written before
-    fit-anchors stopped saving it still carry."""
-    d_v = 2 * dims.d_h
-    return {f"anchors/m_score/{key}": ((d_v,) if key == "v" else (d_v, d_v),
-                                       "anchors") for key in "WUVv"}
-
-
 def _check_schema(path, params, kind, stages, dims, config):
     schema = param_schema(kind, stages, dims, config)
-    if ANCHOR_KEY in schema:
-        legacy = _legacy_score_schema(dims)
-        schema.update((name, legacy[name]) for name in params.names()
-                      if name in legacy)
     missing = [name for name in schema if name not in params]
     unexpected = [name for name in params.names() if name not in schema]
     if missing or unexpected:
@@ -332,6 +297,18 @@ def _strings(value):
     if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
         raise TypeError(f"expected a list of strings, got {value!r:.60}")
     return list(value)
+
+
+def _vocab(header, dims, key):
+    """The header's vocabulary ``key``, checked against its ``dims`` size."""
+    tokens, size = _strings(header[key]), getattr(dims, key)
+    if len(tokens) != size:
+        raise ValueError(f"{key} holds {len(tokens)} tokens; dims say {size}")
+    vocab = Vocab(tokens[len(SPECIALS):])
+    if vocab.id_to_token != tokens:
+        raise ValueError(f"{key} does not list {list(SPECIALS)} first and "
+                         f"only there")
+    return vocab
 
 
 # ---------------------------------------------------------------------------

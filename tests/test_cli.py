@@ -354,6 +354,22 @@ def test_renamed_parameter_exits_prerequisite(toy_files, toy_ckpt, tmp_path,
     assert "enc/fwd/W" in proc.stderr and "enc/fwd/Q" in proc.stderr
 
 
+def test_vocabulary_longer_than_dims_exits_prerequisite(toy_files, toy_ckpt,
+                                                         tmp_path, rewrite_header):
+    """A header whose source vocabulary holds more tokens than its dims (with
+    a valid checksum) is refused at load time with one line, not found as an
+    out-of-range id once a source sentence uses an extra token."""
+    bad = rewrite_header(toy_ckpt, tmp_path / "vocab.ckpt", lambda h, p: h[
+        "vocab_src"].extend(["zz1", "zz2", "zz3"]))
+    (tmp_path / "src.txt").write_text("zz1 zz2\n")
+    proc = run_process(["translate", "--ckpt", str(bad),
+                        "--src", str(tmp_path / "src.txt"),
+                        "--out", str(tmp_path / "hyp.txt")])
+    assert proc.returncode == EXIT_PREREQ, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "vocab_src holds" in proc.stderr
+
+
 class TestHelp:
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -573,11 +589,13 @@ class TestTranslateAndEvaluate:
         assert "dims" in captured.err
 
     @pytest.mark.parametrize("mutate, message", [
-        (lambda h, p: p.__setitem__(slice(-8, None), struct.pack("<d", np.nan)),
+        (lambda h, p: p.__setitem__(slice(-4, None), struct.pack("<f", np.nan)),
          "non-finite"),
-        (lambda h, p: h["params"][1].update(offset=h["params"][0]["offset"]),
-         "overlap"),
-    ], ids=["nan-payload", "overlapping-offsets"])
+        (lambda h, p: h["params"][-1].update(
+            shape=[h["params"][-1]["shape"][0] + 1]), "overruns"),
+        (lambda h, p: h["params"][-1].update(
+            shape=[h["params"][-1]["shape"][0] - 1]), "follow the last parameter"),
+    ], ids=["nan-payload", "shape-overruns-payload", "shape-leaves-bytes-unread"])
     def test_params_on_corrupt_payload(self, toy_ckpt, tmp_path, rewrite_header,
                                        capsys, mutate, message):
         bad = rewrite_header(toy_ckpt, tmp_path / "bad.ckpt", mutate)
@@ -632,29 +650,6 @@ class TestAnchorGroup:
         ckpt = Checkpoint.load(m_ckpts[0])
         assert ckpt.params.members("anchors") == ["anchors/m"]
         assert ckpt.params["anchors/m"].shape == (4, 2 * ckpt.dims.d_h)
-
-    def test_file_with_score_net_translates_identically(self, m_ckpts, toy_files,
-                                                         tmp_path):
-        """Files written before the score net was dropped carry
-        ``anchors/m_score/*``; they still load and decode the same."""
-        ckpt = Checkpoint.load(m_ckpts[1])
-        d_v = 2 * ckpt.dims.d_h
-        rng = np.random.default_rng(0)
-        for key, shape in (("W", (d_v, d_v)), ("U", (d_v, d_v)),
-                           ("V", (d_v, d_v)), ("v", (d_v,))):
-            ckpt.params.add(f"anchors/m_score/{key}", rng.normal(size=shape),
-                            "anchors")
-        old = tmp_path / "old.ckpt"
-        ckpt.save(old)
-        assert len(Checkpoint.load(old).params.members("anchors")) == 5
-        outs = []
-        for path in (m_ckpts[1], old):
-            out = tmp_path / f"{path.stem}.hyp"
-            assert run_cli(["translate", "--ckpt", str(path),
-                            "--src", str(toy_files / "toy.test.src"),
-                            "--out", str(out), "--beam", "3"]) == EXIT_OK
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1] and outs[0]
 
 
 class TestFullPipeline:
