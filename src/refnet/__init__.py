@@ -9,14 +9,14 @@ from .lcc import fit_anchors, lcc_weights, localization_measures, reconstruct
 from .model import TranslationModel
 from .params import (GradRecord, Optimizer, ParamStore, backward,
                      clip_gradient_norm, finite_diff_grad)
-from .seq2seq import (Hypothesis, ModelDims, beam_search, decoder_step,
-                      encode_batch, nll_loss)
+from .seq2seq import (ModelDims, beam_search, decoder_step, encode_batch,
+                      nll_loss)
 from .training import Checkpoint, TrainConfig, run_stage
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Batch", "Checkpoint", "GradRecord", "Hypothesis", "ModelDims",
+    "Batch", "Checkpoint", "GradRecord", "ModelDims",
     "Optimizer", "ParallelCorpus", "ParamStore", "Tensor", "TrainConfig",
     "TranslationModel", "Vocab", "autodiff", "backward", "beam_search",
     "bleu", "build_vocab", "clip_gradient_norm", "decoder_step",

@@ -307,16 +307,17 @@ def _cmd_evaluate(args):
     case_sensitive = not args.case_insensitive
     buckets = None
     try:
-        report = evaluation.bleu_files(args.hyp, args.refs,
-                                       case_sensitive=case_sensitive)
+        hyps = corpus_mod.read_sentences(args.hyp)
+        refs = [corpus_mod.read_sentences(p) for p in args.refs]
+        if any(len(r) != len(hyps) for r in refs):
+            raise ValueError("hypothesis/reference line counts differ")
+        ref_sets = [[r[i] for r in refs] for i in range(len(hyps))]
+        report = evaluation.bleu(hyps, ref_sets, case_sensitive)
         if args.src:
             sources = corpus_mod.read_sentences(args.src)
-            hyps = corpus_mod.read_sentences(args.hyp)
             if len(sources) != len(hyps):
                 raise ValueError(f"{args.src} has {len(sources)} lines but "
                                  f"{args.hyp} has {len(hyps)}")
-            refs = [corpus_mod.read_sentences(p) for p in args.refs]
-            ref_sets = [[r[i] for r in refs] for i in range(len(hyps))]
             buckets = evaluation.length_buckets(
                 sources, hyps, ref_sets, bucket_width=args.bucket_width,
                 case_sensitive=case_sensitive)

@@ -91,18 +91,6 @@ def bleu(hypotheses, reference_sets, case_sensitive=True) -> BleuReport:
                       hyp_length, ref_length)
 
 
-def bleu_files(hyp_path, ref_paths, case_sensitive=True) -> BleuReport:
-    """multi-bleu style file interface: one tokenized sentence per line."""
-    from .corpus import read_sentences
-    hyps = read_sentences(hyp_path)
-    refs = [read_sentences(p) for p in ref_paths]
-    for r in refs:
-        if len(r) != len(hyps):
-            raise ValueError("hypothesis/reference line counts differ")
-    ref_sets = [[r[i] for r in refs] for i in range(len(hyps))]
-    return bleu(hyps, ref_sets, case_sensitive)
-
-
 # ---------------------------------------------------------------------------
 # length buckets
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import brefnet, mrefnet, seq2seq
 from .autodiff import Tensor, no_grad
-from .corpus import Batch, PAD
+from .corpus import Batch, _pad_block
 from .params import ParamStore
 from .seq2seq import ModelDims
 
@@ -123,11 +123,9 @@ class TranslationModel:
         lens = np.array([len(s) for s in sources])
         if lens.size == 0 or lens.min() == 0:
             raise ValueError("cannot encode an empty batch or an empty sentence")
-        src = np.full((len(sources), lens.max()), PAD)
-        for i, ids in enumerate(sources):
-            src[i, :len(ids)] = ids
         with no_grad():
-            h, mask = seq2seq.encode_batch(self.params, self.dims, src, lens)
+            h, mask = seq2seq.encode_batch(self.params, self.dims,
+                                           _pad_block(sources), lens)
             h_proj = seq2seq.attention_proj(self.params, h)
             s0 = seq2seq.initial_state(self.params, h, mask)
             extra = variant_extras(self.kind, self.params)
@@ -180,9 +178,10 @@ class TranslationModel:
                         length_normalize=True):
         """Decode sentences together; returns each one's ids without BOS/EOS.
 
-        One encoder pass covers all of them, and every step advances the
-        open hypotheses of all of them, greedy rows included, in one model
-        step. Each sentence keeps its own budget, 2 * len + 5 steps when
+        One encoder pass covers all of them, and every step of
+        ``seq2seq.beam_search`` advances the open hypotheses of all of them,
+        rollout rows included, in one model step; beam 1 is the argmax
+        rollout. Each sentence keeps its own budget, 2 * len + 5 steps when
         max_steps is None, and the ranking rules are those of a sentence
         decoded alone; only the last bits of log-probabilities depend on the
         batch.
@@ -190,9 +189,6 @@ class TranslationModel:
         budgets = [2 * len(s) + 5 if max_steps is None else max_steps
                    for s in sources]
         step_for, s0 = self._prepare(sources)
-        if beam == 1:
-            return [seq2seq.strip_eos(h.tokens)
-                    for h in seq2seq.greedy_decode(step_for, s0, budgets)]
         return seq2seq.beam_search(step_for, s0, beam, budgets, length_normalize)
 
     def translate(self, src_ids, beam=1, max_steps=None, length_normalize=True):

@@ -29,7 +29,7 @@ node per op and step, to compare with them bit for bit.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -382,11 +382,8 @@ def attention_proj(params, h):
     return ad.reshape(flat, (B, m, params["dec/att/U"].shape[1]))
 
 
-def initial_state(params, h, mask=None):
+def initial_state(params, h, mask):
     """s_0 = tanh(mean_i(h_i) W + b), mean over true (unmasked) positions."""
-    B, m, _ = h.shape
-    if mask is None:
-        mask = np.ones((B, m), h.data.dtype)
     counts = mask.sum(axis=1, keepdims=True)
     pooled = ad.sum_(h * mask[:, :, None], axis=1) * (1.0 / counts)
     return ad.tanh(ad.matmul(pooled, params["dec/init/W"]) + params["dec/init/b"])
@@ -665,95 +662,74 @@ def nll_loss(params, dims: ModelDims, batch: Batch, training=False, rng=None,
 # ---------------------------------------------------------------------------
 # decoding
 
-@dataclass
-class Hypothesis:
-    tokens: list = field(default_factory=list)  # emitted ids, EOS included when terminal
-    logprob: float = 0.0
-    finished: bool = False
-    state: np.ndarray | None = None
-
-    def score(self, length_normalize=True):
-        if not length_normalize:
-            return self.logprob
-        return self.logprob / max(1, len(self.tokens))
-
-
 def strip_eos(tokens):
     """Emitted ids without the terminal EOS."""
     return tokens[:-1] if tokens and tokens[-1] == EOS else tokens
 
 
-def greedy_decode(step_for, s0, max_steps):
-    """Argmax rollouts of N sentences together, each until EOS or its budget.
+def beam_search(step_for, s0, k, max_steps, length_normalize=True):
+    """Decoding of N sentences together; returns N token lists without EOS.
 
     ``step_for(sents, singles)`` returns the model step (prev_ids, states) ->
     (logp, states) whose rows are grouped by sentence: g rows for each
     sentence of ``sents``, then one row for each sentence of ``singles``
     (see ``TranslationModel._make_step``). s0 holds the (N, d_h) initial
-    states and max_steps the N step budgets. Every step advances all open
-    rollouts in one call. Returns one Hypothesis per sentence.
-    """
-    greedy = _Rollouts(s0, max_steps)
-    _run(step_for, max(max_steps, default=0), None, greedy)
-    return [greedy.hypothesis(i) for i in range(len(s0))]
+    states and max_steps the N step budgets.
 
-
-def beam_search(step_for, s0, k, max_steps, length_normalize=True):
-    """Beam decoding of N sentences together; returns N token lists.
-
-    ``step_for``, s0 and max_steps are as for ``greedy_decode``. Per
-    sentence, each hypothesis proposes its top-k tokens, the candidates are
-    ranked by log-probability (a stable sort, so ties keep proposal order),
-    finished candidates are set aside until the sentence holds k, and the
-    best k unfinished ones stay alive; a sentence stops when k are finished,
-    none is alive or its budget is spent. The final pick is the first
-    maximum of length-normalized log-probability in pool order: finished
-    candidates in the order they were set aside, then the unfinished ones
-    left when the budget ran out. k = 1 reproduces the greedy rollout
-    exactly. For k > 1 each sentence's greedy rollout heads its pool and
-    counts as one of its k finished slots from step 0, so a wider beam can
-    never score below it; it advances in the same model steps as the beam,
-    and keeps running until EOS or its budget after the sentence's beam has
-    closed.
+    Every sentence has an argmax rollout, run until EOS or its budget; ties
+    go to the lowest token id. At k = 1 the rollouts are the result. For
+    k > 1 each sentence also runs a beam: each hypothesis proposes its
+    top-k tokens, the candidates are ranked by log-probability (a stable
+    sort, so ties keep proposal order), finished candidates are set aside
+    until the sentence holds k, and the best k unfinished ones stay alive; a
+    sentence stops when k are finished, none is alive or its budget is
+    spent. The rollout heads the pool and takes one of its k finished slots
+    from step 0, so a wider beam never scores below it. The final pick is
+    the first maximum of length-normalized log-probability in pool order:
+    the rollout, the finished candidates in the order they were set aside,
+    then the unfinished ones left when the budget ran out.
 
     Every step advances the beam rows of all open sentences and one row per
-    open greedy rollout in one model-step call. The beam rows sit in groups
-    of g per sentence, g the most any open sentence keeps, so a step
-    computes the rows the beam can reach, not k per sentence. The step
-    function, which gathers the encoder memory, is rebuilt only when the
-    set of open sentences changes. Ranking runs on one candidate matrix for
-    all sentences, and token lists are built only for the final picks.
+    open rollout in one model-step call. The beam rows sit in groups of g
+    per sentence, g the most any open sentence keeps, so a step computes
+    the rows the beam can reach, not k per sentence. The step function,
+    which gathers the encoder memory, is rebuilt only when the set of open
+    sentences changes.
     """
     if k < 1:
         raise ValueError("beam width must be >= 1")
-    greedy = _Rollouts(s0, max_steps) if k > 1 else None
-    beam = _Beam(s0, k, max_steps, length_normalize, greedy_slots=int(k > 1))
-    _run(step_for, max(max_steps, default=0), beam, greedy)
-    return beam.picks(greedy)
+    rollouts = _Rollouts(s0, max_steps)
+    if k == 1:
+        _run(step_for, rollouts, None)
+        return [rollouts.tokens(i) for i in range(len(s0))]
+    beam = _Beam(s0, k, max_steps, length_normalize)
+    _run(step_for, rollouts, beam)
+    return beam.picks(rollouts)
 
 
-def _run(step_for, t_max, beam, greedy):
-    """Steps 0..t_max-1 of the beam rows and the greedy rows (either may be
-    None), both advanced by one model-step call per step: the beam rows
-    first, then one row per open greedy rollout."""
+def _run(step_for, rollouts, beam):
+    """Advance the beam rows (if any) and the open rollouts by one
+    model-step call per step, the beam rows first, until every sentence is
+    done or its budget is spent."""
     none = np.zeros(0, dtype=int)
     layout = step = None
+    t_max = rollouts.history.shape[1]
     for t in range(t_max):
         sents = beam.open(t) if beam else none
-        singles = greedy.open(t) if greedy else none
+        singles = rollouts.open(t)
         if not (len(sents) or len(singles)):
             break
         if layout is None or not (np.array_equal(layout[0], sents)
                                   and np.array_equal(layout[1], singles)):
             layout, step = (sents, singles), step_for(sents, singles)
         inputs = ([beam.inputs()] if len(sents) else []) + \
-                 ([greedy.inputs(singles)] if len(singles) else [])
+                 ([rollouts.inputs(singles)] if len(singles) else [])
         logp, states = step(*map(np.concatenate, zip(*inputs)))
         cut = len(logp) - len(singles)
         if len(sents):
             beam.update(t, logp[:cut], states[:cut])
         if len(singles):
-            greedy.update(singles, logp[cut:], states[cut:])
+            rollouts.update(singles, logp[cut:], states[cut:])
     if beam:
         beam.open(t_max)  # retires whatever is still open
 
@@ -769,7 +745,7 @@ class _Rollouts:
         self.logprob = np.zeros(n)
         self.length = np.zeros(n, dtype=int)
         self.running = np.ones(n, dtype=bool)
-        self.history = np.zeros((n, 0), dtype=int)  # EOS past a rollout's end
+        self.history = np.zeros((n, max(max_steps, default=0)), dtype=int)
 
     def open(self, t):
         return np.flatnonzero(self.running & (t < self.budget))
@@ -779,28 +755,31 @@ class _Rollouts:
 
     def update(self, sents, logp, states):
         tok = np.argmax(logp, axis=1)
-        column = np.full(len(self.prev), EOS)
-        column[sents] = tok
-        self.history = np.concatenate([self.history, column[:, None]], axis=1)
+        self.history[sents, self.length[sents]] = tok
         self.logprob[sents] += logp[np.arange(len(sents)), tok]
         self.length[sents] += 1
         self.state[sents] = states
         self.prev[sents] = tok
         self.running[sents] = tok != EOS
 
-    def hypothesis(self, i):
-        tokens = self.history[i, :self.length[i]].tolist()
-        return Hypothesis(tokens, float(self.logprob[i]), tokens[-1:] == [EOS],
-                          self.state[i])
+    def tokens(self, i):
+        """Rollout i's ids without EOS."""
+        return strip_eos(self.history[i, :self.length[i]].tolist())
+
+    def key(self, i, length_normalize):
+        """Rollout i's ranking key, EOS counted in its length."""
+        if not length_normalize:
+            return self.logprob[i]
+        return self.logprob[i] / max(1, self.length[i])
 
 
 class _Beam:
     """The alive hypotheses of the open sentences, as (n, g, ...) arrays: g
     rows per sentence, its ``count`` live ones first in rank order, the
     rest padding. Each sentence also keeps the best pick of its pool so far
-    (first maximum in pool order, greedy rollout aside)."""
+    (first maximum in pool order, the rollout aside)."""
 
-    def __init__(self, s0, k, max_steps, length_normalize, greedy_slots):
+    def __init__(self, s0, k, max_steps, length_normalize):
         n = len(s0)
         self.k, self.budget, self.norm = k, np.asarray(max_steps), length_normalize
         self.sents = np.arange(n)
@@ -809,7 +788,7 @@ class _Beam:
         self.prev = np.full((n, 1), BOS)
         self.logprob = np.zeros((n, 1))
         self.history = np.zeros((n, 1, 0), dtype=int)  # tokens emitted so far
-        self.done = np.full(n, greedy_slots)  # finished slots taken
+        self.done = np.ones(n, dtype=int)  # finished slots taken; the rollout's first
         self.best_key = np.full(n, -np.inf)
         self.best = [None] * n  # token array of the best pick
 
@@ -892,15 +871,9 @@ class _Beam:
             if self.best[i] is None or key > self.best_key[i]:
                 self.best_key[i], self.best[i] = key, toks
 
-    def picks(self, greedy):
-        """Each sentence's final pick without EOS; the greedy rollout heads
-        the pool, so it wins ties."""
-        out = []
-        for i, toks in enumerate(self.best):
-            head = greedy.hypothesis(i) if greedy else None
-            if head is not None and (toks is None or
-                                     not self.best_key[i] > head.score(self.norm)):
-                out.append(strip_eos(head.tokens))
-            else:
-                out.append(strip_eos(toks.tolist()))
-        return out
+    def picks(self, rollouts):
+        """Each sentence's final pick without EOS; the rollout heads the
+        pool, so it wins ties."""
+        return [strip_eos(toks.tolist())
+                if self.best_key[i] > rollouts.key(i, self.norm)
+                else rollouts.tokens(i) for i, toks in enumerate(self.best)]

@@ -27,8 +27,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import secrets
 import struct
-import tempfile
 import time
 import zlib
 from dataclasses import asdict, dataclass, field, fields
@@ -142,7 +142,13 @@ class Checkpoint:
             manifest.append({"name": name, "group": self.params.group_of(name),
                              "shape": list(tensor.data.shape)})
             # a float32 array is written as it is, a wider one rounded
-            payload.append(np.ascontiguousarray(tensor.data, dtype="<f4"))
+            with np.errstate(over="ignore"):
+                raw = np.ascontiguousarray(tensor.data, dtype="<f4")
+            if not np.isfinite(raw).all():  # load would refuse the file
+                raise NumericError(
+                    f"parameter {name!r} holds values that are not finite "
+                    f"in float32; not saving {path}")
+            payload.append(raw)
         header = {
             "kind": self.kind,
             "stages": list(self.stages),
@@ -157,8 +163,10 @@ class Checkpoint:
         crc = zlib.crc32(blob)
         for raw in payload:  # incremental: no joined copy of the payload
             crc = zlib.crc32(raw, crc)
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        # a fresh name beside the target; O_CREAT applies the umask to 0o666,
+        # as open() does, where mkstemp would make the file 0o600
+        tmp = f"{os.path.abspath(path)}.{secrets.token_hex(8)}.tmp"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(MAGIC)

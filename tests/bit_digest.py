@@ -12,8 +12,8 @@ It hashes, in order:
   output is saved to a checkpoint file and loaded back, and the next stage
   and the decodes take the loaded checkpoint, so the digest covers the
   file format too;
-* greedy and beam decodes at beams 1, 4 and 10 for the baseline, m_ref and
-  b_ref checkpoints of those stages;
+* decodes at beams 1, 4 and 10 for the baseline, m_ref and b_ref
+  checkpoints of those stages;
 * the gradient suite's ``max_rel_err`` of every check at seeds 0 and 1;
 * the raw pairs of every synthetic task kind at seed 77 with lengths 3-12
   and at seed 5 with every length 4 (vocabulary 50).

@@ -573,6 +573,24 @@ class TestTranslateAndEvaluate:
         assert "BLEU =" in text
         assert "bucket" in text
 
+    def test_evaluate_file_interface(self, tmp_path, capsys):
+        (tmp_path / "hyp.txt").write_text("the cat sat\n")
+        (tmp_path / "ref.txt").write_text("the cat sat down\n")
+        assert run_cli(["evaluate", "--hyp", str(tmp_path / "hyp.txt"),
+                        "--refs", str(tmp_path / "ref.txt")]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("BLEU = 71.65,")
+
+    def test_evaluate_reference_line_count_mismatch(self, tmp_path, capsys):
+        (tmp_path / "hyp.txt").write_text("the cat sat\na dog ran\n")
+        (tmp_path / "ref.txt").write_text("the cat sat down\n")
+        code = run_cli(["evaluate", "--hyp", str(tmp_path / "hyp.txt"),
+                        "--refs", str(tmp_path / "ref.txt")])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "config error: hypothesis/reference line counts differ"]
+
     def test_params_command(self, toy_ckpt, capsys):
         assert run_cli(["params", "--ckpt", str(toy_ckpt)]) == EXIT_OK
         text = capsys.readouterr().out

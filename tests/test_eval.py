@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from refnet.evaluation import (bleu, bleu_files, length_buckets, param_report)
+from refnet.evaluation import bleu, length_buckets, param_report
 from refnet.params import ParamStore
 
 
@@ -83,12 +83,6 @@ class TestBleu:
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             bleu([toks("a")], [])
-
-    def test_file_interface(self, tmp_path):
-        (tmp_path / "hyp.txt").write_text("the cat sat\n")
-        (tmp_path / "ref.txt").write_text("the cat sat down\n")
-        report = bleu_files(tmp_path / "hyp.txt", [tmp_path / "ref.txt"])
-        assert report.score == pytest.approx(71.653, abs=5e-3)
 
 
 class TestLengthBuckets:

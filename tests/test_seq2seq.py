@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from refnet.mrefnet import ANCHOR_KEY, init_m_params
 from refnet.params import ParamStore
 from refnet.training import STAGE_FREEZES
 from refnet import seq2seq
-from refnet.seq2seq import (GATES, Hypothesis, ModelDims, beam_search,
-                            decoder_step, encode_batch, greedy_decode,
-                            init_baseline_params, nll_loss, readout)
+from refnet.seq2seq import (GATES, ModelDims, beam_search, decoder_step,
+                            encode_batch, init_baseline_params, nll_loss,
+                            readout)
 from reference import (additive_attention, attention_weights, recurrent_cell,
                        reference_decoder, reference_encoder, sigmoid)
 
@@ -777,35 +778,34 @@ class TestDecoding:
         return out + prefixes
 
     def test_beam_one_equals_greedy(self):
+        """Beam 1 is the argmax rollout, stepped here one token at a time."""
         model = self._model(seed=1, vocab=8)
         rng = np.random.default_rng(2)
         for _ in range(10):
             src = rng.integers(4, 8, size=rng.integers(1, 6)).tolist()
             step_for, s0 = model._prepare([src])
-            (beam_one,) = beam_search(step_for, s0, 1, [2 * len(src) + 5])
-            assert model.translate(src, beam=1) == beam_one
+            step, state, prev, rollout = step_for([0]), s0[0], BOS, []
+            while len(rollout) < 2 * len(src) + 5 and prev != EOS:
+                logp, states = step(np.array([prev]), state[None, :])
+                state, prev = states[0], int(np.argmax(logp[0]))
+                rollout.append(prev)
+            assert model.translate(src, beam=1) == [t for t in rollout if t != EOS]
 
     def test_beam_score_at_least_greedy(self):
         """Widening the beam never returns a worse-scoring hypothesis."""
-        from refnet.seq2seq import beam_search as raw_beam
-
         for seed in range(6):
             model = self._model(seed=seed, vocab=8)
             src = np.random.default_rng(seed).integers(4, 8, size=4).tolist()
             step_for, s0 = model._prepare([src])
-            step, s0 = step_for([0]), s0[0]
-            (greedy_hyp,) = greedy_decode(step_for, s0[None, :], max_steps=[13])
+            score = self._scorer(step_for([0]), s0[0])
+
+            def found_score(k):
+                (toks,) = beam_search(step_for, s0, k, max_steps=[13])
+                return score(toks + ([EOS] if len(toks) < 13 else []))
+
+            greedy = found_score(1)
             for k in (2, 4):
-                (beam_toks,) = raw_beam(step_for, s0[None, :], k=k, max_steps=[13])
-                # replay the beam result to get its hypothesis score
-                state, prev, total = s0, BOS, 0.0
-                seq = beam_toks + ([EOS] if len(beam_toks) < 13 else [])
-                for tok in seq:
-                    logp, states = step(np.array([prev]), state[None, :])
-                    total += logp[0, tok]
-                    state, prev = states[0], tok
-                beam_score = total / max(1, len(seq))
-                assert beam_score >= greedy_hyp.score() - 1e-12
+                assert found_score(k) >= greedy - 1e-12
 
     def test_beam_matches_exhaustive_on_micro_model(self):
         """With the beam as wide as the search space, beam = brute force."""
@@ -857,8 +857,8 @@ class TestDecoding:
     def test_greedy_stops_at_budget(self):
         model = self._model(seed=8, vocab=6)
         step_for, s0 = model._prepare([[4]])
-        (hyp,) = greedy_decode(step_for, s0, max_steps=[3])
-        assert len(hyp.tokens) <= 3
+        (hyp,) = beam_search(step_for, s0, 1, max_steps=[3])
+        assert len(hyp) <= 3
 
 
 def bench_style_wrapper(monkeypatch):
@@ -897,24 +897,41 @@ def reference_model(kind, seed=3, vocab=12):
     return TranslationModel(ps, dims, kind)
 
 
+@dataclass
+class Candidate:
+    tokens: list
+    logprob: float
+    state: np.ndarray
+
+    @property
+    def finished(self):
+        return self.tokens[-1:] == [EOS]
+
+    def score(self):
+        return self.logprob / max(1, len(self.tokens))
+
+
 def reference_beam(step, s0, k, max_steps):
-    """One sentence's beam search written as a plain loop: every candidate a
-    Hypothesis, Python's stable sort, the greedy rollout in the final pool."""
+    """One sentence's search written as a plain loop: the argmax rollout
+    (ties to the lowest id), which is the result at k = 1; for k > 1 every
+    candidate a Candidate, Python's stable sort, the rollout in the final
+    pool."""
     def extend(hyp, logp, state, tok):
-        return Hypothesis(hyp.tokens + [tok], hyp.logprob + float(logp[tok]),
-                          tok == EOS, state)
+        return Candidate(hyp.tokens + [tok], hyp.logprob + float(logp[tok]), state)
 
     def advance(hyps):
         prev = np.array([h.tokens[-1] if h.tokens else BOS for h in hyps])
         return step(prev, np.stack([h.state for h in hyps]))
 
-    greedy = Hypothesis(state=s0)
+    greedy = Candidate([], 0.0, s0)
     for _ in range(max_steps):
         logp, states = advance([greedy])
         greedy = extend(greedy, logp[0], states[0], int(np.argmax(logp[0])))
         if greedy.finished:
             break
-    alive, done = [Hypothesis(state=s0)], [] if k == 1 else [greedy]
+    if k == 1:
+        return [t for t in greedy.tokens if t != EOS]
+    alive, done = [Candidate([], 0.0, s0)], [greedy]
     for _ in range(max_steps):
         if not alive:
             break
@@ -935,7 +952,7 @@ def reference_beam(step, s0, k, max_steps):
         if len(done) >= k:
             break
     best = max(done + alive, key=lambda c: c.score())
-    return best.tokens[:-1] if best.tokens[-1:] == [EOS] else best.tokens
+    return best.tokens[:-1] if best.finished else best.tokens
 
 
 class TestBatchedDecoding:
@@ -1003,7 +1020,8 @@ class TestBatchedDecoding:
         """Log-probabilities that are small integers, looked up by the
         previous token alone, tie exactly all the time, across steps and
         lengths too: the ranking, the finished slots and the final pick must
-        break every tie as the plain loop does."""
+        break every tie as the plain loop does, and at k = 1 the rollout
+        breaks them toward the lowest token id."""
         rng = np.random.default_rng(14)
         s0 = np.zeros((3, 2))
         for _ in range(200):

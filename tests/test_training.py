@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
+import stat
 import struct
+import warnings
 import zlib
 from collections import Counter
 
@@ -9,12 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refnet.corpus import build_vocab, make_batches
-from refnet.errors import CheckpointError, PrerequisiteError
+from refnet.errors import CheckpointError, NumericError, PrerequisiteError
 from refnet.model import TranslationModel
 from refnet.autodiff import grad_map
 from refnet.params import GROUPS, Optimizer, backward, clip_gradient_norm
-from refnet.seq2seq import (ModelDims, beam_search, greedy_decode,
-                            init_baseline_params)
+from refnet.seq2seq import ModelDims, beam_search, init_baseline_params
 from refnet import training
 from refnet.training import (PREAMBLE, STAGE_FIELDS, STAGE_FREEZES, STAGES,
                              Checkpoint, TrainConfig, run_stage)
@@ -182,6 +184,38 @@ class TestCheckpointFile:
         for beam in (1, 3):
             assert (loaded.make_model().translate_batch(sources, beam=beam)
                     == narrow.translate_batch(sources, beam=beam))
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002],
+                             ids=["022", "077", "002"])
+    def test_file_mode_follows_the_umask(self, umask, tmp_path):
+        """The file gets 0o666 less the umask, as any file the process
+        creates, not the 0o600 of a private temporary file."""
+        vocab = build_vocab([["a", "b"]], 10)
+        dims = ModelDims(vocab_src=len(vocab), vocab_tgt=len(vocab), d_e=3, d_h=4)
+        ckpt = Checkpoint(init_baseline_params(dims, np.random.default_rng(3)),
+                          dims, TrainConfig(), "baseline", ["pretrain"], vocab, vocab)
+        old = os.umask(umask)
+        try:
+            path = ckpt.save(tmp_path / "model.ckpt")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask
+
+    def test_value_float32_cannot_hold_is_refused(self, tmp_path):
+        """A float64 value beyond float32's range raises NumericError naming
+        the parameter, with no warning and no file, final or temporary."""
+        vocab = build_vocab([["a", "b"]], 10)
+        dims = ModelDims(vocab_src=len(vocab), vocab_tgt=len(vocab), d_e=3, d_h=4)
+        wide = init_baseline_params(dims, np.random.default_rng(3))
+        wide["dec/init/b"].data[1] = 1e300
+        ckpt = Checkpoint(wide, dims, TrainConfig(), "baseline", ["pretrain"],
+                          vocab, vocab)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="'dec/init/b'"):
+                ckpt.save(tmp_path / "model.ckpt")
+        assert not (tmp_path / "model.ckpt").exists()
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 def loads_identically_or_is_rejected(path, original):
@@ -633,7 +667,7 @@ class TestFloat32Compute:
             assert {t.data.dtype for _, t in params.items()} == {np.dtype(np.float32)}
 
     def test_no_float64_in_a_decode_step(self, toy_split, toy_vocabs):
-        """Every model step of greedy and beam decoding takes and returns
+        """Every model step of decoding at beams 1 and 3 takes and returns
         float32 states and log-probabilities."""
         for kind, (_, ckpt) in float32_checkpoints(toy_split, toy_vocabs).items():
             step_for, s0 = ckpt.make_model()._prepare([[4, 5, 6], [7, 4]])
@@ -649,7 +683,7 @@ class TestFloat32Compute:
                     return logp, new_states
                 return spied
 
-            greedy_decode(spied_step_for, s0, [4, 4])
+            beam_search(spied_step_for, s0, 1, [4, 4])
             beam_search(spied_step_for, s0, 3, [4, 4])
             assert seen == {np.dtype(np.float32)}, kind
 
