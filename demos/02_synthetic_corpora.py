@@ -4,7 +4,7 @@
 Run:  python3 demos/02_synthetic_corpora.py
 """
 
-from refnet.corpus import (build_vocab, cipher_permutation, filter_by_length,
+from refnet.corpus import (PAD, build_vocab, cipher_permutation, filter_by_length,
                            generate_synthetic_task, make_batches)
 
 print("=== the three toy tasks ===")
@@ -38,4 +38,4 @@ print(f"{len(batches)} batches; sizes {[len(b) for b in batches]}")
 b = batches[0]
 print(f"first batch: src {b.src.shape}, tgt {b.tgt.shape} "
       f"(targets wrapped in BOS ... EOS)")
-print(f"row 0 target ids: {b.tgt[0, :b.tgt_lens[0]].tolist()}")
+print(f"row 0 target ids: {b.tgt[0][b.tgt[0] != PAD].tolist()}")

@@ -43,7 +43,7 @@ def _read_config_file(path):
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
                 key, value = (part.strip() for part in line.split("=", 1))
                 values[key.replace("-", "_")] = value
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
     return values
 
@@ -287,8 +287,8 @@ def _cmd_translate(args):
     model = ckpt.make_model()
     try:
         sources = corpus_mod.read_sentences(args.src)
-    except OSError as e:
-        raise ConfigError(str(e)) from e
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read {args.src}: {e}") from e
     hyps = [[] for _ in sources]  # an empty line keeps its place in the output
     lines = [i for i, tokens in enumerate(sources) if tokens]
     for start in range(0, len(lines), TRANSLATE_CHUNK):

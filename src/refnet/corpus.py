@@ -218,7 +218,6 @@ class Batch:
     src: np.ndarray       # (B, m_max) int ids, PAD past each length
     src_lens: np.ndarray  # (B,)
     tgt: np.ndarray       # (B, t_max) int ids, BOS ... EOS then PAD
-    tgt_lens: np.ndarray  # (B,) including BOS and EOS
 
     def __len__(self):
         return self.src.shape[0]
@@ -255,6 +254,5 @@ def make_batches(corpus: ParallelCorpus, batch_size, vocab_src: Vocab,
             src=_pad_block(src_rows),
             src_lens=np.array([len(r) for r in src_rows], dtype=np.int64),
             tgt=_pad_block(tgt_rows),
-            tgt_lens=np.array([len(r) for r in tgt_rows], dtype=np.int64),
         ))
     return batches

@@ -13,8 +13,8 @@ parameters the tape recorded; each other trainable parameter gets one
 directional probe by the same complex step, which must leave the
 objective real.
 
-The oracle is exact to machine precision, so ``TOL`` sits at 1e-8, over
-400 times above the worst error the suite reads at seeds 0-19 (2.1e-11):
+The oracle is exact to machine precision, so ``TOL`` sits at 1e-8, 300
+times above the worst error the suite reads at seeds 0-19 (3.3e-11):
 a backward term wrong by 1e-6 relative fails its check. Every objective
 must be holomorphic in the perturbed values (see ``finite_diff_grad``)
 and deterministic. A sweep is split over the usable CPUs, by forked
@@ -34,18 +34,21 @@ import numpy as np
 from . import autodiff as ad
 from . import brefnet, mrefnet, seq2seq
 from .autodiff import Tensor
-from .corpus import Batch
+from .corpus import BOS, EOS, PAD, Batch
 from .lcc import mean_localization_measure, tri_scores
 from .model import TranslationModel, variant_extras
 from .params import (ParamStore, backward, complex_step, finite_diff_grad,
                      imag_part, relative_error)
-from .seq2seq import ModelDims
 
 TOL = 1e-8
 # The oracle's step, passed on every call: Im f(p + ih) / h is exact to
 # machine precision once h^2 is below it, and no subtraction loses bits.
 STEP = 1e-20
-_DIMS = dict(d_e=3, d_h=4, d_att=4, d_out=3)
+# the shapes of every check of the decoder or of a whole model
+_TINY = seq2seq.ModelDims(vocab_src=6, vocab_tgt=6, d_e=3, d_h=4, d_att=4, d_out=3)
+_RAGGED = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])  # lengths 3 and 1
+# the tri-nonlinear score's weights, in ``tri_scores``'s order
+_SCORE_NET = tuple(f"anchors/score/{k}" for k in "WUVv")
 
 
 @dataclass
@@ -88,18 +91,101 @@ def _compare(f, ps):
     return float(np.max(errs))
 
 
-def _tiny_dims(vocab=6):
-    return ModelDims(vocab_src=vocab, vocab_tgt=vocab, **_DIMS)
-
-
 def _probe(ps, name, data):
     return ps.add(name, data, "m_ref")  # group label is irrelevant for probes
 
 
-def _memory(rng, ps):
-    """A constant encoder memory h (2, 3, 2*d_h) and its projection."""
-    h = rng.normal(size=(2, 3, ps["dec/att/U"].shape[0]))
-    return Tensor(h), Tensor(h @ ps["dec/att/U"].data)
+def _store(rng, kind, dims=_TINY):
+    """``kind``'s store at ``dims``: the baseline, plus m_ref's group and 3
+    anchors or b_ref's group (3 anchors, d_a 4). The kind's extra
+    projection, zero at initialization, is drawn from N(0, 0.3), so that
+    its extra input reaches the objective."""
+    ps = seq2seq.init_baseline_params(dims, rng)
+    if kind == "m_ref":
+        mrefnet.init_m_params(ps, dims, rng)
+        ps.add(mrefnet.ANCHOR_KEY, rng.normal(size=(3, 2 * dims.d_h)), "anchors")
+        proj = ps["mref/proj"]
+    elif kind == "b_ref":
+        brefnet.init_b_params(ps, dims, 3, 4, rng)
+        proj = ps["bref/proj"]
+    else:
+        return ps
+    proj.data[...] = rng.normal(0, 0.3, size=proj.shape)
+    return ps
+
+
+def _one_step(seed, salt, kind, mask, checked=None):
+    """One step of the decoder node with ``kind``'s extra input over a
+    constant memory of two sources (padding: mask), as a function of a
+    store. The store holds the ``checked`` parameters of ``kind``'s store
+    (None: all of them) and probes the previous embedding and state; the
+    other parameters are constants, so no probe of the oracle is spent on
+    them. Returns the generator for further draws, the store and the step."""
+    rng = np.random.default_rng((seed, salt))
+    full, ps = _store(rng, kind), ParamStore()
+    for name in checked or full.names():
+        ps.add(name, full[name].data, full.group_of(name))
+    const = {n: Tensor(t.data) for n, t in full.items() if n not in ps}
+    h = rng.normal(size=(2, 3, 2 * _TINY.d_h))
+    h, h_proj = Tensor(h), Tensor(h @ full["dec/att/U"].data)
+    _probe(ps, "probe/emb", rng.normal(size=(2, 2, _TINY.d_e)))
+    _probe(ps, "probe/s_prev", rng.normal(size=(2, _TINY.d_h)))
+
+    def step(ps_):
+        params = {**const, **dict(ps_.items())}
+        return seq2seq.decoder_recurrence(params, ps_["probe/s_prev"],
+                                          ps_["probe/emb"], h, h_proj, mask,
+                                          variant_extras(kind, params))
+
+    return rng, ps, step
+
+
+def _read_out(rng, ps, step):
+    """``_compare`` of sum(tanh(out) * u) over the step's output rows."""
+    u = rng.normal(size=step(ps).shape[1])
+    return _compare(lambda ps_: ad.sum_(ad.tanh(step(ps_)) * u), ps)
+
+
+def _loss_check(seed, salt, kind, ragged=False, **model_kw):
+    """``_compare`` of ``kind``'s training objective over its store, on a
+    toy batch of two pairs: sources of length 3 (3 and 2 when ragged), and
+    four target words between BOS and EOS."""
+    rng = np.random.default_rng((seed, salt))
+    ps = _store(rng, kind)
+    lens = np.array([3, 2 if ragged else 3])
+    src = rng.integers(4, _TINY.vocab_src, size=(2, 3))
+    src[np.arange(3) >= lens[:, None]] = PAD
+    words = rng.integers(4, _TINY.vocab_tgt, size=(2, 4))
+    tgt = np.concatenate([np.full((2, 1), BOS), words, np.full((2, 1), EOS)], axis=1)
+    batch = Batch(src=src, src_lens=lens, tgt=tgt)
+    model = TranslationModel(ps, _TINY, kind, **model_kw)
+    return _compare(lambda ps_: model.loss(batch).joint, ps)
+
+
+def _score_net(rng, d_v, d_att=3):
+    """A store of the tri-nonlinear score's weights (``_SCORE_NET``)."""
+    ps = ParamStore()
+    for name in _SCORE_NET[:3]:
+        ps.add(name, rng.normal(0, 0.5, size=(d_att, d_v)), "anchors")
+    ps.add(_SCORE_NET[3], rng.normal(size=d_att), "anchors")
+    return ps
+
+
+def _scores_check(seed, salt, N, C):
+    """``_compare`` of a weighted sum of the scores of N inputs against C
+    anchors, inputs and anchors both probed."""
+    rng = np.random.default_rng((seed, salt))
+    ps = _score_net(rng, 4)
+    _probe(ps, "probe/x", rng.normal(size=(N, 4)))
+    _probe(ps, "probe/anchors", rng.normal(size=(C, 4)))
+    w = rng.normal(size=(N, C))
+
+    def f(ps_):
+        scores = tri_scores(ps_["probe/x"], ps_["probe/anchors"],
+                            *(ps_[k] for k in _SCORE_NET))
+        return ad.sum_(scores * w)
+
+    return _compare(f, ps)
 
 
 def check_attention(seed):
@@ -107,13 +193,13 @@ def check_attention(seed):
     one step of the decoder node over ragged sources (lengths 3 and 2): the
     objective reads the context; the cell's weights are constants."""
     rng = np.random.default_rng((seed, 11))
-    dims = _tiny_dims()
-    ps = seq2seq.init_baseline_params(dims, rng)
-    h = Tensor(rng.normal(size=(2, 3, 2 * dims.d_h)))
-    u = np.concatenate([np.zeros(dims.d_e + dims.d_h), rng.normal(size=2 * dims.d_h)])
-    emb = Tensor(rng.normal(size=(2, 2, dims.d_e)))
+    d_e, d_h = _TINY.d_e, _TINY.d_h
+    ps = _store(rng, "baseline")
+    h = Tensor(rng.normal(size=(2, 3, 2 * d_h)))
+    u = np.concatenate([np.zeros(d_e + d_h), rng.normal(size=2 * d_h)])
+    emb = Tensor(rng.normal(size=(2, 2, d_e)))
     mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
-    _probe(ps, "probe/s_prev", rng.normal(size=(2, dims.d_h)))
+    _probe(ps, "probe/s_prev", rng.normal(size=(2, d_h)))
     cell = {k: Tensor(ps[k].data) for k in ("dec/cell/W", "dec/cell/U", "dec/cell/b")}
 
     def f(ps_):
@@ -129,20 +215,7 @@ def check_decoder_step(seed):
     """One step of the decoder node without an extra input: the attention
     and the gated update over a constant memory, the previous embedding and
     state probed."""
-    rng = np.random.default_rng((seed, 13))
-    dims = _tiny_dims()
-    ps = seq2seq.init_baseline_params(dims, rng)
-    u = rng.normal(size=dims.d_e + 3 * dims.d_h)
-    h, h_proj = _memory(rng, ps)
-    _probe(ps, "probe/emb", rng.normal(size=(2, 2, dims.d_e)))
-    _probe(ps, "probe/s_prev", rng.normal(size=(2, dims.d_h)))
-
-    def f(ps_):
-        out = seq2seq.decoder_recurrence(ps_, ps_["probe/s_prev"], ps_["probe/emb"],
-                                         h, h_proj, None)
-        return ad.sum_(ad.tanh(out) * u)
-
-    return _compare(f, ps)
+    return _read_out(*_one_step(seed, 13, "baseline", None))
 
 
 def check_decoder_step_extras(seed):
@@ -150,204 +223,69 @@ def check_decoder_step_extras(seed):
     attention's context fed through a non-zero projection, over a constant
     memory of ragged sources; the anchors, the previous embedding and state
     probed."""
-    rng = np.random.default_rng((seed, 17))
-    dims = _tiny_dims()
-    ps = seq2seq.init_baseline_params(dims, rng)
-    mrefnet.init_m_params(ps, dims, rng)
-    ps["mref/proj"].data[...] = rng.normal(0, 0.3, size=ps["mref/proj"].shape)
-    ps.add("anchors/m", rng.normal(size=(3, 2 * dims.d_h)), "anchors")
-    u = rng.normal(size=dims.d_e + 3 * dims.d_h)
-    h, h_proj = _memory(rng, ps)
-    mask = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
-    _probe(ps, "probe/emb", rng.normal(size=(2, 2, dims.d_e)))
-    _probe(ps, "probe/s_prev", rng.normal(size=(2, dims.d_h)))
-
-    def f(ps_):
-        extra = variant_extras("m_ref", ps_)
-        out = seq2seq.decoder_recurrence(ps_, ps_["probe/s_prev"], ps_["probe/emb"],
-                                         h, h_proj, mask, extra)
-        return ad.sum_(ad.tanh(out) * u)
-
-    return _compare(f, ps)
+    return _read_out(*_one_step(seed, 17, "m_ref", _RAGGED))
 
 
 def check_tri_score(seed):
     """The tri-nonlinear compatibility score of one input and one anchor."""
-    rng = np.random.default_rng((seed, 19))
-    d_v, d_att = 4, 3
-    ps = ParamStore()
-    for key in ("W", "U", "V"):
-        ps.add(f"anchors/score/{key}", rng.normal(0, 0.5, size=(d_att, d_v)), "anchors")
-    ps.add("anchors/score/v", rng.normal(size=d_att), "anchors")
-    ps.add("anchors/point", rng.normal(size=(1, d_v)), "anchors")
-    _probe(ps, "probe/x", rng.normal(size=(1, d_v)))
-
-    def f(ps_):
-        return ad.sum_(tri_scores(ps_["probe/x"], ps_["anchors/point"],
-                                  *(ps_[f"anchors/score/{k}"] for k in "WUVv")))
-
-    return _compare(f, ps)
+    return _scores_check(seed, 19, 1, 1)
 
 
 def check_tri_scores_batch(seed):
     """The score of several inputs against several anchors: the kernel's
-    sums over rows and anchors, with inputs and anchors both probed."""
-    rng = np.random.default_rng((seed, 53))
-    N, C, d_v, d_att = 3, 4, 4, 3
-    ps = ParamStore()
-    for key in ("W", "U", "V"):
-        ps.add(f"anchors/score/{key}", rng.normal(0, 0.5, size=(d_att, d_v)), "anchors")
-    ps.add("anchors/score/v", rng.normal(size=d_att), "anchors")
-    _probe(ps, "probe/x", rng.normal(size=(N, d_v)))
-    _probe(ps, "probe/anchors", rng.normal(size=(C, d_v)))
-    w = rng.normal(size=(N, C))
-
-    def f(ps_):
-        scores = tri_scores(ps_["probe/x"], ps_["probe/anchors"],
-                            *(ps_[f"anchors/score/{k}"] for k in "WUVv"))
-        return ad.sum_(scores * w)
-
-    return _compare(f, ps)
+    sums over rows and anchors."""
+    return _scores_check(seed, 53, 3, 4)
 
 
 def check_localization_measure(seed):
     """The anchor-fitting objective, including the unsquared first term."""
     rng = np.random.default_rng((seed, 23))
-    d_v, d_att, C = 3, 3, 3
-    ps = ParamStore()
-    ps.add("anchors/points", rng.normal(size=(C, d_v)), "anchors")
-    for key in ("W", "U", "V"):
-        ps.add(f"anchors/score/{key}", rng.normal(0, 0.5, size=(d_att, d_v)), "anchors")
-    ps.add("anchors/score/v", rng.normal(size=d_att), "anchors")
-    _probe(ps, "probe/x", rng.normal(size=(4, d_v)))
+    ps = _score_net(rng, 3)
+    ps.add("anchors/points", rng.normal(size=(3, 3)), "anchors")
+    _probe(ps, "probe/x", rng.normal(size=(4, 3)))
 
     def f(ps_):
-        return mean_localization_measure(
-            ps_["probe/x"], ps_["anchors/points"],
-            tuple(ps_[f"anchors/score/{k}"] for k in "WUVv"), 1.0, 0.01)
+        return mean_localization_measure(ps_["probe/x"], ps_["anchors/points"],
+                                         tuple(ps_[k] for k in _SCORE_NET), 1.0, 0.01)
 
     return _compare(f, ps)
-
-
-def _bref_store(rng, dims, C=3, d_a=4):
-    ps = seq2seq.init_baseline_params(dims, rng)
-    brefnet.init_b_params(ps, dims, C, d_a, rng)
-    ps["bref/proj"].data[...] = rng.normal(0, 0.3, size=ps["bref/proj"].shape)
-    return ps
-
-
-def _bref_step(rng, dims, mask):
-    """One step of the decoder node with b_ref's extra input over a
-    constant memory of two sources (padding: mask), as a function of a
-    store: the store holds f_s's weights (``F_S_PARAMS``) and probes the
-    previous embedding and state; the decoder weights and ``bref/proj``
-    are constants, so no probe of the oracle is spent on them."""
-    full = _bref_store(rng, dims)
-    const = {k: Tensor(full[k].data) for k in (*seq2seq.DECODER_WEIGHTS, "bref/proj")}
-    ps = ParamStore()
-    for k in brefnet.F_S_PARAMS:
-        ps.add(k, full[k].data, "b_ref")
-    h, h_proj = _memory(rng, full)
-    _probe(ps, "probe/emb", rng.normal(size=(2, 2, dims.d_e)))
-    _probe(ps, "probe/s_prev", rng.normal(size=(2, dims.d_h)))
-
-    def step(ps_):
-        params = {**{k: ps_[k] for k in brefnet.F_S_PARAMS}, **const}
-        return seq2seq.decoder_recurrence(params, ps_["probe/s_prev"],
-                                          ps_["probe/emb"], h, h_proj, mask,
-                                          variant_extras("b_ref", params))
-
-    return ps, step
 
 
 def check_f_s(seed):
     """The anchor-coded regression onto the embedding space, b_ref's extra
     input on [e_prev; s_prev; c], through one step of the decoder node: the
-    objective reads the estimate and the state it feeds."""
-    rng = np.random.default_rng((seed, 29))
-    dims = _tiny_dims()
-    ps, step = _bref_step(rng, dims, None)
-    u = rng.normal(size=2 * dims.d_e + 3 * dims.d_h)
-
-    def f(ps_):
-        return ad.sum_(ad.tanh(step(ps_)) * u)
-
-    return _compare(f, ps)
+    store holds f_s's weights (``F_S_PARAMS``), and the objective reads the
+    estimate and the state it feeds."""
+    return _read_out(*_one_step(seed, 29, "b_ref", None, brefnet.F_S_PARAMS))
 
 
 def check_hinge_loss(seed):
     """Regression residual plus the per-anchor weight-norm penalty: f_s's
     estimates read from one step of the decoder node over ragged sources."""
-    rng = np.random.default_rng((seed, 31))
-    dims = _tiny_dims()
-    ps, step = _bref_step(rng, dims, np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]]))
-    _probe(ps, "probe/target", rng.normal(size=(2, dims.d_e)))
-    lam_m = 0.5
+    rng, ps, step = _one_step(seed, 31, "b_ref", _RAGGED, brefnet.F_S_PARAMS)
+    _probe(ps, "probe/target", rng.normal(size=(2, _TINY.d_e)))
 
-    def f(ps_):
-        pred = step(ps_)[:, dims.d_e + 3 * dims.d_h:]
-        residual = ad.sum_(ad.square(ps_["probe/target"] - pred))
-        return residual + lam_m * ad.sum_(brefnet.regression_weight_norms(ps_))
+    def f(ps_):  # f_s's estimates are the last d_e columns
+        residual = ad.sum_(ad.square(ps_["probe/target"] - step(ps_)[:, -_TINY.d_e:]))
+        return residual + 0.5 * ad.sum_(brefnet.regression_weight_norms(ps_))
 
     return _compare(f, ps)
-
-
-def _toy_batch(rng, dims, B=2, m=3, T=4):
-    src = rng.integers(4, dims.vocab_src, size=(B, m))
-    tgt = np.full((B, T + 2), 0, dtype=np.int64)
-    for i in range(B):
-        tgt[i, 0] = 1
-        tgt[i, 1:T + 1] = rng.integers(4, dims.vocab_tgt, size=T)
-        tgt[i, T + 1] = 2
-    return Batch(src=src, src_lens=np.full(B, m), tgt=tgt,
-                 tgt_lens=np.full(B, T + 2))
 
 
 def check_nll(seed):
     """Teacher-forced likelihood through the whole baseline graph."""
-    rng = np.random.default_rng((seed, 37))
-    dims = _tiny_dims()
-    ps = seq2seq.init_baseline_params(dims, rng)
-    batch = _toy_batch(rng, dims)
-
-    def f(ps_):
-        return seq2seq.nll_loss(ps_, dims, batch)[0]
-
-    return _compare(f, ps)
+    return _loss_check(seed, 37, "baseline")
 
 
 def check_m_loss(seed):
     """The finetune-m objective, m_ref's teacher-forced likelihood, with a
-    non-zero extra projection over ragged sources (lengths 3 and 2)."""
-    rng = np.random.default_rng((seed, 61))
-    dims = _tiny_dims()
-    ps = seq2seq.init_baseline_params(dims, rng)
-    ps.add("anchors/m", rng.normal(size=(3, 2 * dims.d_h)), "anchors")
-    mrefnet.init_m_params(ps, dims, rng)
-    ps["mref/proj"].data[...] = rng.normal(0, 0.3, size=ps["mref/proj"].shape)
-    batch = _toy_batch(rng, dims)
-    batch.src[1, 2:] = 0
-    batch.src_lens[1] = 2
-    model = TranslationModel(ps, dims, "m_ref")
-
-    def f(ps_):
-        return model.loss(batch).joint
-
-    return _compare(f, ps)
+    non-zero extra projection over ragged sources."""
+    return _loss_check(seed, 61, "m_ref", ragged=True)
 
 
 def check_joint_b_loss(seed):
     """The full bilingual objective: NLL plus weighted hinge loss."""
-    rng = np.random.default_rng((seed, 41))
-    dims = _tiny_dims()
-    ps = _bref_store(rng, dims)
-    batch = _toy_batch(rng, dims)
-    model = TranslationModel(ps, dims, "b_ref", lam=1.0, lam_m=1e-2)
-
-    def f(ps_):
-        return model.loss(batch).joint
-
-    return _compare(f, ps)
+    return _loss_check(seed, 41, "b_ref", lam=1.0, lam_m=1e-2)
 
 
 def check_encoder_recurrence(seed):
@@ -355,16 +293,15 @@ def check_encoder_recurrence(seed):
     and 1), so that padding reaches both directions: the embedding table
     and both directions' W, U and b."""
     rng = np.random.default_rng((seed, 59))
-    dims = _tiny_dims()
-    schema = [e for e in seq2seq.baseline_schema(dims) if e[0].startswith("enc/")]
+    schema = [e for e in seq2seq.baseline_schema(_TINY) if e[0].startswith("enc/")]
     ps = seq2seq.add_params(ParamStore(), schema, rng)
     lens = np.array([3, 2, 1])
     src = np.where(np.arange(3)[None, :] < lens[:, None],
-                   rng.integers(3, dims.vocab_src, size=(3, 3)), 0)
-    u = rng.normal(size=(3, 3, 2 * dims.d_h))
+                   rng.integers(3, _TINY.vocab_src, size=(3, 3)), 0)
+    u = rng.normal(size=(3, 3, 2 * _TINY.d_h))
 
     def f(ps_):
-        h, _ = seq2seq.encode_batch(ps_, dims, src, lens)
+        h, _ = seq2seq.encode_batch(ps_, _TINY, src, lens)
         return ad.sum_(ad.tanh(h) * u)
 
     return _compare(f, ps)

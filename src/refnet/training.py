@@ -411,6 +411,9 @@ def run_stage(stage, ckpt: Checkpoint | None, corpus_train, corpus_dev,
     """
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
+    if config.stage != stage:
+        raise ValueError(f"cannot run stage {stage!r} with a config for stage "
+                         f"{config.stage!r}")
     if stage == "pretrain":
         ckpt = Checkpoint(ParamStore(), dims, config, "baseline", [],
                           vocab_src, vocab_tgt)

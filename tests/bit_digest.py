@@ -1,6 +1,6 @@
 """One SHA-256 over the bits a refactor must keep.
 
-    PYTHONPATH=src python tests/bit_digest.py [--toy]
+    PYTHONPATH=src python tests/bit_digest.py [--toy] [--parts]
 
 It hashes, in order:
 
@@ -22,7 +22,9 @@ History rows are hashed without their wall-clock ``seconds``. Run it once
 with one tree's ``src`` on ``PYTHONPATH`` and once with another's: equal
 digests mean the same-seed parameters, histories, decodes and gradient
 errors. ``--toy`` runs the same sequence at a few seconds' size, for the
-smoke test. pytest does not collect this file.
+smoke test. ``--parts`` prints, after the total, one SHA-256 per record
+(``copy``, ``stages``, ``gradients``, ``synthetic``), to tell which one
+moved. pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -126,16 +128,28 @@ def _synthetic_tasks(size):
             for seed, lo, hi in ((77, 3, 12), (5, 4, 4))}
 
 
-def digest(scale="full"):
-    """The hex SHA-256 of every record above at ``scale`` ("full" or "toy")."""
+def records(scale="full"):
+    """Every record above at ``scale`` ("full" or "toy"), by name."""
     size = SIZES[scale]
     with contextlib.redirect_stdout(io.StringIO()):  # the per-epoch log lines
-        record = {"copy": _copy_task(size), "stages": _stages(size),
-                  "gradients": _gradients(size),
-                  "synthetic": _synthetic_tasks(size)}
+        return {"copy": _copy_task(size), "stages": _stages(size),
+                "gradients": _gradients(size),
+                "synthetic": _synthetic_tasks(size)}
+
+
+def _sha256(record):
     blob = json.dumps(record, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
 
+def digest(scale="full"):
+    """The hex SHA-256 of every record above at ``scale``."""
+    return _sha256(records(scale))
+
+
 if __name__ == "__main__":
-    print(digest("toy" if "--toy" in sys.argv[1:] else "full"))
+    record = records("toy" if "--toy" in sys.argv[1:] else "full")
+    print(_sha256(record))
+    if "--parts" in sys.argv[1:]:
+        for name, part in record.items():
+            print(f"{name}\t{_sha256(part)}")

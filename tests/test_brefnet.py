@@ -339,8 +339,7 @@ class TestBlockedTriScores:
 def pair_batch(src_ids, tgt_ids):
     """One sentence pair as a batch: the target wrapped in BOS ... EOS."""
     return Batch(src=np.array([src_ids]), src_lens=np.array([len(src_ids)]),
-                 tgt=np.array([[BOS] + tgt_ids + [EOS]]),
-                 tgt_lens=np.array([len(tgt_ids) + 2]))
+                 tgt=np.array([[BOS] + tgt_ids + [EOS]]))
 
 
 class TestHingeLoss:
@@ -391,7 +390,7 @@ class TestHingeLoss:
         _, model = self._model(tiny_dims)
         no_rows = np.zeros((0, 2), dtype=int)
         with pytest.raises(ValueError):
-            model.loss(Batch(no_rows, no_rows[:, 0], no_rows, no_rows[:, 0]))
+            model.loss(Batch(no_rows, no_rows[:, 0], no_rows))
 
 
 def first_step(ps, dims, kind):

@@ -154,6 +154,12 @@ def empty_file(tmp, name):
     return str(path)
 
 
+def non_utf8_file(tmp, name):
+    path = tmp / name
+    path.write_bytes(b"t1 \xff t2\n")
+    return str(path)
+
+
 def config_file(tmp, text):
     path = tmp / "case.cfg"
     path.write_text(text + "\n")
@@ -236,6 +242,11 @@ EXIT_MATRIX = {
         d, tmp, "--config", config_file(tmp, "cell = gru"))),
     "config-removed-clip-mode-key": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
         d, tmp, "--config", config_file(tmp, "clip_mode = norm"))),
+    "config-non-utf8-config-file": (EXIT_CONFIG, lambda d, ckpt, tmp: [
+        "synth", "--config", non_utf8_file(tmp, "case.cfg"), "--out", str(tmp / "x")]),
+    "config-non-utf8-source": (EXIT_CONFIG, lambda d, ckpt, tmp: [
+        "translate", "--ckpt", str(ckpt), "--src", non_utf8_file(tmp, "src.txt"),
+        "--out", str(tmp / "hyp.txt")]),
     "config-missing-corpus": (EXIT_CONFIG, lambda d, ckpt, tmp: [
         "evaluate", "--hyp", str(tmp / "none.txt"), "--refs", str(tmp / "none.txt")]),
     "prerequisite-missing-checkpoint": (EXIT_PREREQ, lambda d, ckpt, tmp: [
@@ -290,6 +301,17 @@ def test_vocab_size_of_2_pow_32_prints_one_line(toy_files, toy_ckpt, tmp_path):
     assert proc.returncode == EXIT_CONFIG
     assert proc.stderr.splitlines() == [
         "config error: vocab_size must be below 2**32, got 4294967296"]
+
+
+@pytest.mark.parametrize("case, named", [
+    ("config-non-utf8-config-file", "case.cfg"), ("config-non-utf8-source", "src.txt")])
+def test_non_utf8_file_prints_one_line(case, named, toy_files, toy_ckpt, tmp_path):
+    """A file that is not UTF-8 is refused with one line naming it."""
+    _, make_argv = EXIT_MATRIX[case]
+    proc = run_process(make_argv(toy_files, toy_ckpt, tmp_path))
+    assert proc.returncode == EXIT_CONFIG
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("config error: cannot read ") and named in line
 
 
 @pytest.mark.parametrize("case, named", [

@@ -302,6 +302,46 @@ class TestFloat64Oracle:
         assert seen == [{np.dtype(np.float64)}]
 
 
+BASELINE = {name for name, *_ in seq2seq.baseline_schema(ModelDims(6, 6))}
+DECODER_STEP_UNRECORDED = BASELINE - {"dec/att/W", "dec/att/v", "dec/cell/W",
+                                      "dec/cell/U", "dec/cell/b"}
+# check -> (the coordinates its oracle sweep perturbs at seed 0, the
+# trainable parameters the tape does not record, which ``_compare`` probes
+# one direction each)
+COVERAGE = {
+    "attention": (60, BASELINE - {"dec/att/W", "dec/att/U", "dec/att/v"}),
+    "decoder_step": (232, DECODER_STEP_UNRECORDED),
+    "decoder_step_extras": (436, DECODER_STEP_UNRECORDED),
+    "tri_score": (47, set()),
+    "localization_measure": (51, set()),
+    "f_s": (193, set()),
+    "hinge_loss": (199, set()),
+    "nll_loss": (580, set()),
+    "m_loss": (784, set()),
+    "joint_b_loss": (789, set()),
+    "encoder_recurrence": (210, set()),
+    "tri_scores_batch": (67, set()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(gradcheck.CHECKS))
+def test_check_sweeps_and_probes_its_parameters(name, monkeypatch):
+    """Each check's oracle sweeps the coordinates of ``COVERAGE`` and leaves
+    its named parameters to the directional probes; the spy stops the check
+    before the sweep."""
+    seen = []
+
+    def spy(f, params, step=1e-4):
+        seen.append((sum(params[n].size for n in params.trainable_names()),
+                     {n for n, t in params.items() if not t.requires_grad}))
+        raise _Built
+
+    monkeypatch.setattr(gradcheck, "finite_diff_grad", spy)
+    with pytest.raises(_Built):
+        gradcheck.CHECKS[name](0)
+    assert seen == [COVERAGE[name]]
+
+
 def product_store():
     ps = ParamStore()
     rng = np.random.default_rng(3)

@@ -222,7 +222,7 @@ def ragged_batch(rng, dims, B):
     tgt[:, 0] = BOS
     tgt[np.arange(B), tgt_lens - 1] = EOS
     tgt[np.arange(7)[None, :] >= tgt_lens[:, None]] = 0
-    return Batch(src=src, src_lens=src_lens, tgt=tgt, tgt_lens=tgt_lens)
+    return Batch(src=src, src_lens=src_lens, tgt=tgt)
 
 
 def decoder_node(root):
@@ -570,7 +570,7 @@ class TestTapeSize:
                               rng.integers(4, dims.vocab_tgt, size=(B, T - 1))], axis=1)
         tgt[1, T - 2:] = 0  # one padded row
         batch = Batch(src=rng.integers(4, dims.vocab_src, size=(B, m)),
-                      src_lens=np.full(B, m), tgt=tgt, tgt_lens=np.full(B, T))
+                      src_lens=np.full(B, m), tgt=tgt)
         loss, _, _ = nll_loss(params, dims, batch, training=True, rng=rng,
                               drop_emb=0.2, drop_out=0.3)
         return loss
@@ -594,7 +594,7 @@ class TestTapeSize:
             tgt = np.concatenate([np.full((3, 1), BOS),
                                   rng.integers(4, 12, size=(3, T - 1))], axis=1)
             batch = Batch(src=rng.integers(4, 12, size=(3, 4)),
-                          src_lens=np.full(3, 4), tgt=tgt, tgt_lens=np.full(3, T))
+                          src_lens=np.full(3, 4), tgt=tgt)
             ops = tape_ops(model.loss(batch, training=True, rng=rng).joint)
             assert ops["decoder_recurrence"] == 1
             assert not {"attention_weights", "weighted_sum", "recurrent_cell",
@@ -686,8 +686,7 @@ class TestOutputDistribution:
 class TestNllLoss:
     def _batch(self, tokens):
         tgt = np.array([[BOS] + tokens + [EOS]])
-        return Batch(src=np.array([[4, 5]]), src_lens=np.array([2]),
-                     tgt=tgt, tgt_lens=np.array([len(tokens) + 2]))
+        return Batch(src=np.array([[4, 5]]), src_lens=np.array([2]), tgt=tgt)
 
     def test_uniform_model_loss_is_log_vocab(self, tiny_params, tiny_dims):
         zero_params(tiny_params, ["dec/out/W", "dec/out/b",
@@ -710,7 +709,7 @@ class TestNllLoss:
     def test_hand_computed_two_token_example(self, tiny_params, tiny_dims):
         """Mean of -log p over the two supervised steps, done by hand."""
         batch = Batch(src=np.array([[4, 6]]), src_lens=np.array([2]),
-                      tgt=np.array([[BOS, 5, EOS]]), tgt_lens=np.array([3]))
+                      tgt=np.array([[BOS, 5, EOS]]))
         loss, n, _ = nll_loss(tiny_params, tiny_dims, batch)
         assert n == 2
 
@@ -732,10 +731,9 @@ class TestNllLoss:
 
     def test_pad_positions_ignored(self, tiny_params, tiny_dims):
         plain = Batch(src=np.array([[4, 6]]), src_lens=np.array([2]),
-                      tgt=np.array([[BOS, 5, EOS]]), tgt_lens=np.array([3]))
+                      tgt=np.array([[BOS, 5, EOS]]))
         padded = Batch(src=np.array([[4, 6]]), src_lens=np.array([2]),
-                       tgt=np.array([[BOS, 5, EOS, 0, 0]]),
-                       tgt_lens=np.array([3]))
+                       tgt=np.array([[BOS, 5, EOS, 0, 0]]))
         a, na, _ = nll_loss(tiny_params, tiny_dims, plain)
         b, nb, _ = nll_loss(tiny_params, tiny_dims, padded)
         assert na == nb
@@ -743,7 +741,7 @@ class TestNllLoss:
 
     def test_empty_batch_rejected(self, tiny_params, tiny_dims):
         empty = Batch(src=np.zeros((0, 1), dtype=int), src_lens=np.zeros(0, int),
-                      tgt=np.zeros((0, 2), dtype=int), tgt_lens=np.zeros(0, int))
+                      tgt=np.zeros((0, 2), dtype=int))
         with pytest.raises(ValueError):
             nll_loss(tiny_params, tiny_dims, empty)
 

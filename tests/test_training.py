@@ -370,6 +370,15 @@ class TestStages:
         with pytest.raises(ValueError, match="unknown stage"):
             run_stage("distill", None, train, dev, TrainConfig())
 
+    def test_config_for_another_stage_rejected(self, toy_split, toy_vocabs):
+        """A config names the stage it was made for, and the checkpoint
+        saves it: running it as another stage is refused, naming both."""
+        train, dev, _ = toy_split
+        ckpt = quick_pretrain(toy_split, toy_vocabs, epochs=0)
+        with pytest.raises(ValueError, match="'fit-anchors'.*'train-b'"):
+            run_stage("fit-anchors", ckpt, train, None,
+                      TrainConfig(stage="train-b", fit_iters=1))
+
     def test_full_m_pipeline_provenance_and_freezes(self, toy_split,
                                                     toy_vocabs, capsys):
         train, dev, _ = toy_split
