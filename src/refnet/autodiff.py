@@ -71,15 +71,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self):
-        return float(self.data)
-
-    def __float__(self):
-        return float(self.data)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
-
     def __add__(self, other):
         return add(self, other)
 
@@ -88,22 +79,13 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return getitem(self, key)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
 
 
 def as_tensor(x):
@@ -211,9 +193,8 @@ def tanh(a):
 # ---------------------------------------------------------------------------
 # linear algebra and shape ops
 
-# What only the backward pass reads (concat's offsets, getitem's index
-# kind) is computed inside the closure, so an op under no_grad does forward
-# work only.
+# What only the backward pass reads (getitem's index kind) is computed
+# inside the closure, so an op under no_grad does forward work only.
 
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
@@ -253,23 +234,6 @@ def getitem(a, key):
         return (full,)
 
     return _node(out, (a,), bwd)
-
-
-def concat(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-
-    def bwd(g):
-        slicer = [slice(None)] * g.ndim
-        grads, start = [], 0
-        for t in tensors:
-            stop = start + t.data.shape[axis]
-            slicer[axis] = slice(start, stop)
-            grads.append(g[tuple(slicer)])
-            start = stop
-        return tuple(grads)
-
-    return _node(out, tuple(tensors), bwd)
 
 
 def sum_(a, axis=None, keepdims=False):

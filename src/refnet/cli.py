@@ -287,8 +287,8 @@ def _cmd_translate(args):
     model = ckpt.make_model()
     try:
         sources = corpus_mod.read_sentences(args.src)
-    except (OSError, UnicodeDecodeError) as e:
-        raise ConfigError(f"cannot read {args.src}: {e}") from e
+    except (OSError, ValueError) as e:
+        raise ConfigError(str(e)) from e
     hyps = [[] for _ in sources]  # an empty line keeps its place in the output
     lines = [i for i, tokens in enumerate(sources) if tokens]
     for start in range(0, len(lines), TRANSLATE_CHUNK):

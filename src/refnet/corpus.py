@@ -27,9 +27,6 @@ class Vocab:
     def __len__(self):
         return len(self.id_to_token)
 
-    def __contains__(self, token):
-        return token in self.token_to_id
-
     def encode(self, tokens):
         return [self.token_to_id.get(t, UNK) for t in tokens]
 
@@ -59,9 +56,6 @@ class ParallelCorpus:
 
     def __len__(self):
         return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
 
     def __getitem__(self, i):
         return self.pairs[i]
@@ -93,8 +87,13 @@ class ParallelCorpus:
 
 
 def read_sentences(path):
-    with open(path, encoding="utf-8") as fh:
-        return [line.split() for line in fh.read().splitlines()]
+    """The whitespace-split lines of a file; one that is not UTF-8 raises a
+    ValueError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [line.split() for line in fh.read().splitlines()]
+    except UnicodeDecodeError as e:
+        raise ValueError(f"cannot read {path}: {e}") from e
 
 
 def write_sentences(path, sentences):

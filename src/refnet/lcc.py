@@ -13,7 +13,9 @@ fitted by minimizing the localization measure
 
 averaged over a dataset. Per point, ``localization_measures`` returns the
 same expression for a whole batch; it doubles as the approximation-error
-bound diagnostic of Yu, Zhang & Gong (NIPS 2009).
+bound diagnostic of Yu, Zhang & Gong (NIPS 2009). Its second term reads
+the reconstruction gamma(x) as a constant: the gradient there,
+sum_j gamma_j 2 (gamma(x) - v_j), is 0, because the gamma_j sum to 1.
 
 The scores and the anchor distances go through the rows in blocks of at
 most ``BLOCK_ELEMS`` elements of (rows, C, d): the score kernel caches only
@@ -161,14 +163,16 @@ def reconstruct(gamma, anchors):
     return ad.matmul(gamma, A)
 
 
-def anchor_sq_dists(R, anchors):
-    """Squared distances (N, C) of rows R (N, d_v) to each (C, d_v) anchor.
+def anchor_sq_dists(r, anchors):
+    """Squared distances (N, C) of constant rows r (N, d_v), an array, to
+    each (C, d_v) anchor.
 
-    One tape node; the (rows, C, d_v) differences exist one row block at a
-    time, in the forward and in the backward.
+    One tape node whose backward gives the anchors' gradient alone; the
+    (rows, C, d_v) differences exist one row block at a time, in the forward
+    and in the backward.
     """
-    R, A = as_tensor(R), as_tensor(anchors)
-    r, a = R.data, A.data
+    A = as_tensor(anchors)
+    a = A.data
     blocks = _row_blocks(r.shape[0], a.size)
 
     def diffs(rows):
@@ -177,14 +181,12 @@ def anchor_sq_dists(R, anchors):
     out = np.concatenate([(d * d).sum(axis=2) for d in map(diffs, blocks)])
 
     def bwd(g):
-        dR, dA = [], None
+        dA = None
         for rows in blocks:
-            t = 2.0 * diffs(rows) * g[rows, :, None]
-            dR.append(-t.sum(axis=1))
-            dA = _add(dA, t.sum(axis=0))
-        return np.concatenate(dR), dA
+            dA = _add(dA, (2.0 * diffs(rows) * g[rows, :, None]).sum(axis=0))
+        return (dA,)
 
-    return ad._node(out, (R, A), bwd)
+    return ad._node(out, (A,), bwd)
 
 
 def localization_measures(X, anchors, score, l_alpha, l_beta):
@@ -195,8 +197,10 @@ def localization_measures(X, anchors, score, l_alpha, l_beta):
     recon = reconstruct(gamma, anchors)                   # (N, d)
     term1 = ad.sqrt(ad.sum_(ad.square(X - recon), axis=1))
     # |gamma| = gamma: a softmax output is never negative (at an exact 0,
-    # from underflow, the subgradient is 1)
-    term2 = ad.sum_(gamma * anchor_sq_dists(recon, anchors), axis=1)
+    # from underflow, the subgradient is 1). Term 2 reads the reconstruction
+    # as a constant: its gradient there, sum_j gamma_j 2 (r - a_j), is 0 when
+    # r = gamma A and sum_j gamma_j = 1.
+    term2 = ad.sum_(gamma * anchor_sq_dists(recon.data, anchors), axis=1)
     return l_alpha * term1 + l_beta * term2
 
 

@@ -167,9 +167,9 @@ class TranslationModel:
             s_new, c, _, _ = seq2seq.decoder_step(
                 weights, e_prev, states,
                 [(*block, n) for block, n in zip(gathered, rows)], extra)
+            x = np.concatenate([e_prev, s_new, c], axis=1)
             with no_grad():
-                logits = seq2seq.readout(params, ad.concat([e_prev, s_new, c], axis=1))
-                logp = ad.log_softmax(logits, axis=1)
+                logp = ad.log_softmax(seq2seq.readout(params, x), axis=1)
             return logp.data, s_new
 
         return step

@@ -54,9 +54,6 @@ class ParamStore:
     def __contains__(self, name):
         return name in self._params
 
-    def __len__(self):
-        return len(self._params)
-
     def names(self):
         return list(self._params)
 
@@ -81,9 +78,6 @@ class ParamStore:
         for g in groups:
             self._frozen.discard(g)
         self._sync_flags()
-
-    def is_frozen(self, group):
-        return group in self._frozen
 
     def _sync_flags(self):
         for name, t in self._params.items():
@@ -388,8 +382,9 @@ class Optimizer:
             if g.shape != tensor.data.shape:
                 raise ValueError(
                     f"gradient shape {g.shape} does not match {name} {tensor.data.shape}")
-            m = self._m.setdefault(name, np.zeros_like(g))
-            v = self._v.setdefault(name, np.zeros_like(g))
+            if name not in self._m:  # the moments start at zero
+                self._m[name], self._v[name] = np.zeros_like(g), np.zeros_like(g)
+            m, v = self._m[name], self._v[name]
             m += (1 - BETA1) * (g - m)
             v += (1 - BETA2) * (g * g - v)
             mh = m / (1 - BETA1 ** self._t)

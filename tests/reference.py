@@ -6,8 +6,8 @@ Training, decoding and anchor fitting record only the fused nodes
 The tests compare those nodes with the same computation recorded one op at
 a time, and the ops they need live here:
 
-- ``sigmoid``, ``transpose`` and ``stack``, autodiff ops no system path
-  records;
+- ``sigmoid``, ``transpose``, ``stack`` and ``concat``, autodiff ops no
+  system path records;
 - one tape node per library kernel pair: ``recurrent_cell``
   (``_cell_forward`` / ``_cell_backward``), ``attention_weights`` and
   ``weighted_sum`` (together ``additive_attention``), and ``f_s``
@@ -60,6 +60,23 @@ def stack(tensors, axis=0):
     def bwd(g):
         parts = np.split(g, len(tensors), axis=axis)
         return tuple(np.squeeze(p, axis=axis) for p in parts)
+
+    return ad._node(out, tuple(tensors), bwd)
+
+
+def concat(tensors, axis=0):
+    tensors = [as_tensor(t) for t in tensors]
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+
+    def bwd(g):
+        slicer = [slice(None)] * g.ndim
+        grads, start = [], 0
+        for t in tensors:
+            stop = start + t.data.shape[axis]
+            slicer[axis] = slice(start, stop)
+            grads.append(g[tuple(slicer)])
+            start = stop
+        return tuple(grads)
 
     return ad._node(out, tuple(tensors), bwd)
 
@@ -181,7 +198,7 @@ def reference_encoder(params, dims, src, src_lens, training=False, rng=None,
 
     h_fwd = stack(run("fwd", range(m)), axis=1)
     h_bwd = stack(run("bwd", range(m - 1, -1, -1)), axis=1)
-    return ad.concat([h_fwd, h_bwd], axis=2)
+    return concat([h_fwd, h_bwd], axis=2)
 
 
 def reference_decoder(model, batch, training=False, rng=None):
@@ -215,31 +232,31 @@ def reference_decoder(model, batch, training=False, rng=None):
             _, c_g = additive_attention(q_g, *memory, params["mref/att/v"])
             extras = [(c_g, params["mref/proj"])]
         if kind == "b_ref":
-            query = ad.concat([emb_clean[:, t, :], s, c], axis=1)
+            query = concat([emb_clean[:, t, :], s, c], axis=1)
             extras = [(f_s(query, params), params["bref/proj"])]
         vecs += [vec for vec, _ in extras]
-        x = ad.concat([emb_in[:, t, :], c], axis=1)
+        x = concat([emb_in[:, t, :], c], axis=1)
         s = recurrent_cell(x, s, params["dec/cell/W"], params["dec/cell/U"],
                            params["dec/cell/b"], extras)
         states.append(s)
         contexts.append(c)
     e_prev = transpose(emb_in[:, :T - 1, :], (1, 0, 2))
-    readout_in = ad.concat([ad.reshape(e_prev, ((T - 1) * B, dims.d_e)),
-                            ad.concat(states, axis=0), ad.concat(contexts, axis=0)],
+    readout_in = concat([ad.reshape(e_prev, ((T - 1) * B, dims.d_e)),
+                            concat(states, axis=0), concat(contexts, axis=0)],
                            axis=1)
     logits = seq2seq.readout(params, readout_in, training, rng, model.drop_out)
     gold, weights = seq2seq.gold_targets(batch.tgt, logits.data.dtype)
     picked = ad.take_per_row(ad.log_softmax(logits, axis=1), gold)
     n_tokens = float(weights.sum())
     joint = ad.sum_(picked * weights) * (-1.0 / n_tokens)
-    vecs = ad.concat(vecs, axis=0) if kind == "b_ref" else None
+    vecs = concat(vecs, axis=0) if kind == "b_ref" else None
     if kind == "b_ref":
         diff = ad.take_rows(params["dec/tgt_emb"], gold) - vecs
         res_sum = ad.sum_(ad.sum_(ad.square(diff), axis=1) * weights)
         reg = ad.sum_(regression_weight_norms(params))
         l_m_mean = res_sum * (1.0 / B) + model.lam_m * reg
         joint = joint * (n_tokens / B) + model.lam * l_m_mean
-    return joint, ad.concat(states, axis=0), ad.concat(contexts, axis=0), vecs
+    return joint, concat(states, axis=0), concat(contexts, axis=0), vecs
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,19 @@ def fit_argv(d, ckpt, tmp, *flags):
             "--train-tgt", str(d / "toy.train.tgt"), *flags]
 
 
+def tune_argv(command, d, ckpt, tmp, *flags):
+    return [command, "--ckpt-in", str(ckpt), "--ckpt-out", str(tmp / "s.ckpt"),
+            "--train-src", str(d / "toy.train.src"),
+            "--train-tgt", str(d / "toy.train.tgt"),
+            "--dev-src", str(d / "toy.dev.src"), "--dev-tgt", str(d / "toy.dev.tgt"),
+            "--epochs", "1", *flags]
+
+
+def evaluate_argv(d, *flags):
+    ref = str(d / "toy.test.tgt")
+    return ["evaluate", "--hyp", ref, "--refs", ref, *flags]
+
+
 def empty_file(tmp, name):
     path = tmp / name
     path.write_text("")
@@ -247,6 +260,20 @@ EXIT_MATRIX = {
     "config-non-utf8-source": (EXIT_CONFIG, lambda d, ckpt, tmp: [
         "translate", "--ckpt", str(ckpt), "--src", non_utf8_file(tmp, "src.txt"),
         "--out", str(tmp / "hyp.txt")]),
+    "config-non-utf8-train-source": (EXIT_CONFIG, lambda d, ckpt, tmp: train_argv(
+        d, tmp, "--train-src", non_utf8_file(tmp, "train.src"))),
+    "config-non-utf8-fit-target": (EXIT_CONFIG, lambda d, ckpt, tmp: fit_argv(
+        d, ckpt, tmp, "--train-tgt", non_utf8_file(tmp, "train.tgt"))),
+    "config-non-utf8-finetune-m-dev-source": (EXIT_CONFIG, lambda d, ckpt, tmp:
+        tune_argv("finetune-m", d, ckpt, tmp, "--dev-src", non_utf8_file(tmp, "dev.src"))),
+    "config-non-utf8-train-b-dev-target": (EXIT_CONFIG, lambda d, ckpt, tmp: tune_argv(
+        "train-b", d, ckpt, tmp, "--dev-tgt", non_utf8_file(tmp, "dev.tgt"))),
+    "config-non-utf8-hypotheses": (EXIT_CONFIG, lambda d, ckpt, tmp: evaluate_argv(
+        d, "--hyp", non_utf8_file(tmp, "hyp.txt"))),
+    "config-non-utf8-references": (EXIT_CONFIG, lambda d, ckpt, tmp: evaluate_argv(
+        d, "--refs", non_utf8_file(tmp, "ref.txt"))),
+    "config-non-utf8-bucket-source": (EXIT_CONFIG, lambda d, ckpt, tmp: evaluate_argv(
+        d, "--src", non_utf8_file(tmp, "src.txt"))),
     "config-missing-corpus": (EXIT_CONFIG, lambda d, ckpt, tmp: [
         "evaluate", "--hyp", str(tmp / "none.txt"), "--refs", str(tmp / "none.txt")]),
     "prerequisite-missing-checkpoint": (EXIT_PREREQ, lambda d, ckpt, tmp: [
@@ -304,7 +331,14 @@ def test_vocab_size_of_2_pow_32_prints_one_line(toy_files, toy_ckpt, tmp_path):
 
 
 @pytest.mark.parametrize("case, named", [
-    ("config-non-utf8-config-file", "case.cfg"), ("config-non-utf8-source", "src.txt")])
+    ("config-non-utf8-config-file", "case.cfg"), ("config-non-utf8-source", "src.txt"),
+    ("config-non-utf8-train-source", "train.src"),
+    ("config-non-utf8-fit-target", "train.tgt"),
+    ("config-non-utf8-finetune-m-dev-source", "dev.src"),
+    ("config-non-utf8-train-b-dev-target", "dev.tgt"),
+    ("config-non-utf8-hypotheses", "hyp.txt"),
+    ("config-non-utf8-references", "ref.txt"),
+    ("config-non-utf8-bucket-source", "src.txt")])
 def test_non_utf8_file_prints_one_line(case, named, toy_files, toy_ckpt, tmp_path):
     """A file that is not UTF-8 is refused with one line naming it."""
     _, make_argv = EXIT_MATRIX[case]

@@ -12,7 +12,7 @@ class TestVocab:
     def test_specials_and_contents(self):
         vocab = build_vocab([["a", "a", "b"]], max_size=10)
         assert len(vocab) == 6
-        assert "a" in vocab and "b" in vocab
+        assert "a" in vocab.token_to_id and "b" in vocab.token_to_id
         assert vocab.token_to_id["<pad>"] == PAD
         assert vocab.token_to_id["<bos>"] == BOS
         assert vocab.token_to_id["<eos>"] == EOS
@@ -20,15 +20,16 @@ class TestVocab:
 
     def test_frequency_cutoff(self):
         vocab = build_vocab([["a", "b"], ["b", "c"]], max_size=5)
-        assert "b" in vocab and "a" not in vocab and "c" not in vocab
+        ids = vocab.token_to_id
+        assert "b" in ids and "a" not in ids and "c" not in ids
 
     def test_tie_broken_lexicographically(self):
         vocab = build_vocab([["zz", "aa"]], max_size=5)
-        assert "aa" in vocab and "zz" not in vocab
+        assert "aa" in vocab.token_to_id and "zz" not in vocab.token_to_id
 
     def test_min_count(self):
         vocab = build_vocab([["a", "a", "b"]], max_size=10, min_count=2)
-        assert "a" in vocab and "b" not in vocab
+        assert "a" in vocab.token_to_id and "b" not in vocab.token_to_id
 
     def test_unknown_maps_to_unk(self):
         vocab = build_vocab([["a"]], max_size=10)

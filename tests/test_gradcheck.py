@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import importlib
 import inspect
 import os
@@ -11,10 +12,10 @@ import pytest
 import refnet
 from refnet import autodiff as ad
 from refnet import gradcheck, params, seq2seq
-from refnet.corpus import ParallelCorpus, build_vocab, generate_synthetic_task
 from refnet.params import ParamStore, backward, finite_diff_grad, relative_error
 from refnet.seq2seq import ModelDims
-from refnet.training import TrainConfig, run_stage
+
+import reachability
 
 # every kernel backward branch that training, decoding or anchor fitting
 # runs -> a check of the suite that runs it. A branch is the backward of a
@@ -121,61 +122,41 @@ def spy_branches(monkeypatch):
     return hit
 
 
-def run_system_paths():
-    """One batch of each training stage, one anchor fit and one decode, on a
-    tiny corpus with ragged lengths."""
-    full = generate_synthetic_task("cipher-reverse", 12, 24, (2, 6), seed=3)
-    train, dev = ParallelCorpus(full.pairs[:16]), ParallelCorpus(full.pairs[16:])
-    vs, vt = build_vocab(train.sources(), 50), build_vocab(train.targets(), 50)
-    dims = ModelDims(vocab_src=len(vs), vocab_tgt=len(vt), d_e=4, d_h=4)
-    kw = dict(epochs=1, batch_size=16, seed=5, n_anchors=3, d_a=4, fit_iters=1)
-    base = run_stage("pretrain", None, train, dev,
-                     TrainConfig(stage="pretrain", **kw), vs, vt, dims)
-    anchors = run_stage("fit-anchors", base, train, None,
-                        TrainConfig(stage="fit-anchors", **kw))
-    run_stage("finetune-m", anchors, train, dev, TrainConfig(stage="finetune-m", **kw))
-    b_ref = run_stage("train-b", base, train, dev, TrainConfig(stage="train-b", **kw))
-    b_ref.make_model().translate_batch([vs.encode(src) for src, _ in dev.pairs],
-                                       beam=2)
-
-
 @pytest.fixture(scope="module")
 def system_run():
-    """``run_system_paths`` once, with every node recorder wrapped and the
-    kernel backward branches spied on: the (module, name) of each recorder
-    it called and the branches that ran."""
-    called = set()
+    """``reachability.trace`` once, with the kernel backward branches spied
+    on in the stage and ``translate`` commands: the names of the package
+    functions the command-line sequence reached, and the branches that
+    training, anchor fitting and decoding ran."""
+    branches = set()
 
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            called.add(key)
-            return fn(*args, **kwargs)
-        return wrapper
+    @contextlib.contextmanager
+    def spied():
+        with pytest.MonkeyPatch.context() as mp:
+            hit = spy_branches(mp)
+            yield
+        branches.update(hit)
 
-    with pytest.MonkeyPatch.context() as mp:
-        for mod, name in node_recorders():
-            owner = importlib.import_module(f"refnet.{mod}")
-            *path, attr = name.split(".")
-            for part in path:
-                owner = getattr(owner, part)
-            original = vars(owner)[attr]
-            if path:
-                mp.setattr(owner, attr, counted((mod, name), original))
-            else:
-                rebind(mp, original, counted((mod, name), original))
-        branches = spy_branches(mp)
-        run_system_paths()
-    return called, branches
+    reached, _ = reachability.trace(spied)
+    return reached, branches
 
 
 class TestSystemPaths:
+    def test_every_function_is_reached(self, system_run):
+        """Each function, method, closure and lambda of the package runs in
+        the command-line sequence, or ``reachability.ALLOWED`` gives the
+        reason it stays."""
+        missing, unknown = reachability.unexplained(system_run[0])
+        assert not missing, f"functions no command reaches: {missing}"
+        assert not unknown, f"allowed names that are no function: {unknown}"
+
     def test_every_node_recorder_runs(self, system_run):
         """Each function in the package that records a tape node, autodiff
         ops included, is called by training, anchor fitting or decoding: an
         op only the tests record lives in the tests' reference module."""
-        called, _ = system_run
+        reached, _ = system_run
         never = [f"{mod}.{name}" for mod, name in node_recorders()
-                 if (mod, name) not in called]
+                 if f"{mod}.{name}" not in reached]
         assert not never, f"node recorders no system path calls: {never}"
 
     def test_every_system_branch_has_a_check(self, system_run):

@@ -318,18 +318,16 @@ class TestRowBlocks:
             == pytest.approx(whole, rel=1e-12, abs=0)
 
     def test_sq_dists_match_composed_across_blocks(self):
-        """Forward bits and gradients (1e-12 relative) of the blocked
-        distances against the (N, C, d) difference tensor built from tape
-        ops."""
+        """Forward bits and the anchors' gradient (1e-12 relative) of the
+        blocked distances of constant rows against the (N, C, d) difference
+        tensor built from tape ops."""
         N, C, d = 300, 8, 128
         assert blocks_of(N, C, d) >= 3
         rng = np.random.default_rng(6)
-        R, A = ad.parameter(rng.normal(size=(N, d))), ad.parameter(rng.normal(size=(C, d)))
+        r, A = rng.normal(size=(N, d)), ad.parameter(rng.normal(size=(C, d)))
         w = rng.normal(size=(N, C))
-        diffs = ad.reshape(A, (1, C, d)) - ad.reshape(R, (N, 1, d))
-        outs = [anchor_sq_dists(R, A), ad.sum_(ad.square(diffs), axis=2)]
+        diffs = ad.reshape(A, (1, C, d)) - r.reshape(N, 1, d)
+        outs = [anchor_sq_dists(r, A), ad.sum_(ad.square(diffs), axis=2)]
         assert np.array_equal(outs[0].data, outs[1].data)
-        fused, composed = (ad.grad_map(ad.sum_(out * w)) for out in outs)
-        for leaf in (R, A):
-            ref = composed[id(leaf)]
-            assert np.abs(fused[id(leaf)] - ref).max() <= 1e-12 * np.abs(ref).max()
+        fused, composed = (ad.grad_map(ad.sum_(out * w))[id(A)] for out in outs)
+        assert np.abs(fused - composed).max() <= 1e-12 * np.abs(composed).max()

@@ -18,7 +18,7 @@ from refnet import seq2seq
 from refnet.seq2seq import (GATES, ModelDims, beam_search, decoder_step,
                             encode_batch, init_baseline_params, nll_loss,
                             readout)
-from reference import (additive_attention, attention_weights, recurrent_cell,
+from reference import (additive_attention, attention_weights, concat, recurrent_cell,
                        reference_decoder, reference_encoder, sigmoid)
 
 
@@ -193,7 +193,7 @@ def reference_cell(x, s_prev, W, U, b, extras=(), mask=None):
     r = sigmoid(xr + sr)
     z = sigmoid(xz + sz)
     n = ad.tanh(xn + r * sn)
-    out = (1.0 - z) * n + z * s_prev
+    out = ad.sub(1.0, z) * n + z * s_prev
     return out if mask is None else out * mask + s_prev * (1.0 - mask)
 
 
@@ -651,7 +651,7 @@ class TestTapeSize:
 
 def step_logits(params, e_prev, s, c):
     """The logits of one decode step: the readout of [e_prev; s; c]."""
-    return readout(params, ad.concat([e_prev, s, c], axis=1))
+    return readout(params, concat([e_prev, s, c], axis=1))
 
 
 class TestOutputDistribution:
