@@ -72,8 +72,12 @@ def definitions():
     return found
 
 
+# the commands that train, fit anchors and decode
+SYSTEM_COMMANDS = ("train", "fit-anchors", "finetune-m", "train-b", "translate")
+
+
 def _commands(tmp):
-    """The sequence: (argv, is it a stage or translate command), in order."""
+    """The argv of each command of the sequence, in order."""
     data, ckpt = tmp / "toy", tmp / "ckpt"
 
     def corpus(*splits):
@@ -89,34 +93,34 @@ def _commands(tmp):
     anchors = ["--n-anchors", "3"]
     yield ["synth", "--kind", "cipher-reverse", "--vocab-size", "12",
            "--min-len", "2", "--max-len", "6", "--seed", "3",
-           "--splits", "32,8,8", "--out", str(data)], False
+           "--splits", "32,8,8", "--out", str(data)]
     yield stage("train", None, "base", "--d-e", "4", "--d-h", "4",
-                "--clip-norm", "0.01", *tune), True  # a norm every step clips
+                "--clip-norm", "0.01", *tune)  # a norm every step clips
     yield stage("fit-anchors", "base", "anchored", *anchors, "--fit-iters", "1",
-                splits=("train",)), True
-    yield stage("finetune-m", "anchored", "m", *tune), True
-    yield stage("train-b", "base", "b", *tune, *anchors, "--d-a", "4"), True
+                splits=("train",))
+    yield stage("finetune-m", "anchored", "m", *tune)
+    yield stage("train-b", "base", "b", *tune, *anchors, "--d-a", "4")
     for kind in ("base", "m", "b"):
         for beam in ("1", "4"):
             yield ["translate", "--ckpt", f"{ckpt}.{kind}", "--src",
                    f"{data}.test.src", "--out", f"{tmp}/hyp.{kind}.{beam}",
-                   "--beam", beam], True
+                   "--beam", beam]
     yield ["evaluate", "--hyp", f"{tmp}/hyp.b.4", "--refs", f"{data}.test.tgt",
-           "--src", f"{data}.test.src"], False
-    yield ["params", "--ckpt", f"{ckpt}.b", "--full-scale-reference"], False
-    yield ["gradcheck", "--seeds", "1"], False
+           "--src", f"{data}.test.src"]
+    yield ["params", "--ckpt", f"{ckpt}.b", "--full-scale-reference"]
+    yield ["gradcheck", "--seeds", "1"]
     config = tmp / "synth.cfg"
     config.write_text(f"kind = copy\npairs = 4\nout = {tmp}/copy\n", encoding="utf-8")
-    yield ["synth", "--config", str(config)], False
-    yield ["params", "--ckpt", f"{ckpt}.b", "--bogus"], False
+    yield ["synth", "--config", str(config)]
+    yield ["params", "--ckpt", f"{ckpt}.b", "--bogus"]
 
 
 def trace(system=contextlib.nullcontext):
     """Run the sequence under ``sys.setprofile``: the "module.qualname" of
     every package function it called, and the seconds it took.
 
-    ``system()`` is entered around each stage and ``translate`` command, the
-    commands that train, fit and decode. A command that exits non-zero
+    ``system()`` is entered around each command of ``SYSTEM_COMMANDS``.
+    A command that exits non-zero
     (other than the unknown flag's usage error) raises ``RuntimeError``.
     """
     codes = set()
@@ -129,7 +133,8 @@ def trace(system=contextlib.nullcontext):
     out, start = io.StringIO(), time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-        for argv, spied in _commands(pathlib.Path(tmp)):
+        for argv in _commands(pathlib.Path(tmp)):
+            spied = argv[0] in SYSTEM_COMMANDS
             with system() if spied else contextlib.nullcontext():
                 sys.setprofile(hook)
                 try:
