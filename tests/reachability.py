@@ -9,10 +9,13 @@ splits, the four stages at one epoch, ``translate`` for each kind at beams
 ``gradcheck --seeds 1``; then one run from a ``--config`` file and one
 unknown flag. It lists every function, method, closure and lambda in the
 package with ``ast``, and reports each one that no command reached. One
-passes only when ``ALLOWED`` names it with the reason it stays.
+passes only when ``ALLOWED`` names it with the reason it stays; an
+``ALLOWED`` entry that names no function, or one that a command reached,
+fails too, unless ``HOST_DEPENDENT`` names it.
 
 The script prints the unreached functions, each with its reason or
-``NO REASON``, and the traced seconds, and exits 1 when one has no reason.
+``NO REASON``, the needless ``ALLOWED`` entries and the traced seconds, and
+exits 1 when a function has no reason or an entry is needless.
 Functions that run only in the oracle's forked workers count as
 unreached: the profile does not follow a fork. pytest does not collect
 this file; ``test_gradcheck.py`` runs the same ``trace`` and ``unexplained``.
@@ -46,11 +49,15 @@ ALLOWED = {
     "training._knob": "builds TrainConfig's fields when the module is imported",
 }
 
+# ALLOWED names that a run reaches or not, as the host allows
+HOST_DEPENDENT = {"params._fork_sweep"}
+
 
 def definitions():
-    """``{(file, first line, name): "module.qualname"}`` for every function,
-    method, closure and lambda in the package, keyed as its code object is:
-    a decorated function's code starts at its first decorator."""
+    """``{(file, first line, name): ("module.qualname", ast node)}`` for
+    every function, method, closure and lambda in the package, keyed as its
+    code object is: a decorated function's code starts at its first
+    decorator."""
     found = {}
 
     def visit(node, path, prefix, module):
@@ -62,7 +69,7 @@ def definitions():
                 name = getattr(child, "name", "<lambda>")
                 first = min([child.lineno] + [d.lineno for d in
                                               getattr(child, "decorator_list", [])])
-                found[(str(path), first, name)] = f"{module}.{prefix}{name}"
+                found[(str(path), first, name)] = (f"{module}.{prefix}{name}", child)
                 visit(child, path, f"{prefix}{name}.<locals>.", module)
             else:
                 visit(child, path, prefix, module)
@@ -117,17 +124,14 @@ def _commands(tmp):
 
 def trace(system=contextlib.nullcontext):
     """Run the sequence under ``sys.setprofile``: the "module.qualname" of
-    every package function it called, and the seconds it took.
+    every package function it called, of those the ``SYSTEM_COMMANDS``
+    called, and the seconds it took.
 
     ``system()`` is entered around each command of ``SYSTEM_COMMANDS``.
     A command that exits non-zero
     (other than the unknown flag's usage error) raises ``RuntimeError``.
     """
-    codes = set()
-
-    def hook(frame, event, arg):
-        if event == "call":
-            codes.add(frame.f_code)
+    codes, system_codes = set(), set()
 
     cli._shared_parser.cache_clear()  # build the parser again, under the profile
     out, start = io.StringIO(), time.perf_counter()
@@ -135,6 +139,12 @@ def trace(system=contextlib.nullcontext):
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         for argv in _commands(pathlib.Path(tmp)):
             spied = argv[0] in SYSTEM_COMMANDS
+            called = system_codes if spied else codes
+
+            def hook(frame, event, arg):
+                if event == "call":
+                    called.add(frame.f_code)
+
             with system() if spied else contextlib.nullcontext():
                 sys.setprofile(hook)
                 try:
@@ -149,27 +159,40 @@ def trace(system=contextlib.nullcontext):
                                    f"{out.getvalue()[-2000:]}")
     seconds = time.perf_counter() - start
     names = definitions()
-    reached = {names.get((str(pathlib.Path(c.co_filename).resolve()),
-                          c.co_firstlineno, c.co_name)) for c in codes}
-    return reached - {None}, seconds
+
+    def named(found):
+        return {names[key][0] for key in
+                ((str(pathlib.Path(c.co_filename).resolve()), c.co_firstlineno,
+                  c.co_name) for c in found) if key in names}
+
+    in_system = named(system_codes)
+    return named(codes) | in_system, in_system, seconds
+
+
+def function_names():
+    return {name for name, _ in definitions().values()}
 
 
 def unexplained(reached):
-    """(unreached functions with no ``ALLOWED`` reason, ``ALLOWED`` names
-    that are no function of the package), each sorted."""
-    names = set(definitions().values())
+    """(unreached functions with no ``ALLOWED`` reason, needless ``ALLOWED``
+    names: no function of the package, or one that ``reached`` holds and
+    ``HOST_DEPENDENT`` does not), each sorted."""
+    names = function_names()
     return (sorted(names - reached - set(ALLOWED)),
-            sorted(set(ALLOWED) - names))
+            sorted(set(ALLOWED) - (names - reached) - HOST_DEPENDENT))
 
 
 if __name__ == "__main__":
-    reached, seconds = trace()
-    never = sorted(set(definitions().values()) - reached)
-    missing, unknown = unexplained(reached)
+    reached, _, seconds = trace()
+    names = function_names()
+    never = sorted(names - reached)
+    missing, needless = unexplained(reached)
     for name in never:
         print(f"{name}\t{ALLOWED.get(name, 'NO REASON')}")
-    for name in unknown:
-        print(f"{name}\tallowed, but no such function")
-    print(f"{len(never)} of {len(set(definitions().values()))} functions "
-          f"unreached, {len(missing)} without a reason; traced {seconds:.1f} s")
-    sys.exit(1 if missing or unknown else 0)
+    for name in needless:
+        why = "reached" if name in reached else "no such function"
+        print(f"{name}\tallowed, but {why}")
+    print(f"{len(never)} of {len(names)} functions unreached, {len(missing)} "
+          f"without a reason, {len(needless)} needless allowed; "
+          f"traced {seconds:.1f} s")
+    sys.exit(1 if missing or needless else 0)

@@ -69,18 +69,12 @@ def package_modules():
 
 
 def node_recorders():
-    """(module, qualified name) for each top-level function or method in
-    the package whose body calls ``_node``."""
-    found = []
-    for module in package_modules():
-        tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
-        defs = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
-        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
-            defs += [(f"{cls.name}.{n.name}", n) for n in cls.body
-                     if isinstance(n, ast.FunctionDef)]
-        found += [(module.__name__.rsplit(".", 1)[1], name)
-                  for name, fn in defs if calls_node(fn)]
-    return found
+    """(module, qualified name) for each function or method in the package,
+    not a closure or lambda, whose body calls ``_node``."""
+    return sorted(tuple(name.split(".", 1))
+                  for name, fn in reachability.definitions().values()
+                  if isinstance(fn, ast.FunctionDef) and "<locals>" not in name
+                  and calls_node(fn))
 
 
 def fused_ops():
@@ -126,8 +120,8 @@ def spy_branches(monkeypatch):
 def system_run():
     """``reachability.trace`` once, with the kernel backward branches spied
     on in the stage and ``translate`` commands: the names of the package
-    functions the command-line sequence reached, and the branches that
-    training, anchor fitting and decoding ran."""
+    functions the command-line sequence reached, of those that training,
+    anchor fitting and decoding reached, and the branches they ran."""
     branches = set()
 
     @contextlib.contextmanager
@@ -137,30 +131,30 @@ def system_run():
             yield
         branches.update(hit)
 
-    reached, _ = reachability.trace(spied)
-    return reached, branches
+    reached, in_system, _ = reachability.trace(spied)
+    return reached, in_system, branches
 
 
 class TestSystemPaths:
     def test_every_function_is_reached(self, system_run):
         """Each function, method, closure and lambda of the package runs in
         the command-line sequence, or ``reachability.ALLOWED`` gives the
-        reason it stays."""
-        missing, unknown = reachability.unexplained(system_run[0])
+        reason it stays; no entry there names a reached function or none."""
+        missing, needless = reachability.unexplained(system_run[0])
         assert not missing, f"functions no command reaches: {missing}"
-        assert not unknown, f"allowed names that are no function: {unknown}"
+        assert not needless, f"allowed names that need no reason: {needless}"
 
     def test_every_node_recorder_runs(self, system_run):
         """Each function in the package that records a tape node, autodiff
         ops included, is called by training, anchor fitting or decoding: an
         op only the tests record lives in the tests' reference module."""
-        reached, _ = system_run
+        _, in_system, _ = system_run
         never = [f"{mod}.{name}" for mod, name in node_recorders()
-                 if f"{mod}.{name}" not in reached]
+                 if f"{mod}.{name}" not in in_system]
         assert not never, f"node recorders no system path calls: {never}"
 
     def test_every_system_branch_has_a_check(self, system_run):
-        _, branches = system_run
+        _, _, branches = system_run
         assert branches == set(FUSED_OP_CHECKS)
 
 
