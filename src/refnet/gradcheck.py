@@ -11,7 +11,8 @@ arguments whose gradients are also part of the contract) are registered
 as parameters so the oracle covers them too. The oracle perturbs only the
 parameters the tape recorded; each other trainable parameter gets one
 directional probe by the same complex step, which must leave the
-objective real.
+objective real. Two checks, ``finetune_m`` and ``train_b``, run a stage's
+objective as the stage does: its ``STAGE_FREEZES`` frozen, dropout on.
 
 The oracle is exact to machine precision, so ``TOL`` sits at 1e-8, 300
 times above the worst error the suite reads at seeds 0-19 (3.3e-11):
@@ -39,6 +40,7 @@ from .lcc import mean_localization_measure, tri_scores
 from .model import TranslationModel, variant_extras
 from .params import (ParamStore, backward, complex_step, finite_diff_grad,
                      imag_part, relative_error)
+from .training import STAGE_FREEZES
 
 TOL = 1e-8
 # The oracle's step, passed on every call: Im f(p + ih) / h is exact to
@@ -146,10 +148,12 @@ def _read_out(rng, ps, step):
     return _compare(lambda ps_: ad.sum_(ad.tanh(step(ps_)) * u), ps)
 
 
-def _loss_check(seed, salt, kind, ragged=False, **model_kw):
+def _loss_check(seed, salt, kind, ragged=False, stage=None, **model_kw):
     """``_compare`` of ``kind``'s training objective over its store, on a
     toy batch of two pairs: sources of length 3 (3 and 2 when ragged), and
-    four target words between BOS and EOS."""
+    four target words between BOS and EOS. A ``stage``'s groups are frozen and
+    dropout is on, from an rng reseeded on every evaluation: dropout is
+    linear in its input, so the objective stays holomorphic."""
     rng = np.random.default_rng((seed, salt))
     ps = _store(rng, kind)
     lens = np.array([3, 2 if ragged else 3])
@@ -158,8 +162,12 @@ def _loss_check(seed, salt, kind, ragged=False, **model_kw):
     words = rng.integers(4, _TINY.vocab_tgt, size=(2, 4))
     tgt = np.concatenate([np.full((2, 1), BOS), words, np.full((2, 1), EOS)], axis=1)
     batch = Batch(src=src, src_lens=lens, tgt=tgt)
+    if stage:
+        ps.freeze(*STAGE_FREEZES[stage])
+        model_kw.update(drop_emb=0.2, drop_out=0.3)
     model = TranslationModel(ps, _TINY, kind, **model_kw)
-    return _compare(lambda ps_: model.loss(batch).joint, ps)
+    return _compare(lambda ps_: model.loss(
+        batch, bool(stage), np.random.default_rng((seed, salt))).joint, ps)
 
 
 def _score_net(rng, d_v, d_att=3):
@@ -171,18 +179,18 @@ def _score_net(rng, d_v, d_att=3):
     return ps
 
 
-def _scores_check(seed, salt, N, C):
+def _scores_check(seed, salt, N, C, constant_inputs=False):
     """``_compare`` of a weighted sum of the scores of N inputs against C
-    anchors, inputs and anchors both probed."""
+    anchors; the anchors are probed, and the inputs unless constant."""
     rng = np.random.default_rng((seed, salt))
     ps = _score_net(rng, 4)
-    _probe(ps, "probe/x", rng.normal(size=(N, 4)))
+    x = rng.normal(size=(N, 4))
+    x = x if constant_inputs else _probe(ps, "probe/x", x)
     _probe(ps, "probe/anchors", rng.normal(size=(C, 4)))
     w = rng.normal(size=(N, C))
 
     def f(ps_):
-        scores = tri_scores(ps_["probe/x"], ps_["probe/anchors"],
-                            *(ps_[k] for k in _SCORE_NET))
+        scores = tri_scores(x, ps_["probe/anchors"], *(ps_[k] for k in _SCORE_NET))
         return ad.sum_(scores * w)
 
     return _compare(f, ps)
@@ -232,9 +240,9 @@ def check_tri_score(seed):
 
 
 def check_tri_scores_batch(seed):
-    """The score of several inputs against several anchors: the kernel's
-    sums over rows and anchors."""
-    return _scores_check(seed, 53, 3, 4)
+    """The score of several constant inputs against several anchors, as the
+    anchor fit reads it: the kernel's sums over rows and anchors."""
+    return _scores_check(seed, 53, 3, 4, constant_inputs=True)
 
 
 def check_localization_measure(seed):
@@ -288,6 +296,16 @@ def check_joint_b_loss(seed):
     return _loss_check(seed, 41, "b_ref", lam=1.0, lam_m=1e-2)
 
 
+def check_finetune_m(seed):
+    """``m_loss`` as finetune-m runs it: encoder and anchors frozen."""
+    return _loss_check(seed, 67, "m_ref", ragged=True, stage="finetune-m")
+
+
+def check_train_b(seed):
+    """``joint_b_loss`` as train-b runs it: b_ref's network alone trained."""
+    return _loss_check(seed, 71, "b_ref", stage="train-b", lam=1.0, lam_m=1e-2)
+
+
 def check_encoder_recurrence(seed):
     """The one-node bidirectional encoder over ragged sources (lengths 3, 2
     and 1), so that padding reaches both directions: the embedding table
@@ -320,6 +338,8 @@ CHECKS = {
     "joint_b_loss": check_joint_b_loss,
     "encoder_recurrence": check_encoder_recurrence,
     "tri_scores_batch": check_tri_scores_batch,
+    "finetune_m": check_finetune_m,
+    "train_b": check_train_b,
 }
 
 

@@ -223,9 +223,9 @@ def dataset_measure(X, anchors, score, l_alpha, l_beta):
 
 @dataclass
 class AnchorFitResult:
-    points: np.ndarray   # (C, d_v) anchors
-    score: tuple         # the score net's arrays (W, U, V, v)
-    final_measure: float
+    points: np.ndarray   # (C, d_v) anchors: the set that measures lower
+    score: tuple         # the score net's arrays (W, U, V, v), of that set
+    final_measure: float    # of the last iterate
     initial_measure: float
     history: list = field(default_factory=list)
 
@@ -256,7 +256,9 @@ def fit_anchors(dataset, config: TrainConfig):
     checks the loss and the updated parameters, without clipping, and
     raises a ``NumericError`` naming the iteration that diverged; the loop
     calls this module's ``backward``, which bench/ rebinds. The
-    whole-dataset measures before and after go one row block at a time.
+    whole-dataset measures before and after go one row block at a time; the
+    fit returns the initial set or the last iterate, whichever measures
+    lower (a ``final_measure`` above ``initial_measure``: the initial one).
     """
     dataset = _float_array(dataset)
     if dataset.ndim != 2 or dataset.shape[0] == 0:
@@ -271,6 +273,7 @@ def fit_anchors(dataset, config: TrainConfig):
     score = tuple(ps.add(f"anchors/score/{key}", init, "anchors")
                   for key, init in zip("WUVv", init_score(d_v, d_v, rng)))
     initial = dataset_measure(dataset, anchors, score, *weights)
+    start = [t.data.copy() for t in (anchors, *score)]
 
     opt = Optimizer(config.fit_lr)
     history = []
@@ -286,5 +289,6 @@ def fit_anchors(dataset, config: TrainConfig):
         opt.lr *= config.fit_lr_decay
 
     final = dataset_measure(dataset, anchors, score, *weights)
-    return AnchorFitResult(anchors.data.copy(), tuple(t.data.copy() for t in score),
-                           final, initial, history)
+    points, *net = ([t.data.copy() for t in (anchors, *score)]
+                    if final <= initial else start)
+    return AnchorFitResult(points, tuple(net), final, initial, history)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from refnet import corpus
 from refnet.corpus import (BOS, DRAW_BLOCK, EOS, PAD, UNK, ParallelCorpus,
                            _accepted, build_vocab, cipher_permutation,
                            filter_by_length, generate_synthetic_task,
@@ -134,6 +135,18 @@ class TestSyntheticTasks:
     @pytest.mark.parametrize("seed", [0, 5, 9, 77, 2026])
     @pytest.mark.parametrize("kind", ["copy", "reverse", "cipher-reverse"])
     def test_matches_reference_loop(self, kind, seed, len_range):
+        args = (kind, 50, 300, len_range, seed)
+        assert generate_synthetic_task(*args).pairs == reference_synthetic_task(*args)
+
+    @pytest.mark.parametrize("len_range", [(3, 12), (1, 30), (4, 4), (1, 1)])
+    @pytest.mark.parametrize("seed", [0, 5, 9, 77, 2026])
+    @pytest.mark.parametrize("kind", ["copy", "reverse", "cipher-reverse"])
+    @pytest.mark.parametrize("block", [64, 256])
+    def test_matches_reference_loop_with_small_draw_blocks(
+            self, block, kind, seed, len_range, monkeypatch):
+        """Many block boundaries: a pair's length drawn in one block and its
+        tokens running past the end of it, or its length past the end."""
+        monkeypatch.setattr(corpus, "DRAW_BLOCK", block)
         args = (kind, 50, 300, len_range, seed)
         assert generate_synthetic_task(*args).pairs == reference_synthetic_task(*args)
 

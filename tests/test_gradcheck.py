@@ -1,5 +1,4 @@
 import ast
-import contextlib
 import importlib
 import inspect
 import os
@@ -9,50 +8,12 @@ import threading
 import numpy as np
 import pytest
 
-import refnet
 from refnet import autodiff as ad
-from refnet import gradcheck, params, seq2seq
+from refnet import gradcheck, mrefnet, params, seq2seq
 from refnet.params import ParamStore, backward, finite_diff_grad, relative_error
 from refnet.seq2seq import ModelDims
 
 import reachability
-
-# every kernel backward branch that training, decoding or anchor fitting
-# runs -> a check of the suite that runs it. A branch is the backward of a
-# fused node (named by its op) or a case of a kernel backward function
-# (``KERNEL_CASES``).
-FUSED_OP_CHECKS = {
-    "encoder_recurrence": "nll_loss",
-    "decoder_recurrence": "decoder_step",
-    "tri_scores": "tri_score",
-    "anchor_sq_dists": "localization_measure",
-    "_gate_backward: masked": "encoder_recurrence",
-    "_gate_backward: unmasked": "decoder_step",
-    "_cell_backward: no extra": "decoder_step",
-    "_cell_backward: one extra": "decoder_step_extras",
-    "_attention_backward: a key set per row": "attention",
-    "_attention_backward: rows share a key set": "decoder_step_extras",
-    "_weighted_sum_backward: values per row": "attention",
-    "_weighted_sum_backward: shared values": "decoder_step_extras",
-    "global_context_backward": "decoder_step_extras",
-    "query_regression_backward": "f_s",
-    "_f_s_backward": "f_s",
-    "_tri_scores_backward": "tri_score",
-}
-
-# kernel backward function -> the case its arguments select; None: one case
-KERNEL_CASES = {
-    "_gate_backward": lambda g, cache: "masked" if cache[1] is not None else "unmasked",
-    "_cell_backward": lambda g, cache, needs: "one extra" if cache[3] else "no extra",
-    "_attention_backward": lambda grad, alpha, e, v, n, needs: (
-        "a key set per row" if len(alpha) == n else "rows share a key set"),
-    "_weighted_sum_backward": lambda grad, alpha, values, needs: (
-        "shared values" if len(values) == 1 else "values per row"),
-    "global_context_backward": None,
-    "query_regression_backward": None,
-    "_f_s_backward": None,
-    "_tri_scores_backward": None,
-}
 
 
 def calls_node(fn):
@@ -60,12 +21,6 @@ def calls_node(fn):
                and ((isinstance(n.func, ast.Name) and n.func.id == "_node")
                     or (isinstance(n.func, ast.Attribute) and n.func.attr == "_node"))
                for n in ast.walk(fn))
-
-
-def package_modules():
-    return [importlib.import_module(f"refnet.{path.stem}")
-            for path in sorted(pathlib.Path(refnet.__file__).parent.glob("*.py"))
-            if path.stem != "__init__"]
 
 
 def node_recorders():
@@ -77,62 +32,12 @@ def node_recorders():
                   and calls_node(fn))
 
 
-def fused_ops():
-    """``node_recorders`` outside autodiff.py: the fused ops, each with a
-    hand-written backward."""
-    return [(mod, name) for mod, name in node_recorders() if mod != "autodiff"]
-
-
-def rebind(monkeypatch, original, replacement):
-    """Put ``replacement`` wherever a package module binds ``original``."""
-    for module in package_modules():
-        for attr, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, attr, replacement)
-
-
-def spy_branches(monkeypatch):
-    """The set of kernel backward branches that run from now on: the
-    backward of each fused node, and the case of each function of
-    ``KERNEL_CASES`` wherever a module binds it."""
-    hit, fused, node = set(), {name for _, name in fused_ops()}, ad._node
-
-    def recording(label, fn, case=None):
-        def spy(*args):
-            hit.add(label if case is None else f"{label}: {case(*args)}")
-            return fn(*args)
-        return spy
-
-    def spying_node(data, parents, bwd):
-        op = bwd.__qualname__.split(".", 1)[0]
-        return node(data, parents, recording(op, bwd) if op in fused else bwd)
-
-    monkeypatch.setattr(ad, "_node", spying_node)
-    for module in package_modules():
-        for name, case in KERNEL_CASES.items():
-            fn = vars(module).get(name)
-            if fn is not None and fn.__module__ == module.__name__:
-                rebind(monkeypatch, fn, recording(name, fn, case))
-    return hit
-
-
 @pytest.fixture(scope="module")
 def system_run():
-    """``reachability.trace`` once, with the kernel backward branches spied
-    on in the stage and ``translate`` commands: the names of the package
-    functions the command-line sequence reached, of those that training,
-    anchor fitting and decoding reached, and the branches they ran."""
-    branches = set()
-
-    @contextlib.contextmanager
-    def spied():
-        with pytest.MonkeyPatch.context() as mp:
-            hit = spy_branches(mp)
-            yield
-        branches.update(hit)
-
-    reached, in_system, _ = reachability.trace(spied)
-    return reached, in_system, branches
+    """``reachability.trace`` once: the names of the package functions the
+    command-line sequence reached, of those that training, anchor fitting
+    and decoding reached, and the backward offsets these ran."""
+    return reachability.trace()[:3]
 
 
 class TestSystemPaths:
@@ -153,36 +58,26 @@ class TestSystemPaths:
                  if f"{mod}.{name}" not in in_system]
         assert not never, f"node recorders no system path calls: {never}"
 
-    def test_every_system_branch_has_a_check(self, system_run):
-        _, _, branches = system_run
-        assert branches == set(FUSED_OP_CHECKS)
+    def test_every_backward_branch_runs_in_a_check(self, system_run):
+        """Each bytecode offset that a backward pass of training, anchor
+        fitting or decoding runs also runs in the analytic pass of a
+        gradcheck entry; the trace saw the backward of every fused op."""
+        offsets = system_run[2]
+        traced = {f"{pathlib.Path(code.co_filename).stem}.{code.co_qualname}"
+                  for code, _ in offsets}
+        assert [f"{mod}.{op}" for mod, op in node_recorders() if mod != "autodiff"
+                and not any(t.startswith(f"{mod}.{op}.<locals>.") for t in traced)] == []
+        assert reachability.uncovered(offsets, reachability.check_offsets()) == []
 
-
-class TestFusedOpCoverage:
-    def test_every_fused_op_has_a_gradient_check(self):
-        ops = fused_ops()
-        assert ("lcc", "tri_scores") in ops and ("seq2seq", "decoder_recurrence") in ops
-        missing = [f"{mod}.{name}" for mod, name in ops if name not in FUSED_OP_CHECKS]
-        assert not missing, f"fused ops without a gradient check: {missing}"
-
-    def test_every_named_check_exists(self):
-        unknown = [check for check in FUSED_OP_CHECKS.values()
-                   if check not in gradcheck.CHECKS]
-        assert not unknown, f"no such gradcheck entries: {unknown}"
-
-    @pytest.mark.parametrize("branch", sorted(FUSED_OP_CHECKS))
-    def test_check_runs_its_branch(self, branch, monkeypatch):
-        """The check's analytic pass runs the branch; the spy stops the
-        check before the oracle."""
-        hit = spy_branches(monkeypatch)
-
-        def stop(f, params, step=1e-4):
-            raise _Built
-
-        monkeypatch.setattr(gradcheck, "finite_diff_grad", stop)
-        with pytest.raises(_Built):
-            gradcheck.CHECKS[FUSED_OP_CHECKS[branch]](0)
-        assert branch in hit
+    def test_guard_reports_a_branch_no_check_runs(self, system_run):
+        """Without the two checks whose encoder reads padding, no check runs
+        the masked branch of the gate kernel's backward, which training
+        does."""
+        unpadded = set(gradcheck.CHECKS) - {"encoder_recurrence", "m_loss"}
+        gaps = reachability.uncovered(system_run[2],
+                                      reachability.check_offsets(unpadded))
+        assert [gap for gap in gaps if gap.startswith("seq2seq.py:")
+                and "_gate_backward" in gap and "g * mask" in gap]
 
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -281,8 +176,8 @@ BASELINE = {name for name, *_ in seq2seq.baseline_schema(ModelDims(6, 6))}
 DECODER_STEP_UNRECORDED = BASELINE - {"dec/att/W", "dec/att/v", "dec/cell/W",
                                       "dec/cell/U", "dec/cell/b"}
 # check -> (the coordinates its oracle sweep perturbs at seed 0, the
-# trainable parameters the tape does not record, which ``_compare`` probes
-# one direction each)
+# parameters it leaves out: those its stage freezes, and the trainable ones
+# the tape does not record, which ``_compare`` probes one direction each)
 COVERAGE = {
     "attention": (60, BASELINE - {"dec/att/W", "dec/att/U", "dec/att/v"}),
     "decoder_step": (232, DECODER_STEP_UNRECORDED),
@@ -295,7 +190,10 @@ COVERAGE = {
     "m_loss": (784, set()),
     "joint_b_loss": (789, set()),
     "encoder_recurrence": (210, set()),
-    "tri_scores_batch": (67, set()),
+    "tri_scores_batch": (55, set()),
+    "finetune_m": (550, {n for n in BASELINE if n.startswith("enc/")}
+                   | {mrefnet.ANCHOR_KEY}),
+    "train_b": (209, BASELINE),
 }
 
 

@@ -8,7 +8,7 @@ from refnet import autodiff as ad
 from refnet import lcc
 from refnet.autodiff import no_grad
 from refnet.lcc import (anchor_sq_dists, dataset_measure, fit_anchors,
-                        init_score, lcc_weights, localization_measures,
+                        init_anchor_points, init_score, lcc_weights, localization_measures,
                         mean_localization_measure, reconstruct, tri_scores)
 from refnet.training import TrainConfig
 
@@ -224,6 +224,21 @@ class TestFitAnchors:
         b = fit_anchors(data, fit_config(2, 100, 4))
         np.testing.assert_array_equal(a.points, b.points)
         assert a.final_measure == b.final_measure
+
+    @pytest.mark.parametrize("lr", [0.5, 2.0])
+    def test_returns_the_set_that_measures_lower(self, lr):
+        """At a step size of 2 the last iterate measures above the initial
+        set, and the fit returns the initial anchors; at 0.5 it returns the
+        last iterate."""
+        data = np.random.default_rng(0).normal(size=(40, 3))
+        config = TrainConfig(n_anchors=4, fit_iters=3, seed=0, fit_lr=lr, fit_batch=0)
+        fit = fit_anchors(data, config)
+        assert (fit.final_measure > fit.initial_measure) == (lr == 2.0)
+        assert dataset_measure(data, fit.points, fit.score, config.l_alpha,
+                               config.l_beta) == min(fit.initial_measure,
+                                                     fit.final_measure)
+        initial = init_anchor_points(data, 4, np.random.default_rng(0))
+        assert np.array_equal(fit.points, initial) == (lr == 2.0)
 
     def test_gaussian_fallback_when_anchors_exceed_data(self):
         data = np.random.default_rng(17).normal(size=(3, 2))

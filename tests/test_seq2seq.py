@@ -905,15 +905,17 @@ class Candidate:
     def finished(self):
         return self.tokens[-1:] == [EOS]
 
-    def score(self):
+    def score(self, length_normalize):
+        if not length_normalize:
+            return self.logprob
         return self.logprob / max(1, len(self.tokens))
 
 
-def reference_beam(step, s0, k, max_steps):
+def reference_beam(step, s0, k, max_steps, length_normalize=True):
     """One sentence's search written as a plain loop: the argmax rollout
     (ties to the lowest id), which is the result at k = 1; for k > 1 every
     candidate a Candidate, Python's stable sort, the rollout in the final
-    pool."""
+    pool, ranked by length-normalized or raw log-probability."""
     def extend(hyp, logp, state, tok):
         return Candidate(hyp.tokens + [tok], hyp.logprob + float(logp[tok]), state)
 
@@ -949,13 +951,14 @@ def reference_beam(step, s0, k, max_steps):
                 break
         if len(done) >= k:
             break
-    best = max(done + alive, key=lambda c: c.score())
+    best = max(done + alive, key=lambda c: c.score(length_normalize))
     return best.tokens[:-1] if best.finished else best.tokens
 
 
 class TestBatchedDecoding:
+    @pytest.mark.parametrize("length_normalize", [True, False])
     @pytest.mark.parametrize("kind", ["baseline", "m_ref", "b_ref"])
-    def test_matches_one_sentence_reference_search(self, kind):
+    def test_matches_one_sentence_reference_search(self, kind, length_normalize):
         """The array ranking of the batched search against the candidate-by-
         candidate loop, each sentence searched alone through its own rows."""
         model = reference_model(kind, seed=4)
@@ -964,8 +967,9 @@ class TestBatchedDecoding:
         budgets = [2 * len(s) + 5 for s in sources]
         step_for, s0 = model._prepare(sources)
         for k in (1, 2, 4, 10):
-            found = beam_search(step_for, s0, k, budgets)
-            assert found == [reference_beam(step_for([i]), s0[i], k, budgets[i])
+            found = beam_search(step_for, s0, k, budgets, length_normalize)
+            assert found == [reference_beam(step_for([i]), s0[i], k, budgets[i],
+                                            length_normalize)
                              for i in range(len(sources))]
 
     @pytest.mark.parametrize("kind", ["baseline", "m_ref", "b_ref"])
@@ -993,6 +997,7 @@ class TestBatchedDecoding:
         with pytest.raises(ValueError, match="empty"):
             reference_model("baseline").translate_batch([[4], []])
 
+    @pytest.mark.parametrize("length_normalize", [True, False])
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(KINDS),
            lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
@@ -1000,7 +1005,7 @@ class TestBatchedDecoding:
            max_steps=st.sampled_from([None, 0, 1, 2, 3, 7]),
            seed=st.integers(0, 2 ** 16))
     def test_any_layout_matches_reference_search(self, kind, lengths, k,
-                                                 max_steps, seed):
+                                                 max_steps, seed, length_normalize):
         """Any mix of sentence lengths, beam widths (up to wider than the
         7-word vocabulary) and budgets (0 and 1 included) gives every
         sentence the hypothesis of its own plain-loop search."""
@@ -1009,12 +1014,15 @@ class TestBatchedDecoding:
         sources = [rng.integers(4, 7, size=n).tolist() for n in lengths]
         budgets = [2 * len(s) + 5 if max_steps is None else max_steps
                    for s in sources]
-        found = model.translate_batch(sources, beam=k, max_steps=max_steps)
+        found = model.translate_batch(sources, beam=k, max_steps=max_steps,
+                                      length_normalize=length_normalize)
         step_for, s0 = model._prepare(sources)
-        assert found == [reference_beam(step_for([i]), s0[i], k, budgets[i])
+        assert found == [reference_beam(step_for([i]), s0[i], k, budgets[i],
+                                        length_normalize)
                          for i in range(len(sources))]
 
-    def test_exact_ties_follow_pool_order(self):
+    @pytest.mark.parametrize("length_normalize", [True, False])
+    def test_exact_ties_follow_pool_order(self, length_normalize):
         """Log-probabilities that are small integers, looked up by the
         previous token alone, tie exactly all the time, across steps and
         lengths too: the ranking, the finished slots and the final pick must
@@ -1032,11 +1040,13 @@ class TestBatchedDecoding:
 
             budgets = rng.integers(0, 5, size=3).tolist()
             for k in (1, 2, 3, 6):
-                found = beam_search(step_for, s0, k, budgets)
-                assert found == [reference_beam(step_for([i]), s0[i], k, budgets[i])
+                found = beam_search(step_for, s0, k, budgets, length_normalize)
+                assert found == [reference_beam(step_for([i]), s0[i], k,
+                                                budgets[i], length_normalize)
                                  for i in range(3)]
 
-    def test_beam_outlives_greedy_rollout(self):
+    @pytest.mark.parametrize("length_normalize", [True, False])
+    def test_beam_outlives_greedy_rollout(self, length_normalize):
         """Greedy ends at step 1 (3 then EOS) while the beam keeps growing
         hypotheses that never propose EOS, for several steps after it."""
         table = np.array([[-0.1, -0.3, -10, -10, -0.2],
@@ -1051,8 +1061,9 @@ class TestBatchedDecoding:
         s0 = np.zeros((2, 2))
         for k in (2, 3, 4):
             for budgets in ([5, 5], [5, 1], [2, 7]):
-                found = beam_search(step_for, s0, k, budgets)
-                assert found == [reference_beam(step_for([i]), s0[i], k, budgets[i])
+                found = beam_search(step_for, s0, k, budgets, length_normalize)
+                assert found == [reference_beam(step_for([i]), s0[i], k,
+                                                budgets[i], length_normalize)
                                  for i in range(2)]
 
     @pytest.mark.parametrize("kind", KINDS)

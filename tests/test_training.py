@@ -537,6 +537,29 @@ class TestStages:
         with pytest.raises(NumericError, match="dev loss at epoch 0"):
             train_epochs(model, "pretrain", train, dev, vs, vt, config)
 
+    def test_early_stopping_restores_the_best_epoch(self, toy_split, toy_vocabs):
+        """Patience 1 and dev losses 1.0, 0.5, 0.7, 0.9: the loop stops after
+        3 epochs, with the parameters of epoch 1 restored."""
+        train, dev, _ = toy_split
+        vs, vt = toy_vocabs
+        model = quick_pretrain(toy_split, toy_vocabs, epochs=0).make_model()
+        losses, seen = iter([1.0, 0.5, 0.7, 0.9]), []
+
+        def dev_loss(batches):
+            seen.append(model.params.snapshot())
+            return next(losses)
+
+        model.dev_loss = dev_loss
+        config = TrainConfig(stage="pretrain", epochs=4, batch_size=16,
+                             seed=21, patience=1)
+        history = training.train_epochs(model, "pretrain", train, dev, vs, vt,
+                                        config)
+        assert [row["dev_loss"] for row in history] == [1.0, 0.5, 0.7]
+        assert len(seen) == 3
+        assert not np.array_equal(seen[2]["dec/out/bv"], seen[1]["dec/out/bv"])
+        for name, arr in seen[1].items():
+            np.testing.assert_array_equal(model.params[name].data, arr)
+
 
 class TestStagePurity:
     @pytest.mark.parametrize("stage", ["fit-anchors", "finetune-m", "train-b"])
