@@ -166,8 +166,8 @@ def _loss_check(seed, salt, kind, ragged=False, stage=None, **model_kw):
         ps.freeze(*STAGE_FREEZES[stage])
         model_kw.update(drop_emb=0.2, drop_out=0.3)
     model = TranslationModel(ps, _TINY, kind, **model_kw)
-    return _compare(lambda ps_: model.loss(
-        batch, bool(stage), np.random.default_rng((seed, salt))).joint, ps)
+    return _compare(lambda ps_: model.loss(  # rng None without a stage
+        batch, bool(stage), stage and np.random.default_rng((seed, salt))).joint, ps)
 
 
 def _score_net(rng, d_v, d_att=3):
