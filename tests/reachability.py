@@ -6,13 +6,13 @@ and which backward branches of training and decoding no gradient check runs.
 It runs the README's command sequence at toy sizes through ``cli.main``, in
 a temporary directory, under ``sys.setprofile``: ``synth`` with three
 splits, the four stages at one epoch, ``translate`` for each kind at beams
-1 and 4 (m_ref's without length normalization), ``evaluate --src``, ``params --full-scale-reference`` and
-``gradcheck --seeds 1``; then one run from a ``--config`` file and one
-unknown flag. It lists every function, method, closure and lambda in the
-package with ``ast``, and reports each one that no command reached. One
-passes only when ``ALLOWED`` names it with the reason it stays; an
-``ALLOWED`` entry that names no function, or one that a command reached,
-fails too, unless ``HOST_DEPENDENT`` names it.
+1 and 4 (m_ref's without length normalization), ``evaluate --src``,
+``params --full-scale-reference`` and ``gradcheck --seeds 1``; then one run
+from a ``--config`` file and one unknown flag. It lists every function,
+method, closure and lambda in the package with ``ast``, and reports each
+one that no command reached. One passes only when ``ALLOWED`` names it
+with the reason it stays; an ``ALLOWED`` entry that names no function, or
+one that a command reached, fails too, unless ``HOST_DEPENDENT`` names it.
 
 While the ``SYSTEM_COMMANDS`` run, ``recording`` also keeps the bytecode
 offsets that package frames entered inside ``autodiff.grad_map`` run;
