@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
 """The whole staged protocol on a compact cipher-reverse task.
 
-Pretrain a baseline, fit anchors to the pooled encoder states, fine-tune
-the monolingual variant, train the bilingual variant off the same baseline,
-and compare test BLEU. Takes a few minutes on CPU.
+``run_pipeline`` pretrains a baseline, fits anchors to the pooled encoder
+states, fine-tunes the monolingual variant and trains the bilingual variant
+off the same baseline, each stage reading the saved file of the one before.
+Then the demo compares test BLEU. Takes under a minute on CPU.
 
 Run:  python3 demos/05_reference_pipeline.py
 """
 
 import tempfile
-from pathlib import Path
 
 from refnet.corpus import ParallelCorpus, build_vocab, generate_synthetic_task
 from refnet.evaluation import bleu, param_report
 from refnet.seq2seq import ModelDims
-from refnet.training import Checkpoint, TrainConfig, run_stage
+from refnet.training import TrainConfig, run_pipeline
 
 full = generate_synthetic_task("cipher-reverse", vocab_size=40, n_pairs=1200,
                                len_range=(3, 10), seed=21)
@@ -35,35 +35,25 @@ def test_bleu(ckpt):
     return bleu(hyps, [[tgt] for _, tgt in test]).score
 
 
-workdir = Path(tempfile.mkdtemp(prefix="refnet_demo_"))
-base_path = workdir / "base.ckpt"
+configs = {
+    "pretrain": TrainConfig(stage="pretrain", epochs=14, lr=2e-3, seed=3,
+                            patience=50),
+    "fit-anchors": TrainConfig(stage="fit-anchors", n_anchors=12,
+                               fit_iters=500, seed=3),
+    "finetune-m": TrainConfig(stage="finetune-m", epochs=4, lr=5e-4, seed=3,
+                              patience=50),
+    "train-b": TrainConfig(stage="train-b", epochs=6, seed=3, n_anchors=6,
+                           d_a=12, lam=1.0, patience=50)}
+print("=== pretrain, fit anchors, fine-tune M-RefNet, train B-RefNet ===")
+ckpts, seconds = run_pipeline(tempfile.mkdtemp(prefix="refnet_demo_"), train,
+                              dev, configs, vocab_src, vocab_tgt, dims)
+print(f"stage seconds: { {k: round(v, 1) for k, v in seconds.items()} }")
 
-print("=== stage 1: pretrain the baseline ===")
-base = run_stage("pretrain", None, train, dev,
-                 TrainConfig(stage="pretrain", epochs=14, lr=2e-3, seed=3,
-                             patience=50),
-                 vocab_src=vocab_src, vocab_tgt=vocab_tgt, dims=dims)
-base.save(base_path)
-base_score = test_bleu(base)
-print(f"baseline test BLEU: {base_score:.2f}")
-
-print("\n=== stage 2a: fit anchors over pooled encoder states ===")
-m_branch = run_stage("fit-anchors", Checkpoint.load(base_path), train, None,
-                     TrainConfig(stage="fit-anchors", n_anchors=12,
-                                 fit_iters=500, seed=3))
-print(f"anchor fit: {m_branch.history[0]}")
-
-print("\n=== stage 2b: fine-tune decoder + monolingual parameters ===")
-m_ckpt = run_stage("finetune-m", m_branch, train, dev,
-                   TrainConfig(stage="finetune-m", epochs=4, lr=5e-4, seed=3,
-                               patience=50))
+print(f"\nbaseline test BLEU: {test_bleu(ckpts['pretrain']):.2f}")
+print(f"anchor fit: {ckpts['fit-anchors'].history[0]}")
+m_ckpt, b_ckpt = ckpts["finetune-m"], ckpts["train-b"]
 print(f"monolingual test BLEU: {test_bleu(m_ckpt):.2f} "
       f"(provenance: {' -> '.join(m_ckpt.stages)})")
-
-print("\n=== stage 3: train the bilingual variant off the same baseline ===")
-b_ckpt = run_stage("train-b", Checkpoint.load(base_path), train, dev,
-                   TrainConfig(stage="train-b", epochs=6, seed=3, n_anchors=6,
-                               d_a=12, lam=1.0, patience=50))
 print(f"bilingual test BLEU: {test_bleu(b_ckpt):.2f} "
       f"(provenance: {' -> '.join(b_ckpt.stages)})")
 nll = [r["train_loss"] for r in b_ckpt.history]

@@ -11,7 +11,7 @@ from .params import (GradRecord, Optimizer, ParamStore, backward,
                      clip_gradient_norm, finite_diff_grad)
 from .seq2seq import (ModelDims, beam_search, decoder_step, encode_batch,
                       nll_loss)
-from .training import Checkpoint, TrainConfig, run_stage
+from .training import Checkpoint, TrainConfig, run_pipeline, run_stage
 
 __version__ = "0.1.0"
 
@@ -23,5 +23,5 @@ __all__ = [
     "encode_batch", "filter_by_length", "finite_diff_grad", "fit_anchors",
     "generate_synthetic_task", "lcc_weights", "length_buckets",
     "localization_measures", "make_batches", "nll_loss", "no_grad",
-    "param_report", "reconstruct", "run_stage",
+    "param_report", "reconstruct", "run_pipeline", "run_stage",
 ]

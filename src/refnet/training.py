@@ -1,13 +1,14 @@
 """Stage-wise training: pretrain, fit-anchors, finetune-m, train-b.
 
-``run_stage`` is the one way to run a stage, ``STAGE_FREEZES`` the one
-rule for what a stage keeps fixed, and ``STAGE_FIELDS`` the one list of the
-``TrainConfig`` fields it reads, the flags its command offers. A stage takes
-a checkpoint (except pretraining), works on a float32 copy of its parameters
-so the input is never changed, freezes the groups ``STAGE_FREEZES`` names,
-trains what remains, and emits a new checkpoint with the stage appended to
-its provenance chain. Frozen groups are hashed before and after every
-stage; a change aborts the run.
+``run_stage`` is the one way to run a stage, ``run_pipeline`` the one order
+of the stages, ``STAGE_FREEZES`` the one rule for what a stage keeps fixed,
+and ``STAGE_FIELDS`` the one list of the ``TrainConfig`` fields it reads,
+the flags its command offers. A stage takes a checkpoint (except
+pretraining), works on a float32 copy of its parameters so the input is
+never changed, freezes the groups ``STAGE_FREEZES`` names, trains what
+remains, and emits a new checkpoint with the stage appended to its
+provenance chain. Frozen groups are hashed before and after every stage; a
+change aborts the run.
 
 Checkpoint files are a self-describing binary container: magic ``RNCK``,
 a little-endian uint32 format version, a little-endian uint64 header
@@ -414,6 +415,10 @@ def run_stage(stage, ckpt: Checkpoint | None, corpus_train, corpus_dev,
     if config.stage != stage:
         raise ValueError(f"cannot run stage {stage!r} with a config for stage "
                          f"{config.stage!r}")
+    if stage != "fit-anchors" and corpus_dev is None:
+        raise ValueError(f"{stage} requires a dev corpus")
+    if stage == "pretrain" and None in (vocab_src, vocab_tgt, dims):
+        raise ValueError("pretrain requires vocab_src, vocab_tgt and dims")
     if stage == "pretrain":
         ckpt = Checkpoint(ParamStore(), dims, config, "baseline", [],
                           vocab_src, vocab_tgt)
@@ -463,3 +468,26 @@ def run_stage(stage, ckpt: Checkpoint | None, corpus_train, corpus_dev,
             raise RuntimeError(
                 f"internal error: frozen group {g!r} changed during {stage}")
     return out
+
+
+def run_pipeline(workdir, corpus_train, corpus_dev, configs, vocab_src,
+                 vocab_tgt, dims):
+    """Run every stage as the ``refnet`` commands do, with ``configs[stage]``.
+
+    Each output is saved to ``workdir/<stage>.ckpt`` and loaded back; the
+    next stage reads the loaded file: fit-anchors and train-b the pretrained
+    one, finetune-m the anchored one. Returns ``{stage: loaded checkpoint
+    with the stage's history}`` and ``{stage: seconds of its run_stage}``.
+    """
+    reads = {"pretrain": None, "fit-anchors": "pretrain",
+             "finetune-m": "fit-anchors", "train-b": "pretrain"}
+    ckpts, seconds = {}, {}
+    for stage in STAGES:
+        t0 = time.perf_counter()
+        out = run_stage(stage, ckpts.get(reads[stage]), corpus_train,
+                        corpus_dev, configs[stage], vocab_src, vocab_tgt, dims)
+        seconds[stage] = time.perf_counter() - t0
+        ckpts[stage] = Checkpoint.load(
+            out.save(os.path.join(workdir, f"{stage}.ckpt")))
+        ckpts[stage].history = out.history
+    return ckpts, seconds

@@ -6,7 +6,7 @@ It hashes, in order:
 
 * a 6-epoch copy-task pretrain at d_h 32: every group digest and the
   history rows;
-* the four stages through ``run_stage`` on 64 pairs of the acceptance
+* the four stages through ``run_pipeline`` on 64 pairs of the acceptance
   corpus (cipher-reverse, vocabulary 50, seed 77): every group digest and
   the history rows of each. As in the command-line tool, each stage's
   output is saved to a checkpoint file and loaded back, and the next stage
@@ -33,14 +33,13 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 import tempfile
 
 from refnet import gradcheck
 from refnet.corpus import ParallelCorpus, build_vocab, generate_synthetic_task
 from refnet.seq2seq import ModelDims
-from refnet.training import Checkpoint, TrainConfig, run_stage
+from refnet.training import TrainConfig, run_pipeline, run_stage
 
 SIZES = {  # copy-task pairs, epochs; acceptance pairs, d_h, epochs, fit iters;
            # decoded sentences; gradient seeds; pairs of each synthetic task
@@ -56,15 +55,6 @@ def _ckpt_record(ckpt):
                        for g in ckpt.params.groups_present()},
             "history": [{k: v for k, v in row.items() if k != "seconds"}
                         for row in ckpt.history]}
-
-
-def _handoff(ckpt, directory):
-    """``ckpt`` saved to a file in ``directory``, named after its last stage,
-    and loaded back; the history rows, which files do not hold, carried over."""
-    path = os.path.join(directory, f"{ckpt.stages[-1]}.ckpt")
-    loaded = Checkpoint.load(ckpt.save(path))
-    loaded.history = ckpt.history
-    return loaded
 
 
 def _copy_task(size):
@@ -91,21 +81,17 @@ def _stages(size):
     dims = ModelDims(vocab_src=len(vs), vocab_tgt=len(vt), d_e=size["d_h"] // 2,
                      d_h=size["d_h"])
     tune = dict(epochs=size["epochs"], batch_size=16, seed=77, patience=50)
+    configs = {
+        "pretrain": TrainConfig(stage="pretrain", **tune),
+        "fit-anchors": TrainConfig(stage="fit-anchors", n_anchors=8,
+                                   fit_iters=size["fit_iters"], fit_batch=32,
+                                   seed=77),
+        "finetune-m": TrainConfig(stage="finetune-m", **tune),
+        "train-b": TrainConfig(stage="train-b", n_anchors=4, d_a=8, **tune)}
     with tempfile.TemporaryDirectory() as tmp:
-        def stage(*args, **kwargs):
-            return _handoff(run_stage(*args, **kwargs), tmp)
-
-        base = stage("pretrain", None, train, dev,
-                     TrainConfig(stage="pretrain", **tune), vs, vt, dims)
-        anchored = stage("fit-anchors", base, train, None, TrainConfig(
-            stage="fit-anchors", n_anchors=8, fit_iters=size["fit_iters"],
-            fit_batch=32, seed=77))
-        m_ref = stage("finetune-m", anchored, train, dev,
-                      TrainConfig(stage="finetune-m", **tune))
-        b_ref = stage("train-b", base, train, dev, TrainConfig(
-            stage="train-b", n_anchors=4, d_a=8, **tune))
-    ckpts = {"baseline": base, "fit-anchors": anchored, "m_ref": m_ref,
-             "b_ref": b_ref}
+        out, _ = run_pipeline(tmp, train, dev, configs, vs, vt, dims)
+    ckpts = {"baseline": out["pretrain"], "fit-anchors": out["fit-anchors"],
+             "m_ref": out["finetune-m"], "b_ref": out["train-b"]}
     record = {name: _ckpt_record(ckpt) for name, ckpt in ckpts.items()}
     sources = [vs.encode(src) for src, _ in test]
     record["decodes"] = {

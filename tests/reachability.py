@@ -58,6 +58,9 @@ ALLOWED = {
     "params._fork_sweep": "the oracle forks its workers only with two or more "
                           "usable CPUs",
     "training._knob": "builds TrainConfig's fields when the module is imported",
+    "training.run_pipeline": "the acceptance fixture, tests/bit_digest.py and "
+                             "demo 05 run the protocol through it; the tool "
+                             "runs one stage per command",
 }
 
 # ALLOWED names that a run reaches or not, as the host allows

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per release criterion, one printed line each.
 
 The toy translation pipeline (cipher-reverse, vocab 50, 2000/200/200 pairs,
-lengths 3-12, embeddings 32, hidden 64) is built once per session and shared
-by the criteria that need trained checkpoints.
+lengths 3-12, embeddings 32, hidden 64) is run once per session through
+``training.run_pipeline`` and shared by the criteria that need trained
+checkpoints.
 """
 
 import math
@@ -22,7 +23,7 @@ from refnet.lcc import (fit_anchors, init_score, lcc_weights,
 from refnet.mrefnet import ANCHOR_KEY, init_m_params
 from refnet.model import TranslationModel
 from refnet.seq2seq import ModelDims, beam_search, init_baseline_params
-from refnet.training import Checkpoint, TrainConfig, run_stage
+from refnet.training import Checkpoint, TrainConfig, run_pipeline
 from reference import f_s
 
 BASE_SEED = 42
@@ -47,7 +48,9 @@ def decode_corpus(ckpt, corpus, beam=4, limit=None):
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """Pretrain once, then branch into the monolingual and bilingual stages."""
+    """The protocol through ``run_pipeline``: pretrain once, then branch into
+    the monolingual and bilingual stages, each reading the saved file of the
+    stage before it."""
     root = tmp_path_factory.mktemp("pipeline")
     full = generate_synthetic_task("cipher-reverse", 50, 2400, (3, 12), seed=77)
     train = ParallelCorpus(full.pairs[:2000])
@@ -56,60 +59,25 @@ def pipeline(tmp_path_factory):
     vs = build_vocab(train.sources(), 200)
     vt = build_vocab(train.targets(), 200)
     dims = ModelDims(vocab_src=len(vs), vocab_tgt=len(vt), d_e=32, d_h=64)
-
-    timings = {}
-    print("\n[pipeline] pretraining baseline ...")
-    t0 = time.perf_counter()
-    base = run_stage("pretrain", None, train, dev,
-                     TrainConfig(stage="pretrain", epochs=20, seed=BASE_SEED,
-                                 patience=50),
-                     vocab_src=vs, vocab_tgt=vt, dims=dims)
-    timings["pretrain"] = time.perf_counter() - t0
-    base_path = root / "base.ckpt"
-    base.save(base_path)
-
-    print("[pipeline] fitting anchors + finetune-m ...")
-    t0 = time.perf_counter()
-    m_branch = Checkpoint.load(base_path)
-    m_branch = run_stage("fit-anchors", m_branch, train, None,
-                         TrainConfig(stage="fit-anchors", n_anchors=16,
-                                     fit_iters=800, seed=BASE_SEED))
-    timings["fit-anchors"] = time.perf_counter() - t0
-    digests_m_before = {
-        "encoder": m_branch.params.group_digest("encoder"),
-        "anchors": m_branch.params.group_digest("anchors"),
-    }
-    t0 = time.perf_counter()
-    m_ckpt = run_stage("finetune-m", m_branch, train, dev,
-                       TrainConfig(stage="finetune-m", epochs=6, lr=5e-4,
-                                   seed=BASE_SEED, patience=50))
-    timings["finetune-m"] = time.perf_counter() - t0
-
-    print("[pipeline] train-b ...")
-    b_branch = Checkpoint.load(base_path)
-    digests_b_before = {
-        "encoder": b_branch.params.group_digest("encoder"),
-        "decoder": b_branch.params.group_digest("decoder"),
-    }
-    t0 = time.perf_counter()
-    b_ckpt = run_stage("train-b", b_branch, train, dev,
-                       TrainConfig(stage="train-b", epochs=8, seed=BASE_SEED,
-                                   n_anchors=8, d_a=16, lam=1.0,
-                                   patience=50))
-    timings["train-b"] = time.perf_counter() - t0
-
+    configs = {
+        "pretrain": TrainConfig(stage="pretrain", epochs=20, seed=BASE_SEED,
+                                patience=50),
+        "fit-anchors": TrainConfig(stage="fit-anchors", n_anchors=16,
+                                   fit_iters=800, seed=BASE_SEED),
+        "finetune-m": TrainConfig(stage="finetune-m", epochs=6, lr=5e-4,
+                                  seed=BASE_SEED, patience=50),
+        "train-b": TrainConfig(stage="train-b", epochs=8, seed=BASE_SEED,
+                               n_anchors=8, d_a=16, lam=1.0, patience=50)}
+    print("\n[pipeline] pretrain, fit-anchors, finetune-m, train-b ...")
+    ckpts, timings = run_pipeline(root, train, dev, configs, vs, vt, dims)
     print("[pipeline] decoding test set ...")
-    scores = {"baseline": decode_corpus(Checkpoint.load(base_path), test),
-              "m_ref": decode_corpus(m_ckpt, test),
-              "b_ref": decode_corpus(b_ckpt, test)}
+    scores = {"baseline": decode_corpus(ckpts["pretrain"], test),
+              "m_ref": decode_corpus(ckpts["finetune-m"], test),
+              "b_ref": decode_corpus(ckpts["train-b"], test)}
     print(f"[pipeline] BLEU: {scores}  stage seconds: "
           f"{ {k: round(v, 1) for k, v in timings.items()} }")
-
-    return {"base_path": base_path, "m_ckpt": m_ckpt, "b_ckpt": b_ckpt,
-            "test": test, "dev": dev, "scores": scores, "timings": timings,
-            "digests_m_before": digests_m_before,
-            "digests_b_before": digests_b_before, "vocabs": (vs, vt),
-            "dims": dims}
+    return {"root": root, "ckpts": ckpts, "test": test, "dev": dev,
+            "scores": scores, "timings": timings}
 
 
 class TestAcceptance:
@@ -210,9 +178,9 @@ class TestAcceptance:
                    f"seconds { {k: round(v) for k, v in timings.items()} }")
 
     def test_05_zero_init_equivalence(self, pipeline, capsys):
-        base = Checkpoint.load(pipeline["base_path"])
-        vs, vt = pipeline["vocabs"]
-        batches = make_batches(pipeline["dev"], 32, vs, vt)
+        base = Checkpoint.load(pipeline["root"] / "pretrain.ckpt")
+        batches = make_batches(pipeline["dev"], 32, base.vocab_src,
+                               base.vocab_tgt)
         rng = np.random.default_rng(3)
         base_loss = TranslationModel(base.params, base.dims,
                                      "baseline").dev_loss(batches)
@@ -233,15 +201,15 @@ class TestAcceptance:
                    f"monolingual diff {diff_m:.2e}, bilingual diff {diff_b:.2e}")
 
     def test_06_freeze_contracts(self, pipeline, capsys):
-        m_ckpt, b_ckpt = pipeline["m_ckpt"], pipeline["b_ckpt"]
-        m_ok = (m_ckpt.params.group_digest("encoder")
-                == pipeline["digests_m_before"]["encoder"]
-                and m_ckpt.params.group_digest("anchors")
-                == pipeline["digests_m_before"]["anchors"])
-        b_ok = (b_ckpt.params.group_digest("encoder")
-                == pipeline["digests_b_before"]["encoder"]
-                and b_ckpt.params.group_digest("decoder")
-                == pipeline["digests_b_before"]["decoder"])
+        ckpts = pipeline["ckpts"]
+
+        def same(stage, source, groups):  # as the file the stage read
+            on_file = Checkpoint.load(pipeline["root"] / f"{source}.ckpt")
+            return all(ckpts[stage].params.group_digest(g)
+                       == on_file.params.group_digest(g) for g in groups)
+
+        m_ok = same("finetune-m", "fit-anchors", ("encoder", "anchors"))
+        b_ok = same("train-b", "pretrain", ("encoder", "decoder"))
         with capsys.disabled():
             print()
             report("freeze contracts: encoder+anchors fixed through "
@@ -249,7 +217,7 @@ class TestAcceptance:
                    m_ok and b_ok)
 
     def test_07_objective_descent(self, pipeline, capsys):
-        rows = pipeline["b_ckpt"].history
+        rows = pipeline["ckpts"]["train-b"].history
         nll_first, nll_last = rows[0]["train_loss"], rows[-1]["train_loss"]
         lm_first, lm_last = rows[0]["train_l_m"], rows[-1]["train_l_m"]
         with capsys.disabled():
@@ -260,7 +228,7 @@ class TestAcceptance:
                    f"hinge {lm_first:.3f}->{lm_last:.3f}")
 
     def test_08_decoding_oracles(self, pipeline, capsys):
-        base = Checkpoint.load(pipeline["base_path"])
+        base = Checkpoint.load(pipeline["root"] / "pretrain.ckpt")
         model = base.make_model()
         test = pipeline["test"]
         batch_ok = True

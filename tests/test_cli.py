@@ -10,7 +10,10 @@ import pytest
 import refnet
 from refnet.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_PREREQ,
                         EXIT_USAGE, build_parser, main)
-from refnet.training import STAGE_FIELDS, STAGES, Checkpoint, TrainConfig
+from refnet.corpus import ParallelCorpus, build_vocab
+from refnet.seq2seq import ModelDims
+from refnet.training import (STAGE_FIELDS, STAGES, Checkpoint, TrainConfig,
+                             run_pipeline)
 
 
 def run_cli(args):
@@ -727,35 +730,42 @@ class TestAnchorGroup:
 
 
 class TestFullPipeline:
-    def test_synth_train_finetune_translate_evaluate(self, toy_files,
-                                                     toy_ckpt, tmp_path,
-                                                     capsys):
-        """End-to-end command sequence finishes and reports a BLEU score."""
-        data = {flag: str(toy_files / f"toy.{split}.{side}")
-                for flag, split, side in (
-                    ("--train-src", "train", "src"),
-                    ("--train-tgt", "train", "tgt"),
-                    ("--dev-src", "dev", "src"),
-                    ("--dev-tgt", "dev", "tgt"))}
-        anchored = tmp_path / "anchored.ckpt"
-        assert run_cli(["fit-anchors", "--ckpt-in", str(toy_ckpt),
-                        "--ckpt-out", str(anchored),
-                        "--train-src", data["--train-src"],
-                        "--train-tgt", data["--train-tgt"],
-                        "--n-anchors", "4", "--fit-iters", "40",
-                        "--seed", "11"]) == EXIT_OK
-        m_ckpt = tmp_path / "m.ckpt"
-        args = ["finetune-m", "--ckpt-in", str(anchored),
-                "--ckpt-out", str(m_ckpt), "--epochs", "2",
-                "--batch-size", "16", "--seed", "11", "--patience", "50"]
-        for flag, value in data.items():
-            args += [flag, value]
-        assert run_cli(args) == EXIT_OK
+    def test_synth_train_finetune_translate_evaluate(self, toy_files, toy_ckpt,
+                                                     m_ckpts, tmp_path, capsys):
+        """The four stage commands, translate and evaluate run end to end,
+        and ``run_pipeline`` on the same files and settings writes the same
+        four checkpoint files."""
+        anchored, m_ckpt = m_ckpts
+        b_ckpt = tmp_path / "b.ckpt"
+        data = [f"--{split}-{side}={toy_files / f'toy.{split}.{side}'}"
+                for split in ("train", "dev") for side in ("src", "tgt")]
+        assert run_cli(["train-b", "--ckpt-in", str(toy_ckpt),
+                        "--ckpt-out", str(b_ckpt), *data, "--epochs", "1",
+                        "--batch-size", "16", "--seed", "11",
+                        "--n-anchors", "3", "--d-a", "5"]) == EXIT_OK
         hyp = tmp_path / "hyp.txt"
         assert run_cli(["translate", "--ckpt", str(m_ckpt),
                         "--src", str(toy_files / "toy.test.src"),
                         "--out", str(hyp), "--beam", "3"]) == EXIT_OK
         assert run_cli(["evaluate", "--hyp", str(hyp),
                         "--refs", str(toy_files / "toy.test.tgt")]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "BLEU =" in out
+        assert "BLEU =" in capsys.readouterr().out
+
+        train, dev = (ParallelCorpus.load(toy_files / f"toy.{split}.src",
+                                          toy_files / f"toy.{split}.tgt")
+                      for split in ("train", "dev"))
+        vs, vt = (build_vocab(side, 30000) for side in (train.sources(),
+                                                        train.targets()))
+        dims = ModelDims(vocab_src=len(vs), vocab_tgt=len(vt), d_e=8, d_h=12)
+        tune = dict(epochs=1, batch_size=16, seed=11)
+        configs = {
+            "pretrain": TrainConfig(stage="pretrain", epochs=3, batch_size=16,
+                                    seed=11, patience=50),
+            "fit-anchors": TrainConfig(stage="fit-anchors", n_anchors=4,
+                                       fit_iters=20, seed=11),
+            "finetune-m": TrainConfig(stage="finetune-m", **tune),
+            "train-b": TrainConfig(stage="train-b", n_anchors=3, d_a=5, **tune)}
+        run_pipeline(tmp_path, train, dev, configs, vs, vt, dims)
+        for stage, path in zip(STAGES, (toy_ckpt, anchored, m_ckpt, b_ckpt)):
+            assert (tmp_path / f"{stage}.ckpt").read_bytes() == \
+                path.read_bytes(), stage

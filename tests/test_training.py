@@ -19,7 +19,7 @@ from refnet.params import GROUPS, Optimizer, backward, clip_gradient_norm
 from refnet.seq2seq import ModelDims, beam_search, init_baseline_params
 from refnet import training
 from refnet.training import (PREAMBLE, STAGE_FIELDS, STAGE_FREEZES, STAGES,
-                             Checkpoint, TrainConfig, run_stage)
+                             Checkpoint, TrainConfig, run_pipeline, run_stage)
 
 def nan_payload(header, payload):
     payload[-4:] = struct.pack("<f", float("nan"))
@@ -379,43 +379,26 @@ class TestStages:
             run_stage("fit-anchors", ckpt, train, None,
                       TrainConfig(stage="train-b", fit_iters=1))
 
-    def test_full_m_pipeline_provenance_and_freezes(self, toy_split,
-                                                    toy_vocabs, capsys):
-        train, dev, _ = toy_split
-        base = quick_pretrain(toy_split, toy_vocabs, epochs=1)
-        fit_cfg = TrainConfig(stage="fit-anchors", n_anchors=3, fit_iters=30,
-                              seed=21)
-        withanch = run_stage("fit-anchors", base, train, None, fit_cfg)
-        assert withanch.stages == ["pretrain", "fit-anchors"]
-        enc = withanch.params.group_digest("encoder")
-        anc = withanch.params.group_digest("anchors")
-        m_cfg = TrainConfig(stage="finetune-m", epochs=1, batch_size=16,
-                            seed=21, patience=50)
-        m = run_stage("finetune-m", withanch, train, dev, m_cfg)
-        assert m.stages == ["pretrain", "fit-anchors", "finetune-m"]
-        assert m.params.group_digest("encoder") == enc
-        assert m.params.group_digest("anchors") == anc
-        assert not frozen_groups(m.params)  # freezes are stage-local
+    @pytest.mark.parametrize("stage, slot, message", [
+        ("pretrain", 3, "pretrain requires a dev corpus"),
+        ("finetune-m", 3, "finetune-m requires a dev corpus"),
+        ("train-b", 3, "train-b requires a dev corpus"),
+        *(("pretrain", slot, "pretrain requires vocab_src, vocab_tgt and dims")
+          for slot in (5, 6, 7))])
+    def test_missing_input_rejected(self, stage, slot, message, toy_split,
+                                    toy_vocabs):
+        """run_stage's argument ``slot`` set to None: dev, vocabularies, dims."""
+        argv = list(stage_argv(stage, toy_split, toy_vocabs))
+        argv[slot] = None
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_stage(*argv)
 
-    def test_b_pipeline_provenance(self, toy_split, toy_vocabs, capsys):
+    def test_train_b_on_m_ref_rejected(self, toy_split, toy_vocabs, tmp_path,
+                                       capsys):
         train, dev, _ = toy_split
-        base = quick_pretrain(toy_split, toy_vocabs, epochs=1)
-        cfg = TrainConfig(stage="train-b", epochs=1, batch_size=16, seed=21,
-                          n_anchors=3, d_a=5, patience=50)
-        b = run_stage("train-b", base, train, dev, cfg)
-        assert b.stages == ["pretrain", "train-b"]
-
-    def test_train_b_on_m_ref_rejected(self, toy_split, toy_vocabs, capsys):
-        train, dev, _ = toy_split
-        base = quick_pretrain(toy_split, toy_vocabs, epochs=1)
-        withanch = run_stage("fit-anchors", base, train, None,
-                             TrainConfig(stage="fit-anchors", n_anchors=3,
-                                         fit_iters=20, seed=21))
-        m = run_stage("finetune-m", withanch, train, dev,
-                      TrainConfig(stage="finetune-m", epochs=1,
-                                  batch_size=16, seed=21, patience=50))
+        m_ref = toy_pipeline(tmp_path, toy_split, toy_vocabs)[0]["finetune-m"]
         with pytest.raises(PrerequisiteError):
-            run_stage("train-b", m, train, dev,
+            run_stage("train-b", m_ref, train, dev,
                       TrainConfig(stage="train-b", epochs=1, seed=21))
 
     def test_dev_loss_ignores_dropout_state(self, toy_split, toy_vocabs):
@@ -476,35 +459,6 @@ class TestStages:
                                         "baseline").dev_loss(batches)
         assert loss_trained < loss_untrained
 
-    def test_full_pipelines_reproducible_bitwise(self, toy_split, toy_vocabs,
-                                                 tmp_path, capsys):
-        train, dev, _ = toy_split
-
-        def m_branch(tag):
-            base = quick_pretrain(toy_split, toy_vocabs, epochs=1, seed=55)
-            withanch = run_stage("fit-anchors", base, train, None,
-                                 TrainConfig(stage="fit-anchors", n_anchors=3,
-                                             fit_iters=25, seed=55))
-            m = run_stage("finetune-m", withanch, train, dev,
-                          TrainConfig(stage="finetune-m", epochs=1,
-                                      batch_size=16, seed=55, patience=50))
-            path = tmp_path / f"m_{tag}.ckpt"
-            m.save(path)
-            return path.read_bytes()
-
-        def b_branch(tag):
-            base = quick_pretrain(toy_split, toy_vocabs, epochs=1, seed=55)
-            b = run_stage("train-b", base, train, dev,
-                          TrainConfig(stage="train-b", epochs=1, batch_size=16,
-                                      seed=55, n_anchors=3, d_a=5,
-                                      patience=50))
-            path = tmp_path / f"b_{tag}.ckpt"
-            b.save(path)
-            return path.read_bytes()
-
-        assert m_branch("a") == m_branch("b")
-        assert b_branch("a") == b_branch("b")
-
     def test_divergence_reported_with_epoch(self, toy_split, toy_vocabs):
         from refnet.errors import NumericError
         from refnet.seq2seq import init_baseline_params
@@ -559,6 +513,66 @@ class TestStages:
         assert not np.array_equal(seen[2]["dec/out/bv"], seen[1]["dec/out/bv"])
         for name, arr in seen[1].items():
             np.testing.assert_array_equal(model.params[name].data, arr)
+
+
+def toy_pipeline(workdir, toy_split, toy_vocabs, seed=21):
+    """``run_pipeline`` on the toy split, one epoch per trained stage."""
+    train, dev, _ = toy_split
+    vs, vt = toy_vocabs
+    dims = ModelDims(vocab_src=len(vs), vocab_tgt=len(vt), d_e=6, d_h=8)
+    tune = dict(epochs=1, batch_size=16, seed=seed, patience=50)
+    configs = {
+        "pretrain": TrainConfig(stage="pretrain", **tune),
+        "fit-anchors": TrainConfig(stage="fit-anchors", n_anchors=3,
+                                   fit_iters=30, seed=seed),
+        "finetune-m": TrainConfig(stage="finetune-m", **tune),
+        "train-b": TrainConfig(stage="train-b", n_anchors=3, d_a=5, **tune)}
+    return run_pipeline(workdir, train, dev, configs, vs, vt, dims)
+
+
+class TestPipeline:
+    def test_provenance_and_freezes(self, toy_split, toy_vocabs, tmp_path,
+                                    monkeypatch, capsys):
+        """Each stage reads the loaded file of the stage before it, keeps
+        that file's frozen groups, and no freeze outlives the stage."""
+        runs = []
+
+        def spy(stage, ckpt, *args):
+            out = run_stage(stage, ckpt, *args)
+            runs.append((stage, ckpt, out))
+            return out
+
+        monkeypatch.setattr(training, "run_stage", spy)
+        ckpts, seconds = toy_pipeline(tmp_path, toy_split, toy_vocabs)
+        assert list(ckpts) == list(seconds) == [stage for stage, _, _ in runs] \
+            == list(STAGES)
+        assert {stage: ckpt.stages for stage, ckpt in ckpts.items()} == {
+            "pretrain": ["pretrain"], "fit-anchors": ["pretrain", "fit-anchors"],
+            "finetune-m": ["pretrain", "fit-anchors", "finetune-m"],
+            "train-b": ["pretrain", "train-b"]}
+        reads = {"fit-anchors": ("pretrain", ("encoder", "decoder")),
+                 "finetune-m": ("fit-anchors", ("encoder", "anchors")),
+                 "train-b": ("pretrain", ("encoder", "decoder"))}
+        for stage, ckpt_in, out in runs:
+            assert not frozen_groups(out.params)  # freezes are stage-local
+            assert ckpts[stage] is not out  # it returns the saved file, loaded
+            assert ckpts[stage].history == out.history != []
+            if stage == "pretrain":
+                assert ckpt_in is None
+                continue
+            source, kept = reads[stage]
+            assert ckpt_in is ckpts[source]
+            assert all(ckpts[stage].params.group_digest(g)
+                       == ckpt_in.params.group_digest(g) for g in kept)
+
+    def test_reproducible_bitwise(self, toy_split, toy_vocabs, tmp_path,
+                                  capsys):
+        for tag in ("a", "b"):
+            (tmp_path / tag).mkdir()
+            toy_pipeline(tmp_path / tag, toy_split, toy_vocabs, seed=55)
+        for stage in STAGES:
+            assert (tmp_path / "a" / f"{stage}.ckpt").read_bytes() == \
+                (tmp_path / "b" / f"{stage}.ckpt").read_bytes()
 
 
 class TestStagePurity:
