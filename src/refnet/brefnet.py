@@ -93,30 +93,19 @@ def _f_s_forward(q, weights):
     return out, (q, weights, G, scored, gamma, coded)
 
 
-def _f_s_backward(g, cache, needs):
+def _f_s_backward(g, cache):
     """Gradients of q and of each ``F_S_PARAMS`` weight from the estimate's
-    gradient g; None for each whose entry of ``needs`` is false."""
+    gradient g."""
     q, (gW, gb, anchors, sW, sU, sV, sv, rW, rb), G, scored, gamma, coded = cache
     (B, d_a), C = G.shape, gamma.shape[1]
     rW_flat = rW.reshape(C * d_a, -1)
-    grads = [None] * len(needs)
-    if needs[8]:
-        grads[8] = (coded.T @ g).reshape(rW.shape)
-    if needs[9]:
-        grads[9] = gamma.T @ g
-    score_needs = [any(needs[:3])] + list(needs[3:8])
-    if not any(score_needs):
-        return grads
     dcoded = (g @ rW_flat.T).reshape(B, C, d_a)
     dgamma = g @ rb.T + (dcoded * G[:, None, :]).sum(axis=2)
-    dG, *grads[3:8] = _tri_scores_backward(
-        scored, ad._softmax_grad(gamma, dgamma, axis=1), score_needs)
-    if score_needs[0]:
-        dpre = (dG + (dcoded * gamma[:, :, None]).sum(axis=1)) * (1.0 - G * G)
-        grads[:3] = (dpre @ gW.T if needs[0] else None,
-                     q.T @ dpre if needs[1] else None,
-                     dpre.sum(axis=0) if needs[2] else None)
-    return grads
+    dG, *d_score = _tri_scores_backward(
+        scored, ad._softmax_grad(gamma, dgamma, axis=1), True)
+    dpre = (dG + (dcoded * gamma[:, :, None]).sum(axis=1)) * (1.0 - G * G)
+    return [dpre @ gW.T, q.T @ dpre, dpre.sum(axis=0), *d_score,
+            (coded.T @ g).reshape(rW.shape), gamma.T @ g]
 
 
 def query_regression(e_prev, s_prev, c_t, weights):
@@ -128,15 +117,9 @@ def query_regression(e_prev, s_prev, c_t, weights):
     return out, (cache, e_prev.shape[1], s_prev.shape[1])
 
 
-def query_regression_backward(g, cache, needs):
+def query_regression_backward(g, cache):
     """Gradients of e_prev, s_prev, c_t and of each ``F_S_PARAMS`` weight
-    from the estimate's gradient g; None for each whose entry of ``needs``
-    is false."""
+    from the estimate's gradient g."""
     f_cache, d_e, d_h = cache
-    dq, *grads = _f_s_backward(g, f_cache, [any(needs[:3])] + list(needs[3:]))
-    parts = [None] * 3
-    for i, cols in enumerate((slice(0, d_e), slice(d_e, d_e + d_h),
-                              slice(d_e + d_h, None))):
-        if needs[i]:
-            parts[i] = dq[:, cols]
-    return parts + grads
+    dq, *grads = _f_s_backward(g, f_cache)
+    return [dq[:, :d_e], dq[:, d_e:d_e + d_h], dq[:, d_e + d_h:], *grads]

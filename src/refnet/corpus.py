@@ -87,11 +87,13 @@ class ParallelCorpus:
 
 
 def read_sentences(path):
-    """The whitespace-split lines of a file; one that is not UTF-8 raises a
-    ValueError naming it."""
+    """The whitespace-split lines of a file. A line ends only at a newline
+    (LF, CR LF or CR); a form feed, U+2028 or other whitespace inside it
+    separates tokens. A file that is not UTF-8 raises a ValueError naming
+    it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return [line.split() for line in fh.read().splitlines()]
+            return [line.split() for line in fh]
     except UnicodeDecodeError as e:
         raise ValueError(f"cannot read {path}: {e}") from e
 

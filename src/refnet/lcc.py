@@ -87,52 +87,36 @@ def _tri_scores_forward(x, a, W, U, V, v):
     return np.concatenate(scores), (x, a, W, U, V, v, es)
 
 
-def _tri_scores_backward(cache, g, needs):
+def _tri_scores_backward(cache, g, inputs):
     """Gradients of (x, a, W, U, V, v) from the scores' gradient g (N, C);
-    None for each input whose entry of ``needs`` is false. Works through the
-    forward's row blocks; the sums over rows add up block by block."""
+    x's is None unless ``inputs`` is set. Works through the forward's row
+    blocks; the sums over rows add up block by block."""
     x, a, W, U, V, v, es = cache
-    grads = [None] * 6
-    if needs[5]:
-        for rows, e in es:
-            grads[5] = _add(grads[5], g[rows].reshape(-1) @ e.reshape(-1, e.shape[2]))
-    if not any(needs[:5]):
-        return grads
-    dwa = dcross_a = None
+    dv = dV = dwa = dcross_a = None
     dux, dcross_x = [], []
     for rows, e in es:
+        dv = _add(dv, g[rows].reshape(-1) @ e.reshape(-1, e.shape[2]))
         dpre = g[rows, :, None] * v * (1.0 - e * e)       # (n, C, d_att)
         dwa = _add(dwa, dpre.sum(axis=0))                 # (C, d_att)
         dux.append(dpre.sum(axis=1))                      # (n, d_att)
         dvc = dpre.reshape(-1, e.shape[2])                # (n*C, d_att)
         xb = x[rows, None, :]
-        if needs[4]:
-            cross = xb * a[None, :, :]
-            grads[4] = _add(grads[4], dvc.T @ cross.reshape(dvc.shape[0], -1))
-        if needs[0] or needs[1]:
-            dcross = (dvc @ V).reshape(-1, *a.shape)      # (n, C, d)
-            if needs[0]:
-                dcross_x.append((dcross * a).sum(axis=1))
-            if needs[1]:
-                dcross_a = _add(dcross_a, (dcross * xb).sum(axis=0))
+        dV = _add(dV, dvc.T @ (xb * a).reshape(dvc.shape[0], -1))
+        dcross = (dvc @ V).reshape(-1, *a.shape)          # (n, C, d)
+        if inputs:
+            dcross_x.append((dcross * a).sum(axis=1))
+        dcross_a = _add(dcross_a, (dcross * xb).sum(axis=0))
     dux = np.concatenate(dux)
-    if needs[2]:
-        grads[2] = dwa.T @ a
-    if needs[3]:
-        grads[3] = dux.T @ x
-    if needs[0]:
-        grads[0] = dux @ U + np.concatenate(dcross_x)
-    if needs[1]:
-        grads[1] = dwa @ W + dcross_a
-    return grads
+    dx = dux @ U + np.concatenate(dcross_x) if inputs else None
+    return [dx, dwa @ W + dcross_a, dwa.T @ a, dux.T @ x, dV, dv]
 
 
 def tri_scores(X, anchors, W, U, V, v):
     """All pairwise scores: (N, d_v) inputs x (C, d_v) anchors -> (N, C).
 
     One tape node over the numpy kernel pair ``_tri_scores_forward`` and
-    ``_tri_scores_backward``; the backward returns the gradients of X, the
-    anchors, W, U, V and v.
+    ``_tri_scores_backward``; the backward returns the gradients of the
+    anchors, W, U, V and v, and X's when X requires one.
     """
     X, A = as_tensor(X), as_tensor(anchors)
     if (X.ndim != 2 or A.ndim != 2 or A.shape[0] < 1
@@ -143,7 +127,7 @@ def tri_scores(X, anchors, W, U, V, v):
     scores, cache = _tri_scores_forward(*(t.data for t in parents))
 
     def bwd(g):
-        return _tri_scores_backward(cache, g, [t.requires_grad for t in parents])
+        return _tri_scores_backward(cache, g, X.requires_grad)
 
     return ad._node(scores, parents, bwd)
 

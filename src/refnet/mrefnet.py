@@ -85,23 +85,10 @@ def global_context(e_prev, s_prev, c_t, weights):
     return _weighted_sum_forward(alpha, values), (alpha, e, s_prev, c_t, weights)
 
 
-def global_context_backward(g, cache, needs):
-    """Gradients of e_prev (always None), s_prev, c_t, W, U, v, the keys and
-    the values from the gradient g of c_G; None for each whose entry of
-    ``needs`` is false."""
+def global_context_backward(g, cache):
+    """Gradients of e_prev (None: the query does not read it), s_prev, c_t,
+    W, U, v, the keys and the values from the gradient g of c_G."""
     alpha, e, s_prev, c_t, (W, U, v, keys, values) = cache
-    _, need_s, need_c, need_W, need_U, need_v, need_k, need_values = needs
-    need_q = need_s or need_c or need_W or need_U
-    d_alpha, d_values = _weighted_sum_backward(
-        g, alpha, values, (need_q or need_k or need_v, need_values))
-    grads = [None] * 8
-    grads[7] = d_values
-    if d_alpha is None:
-        return grads
-    dq, grads[6], grads[5] = _attention_backward(d_alpha, alpha, e, v, 1,
-                                                 (need_q, need_k, need_v))
-    if need_q:
-        grads[1:5] = (dq @ W.T if need_s else None, dq @ U.T if need_c else None,
-                      s_prev.T @ dq if need_W else None,
-                      c_t.T @ dq if need_U else None)
-    return grads
+    d_alpha, d_values = _weighted_sum_backward(g, alpha, values, True)
+    dq, dk, dv = _attention_backward(d_alpha, alpha, e, v, 1, True)
+    return [None, dq @ W.T, dq @ U.T, s_prev.T @ dq, c_t.T @ dq, dv, dk, d_values]

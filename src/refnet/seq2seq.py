@@ -24,6 +24,17 @@ share. Training, decoding and the gradient checks record only those nodes;
 the tests' reference module (``tests/reference.py``) wraps each kernel
 pair in a tape node of its own and records the decoder and the encoder one
 node per op and step, to compare with them bit for bit.
+
+Which gradients a backward computes: every one, except that a fused kernel
+takes at most one flag, for the gradients a stage's frozen groups make
+costly and useless. ``_cell_backward``'s ``weights`` covers W, U and b,
+``_attention_backward``'s ``weights`` the keys and v,
+``_weighted_sum_backward``'s ``values`` the values (the frozen encoder
+memory of finetune-m and train-b), and ``lcc._tri_scores_backward``'s
+``inputs`` the scored points (the constant sentence vectors of the anchor
+fit). A node sets a flag when any input it covers requires a gradient;
+every other gradient is computed whether its input trains or not, and
+``autodiff.grad_map`` drops those of inputs that need none.
 """
 
 from __future__ import annotations
@@ -173,23 +184,21 @@ def _cell_forward(x, s_prev, W, U, b, extras=(), mask=None):
     return state, (x, W, U, extras, gate)
 
 
-def _cell_backward(g, cache, needs):
+def _cell_backward(g, cache, weights):
     """Gradients of x, s_prev, W, U, b and of each extra pair's vector and
     projection, in that order, from the gradient g of a ``_cell_forward``
-    state; None for each whose entry of ``needs`` is false."""
+    state; W's, U's and b's are None unless ``weights`` is set."""
     x, W, U, extras, gate = cache
     dgx, dgs, g_z, g_keep = _gate_backward(g, gate)
-    grads = [dgx @ W.T if needs[0] else None, None,
-             x.T @ dgx if needs[2] else None,
-             gate[0].T @ dgs if needs[3] else None,
-             dgx.sum(axis=0) if needs[4] else None]
-    if needs[1]:
-        grads[1] = dgs @ U.T + g_z
-        if g_keep is not None:
-            grads[1] += g_keep
-    for i, (vec, proj) in enumerate(extras):
-        grads.append(dgx @ proj.T if needs[5 + 2 * i] else None)
-        grads.append(vec.T @ dgx if needs[6 + 2 * i] else None)
+    ds = dgs @ U.T + g_z
+    if g_keep is not None:
+        ds += g_keep
+    dW = dU = db = None
+    if weights:
+        dW, dU, db = x.T @ dgx, gate[0].T @ dgs, dgx.sum(axis=0)
+    grads = [dgx @ W.T, ds, dW, dU, db]
+    for vec, proj in extras:
+        grads += [dgx @ proj.T, vec.T @ dgx]
     return grads
 
 
@@ -245,8 +254,7 @@ def encoder_recurrence(emb, mask, fwd, bwd):
         dS = np.empty((m, 2, B, d_h), g.dtype)
         dS[:, 0] = g[:, :, 0].transpose(1, 0, 2)
         dS[::-1, 1] = g[:, :, 1].transpose(1, 0, 2)
-        d_emb = np.zeros_like(emb.data) if emb.requires_grad else None
-        want_weights = any(t.requires_grad for t in weights)
+        d_emb = np.zeros_like(emb.data)
         dW, dU, db = [None, None], None, None
         carry = None
         for k in range(m - 1, -1, -1):
@@ -256,17 +264,11 @@ def encoder_recurrence(emb, mask, fwd, bwd):
                 carry = dgs @ U.transpose(0, 2, 1) + g_z
                 if g_keep is not None:
                     carry += g_keep
-            if want_weights:
-                dU = ad._add(dU, S[k].transpose(0, 2, 1) @ dgs)
-                db = ad._add(db, dgx.sum(axis=1))
+            dU = ad._add(dU, S[k].transpose(0, 2, 1) @ dgs)
+            db = ad._add(db, dgx.sum(axis=1))
             for d, pos in ((0, k), (1, m - 1 - k)):
-                x = emb.data[:, pos]
-                if want_weights:
-                    dW[d] = ad._add(dW[d], x.T @ dgx[d])
-                if d_emb is not None:
-                    d_emb[:, pos] += dgx[d] @ weights[3 * d].data.T
-        if not want_weights:
-            return (d_emb,) + (None,) * 6
+                dW[d] = ad._add(dW[d], emb.data[:, pos].T @ dgx[d])
+                d_emb[:, pos] += dgx[d] @ weights[3 * d].data.T
         return (d_emb, dW[0], dU[0], db[0], dW[1], dU[1], db[1])
 
     return ad._node(h.reshape(B, m, 2 * d_h), (emb,) + weights,
@@ -307,19 +309,17 @@ def _attention_forward(q, keys, v, bias=None):
     return ad._softmax_values(scores, axis=1), e
 
 
-def _attention_backward(grad, alpha, e, v, n, needs):
-    """Gradients of q, keys and v from the gradient of alpha; None for each
-    whose entry of ``needs`` is false."""
+def _attention_backward(grad, alpha, e, v, n, weights):
+    """Gradients of q, keys and v from the gradient of alpha; the keys' and
+    v's are None unless ``weights`` is set."""
     B, m, d = e.shape
     g = B // n
     ds = ad._softmax_grad(alpha, grad, axis=1)
-    dv = ds.reshape(-1) @ e.reshape(-1, d) if needs[2] else None
-    if not (needs[0] or needs[1]):
-        return None, None, dv
     da = ds[:, :, None] * (1.0 - e * e) * v
+    if not weights:
+        return da.sum(axis=1), None, None
     dk = da if g == 1 else da.reshape(n, g, m, d).sum(axis=1)
-    return (da.sum(axis=1) if needs[0] else None,
-            dk if needs[1] else None, dv)
+    return da.sum(axis=1), dk, ds.reshape(-1) @ e.reshape(-1, d)
 
 
 def _weighted_sum_forward(alpha, values):
@@ -329,22 +329,17 @@ def _weighted_sum_forward(alpha, values):
     return (alpha.reshape(n, B // n, m) @ values).reshape(B, d)
 
 
-def _weighted_sum_backward(grad, alpha, values, needs):
-    """Gradients of alpha and values, shared by every row (n = 1) or one
-    set per row (n = B); None for each whose entry of ``needs`` is false.
-    Only decoding groups rows (1 < n < B), and it differentiates nothing."""
-    (B, m), (n, _, d) = alpha.shape, values.shape
+def _weighted_sum_backward(grad, alpha, memory, values):
+    """Gradients of alpha and of the values ``memory``, shared by every row
+    (n = 1) or one set per row (n = B); the values' is None unless
+    ``values`` is set. Only decoding groups rows (1 < n < B), and it
+    differentiates nothing."""
+    (B, m), (n, _, d) = alpha.shape, memory.shape
     if n == 1:
-        return (grad @ values[0].T if needs[0] else None,
-                (alpha.T @ grad)[None] if needs[1] else None)
+        return grad @ memory[0].T, (alpha.T @ grad)[None] if values else None
     rows = grad.reshape(n, 1, d)  # raises unless n == B
-    d_alpha = d_values = None
-    if needs[0]:
-        d_alpha = (values @ rows.transpose(0, 2, 1)).transpose(0, 2, 1)
-        d_alpha = d_alpha.reshape(B, m)
-    if needs[1]:
-        d_values = alpha[:, :, None] * rows
-    return d_alpha, d_values
+    d_alpha = (memory @ rows.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return d_alpha.reshape(B, m), alpha[:, :, None] * rows if values else None
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +393,9 @@ class ExtraInput:
     """A variant's extra decoder input as a kernel pair on arrays.
 
     ``forward(e_prev, s_prev, c, weights)`` returns one step's extra vector
-    (B, d) and a cache; ``backward(g, cache, needs)`` returns, from the
-    vector's gradient g, the gradients of e_prev, s_prev, c and of each
-    weight, None for each whose entry of ``needs`` is false. The weights
+    (B, d) and a cache; ``backward(g, cache)`` returns, from the vector's
+    gradient g, the gradients of e_prev, s_prev, c and of each weight,
+    None only for an input the vector does not read. The weights
     are the arrays of ``params``, and ``proj`` maps the vector into the gate
     pre-activations. ``predicts_embedding``: the vector estimates the next
     target's embedding (b_ref's f_s), so forward reads e_prev, the clean
@@ -477,7 +472,10 @@ def decoder_recurrence(params, s0, emb_in, h, h_proj, mask, extra=None,
     The hand-written backward-through-time returns the gradients of s0,
     emb_in, h, h_proj, the ``DECODER_WEIGHTS``, emb_clean (when the extra
     input predicts the embedding) and the extra input's params and
-    projection. Weight gradient products stay inside the loop, and every
+    projection. It skips three groups, by the flags of the module
+    docstring: the cell's W, U and b when none of them requires a gradient,
+    h_proj, att/W and att/v when none of them does, and h when it does not.
+    Weight gradient products stay inside the loop, and every
     gradient is summed in the order ``grad_map`` sums the same recurrence
     built from one tape node per op (``reference_decoder`` in
     ``tests/reference.py``: the attention's two nodes, the cell's and the
@@ -528,71 +526,53 @@ def decoder_recurrence(params, s0, emb_in, h, h_proj, mask, extra=None,
 
     def backward_through_time(G):
         G = G.reshape(out.shape)
-        needs = [p.requires_grad for p in parents]
         grads = [None] * len(parents)
         att_W, att_v = arrays[:2]
-        x_needs = needs[first_weight:] if extra is not None else []
-        need_clean = predicts and needs[9]
+        cell_weights = any(p.requires_grad for p in parents[6:9])
+        att_weights = any(p.requires_grad for p in parents[3:6])
+        values = h.requires_grad
         last = T - 2
-        d_emb = np.zeros_like(emb_in.data) if needs[1] else None
-        d_clean = np.zeros_like(clean.data) if need_clean else None
+        d_emb = np.zeros_like(emb_in.data)
+        d_clean = np.zeros_like(clean.data) if predicts else None
         carry = G[last, :, d_e:d_e + d_h]  # the gradient of step t's state
         for t in range(last, -1, -1):
             ((alpha, e),), extra_cache, cell = caches[t]
             s_prev = cell[4][0]
-            live_s = t > 0 or needs[0]
-            live_q = live_s or needs[4]
-            live_alpha = live_q or needs[3] or needs[5]
-            live_c = live_alpha or needs[2]
-            live_vec = extra is not None and (live_s or live_c or need_clean
-                                              or any(x_needs[:-1]))
-            dx, ds, *d_cell = _cell_backward(
-                carry, cell, [needs[1] or live_c, live_s, *needs[6:9], live_vec,
-                              extra is not None and x_needs[-1]])
-            for i, term in zip((6, 7, 8, len(parents) - 1), d_cell[:3] + d_cell[4:]):
-                if term is not None:
+            dx, ds, *d_cell = _cell_backward(carry, cell, cell_weights)
+            if cell_weights:
+                for i, term in zip((6, 7, 8), d_cell):
                     grads[i] = ad._add(grads[i], term)
-            if d_emb is not None:
-                d_emb[:, t] = G[t, :, :d_e] + dx[:, :d_e]
+            d_emb[:, t] = G[t, :, :d_e] + dx[:, :d_e]
             ds_x = dc_x = None
-            if live_vec:
-                g_vec = d_cell[3] + G[t, :, read:] if predicts else d_cell[3]
-                de, ds_x, dc_x, *d_x = extra.backward(
-                    g_vec, extra_cache, [need_clean, live_s, live_c, *x_needs[:-1]])
+            if extra is not None:
+                d_vec, d_proj = d_cell[3:]
+                grads[-1] = ad._add(grads[-1], d_proj)
+                g_vec = d_vec + G[t, :, read:] if predicts else d_vec
+                de, ds_x, dc_x, *d_x = extra.backward(g_vec, extra_cache)
                 for i, term in enumerate(d_x, first_weight):
-                    if term is not None:
-                        grads[i] = ad._add(grads[i], term)
-                if d_clean is not None:
+                    grads[i] = ad._add(grads[i], term)
+                if predicts:
                     d_clean[:, t] = de
-            if live_c:
-                g_read, cell_term = G[t, :, d_e + d_h:read], dx[:, d_e:]
-                if t == last and dc_x is not None and not predicts:
-                    g_c = (cell_term + dc_x) + g_read
-                else:
-                    g_c = g_read + cell_term
-                    if dc_x is not None:
-                        g_c += dc_x
-                d_alpha, dh = _weighted_sum_backward(g_c, alpha, h.data,
-                                                     (live_alpha, needs[2]))
-                if dh is not None:
-                    grads[2] = ad._add(grads[2], dh)
-                if live_alpha:
-                    dq, dk, dv = _attention_backward(
-                        d_alpha, alpha, e, att_v, B, (live_q, needs[3], needs[5]))
-                    for i, term in ((3, dk), (5, dv)):
-                        if term is not None:
-                            grads[i] = ad._add(grads[i], term)
-                    if needs[4]:
-                        grads[4] = ad._add(grads[4], s_prev.T @ dq)
-            if live_s:
-                carry = ds if t == 0 else G[t - 1, :, d_e:d_e + d_h] + ds
-                if ds_x is not None:
-                    carry += ds_x
-                carry += dq @ att_W.T
-                if t == 0:
-                    grads[0] = carry
-        grads[1] = d_emb
-        if need_clean:
+            g_read, cell_term = G[t, :, d_e + d_h:read], dx[:, d_e:]
+            if t == last and dc_x is not None and not predicts:
+                g_c = (cell_term + dc_x) + g_read
+            else:
+                g_c = g_read + cell_term
+                if dc_x is not None:
+                    g_c += dc_x
+            d_alpha, dh = _weighted_sum_backward(g_c, alpha, h.data, values)
+            if values:
+                grads[2] = ad._add(grads[2], dh)
+            dq, dk, dv = _attention_backward(d_alpha, alpha, e, att_v, B, att_weights)
+            if att_weights:
+                for i, term in ((3, dk), (4, s_prev.T @ dq), (5, dv)):
+                    grads[i] = ad._add(grads[i], term)
+            carry = ds if t == 0 else G[t - 1, :, d_e:d_e + d_h] + ds
+            if ds_x is not None:
+                carry += ds_x
+            carry += dq @ att_W.T
+        grads[:2] = carry, d_emb
+        if predicts:
             grads[9] = d_clean
         return grads
 

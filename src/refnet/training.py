@@ -317,6 +317,8 @@ def _vocab(header, dims, key):
     if vocab.id_to_token != tokens:
         raise ValueError(f"{key} does not list {list(SPECIALS)} first and "
                          f"only there")
+    if len(vocab.token_to_id) != size:
+        raise ValueError(f"{key} lists a token twice")
     return vocab
 
 

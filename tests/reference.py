@@ -104,7 +104,7 @@ def recurrent_cell(x, s_prev, W, U, b, extras=(), mask=None):
                                  mask)
 
     def bwd(g):
-        return _cell_backward(g, cache, [t.requires_grad for t in parents])
+        return _cell_backward(g, cache, any(t.requires_grad for t in (W, U, b)))
 
     return ad._node(state, parents, bwd)
 
@@ -120,7 +120,7 @@ def attention_weights(q, keys, v, mask=None):
 
     def bwd(grad):
         return _attention_backward(grad, alpha, e, v.data, keys.shape[0],
-                                   [t.requires_grad for t in (q, keys, v)])
+                                   keys.requires_grad or v.requires_grad)
 
     return ad._node(alpha, (q, keys, v), bwd)
 
@@ -135,7 +135,7 @@ def weighted_sum(alpha, values):
 
     def bwd(grad):
         return _weighted_sum_backward(grad, alpha.data, values.data,
-                                      (alpha.requires_grad, values.requires_grad))
+                                      values.requires_grad)
 
     return ad._node(out, (alpha, values), bwd)
 
@@ -164,10 +164,7 @@ def f_s(q, params):
     parents = (q,) + tuple(params[k] for k in F_S_PARAMS)
     out, cache = _f_s_forward(q.data, [t.data for t in parents[1:]])
 
-    def bwd(g):
-        return _f_s_backward(g, cache, [t.requires_grad for t in parents])
-
-    return ad._node(out, parents, bwd)
+    return ad._node(out, parents, lambda g: _f_s_backward(g, cache))
 
 
 # ---------------------------------------------------------------------------

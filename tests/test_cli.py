@@ -609,6 +609,14 @@ class TestTranslateAndEvaluate:
             outputs[name] = (tmp_path / f"{name}.hyp").read_text().splitlines()
         assert outputs["gaps"] == [outputs["plain"][0], "", outputs["plain"][1]]
 
+    def test_one_hypothesis_per_source_line(self, toy_ckpt, tmp_path):
+        """A form feed or U+2028 inside a source line does not end it."""
+        src = tmp_path / "odd.src"
+        src.write_text("t1 t2\nt3\u2028t4\nt5\ft6\n", encoding="utf-8")
+        assert run_cli(["translate", "--ckpt", str(toy_ckpt), "--src", str(src),
+                        "--out", str(tmp_path / "odd.hyp")]) == EXIT_OK
+        assert (tmp_path / "odd.hyp").read_text(encoding="utf-8").count("\n") == 3
+
     def test_translate_deterministic(self, toy_files, toy_ckpt, tmp_path):
         outs = []
         for name in ("h1.txt", "h2.txt"):

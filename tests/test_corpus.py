@@ -5,7 +5,7 @@ from refnet import corpus
 from refnet.corpus import (BOS, DRAW_BLOCK, EOS, PAD, UNK, ParallelCorpus,
                            _accepted, build_vocab, cipher_permutation,
                            filter_by_length, generate_synthetic_task,
-                           make_batches)
+                           make_batches, read_sentences)
 from reference import reference_synthetic_task
 
 
@@ -249,6 +249,16 @@ class TestFiles:
         (tmp_path / "a.tgt").write_text("x y\nz\nw\n")
         with pytest.raises(ValueError, match=r"a\.src: line 2: empty source"):
             ParallelCorpus.load(tmp_path / "a.src", tmp_path / "a.tgt")
+
+    @pytest.mark.parametrize("sep", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"],
+                             ids=["FF", "VT", "FS", "GS", "RS", "NEL", "LS", "PS"])
+    def test_lines_end_at_newlines_only(self, tmp_path, sep):
+        """str.splitlines would also end a line at these; here they separate
+        tokens, so a parallel file keeps its line count."""
+        path = tmp_path / "a.txt"
+        path.write_text(f"t1 t2\nt3{sep}t4\r\nt5{sep}t6\n", encoding="utf-8")
+        assert read_sentences(path) == [["t1", "t2"], ["t3", "t4"], ["t5", "t6"]]
 
     def test_empty_target_line_loads(self, tmp_path):
         (tmp_path / "a.src").write_text("a b\nc\n")

@@ -366,8 +366,8 @@ class TestTolerance:
         TOL of 1e-4 would pass it."""
         cell_backward = seq2seq._cell_backward
 
-        def mutated(g, cache, needs):
-            grads = cell_backward(g, cache, needs)
+        def mutated(g, cache, weights):
+            grads = cell_backward(g, cache, weights)
             grads[2] = grads[2] * (1.0 + 1e-6)
             return grads
 

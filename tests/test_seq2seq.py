@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refnet import autodiff as ad
+from refnet import lcc
 from refnet.autodiff import Tensor, no_grad
 from refnet.corpus import BOS, EOS, Batch
 from refnet.brefnet import init_b_params
-from refnet.model import KINDS, TranslationModel
+from refnet.model import KINDS, TranslationModel, variant_extras
 from refnet.mrefnet import ANCHOR_KEY, init_m_params
 from refnet.params import ParamStore
 from refnet.training import STAGE_FREEZES
@@ -128,7 +129,7 @@ def constant_extra(vec, proj):
     the kernel pair of an ``ExtraInput`` over the tensors vec and proj."""
     return seq2seq.ExtraInput(
         lambda e, s, c, weights: (weights[0], None),
-        lambda g, cache, needs: [None, None, None, g if needs[3] else None],
+        lambda g, cache: [None, None, None, g],
         (vec,), proj)
 
 
@@ -1097,3 +1098,125 @@ class TestStepContract:
             rows.clear()
             assert model.translate_batch(sources, beam=beam) == plain[beam]
             assert rows and min(rows) >= 1
+
+
+def assert_flag_covers(grads_on, grads_off, covered):
+    """With the flag set every gradient is an array; with it off exactly the
+    ``covered`` ones are None and the others keep their values."""
+    assert len(grads_on) == len(grads_off)
+    for i, (on, off) in enumerate(zip(grads_on, grads_off)):
+        assert on is not None, i
+        if i in covered:
+            assert off is None, i
+        else:
+            np.testing.assert_array_equal(on, off, err_msg=str(i))
+
+
+class TestGradientFlags:
+    """The rule of the ``seq2seq`` module docstring: a fused kernel's one
+    flag turns off exactly the gradients it covers and leaves the others'
+    values exactly; a kernel or node without a flag returns a gradient for
+    every input it reads."""
+
+    def test_cell_weights(self):
+        rng = np.random.default_rng(0)
+        x, s, W, U, b, vec, proj = (rng.normal(size=shape) for shape in
+                                    ((3, 5), (3, 4), (5, 12), (4, 12), (12,),
+                                     (3, 2), (2, 12)))
+        mask = np.array([[1.0], [0.0], [1.0]])
+        _, cache = seq2seq._cell_forward(x, s, W, U, b, [(vec, proj)], mask)
+        g = rng.normal(size=(3, 4))
+        assert_flag_covers(seq2seq._cell_backward(g, cache, True),
+                           seq2seq._cell_backward(g, cache, False), {2, 3, 4})
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_attention_weights(self, n):
+        rng = np.random.default_rng(1)
+        q, keys, v = rng.normal(size=(4, 3)), rng.normal(size=(n, 5, 3)), rng.normal(size=3)
+        alpha, e = seq2seq._attention_forward(q, keys, v)
+        g = rng.normal(size=alpha.shape)
+        assert_flag_covers(seq2seq._attention_backward(g, alpha, e, v, n, True),
+                           seq2seq._attention_backward(g, alpha, e, v, n, False),
+                           {1, 2})
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_weighted_sum_values(self, n):
+        rng = np.random.default_rng(2)
+        alpha, values = rng.normal(size=(4, 5)), rng.normal(size=(n, 5, 6))
+        g = rng.normal(size=(4, 6))
+        assert_flag_covers(seq2seq._weighted_sum_backward(g, alpha, values, True),
+                           seq2seq._weighted_sum_backward(g, alpha, values, False),
+                           {1})
+
+    @pytest.mark.parametrize("block_elems", [lcc.BLOCK_ELEMS, 1],
+                             ids=["one-block", "row-blocks"])
+    def test_tri_score_inputs(self, block_elems, monkeypatch):
+        monkeypatch.setattr(lcc, "BLOCK_ELEMS", block_elems)
+        rng = np.random.default_rng(3)
+        x, a = rng.normal(size=(5, 4)), rng.normal(size=(3, 4))
+        scores, cache = lcc._tri_scores_forward(x, a, *lcc.init_score(4, 6, rng))
+        g = rng.normal(size=scores.shape)
+        assert_flag_covers(lcc._tri_scores_backward(cache, g, True),
+                           lcc._tri_scores_backward(cache, g, False), {0})
+
+    @pytest.mark.parametrize("kind", ["m_ref", "b_ref"])
+    def test_extra_inputs_return_every_gradient(self, kind):
+        """m_ref's global context and b_ref's query regression (through
+        ``brefnet._f_s_backward``): one array of its input's shape per
+        input, except m_ref's e_prev, which the query does not read."""
+        model = reference_model(kind)
+        extra = variant_extras(kind, model.params)
+        rng = np.random.default_rng(4)
+        d_e, d_h = model.dims.d_e, model.dims.d_h
+        inputs = [rng.normal(size=(3, d)) for d in (d_e, d_h, 2 * d_h)]
+        weights = [t.data for t in extra.params]
+        vec, cache = extra.forward(*inputs, weights)
+        grads = extra.backward(rng.normal(size=vec.shape), cache)
+        assert len(grads) == 3 + len(weights)
+        if kind == "m_ref":
+            assert grads[0] is None
+            grads, inputs = grads[1:], inputs[1:]
+        for grad, x in zip(grads, inputs + weights):
+            assert grad.shape == x.shape
+
+    def test_encoder_returns_every_gradient(self, tiny_params, tiny_dims):
+        """Frozen weights change none of the encoder node's gradients."""
+        rng = np.random.default_rng(5)
+        emb = ad.parameter(rng.normal(size=(2, 3, tiny_dims.d_e)))
+        mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        weights = [tiny_params[f"enc/{d}/{k}"] for d in ("fwd", "bwd") for k in "WUb"]
+        g = rng.normal(size=(2, 3, 2 * tiny_dims.d_h))
+        trained = seq2seq.encoder_recurrence(emb, mask, weights[:3], weights[3:])
+        frozen = seq2seq.encoder_recurrence(emb, mask, *(
+            [Tensor(t.data) for t in part] for part in (weights[:3], weights[3:])))
+        for a, b in zip(trained._bwd(g), frozen._bwd(g), strict=True):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("frozen,covered", [
+        (("dec/cell/W", "dec/cell/U", "dec/cell/b"), {6, 7, 8}),
+        (("dec/cell/W",), set()),
+        (("h_proj", "dec/att/W", "dec/att/v"), {3, 4, 5}),
+        (("h",), {2}),
+        (("s0", "emb"), set())],
+        ids=["cell", "cell-W-only", "attention", "values", "unflagged"])
+    def test_decoder_derives_its_flags(self, tiny_params, tiny_dims, frozen,
+                                       covered):
+        """The decoder node sets each flag when any input it covers requires
+        a gradient: freezing all of them makes exactly their gradients None,
+        and the other gradients keep their values; freezing some, or inputs no
+        flag covers, changes nothing."""
+        rng = np.random.default_rng(6)
+        shapes = {"s0": (2, tiny_dims.d_h), "emb": (2, 4, tiny_dims.d_e),
+                  "h": (2, 3, 2 * tiny_dims.d_h), "h_proj": (2, 3, tiny_dims.d_att)}
+        inputs = {k: ad.parameter(rng.normal(size=shape)) for k, shape in shapes.items()}
+        mask = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+
+        def node_grads(frozen):
+            for t in [*inputs.values(), *(t for _, t in tiny_params.items())]:
+                t.requires_grad = True
+            for name in frozen:
+                (inputs.get(name) or tiny_params[name]).requires_grad = False
+            out = seq2seq.decoder_recurrence(tiny_params, *inputs.values(), mask)
+            return out._bwd(np.random.default_rng(7).normal(size=out.shape))
+
+        assert_flag_covers(node_grads(()), node_grads(frozen), covered)

@@ -59,6 +59,8 @@ HEADER_MUTATIONS = {
         0, h["vocab_src"].pop(1)),
     "vocab-without-specials": lambda h, p: h["vocab_tgt"].__setitem__(
         slice(0, 4), ["p", "q", "r", "s"]),
+    "vocab-token-twice": lambda h, p: h["vocab_src"].__setitem__(
+        -1, h["vocab_src"][-2]),
 }
 
 
